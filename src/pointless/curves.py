@@ -9,6 +9,16 @@ Counting conventions (degree-1 places of the smooth model):
   * Artin-Schreier y^2 + y = f (char 2): each non-pole x contributes 2
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.
+
+Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
+elements are canonical indices, the coefficients are mapped to indices
+once per call, and polynomials are evaluated by Horner on ints.  The
+square class is the parity of a discrete log, the char-2 trace the parity
+of idx & trace_mask, and a plane quartic's points over x are the roots of
+F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y).  Each per-x
+contribution is a function of values of polynomials over F_q, so it is
+constant on the orbits of x -> x^q: the sum over F_{q^i} takes one
+representative per orbit, weighted by the orbit's size.
 """
 
 from .errors import (
@@ -17,12 +27,10 @@ from .errors import (
     UnsupportedShape,
     ZeroPolynomial,
 )
-from .field import Poly, QuotientField, RationalFunction, embed, map_poly
+from .field import Poly, QuotientField, RationalFunction, _kernel, embed, map_poly
 from .series import Series, poly_at_series
 
 _SQUARE_SETS = {}
-_TRACE_MASKS = {}
-_AS_SOLVERS = {}
 
 
 def square_set(field):
@@ -36,12 +44,6 @@ def square_set(field):
     return _SQUARE_SETS[field]
 
 
-def s_value(v, sqset):
-    if v.is_zero():
-        return 1
-    return 2 if v.coeffs in sqset else 0
-
-
 def _bits(v):
     out = 0
     for i, c in enumerate(v.coeffs):
@@ -51,58 +53,26 @@ def _bits(v):
 
 def trace_mask(field):
     """Bitmask m with trace_to_F2(v) = parity(bits(v) & m); char 2 only."""
-    if field not in _TRACE_MASKS:
-        m = 0
-        for j in range(field.n):
-            e = field.gen ** j if field.n > 1 else field.one
-            if e.trace_to_F2():
-                m |= 1 << j
-        _TRACE_MASKS[field] = m
-    return _TRACE_MASKS[field]
+    if field.p != 2:
+        raise OddCharacteristic("absolute 2-trace needs characteristic 2")
+    return _kernel(field).trace_mask
 
 
 def fast_trace(v, mask):
     return bin(_bits(v) & mask).count("1") & 1
 
 
-def as_solver(field):
-    """Returns solve(v) -> y with y^2 + y = v, or None when the trace is 1.
+def _extension(base, i):
+    """(F_{q^i}, embedding of the base field, index kernel of F_{q^i}, its
+    Frobenius orbits over F_q)."""
+    big, phi = embed(base, i)
+    kern = _kernel(big)
+    return big, phi, kern, kern.frobenius_orbits(base.q)
 
-    The map y -> y^2 + y is F_2-linear; we precompute its reduced row
-    echelon form over the power basis once per field.
-    """
-    if field in _AS_SOLVERS:
-        return _AS_SOLVERS[field]
-    n = field.n
-    rows = []  # (pivot, mask, combo)
-    for j in range(n):
-        e = field.gen ** j if n > 1 else field.one
-        mask = _bits(e * e + e)
-        combo = 1 << j
-        for p, m, c in rows:
-            if (mask >> p) & 1:
-                mask ^= m
-                combo ^= c
-        if mask:
-            p = mask.bit_length() - 1
-            for idx, (p2, m2, c2) in enumerate(rows):
-                if (m2 >> p) & 1:
-                    rows[idx] = (p2, m2 ^ mask, c2 ^ combo)
-            rows.append((p, mask, combo))
 
-    def solve(v, _rows=rows, _field=field):
-        vb = _bits(v)
-        combo = 0
-        for p, m, c in _rows:
-            if (vb >> p) & 1:
-                vb ^= m
-                combo ^= c
-        if vb:
-            return None
-        return _field.element([(combo >> i) & 1 for i in range(_field.n)])
-
-    _AS_SOLVERS[field] = solve
-    return solve
+def _index_poly(f, big, phi):
+    """Index coefficients of f mapped into big, constant term first."""
+    return [big.index(phi(c)) for c in f.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +96,11 @@ class HyperellipticOdd:
         self.genus = (f.degree + 1) // 2 - 1
 
     def count(self, i=1):
-        big, phi = embed(self.base, i)
-        f = map_poly(self.f, big, phi)
-        sq = square_set(big)
-        total = sum(s_value(f.eval(x), sq) for x in big.elements())
-        if f.degree % 2 == 1:
-            total += 1
-        else:
-            total += 2 if f.lc.coeffs in sq else 0
-        return total
+        big, phi, kern, orbits = _extension(self.base, i)
+        f = _index_poly(self.f, big, phi)
+        horner, roots = kern.horner, kern.sqrt_count
+        total = sum(w * roots(horner(f, x)) for x, w in orbits)
+        return total + (1 if self.f.degree % 2 else roots(f[-1]))
 
     def kind(self):
         return "hyperelliptic_odd"
@@ -175,24 +141,22 @@ class ArtinSchreierCurve:
         self.genus = -1 + two_delta // 2
 
     def count(self, i=1):
-        big, phi = embed(self.base, i)
-        num = map_poly(self.f.num, big, phi)
-        den = map_poly(self.f.den, big, phi)
-        mask = trace_mask(big)
+        big, phi, kern, orbits = _extension(self.base, i)
+        num = _index_poly(self.f.num, big, phi)
+        den = _index_poly(self.f.den, big, phi)
+        horner, trace = kern.horner, kern.trace
         total = 0
-        for x in big.elements():
-            d = den.eval(x)
-            if d.is_zero():
-                total += 1  # simple (odd-order) pole: ramified rational place
-                continue
-            v = num.eval(x) / d
-            total += 2 if fast_trace(v, mask) == 0 else 0
+        for x, w in orbits:
+            d = horner(den, x)
+            if not d:
+                total += w  # simple (odd-order) pole: ramified rational place
+            elif not trace(kern.mul(horner(num, x), kern.inv(d))):
+                total += 2 * w
         m = self.f.num.degree - self.f.den.degree
         if m >= 1:
             total += 1  # odd-order pole at infinity, ramified
-        else:
-            v_inf = big.zero if m < 0 else phi(self.f.num.lc / self.f.den.lc)
-            total += 2 if fast_trace(v_inf, mask) == 0 else 0
+        elif m < 0 or not trace(kern.mul(num[-1], kern.inv(den[-1]))):
+            total += 2
         return total
 
     def kind(self):
@@ -323,19 +287,19 @@ class PlaneQuartic:
     # -- counting ------------------------------------------------------
 
     def count(self, i=1):
-        big, phi = embed(self.base, i)
-        coeffs = {m: phi(c) for m, c in self.coeffs.items()}
-        total = 0
-        # chart z = 1: for each x, count y-roots of the restriction
-        biv = _restrict_chart(big, coeffs)
-        for x in big.elements():
-            ypoly = Poly(big, [c.eval(x) for c in biv])
-            total += _root_count(ypoly, big)
-        # line z = 0, y = 1: roots in x
-        u = _restrict_xy(big, coeffs)
-        total += _root_count(u, big)
+        big, phi, kern, orbits = _extension(self.base, i)
+        c = {m: big.index(phi(v)) for m, v in self.coeffs.items()}
+        # chart z = 1: rows[j] lists the x-coefficients of y^j in F(x, y, 1)
+        rows = [[0] * (5 - j) for j in range(5)]
+        for (a, b, _), v in c.items():
+            rows[b][a] = v
+        horner, root_count = kern.horner, kern.root_count
+        total = sum(w * root_count([horner(r, x) for r in rows])
+                    for x, w in orbits)
+        # line z = 0, y = 1: roots of F(x, 1, 0) in x
+        total += root_count([c[(a, 4 - a, 0)] for a in range(5)])
         # point (1:0:0)
-        if coeffs[(4, 0, 0)].is_zero():
+        if not c[(4, 0, 0)]:
             total += 1
         return total
 
@@ -438,19 +402,6 @@ def _poly_det(M, base):
     return -det if negate else det
 
 
-def _root_count(p, field):
-    """Number of distinct roots of p in the field; a zero p has them all."""
-    if p.is_zero():
-        return field.q
-    if p.degree == 0:
-        return 0
-    if field.q <= 64:
-        return sum(1 for v in field.elements() if p.eval(v).is_zero())
-    pm = p.monic()
-    x = Poly.x(field)
-    return pm.gcd(x.pow_mod(field.q, pm) - x).degree
-
-
 # ---------------------------------------------------------------------------
 # fiber products of two hyperelliptic genus-1 quotients
 # ---------------------------------------------------------------------------
@@ -473,15 +424,13 @@ class FiberProductGenus4:
         self.genus = 4
 
     def count(self, i=1):
-        big, phi = embed(self.base, i)
-        f = map_poly(self.f, big, phi)
-        g = map_poly(self.g, big, phi)
-        sq = square_set(big)
-        total = sum(s_value(f.eval(x), sq) * s_value(g.eval(x), sq)
-                    for x in big.elements())
-        prod_lc = f.lc * g.lc
-        total += 2 if prod_lc.coeffs in sq else 0
-        return total
+        big, phi, kern, orbits = _extension(self.base, i)
+        f = _index_poly(self.f, big, phi)
+        g = _index_poly(self.g, big, phi)
+        horner, roots = kern.horner, kern.sqrt_count
+        total = sum(w * roots(horner(f, x)) * roots(horner(g, x))
+                    for x, w in orbits)
+        return total + roots(kern.mul(f[-1], g[-1]))
 
     def properties(self):
         """trigonal: span(f, g) contains a nonzero constant;
@@ -546,61 +495,61 @@ class ASTower:
         self.genus = claimed_genus
 
     def count(self, i=1):
-        big, phi = embed(self.base, i)
-        c1, c0, cm1 = phi(self.c1), phi(self.c0), phi(self.cm1)
-        A = map_poly(self.A, big, phi)
-        Bp = map_poly(self.B, big, phi)
-        D = map_poly(self.D, big, phi)
-        mask = trace_mask(big)
-        solve = as_solver(big)
-        droots = set()
-        if D.degree > 0:
-            droots = {r.coeffs for r in D.roots()}
+        big, phi, kern, orbits = _extension(self.base, i)
+        f1 = (phi(self.c1), phi(self.c0), phi(self.cm1))
+        stage2 = tuple(map_poly(g, big, phi) for g in (self.A, self.B, self.D))
+        c1, c0, cm1 = (big.index(c) for c in f1)
+        A, B, D = ([big.index(c) for c in g.coeffs] for g in stage2)
+        horner, mul, trace = kern.horner, kern.mul, kern.trace
         total = 0
-        for x in big.elements():
-            if x.is_zero():
-                if not cm1.is_zero():
+        for x, w in orbits:   # char 2: indices add by XOR, y0 + 1 = y0 ^ 1
+            if not x:
+                if cm1:
                     continue  # ramified at stage 1, handled below
                 v1 = c0
             else:
-                v1 = c1 * x + c0 + cm1 / x
-            if fast_trace(v1, mask):
+                v1 = mul(c1, x) ^ c0 ^ mul(cm1, kern.inv(x))
+            y0 = kern.as_root(v1)
+            if y0 is None:
                 continue
-            y0 = solve(v1)
-            for y in (y0, y0 + big.one):
-                if x.coeffs in droots:
-                    total += self._place_points(big, mask, "finite", x, y)
-                else:
-                    v2 = (A.eval(x) + Bp.eval(x) * y) / D.eval(x)
-                    total += 2 if fast_trace(v2, mask) == 0 else 0
+            d = horner(D, x)
+            if not d:
+                xe = big.from_index(x)
+                total += w * sum(
+                    _tower_place_points(kern, f1, stage2, "finite", xe,
+                                        big.from_index(y))
+                    for y in (y0, y0 ^ 1))
+                continue
+            a, b, dinv = horner(A, x), horner(B, x), kern.inv(d)
+            for y in (y0, y0 ^ 1):
+                if not trace(mul(a ^ mul(b, y), dinv)):
+                    total += 2 * w
         # place(s) over x = 0
-        if not cm1.is_zero():
-            total += self._place_points(big, mask, "ram_zero", None, None)
+        if cm1:
+            total += _tower_place_points(kern, f1, stage2, "ram_zero")
         # place(s) over x = infinity
-        if not c1.is_zero():
-            total += self._place_points(big, mask, "ram_inf", None, None)
+        if c1:
+            total += _tower_place_points(kern, f1, stage2, "ram_inf")
         else:
-            if fast_trace(c0, mask) == 0:
-                y0 = solve(c0)
-                for y in (y0, y0 + big.one):
-                    total += self._place_points(big, mask, "ord_inf", None, y)
+            y0 = kern.as_root(c0)
+            if y0 is not None:
+                for y in (y0, y0 ^ 1):
+                    total += _tower_place_points(kern, f1, stage2, "ord_inf",
+                                                 ybranch=big.from_index(y))
         return total
-
-    def _place_points(self, big, mask, kind, x0, ybranch, prec=60):
-        """Points of the tower above one place of the middle curve,
-        via local expansion and Artin-Schreier reduction."""
-        return _tower_place_points(self, big, mask, kind, x0, ybranch, prec)
 
     def kind(self):
         return "as_tower"
 
 
-def _tower_place_points(tower, big, mask, kind, x0, ybranch, prec=60):
-    _, phi = embed(tower.base, big.n // tower.base.n)
-    c1, c0, cm1 = phi(tower.c1), phi(tower.c0), phi(tower.cm1)
-    A = map_poly(tower.A, big, phi)
-    Bp = map_poly(tower.B, big, phi)
-    D = map_poly(tower.D, big, phi)
+def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
+                        prec=60):
+    """Points of the tower above one place of the middle curve, via local
+    expansion and Artin-Schreier reduction.  f1 = (c1, c0, cm1) and
+    stage2 = (A, B, D) are already mapped into the counting field."""
+    c1, c0, cm1 = f1
+    A, Bp, D = stage2
+    big = D.base
     one = big.one
 
     if kind == "finite":
@@ -626,7 +575,7 @@ def _tower_place_points(tower, big, mask, kind, x0, ybranch, prec=60):
     Bs = (poly_at_series(Bp, xs) * ys).truncate(prec)
     Ds = poly_at_series(D, xs).truncate(prec)
     f2 = (As + Bs) / Ds
-    return _as_reduce_count(big, mask, f2)
+    return _as_reduce_count(kern, f2)
 
 
 def _f1_series(big, c1, c0, cm1, xs, prec):
@@ -651,33 +600,43 @@ def _as_branch_series(big, F, y0, prec):
 
 def _ramified_x_series(big, clead, cmid, cfar, prec):
     """Solve x(cl + t + cm x + cf x^2) = t^2 for x as a series in t
-    (the smooth-model parameter at a ramified Artin-Schreier pole)."""
-    t = Series.t(big, prec)
-    t2 = t * t
-    xs = Series.zero(big, prec)
-    for _ in range(prec // 2 + 2):
-        den = Series.constant(big, clead, prec) + t + xs.scale(cmid) + (xs * xs).scale(cfar)
-        xs = t2 * den.inv()
-    return xs
+    (the smooth-model parameter at a ramified Artin-Schreier pole).
+
+    The coefficient of t^n gives the recurrence
+        x_n = (delta_{n,2} - x_{n-1} - cm (x^2)_n - cf (x^3)_n) / cl,
+    explicit because x_0 = 0, so (x^2)_n and (x^3)_n only involve x_k with
+    k < n; they are kept as running sums.  Needs cl != 0 (char 2)."""
+    kern = _kernel(big)
+    mul = kern.mul
+    inv_l = kern.inv(big.index(clead))
+    cm, cf = big.index(cmid), big.index(cfar)
+    x = [0] * (prec + 1)     # coefficients of t^0 .. t^prec
+    x2 = [0] * (prec + 1)    # coefficients of x^2
+    for n in range(1, prec + 1):
+        s2 = s3 = 0          # (x^2)_n and (x^3)_n; indices add by XOR
+        for k in range(1, n):
+            s2 ^= mul(x[k], x[n - k])
+            s3 ^= mul(x[k], x2[n - k])
+        x2[n] = s2
+        rhs = (1 if n == 2 else 0) ^ x[n - 1] ^ mul(cm, s2) ^ mul(cf, s3)
+        x[n] = mul(rhs, inv_l)
+    # every coefficient through t^prec is exact
+    return Series(big, 0, [big.from_index(c) for c in x], prec + 1)
 
 
-def _as_reduce_count(big, mask, f2):
+def _as_reduce_count(kern, f2):
     """Points above a place from the local expansion of the second-stage
     right-hand side: repeatedly absorb even-order poles via s^2 + s."""
-    sqrt_exp = big.n - 1  # char-2 sqrt by repeated squaring
+    big = f2.field
     while True:
         if f2.is_zero():
             return 2
         m = -f2.valuation()
         if m <= 0:
-            c = f2.coefficient(0)
-            return 2 if fast_trace(c, mask) == 0 else 0
+            return 0 if kern.trace(big.index(f2.coefficient(0))) else 2
         if m % 2 == 1:
             return 1
-        lead = f2.coefficient(-m)
-        s = lead
-        for _ in range(sqrt_exp):
-            s = s * s
+        s = f2.coefficient(-m).sqrt()
         u = Series(big, -m // 2, [s], f2.prec)
         f2 = f2 + u * u + u  # char 2: subtraction is addition
 

@@ -6,6 +6,8 @@ constants quoted against a specific generator relation stay bit-exact.
 """
 
 import random
+from array import array
+from itertools import repeat
 
 from .errors import (
     CompositeCharacteristic,
@@ -195,7 +197,7 @@ class FiniteField:
         self.zero = FieldElement(self, ())
         self.one = FieldElement(self, (1,))
         self._nonsquare = None
-        self._dlog = None
+        self._kern = None
 
     @property
     def char(self):
@@ -277,30 +279,34 @@ class FiniteField:
                     break
         return self._nonsquare
 
-    # -- discrete-log tables (small-field search acceleration) ---------
+    # -- discrete-log tables -------------------------------------------
 
     def dlog_tables(self):
-        """(exp, log) tables over element indices; generator is the first
-        primitive element in canonical order.  Intended for q <= ~4096."""
-        if self._dlog is None:
-            factors = set(_prime_factors(self.q - 1)) if self.q > 2 else set()
-            g = None
-            for v in self.elements():
-                if v.is_zero():
-                    continue
-                if all((v ** ((self.q - 1) // r)) != self.one for r in factors):
-                    g = v
-                    break
-            exp = [0] * (self.q - 1)
-            log = [None] * self.q
-            acc = self.one
-            for k in range(self.q - 1):
-                idx = self.index(acc)
-                exp[k] = idx
-                log[idx] = k
-                acc = acc * g
-            self._dlog = (exp, log)
-        return self._dlog
+        """(exp, log) lists over element indices; generator is the first
+        primitive element in canonical order; log[0] is None.
+
+        Built afresh on each call, in q - 1 element multiplications
+        (practical up to q of about 2^20).  The index kernel (_kernel)
+        calls it once per field and keeps the tables as typed arrays; the
+        square test, square roots and every curve's count(i) read them
+        there."""
+        factors = set(_prime_factors(self.q - 1)) if self.q > 2 else set()
+        g = None
+        for v in self.elements():
+            if v.is_zero():
+                continue
+            if all((v ** ((self.q - 1) // r)) != self.one for r in factors):
+                g = v
+                break
+        exp = [0] * (self.q - 1)
+        log = [None] * self.q
+        acc = self.one
+        for k in range(self.q - 1):
+            idx = self.index(acc)
+            exp[k] = idx
+            log[idx] = k
+            acc = acc * g
+        return exp, log
 
 
 class FieldElement:
@@ -398,8 +404,7 @@ class FieldElement:
         if F.p == 2:
             return True
         if F.q <= 65536:
-            _, log = F.dlog_tables()
-            return log[F.index(self)] % 2 == 0
+            return _kernel(F).sqrt_count(F.index(self)) == 2
         return self ** ((F.q - 1) // 2) == F.one
 
     def sqrt(self):
@@ -413,11 +418,11 @@ class FieldElement:
         if self.is_zero():
             return self
         if F.q <= 65536:
-            exp, log = F.dlog_tables()
-            k = log[F.index(self)]
+            kern = _kernel(F)
+            k = kern.log[F.index(self)]
             if k % 2 == 1:
                 raise NoSquareRoot(f"{self!r} is not a square in {F!r}")
-            return F.from_index(exp[k // 2])
+            return F.from_index(kern.exp[k // 2])
         if not self.is_square():
             raise NoSquareRoot(f"{self!r} is not a square in {F!r}")
         return _tonelli_shanks(F, self)
@@ -477,6 +482,283 @@ def _ff_sample(self):
 
 
 FiniteField.sample_elements = _ff_sample
+
+
+# ---------------------------------------------------------------------------
+# index kernel: table-driven arithmetic on canonical element indices
+# ---------------------------------------------------------------------------
+
+def _kernel(field):
+    """The index kernel of `field`, built on first use and cached on it."""
+    if field._kern is None:
+        if field.p == 2:
+            field._kern = _Char2Kernel(field)
+        elif field.n == 1:
+            field._kern = _PrimeKernel(field)
+        else:
+            field._kern = _ZechKernel(field)
+    return field._kern
+
+
+class _Kernel:
+    """Arithmetic on the canonical indices 0..q-1 of one field's elements.
+
+    Multiplication, inversion and the square test read the field's exp/log
+    tables (FiniteField.dlog_tables), copied into typed arrays; exp is
+    stored twice over so that exp[log a + log b] needs no reduction.
+    Addition is left to the subclasses: (a + b) % p on a prime field,
+    a ^ b in characteristic 2 (index bits are coefficient bits), Zech
+    logarithms on odd-characteristic extensions.  Index polynomials are
+    lists of indices, constant term first.
+    """
+
+    def __init__(self, field):
+        exp, log = field.dlog_tables()
+        log[0] = 0           # unused: zero is always tested for first
+        self.q = field.q
+        self.p = field.p
+        self.n1 = field.q - 1
+        self.exp = array("i", exp + exp)
+        self.log = array("i", log)
+        self._orbits = {}
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        return self.exp[self.n1 - self.log[a]]
+
+    def sqrt_count(self, a):
+        """Number of y with y^2 = a: the square test is log parity."""
+        if not a:
+            return 1
+        return 0 if self.log[a] & 1 else 2
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def frobenius_orbits(self, q):
+        """(smallest index, size) for each orbit of x -> x^q, where F_q is
+        a subfield; every orbit size divides the degree of the field over
+        F_q.  Summing a function of values in F_q[x] over the field is
+        summing size * value at each representative."""
+        if q == self.q:
+            return zip(range(self.q), repeat(1))
+        if q not in self._orbits:
+            exp, log, n1 = self.exp, self.log, self.n1
+            seen = bytearray(self.q)
+            reps, sizes = array("i", [0]), bytearray([1])
+            for x in range(1, self.q):
+                if seen[x]:
+                    continue
+                k = log[x]
+                j, size = k, 0
+                while True:
+                    seen[exp[j]] = 1
+                    size += 1
+                    j = j * q % n1
+                    if j == k:
+                        break
+                reps.append(x)
+                sizes.append(size)
+            self._orbits[q] = (reps, sizes)
+        return zip(*self._orbits[q])
+
+    # -- index polynomials ---------------------------------------------
+
+    def _pmod(self, a, m):
+        """a mod m for index polynomials, m trimmed and nonzero."""
+        a = list(a)
+        dm = len(m) - 1
+        inv_lc = self.inv(m[-1])
+        for i in range(len(a) - 1, dm - 1, -1):
+            c = a[i]
+            if c:
+                c = self.neg(self.mul(c, inv_lc))
+                for j in range(dm):
+                    if m[j]:
+                        a[i - dm + j] = self.add(a[i - dm + j], self.mul(c, m[j]))
+        return _itrim(a[:dm])
+
+    def _pmulmod(self, a, b, m):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return self._pmod(out, m)
+
+    def root_count(self, cs):
+        """Number of distinct roots in the field of the index polynomial
+        cs: deg gcd(cs, y^q - y).  The zero polynomial has q roots."""
+        m = _itrim(cs)
+        if not m:
+            return self.q
+        if len(m) <= 2:
+            return len(m) - 1
+        # y^q mod m by square-and-multiply
+        r = [1]
+        for bit in bin(self.q)[2:]:
+            r = self._pmulmod(r, r, m)
+            if bit == "1":
+                r = self._pmod([0] + r, m)
+        r = r + [0] * (2 - len(r))
+        r[1] = self.sub(r[1], 1)
+        a, b = m, _itrim(r)
+        while b:
+            a, b = b, self._pmod(a, b)
+        return len(a) - 1
+
+
+def _itrim(cs):
+    i = len(cs)
+    while i and not cs[i - 1]:
+        i -= 1
+    return cs[:i]
+
+
+class _PrimeKernel(_Kernel):
+    """F_p: indices are the residues themselves."""
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def horner(self, cs, x):
+        """Value at x of the index polynomial cs."""
+        p = self.p
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % p
+        return acc
+
+
+class _Char2Kernel(_Kernel):
+    """F_{2^n}: addition is XOR; the absolute trace to F_2 is the parity
+    of idx & trace_mask, and y^2 + y = v is solved by F_2-linear algebra
+    on index bits."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        n = field.n
+        self.trace_mask = 0
+        for j in range(n):
+            acc, v = 0, 1 << j
+            for _ in range(n):
+                acc ^= v
+                v = self.mul(v, v)
+            self.trace_mask |= acc << j
+        # reduced row echelon form of the map y -> y^2 + y: rows are
+        # (pivot bit, image bits, preimage bits)
+        rows = []
+        for j in range(n):
+            e = 1 << j
+            mask, combo = self.mul(e, e) ^ e, e
+            for p, m, c in rows:
+                if (mask >> p) & 1:
+                    mask ^= m
+                    combo ^= c
+            if mask:
+                p = mask.bit_length() - 1
+                for k, (p2, m2, c2) in enumerate(rows):
+                    if (m2 >> p) & 1:
+                        rows[k] = (p2, m2 ^ mask, c2 ^ combo)
+                rows.append((p, mask, combo))
+        self._as_rows = rows
+
+    def add(self, a, b):
+        return a ^ b
+
+    def neg(self, a):
+        return a
+
+    def sqrt_count(self, a):
+        return 1
+
+    def trace(self, a):
+        return (a & self.trace_mask).bit_count() & 1
+
+    def as_root(self, v):
+        """A y with y^2 + y = v (the other is y ^ 1), or None when the
+        trace of v is 1."""
+        combo = 0
+        for p, m, c in self._as_rows:
+            if (v >> p) & 1:
+                v ^= m
+                combo ^= c
+        return None if v else combo
+
+    def horner(self, cs, x):
+        if not x:
+            return cs[0] if cs else 0
+        exp, log = self.exp, self.log
+        lx = log[x]
+        acc = 0
+        for c in reversed(cs):
+            if acc:
+                acc = exp[log[acc] + lx]
+            acc ^= c
+        return acc
+
+
+class _ZechKernel(_Kernel):
+    """F_{p^n}, p odd, n > 1: g^i + g^j = g^(i + Z(j - i)) with the Zech
+    logarithm Z(k) = log(1 + g^k), stored over k = -(q-1)..q-2 as
+    zech[k + q - 1]; -1 marks 1 + g^k = 0."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        p, n1, exp, log = self.p, self.n1, self.exp, self.log
+        zech = array("i", [-1]) * n1
+        for k in range(n1):
+            v = exp[k]
+            w = v - v % p + (v + 1) % p   # add 1 to the constant digit
+            if w:
+                zech[k] = log[w]
+        self.zech = zech + zech
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[self.log[b] - la + self.n1]
+        return 0 if z < 0 else self.exp[la + z]
+
+    def neg(self, a):
+        if not a:
+            return 0
+        return self.exp[self.log[a] + self.n1 // 2]
+
+    def horner(self, cs, x):
+        if not x:
+            return cs[0] if cs else 0
+        exp, log, zech, n1 = self.exp, self.log, self.zech, self.n1
+        lx = log[x]
+        acc = 0
+        for c in reversed(cs):
+            if acc:
+                la = log[acc] + lx
+                if la >= n1:
+                    la -= n1
+                if c:
+                    z = zech[log[c] - la + n1]
+                    acc = 0 if z < 0 else exp[la + z]
+                else:
+                    acc = exp[la]
+            else:
+                acc = c
+        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,9 @@ def _square_class_canonical(F, g):
     return best
 
 
+_CENSUS_CHECKPOINT_EVERY = 100000   # candidates between checkpoint writes
+
+
 def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
                                    checkpoint=None):
     """All pointless y^2 = f with f of degree 8, driven by interpolation:
@@ -586,14 +589,17 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
     if state:
         survivors = state["survivors"]
         candidates = state["candidates"]
+        zetas = state.get("zetas", [])
     nv = len(ns)
     for code, idx in _odometer(nv, 9, start=start):
         candidates += 1
         _spend(budget, candidates)
-        if checkpoint and candidates % 100000 == 0:
-            _checkpoint_save(checkpoint, {"next": code + 1,
+        if checkpoint and candidates % _CENSUS_CHECKPOINT_EVERY == 0:
+            # the state before candidate `code`, which is not checked yet
+            _checkpoint_save(checkpoint, {"next": code,
                                           "survivors": survivors,
-                                          "candidates": candidates})
+                                          "zetas": zetas,
+                                          "candidates": candidates - 1})
         vals = [ns[i] for i in idx]
         lc = F.zero
         for w, v in zip(lc_w, vals):
@@ -636,7 +642,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         classes = len(seen_keys)
     if checkpoint:
         _checkpoint_save(checkpoint, {"next": nv ** 9, "survivors": survivors,
-                                      "candidates": candidates, "done": True})
+                                      "zetas": zetas, "candidates": candidates,
+                                      "done": True})
     return SearchReport(
         family="exhaustive_hyper_genus3",
         parameters={"q": q, "mode": mode},
@@ -766,7 +773,13 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
     kill1 = kill2 = 0
     candidates = 0
     state = _checkpoint_load(checkpoint)
-    start_rep = state["rep"] if state else 0
+    start_rep = 0
+    if state:
+        start_rep = state["rep"]
+        survivors = state["survivors"]
+        zetas = state["zetas"]
+        candidates = state["candidates"]
+        kill1, kill2 = state["kill_counts"]
     for rep_i, Q in enumerate(qreps):
         if rep_i < start_rep:
             continue
@@ -832,7 +845,9 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
         if checkpoint:
             _checkpoint_save(checkpoint, {"rep": rep_i + 1,
                                           "survivors": survivors,
-                                          "candidates": candidates})
+                                          "zetas": zetas,
+                                          "candidates": candidates,
+                                          "kill_counts": [kill1, kill2]})
         if mode == "first_find" and survivors:
             break
     classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
@@ -972,6 +987,7 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
     start_m = state["next_m"] if state else 0
     if state:
         survivors = state["survivors"]
+        zetas = state["zetas"]
         candidates = state["candidates"]
         seen_vectors = [tuple(v) for v in state["seen_vectors"]]
     m_index = -1
@@ -1019,14 +1035,14 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
         if checkpoint and m_index % 1000 == 0:
             _checkpoint_save(checkpoint, {
                 "next_m": m_index + 1, "survivors": survivors,
-                "candidates": candidates,
+                "zetas": zetas, "candidates": candidates,
                 "seen_vectors": [list(v) for v in seen_vectors]})
         if stop:
             break
     if checkpoint:
         _checkpoint_save(checkpoint, {
             "next_m": m_index + 1, "survivors": survivors,
-            "candidates": candidates, "done": not stop,
+            "zetas": zetas, "candidates": candidates, "done": not stop,
             "seen_vectors": [list(v) for v in seen_vectors]})
     return SearchReport(
         family="hyper_genus4_char2",

@@ -6,20 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointless.curves import (
+    QUARTIC_MONOMIALS,
     ASTower,
     ArtinSchreierCurve,
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _ramified_x_series,
     artin_schreier_genus,
     is_pointless,
 )
 from pointless.errors import EvenCharacteristic, UnsupportedShape
-from pointless.field import FiniteField, Poly, RationalFunction
+from pointless.field import FiniteField, Poly, RationalFunction, _kernel, embed
+from pointless.series import Series
 from pointless.zeta import serre_bound_holds
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
+F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F13 = FiniteField(13)
@@ -329,3 +333,195 @@ class TestSerreBound:
         ]
         for q, C in curves:
             assert serre_bound_holds(q, C.genus, C.count(1))
+
+
+# ---------------------------------------------------------------------------
+# count(i) against naive FieldElement counters
+# ---------------------------------------------------------------------------
+
+def _extension_elements(base, i):
+    big, phi = embed(base, i)
+    return big, phi, list(big.elements())
+
+
+def _mapped(f, big, phi):
+    return Poly(big, [phi(c) for c in f.coeffs])
+
+
+def _sqrt_count(v):
+    """#{y : y^2 = v} by Euler's criterion, odd characteristic."""
+    if v.is_zero():
+        return 1
+    F = v.parent
+    return 2 if v ** ((F.q - 1) // 2) == F.one else 0
+
+
+def naive_hyperelliptic(C, i):
+    big, phi, xs = _extension_elements(C.base, i)
+    f = _mapped(C.f, big, phi)
+    affine = sum(_sqrt_count(f.eval(x)) for x in xs)
+    return affine + (1 if f.degree % 2 else _sqrt_count(f.lc))
+
+
+def naive_fiber_product(C, i):
+    big, phi, xs = _extension_elements(C.base, i)
+    f, g = _mapped(C.f, big, phi), _mapped(C.g, big, phi)
+    affine = sum(_sqrt_count(f.eval(x)) * _sqrt_count(g.eval(x)) for x in xs)
+    return affine + _sqrt_count(f.lc * g.lc)
+
+
+def naive_artin_schreier(C, i):
+    big, phi, xs = _extension_elements(C.base, i)
+    num, den = _mapped(C.f.num, big, phi), _mapped(C.f.den, big, phi)
+    total = 0
+    for x in xs:
+        d = den.eval(x)
+        if d.is_zero():
+            total += 1
+        elif (num.eval(x) / d).trace_to_F2() == 0:
+            total += 2
+    m = num.degree - den.degree
+    if m >= 1:
+        return total + 1
+    v = big.zero if m < 0 else num.lc / den.lc
+    return total + (2 if v.trace_to_F2() == 0 else 0)
+
+
+def naive_quartic(C, i):
+    """Projective sweep: (x : y : 1), then (x : 1 : 0), then (1 : 0 : 0)."""
+    big, phi, xs = _extension_elements(C.base, i)
+    coeffs = {m: phi(c) for m, c in C.coeffs.items()}
+
+    def F(x, y, z):
+        acc = big.zero
+        for (a, b, c), v in coeffs.items():
+            if not v.is_zero():
+                acc = acc + v * x ** a * y ** b * z ** c
+        return acc
+
+    # for fixed y, F(x, y, 1) is a quartic in x: evaluate it by Horner
+    total = 0
+    for y in xs:
+        row = [big.zero] * 5
+        for (a, b, _), v in coeffs.items():
+            row[a] = row[a] + v * y ** b
+        poly = Poly(big, row)
+        total += sum(1 for x in xs if poly.eval(x).is_zero())
+    total += sum(1 for x in xs if F(x, big.one, big.zero).is_zero())
+    return total + (1 if F(big.one, big.zero, big.zero).is_zero() else 0)
+
+
+def _random_poly(F, rng, degree):
+    return Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(degree)]
+                + [F.from_index(rng.randrange(1, F.q))])
+
+
+def _random_hyperelliptic(F, rng):
+    while True:
+        f = _random_poly(F, rng, rng.randrange(3, 9))
+        if f.is_squarefree():
+            return HyperellipticOdd(F, f)
+
+
+def _random_fiber_product(F, rng):
+    while True:
+        try:
+            return FiberProductGenus4(F, _random_poly(F, rng, 3),
+                                      _random_poly(F, rng, 3))
+        except UnsupportedShape:
+            continue
+
+
+def _random_artin_schreier(F, rng):
+    while True:
+        num = _random_poly(F, rng, rng.randrange(0, 6))
+        den = _random_poly(F, rng, rng.randrange(0, 4)).monic()
+        try:
+            return ArtinSchreierCurve(F, RationalFunction(num, den))
+        except UnsupportedShape:
+            continue
+
+
+def _random_quartic(F, rng):
+    return PlaneQuartic(F, [F.from_index(rng.randrange(F.q))
+                            for _ in QUARTIC_MONOMIALS])
+
+
+ODD_FIELDS = [F3, F5, F7, F9]
+EVEN_FIELDS = [F4, F8]
+
+
+class TestCountAgainstNaive:
+    """count(i), i = 1..3, on seeded random curves, against FieldElement
+    counters that enumerate every x of F_{q^i}."""
+
+    @pytest.mark.parametrize("F", ODD_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_hyperelliptic(self, F):
+        rng = random.Random(100 + F.q)
+        for _ in range(3):
+            C = _random_hyperelliptic(F, rng)
+            for i in (1, 2, 3):
+                assert C.count(i) == naive_hyperelliptic(C, i)
+
+    @pytest.mark.parametrize("F", ODD_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_fiber_product(self, F):
+        rng = random.Random(200 + F.q)
+        for _ in range(3):
+            C = _random_fiber_product(F, rng)
+            for i in (1, 2, 3):
+                assert C.count(i) == naive_fiber_product(C, i)
+
+    @pytest.mark.parametrize("F", EVEN_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_artin_schreier(self, F):
+        rng = random.Random(300 + F.q)
+        for _ in range(3):
+            C = _random_artin_schreier(F, rng)
+            for i in (1, 2, 3):
+                assert C.count(i) == naive_artin_schreier(C, i)
+
+    @pytest.mark.parametrize("F", ODD_FIELDS + EVEN_FIELDS,
+                             ids=lambda F: f"F{F.q}")
+    def test_plane_quartic(self, F):
+        # the sweep costs (q^i)^2 evaluations: i = 3 only where q^3 <= 125
+        depth = 3 if F.q <= 5 else 2
+        rng = random.Random(400 + F.q)
+        for _ in range(2):
+            C = _random_quartic(F, rng)
+            for i in range(1, depth + 1):
+                assert C.count(i) == naive_quartic(C, i)
+
+
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("base,i", [(F3, 3), (F4, 3), (F5, 2), (F9, 2),
+                                        (F8, 2), (F2, 4)],
+                             ids=["F27/F3", "F64/F4", "F25/F5", "F81/F9",
+                                  "F64/F8", "F16/F2"])
+    def test_orbits_partition_the_field(self, base, i):
+        big, _ = embed(base, i)
+        seen = set()
+        for rep, size in _kernel(big).frobenius_orbits(base.q):
+            assert i % size == 0
+            x, orbit = big.from_index(rep), set()
+            while big.index(x) not in orbit:
+                orbit.add(big.index(x))
+                x = x ** base.q
+            assert len(orbit) == size and min(orbit) == rep
+            assert not orbit & seen
+            seen |= orbit
+        assert seen == set(range(big.q))
+
+
+class TestRamifiedSeries:
+    @pytest.mark.parametrize("F", [F2, F8, F32], ids=["F2", "F8", "F32"])
+    def test_satisfies_its_defining_equation(self, F):
+        rng = random.Random(F.q)
+        for _ in range(3):
+            cl = F.from_index(rng.randrange(1, F.q))
+            cm, cf = (F.from_index(rng.randrange(F.q)) for _ in range(2))
+            xs = _ramified_x_series(F, cl, cm, cf, 60)
+            assert (xs.val, xs.prec) == (2, 61)
+            t = Series.t(F, xs.prec)
+            lhs = xs * (Series.constant(F, cl, xs.prec) + t + xs.scale(cm)
+                        + (xs * xs).scale(cf))
+            residual = lhs - t * t
+            assert residual.prec >= 61 and residual.is_zero()

@@ -1,5 +1,7 @@
 """Field and polynomial arithmetic: pinned examples plus algebraic properties."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from pointless.field import (
     Poly,
     QuotientField,
     RationalFunction,
+    _kernel,
     canonical_extension,
     embed,
     map_poly,
@@ -295,6 +298,52 @@ class TestDlogTables:
             g = F.from_index(exp[1])
             k = 5 % (F.q - 1)
             assert F.from_index(exp[k]) == g ** k
+
+
+F7 = FiniteField(7)
+F8 = FiniteField(2, 3, [1, 1, 0, 1])              # a^3 + a + 1 = 0
+
+
+def _kernel_agrees(F, a, b):
+    """The index kernel against FieldElement arithmetic on one pair."""
+    K = _kernel(F)
+    x, y = F.from_index(a), F.from_index(b)
+    assert K.add(a, b) == F.index(x + y)
+    assert K.sub(a, b) == F.index(x - y)
+    assert K.neg(a) == F.index(-x)
+    assert K.mul(a, b) == F.index(x * y)
+    assert K.sqrt_count(a) == (1 if F.p == 2 or x.is_zero()
+                               else 2 if x.is_square() else 0)
+    if a:
+        assert K.inv(a) == F.index(x.inv())
+    if F.p == 2:
+        assert K.trace(a) == x.trace_to_F2()
+
+
+class TestIndexKernel:
+    @pytest.mark.parametrize("F", [F5, F7, F9, F8, F16, F27],
+                             ids=["F5", "F7", "F9", "F8", "F16", "F27"])
+    def test_exhaustive_small_fields(self, F):
+        for a in range(F.q):
+            for b in range(F.q):
+                _kernel_agrees(F, a, b)
+
+    @pytest.mark.parametrize("base", [F25, FiniteField(29), F32],
+                             ids=["F625", "F841", "F1024"])
+    def test_random_pairs_in_quadratic_extensions(self, base):
+        big, _ = embed(base, 2)
+        rng = random.Random(big.q)
+        for _ in range(400):
+            _kernel_agrees(big, rng.randrange(big.q), rng.randrange(big.q))
+
+    def test_inverse_of_zero(self):
+        with pytest.raises(DivisionByZero):
+            _kernel(F9).inv(0)
+
+    def test_built_lazily_and_cached(self):
+        F = FiniteField(11)
+        assert F._kern is None
+        assert _kernel(F) is _kernel(F)
 
 
 @given(st.integers(0, 24), st.integers(0, 24))

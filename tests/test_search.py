@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pointless import search
 from pointless.curves import ArtinSchreierCurve, HyperellipticOdd, PlaneQuartic
 from pointless.elliptic import EllipticCurve
 from pointless.errors import (
@@ -159,6 +160,27 @@ class TestExhaustiveHyperGenus3:
         assert state["candidates"] == resumed.candidates
 
 
+    def test_checkpoint_holds_the_unchecked_candidate(self, tmp_path,
+                                                      monkeypatch):
+        # candidate 3 is the first survivor over F_9; the checkpoint written
+        # as it is reached must leave it to the resumed run
+        full = search_exhaustive_hyper_genus3(F9, mode="first_find")
+        assert full.candidates == 3
+        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", 3)
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            search_exhaustive_hyper_genus3(F9, mode="census", budget=3,
+                                           checkpoint=cp)
+        state = json.load(open(cp))
+        assert (state["next"], state["candidates"]) == (2, 2)
+        resumed = search_exhaustive_hyper_genus3(F9, mode="first_find",
+                                                 checkpoint=cp)
+        expected, got = full.to_json(), resumed.to_json()
+        expected.pop("wall_time")
+        got.pop("wall_time")
+        assert got == expected
+
+
 class TestDoubleCovers:
     def test_f5_census_runs(self):
         E = EllipticCurve(F5, 0, 1, 1)
@@ -168,6 +190,23 @@ class TestDoubleCovers:
         assert r.kill_counts["test1"] + r.kill_counts["test2"] <= r.candidates
         for s in r.survivors:
             assert s["pointless"] == (s["counts"][0] == 0)
+
+    def test_resume_after_a_rep_equals_uninterrupted(self, tmp_path):
+        # y^2 = x^3 + 1 over F_5: two coset reps of 312 candidates each
+        E = EllipticCurve(F5, 0, 0, 1)
+        full = search_double_covers_elliptic(E, mode="census").to_json()
+        assert (full["candidates"], len(full["survivors"])) == (624, 5)
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            # stops in rep 1, after the checkpoint of rep 0
+            search_double_covers_elliptic(E, mode="census", budget=313,
+                                          checkpoint=cp)
+        assert json.load(open(cp))["rep"] == 1
+        resumed = search_double_covers_elliptic(E, mode="census",
+                                                checkpoint=cp).to_json()
+        full.pop("wall_time")
+        resumed.pop("wall_time")
+        assert resumed == full
 
     def test_bad_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +235,19 @@ class TestHyperGenus4Char2:
         t = F4.from_index(s["t"])
         curve = ArtinSchreierCurve(F4, RationalFunction(g + m * t, m))
         assert curve.genus == 4 and curve.count(1) == 0
+
+    def test_resume_equals_uninterrupted(self, tmp_path):
+        full = search_hyper_genus4_char2(F2, mode="census").to_json()
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            # stops at conductor 1, after the checkpoint of conductor 0
+            search_hyper_genus4_char2(F2, mode="census", budget=1,
+                                      checkpoint=cp)
+        resumed = search_hyper_genus4_char2(F2, mode="census",
+                                            checkpoint=cp).to_json()
+        full.pop("wall_time")
+        resumed.pop("wall_time")
+        assert resumed == full
 
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
