@@ -97,6 +97,11 @@ class BudgetExceeded(PointlessError):
     pass
 
 
+class FilterDisagreement(PointlessError):
+    """A search filter passed a candidate that it claims to decide exactly,
+    and the exact curve model rejects it: the filter is wrong."""
+
+
 # -- harness ----------------------------------------------------------------
 
 class ParseError(PointlessError):

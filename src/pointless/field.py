@@ -285,27 +285,55 @@ class FiniteField:
         """(exp, log) lists over element indices; generator is the first
         primitive element in canonical order; log[0] is None.
 
-        Built afresh on each call, in q - 1 element multiplications
-        (practical up to q of about 2^20).  The index kernel (_kernel)
-        calls it once per field and keeps the tables as typed arrays; the
-        square test, square roots and every curve's count(i) read them
-        there."""
-        factors = set(_prime_factors(self.q - 1)) if self.q > 2 else set()
-        g = None
-        for v in self.elements():
-            if v.is_zero():
-                continue
-            if all((v ** ((self.q - 1) // r)) != self.one for r in factors):
-                g = v
-                break
-        exp = [0] * (self.q - 1)
-        log = [None] * self.q
-        acc = self.one
-        for k in range(self.q - 1):
-            idx = self.index(acc)
+        Built afresh on each call on int coefficient vectors, never on
+        FieldElements: k * g % p on a prime field, and on an extension a
+        product with g as the F_p-linear map whose columns are a^k * g
+        mod the defining polynomial.  The index kernel (_kernel) calls it
+        once per field and keeps the tables as typed arrays; the square
+        test, square roots and every curve's count(i) read them there."""
+        p, n, q = self.p, self.n, self.q
+        factors = set(_prime_factors(q - 1))
+        exp = [0] * (q - 1)
+        log = [None] * q
+        if n == 1:
+            g = next(v for v in range(1, q)
+                     if all(pow(v, (q - 1) // r, p) != 1 for r in factors))
+            acc = 1
+            for k in range(q - 1):
+                exp[k] = acc
+                log[acc] = k
+                acc = acc * g % p
+            return exp, log
+        mod = self.defining_poly
+
+        def coeffs(i):
+            out = []
+            for _ in range(n):
+                i, c = divmod(i, p)
+                out.append(c)
+            return out
+
+        g = next(v for v in range(1, q)
+                 if all(_ppowmod(_trim(coeffs(v)), (q - 1) // r, mod, p) != (1,)
+                        for r in factors))
+        cols = [coeffs(g)]                 # cols[k] = a^k * g, padded to n
+        for _ in range(n - 1):
+            up = [0] + cols[-1]            # times a, then reduce a^n
+            top = up.pop()
+            cols.append([(c - top * m) % p for c, m in zip(up, mod)])
+        acc = [1] + [0] * (n - 1)
+        for k in range(q - 1):
+            idx = 0
+            for c in reversed(acc):
+                idx = idx * p + c
             exp[k] = idx
             log[idx] = k
-            acc = acc * g
+            out = [0] * n
+            for c, col in zip(acc, cols):
+                if c:
+                    for i, v in enumerate(col):
+                        out[i] += c * v
+            acc = [v % p for v in out]
         return exp, log
 
 

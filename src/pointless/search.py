@@ -3,8 +3,17 @@
 Every engine enumerates a family in a fixed deterministic order, filters with
 cheap arithmetic (index tables, bitmasks, early abort), and re-validates every
 survivor through the curve models: a survivor is never trusted from the
-filter alone.  Reports carry a fingerprint of the enumeration order so that
+filter alone.  Where a filter claims to decide pointlessness exactly, a
+survivor that the model rejects raises FilterDisagreement instead of being
+skipped.  Reports carry a fingerprint of the enumeration order so that
 census results are reproducible and chunking-invariant.
+
+Linear-form filters ask one question: for which lambda in A^d does every
+form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
+zero and the nonsquares)?  _linear_join answers it on the field's index
+kernel by a bitset meet in the middle, yielding the passing codes in
+odometer order; klein4_hyper_odd (one form per u = x + n/x) and test 1 of
+the elliptic double covers (one form per rational point) run on it.
 """
 
 import hashlib
@@ -31,10 +40,12 @@ from .elliptic import (
 from .errors import (
     BudgetExceeded,
     EvenCharacteristic,
+    FilterDisagreement,
     OddCharacteristic,
     UnknownFamily,
+    UnsupportedShape,
 )
-from .field import Poly, RationalFunction
+from .field import Poly, RationalFunction, _kernel
 from .series import poly_at_series
 from .zeta import zeta_report
 
@@ -90,6 +101,14 @@ def _nonsquares(F):
     return [v for v in F.elements() if not v.is_zero() and not v.is_square()]
 
 
+def _disagreement(family, q, candidate, curve):
+    """The error for a candidate that passed a filter claiming exactness
+    but whose exact model is not a pointless curve of the family's genus."""
+    return FilterDisagreement(
+        f"{family} over F_{q}: the filter passed {candidate}, but the curve "
+        f"has genus {curve.genus} and {curve.count(1)} rational points")
+
+
 def _spend(budget, candidates):
     if budget is not None and candidates > budget:
         raise BudgetExceeded(f"candidate budget {budget} exhausted")
@@ -110,16 +129,85 @@ def _checkpoint_save(path, state):
         os.replace(tmp, path)
 
 
+def _digits(code, alphabet_size, length):
+    """The little-endian digits of code: the tuple the odometer gives it."""
+    out = []
+    for _ in range(length):
+        code, digit = divmod(code, alphabet_size)
+        out.append(digit)
+    return out
+
+
 def _odometer(alphabet_size, length, start=0):
     """Tuples in little-endian odometer order, as index vectors."""
-    total = alphabet_size ** length
-    for code in range(start, total):
-        v = code
-        out = []
-        for _ in range(length):
-            out.append(v % alphabet_size)
-            v //= alphabet_size
-        yield code, out
+    for code in range(start, alphabet_size ** length):
+        yield code, _digits(code, alphabet_size, length)
+
+
+def _partial_sums(kern, alphabet, weights, start):
+    """start + sum_i weights[i] * alphabet[digit_i] for every tuple of
+    digits, in little-endian odometer order (kernel indices)."""
+    add, mul = kern.add, kern.mul
+    sums = [start]
+    for w in weights:
+        terms = [mul(w, a) for a in alphabet]
+        sums = [add(s, t) for t in terms for s in sums]
+    return sums
+
+
+def _linear_join(kern, alphabet, d, weights, consts, target):
+    """Codes, ascending, of the lambda in alphabet^d (little-endian
+    odometer: digit i of the code picks lambda_i) for which every form
+    consts[j] + sum_i weights[j][i] * lambda_i lands in target, a
+    bytearray over kernel indices.
+
+    Meet in the middle.  The low r = ceil(d/2) digits are the right half:
+    per form, the right-half sums are bucketed by value into int bitsets
+    over the right codes, and good[a] is the union of the buckets v with
+    target[a + v].  The high digits are the left half; their sums, the
+    constant included, pick one good[a] per left code.  A left code ANDs
+    those bitsets form by form and stops at 0; the set bits left, low to
+    high, are its passing codes.  A form's tables are built the first
+    time a left code reaches it, as most left codes die at the first few
+    forms.
+    """
+    r = (d + 1) // 2
+    width = len(alphabet) ** r
+    add = kern.add
+
+    def table(j):
+        buckets = {}
+        for bit, v in enumerate(_partial_sums(kern, alphabet,
+                                              weights[j][:r], 0)):
+            buckets.setdefault(v, bytearray((width + 7) // 8))[bit >> 3] \
+                |= 1 << (bit & 7)
+        buckets = [(v, int.from_bytes(b, "little"))
+                   for v, b in buckets.items()]
+        good = []
+        for a in range(kern.q):
+            bits = 0
+            for v, bucket in buckets:
+                if target[add(a, v)]:
+                    bits |= bucket
+            good.append(bits)
+        return [good[a] for a in _partial_sums(kern, alphabet,
+                                                weights[j][r:], consts[j])]
+
+    tables = []
+    full = (1 << width) - 1
+    for left in range(len(alphabet) ** (d - r)):
+        bits = full
+        for j in range(len(weights)):
+            if j == len(tables):
+                tables.append(table(j))
+            bits &= tables[j][left]
+            if not bits:
+                break
+        base = left * width
+        while bits:
+            low = bits & -bits
+            yield base + low.bit_length() - 1
+            bits ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -145,43 +233,45 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     if n.is_zero():
         raise ValueError("n must be nonzero")
     t0 = time.time()
+    q = F.q
+    kern = _kernel(F)
+    mul = kern.mul
     nu = F.canonical_nonsquare
-    sq = square_set(F)
-    # pointlessness needs f(u) to be a nonsquare for every u = x + n/x
+    # pointlessness needs f(u) to be a nonsquare for every u = x + n/x:
+    # one linear form in (c0, c1, c2, c3) per u, with constant nu * u^4
     four_n = F.element(4) * n
     u_set = sorted({F.index(x + n / x) for x in F.elements() if not x.is_zero()})
-    u_vals = [F.from_index(i) for i in u_set]
+    nu_i = F.index(nu)
+    weights = []
+    consts = []
+    for u in u_set:
+        u2 = mul(u, u)
+        weights.append([1, u, u2, mul(u2, u)])
+        consts.append(mul(nu_i, mul(u2, u2)))
+    nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
     disc_poly = Poly(F, [-four_n, F.zero, F.one])  # u^2 - 4n
     survivors = []
     zetas = []
-    candidates = 0
+    candidates = q ** 4
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
-    for code, idx in _odometer(F.q, 4):
-        candidates += 1
-        _spend(budget, candidates)
-        coeffs = [F.from_index(i) for i in idx] + [nu]
-        ok = True
-        for u in u_vals:
-            v = F.zero
-            for c in reversed(coeffs):
-                v = v * u + c
-            if v.is_zero() or v.coeffs in sq:
-                ok = False
-                break
-        if not ok:
-            continue
+    for code in _linear_join(kern, range(q), 4, weights, consts, nonsquare):
+        _spend(budget, code + 1)     # candidates visited up to this one
+        coeffs = [F.from_index(i) for i in _digits(code, q, 4)] + [nu]
         f = Poly(F, coeffs)
         if not f.is_separable() or f.gcd(disc_poly).degree > 0:
             continue
         model = _klein4_model(F, f, n)
         curve = HyperellipticOdd(F, model)
         if curve.genus != 3 or curve.count(1) != 0:
-            continue  # pragma: no cover - the filter is exact
+            raise _disagreement("klein4_hyper_odd", q,
+                                {"f": _poly_ints(F, f), "n": F.index(n)}, curve)
         survivors.append({"f": _poly_ints(F, f), "model": _poly_ints(F, model)})
         counts = [curve.count(i) for i in (1, 2, 3)]
         zetas.append(zeta_report(F.q, 3, counts).to_json())
         if mode == "first_find":
+            candidates = code + 1
             break
+    _spend(budget, candidates)
     classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
     return SearchReport(
         family="klein4_hyper_odd",
@@ -224,7 +314,7 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
             continue  # poles cancelled: not the 2-simple-pole shape
         try:
             curve = ArtinSchreierCurve(F, fr)
-        except Exception:
+        except UnsupportedShape:
             continue
         if curve.genus != 3:
             continue
@@ -316,10 +406,10 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
                 C = _diagonal_quartic(F, b, c, d, e, f)
                 if not C.is_smooth():
                     continue
+                entry = {"coeffs": [1] + [F.index(v) for v in (b, c, d, e, f)]}
                 if C.count(1) != 0:
-                    continue  # pragma: no cover - fast path is exact
-                survivors.append({"coeffs": [1] + [F.index(v)
-                                                   for v in (b, c, d, e, f)]})
+                    raise _disagreement("diagonal_quartic", F.q, entry, C)
+                survivors.append(entry)
                 counts = [C.count(i) for i in (1, 2, 3)]
                 zetas.append(zeta_report(F.q, 3, counts).to_json())
                 if mode == "first_find":
@@ -453,10 +543,11 @@ def search_fiberproduct(F, mode="first_find", budget=None):
             g = Poly(F, gco)
             try:
                 C = FiberProductGenus4(F, f, g)
-            except Exception:
+            except UnsupportedShape:
                 continue
             if C.count(1) != 0:
-                continue  # pragma: no cover - mask filter is exact
+                raise _disagreement("fiberproduct", q, {"f": _poly_ints(F, f),
+                                                        "g": _poly_ints(F, g)}, C)
             props = C.properties()
             survivors.append({"f": _poly_ints(F, f), "g": _poly_ints(F, g),
                               "trigonal": props["trigonal"],
@@ -623,7 +714,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
             continue
         curve = HyperellipticOdd(F, f)
         if curve.genus != 3 or curve.count(1) != 0:
-            continue  # pragma: no cover - value filter is exact
+            raise _disagreement("exhaustive_hyper_genus3", q,
+                                {"f": _poly_ints(F, f)}, curve)
         survivors.append({"f": _poly_ints(F, f)})
         counts = [curve.count(i) for i in (1, 2, 3)]
         zetas.append(zeta_report(q, 3, counts).to_json())
@@ -660,24 +752,6 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
 # ---------------------------------------------------------------------------
 # double covers of elliptic curves (genus 3 via L(6*inf), genus 4 via L(8*inf))
 # ---------------------------------------------------------------------------
-
-def _index_tables(F):
-    """(add, mul, is_sq) flat tables over element indices (small fields)."""
-    q = F.q
-    elems = [F.from_index(i) for i in range(q)]
-    add = [0] * (q * q)
-    mul = [0] * (q * q)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i * q + j] = F.index(a + b)
-            mul[i * q + j] = F.index(a * b)
-    sq = square_set(F)
-    is_sq = [0] * q
-    for i, a in enumerate(elems):
-        if not a.is_zero() and a.coeffs in sq:
-            is_sq[i] = 1
-    return add, mul, is_sq
-
 
 def _double_zero_kernel(E, basis, Q):
     """Basis of the space of functions in L(k*inf) vanishing to order >= 2
@@ -766,7 +840,8 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
         qreps = E.quotient_reps(m, exclude_two_torsion=exclude_torsion,
                                 fallback=True)
         used_fallback = True
-    add_t, mul_t, is_sq = _index_tables(F)
+    kern = _kernel(F)
+    not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
     pts = [P for P in E.points() if P is not INF]
     survivors = []
     zetas = []
@@ -798,24 +873,17 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
         nu_i = F.index(nu)
         # enumerate modulo square scaling: leading coefficient in {1, nu}
         for lead in range(dim):
+            free = dim - lead - 1     # coordinates after the leading one
+            weights = [row[lead + 1:] for row in B_at]
             for lead_val in (one_i, nu_i):
-                for code, rest in _odometer(q, dim - lead - 1):
-                    candidates += 1
-                    _spend(budget, candidates)
-                    lam = [0] * lead + [lead_val] + rest
-                    # test 1 with early abort
-                    ok = True
-                    for row in B_at:
-                        acc = 0
-                        for l_i, b_i in zip(lam, row):
-                            if l_i:
-                                acc = add_t[acc * q + mul_t[l_i * q + b_i]]
-                        if is_sq[acc]:
-                            ok = False
-                            break
-                    if not ok:
-                        kill1 += 1
-                        continue
+                # test 1: f(P) is zero or a nonsquare at every rational P
+                consts = [kern.mul(lead_val, row[lead]) for row in B_at]
+                passes = 0
+                for code in _linear_join(kern, range(q), free, weights,
+                                         consts, not_square):
+                    _spend(budget, candidates + code + 1)
+                    passes += 1
+                    lam = [0] * lead + [lead_val] + _digits(code, q, free)
                     coeffs = [F.zero] * len(basis)
                     for l_i, vec in zip(lam, kernel):
                         if l_i:
@@ -842,6 +910,9 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
                         entry["target_match"] = rep.real_weil in targets
                     survivors.append(entry)
                     zetas.append({"q": q, "counts": counts})
+                candidates += q ** free
+                _spend(budget, candidates)
+                kill1 += q ** free - passes
         if checkpoint:
             _checkpoint_save(checkpoint, {"rep": rep_i + 1,
                                           "survivors": survivors,
@@ -1012,19 +1083,19 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
             fr = RationalFunction(num, m)
             try:
                 curve = ArtinSchreierCurve(F, fr)
-            except Exception:
+            except UnsupportedShape:
                 continue
             if curve.genus != 4:
                 continue
-            if curve.count(1) != 0:
-                continue  # pragma: no cover - construction is exact
-            counts = [curve.count(i) for i in (1, 2, 3, 4)]
-            vec = tuple(counts)
             entry = {"shape": shape_name,
                      "m": _poly_ints(F, m),
                      "g": _poly_ints(F, g),
-                     "t": F.index(t_val),
-                     "counts": counts}
+                     "t": F.index(t_val)}
+            if curve.count(1) != 0:
+                raise _disagreement("hyper_genus4_char2", q, entry, curve)
+            counts = [curve.count(i) for i in (1, 2, 3, 4)]
+            vec = tuple(counts)
+            entry["counts"] = counts
             survivors.append(entry)
             zetas.append({"q": q, "counts": counts})
             if vec not in seen_vectors:

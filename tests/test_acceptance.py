@@ -267,7 +267,9 @@ CI_PLAN = [
     ("hyper_genus4_char2", (2, 4, 8), {}),
 ]
 EXTENDED_PLAN = [
-    ("klein4_hyper_odd", (17, 19, 23, 25), {"n": 1}),
+    ("klein4_hyper_odd", (17, 19, 25), {"n": 1}),
+    # the F_23 family is empty for every square n; 5 is the first nonsquare
+    ("klein4_hyper_odd", (23,), {"n": 5}),
     ("diagonal_quartic", (17, 19, 23, 29), {}),
     ("quartic_char2", (32,), {}),
     ("fiberproduct", (17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49), {}),

@@ -32,6 +32,7 @@ F16 = FiniteField(2, 4, [1, 1, 0, 0, 1])          # a^4 + a + 1 = 0
 F9 = FiniteField(3, 2, [-1, -1, 1])               # a^2 - a - 1 = 0
 F25 = FiniteField(5, 2, [2, -1, 1])               # a^2 - a + 2 = 0
 F27 = FiniteField(3, 3, [1, -1, 0, 1])            # a^3 - a + 1 = 0
+F8 = FiniteField(2, 3, [1, 1, 0, 1])              # a^3 + a + 1 = 0
 
 
 class TestConstruction:
@@ -286,7 +287,36 @@ class TestQuotientField:
         assert v.sqrt() * v.sqrt() == v
 
 
+def _dlog_reference(F):
+    """(exp, log) by FieldElement products: the powers of the first
+    element, in canonical order, whose powers reach every nonzero one."""
+    for g in F.elements():
+        powers = [F.one]
+        while not g.is_zero() and powers[-1] * g != F.one:
+            powers.append(powers[-1] * g)
+        if len(powers) == F.q - 1:
+            break
+    exp = [F.index(v) for v in powers]
+    log = [None] * F.q
+    for k, idx in enumerate(exp):
+        log[idx] = k
+    return exp, log
+
+
+DLOG_FIELDS = {
+    "F2": FiniteField(2), "F3": FiniteField(3), "F4": F4, "F8": F8, "F9": F9,
+    "F25": F25, "F27": F27,
+    # a is not primitive here (a^16 = 1), so the generator is not a
+    "F625": FiniteField(5, 4, [2, 0, 0, 0, 1]),
+    "F1024": FiniteField(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
+}
+
+
 class TestDlogTables:
+    @pytest.mark.parametrize("F", DLOG_FIELDS.values(), ids=DLOG_FIELDS.keys())
+    def test_equal_to_field_element_reference(self, F):
+        assert F.dlog_tables() == _dlog_reference(F)
+
     def test_consistency(self):
         for F in (F5, F9, F25):
             exp, log = F.dlog_tables()
@@ -301,7 +331,6 @@ class TestDlogTables:
 
 
 F7 = FiniteField(7)
-F8 = FiniteField(2, 3, [1, 1, 0, 1])              # a^3 + a + 1 = 0
 
 
 def _kernel_agrees(F, a, b):

@@ -13,10 +13,11 @@ from pointless.elliptic import EllipticCurve
 from pointless.errors import (
     BudgetExceeded,
     EvenCharacteristic,
+    FilterDisagreement,
     OddCharacteristic,
     UnknownFamily,
 )
-from pointless.field import FiniteField, Poly, RationalFunction
+from pointless.field import FiniteField, Poly, RationalFunction, _kernel
 from pointless.search import (
     SearchConfig,
     census,
@@ -33,6 +34,7 @@ from pointless.search import (
     _diagonal_has_point,
 )
 from pointless.curves import square_set
+from pointless.zeta import zeta_report
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -40,7 +42,88 @@ F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F9 = FiniteField(3, 2, [-1, -1, 1])
+F11 = FiniteField(11)
 F13 = FiniteField(13)
+F27 = FiniteField(3, 3, [1, -1, 0, 1])
+
+
+def _naive_join(F, alphabet, d, weights, consts, target):
+    """The codes that _linear_join should yield, one FieldElement sum per
+    form and code."""
+    size = len(alphabet)
+    out = []
+    for code in range(size ** d):
+        lam = [F.from_index(alphabet[code // size ** i % size])
+               for i in range(d)]
+        for row, c in zip(weights, consts):
+            v = F.from_index(c)
+            for w, x in zip(row, lam):
+                v = v + F.from_index(w) * x
+            if not target[F.index(v)]:
+                break
+        else:
+            out.append(code)
+    return out
+
+
+class TestLinearJoin:
+    @pytest.mark.parametrize("F", [F5, F7, F9, F13, F27],
+                             ids=["F5", "F7", "F9", "F13", "F27"])
+    def test_agrees_with_naive_evaluation(self, F):
+        rng = random.Random(F.q)
+        K = _kernel(F)
+        for d in range(5):
+            # alphabets up to the whole field, at most about 1000 codes
+            size = F.q
+            while size ** d > 1000:
+                size -= 1
+            # an empty, a full and three random targets
+            for density in (0.0, 1.0, 0.6, 0.8, 0.9):
+                alphabet = sorted(rng.sample(range(F.q), size))
+                target = bytearray(rng.random() < density
+                                   for _ in range(F.q))
+                m = rng.randrange(1, 6)
+                weights = [[rng.randrange(F.q) for _ in range(d)]
+                           for _ in range(m)]
+                consts = [rng.randrange(F.q) for _ in range(m)]
+                got = list(search._linear_join(K, alphabet, d, weights,
+                                               consts, target))
+                want = _naive_join(F, alphabet, d, weights, consts, target)
+                assert got == want
+                if density == 0.0:
+                    assert got == []
+                if density == 1.0:
+                    assert got == list(range(size ** d))
+
+    def test_no_forms_pass_every_code(self):
+        K = _kernel(F7)
+        got = list(search._linear_join(K, range(7), 3, [], [], bytearray(7)))
+        assert got == list(range(343))
+
+
+def _klein4_reference(F, n):
+    """(code, f, model) for every census survivor of klein4_hyper_odd, by
+    direct evaluation: f = c0 + c1 u + c2 u^2 + c3 u^3 + nu u^4 is a
+    nonsquare at every u = x + n/x, separable and coprime to u^2 - 4n."""
+    nu = F.canonical_nonsquare
+    us = {x + n / x for x in F.elements() if not x.is_zero()}
+    disc = Poly(F, [-(F.element(4) * n), F.zero, F.one])
+    x = Poly.x(F)
+    out = []
+    for code in range(F.q ** 4):
+        f = Poly(F, [F.from_index(code // F.q ** i % F.q) for i in range(4)]
+                 + [nu])
+        if any(f.eval(u).is_square() for u in us):
+            continue
+        if not f.is_separable() or f.gcd(disc).degree > 0:
+            continue
+        # x^4 f(x + n/x) = sum_i c_i x^(4 - i) (x^2 + n)^i
+        model = Poly(F, [])
+        for i, c in enumerate(f.coeffs):
+            model = model + (x * x + Poly.constant(F, n)) ** i \
+                * x ** (4 - i) * c
+        out.append((code, f, model))
+    return out
 
 
 class TestKlein4Odd:
@@ -59,6 +142,72 @@ class TestKlein4Odd:
     def test_even_char_rejected(self):
         with pytest.raises(EvenCharacteristic):
             search_klein4_hyper_odd(F2, 1)
+
+    @pytest.mark.parametrize("F", [F3, F5, F7, F9, F11, F13],
+                             ids=["F3", "F5", "F7", "F9", "F11", "F13"])
+    @pytest.mark.parametrize("square_n", [True, False], ids=["n=1", "n=nu"])
+    def test_reports_equal_naive_filter_reference(self, F, square_n):
+        n = F.one if square_n else F.canonical_nonsquare
+        found = _klein4_reference(F, n)
+        survivors, zetas = [], []
+        for _, f, model in found:
+            curve = HyperellipticOdd(F, model)
+            counts = [curve.count(i) for i in (1, 2, 3)]
+            assert counts[0] == 0
+            survivors.append({"f": [F.index(c) for c in f.coeffs],
+                              "model": [F.index(c) for c in model.coeffs]})
+            zetas.append(zeta_report(F.q, 3, counts).to_json())
+        for mode in ("census", "first_find"):
+            got = search_klein4_hyper_odd(F, n, mode=mode).to_json()
+            got.pop("wall_time")
+            # first_find stops after the first survivor's code
+            stops = mode == "first_find" and found
+            candidates = found[0][0] + 1 if stops else F.q ** 4
+            keep = 1 if stops else len(found)
+            assert got == {
+                "family": "klein4_hyper_odd",
+                "parameters": {"q": F.q, "n": F.index(n), "mode": mode},
+                "candidates": candidates,
+                "survivors": survivors[:keep],
+                "dedup_classes": len({tuple(z["counts"])
+                                      for z in zetas[:keep]}),
+                "zeta": zetas[:keep],
+                "fingerprint": search._fingerprint(
+                    "klein4_hyper_odd", F.q, F.index(n),
+                    "odometer-c0..c3-lc-nu"),
+                "kill_counts": {},
+            }
+
+    def test_budget_boundary(self):
+        r = search_klein4_hyper_odd(F13, 1, mode="first_find")
+        again = search_klein4_hyper_odd(F13, 1, mode="first_find",
+                                        budget=r.candidates)
+        assert again.survivors == r.survivors
+        with pytest.raises(BudgetExceeded):
+            search_klein4_hyper_odd(F13, 1, mode="first_find",
+                                    budget=r.candidates - 1)
+
+    def test_census_budget_covers_every_candidate(self):
+        search_klein4_hyper_odd(F5, 1, mode="census", budget=625)
+        with pytest.raises(BudgetExceeded):
+            search_klein4_hyper_odd(F5, 1, mode="census", budget=624)
+
+    def test_f23_pointless_only_for_nonsquare_n(self):
+        # every square n has an empty census over F_23, every nonsquare n
+        # 18 pointless models; 5 is the canonical nonsquare
+        F23 = FiniteField(23)
+        r = census(F23, "klein4_hyper_odd", n=1)
+        assert (r.candidates, len(r.survivors)) == (279841, 0)
+        r = census(F23, "klein4_hyper_odd", n=5)
+        assert len(r.survivors) == 18
+        for s in r.survivors:
+            model = Poly(F23, [F23.from_index(i) for i in s["model"]])
+            assert HyperellipticOdd(F23, model).count(1) == 0
+
+    def test_filter_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(HyperellipticOdd, "count", lambda self, i=1: 1)
+        with pytest.raises(FilterDisagreement):
+            search_klein4_hyper_odd(F5, 1, mode="census")
 
     def test_deterministic(self):
         a = search_klein4_hyper_odd(F5, 1, mode="census").to_json()
@@ -207,6 +356,27 @@ class TestDoubleCovers:
         full.pop("wall_time")
         resumed.pop("wall_time")
         assert resumed == full
+
+    @pytest.mark.parametrize("F, curve, candidates, test1, test2, found", [
+        (F5, (0, 1, 1), 312, 303, 9, 0),
+        (F5, (0, 0, 1), 624, 544, 75, 5),
+        (F7, (0, 1, 3), 1600, 1430, 136, 34),
+    ], ids=["F5:x3+x+1", "F5:x3+1", "F7:x3+x+3"])
+    def test_counts_as_recorded(self, F, curve, candidates, test1, test2,
+                                found):
+        # genus-3 census figures recorded with a per-candidate test 1
+        # (one field evaluation per point and candidate)
+        r = search_double_covers_elliptic(EllipticCurve(F, *curve),
+                                          genus_target=3, mode="census")
+        assert r.candidates == candidates
+        assert r.kill_counts == {"test1": test1, "test2": test2}
+        assert len(r.survivors) == found
+
+    def test_budget_boundary(self):
+        E = EllipticCurve(F5, 0, 1, 1)
+        search_double_covers_elliptic(E, mode="census", budget=312)
+        with pytest.raises(BudgetExceeded):
+            search_double_covers_elliptic(E, mode="census", budget=311)
 
     def test_bad_genus_rejected(self):
         with pytest.raises(ValueError):
