@@ -1240,8 +1240,11 @@ def embed(field, m):
             return _big.element(v.coeffs[0] if v.coeffs else 0)
         gen_pows = None
     else:
-        mini = Poly.from_ints(big, list(field.defining_poly))
-        root = min(mini.roots(), key=big.index)
+        # the smallest root: coefficients in F_p keep their index in big
+        kern = _kernel(big)
+        mini = list(field.defining_poly)
+        root = big.from_index(next(x for x in range(big.q)
+                                   if not kern.horner(mini, x)))
         gen_pows = [big.one]
         for _ in range(field.n - 1):
             gen_pows.append(gen_pows[-1] * root)

@@ -12,8 +12,13 @@ Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
 zero and the nonsquares)?  _linear_join answers it on the field's index
 kernel by a bitset meet in the middle, yielding the passing codes in
-odometer order; klein4_hyper_odd (one form per u = x + n/x) and test 1 of
-the elliptic double covers (one form per rational point) run on it.
+odometer order.  klein4_hyper_odd (one form per u = x + n/x), test 1 of
+the elliptic double covers (one form per rational point) and the
+exhaustive genus-3 census (the values at nodes 0..8 range over the
+nonsquares; one form for the leading coefficient and one per remaining
+field element) run on it.  The census deduplicates its survivors under
+PGL2 and square scaling on index lists, walking each orbit once per
+class, not once per survivor.
 """
 
 import hashlib
@@ -97,10 +102,6 @@ def _poly_ints(F, f):
     return [F.index(c) for c in f.coeffs]
 
 
-def _nonsquares(F):
-    return [v for v in F.elements() if not v.is_zero() and not v.is_square()]
-
-
 def _disagreement(family, q, candidate, curve):
     """The error for a candidate that passed a filter claiming exactness
     but whose exact model is not a pointless curve of the family's genus."""
@@ -138,9 +139,9 @@ def _digits(code, alphabet_size, length):
     return out
 
 
-def _odometer(alphabet_size, length, start=0):
+def _odometer(alphabet_size, length):
     """Tuples in little-endian odometer order, as index vectors."""
-    for code in range(start, alphabet_size ** length):
+    for code in range(alphabet_size ** length):
         yield code, _digits(code, alphabet_size, length)
 
 
@@ -155,11 +156,11 @@ def _partial_sums(kern, alphabet, weights, start):
     return sums
 
 
-def _linear_join(kern, alphabet, d, weights, consts, target):
-    """Codes, ascending, of the lambda in alphabet^d (little-endian
-    odometer: digit i of the code picks lambda_i) for which every form
-    consts[j] + sum_i weights[j][i] * lambda_i lands in target, a
-    bytearray over kernel indices.
+def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
+    """Codes, ascending and from start on, of the lambda in alphabet^d
+    (little-endian odometer: digit i of the code picks lambda_i) for which
+    every form consts[j] + sum_i weights[j][i] * lambda_i lands in target,
+    a bytearray over kernel indices.
 
     Meet in the middle.  The low r = ceil(d/2) digits are the right half:
     per form, the right-half sums are bucketed by value into int bitsets
@@ -195,8 +196,9 @@ def _linear_join(kern, alphabet, d, weights, consts, target):
 
     tables = []
     full = (1 << width) - 1
-    for left in range(len(alphabet) ** (d - r)):
-        bits = full
+    first, skip = divmod(start, width)
+    for left in range(first, len(alphabet) ** (d - r)):
+        bits = full >> skip << skip if left == first else full
         for j in range(len(weights)):
             if j == len(tables):
                 tables.append(table(j))
@@ -575,165 +577,181 @@ def search_fiberproduct(F, mode="first_find", budget=None):
 # exhaustive genus-3 hyperelliptic census (odd q > 7)
 # ---------------------------------------------------------------------------
 
-def _lagrange_basis(F, nodes):
-    """L_i with L_i(nodes[j]) = [i == j], degree len(nodes)-1."""
-    out = []
-    for i, xi in enumerate(nodes):
-        num = Poly.constant(F, F.one)
-        denom = F.one
-        for j, xj in enumerate(nodes):
-            if i == j:
-                continue
-            num = num * Poly(F, [-xj, F.one])
-            denom = denom * (xi - xj)
-        out.append(num * denom.inv())
-    return out
+def _taylor_shift(kern, f, t):
+    """f(x + t) for the index polynomial f (constant term first)."""
+    f = list(f)
+    mul, add = kern.mul, kern.add
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] = add(f[j], mul(t, f[j + 1]))
+    return f
 
 
-def _pgl2_canonical_key(F, f):
-    """Canonical key of the degree-8 model y^2 = f under PGL2(F_q) acting on
-    x and square scaling of f.  Exhaustive orbit minimum: adequate for the
-    handful of survivors these censuses produce."""
-    q = F.q
-    best = None
-    elems = list(F.elements())
-    transforms = []
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    if (a * d - b * c).is_zero():
-                        continue
-                    # projective normalization: first nonzero of (a,b,c,d) = 1
-                    lead = next(v for v in (a, b, c, d) if not v.is_zero())
-                    if lead != F.one:
-                        continue
-                    transforms.append((a, b, c, d))
-    num_cache = {}
-    for a, b, c, d in transforms:
-        # g(x) = (cx + d)^8 f((ax+b)/(cx+d))
-        pnum = Poly(F, [b, a])
-        pden = Poly(F, [d, c])
-        g = Poly(F, [])
-        pnum_pows = [Poly.constant(F, F.one)]
-        pden_pows = [Poly.constant(F, F.one)]
-        for _ in range(8):
-            pnum_pows.append(pnum_pows[-1] * pnum)
-            pden_pows.append(pden_pows[-1] * pden)
-        for i, coef in enumerate(f.coeffs):
-            if not coef.is_zero():
-                g = g + pnum_pows[i] * pden_pows[8 - i] * coef
-        if g.degree != 8:
-            continue  # a branch point was moved to infinity
-        key = _square_class_canonical(F, g)
-        if best is None or key < best:
-            best = key
-    return best
+def _pgl2_orbit(kern, f):
+    """g = (cx + d)^8 f((ax + b)/(cx + d)) up to a square factor, as index
+    lists, for each of the q^3 - q normalised (a, b, c, d) (first nonzero
+    entry 1, ad - bc != 0) that keeps deg g = 8; f is a degree-8 index
+    list.
+
+    (1, b, c, d) is (1, 0; c, 1)(1, b; 0, e) with e = d - bc.  The first
+    factor turns f into rev(rev(f)(x + c)), rev reversing the 9
+    coefficients; the second into e^8 h((x + b)/e), which is e^8 times
+    h(x + b/e) with x scaled by 1/e.  (0, 1, c, d) gives rev(f)(cx + d):
+    rev(f) shifted by d, x scaled by c.  So each of the q + 1 bases is
+    shifted by every t and scaled by every u != 0."""
+    q = kern.q
+    mul = kern.mul
+    rev = f[::-1]
+    bases = [_taylor_shift(kern, rev, c)[::-1] for c in range(q)] + [rev]
+    powers = [[1] * 9 for _ in range(q)]
+    for u in range(1, q):
+        for i in range(1, 9):
+            powers[u][i] = mul(powers[u][i - 1], u)
+    for base in bases:
+        if not base[8]:
+            continue            # a branch point went to infinity
+        for t in range(q):
+            h = _taylor_shift(kern, base, t)
+            for u in range(1, q):
+                yield [mul(c, w) for c, w in zip(h, powers[u])]
 
 
-def _square_class_canonical(F, g):
-    """Minimal coefficient tuple over the square-scaling orbit of g."""
-    best = None
-    seen = set()
-    for s in F.elements():
-        if s.is_zero():
-            continue
-        s2 = s * s
-        if s2.coeffs in seen:
-            continue
-        seen.add(s2.coeffs)
-        key = tuple(F.index(c * s2) for c in g.coeffs)
-        if best is None or key < best:
-            best = key
-    return best
+def _square_class_canonical(kern, nu, g):
+    """The minimal index tuple over the square multiples s^2 g of the
+    nonzero index list g.  The first nonzero entry decides it: s^2 takes
+    it to 1 when it is a square and to nu, the smallest nonsquare index,
+    when it is not."""
+    lead = next(c for c in g if c)
+    s2 = kern.mul(kern.inv(lead), nu if kern.sqrt_count(lead) == 0 else 1)
+    return tuple(kern.mul(s2, c) for c in g)
 
 
-_CENSUS_CHECKPOINT_EVERY = 100000   # candidates between checkpoint writes
+def _pgl2_canonical_key(kern, nu, f):
+    """Canonical key of the degree-8 model y^2 = f (an index list) under
+    PGL2(F_q) acting on x and square scaling of f: the minimal square
+    class tuple over the orbit.  The key is an orbit invariant, so a
+    census walks each orbit only once (_pgl2_classes)."""
+    return min(_square_class_canonical(kern, nu, g)
+               for g in _pgl2_orbit(kern, f))
+
+
+def _pgl2_classes(kern, nu, models):
+    """The PGL2 canonical key of each degree-8 index list in models, and
+    the number of distinct keys.  A model whose square class is not yet
+    known has its orbit walked, and every member's square class tuple is
+    mapped to the orbit minimum: one walk per class, not per model."""
+    key_of = {}
+    keys = []
+    for f in models:
+        tup = _square_class_canonical(kern, nu, f)
+        if tup not in key_of:
+            members = {_square_class_canonical(kern, nu, g)
+                       for g in _pgl2_orbit(kern, f)}
+            key_of.update(dict.fromkeys(members, min(members)))
+        keys.append(key_of[tup])
+    return keys, len(set(keys))
+
+
+def _node_value_forms(F):
+    """The exhaustive census filter over F as linear forms in the values
+    at the nodes 0..8: the nonsquare indicator (a bytearray over indices),
+    basis[i], the interpolant of the i-th unit vector on the nodes (so
+    f = sum_i value_i basis[i], index lists), and the weights of the
+    forms, the leading coefficient first and then the values at the other
+    field elements 9..q-1.  f is pointless iff every value and form is a
+    nonsquare."""
+    kern = _kernel(F)
+    nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(F.q))
+    nodes = [F.from_index(i) for i in range(9)]
+    basis = [_poly_ints(F, Poly.interpolate(
+                 F, nodes, [F.one if j == i else F.zero for j in range(9)]))
+             for i in range(9)]
+    weights = [[L[8] for L in basis]]
+    weights += [[kern.horner(L, x) for L in basis] for x in range(9, F.q)]
+    return nonsquare, basis, weights
+
+
+# candidates between checkpoint writes: the join covers 1e8 candidates in
+# about 3 s over F_29 (1e5 took about 10 s one by one), so that a write,
+# about 30 ms on a VM disk, costs about 1 % of the run
+_CENSUS_CHECKPOINT_EVERY = 10 ** 8
 
 
 def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
                                    checkpoint=None):
     """All pointless y^2 = f with f of degree 8, driven by interpolation:
-    values at 9 fixed nodes range over the nonsquares, the remaining q - 9
-    evaluations early-abort, then lc/squarefree checks."""
+    the values at the nodes 0..8 range over the nonsquares, the join keeps
+    the value tuples whose leading coefficient and q - 9 remaining
+    evaluations are all nonsquares, and f is rebuilt and checked for
+    separability.
+
+    A checkpoint is the state after the first m - 1 candidates, for m the
+    last multiple of _CENSUS_CHECKPOINT_EVERY the run has reached within
+    its budget: the state a candidate-by-candidate loop would save before
+    checking candidate m - 1."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic census")
     if F.q < 9:
         raise ValueError("exhaustive census engine needs q >= 9")
     t0 = time.time()
     q = F.q
-    sq = square_set(F)
-    ns = _nonsquares(F)
-    nodes = [F.from_index(i) for i in range(9)]
-    others = [F.from_index(i) for i in range(9, q)]
-    lag = _lagrange_basis(F, nodes)
-    # linear functionals of the 9 values: leading coefficient and the
-    # evaluations at the remaining field elements
-    lc_w = [L[8] for L in lag]
-    other_w = [[L.eval(x) for L in lag] for x in others]
-    survivors = []
-    zetas = []
-    keys = []
-    candidates = 0
+    kern = _kernel(F)
+    mul, add = kern.mul, kern.add
+    nonsquare, basis, weights = _node_value_forms(F)
+    ns = [a for a in range(q) if nonsquare[a]]
+    nv = len(ns)
+    total = nv ** 9
     state = _checkpoint_load(checkpoint)
     start = state["next"] if state else 0
-    if state:
-        survivors = state["survivors"]
-        candidates = state["candidates"]
-        zetas = state.get("zetas", [])
-    nv = len(ns)
-    for code, idx in _odometer(nv, 9, start=start):
-        candidates += 1
-        _spend(budget, candidates)
-        if checkpoint and candidates % _CENSUS_CHECKPOINT_EVERY == 0:
-            # the state before candidate `code`, which is not checked yet
-            _checkpoint_save(checkpoint, {"next": code,
+    survivors = state["survivors"] if state else []
+    zetas = state.get("zetas", []) if state else []
+    written = start             # candidates + 1 of the last state saved
+
+    def save(reached):
+        nonlocal written
+        m = reached if budget is None else min(reached, budget)
+        m -= m % _CENSUS_CHECKPOINT_EVERY
+        if checkpoint and m > written:
+            # every survivor so far has a code below m - 1: one at m - 1
+            # or later would have saved m already
+            written = m
+            _checkpoint_save(checkpoint, {"next": m - 1,
                                           "survivors": survivors,
                                           "zetas": zetas,
-                                          "candidates": candidates - 1})
-        vals = [ns[i] for i in idx]
-        lc = F.zero
-        for w, v in zip(lc_w, vals):
-            lc = lc + w * v
-        if lc.is_zero() or lc.coeffs in sq:
-            continue
-        ok = True
-        for row in other_w:
-            acc = F.zero
-            for w, v in zip(row, vals):
-                acc = acc + w * v
-            if acc.is_zero() or acc.coeffs in sq:
-                ok = False
-                break
-        if not ok:
-            continue
-        f = Poly(F, [F.zero])
-        for L, v in zip(lag, vals):
-            f = f + L * v
+                                          "candidates": m - 1})
+
+    candidates = total
+    for code in _linear_join(kern, ns, 9, weights, [0] * len(weights),
+                             nonsquare, start):
+        save(code + 1)
+        _spend(budget, code + 1)     # candidates visited up to this one
+        coeffs = [0] * 9
+        for digit, L in zip(_digits(code, nv, 9), basis):
+            v = ns[digit]
+            coeffs = [add(c, mul(v, w)) for c, w in zip(coeffs, L)]
+        f = Poly(F, [F.from_index(c) for c in coeffs])
         if not f.is_separable():
             continue
         curve = HyperellipticOdd(F, f)
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
-                                {"f": _poly_ints(F, f)}, curve)
-        survivors.append({"f": _poly_ints(F, f)})
+                                {"f": coeffs}, curve)
+        survivors.append({"f": coeffs})
         counts = [curve.count(i) for i in (1, 2, 3)]
         zetas.append(zeta_report(q, 3, counts).to_json())
         if mode == "first_find":
+            candidates = code + 1
             break
-    # census dedup under PGL2 + square scaling
-    classes = 0
-    if survivors:
-        seen_keys = []
-        for s in survivors:
-            f = Poly(F, [F.from_index(i) for i in s["f"]])
-            key = _pgl2_canonical_key(F, f)
-            s["iso_class_key"] = list(key) if key else None
-            if key not in seen_keys:
-                seen_keys.append(key)
-        classes = len(seen_keys)
+    else:
+        save(total)
+    _spend(budget, candidates)
+    # census dedup under PGL2 + square scaling; ns[0] is the smallest
+    # nonsquare index
+    keys, classes = _pgl2_classes(kern, ns[0], [s["f"] for s in survivors])
+    for s, key in zip(survivors, keys):
+        s["iso_class_key"] = list(key)
     if checkpoint:
-        _checkpoint_save(checkpoint, {"next": nv ** 9, "survivors": survivors,
+        _checkpoint_save(checkpoint, {"next": total, "survivors": survivors,
                                       "zetas": zetas, "candidates": candidates,
                                       "done": True})
     return SearchReport(
@@ -840,6 +858,11 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
         qreps = E.quotient_reps(m, exclude_two_torsion=exclude_torsion,
                                 fallback=True)
         used_fallback = True
+    if INF in qreps:
+        # E(F_q) is killed by m, so O is alone in its coset of m E(F_q); the
+        # double zero Q = O needs L((k - 2) inf), which is not built here
+        raise UnsupportedShape(f"{E!r}: the coset {{O}} of {m}E(F_{q}) has "
+                               f"no affine point to carry the double zero")
     kern = _kernel(F)
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
     pts = [P for P in E.points() if P is not INF]

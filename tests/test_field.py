@@ -252,6 +252,27 @@ class TestEmbed:
         mini = Poly.from_ints(big, [1, -1, 0, 1])
         assert len(mini.roots()) == 3
 
+    def test_root_is_smallest_root_of_poly_roots(self):
+        # embed reads its root off the big field's index kernel; it must be
+        # the smallest of the roots Poly.roots finds, for every presentation
+        # the corpus, the CLI and the tests use, wherever q^m <= 1024
+        from pointless.cli import _field_for
+        from pointless.harness import load_fixtures
+        fields = {e.field() for e in load_fixtures() if e.n > 1}
+        fields |= {F4, F8, F9, F16, F25, F27, F32,
+                   FiniteField(3, 2, [1, 0, 1]), FiniteField(7, 2, [3, -1, 1])}
+        fields |= {_field_for(q) for q in (4, 8, 9, 16, 25, 27, 32, 49)}
+        pairs = 0
+        for F in fields:
+            m = 2
+            while F.q ** m <= 1024:
+                big, phi = embed(F, m)
+                mini = Poly.from_ints(big, list(F.defining_poly))
+                assert phi(F.gen) == min(mini.roots(), key=big.index)
+                pairs += 1
+                m += 1
+        assert pairs >= 12
+
     def test_map_poly(self):
         big, phi = embed(F9, 2)
         f = Poly(F9, [F9.gen, F9.one])

@@ -16,6 +16,7 @@ from pointless.errors import (
     FilterDisagreement,
     OddCharacteristic,
     UnknownFamily,
+    UnsupportedShape,
 )
 from pointless.field import FiniteField, Poly, RationalFunction, _kernel
 from pointless.search import (
@@ -90,6 +91,10 @@ class TestLinearJoin:
                                                consts, target))
                 want = _naive_join(F, alphabet, d, weights, consts, target)
                 assert got == want
+                start = rng.randrange(size ** d + 1)
+                assert list(search._linear_join(
+                    K, alphabet, d, weights, consts, target, start)) == \
+                    [code for code in want if code >= start]
                 if density == 0.0:
                     assert got == []
                 if density == 1.0:
@@ -330,7 +335,168 @@ class TestExhaustiveHyperGenus3:
         assert got == expected
 
 
+def _fe_pgl2_key(F, f):
+    """The PGL2 canonical key as a FieldElement computation: every
+    normalised (a, b, c, d) from a q^4 scan, g = (cx+d)^8 f((ax+b)/(cx+d))
+    by Poly products, and the minimal index tuple over the s^2 g.  The
+    reference the index-kernel key must equal."""
+    elems = list(F.elements())
+    squares = {s * s for s in elems if not s.is_zero()}
+    best = None
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                for d in elems:
+                    if (a * d - b * c).is_zero():
+                        continue
+                    lead = next(v for v in (a, b, c, d) if not v.is_zero())
+                    if lead != F.one:
+                        continue
+                    num, den = Poly(F, [b, a]), Poly(F, [d, c])
+                    g = Poly(F, [])
+                    for i, coef in enumerate(f.coeffs):
+                        g = g + (num ** i) * (den ** (8 - i)) * coef
+                    if g.degree != 8:
+                        continue
+                    for s2 in squares:
+                        key = tuple(F.index(v * s2) for v in g.coeffs)
+                        if best is None or key < best:
+                            best = key
+    return best
+
+
+def _random_octic(F, rng):
+    return [rng.randrange(F.q) for _ in range(8)] + [rng.randrange(1, F.q)]
+
+
+class TestExhaustiveKernel:
+    """The exhaustive genus-3 engine on the index kernel: PGL2 keys, one
+    orbit walk per class, the node-value join and its checkpoints."""
+
+    @pytest.mark.parametrize("F,n_random", [(F9, 3), (F11, 1), (F13, 1)],
+                             ids=["F9", "F11", "F13"])
+    def test_key_equals_field_element_key(self, F, n_random):
+        rng = random.Random(F.q)
+        kern = _kernel(F)
+        nu = F.index(F.canonical_nonsquare)
+        models = [_random_octic(F, rng) for _ in range(n_random)]
+        models.append(first_find(F, "exhaustive_hyper_genus3")
+                      .survivors[0]["f"])
+        for f in models:
+            fe = Poly(F, [F.from_index(i) for i in f])
+            assert search._pgl2_canonical_key(kern, nu, f) == \
+                _fe_pgl2_key(F, fe), f
+
+    @pytest.mark.parametrize("F", [F9, F11], ids=["F9", "F11"])
+    def test_every_orbit_member_has_the_key(self, F):
+        rng = random.Random(7 * F.q)
+        kern = _kernel(F)
+        nu = F.index(F.canonical_nonsquare)
+        f = first_find(F, "exhaustive_hyper_genus3").survivors[0]["f"]
+        key = search._pgl2_canonical_key(kern, nu, f)
+        orbit = list(search._pgl2_orbit(kern, f))
+        assert len(orbit) == F.q ** 3 - F.q   # pointless: no root to move
+        members = rng.sample(orbit, 4)
+        for g in members:
+            assert search._pgl2_canonical_key(kern, nu, g) == key
+        keys, classes = search._pgl2_classes(
+            kern, nu, members + [_random_octic(F, rng)] + [f])
+        assert keys[:4] == [key] * 4 and keys[-1] == key
+        assert classes == (2 if keys[4] != key else 1)
+
+    @pytest.mark.parametrize("F", [F9, F11], ids=["F9", "F11"])
+    def test_join_equals_naive_nonsquare_filter(self, F):
+        nonsquare, basis, weights = search._node_value_forms(F)
+        ns = [a for a in range(F.q) if nonsquare[a]]
+        passes = set(search._linear_join(_kernel(F), ns, 9, weights,
+                                         [0] * len(weights), nonsquare))
+        rng = random.Random(F.q)
+        sample = rng.sample(sorted(passes), 100)
+        sample += rng.sample(range(len(ns) ** 9), 200)
+        nodes = [F.from_index(i) for i in range(9)]
+        for code in sample:
+            values = [F.from_index(ns[d]) for d in search._digits(
+                code, len(ns), 9)]
+            f = Poly.interpolate(F, nodes, values)
+            naive = all(not v.is_zero() and not v.is_square()
+                        for v in [f[8]] + [f.eval(x) for x in F.elements()])
+            assert (code in passes) == naive, code
+            if naive:
+                rebuilt = [0] * 9
+                for d, L in zip(search._digits(code, len(ns), 9), basis):
+                    rebuilt = [F.index(F.from_index(c) + F.from_index(ns[d])
+                                       * F.from_index(w))
+                               for c, w in zip(rebuilt, L)]
+                assert rebuilt == [F.index(c) for c in f.coeffs]
+
+    # the F_9 checkpoints of a census stopped by budgets 20 and 50 with a
+    # checkpoint every 7 candidates, as the candidate-by-candidate engine
+    # wrote them: budget -> (next, candidates, number of survivors), then
+    # the survivors' f and point counts
+    F9_CHECKPOINTS = {
+        20: (13, 13, 7),
+        50: (48, 48, 24),
+    }
+    F9_SURVIVORS = [
+        [6, 0, 0, 0, 0, 0, 0, 0, 6], [6, 1, 1, 1, 1, 1, 1, 1, 7],
+        [7, 1, 1, 1, 1, 1, 1, 1, 6], [3, 6, 6, 6, 6, 6, 6, 6, 6],
+        [5, 6, 6, 6, 6, 6, 6, 6, 7], [6, 6, 6, 6, 6, 6, 6, 6, 3],
+        [7, 6, 6, 6, 6, 6, 6, 6, 5], [5, 8, 8, 8, 8, 8, 8, 8, 6],
+        [6, 8, 8, 8, 8, 8, 8, 8, 5], [6, 2, 1, 2, 1, 2, 1, 2, 7],
+        [7, 2, 1, 2, 1, 2, 1, 2, 6], [3, 8, 7, 8, 7, 8, 7, 8, 7],
+        [7, 8, 7, 8, 7, 8, 7, 8, 3], [3, 7, 6, 7, 6, 7, 6, 7, 6],
+        [6, 7, 6, 7, 6, 7, 6, 7, 3], [3, 3, 6, 3, 6, 3, 6, 3, 6],
+        [5, 3, 6, 3, 6, 3, 6, 3, 7], [6, 3, 6, 3, 6, 3, 6, 3, 3],
+        [7, 3, 6, 3, 6, 3, 6, 3, 5], [3, 4, 7, 4, 7, 4, 7, 4, 7],
+        [7, 4, 7, 4, 7, 4, 7, 4, 3], [3, 0, 3, 0, 3, 0, 3, 0, 3],
+        [3, 2, 5, 2, 5, 2, 5, 2, 5], [5, 2, 5, 2, 5, 2, 5, 2, 3],
+    ]
+    F9_COUNTS = [[0, 92, 768] if i in (0, 3, 5, 15, 17, 21) else [0, 84, 732]
+                 for i in range(24)]
+
+    @pytest.mark.parametrize("budget", [20, 50])
+    def test_f9_checkpoint_state(self, tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", 7)
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            search_exhaustive_hyper_genus3(F9, mode="census", budget=budget,
+                                           checkpoint=cp)
+        nxt, cands, kept = self.F9_CHECKPOINTS[budget]
+        assert json.load(open(cp)) == {
+            "next": nxt, "candidates": cands,
+            "survivors": [{"f": f} for f in self.F9_SURVIVORS[:kept]],
+            "zetas": [zeta_report(9, 3, c).to_json()
+                      for c in self.F9_COUNTS[:kept]]}
+
+    @pytest.mark.parametrize("every,budget",
+                             [(7, b) for b in range(7, 58, 7)] + [(29, 58)])
+    def test_f13_first_find_resumes_from_census_checkpoints(
+            self, tmp_path, monkeypatch, every, budget):
+        full = search_exhaustive_hyper_genus3(F13, mode="first_find")
+        assert full.candidates == 58
+        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", every)
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            search_exhaustive_hyper_genus3(F13, mode="census", budget=budget,
+                                           checkpoint=cp)
+        assert json.load(open(cp))["next"] == budget - budget % every - 1
+        resumed = search_exhaustive_hyper_genus3(F13, mode="first_find",
+                                                 checkpoint=cp)
+        expected, got = full.to_json(), resumed.to_json()
+        expected.pop("wall_time")
+        got.pop("wall_time")
+        assert got == expected
+
+
 class TestDoubleCovers:
+    def test_coset_of_o_alone_is_unsupported(self):
+        # E(F_7) = (Z/3)^2 on y^2 = x^3 + 2, so 3E(F_7) = {O} and the coset
+        # {O} has no affine point for the double zero
+        E = EllipticCurve(F7, 0, 0, 2)
+        assert E.group_structure() == (3, 3)
+        with pytest.raises(UnsupportedShape, match=r"coset \{O\}"):
+            search_double_covers_elliptic(E, genus_target=4)
+
     def test_f5_census_runs(self):
         E = EllipticCurve(F5, 0, 1, 1)
         r = search_double_covers_elliptic(E, genus_target=3, mode="census")
