@@ -22,6 +22,11 @@ from .errors import (
 
 MAX_FIELD_ORDER = 2 ** 40
 
+# element and polynomial operations of FieldElement and Poly use the index
+# kernel up to this order; past it the kernel's tables cost more than the
+# operation they serve
+_KERNEL_MAX_ORDER = 65536
+
 
 # ---------------------------------------------------------------------------
 # dense F_p[t] helpers on plain int tuples (c0, c1, ...)
@@ -431,7 +436,7 @@ class FieldElement:
         F = self.parent
         if F.p == 2:
             return True
-        if F.q <= 65536:
+        if F.q <= _KERNEL_MAX_ORDER:
             return _kernel(F).sqrt_count(F.index(self)) == 2
         return self ** ((F.q - 1) // 2) == F.one
 
@@ -445,7 +450,7 @@ class FieldElement:
             return out
         if self.is_zero():
             return self
-        if F.q <= 65536:
+        if F.q <= _KERNEL_MAX_ORDER:
             kern = _kernel(F)
             k = kern.log[F.index(self)]
             if k % 2 == 1:
@@ -528,6 +533,14 @@ def _kernel(field):
     return field._kern
 
 
+def _poly_kernel(base):
+    """The index kernel that Poly.gcd and Poly.is_separable run on over
+    base, or None for a QuotientField or a field past _KERNEL_MAX_ORDER."""
+    if isinstance(base, FiniteField) and base.q <= _KERNEL_MAX_ORDER:
+        return _kernel(base)
+    return None
+
+
 class _Kernel:
     """Arithmetic on the canonical indices 0..q-1 of one field's elements.
 
@@ -537,7 +550,11 @@ class _Kernel:
     Addition is left to the subclasses: (a + b) % p on a prime field,
     a ^ b in characteristic 2 (index bits are coefficient bits), Zech
     logarithms on odd-characteristic extensions.  Index polynomials are
-    lists of indices, constant term first.
+    lists of indices, constant term first; on them the kernel evaluates
+    (horner), reduces (_pmod), takes the monic gcd (gcd), tests
+    separability (is_separable) and counts roots (root_count), all on
+    the one Euclid in gcd.  Poly.gcd runs on it for every FiniteField
+    base of order at most _KERNEL_MAX_ORDER.
     """
 
     def __init__(self, field):
@@ -639,10 +656,27 @@ class _Kernel:
                 r = self._pmod([0] + r, m)
         r = r + [0] * (2 - len(r))
         r[1] = self.sub(r[1], 1)
-        a, b = m, _itrim(r)
+        return len(self.gcd(m, r)) - 1
+
+    def gcd(self, a, b):
+        """Monic gcd of the index polynomials a and b; [] when both are
+        zero."""
+        a, b = _itrim(a), _itrim(b)
         while b:
             a, b = b, self._pmod(a, b)
-        return len(a) - 1
+        if a:
+            c = self.inv(a[-1])
+            a = [self.mul(x, c) for x in a]
+        return a
+
+    def is_separable(self, cs):
+        """Whether the index polynomial cs is coprime to its derivative
+        (False when the derivative is zero, constants included).  The
+        derivative's coefficient i - 1 is c_i times i mod p, and the
+        index of an integer k < p is k on every kernel."""
+        p, mul = self.p, self.mul
+        d = _itrim([mul(c, i % p) for i, c in enumerate(cs) if i])
+        return bool(d) and len(self.gcd(cs, d)) == 1
 
 
 def _itrim(cs):
@@ -924,6 +958,17 @@ class Poly:
         return acc
 
     def gcd(self, other):
+        """Monic gcd (zero when both are zero).  Over a FiniteField of
+        order at most _KERNEL_MAX_ORDER the Euclid runs on the field's
+        index kernel (_Kernel.gcd); the FieldElement Euclid below serves
+        QuotientField bases and larger fields."""
+        self._check(other)
+        F = self.base
+        kern = _poly_kernel(F)
+        if kern is not None:
+            g = kern.gcd([F.index(c) for c in self.coeffs],
+                         [F.index(c) for c in other.coeffs])
+            return Poly(F, [F.from_index(i) for i in g])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -938,6 +983,10 @@ class Poly:
         return Poly(F, out)
 
     def is_separable(self):
+        F = self.base
+        kern = _poly_kernel(F)
+        if kern is not None:
+            return kern.is_separable([F.index(c) for c in self.coeffs])
         d = self.derivative()
         if d.is_zero():
             return False

@@ -251,17 +251,17 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         weights.append([1, u, u2, mul(u2, u)])
         consts.append(mul(nu_i, mul(u2, u2)))
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
-    disc_poly = Poly(F, [-four_n, F.zero, F.one])  # u^2 - 4n
+    disc = [F.index(-four_n), 0, 1]                # u^2 - 4n
     survivors = []
     zetas = []
     candidates = q ** 4
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
     for code in _linear_join(kern, range(q), 4, weights, consts, nonsquare):
         _spend(budget, code + 1)     # candidates visited up to this one
-        coeffs = [F.from_index(i) for i in _digits(code, q, 4)] + [nu]
-        f = Poly(F, coeffs)
-        if not f.is_separable() or f.gcd(disc_poly).degree > 0:
+        coeffs = _digits(code, q, 4) + [nu_i]
+        if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
             continue
+        f = Poly(F, [F.from_index(i) for i in coeffs])
         model = _klein4_model(F, f, n)
         curve = HyperellipticOdd(F, model)
         if curve.genus != 3 or curve.count(1) != 0:
@@ -729,10 +729,9 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         for digit, L in zip(_digits(code, nv, 9), basis):
             v = ns[digit]
             coeffs = [add(c, mul(v, w)) for c, w in zip(coeffs, L)]
-        f = Poly(F, [F.from_index(c) for c in coeffs])
-        if not f.is_separable():
+        if not kern.is_separable(coeffs):
             continue
-        curve = HyperellipticOdd(F, f)
+        curve = HyperellipticOdd(F, Poly(F, [F.from_index(c) for c in coeffs]))
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)

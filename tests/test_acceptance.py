@@ -443,5 +443,6 @@ class TestCriterion9:
                     f"q={q}: observed pointless rate {r.rate:.4f} outside "
                     f"factor-4 band of heuristic {r.heuristic:.4f}")
             lines.append(f"q={q} rate {r.rate:.4f} vs heuristic "
-                         f"{r.heuristic:.4f}{'' if within else ' (warned)'}")
+                         f"{r.heuristic:.4f}{'' if within else ' (warned)'}"
+                         f", family heuristic {r.family_heuristic:.4f}")
         report(capsys, "criterion 9 (soft)", True, "; ".join(lines))

@@ -12,6 +12,7 @@ from pointless.density import (
     format_permutation,
     group_closure,
     heuristic_pointless_probability,
+    klein4_hyper_odd_heuristic,
     montecarlo_pointless_rate,
     parse_permutation,
     wilson_interval,
@@ -23,7 +24,7 @@ from pointless.errors import (
     ParseError,
     UnknownFamily,
 )
-from pointless.field import FiniteField
+from pointless.field import FiniteField, Poly
 
 
 class TestParsePermutation:
@@ -180,6 +181,45 @@ class TestMonteCarlo:
         b = montecarlo_pointless_rate("klein4_hyper_odd", F5, 40, seed=1)
         assert a.to_json() == b.to_json()
         assert a.heuristic == pytest.approx((3 / 4) ** 6)
+
+    def test_family_heuristic_pinned(self):
+        assert klein4_hyper_odd_heuristic(5) == Fraction(1, 25)
+        assert klein4_hyper_odd_heuristic(7) == Fraction(27, 1372)
+        assert klein4_hyper_odd_heuristic(9) == Fraction(64, 6561)
+        F9 = FiniteField(3, 2, [-1, -1, 1])
+        rep = montecarlo_pointless_rate("klein4_hyper_odd", F9, 5, seed=1)
+        assert rep.family_heuristic == pytest.approx(64 / 6561)
+        assert rep.to_json()["family_heuristic"] == rep.family_heuristic
+        other = montecarlo_pointless_rate("fiberproduct", FiniteField(5), 3,
+                                          seed=2)
+        assert other.family_heuristic is None
+
+    @pytest.mark.parametrize("F", [FiniteField(7), FiniteField(3, 2, [-1, -1, 1])],
+                             ids=["F7", "F9"])
+    def test_family_heuristic_conditions(self, F):
+        """y^2 = g(x^2) is pointless exactly when lc(g), g(0) and g(t) at
+        every nonzero square t are nonsquares: the events the family
+        heuristic multiplies."""
+        from pointless.curves import HyperellipticOdd
+        rng = random.Random(F.q)
+        squares = {x * x for x in F.elements() if not x.is_zero()}
+
+        def nonsquare(v):
+            return not v.is_zero() and not v.is_square()
+
+        seen = set()
+        for _ in range(300):
+            g = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(5)])
+            f = Poly(F, [g[i // 2] if i % 2 == 0 else F.zero
+                         for i in range(9)])
+            if g.degree != 4 or not f.is_separable():
+                continue
+            pointless = HyperellipticOdd(F, f).count(1) == 0
+            predicted = (nonsquare(g.lc) and nonsquare(g[0])
+                         and all(nonsquare(g.eval(t)) for t in squares))
+            assert pointless == predicted
+            seen.add(pointless)
+        assert seen == {True, False}
 
     def test_rate_in_interval(self):
         F5 = FiniteField(5)

@@ -396,6 +396,129 @@ class TestIndexKernel:
         assert _kernel(F) is _kernel(F)
 
 
+def _euclid_gcd(f, g):
+    """Reference: the FieldElement Euclid, as Poly.gcd ran it on every
+    base before finite fields moved to the index kernel."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _euclid_is_separable(f):
+    d = f.derivative()
+    return not d.is_zero() and _euclid_gcd(f, d).degree == 0
+
+
+def _idx(F, f):
+    return [F.index(c) for c in f.coeffs]
+
+
+def _from_idx(F, cs):
+    return Poly(F, [F.from_index(c) for c in cs])
+
+
+_GCD_FIELDS = [F5, F7, FiniteField(29), F8, F16, F9, F25, F27]
+_GCD_IDS = ["F5", "F7", "F29", "F8", "F16", "F9", "F25", "F27"]
+
+
+class TestKernelGcd:
+    """_Kernel.gcd / is_separable and the Poly methods routed through them,
+    against the FieldElement Euclid on prime, char-2 and Zech kernels."""
+
+    def _check_pair(self, F, f, g):
+        K = _kernel(F)
+        ref = _euclid_gcd(f, g)
+        assert K.gcd(_idx(F, f), _idx(F, g)) == _idx(F, ref)
+        assert f.gcd(g) == ref
+
+    def _check_separable(self, F, f):
+        ref = _euclid_is_separable(f)
+        assert _kernel(F).is_separable(_idx(F, f)) == ref
+        assert f.is_separable() == ref == f.is_squarefree()
+        return ref
+
+    @pytest.mark.parametrize("F", _GCD_FIELDS, ids=_GCD_IDS)
+    def test_random_pairs_with_common_factors(self, F):
+        rng = random.Random(F.q)
+
+        def rand(deg):
+            return _from_idx(F, [rng.randrange(F.q) for _ in range(deg + 1)])
+
+        for _ in range(60):
+            f, g = rand(rng.randrange(9)), rand(rng.randrange(9))
+            self._check_pair(F, f, g)
+            h = rand(rng.randrange(1, 4))
+            self._check_pair(F, f * h, g * h)     # common factor h
+
+    @pytest.mark.parametrize("F", _GCD_FIELDS, ids=_GCD_IDS)
+    def test_random_separability(self, F):
+        rng = random.Random(1000 + F.q)
+        seen = set()
+        for _ in range(150):
+            f = _from_idx(F, [rng.randrange(F.q) for _ in range(9)])
+            seen.add(self._check_separable(F, f))
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("F", _GCD_FIELDS, ids=_GCD_IDS)
+    def test_edge_cases(self, F):
+        K = _kernel(F)
+        zero = Poly(F, [])
+        c = Poly(F, [F.from_index(F.q - 1)])      # a nonzero constant
+        x = Poly.x(F)
+        g = _from_idx(F, [1, 1, 0, 1])            # x^3 + x + 1
+        # zero polynomial
+        assert K.gcd([], []) == [] and K.gcd([0, 0], [0]) == []
+        assert zero.gcd(zero) == zero
+        self._check_pair(F, g, zero)
+        self._check_pair(F, zero, g)
+        assert not self._check_separable(F, zero)
+        # nonzero constants: gcd 1, never separable
+        self._check_pair(F, c, g)
+        assert K.gcd(_idx(F, c), []) == [1]
+        assert not self._check_separable(F, c)
+        # f' = 0: x^p and g(x^p)
+        xp = x ** F.p
+        assert not self._check_separable(F, xp)
+        assert not self._check_separable(F, g.compose(xp))
+        # squares g^2 (and g^2 * x + 1, which is no square)
+        assert not self._check_separable(F, g * g)
+        self._check_separable(F, g * g * x + Poly(F, [F.one]))
+        self._check_pair(F, g * g, g)
+        # coprime pairs: x - a and x - b for a != b, x and x^p + 1
+        for a in range(min(F.q, 6)):
+            for b in range(a + 1, min(F.q, 6)):
+                xa, xb = (x - Poly(F, [F.from_index(v)]) for v in (a, b))
+                assert K.gcd(_idx(F, xa), _idx(F, xb)) == [1]
+                assert xa.gcd(xb) == Poly(F, [F.one])
+                assert self._check_separable(F, xa * xb)
+        self._check_pair(F, x, xp + Poly(F, [F.one]))
+
+    def test_root_count_agrees_with_roots(self):
+        for F in (F7, F9, F8):
+            rng = random.Random(F.q)
+            for _ in range(40):
+                f = _from_idx(F, [rng.randrange(F.q) for _ in range(6)])
+                if f.is_zero():
+                    continue
+                assert _kernel(F).root_count(_idx(F, f)) == len(f.roots())
+
+    def test_quotient_field_gcd(self):
+        """The quartic smoothness path: gcds over F_5[t]/(t^2 + t + 2)."""
+        K = QuotientField(Poly.from_ints(F5, [2, 1, 1]))
+        t, one = K.x_class, K.one
+        y = Poly(K, [K.zero, one])
+
+        def lin(r):
+            return y - Poly(K, [r])
+
+        f = lin(t) * lin(one) * lin(t + one)
+        g = lin(t) * lin(t * t) * lin(t + one)
+        common = (lin(t) * lin(t + one)).monic()
+        assert f.gcd(g) == common == _euclid_gcd(f, g)
+        assert lin(t).gcd(lin(one)) == Poly(K, [one])
+
+
 @given(st.integers(0, 24), st.integers(0, 24))
 @settings(max_examples=60, deadline=None)
 def test_field_ring_axioms(i, j):
