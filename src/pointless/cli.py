@@ -7,26 +7,14 @@ codes: 0 success, 1 verification/search-expectation failure, 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 
 from .density import DensityProblem, compute_density, montecarlo_pointless_rate
 from .errors import PointlessError
-from .field import FiniteField
+from .field import FiniteField, _prime_factors, canonical_extension
 from .harness import DATA_PATH, load_fixtures, verify
-from .search import SearchConfig, run_search
+from .search import ENGINE_FAMILIES, SearchConfig, run_search
 from .zeta import pointless_q_range, zeta_report
-
-_SEARCH_FAMILIES = ("klein4_hyper_odd", "klein4_hyper_even",
-                    "diagonal_quartic", "quartic_char2", "fiberproduct",
-                    "exhaustive_hyper_genus3", "hyper_genus4_char2")
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("POINTLESS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _int_list(text):
@@ -37,40 +25,16 @@ def _int_list(text):
                                          f"got {text!r}")
 
 
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, n
-    raise ValueError(f"{q} is not a prime power")
-
-
 def _field_for(q, def_poly=None):
-    """F_q with the given defining polynomial, or the lexicographically
-    first monic irreducible when none is supplied."""
-    p, n = _factor_prime_power(q)
-    if n == 1:
-        return FiniteField(p)
-    if def_poly is not None:
+    """F_q with the given defining polynomial, or canonical_extension's
+    (the smallest monic irreducible in index order) when none is given."""
+    factors = _prime_factors(q)
+    if len(set(factors)) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, n = factors[0], len(factors)
+    if n > 1 and def_poly is not None:
         return FiniteField(p, n, def_poly)
-    # enumerate monic degree-n polynomials in base-p lexicographic order
-    for code in range(p ** n):
-        coeffs = []
-        c = code
-        for _ in range(n):
-            coeffs.append(c % p)
-            c //= p
-        try:
-            return FiniteField(p, n, coeffs + [1])
-        except PointlessError:
-            continue
-    raise ValueError(f"no irreducible polynomial found for q = {q}")
+    return canonical_extension(p, n)
 
 
 def _emit(obj):
@@ -129,8 +93,7 @@ def _cmd_search(args):
     F = _field_for(args.q, args.def_poly)
     mode = "first_find" if args.mode == "first" else "census"
     config = SearchConfig(family=args.family, mode=mode, n=args.n,
-                          budget=args.budget, jobs=args.jobs,
-                          checkpoint=args.checkpoint)
+                          budget=args.budget, checkpoint=args.checkpoint)
     report = run_search(F, config)
     _emit(report.to_json())
     if args.expect_survivors is not None:
@@ -174,9 +137,6 @@ def build_parser():
     p.add_argument("--id", help="verify a single entry by id")
     p.add_argument("--depth", type=int, default=1,
                    help="check point counts over F_{q^i} for i <= DEPTH")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="accepted for interface stability; verification is "
-                        "deterministic regardless")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="point counts for fixture entries")
@@ -201,16 +161,16 @@ def build_parser():
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="run a search engine")
-    p.add_argument("family", choices=_SEARCH_FAMILIES)
+    p.add_argument("family", choices=ENGINE_FAMILIES)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--def-poly", type=_int_list, default=None,
                    help="defining polynomial c0,c1,... for extension fields")
     p.add_argument("--n", type=int, default=None,
-                   help="twist parameter for klein4_hyper_odd")
+                   help="twist parameter for klein4_hyper_odd (default 1)")
     p.add_argument("--mode", choices=("first", "census"), default="first")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--checkpoint", default=None,
-                   help="path for a resumable checkpoint file")
+                   help="path for a resumable checkpoint file "
+                        "(exhaustive_hyper_genus3, hyper_genus4_char2)")
     p.add_argument("--budget", type=int, default=None,
                    help="candidate cap; exceeding it is an error")
     p.add_argument("--expect-survivors", type=int, default=None,

@@ -163,10 +163,6 @@ class ArtinSchreierCurve:
         return "artin_schreier"
 
 
-def artin_schreier_genus(base, f):
-    return ArtinSchreierCurve(base, f).genus
-
-
 # ---------------------------------------------------------------------------
 # plane quartics
 # ---------------------------------------------------------------------------
@@ -640,10 +636,3 @@ def _as_reduce_count(kern, f2):
         u = Series(big, -m // 2, [s], f2.prec)
         f2 = f2 + u * u + u  # char 2: subtraction is addition
 
-
-# ---------------------------------------------------------------------------
-# generic helpers
-# ---------------------------------------------------------------------------
-
-def is_pointless(curve):
-    return curve.count(1) == 0

@@ -11,11 +11,10 @@ from .errors import (
     EmptyCosetUnderConstraint,
     EvenCharacteristic,
     MixedCurves,
-    NotReached,
     UnsupportedShape,
     ZeroFunction,
 )
-from .field import Poly, QuotientField, embed
+from .field import Poly, QuotientField, _prime_factors, embed
 from .series import Series, poly_at_series
 
 INF = None
@@ -114,7 +113,7 @@ class EllipticCurve:
             raise MixedCurves("point not on this curve")
         N = self.order()
         o = N
-        for p in _prime_divisors(N):
+        for p in set(_prime_factors(N)):
             while o % p == 0 and self.smul(o // p, P) is INF:
                 o //= p
         return o
@@ -176,20 +175,6 @@ class EllipticCurve:
             Ei = EllipticCurve(big, phi(self.a2), phi(self.a4), phi(self.a6))
             cached = self._bc_cache[i] = (Ei, phi)
         return cached
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def hasse_interval(q):
@@ -409,12 +394,6 @@ def divisor_shape(E, coeffs, basis, Q, k):
         "total_zero_degree": total_zeros,
         "shape_ok": shape_ok,
     }
-
-
-def third_test(E, coeffs, basis, Q):
-    """Third filter (rational point of the cover above Q or infinity);
-    the first two tests always suffice, so this is a recorded stub."""
-    raise NotReached("third double-cover test was reached")
 
 
 # ---------------------------------------------------------------------------

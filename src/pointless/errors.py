@@ -67,10 +67,6 @@ class EmptyCosetUnderConstraint(PointlessError):
     """A coset of mE(F_q) has no representative satisfying the torsion rule."""
 
 
-class NotReached(PointlessError):
-    """Raised by code paths that are implemented as recorded stubs."""
-
-
 # -- zeta -------------------------------------------------------------------
 
 class NonIntegralResult(PointlessError):

@@ -120,17 +120,6 @@ def _ppowmod(a, e, m, p):
     return result
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _fp_poly_irreducible(coeffs, p):
     """Rabin test for a monic polynomial over F_p."""
     d = len(coeffs) - 1
@@ -148,6 +137,8 @@ def _fp_poly_irreducible(coeffs, p):
 
 
 def _prime_factors(n):
+    """The prime factors of n with multiplicity, ascending ([] for n < 2):
+    the one trial division behind every primality and prime-power test."""
     out = []
     d = 2
     while d * d <= n:
@@ -173,7 +164,7 @@ class FiniteField:
     """
 
     def __init__(self, p, n=1, defining_poly=None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise CompositeCharacteristic(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
@@ -975,11 +966,14 @@ class Poly:
         return a.monic()
 
     def derivative(self):
+        """f', the integer i built as 1 + ... + 1 so that any base (a
+        FiniteField or a QuotientField) serves."""
         F = self.base
         out = []
-        for i in range(1, len(self.coeffs)):
-            k = F.element(i % F.p)
-            out.append(self.coeffs[i] * k)
+        k = F.zero
+        for c in self.coeffs[1:]:
+            k = k + F.one
+            out.append(c * k)
         return Poly(F, out)
 
     def is_separable(self):

@@ -1,12 +1,24 @@
 """Search and census engines for pointless curves of genus 3 and 4.
 
-Every engine enumerates a family in a fixed deterministic order, filters with
-cheap arithmetic (index tables, bitmasks, early abort), and re-validates every
-survivor through the curve models: a survivor is never trusted from the
-filter alone.  Where a filter claims to decide pointlessness exactly, a
-survivor that the model rejects raises FilterDisagreement instead of being
-skipped.  Reports carry a fingerprint of the enumeration order so that
-census results are reproducible and chunking-invariant.
+Every engine is one function that runs on a _Search, the run state they
+share.  The engine supplies what is particular to its family:
+  * the enumeration, in a fixed deterministic order, and its cursor when
+    the engine resumes from a checkpoint;
+  * the family filter: cheap arithmetic (index tables, bitmasks, early
+    abort) that discards most candidates;
+  * the model validation: every survivor is rebuilt through the curve
+    models and never trusted from the filter alone.  Where a filter claims
+    to decide pointlessness exactly, a survivor that the model rejects
+    raises FilterDisagreement instead of being skipped;
+  * the survivor entry and its zeta summary, the parameters and the
+    fingerprint of the enumeration order.
+The _Search owns the rest: the start time, the survivor and zeta lists, the
+candidate count and its budget (BudgetExceeded), the first_find stop
+(keep() returns True at the first survivor, so an engine ends its loop
+with one break), the default dedup (distinct count vectors), the
+checkpoint of that shared state under the engine's cursor key, and the
+one SearchReport.  Fingerprints make census results reproducible and
+chunking-invariant.
 
 Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
@@ -22,10 +34,12 @@ class, not once per survivor.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import islice, product
 
 from .curves import (
     ArtinSchreierCurve,
@@ -38,12 +52,16 @@ from .curves import (
 )
 from .elliptic import (
     INF,
+    _local_xy_series,
     cover_count,
     divisor_shape,
+    fn_ab,
+    fn_value,
     rr_basis,
 )
 from .errors import (
     BudgetExceeded,
+    EmptyCosetUnderConstraint,
     EvenCharacteristic,
     FilterDisagreement,
     OddCharacteristic,
@@ -60,11 +78,7 @@ class SearchConfig:
     family: str
     mode: str = "first_find"          # or "census"
     n: object = None                  # the x -> n/x twist parameter
-    k: int = 6                        # pole-order budget for double covers
-    exclude_torsion: bool = True
     budget: int = None                # candidate cap (BudgetExceeded)
-    jobs: int = 1                     # chunk count; results chunk-invariant
-    targets: list = None              # optional real Weil polynomials
     checkpoint: str = None            # path for resumable extended runs
 
 
@@ -110,24 +124,69 @@ def _disagreement(family, q, candidate, curve):
         f"has genus {curve.genus} and {curve.count(1)} rational points")
 
 
-def _spend(budget, candidates):
-    if budget is not None and candidates > budget:
-        raise BudgetExceeded(f"candidate budget {budget} exhausted")
+class _Search:
+    """One engine run: the state every engine shares, and its report.
 
+    A checkpoint holds the survivors, zetas and candidates, the engine's
+    cursor under cursor_key and any keys the engine adds; a run resumes
+    from it, with the cursor in start and the whole file in state (keys
+    this run does not read are ignored)."""
 
-def _checkpoint_load(path):
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return None
+    def __init__(self, family, mode, budget, checkpoint=None,
+                 cursor_key=None):
+        self.t0 = time.time()
+        self.family, self.mode, self.budget = family, mode, budget
+        self.checkpoint, self.cursor_key = checkpoint, cursor_key
+        self.state = {}
+        if checkpoint and os.path.exists(checkpoint):
+            with open(checkpoint) as fh:
+                self.state = json.load(fh)
+        self.start = self.state.get(cursor_key, 0)
+        self.survivors = self.state.get("survivors", [])
+        self.zetas = self.state.get("zetas", [])
+        self.candidates = self.state.get("candidates", 0)
+        self.stopped = False
 
+    def spend(self, visited):
+        """Raise BudgetExceeded once the candidates visited pass the cap."""
+        if self.budget is not None and visited > self.budget:
+            raise BudgetExceeded(f"candidate budget {self.budget} exhausted")
 
-def _checkpoint_save(path, state):
-    if path:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(state, fh)
-        os.replace(tmp, path)
+    def visit(self, n=1):
+        """Count n more candidates against the budget."""
+        self.candidates += n
+        self.spend(self.candidates)
+
+    def keep(self, entry, zeta):
+        """Record a validated survivor; True when first_find stops here."""
+        self.survivors.append(entry)
+        self.zetas.append(zeta)
+        self.stopped = self.mode == "first_find"
+        return self.stopped
+
+    def save(self, cursor, **extra):
+        """Checkpoint the shared state with the cursor (extra keys win),
+        through a temporary file so that a kill leaves the last one whole."""
+        if self.checkpoint:
+            tmp = self.checkpoint + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump({self.cursor_key: cursor,
+                           "survivors": self.survivors, "zetas": self.zetas,
+                           "candidates": self.candidates, **extra}, fh)
+            os.replace(tmp, self.checkpoint)
+
+    def report(self, parameters, fingerprint, dedup_classes=None,
+               kill_counts=None):
+        """The SearchReport; dedup_classes defaults to the number of
+        distinct count vectors among the zetas."""
+        if dedup_classes is None:
+            dedup_classes = len({tuple(z["counts"]) for z in self.zetas})
+        return SearchReport(
+            family=self.family, parameters=parameters,
+            candidates=self.candidates, survivors=self.survivors,
+            dedup_classes=dedup_classes, zeta=self.zetas,
+            wall_time=time.time() - self.t0, fingerprint=fingerprint,
+            kill_counts=kill_counts or {})
 
 
 def _digits(code, alphabet_size, length):
@@ -234,7 +293,6 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     n = F.element(n)
     if n.is_zero():
         raise ValueError("n must be nonzero")
-    t0 = time.time()
     q = F.q
     kern = _kernel(F)
     mul = kern.mul
@@ -252,12 +310,11 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         consts.append(mul(nu_i, mul(u2, u2)))
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
     disc = [F.index(-four_n), 0, 1]                # u^2 - 4n
-    survivors = []
-    zetas = []
-    candidates = q ** 4
+    run = _Search("klein4_hyper_odd", mode, budget)
+    run.candidates = q ** 4
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
     for code in _linear_join(kern, range(q), 4, weights, consts, nonsquare):
-        _spend(budget, code + 1)     # candidates visited up to this one
+        run.spend(code + 1)          # candidates visited up to this one
         coeffs = _digits(code, q, 4) + [nu_i]
         if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
             continue
@@ -267,25 +324,15 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("klein4_hyper_odd", q,
                                 {"f": _poly_ints(F, f), "n": F.index(n)}, curve)
-        survivors.append({"f": _poly_ints(F, f), "model": _poly_ints(F, model)})
         counts = [curve.count(i) for i in (1, 2, 3)]
-        zetas.append(zeta_report(F.q, 3, counts).to_json())
-        if mode == "first_find":
-            candidates = code + 1
+        if run.keep({"f": _poly_ints(F, f), "model": _poly_ints(F, model)},
+                    zeta_report(q, 3, counts).to_json()):
+            run.candidates = code + 1
             break
-    _spend(budget, candidates)
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="klein4_hyper_odd",
-        parameters={"q": F.q, "n": F.index(n), "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("klein4_hyper_odd", F.q, F.index(n),
-                                 "odometer-c0..c3-lc-nu"),
-    )
+    run.spend(run.candidates)
+    return run.report({"q": q, "n": F.index(n), "mode": mode},
+                      _fingerprint("klein4_hyper_odd", q, F.index(n),
+                                   "odometer-c0..c3-lc-nu"))
 
 
 def search_klein4_hyper_even(F, mode="first_find", budget=None):
@@ -293,18 +340,14 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
     separable monic quadratic, d(0) != 0."""
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 family")
-    t0 = time.time()
-    survivors = []
-    zetas = []
-    candidates = 0
+    run = _Search("klein4_hyper_even", mode, budget)
     x = Poly.x(F)
     x2p1 = x * x + Poly.constant(F, F.one)
     for code, idx in _odometer(F.q, 5):
         a, b, c, d1, d0 = (F.from_index(i) for i in idx)
         if d1.is_zero() or d0.is_zero():
             continue  # d must be separable with nonzero roots
-        candidates += 1
-        _spend(budget, candidates)
+        run.visit()
         # substitute u = x + 1/x and clear x^2:
         # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d
         num = x2p1 * x2p1 * a + x * x2p1 * b + x * x * c
@@ -318,29 +361,17 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
             curve = ArtinSchreierCurve(F, fr)
         except UnsupportedShape:
             continue
-        if curve.genus != 3:
+        if curve.genus != 3 or curve.count(1) != 0:
             continue
-        if curve.count(1) != 0:
-            continue
-        survivors.append({"f_num": _poly_ints(F, fr.num),
-                          "f_den": _poly_ints(F, fr.den),
-                          "quartic_f": [F.index(v) for v in (c, b, a)],
-                          "d": [F.index(d0), F.index(d1), 1]})
         counts = [curve.count(i) for i in (1, 2, 3)]
-        zetas.append(zeta_report(F.q, 3, counts).to_json())
-        if mode == "first_find":
+        if run.keep({"f_num": _poly_ints(F, fr.num),
+                     "f_den": _poly_ints(F, fr.den),
+                     "quartic_f": [F.index(v) for v in (c, b, a)],
+                     "d": [F.index(d0), F.index(d1), 1]},
+                    zeta_report(F.q, 3, counts).to_json()):
             break
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="klein4_hyper_even",
-        parameters={"q": F.q, "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("klein4_hyper_even", F.q, "odometer-abcd1d0"),
-    )
+    return run.report({"q": F.q, "mode": mode},
+                      _fingerprint("klein4_hyper_even", F.q, "odometer-abcd1d0"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,48 +422,27 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
     """x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2 (a = 1 WLOG)."""
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics need odd characteristic")
-    t0 = time.time()
+    run = _Search("diagonal_quartic", mode, budget)
     sq = square_set(F)
-    survivors = []
-    zetas = []
-    candidates = 0
+    # b = 0 gives the point (0:1:0), c = 0 the point (0:0:1)
     nonzero = [v for v in F.elements() if not v.is_zero()]
-    for b in nonzero:                 # b = 0 gives the point (0:1:0)
-        for c in nonzero:             # c = 0 gives the point (0:0:1)
-            for code, idx in _odometer(F.q, 3):
-                d, e, f = (F.from_index(i) for i in idx)
-                candidates += 1
-                _spend(budget, candidates)
-                if _diagonal_has_point(F, b, c, d, e, f, sq):
-                    continue
-                C = _diagonal_quartic(F, b, c, d, e, f)
-                if not C.is_smooth():
-                    continue
-                entry = {"coeffs": [1] + [F.index(v) for v in (b, c, d, e, f)]}
-                if C.count(1) != 0:
-                    raise _disagreement("diagonal_quartic", F.q, entry, C)
-                survivors.append(entry)
-                counts = [C.count(i) for i in (1, 2, 3)]
-                zetas.append(zeta_report(F.q, 3, counts).to_json())
-                if mode == "first_find":
-                    break
-            else:
-                continue
-            break
-        else:
+    for b, c, code in product(nonzero, nonzero, range(F.q ** 3)):
+        d, e, f = (F.from_index(i) for i in _digits(code, F.q, 3))
+        run.visit()
+        if _diagonal_has_point(F, b, c, d, e, f, sq):
             continue
-        break
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="diagonal_quartic",
-        parameters={"q": F.q, "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("diagonal_quartic", F.q, "b-c-outer-def-odometer"),
-    )
+        C = _diagonal_quartic(F, b, c, d, e, f)
+        if not C.is_smooth():
+            continue
+        entry = {"coeffs": [1] + [F.index(v) for v in (b, c, d, e, f)]}
+        if C.count(1) != 0:
+            raise _disagreement("diagonal_quartic", F.q, entry, C)
+        counts = [C.count(i) for i in (1, 2, 3)]
+        if run.keep(entry, zeta_report(F.q, 3, counts).to_json()):
+            break
+    return run.report({"q": F.q, "mode": mode},
+                      _fingerprint("diagonal_quartic", F.q,
+                                   "b-c-outer-def-odometer"))
 
 
 def _char2_family_quartic(F, beta, gamma):
@@ -463,35 +473,18 @@ def _char2_family_quartic(F, beta, gamma):
 def search_quartic_char2(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 quartic family")
-    t0 = time.time()
-    survivors = []
-    zetas = []
-    candidates = 0
+    run = _Search("quartic_char2", mode, budget)
     for code, idx in _odometer(F.q, 2):
         beta, gamma = (F.from_index(i) for i in idx)
-        candidates += 1
-        _spend(budget, candidates)
+        run.visit()
         C = _char2_family_quartic(F, beta, gamma)
-        if not C.is_smooth():
+        if not C.is_smooth() or C.count(1) != 0:
             continue
-        if C.count(1) != 0:
-            continue
-        survivors.append({"beta": F.index(beta), "gamma": F.index(gamma)})
-        counts = [C.count(i) for i in (1, 2)]
-        zetas.append({"q": F.q, "counts": counts})
-        if mode == "first_find":
+        if run.keep({"beta": F.index(beta), "gamma": F.index(gamma)},
+                    {"q": F.q, "counts": [C.count(i) for i in (1, 2)]}):
             break
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="quartic_char2",
-        parameters={"q": F.q, "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("quartic_char2", F.q, "beta-gamma-odometer"),
-    )
+    return run.report({"q": F.q, "mode": mode},
+                      _fingerprint("quartic_char2", F.q, "beta-gamma-odometer"))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,7 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     pointless iff for every x at least one of f(x), g(x) is a nonsquare."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
-    t0 = time.time()
+    run = _Search("fiberproduct", mode, budget)
     nu = F.canonical_nonsquare
     sq = square_set(F)
     xs = list(F.elements())
@@ -520,58 +513,37 @@ def search_fiberproduct(F, mode="first_find", budget=None):
                 mask |= 1 << i
         return mask
 
-    g_masks = None
-    survivors = []
-    zetas = []
-    candidates = 0
-    stop = False
-    for fcode, fidx in _odometer(q, 3):
-        fco = [F.from_index(i) for i in fidx] + [F.one]
-        fmask = value_mask(fco)
-        if g_masks is None:
-            g_masks = {}
-        for gcode, gidx in _odometer(q, 3):
-            candidates += 1
-            _spend(budget, candidates)
-            gm = g_masks.get(gcode)
-            if gm is None:
-                gco = [F.from_index(i) for i in gidx] + [nu]
-                gm = (value_mask(gco), gco)
-                g_masks[gcode] = gm
-            gmask, gco = gm
-            if fmask & gmask:
-                continue
-            f = Poly(F, fco)
-            g = Poly(F, gco)
-            try:
-                C = FiberProductGenus4(F, f, g)
-            except UnsupportedShape:
-                continue
-            if C.count(1) != 0:
-                raise _disagreement("fiberproduct", q, {"f": _poly_ints(F, f),
-                                                        "g": _poly_ints(F, g)}, C)
-            props = C.properties()
-            survivors.append({"f": _poly_ints(F, f), "g": _poly_ints(F, g),
-                              "trigonal": props["trigonal"],
-                              "extra_autos": props["extra_autos"]})
-            counts = [C.count(i) for i in (1, 2)]
-            zetas.append({"q": q, "counts": counts})
-            if mode == "first_find":
-                stop = True
-                break
-        if stop:
+    g_masks = {}
+    for code, idx in _odometer(q, 6):
+        gcode = code % q ** 3         # f the high three digits, g the low
+        if gcode == 0:                # a new f: its mask once, not per g
+            fco = [F.from_index(i) for i in idx[3:]] + [F.one]
+            fmask = value_mask(fco)
+        run.visit()
+        gm = g_masks.get(gcode)
+        if gm is None:
+            gco = [F.from_index(i) for i in idx[:3]] + [nu]
+            gm = g_masks[gcode] = (value_mask(gco), gco)
+        gmask, gco = gm
+        if fmask & gmask:
+            continue
+        f = Poly(F, fco)
+        g = Poly(F, gco)
+        try:
+            C = FiberProductGenus4(F, f, g)
+        except UnsupportedShape:
+            continue
+        entry = {"f": _poly_ints(F, f), "g": _poly_ints(F, g)}
+        if C.count(1) != 0:
+            raise _disagreement("fiberproduct", q, entry, C)
+        props = C.properties()
+        entry.update(trigonal=props["trigonal"],
+                     extra_autos=props["extra_autos"])
+        if run.keep(entry, {"q": q, "counts": [C.count(i) for i in (1, 2)]}):
             break
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="fiberproduct",
-        parameters={"q": q, "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"),
-    )
+    return run.report({"q": q, "mode": mode},
+                      _fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"))
+
 
 # ---------------------------------------------------------------------------
 # exhaustive genus-3 hyperelliptic census (odd q > 7)
@@ -693,7 +665,6 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         raise EvenCharacteristic("odd-characteristic census")
     if F.q < 9:
         raise ValueError("exhaustive census engine needs q >= 9")
-    t0 = time.time()
     q = F.q
     kern = _kernel(F)
     mul, add = kern.mul, kern.add
@@ -701,30 +672,24 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
     ns = [a for a in range(q) if nonsquare[a]]
     nv = len(ns)
     total = nv ** 9
-    state = _checkpoint_load(checkpoint)
-    start = state["next"] if state else 0
-    survivors = state["survivors"] if state else []
-    zetas = state.get("zetas", []) if state else []
-    written = start             # candidates + 1 of the last state saved
+    run = _Search("exhaustive_hyper_genus3", mode, budget, checkpoint, "next")
+    written = run.start         # candidates + 1 of the last state saved
 
     def save(reached):
         nonlocal written
         m = reached if budget is None else min(reached, budget)
         m -= m % _CENSUS_CHECKPOINT_EVERY
-        if checkpoint and m > written:
+        if m > written:
             # every survivor so far has a code below m - 1: one at m - 1
             # or later would have saved m already
             written = m
-            _checkpoint_save(checkpoint, {"next": m - 1,
-                                          "survivors": survivors,
-                                          "zetas": zetas,
-                                          "candidates": m - 1})
+            run.save(m - 1, candidates=m - 1)
 
-    candidates = total
+    run.candidates = total
     for code in _linear_join(kern, ns, 9, weights, [0] * len(weights),
-                             nonsquare, start):
+                             nonsquare, run.start):
         save(code + 1)
-        _spend(budget, code + 1)     # candidates visited up to this one
+        run.spend(code + 1)          # candidates visited up to this one
         coeffs = [0] * 9
         for digit, L in zip(_digits(code, nv, 9), basis):
             v = ns[digit]
@@ -735,35 +700,23 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)
-        survivors.append({"f": coeffs})
         counts = [curve.count(i) for i in (1, 2, 3)]
-        zetas.append(zeta_report(q, 3, counts).to_json())
-        if mode == "first_find":
-            candidates = code + 1
+        if run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json()):
+            run.candidates = code + 1
             break
-    else:
-        save(total)
-    _spend(budget, candidates)
+    save(run.candidates)             # a no-op after a first_find stop
+    run.spend(run.candidates)
     # census dedup under PGL2 + square scaling; ns[0] is the smallest
     # nonsquare index
-    keys, classes = _pgl2_classes(kern, ns[0], [s["f"] for s in survivors])
-    for s, key in zip(survivors, keys):
+    keys, classes = _pgl2_classes(kern, ns[0],
+                                  [s["f"] for s in run.survivors])
+    for s, key in zip(run.survivors, keys):
         s["iso_class_key"] = list(key)
-    if checkpoint:
-        _checkpoint_save(checkpoint, {"next": total, "survivors": survivors,
-                                      "zetas": zetas, "candidates": candidates,
-                                      "done": True})
-    return SearchReport(
-        family="exhaustive_hyper_genus3",
-        parameters={"q": q, "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("exhaustive_hyper_genus3", q,
-                                 "nodes-0..8-nonsquare-odometer"),
-    )
+    run.save(total, done=True)
+    return run.report({"q": q, "mode": mode},
+                      _fingerprint("exhaustive_hyper_genus3", q,
+                                   "nodes-0..8-nonsquare-odometer"),
+                      dedup_classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -773,32 +726,18 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
 def _double_zero_kernel(E, basis, Q):
     """Basis of the space of functions in L(k*inf) vanishing to order >= 2
     at Q: kernel of the two leading local-expansion coefficients."""
-    from .elliptic import _local_xy_series
     F = E.base
     xs, ys = _local_xy_series(E.cubic, Q, F, 6)
-    rows = [[], []]
+    mat = [[], []]
     for (i, j) in basis:
-        s = xs
-        acc = None
-        # monomial series x^i y^j to order 2
-        mono = None
-        cur = None
-        pow_x = poly_at_series(Poly(F, [F.zero] * i + [F.one]), xs) \
-            if i else None
-        if i and j:
-            mono = (pow_x * ys).truncate(4)
-        elif i:
-            mono = pow_x.truncate(4)
-        elif j:
-            mono = ys.truncate(4)
-        else:
-            mono = poly_at_series(Poly.constant(F, F.one), xs).truncate(4)
-        rows[0].append(mono.coefficient(0))
-        rows[1].append(mono.coefficient(1))
+        # the monomial series x^i y^j, of which two coefficients are read
+        mono = poly_at_series(Poly(F, [F.zero] * i + [F.one]), xs)
+        if j:
+            mono = mono * ys
+        mat[0].append(mono.coefficient(0))
+        mat[1].append(mono.coefficient(1))
     # gaussian elimination on the 2 x k system
     k = len(basis)
-    pivots = []
-    mat = [row[:] for row in rows]
     col_of_row = []
     r = 0
     for col in range(k):
@@ -832,9 +771,8 @@ def _double_zero_kernel(E, basis, Q):
     return kernel
 
 
-def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
-                                  mode="census", budget=None, targets=None,
-                                  checkpoint=None):
+def search_double_covers_elliptic(E, genus_target=3, mode="census",
+                                  budget=None, checkpoint=None):
     """Genus-3 (k=6, Q from E/2E) or genus-4 (k=8, Q from E/3E) double covers
     z^2 = f.  Test 1: no rational point of E where f is a nonzero square.
     Test 2: divisor shape 2Q + (k-2 odd-order points) - k*inf."""
@@ -845,17 +783,13 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
         raise ValueError("genus_target must be 3 or 4")
     k = 6 if genus_target == 3 else 8
     m = 2 if genus_target == 3 else 3
-    t0 = time.time()
     basis = rr_basis(k)
     q = F.q
-    nu = F.canonical_nonsquare
-    from .errors import EmptyCosetUnderConstraint
     try:
-        qreps = E.quotient_reps(m, exclude_two_torsion=exclude_torsion)
+        qreps = E.quotient_reps(m)
         used_fallback = False
     except EmptyCosetUnderConstraint:
-        qreps = E.quotient_reps(m, exclude_two_torsion=exclude_torsion,
-                                fallback=True)
+        qreps = E.quotient_reps(m, fallback=True)
         used_fallback = True
     if INF in qreps:
         # E(F_q) is killed by m, so O is alone in its coset of m E(F_q); the
@@ -865,25 +799,14 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
     kern = _kernel(F)
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
     pts = [P for P in E.points() if P is not INF]
-    survivors = []
-    zetas = []
-    kill1 = kill2 = 0
-    candidates = 0
-    state = _checkpoint_load(checkpoint)
-    start_rep = 0
-    if state:
-        start_rep = state["rep"]
-        survivors = state["survivors"]
-        zetas = state["zetas"]
-        candidates = state["candidates"]
-        kill1, kill2 = state["kill_counts"]
-    for rep_i, Q in enumerate(qreps):
-        if rep_i < start_rep:
-            continue
+    one_i, nu_i = F.index(F.one), F.index(F.canonical_nonsquare)
+    run = _Search("double_covers_elliptic", mode, budget, checkpoint, "rep")
+    kill1, kill2 = run.state.get("kill_counts", (0, 0))
+    for rep_i in range(run.start, len(qreps)):
+        Q = qreps[rep_i]
         kernel = _double_zero_kernel(E, basis, Q)
         dim = len(kernel)
         # per-point values of the kernel basis functions, as indices
-        from .elliptic import fn_ab, fn_value
         B_at = []
         for P in pts:
             row = []
@@ -891,75 +814,47 @@ def search_double_covers_elliptic(E, genus_target=3, exclude_torsion=True,
                 A, B = fn_ab(vec, basis, F)
                 row.append(F.index(fn_value(A, B, P)))
             B_at.append(row)
-        one_i = F.index(F.one)
-        nu_i = F.index(nu)
         # enumerate modulo square scaling: leading coefficient in {1, nu}
-        for lead in range(dim):
+        for lead, lead_val in product(range(dim), (one_i, nu_i)):
             free = dim - lead - 1     # coordinates after the leading one
             weights = [row[lead + 1:] for row in B_at]
-            for lead_val in (one_i, nu_i):
-                # test 1: f(P) is zero or a nonsquare at every rational P
-                consts = [kern.mul(lead_val, row[lead]) for row in B_at]
-                passes = 0
-                for code in _linear_join(kern, range(q), free, weights,
-                                         consts, not_square):
-                    _spend(budget, candidates + code + 1)
-                    passes += 1
-                    lam = [0] * lead + [lead_val] + _digits(code, q, free)
-                    coeffs = [F.zero] * len(basis)
-                    for l_i, vec in zip(lam, kernel):
-                        if l_i:
-                            li = F.from_index(l_i)
-                            coeffs = [c + li * v
-                                      for c, v in zip(coeffs, vec)]
-                    if all(c.is_zero() for c in coeffs):
-                        continue
-                    sh = divisor_shape(E, coeffs, basis, Q, k)
-                    if not sh["shape_ok"]:
-                        kill2 += 1
-                        continue
-                    counts = [cover_count(E, coeffs, basis, i)
-                              for i in (1, 2, 3)]
-                    entry = {
-                        "Q": [F.index(Q[0]), F.index(Q[1])],
-                        "coeffs": [F.index(c) for c in coeffs],
-                        "counts": counts,
-                        "pointless": counts[0] == 0,
-                    }
-                    if targets:
-                        rep = zeta_report(q, genus_target, counts)
-                        entry["real_weil"] = rep.real_weil
-                        entry["target_match"] = rep.real_weil in targets
-                    survivors.append(entry)
-                    zetas.append({"q": q, "counts": counts})
-                candidates += q ** free
-                _spend(budget, candidates)
-                kill1 += q ** free - passes
-        if checkpoint:
-            _checkpoint_save(checkpoint, {"rep": rep_i + 1,
-                                          "survivors": survivors,
-                                          "zetas": zetas,
-                                          "candidates": candidates,
-                                          "kill_counts": [kill1, kill2]})
-        if mode == "first_find" and survivors:
+            # test 1: f(P) is zero or a nonsquare at every rational P
+            consts = [kern.mul(lead_val, row[lead]) for row in B_at]
+            passes = 0
+            for code in _linear_join(kern, range(q), free, weights,
+                                     consts, not_square):
+                run.spend(run.candidates + code + 1)
+                passes += 1
+                lam = [0] * lead + [lead_val] + _digits(code, q, free)
+                coeffs = [F.zero] * len(basis)
+                for l_i, vec in zip(lam, kernel):
+                    if l_i:
+                        li = F.from_index(l_i)
+                        coeffs = [c + li * v for c, v in zip(coeffs, vec)]
+                if all(c.is_zero() for c in coeffs):
+                    continue
+                sh = divisor_shape(E, coeffs, basis, Q, k)
+                if not sh["shape_ok"]:
+                    kill2 += 1
+                    continue
+                counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
+                # first_find stops after the coset, not at this survivor
+                run.keep({"Q": [F.index(Q[0]), F.index(Q[1])],
+                          "coeffs": [F.index(c) for c in coeffs],
+                          "counts": counts, "pointless": counts[0] == 0},
+                         {"q": q, "counts": counts})
+            run.visit(q ** free)
+            kill1 += q ** free - passes
+        run.save(rep_i + 1, kill_counts=[kill1, kill2])
+        if mode == "first_find" and run.survivors:
             break
-    classes = len({tuple(z["counts"]) for z in zetas}) if zetas else 0
-    return SearchReport(
-        family="double_covers_elliptic",
-        parameters={"q": q, "genus": genus_target,
-                    "curve": [F.index(E.a2), F.index(E.a4), F.index(E.a6)],
-                    "reps": len(qreps), "fallback": used_fallback,
-                    "mode": mode},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=classes,
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("double_covers", q, genus_target,
-                                 F.index(E.a2), F.index(E.a4), F.index(E.a6),
-                                 "lead-norm-odometer"),
-        kill_counts={"test1": kill1, "test2": kill2},
-    )
+    curve = [F.index(E.a2), F.index(E.a4), F.index(E.a6)]
+    return run.report({"q": q, "genus": genus_target, "curve": curve,
+                       "reps": len(qreps), "fallback": used_fallback,
+                       "mode": mode},
+                      _fingerprint("double_covers", q, genus_target, *curve,
+                                   "lead-norm-odometer"),
+                      kill_counts={"test1": kill1, "test2": kill2})
 
 
 # ---------------------------------------------------------------------------
@@ -1068,86 +963,51 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
     """
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 census")
-    t0 = time.time()
     q = F.q
     mask = trace_mask(F)
     t_val = _first_trace_one(F, mask)
-    survivors = []
-    zetas = []
-    seen_vectors = []
-    candidates = 0
-    state = _checkpoint_load(checkpoint)
-    start_m = state["next_m"] if state else 0
-    if state:
-        survivors = state["survivors"]
-        zetas = state["zetas"]
-        candidates = state["candidates"]
-        seen_vectors = [tuple(v) for v in state["seen_vectors"]]
-    m_index = -1
-    stop = False
-    for shape_name, parts in _conductor_stream(F):
-        m_index += 1
-        if m_index < start_m:
-            continue
-        m = parts[0]
-        for p in parts[1:]:
-            m = m * p
-        candidates += 1
-        _spend(budget, candidates)
-        kernel = _trace_matrix_kernel(F, m, mask)
-        for bits in sorted(kernel_span(kernel)):
-            if bits == 0:
-                continue
-            g = _bits_to_poly(F, bits, m.degree)
-            if any((g % p).is_zero() for p in parts):
-                continue  # a pole disappears: conductor changes
-            num = g + m * t_val
-            fr = RationalFunction(num, m)
-            try:
-                curve = ArtinSchreierCurve(F, fr)
-            except UnsupportedShape:
-                continue
-            if curve.genus != 4:
-                continue
-            entry = {"shape": shape_name,
-                     "m": _poly_ints(F, m),
-                     "g": _poly_ints(F, g),
-                     "t": F.index(t_val)}
-            if curve.count(1) != 0:
-                raise _disagreement("hyper_genus4_char2", q, entry, curve)
-            counts = [curve.count(i) for i in (1, 2, 3, 4)]
-            vec = tuple(counts)
-            entry["counts"] = counts
-            survivors.append(entry)
-            zetas.append({"q": q, "counts": counts})
-            if vec not in seen_vectors:
-                seen_vectors.append(vec)
-            if mode == "first_find":
-                stop = True
-                break
-        if checkpoint and m_index % 1000 == 0:
-            _checkpoint_save(checkpoint, {
-                "next_m": m_index + 1, "survivors": survivors,
-                "zetas": zetas, "candidates": candidates,
-                "seen_vectors": [list(v) for v in seen_vectors]})
-        if stop:
+    run = _Search("hyper_genus4_char2", mode, budget, checkpoint, "next_m")
+    next_m = run.start
+
+    def curves():
+        """(entry, curve) for every genus-4 curve of the conductors from
+        the cursor on; next_m is one past the conductor in hand."""
+        nonlocal next_m
+        conductors = islice(_conductor_stream(F), run.start, None)
+        for m_index, (shape_name, parts) in enumerate(conductors, run.start):
+            next_m = m_index + 1
+            m = parts[0]
+            for p in parts[1:]:
+                m = m * p
+            run.visit()
+            for bits in sorted(kernel_span(_trace_matrix_kernel(F, m, mask))):
+                if bits == 0:
+                    continue
+                g = _bits_to_poly(F, bits, m.degree)
+                if any((g % p).is_zero() for p in parts):
+                    continue  # a pole disappears: conductor changes
+                try:
+                    curve = ArtinSchreierCurve(
+                        F, RationalFunction(g + m * t_val, m))
+                except UnsupportedShape:
+                    continue
+                if curve.genus == 4:
+                    yield {"shape": shape_name, "m": _poly_ints(F, m),
+                           "g": _poly_ints(F, g), "t": F.index(t_val)}, curve
+            if m_index % 1000 == 0:
+                run.save(next_m)
+
+    for entry, curve in curves():
+        if curve.count(1) != 0:
+            raise _disagreement("hyper_genus4_char2", q, entry, curve)
+        entry["counts"] = [curve.count(i) for i in (1, 2, 3, 4)]
+        if run.keep(entry, {"q": q, "counts": entry["counts"]}):
             break
-    if checkpoint:
-        _checkpoint_save(checkpoint, {
-            "next_m": m_index + 1, "survivors": survivors,
-            "zetas": zetas, "candidates": candidates, "done": not stop,
-            "seen_vectors": [list(v) for v in seen_vectors]})
-    return SearchReport(
-        family="hyper_genus4_char2",
-        parameters={"q": q, "mode": mode, "raw_survivors": len(survivors)},
-        candidates=candidates,
-        survivors=survivors,
-        dedup_classes=len(seen_vectors),
-        zeta=zetas,
-        wall_time=time.time() - t0,
-        fingerprint=_fingerprint("hyper_genus4_char2", q,
-                                 "shape5-then-2+3-odometer"),
-    )
+    run.save(next_m, done=not run.stopped)
+    return run.report({"q": q, "mode": mode,
+                       "raw_survivors": len(run.survivors)},
+                      _fingerprint("hyper_genus4_char2", q,
+                                   "shape5-then-2+3-odometer"))
 
 
 def kernel_span(kernel_basis):
@@ -1164,32 +1024,33 @@ def kernel_span(kernel_basis):
 # dispatch
 # ---------------------------------------------------------------------------
 
-_ENGINES = {
-    "klein4_hyper_odd":
-        lambda F, cfg: search_klein4_hyper_odd(
-            F, cfg.n if cfg.n is not None else 1, cfg.mode, cfg.budget),
-    "klein4_hyper_even":
-        lambda F, cfg: search_klein4_hyper_even(F, cfg.mode, cfg.budget),
-    "diagonal_quartic":
-        lambda F, cfg: search_diagonal_quartic(F, cfg.mode, cfg.budget),
-    "quartic_char2":
-        lambda F, cfg: search_quartic_char2(F, cfg.mode, cfg.budget),
-    "fiberproduct":
-        lambda F, cfg: search_fiberproduct(F, cfg.mode, cfg.budget),
-    "exhaustive_hyper_genus3":
-        lambda F, cfg: search_exhaustive_hyper_genus3(
-            F, cfg.mode, cfg.budget, cfg.checkpoint),
-    "hyper_genus4_char2":
-        lambda F, cfg: search_hyper_genus4_char2(
-            F, cfg.mode, cfg.budget, cfg.checkpoint),
-}
+# run_search's families; each family's engine is the function named
+# search_<family>, looked up at call time so that a wrapper bound to that
+# module attribute (a profiler, say) sees every dispatched call
+ENGINE_FAMILIES = ("klein4_hyper_odd", "klein4_hyper_even",
+                   "diagonal_quartic", "quartic_char2", "fiberproduct",
+                   "exhaustive_hyper_genus3", "hyper_genus4_char2")
 
 
 def run_search(F, config):
-    if config.family not in _ENGINES:
+    """Run config.family's engine over F.  n (default 1 where the engine
+    takes it) and checkpoint go only to the engines that read them; any
+    other engine refuses them with ValueError rather than ignore them."""
+    if config.family not in ENGINE_FAMILIES:
         raise UnknownFamily(f"unknown family {config.family!r}; "
-                            f"known: {sorted(_ENGINES)}")
-    return _ENGINES[config.family](F, config)
+                            f"known: {sorted(ENGINE_FAMILIES)}")
+    engine = globals()[f"search_{config.family}"]
+    takes = inspect.signature(engine).parameters
+    kwargs = {"mode": config.mode, "budget": config.budget}
+    if "n" in takes:
+        kwargs["n"] = 1
+    for option in ("n", "checkpoint"):
+        value = getattr(config, option)
+        if value is not None:
+            if option not in takes:
+                raise ValueError(f"{config.family} takes no {option}")
+            kwargs[option] = value
+    return engine(F, **kwargs)
 
 
 def first_find(F, family, **kw):

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import NonIntegralResult
+from .field import _prime_factors
 
 
 def l_from_counts(q, g, counts):
@@ -204,17 +205,6 @@ def validate_weil(h, q):
 # bound gates
 # ---------------------------------------------------------------------------
 
-def _prime_powers_up_to(limit):
-    out = []
-    for p in range(2, limit + 1):
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            v = p
-            while v <= limit:
-                out.append(v)
-                v *= p
-    return sorted(out)
-
-
 def pointless_q_range(g, kind):
     """Largest prime power q where the chosen bound still allows N_1 = 0.
 
@@ -225,7 +215,9 @@ def pointless_q_range(g, kind):
         raise ValueError(f"unknown bound kind {kind!r}")
     limit = 8 * g * g + 16
     best = None
-    for q in _prime_powers_up_to(limit):
+    for q in range(2, limit + 1):
+        if len(set(_prime_factors(q))) != 1:
+            continue                  # not a prime power
         if kind == "weil":
             ok = (q + 1) ** 2 <= 4 * g * g * q
         else:

@@ -94,6 +94,19 @@ class TestSearch:
                      "--mode", "census", "--budget", "10"])
         assert code == 2
 
+    def test_checkpoint_for_an_engine_without_resume_exits_2(
+            self, tmp_path, capsys):
+        path = tmp_path / "ck.json"
+        code = main(["search", "quartic_char2", "--q", "2",
+                     "--checkpoint", str(path)])
+        assert code == 2 and not path.exists()
+        assert "takes no checkpoint" in capsys.readouterr().err
+
+    def test_n_for_an_engine_without_a_twist_exits_2(self, capsys):
+        code = main(["search", "fiberproduct", "--q", "3", "--n", "2"])
+        assert code == 2
+        assert "takes no n" in capsys.readouterr().err
+
 
 class TestDensity:
     def test_s3_natural_action(self, capsys):
@@ -133,9 +146,3 @@ class TestPlumbing:
     def test_field_for_non_prime_power(self):
         with pytest.raises(ValueError):
             _field_for(12)
-
-    def test_jobs_env_default(self, monkeypatch):
-        monkeypatch.setenv("POINTLESS_JOBS", "4")
-        args = build_parser().parse_args(
-            ["search", "klein4_hyper_odd", "--q", "5"])
-        assert args.jobs == 4

@@ -13,13 +13,11 @@ from pointless.elliptic import (
     fn_ab,
     hasse_interval,
     rr_basis,
-    third_test,
     vanishing_order,
 )
 from pointless.errors import (
     EmptyCosetUnderConstraint,
     EvenCharacteristic,
-    NotReached,
     UnsupportedShape,
     ZeroFunction,
 )
@@ -259,11 +257,6 @@ class TestDivisorShape:
         L = l_from_counts(5, 3, counts)
         h = real_weil_from_l(L, 5, 3)
         assert validate_weil(h, 5)
-
-    def test_third_filter_never_reached(self):
-        E = E5()
-        with pytest.raises(NotReached):
-            third_test(E, [], rr_basis(6), E.points()[1])
 
 
 class TestCoverCount:

@@ -247,6 +247,22 @@ class TestEmbed:
         b2, p2 = embed(F27, 2)
         assert b1 is b2 and p1(F27.gen) == p2(F27.gen)
 
+    def test_quotient_field_derivative_and_separability(self):
+        """Over F_5[t]/(t^2 + t + 2): y^2 + 1 is separable, (y + t)^2 and
+        y^5 - t (derivative 5y^4 = 0) are not."""
+        K = QuotientField(Poly.from_ints(F5, [2, 1, 1]))
+        t, one, zero = K.x_class, K.one, K.zero
+        two = one + one
+        f = Poly(K, [one, zero, one])
+        assert f.derivative() == Poly(K, [zero, two])
+        assert f.is_separable() and f.is_squarefree()
+        square = Poly(K, [t, one]) * Poly(K, [t, one])
+        assert square.derivative() == Poly(K, [two * t, two])
+        assert not square.is_separable()
+        frob = Poly(K, [zero - t, zero, zero, zero, zero, one])
+        assert frob.derivative().is_zero()
+        assert not frob.is_separable()
+
     def test_root_count_f27_in_f729(self):
         big, _ = embed(F27, 2)
         mini = Poly.from_ints(big, [1, -1, 0, 1])

@@ -1,6 +1,7 @@
 """Search engines: fixture recovery, filter-vs-oracle agreement, budgets,
 checkpoints, and determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -585,6 +586,25 @@ class TestHyperGenus4Char2:
         resumed.pop("wall_time")
         assert resumed == full
 
+    def test_resumes_a_checkpoint_with_seen_vectors(self, tmp_path):
+        # checkpoints used to carry the distinct count vectors under
+        # "seen_vectors"; a resumed run ignores the key
+        full = search_hyper_genus4_char2(F2, mode="census").to_json()
+        cp = str(tmp_path / "ck.json")
+        with pytest.raises(BudgetExceeded):
+            search_hyper_genus4_char2(F2, mode="census", budget=1,
+                                      checkpoint=cp)
+        state = json.load(open(cp))
+        state["seen_vectors"] = [list(v) for v in dict.fromkeys(
+            tuple(z["counts"]) for z in state["zetas"])]
+        with open(cp, "w") as fh:
+            json.dump(state, fh)
+        resumed = search_hyper_genus4_char2(F2, mode="census",
+                                            checkpoint=cp).to_json()
+        full.pop("wall_time")
+        resumed.pop("wall_time")
+        assert resumed == full
+
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
             search_hyper_genus4_char2(F3)
@@ -603,3 +623,66 @@ class TestDispatch:
     def test_census_helper(self):
         r = census(F2, "quartic_char2")
         assert r.parameters["mode"] == "census"
+
+
+# every engine's full report minus wall_time, recorded before the engines
+# shared one _Search: (candidates, survivors, dedup_classes) for reading, and
+# the first 16 hex digits of the sha256 of the JSON with sorted keys
+REPORT_PINS = [
+    ("klein4_hyper_even@F4:census",
+     lambda: search_klein4_hyper_even(F4, mode="census"),
+     (576, 42, 6), "bc6851851fc6adaf"),
+    ("klein4_hyper_even@F4:first",
+     lambda: search_klein4_hyper_even(F4, mode="first_find"),
+     (44, 1, 1), "98763f41c40febd8"),
+    ("diagonal_quartic@F5:census",
+     lambda: search_diagonal_quartic(F5, mode="census"),
+     (2000, 44, 3), "1f762562eec4d30f"),
+    ("diagonal_quartic@F5:first",
+     lambda: search_diagonal_quartic(F5, mode="first_find"),
+     (1, 1, 1), "38b1371d1355e057"),
+    ("quartic_char2@F2:census",
+     lambda: search_quartic_char2(F2, mode="census"),
+     (4, 1, 1), "2ef56dd173ca5f2e"),
+    ("quartic_char2@F4:census",
+     lambda: search_quartic_char2(F4, mode="census"),
+     (16, 2, 1), "84aff78ceeb29de5"),
+    ("quartic_char2@F4:first",
+     lambda: search_quartic_char2(F4, mode="first_find"),
+     (12, 1, 1), "1e4796dfd79624f0"),
+    ("fiberproduct@F3:census",
+     lambda: search_fiberproduct(F3, mode="census"),
+     (729, 72, 8), "ad387466cda1aa1a"),
+    ("fiberproduct@F3:first",
+     lambda: search_fiberproduct(F3, mode="first_find"),
+     (87, 1, 1), "ada579a692153985"),
+    ("exhaustive_hyper_genus3@F9:first",
+     lambda: search_exhaustive_hyper_genus3(F9, mode="first_find"),
+     (3, 1, 1), "6f00f44818760a4c"),
+    ("double_covers@F5:x3+1:census",
+     lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
+                                           mode="census"),
+     (624, 5, 5), "a628c050577d82bc"),
+    ("double_covers@F5:x3+1:first",
+     lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
+                                           mode="first_find"),
+     (312, 2, 2), "27dff7dd06c532cc"),
+    ("hyper_genus4_char2@F2:census",
+     lambda: search_hyper_genus4_char2(F2, mode="census"),
+     (8, 54, 9), "5fcb6ba80f7becaf"),
+    ("hyper_genus4_char2@F2:first",
+     lambda: search_hyper_genus4_char2(F2, mode="first_find"),
+     (1, 1, 1), "324cbaae34095e30"),
+]
+
+
+@pytest.mark.parametrize("run, sizes, digest",
+                         [pin[1:] for pin in REPORT_PINS],
+                         ids=[pin[0] for pin in REPORT_PINS])
+def test_report_is_pinned(run, sizes, digest):
+    report = run().to_json()
+    report.pop("wall_time")
+    assert (report["candidates"], len(report["survivors"]),
+            report["dedup_classes"]) == sizes
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
