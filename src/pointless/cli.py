@@ -12,7 +12,7 @@ import sys
 from .density import DensityProblem, compute_density, montecarlo_pointless_rate
 from .errors import PointlessError
 from .field import FiniteField, _prime_factors, canonical_extension
-from .harness import DATA_PATH, load_fixtures, verify
+from .harness import load_fixtures, verify
 from .search import ENGINE_FAMILIES, SearchConfig, run_search
 from .zeta import pointless_q_range, zeta_report
 
@@ -132,7 +132,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="replay the claims of a fixture file")
-    p.add_argument("--fixtures", default=DATA_PATH,
+    p.add_argument("--fixtures",
                    help="fixture file path (default: shipped tables)")
     p.add_argument("--id", help="verify a single entry by id")
     p.add_argument("--depth", type=int, default=1,
@@ -140,7 +140,8 @@ def build_parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="point counts for fixture entries")
-    p.add_argument("--fixtures", default=DATA_PATH)
+    p.add_argument("--fixtures",
+                   help="fixture file path (default: shipped tables)")
     p.add_argument("--id", help="count a single entry by id")
     p.add_argument("--depth", type=int, default=1)
     p.set_defaults(func=_cmd_count)

@@ -1,6 +1,7 @@
 """Weierstrass elliptic curves over odd-characteristic fields: group law,
 Riemann-Roch monomial spaces L(k*infinity), vanishing orders via local
-expansions, and divisor-shape analysis for the double-cover searches.
+expansions, and the divisor shapes and point counts of the double covers
+z^2 = fn that the double-cover searches test.
 
 Points are None (infinity) or (x, y) tuples of field elements.
 """
@@ -14,7 +15,8 @@ from .errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from .field import Poly, QuotientField, _prime_factors, embed
+from .curves import _extension, _index_poly
+from .field import Poly, _prime_factors, embed
 from .series import Series, poly_at_series
 
 INF = None
@@ -260,6 +262,16 @@ def _local_xy_series(cubic, P, field, prec=12):
     return xs, t
 
 
+def _local_fn_series(A, B, cubic, P, field, prec):
+    """The expansion of A + B y at the affine point P, in the local
+    parameter of _local_xy_series."""
+    xs, ys = _local_xy_series(cubic, P, field, prec)
+    fs = poly_at_series(A, xs).truncate(prec) + (poly_at_series(B, xs) * ys).truncate(prec)
+    if fs.is_zero():
+        raise ZeroFunction("function vanishes beyond the series precision")
+    return fs
+
+
 def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
     """ord_P of the function sum c x^i y^j at an affine point P (coordinates
     in `field`, defaulting to the curve's base field)."""
@@ -270,16 +282,41 @@ def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
     v = A.eval(x0) + B.eval(x0) * y0
     if not v.is_zero():
         return 0
-    xs, ys = _local_xy_series(cubic, P, field, prec)
-    fs = poly_at_series(A, xs).truncate(prec) + (poly_at_series(B, xs) * ys).truncate(prec)
-    if fs.is_zero():
-        raise ZeroFunction("function vanishes beyond the series precision")
-    return fs.valuation()
+    return _local_fn_series(A, B, cubic, P, field, prec).valuation()
 
 
 # ---------------------------------------------------------------------------
 # divisor shape (test 2 of the double-cover searches)
 # ---------------------------------------------------------------------------
+
+def _resultant(f, g):
+    """Res(f, g) = lc(f)^deg g * prod g(alpha) over the roots alpha of f,
+    by Euclid: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
+    with r = f mod g."""
+    out = f.base.one
+    while g.degree > 0:
+        r = f % g
+        if r.is_zero():
+            return f.base.zero
+        if f.degree * g.degree % 2:
+            out = -out
+        out = out * g.lc ** (f.degree - r.degree)
+        f, g = g, r
+    if g.is_zero():
+        return f.base.zero
+    return out * g.lc ** f.degree
+
+
+def _multiplicity(piece, g):
+    """The largest j with piece^j dividing the nonzero polynomial g."""
+    j = 0
+    while g.degree >= piece.degree:
+        g, r = divmod(g, piece)
+        if not r.is_zero():
+            break
+        j += 1
+    return j
+
 
 def divisor_shape(E, coeffs, basis, Q, k):
     """Analyze div(fn) for fn = sum c x^i y^j in L(k*infinity).
@@ -292,10 +329,26 @@ def divisor_shape(E, coeffs, basis, Q, k):
     rational ramified point of the cover z^2 = fn, so the required divisor
     form excludes it.
 
-    Multiplicities are distributed between conjugate points using the norm
-    A^2 - B^2 c: factor multiplicities resolve without computation except in
-    the split case with multiplicity >= 2, where a local expansion over the
-    residue field decides.
+    The zeros lie over the roots of the norm R = A^2 - B^2 c of
+    fn = A + B y.  Each monic irreducible factor `piece` of R, of degree e
+    and multiplicity m with a root alpha, is one of three kinds, and the
+    orders follow without leaving the base field:
+
+    * ramified (c(alpha) = 0, exactly when piece divides c): one point of
+      order m over each root;
+    * inert (c(alpha) a nonsquare in F_{q^e}): two conjugate points of
+      order m/2 each;
+    * split: two points (alpha, +-beta), of orders j and m - j, where j
+      is the multiplicity of piece in gcd(A, B).  Proof: dividing out
+      piece^j leaves f1 = A1 + B1 y, and f1 cannot vanish at both points,
+      which would force A1(alpha) = B1(alpha) = 0 since beta != 0 and the
+      characteristic is odd; so f1 has orders 0 and m - 2j.  At Q itself,
+      ord_Q = m - j when f1(Q) = 0 and j otherwise.
+
+    The kind is read off the norm of c(alpha) to F_q: as piece is monic,
+    that norm is Res(piece, c) = prod c(alpha) over the roots of piece.
+    It is zero exactly when c(alpha) is, and its square class is that of
+    c(alpha) in F_{q^e}, because z^((q^e - 1)/2) = N(z)^((q - 1)/2).
     """
     A, B = fn_ab(coeffs, basis, E.base)
     if A.is_zero() and B.is_zero():
@@ -306,84 +359,42 @@ def divisor_shape(E, coeffs, basis, Q, k):
     if R.is_zero():
         # A^2 = B^2 c would make c a square, impossible for separable cubic
         raise ZeroFunction("degenerate norm")
-    ord_Q = vanishing_order(E, coeffs, basis, Q)
-    xQ = Q[0]
+    G = A.gcd(B)
+    xQ, yQ = Q
+    ord_Q = 0
     odd_points = 0
     rational_odd = 0
     total_zeros = 0
     for piece, m in R.monic().factor():
         e = piece.degree
-        cx_class = None
-        if e == 1:
-            x0 = -piece[0]
-            if x0 == xQ:
-                # Q (and possibly its conjugate) lives here
-                if Q[1].is_zero():
-                    total_zeros += m  # ramified: ord at the single point is m
-                    continue
-                ord_conj = m - ord_Q
-                total_zeros += m
-                if ord_conj % 2 == 1:
-                    odd_points += 1
-                    rational_odd += 1
-                continue
-            cv = c.eval(x0)
-            if cv.is_zero():
-                # 2-torsion point: single ramified place, order m
-                total_zeros += m
-                if m % 2 == 1:
-                    odd_points += 1
-                    rational_odd += 1
-                continue
-            if not cv.is_square():
-                # inert: one degree-2 place, order m/2 at each conjugate point
-                total_zeros += m
-                if (m // 2) % 2 == 1:
-                    odd_points += 2
-                continue
-            # split rational points
-            if m == 1:
-                total_zeros += 1
-                odd_points += 1
-                rational_odd += 1
-                continue
-            y0 = cv.sqrt()
-            v_plus = vanishing_order(E, coeffs, basis, (x0, y0))
-            v_minus = m - v_plus
-            total_zeros += m
-            for v in (v_plus, v_minus):
-                if v % 2 == 1:
-                    odd_points += 1
-                    rational_odd += 1
-            continue
-        # place(s) of degree e >= 2
-        K = QuotientField(piece)
-        x0 = K.x_class
-        cK = Poly(K, [K.from_base(cc) for cc in c.coeffs])
-        cv = cK.eval(x0)
-        if cv.is_zero():
-            # an irreducible quadratic factor of the cubic: ramified place
-            total_zeros += m * e
-            if m % 2 == 1:
+        total_zeros += m * e
+        at_Q = e == 1 and -piece[0] == xQ
+        norm = _resultant(piece, c)
+        if norm.is_zero():
+            # ramified: one point of order m over each root of piece
+            if at_Q:
+                ord_Q = m
+            elif m % 2 == 1:
                 odd_points += e
+                rational_odd += e == 1
             continue
-        if not cv.is_square():
-            total_zeros += m * e
+        if not norm.is_square():
+            # inert: order m/2 at each of the two conjugate points
             if (m // 2) % 2 == 1:
                 odd_points += 2 * e
             continue
-        if m == 1:
-            total_zeros += e
-            odd_points += e
-            continue
-        coeffsK = [K.from_base(cc) for cc in coeffs]
-        y0 = cv.sqrt()
-        v_plus = vanishing_order(E, coeffsK, basis, (x0, y0), field=K, cubic=cK)
-        v_minus = m - v_plus
-        total_zeros += m * e
-        for v in (v_plus, v_minus):
+        j = _multiplicity(piece, G)
+        if at_Q:
+            lin = piece ** j
+            f1 = (A // lin).eval(xQ) + (B // lin).eval(xQ) * yQ
+            ord_Q = m - j if f1.is_zero() else j
+            orders = (m - ord_Q,)
+        else:
+            orders = (j, m - j)
+        for v in orders:
             if v % 2 == 1:
                 odd_points += e
+                rational_odd += e == 1
     shape_ok = (pole == k and ord_Q == 2 and odd_points == k - 2
                 and rational_odd == 0)
     return {
@@ -401,35 +412,56 @@ def divisor_shape(E, coeffs, basis, Q, k):
 # ---------------------------------------------------------------------------
 
 def cover_count(E, coeffs, basis, i=1, prec=14):
-    """#D(F_{q^i}) for the double cover D: z^2 = fn of E."""
-    Ei, phi = E.base_change(i)
-    big = Ei.base
-    coeffsK = [phi(c) for c in coeffs]
-    A, B = fn_ab(coeffsK, basis, big)
+    """#D(F_{q^i}) for the double cover D: z^2 = fn of E.
+
+    Runs on the index kernel of F_{q^i}: per Frobenius orbit of x (see
+    curves._extension), c(x), A(x) and B(x) come from Horner on indices,
+    y = sqrt(c(x)) from the halved discrete log, and each of the points
+    (x, +-y) adds 2 or 0 by the log parity of fn there, times the orbit's
+    size.  Only a point where fn vanishes takes a local expansion: an
+    odd order adds 1, an even one 2 or 0 by the square class of the
+    leading coefficient.
+    """
+    pole = fn_pole_order(coeffs, basis)
+    big, phi, kern, orbits = _extension(E.base, i)
+    idx = [big.index(phi(cf)) for cf in coeffs]
+    A, B = [0] * len(basis), [0] * len(basis)
+    for (mi, mj), v in zip(basis, idx):
+        (B if mj else A)[mi] = v
+    c = _index_poly(E.cubic, big, phi)
+    horner, add, mul, neg = kern.horner, kern.add, kern.mul, kern.neg
+    exp, log = kern.exp, kern.log
     total = 0
-    for P in Ei.points():
-        if P is INF:
-            continue
-        v = fn_value(A, B, P)
-        if not v.is_zero():
-            total += 2 if v.is_square() else 0
-            continue
-        ordP = vanishing_order(Ei, coeffsK, basis, P, field=big, prec=prec)
-        if ordP % 2 == 1:
-            total += 1
-            continue
-        xs, ys = _local_xy_series(Ei.cubic, P, big, prec)
-        fs = poly_at_series(A, xs).truncate(prec) + (poly_at_series(B, xs) * ys).truncate(prec)
-        unit = fs.coefficient(fs.valuation())
-        total += 2 if unit.is_square() else 0
-    # infinity
-    pole = fn_pole_order(coeffsK, basis)
+    zeros = []
+    for x, w in orbits:
+        cx = horner(c, x)
+        if not cx:
+            pts = ((0, horner(A, x)),)
+        elif log[cx] & 1:
+            continue                      # no point of E above x
+        else:
+            y = exp[log[cx] >> 1]
+            ax, by = horner(A, x), mul(horner(B, x), y)
+            pts = ((y, add(ax, by)), (neg(y), add(ax, neg(by))))
+        for y, v in pts:
+            if not v:
+                zeros.append((x, y, w))
+            elif not log[v] & 1:
+                total += 2 * w
+    if zeros:
+        from_index = big.from_index
+        Af, Bf = fn_ab([from_index(v) for v in idx], basis, big)
+        cubic = Poly(big, [from_index(v) for v in c])
+        for x, y, w in zeros:
+            fs = _local_fn_series(Af, Bf, cubic, (from_index(x), from_index(y)),
+                                  big, prec)
+            ordP = fs.valuation()
+            if ordP % 2 == 1:
+                total += w
+            elif fs.coefficient(ordP).is_square():
+                total += 2 * w
+    # the points above infinity
     if pole % 2 == 1:
-        total += 1
-    else:
-        top = next(c for (mi, mj), c in
-                   sorted(zip(basis, coeffsK),
-                          key=lambda t: -(2 * t[0][0] + 3 * t[0][1]))
-                   if 2 * mi + 3 * mj == pole)
-        total += 2 if top.is_square() else 0
-    return total
+        return total + 1
+    top = next(v for (mi, mj), v in zip(basis, idx) if 2 * mi + 3 * mj == pole)
+    return total + kern.sqrt_count(top)

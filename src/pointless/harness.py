@@ -6,9 +6,9 @@ presented finite field; `verify` reconstructs every curve and replays the
 claims (genus, pointlessness, extension counts, trigonality) exactly.
 """
 
-import os
 import time
 from dataclasses import dataclass, field as dc_field
+from importlib import resources
 
 from . import __version__
 from .curves import (
@@ -20,8 +20,6 @@ from .curves import (
 )
 from .errors import ParseError, PointlessError, ValidationError
 from .field import FiniteField, Poly, RationalFunction
-
-DATA_PATH = os.path.join(os.path.dirname(__file__), "data", "tables.toml")
 
 KINDS = ("hyperelliptic_odd", "artin_schreier", "plane_quartic",
          "fiber_product", "as_tower")
@@ -284,9 +282,15 @@ def _validate_section(name, kv, line_no):
     return entry
 
 
-def load_fixtures(path=DATA_PATH):
-    with open(path) as fh:
-        text = fh.read()
+def load_fixtures(path=None):
+    """The entries of the fixture file at `path`; by default the shipped
+    tables, read as package data so that a zipped install serves them too."""
+    if path is None:
+        text = (resources.files(__package__).joinpath("data")
+                .joinpath("tables.toml").read_text())
+    else:
+        with open(path) as fh:
+            text = fh.read()
     return load_fixture_text(text)
 
 

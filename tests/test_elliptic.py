@@ -2,15 +2,19 @@
 monomials, vanishing orders, divisor shapes, and double-cover counts."""
 
 import random
+from itertools import product
 
 import pytest
 
 from pointless.elliptic import (
     INF,
     EllipticCurve,
+    _local_xy_series,
     cover_count,
     divisor_shape,
     fn_ab,
+    fn_pole_order,
+    fn_value,
     hasse_interval,
     rr_basis,
     vanishing_order,
@@ -21,7 +25,9 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.field import FiniteField
+from pointless.field import FiniteField, Poly, QuotientField
+from pointless.search import _double_zero_kernel
+from pointless.series import poly_at_series
 from pointless.zeta import l_from_counts, real_weil_from_l, validate_weil
 
 F5 = FiniteField(5)
@@ -310,3 +316,284 @@ class TestCoverCount:
         A2, B2 = fn_ab([phi(c) for c in cf], basis, E2.base)
         naive = TestCoverCount().brute_squarefree(E2, A2, B2, 1)
         assert cover_count(E, cf, basis, 2) == naive
+
+
+# ---------------------------------------------------------------------------
+# differential tests: divisor_shape and cover_count against the
+# expansion-based versions they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_divisor_shape(E, coeffs, basis, Q, k):
+    """divisor_shape by local expansions: split places of multiplicity
+    m >= 2 are resolved by a vanishing order over the residue field (a
+    QuotientField for places of degree >= 2)."""
+    A, B = fn_ab(coeffs, basis, E.base)
+    pole = fn_pole_order(coeffs, basis)
+    c = E.cubic
+    R = A * A - B * B * c
+    ord_Q = vanishing_order(E, coeffs, basis, Q)
+    xQ = Q[0]
+    odd_points = rational_odd = total_zeros = 0
+    for piece, m in R.monic().factor():
+        e = piece.degree
+        total_zeros += m * e
+        if e == 1:
+            x0 = -piece[0]
+            if x0 == xQ:
+                if not Q[1].is_zero() and (m - ord_Q) % 2 == 1:
+                    odd_points += 1
+                    rational_odd += 1
+                continue
+            cv = c.eval(x0)
+            if cv.is_zero():
+                if m % 2 == 1:
+                    odd_points += 1
+                    rational_odd += 1
+            elif not cv.is_square():
+                if (m // 2) % 2 == 1:
+                    odd_points += 2
+            else:
+                v_plus = vanishing_order(E, coeffs, basis, (x0, cv.sqrt()))
+                for v in (v_plus, m - v_plus):
+                    if v % 2 == 1:
+                        odd_points += 1
+                        rational_odd += 1
+            continue
+        K = QuotientField(piece)
+        x0 = K.x_class
+        cK = Poly(K, [K.from_base(cc) for cc in c.coeffs])
+        cv = cK.eval(x0)
+        if cv.is_zero():
+            if m % 2 == 1:
+                odd_points += e
+        elif not cv.is_square():
+            if (m // 2) % 2 == 1:
+                odd_points += 2 * e
+        else:
+            coeffsK = [K.from_base(cc) for cc in coeffs]
+            v_plus = vanishing_order(E, coeffsK, basis, (x0, cv.sqrt()),
+                                     field=K, cubic=cK)
+            for v in (v_plus, m - v_plus):
+                if v % 2 == 1:
+                    odd_points += e
+    return {
+        "pole_order_at_inf": pole,
+        "ord_at_Q": ord_Q,
+        "odd_order_zero_count": odd_points,
+        "rational_odd_zero_count": rational_odd,
+        "total_zero_degree": total_zeros,
+        "shape_ok": (pole == k and ord_Q == 2 and odd_points == k - 2
+                     and rational_odd == 0),
+    }
+
+
+def _reference_cover_count(E, coeffs, basis, i=1, prec=14):
+    """cover_count as a loop over E(F_{q^i}) in FieldElement arithmetic,
+    with a local expansion at every zero of fn."""
+    Ei, phi = E.base_change(i)
+    big = Ei.base
+    coeffsK = [phi(c) for c in coeffs]
+    A, B = fn_ab(coeffsK, basis, big)
+    total = 0
+    for P in Ei.points():
+        if P is INF:
+            continue
+        v = fn_value(A, B, P)
+        if not v.is_zero():
+            total += 2 if v.is_square() else 0
+            continue
+        xs, ys = _local_xy_series(Ei.cubic, P, big, prec)
+        fs = (poly_at_series(A, xs).truncate(prec)
+              + (poly_at_series(B, xs) * ys).truncate(prec))
+        ordP = fs.valuation()
+        if ordP % 2 == 1:
+            total += 1
+        else:
+            total += 2 if fs.coefficient(ordP).is_square() else 0
+    pole = fn_pole_order(coeffsK, basis)
+    if pole % 2 == 1:
+        return total + 1
+    top = next(c for (mi, mj), c in zip(basis, coeffsK)
+               if 2 * mi + 3 * mj == pole)
+    return total + (2 if top.is_square() else 0)
+
+
+F9 = FiniteField(3, 2, [-1, -1, 1])      # a^2 = a + 1
+F11 = FiniteField(11)
+DIFF_FIELDS = [F5, F7, F9, F11, F13, F25, F27]
+
+
+def _random_curve(F, rng, two_torsion=False):
+    """A random curve with an affine point off the 2-torsion and, when
+    asked, a rational 2-torsion point."""
+    while True:
+        try:
+            E = EllipticCurve(F, *(F.from_index(rng.randrange(F.q))
+                                   for _ in range(3)))
+        except UnsupportedShape:
+            continue
+        ys = [P[1].is_zero() for P in E.points() if P is not INF]
+        if not all(ys) and (any(ys) or not two_torsion):
+            return E
+
+
+def _fn(basis, A, B=None):
+    """Coefficients on `basis` of A(x) + B(x) y, for polynomials A and B."""
+    F = A.base
+    mono = {(i, 0): a for i, a in enumerate(A.coeffs)}
+    if B is not None:
+        mono.update({(i, 1): b for i, b in enumerate(B.coeffs)})
+    assert all(m in basis for m, v in mono.items() if not v.is_zero())
+    return [mono.get(m, F.zero) for m in basis]
+
+
+def _random_poly(F, rng, degree):
+    """A random monic polynomial of the given degree."""
+    return Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(degree)]
+                + [F.one])
+
+
+def _random_irreducible(F, rng, degree):
+    while True:
+        h = _random_poly(F, rng, degree)
+        if h.is_irreducible():
+            return h
+
+
+def _with_zero_over(E, h, b, budget_deg):
+    """a(x) + b y with deg a <= budget_deg whose norm a^2 - b^2 c has the
+    irreducible h as a factor, so it vanishes at a point over a root of h
+    (or None when no such a exists: an inert place of h)."""
+    F = E.base
+    b = Poly.constant(F, b)
+    for a in product(F.elements(), repeat=budget_deg + 1):
+        A = Poly(F, list(a))
+        if ((A * A - b * b * E.cubic) % h).is_zero():
+            return A, b
+    return None
+
+
+def _forced_functions(E, basis, Q, rng):
+    """The places that random functions seldom reach: a common factor of A
+    and B of degree 1 and 2 with a further zero over it, x_Q a root of the
+    norm with multiplicity > 2, zeros at a 2-torsion Q, and inert places of
+    degree 1 and 2."""
+    F = E.base
+    k = max(2 * i + 3 * j for i, j in basis)
+    x = Poly.x(F)
+    lin_Q = x - Poly.constant(F, Q[0])
+    b = F.from_index(rng.randrange(1, F.q))
+    out = [_fn(basis, lin_Q), _fn(basis, lin_Q * lin_Q),
+           _fn(basis, lin_Q * lin_Q * lin_Q), _fn(basis, Poly(F, []), lin_Q),
+           _fn(basis, Poly(F, []), Poly(F, [F.one]))]
+    # e = 1: (x - x0)(a + b y) vanishing again over x0; at x0 = x_Q the
+    # norm has x_Q as a root of multiplicity >= 3
+    for x0 in sorted({Q[0], F.from_index(rng.randrange(F.q))}, key=F.index):
+        lin = x - Poly.constant(F, x0)
+        got = _with_zero_over(E, lin, b, 1)
+        if got is not None:
+            out.append(_fn(basis, lin * got[0], lin * got[1]))
+    # e = 2: an irreducible quadratic h, alone (split or inert), as a
+    # common factor of A and B = 0, and for k = 8 as a common factor of A
+    # and B with a further zero over it
+    for _ in range(2):
+        h = _random_irreducible(F, rng, 2)
+        out.append(_fn(basis, h))
+        out.append(_fn(basis, h * _random_poly(F, rng, 1)))
+        if k == 8:
+            got = _with_zero_over(E, h, b, 1)
+            if got is not None:
+                out.append(_fn(basis, h * got[0], h * got[1]))
+            out.append(_fn(basis, h * _random_poly(F, rng, 1),
+                           h * Poly.constant(F, b)))
+    # e = 1 inert places: x - x0 with c(x0) a nonsquare
+    for x0 in F.elements():
+        if not E.cubic.eval(x0).is_square():
+            out.append(_fn(basis, x - Poly.constant(F, x0)))
+            break
+    return out
+
+
+def _kernel_combinations(E, basis, Q, rng, n):
+    """n random nonzero members of the double-zero space at Q, the
+    functions that double-cover test 2 sees."""
+    F = E.base
+    kern = _double_zero_kernel(E, basis, Q)
+    out = []
+    while len(out) < n:
+        lam = [F.from_index(rng.randrange(F.q)) for _ in kern]
+        cf = [sum((l * v[i] for l, v in zip(lam, kern)), F.zero)
+              for i in range(len(basis))]
+        if any(not c.is_zero() for c in cf):
+            out.append(cf)
+    return out
+
+
+def _random_functions(F, basis, rng, n):
+    out = []
+    while len(out) < n:
+        cf = [F.from_index(rng.randrange(F.q)) for _ in basis]
+        if any(not c.is_zero() for c in cf):
+            out.append(cf)
+    return out
+
+
+def _points_to_try(E, rng):
+    """A random affine point off the 2-torsion and, when there is one, a
+    rational 2-torsion point."""
+    affine = [P for P in E.points() if P is not INF]
+    off = [P for P in affine if not P[1].is_zero()]
+    tors = [P for P in affine if P[1].is_zero()]
+    return [rng.choice(off)] + tors[:1]
+
+
+class TestDivisorShapeDifferential:
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("F", DIFF_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_equals_expansion_reference(self, F, k):
+        rng = random.Random(1000 * F.q + k)
+        basis = rr_basis(k)
+        # the reference costs up to 0.3 s a call over F_25 and F_27
+        n = 6 if F.q <= 13 else 3
+        cases = 0
+        for two_torsion in (True, False):
+            E = _random_curve(F, rng, two_torsion)
+            for Q in _points_to_try(E, rng):
+                fns = (_random_functions(F, basis, rng, n)
+                       + _forced_functions(E, basis, Q, rng))
+                if not Q[1].is_zero():
+                    fns += _kernel_combinations(E, basis, Q, rng, n)
+                for cf in fns:
+                    got = divisor_shape(E, cf, basis, Q, k)
+                    assert got == _reference_divisor_shape(E, cf, basis, Q, k), \
+                        (E, Q, cf)
+                    assert got["total_zero_degree"] == got["pole_order_at_inf"]
+                    cases += 1
+        assert cases >= 30
+
+
+class TestCoverCountDifferential:
+    @pytest.mark.parametrize("F, degrees", [
+        (F5, (1, 2, 3)), (F7, (1, 2, 3)), (F9, (1, 2, 3)),
+        (F11, (1, 2, 3)), (F13, (1, 2)), (F25, (1, 2)), (F27, (1, 2)),
+    ], ids=["F5", "F7", "F9", "F11", "F13", "F25", "F27"])
+    def test_equals_point_loop_reference(self, F, degrees):
+        rng = random.Random(F.q)
+        basis = rr_basis(6)
+        E = _random_curve(F, rng)
+        x = Poly.x(F)
+        off = next(P for P in E.points() if P is not INF and not P[1].is_zero())
+        lin = x - Poly.constant(F, off[0])
+        fns = _random_functions(F, basis, rng, 4) + [
+            _fn(basis, lin),                          # zeros over F_q
+            _fn(basis, lin * lin),                    # double zeros over F_q
+            _fn(basis, Poly(F, []), Poly(F, [F.one])),  # y: the 2-torsion
+            _fn(basis, Poly(F, []), lin),
+        ] + _kernel_combinations(E, basis, off, rng, 2)
+        # zeros over F_{q^2} and F_{q^3}: irreducible quadratics and cubics
+        fns += [_fn(basis, _random_irreducible(F, rng, d)) for d in (2, 2, 3)]
+        fns += [_fn(basis, _random_irreducible(F, rng, 2), Poly(F, [F.one]))]
+        for cf in fns:
+            for i in degrees:
+                assert cover_count(E, cf, basis, i) == \
+                    _reference_cover_count(E, cf, basis, i), (E, cf, i)

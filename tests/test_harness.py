@@ -1,7 +1,14 @@
 """Fixture parsing, validation, round-trip, and the verification pipeline."""
 
+import glob
+import os
+import subprocess
+import sys
+import zipfile
+
 import pytest
 
+from pointless import harness
 from pointless.errors import ParseError, ValidationError
 from pointless.field import FiniteField
 from pointless.harness import (
@@ -159,6 +166,28 @@ class TestShippedFile:
         entries = load_fixtures()
         # all published table rows plus the in-proof curves
         assert len(entries) == 65
+
+    def test_default_load_equals_load_by_path(self):
+        path = os.path.join(os.path.dirname(harness.__file__), "data",
+                            "tables.toml")
+        assert serialize(load_fixtures()) == serialize(load_fixtures(path))
+
+    def test_default_load_from_a_zipped_package(self, tmp_path):
+        # the shipped tables are package data, so an install that keeps
+        # the package in a zip archive still reads them
+        root = os.path.dirname(os.path.dirname(harness.__file__))
+        archive = tmp_path / "pointless.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for name in glob.glob(os.path.join(root, "pointless", "*.py")) + \
+                    glob.glob(os.path.join(root, "pointless", "data", "*.toml")):
+                zf.write(name, os.path.relpath(name, root))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from pointless.harness import load_fixtures;"
+             "print(len(load_fixtures()))"],
+            env={**os.environ, "PYTHONPATH": str(archive)},
+            capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["65"]
 
     def test_all_five_kinds_present(self):
         kinds = {e.kind for e in load_fixtures()}

@@ -10,7 +10,14 @@ import pytest
 
 from pointless import search
 from pointless.curves import ArtinSchreierCurve, HyperellipticOdd, PlaneQuartic
-from pointless.elliptic import EllipticCurve
+from pointless.elliptic import (
+    INF,
+    EllipticCurve,
+    cover_count,
+    fn_ab,
+    fn_value,
+    rr_basis,
+)
 from pointless.errors import (
     BudgetExceeded,
     EvenCharacteristic,
@@ -538,6 +545,43 @@ class TestDoubleCovers:
         assert r.candidates == candidates
         assert r.kill_counts == {"test1": test1, "test2": test2}
         assert len(r.survivors) == found
+
+    @pytest.mark.parametrize("F, curve, k, lead", [
+        (F5, (0, 1, 1), 6, 0), (F7, (0, 1, 3), 6, 0), (F5, (0, 1, 1), 8, 2),
+    ], ids=["F5:k6", "F7:k6", "F5:k8"])
+    def test_test1_rejects_only_covers_with_points(self, F, curve, k, lead):
+        # one (lead, lead_val) block of test 1, built as the engine builds
+        # it: the join yields exactly the codes whose f is zero or a
+        # nonsquare at every rational point, and every other code's cover
+        # z^2 = f has a rational point
+        E = EllipticCurve(F, *curve)
+        basis = rr_basis(k)
+        Q = E.quotient_reps(2 if k == 6 else 3, fallback=True)[0]
+        kernel = search._double_zero_kernel(E, basis, Q)
+        kern = _kernel(F)
+        pts = [P for P in E.points() if P is not INF]
+        B_at = [[F.index(fn_value(*fn_ab(vec, basis, F), P)) for vec in kernel]
+                for P in pts]
+        lead_val = F.index(F.canonical_nonsquare)
+        free = len(kernel) - lead - 1
+        not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(F.q))
+        passes = set(search._linear_join(
+            kern, range(F.q), free, [row[lead + 1:] for row in B_at],
+            [kern.mul(lead_val, row[lead]) for row in B_at], not_square))
+        rejected = 0
+        for code in range(F.q ** free):
+            lam = [F.zero] * lead + [F.from_index(lead_val)] + [
+                F.from_index(code // F.q ** i % F.q) for i in range(free)]
+            coeffs = [sum((l * vec[j] for l, vec in zip(lam, kernel)), F.zero)
+                      for j in range(len(basis))]
+            A, B = fn_ab(coeffs, basis, F)
+            values = [fn_value(A, B, P) for P in pts]
+            naive = all(v.is_zero() or not v.is_square() for v in values)
+            assert (code in passes) == naive, code
+            if not naive:
+                rejected += 1
+                assert cover_count(E, coeffs, basis, 1) > 0, code
+        assert rejected > 0
 
     def test_budget_boundary(self):
         E = EllipticCurve(F5, 0, 1, 1)
