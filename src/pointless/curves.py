@@ -19,16 +19,22 @@ F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y).  Each per-x
 contribution is a function of values of polynomials over F_q, so it is
 constant on the orbits of x -> x^q: the sum over F_{q^i} takes one
 representative per orbit, weighted by the orbit's size.
+
+The special places of a tower (poles of the second stage, ramified and
+pole places of the first) run on the same kernel: their local expansions
+are truncated Laurent series of indices (_ser and its helpers), which
+track valuation and precision as series.Series does.
 """
 
 from .errors import (
+    DivisionByZero,
     EvenCharacteristic,
     OddCharacteristic,
     UnsupportedShape,
     ZeroPolynomial,
 )
-from .field import Poly, QuotientField, RationalFunction, _kernel, embed, map_poly
-from .series import Series, poly_at_series
+from .field import Poly, QuotientField, RationalFunction, _kernel, embed
+from .series import EXACT, Series
 
 _SQUARE_SETS = {}
 
@@ -492,10 +498,10 @@ class ASTower:
 
     def count(self, i=1):
         big, phi, kern, orbits = _extension(self.base, i)
-        f1 = (phi(self.c1), phi(self.c0), phi(self.cm1))
-        stage2 = tuple(map_poly(g, big, phi) for g in (self.A, self.B, self.D))
-        c1, c0, cm1 = (big.index(c) for c in f1)
-        A, B, D = ([big.index(c) for c in g.coeffs] for g in stage2)
+        f1 = c1, c0, cm1 = tuple(big.index(phi(c))
+                                 for c in (self.c1, self.c0, self.cm1))
+        stage2 = A, B, D = tuple(_index_poly(g, big, phi)
+                                 for g in (self.A, self.B, self.D))
         horner, mul, trace = kern.horner, kern.mul, kern.trace
         total = 0
         for x, w in orbits:   # char 2: indices add by XOR, y0 + 1 = y0 ^ 1
@@ -510,10 +516,8 @@ class ASTower:
                 continue
             d = horner(D, x)
             if not d:
-                xe = big.from_index(x)
                 total += w * sum(
-                    _tower_place_points(kern, f1, stage2, "finite", xe,
-                                        big.from_index(y))
+                    _tower_place_points(kern, f1, stage2, "finite", x, y)
                     for y in (y0, y0 ^ 1))
                 continue
             a, b, dinv = horner(A, x), horner(B, x), kern.inv(d)
@@ -531,81 +535,171 @@ class ASTower:
             if y0 is not None:
                 for y in (y0, y0 ^ 1):
                     total += _tower_place_points(kern, f1, stage2, "ord_inf",
-                                                 ybranch=big.from_index(y))
+                                                 ybranch=y)
         return total
 
     def kind(self):
         return "as_tower"
 
 
+# Truncated Laurent series over a char-2 index kernel: (val, cs, prec) with
+# cs[k] the index of the coefficient of t^(val + k) and the exponents >= prec
+# unknown.  The helpers follow series.Series step for step -- leading zeros
+# stripped, val = prec for a zero series, worst-case precision on every
+# operation -- so a coefficient read past the known precision raises.
+# Addition is XOR and negation the identity.
+
+def _ser(val, cs, prec):
+    i = 0
+    while i < len(cs) and not cs[i]:
+        i += 1
+    val += i
+    cs = cs[i:i + max(0, prec - val)]
+    return (val, cs, prec) if cs else (prec, [], prec)
+
+
+def _ser_coeff(s, k):
+    val, cs, prec = s
+    if k >= prec:
+        raise ValueError(f"coefficient of t^{k} beyond precision {prec}")
+    return cs[k - val] if val <= k < val + len(cs) else 0
+
+
+def _ser_add(a, b):
+    (va, ca, pa), (vb, cb, pb) = a, b
+    prec = min(pa, pb)
+    lo = min(va, vb)
+    hi = min(prec, max(lo, va + len(ca) if ca else lo,
+                       vb + len(cb) if cb else lo))
+    out = [0] * (hi - lo)
+    for v, cs in ((va, ca), (vb, cb)):
+        for k, c in enumerate(cs[:max(0, hi - v)], v - lo):
+            out[k] ^= c
+    return _ser(lo, out, prec)
+
+
+def _ser_mul(kern, a, b):
+    (va, ca, pa), (vb, cb, pb) = a, b
+    prec = min(pa + vb, pb + va)
+    if not ca or not cb:
+        return (prec, [], prec)
+    lo = va + vb
+    n = min(prec - lo, len(ca) + len(cb) - 1)
+    out = [0] * n
+    exp, log = kern.exp, kern.log
+    logs_b = [(j, log[y]) for j, y in enumerate(cb[:n]) if y]
+    for i, x in enumerate(ca[:n]):
+        if x:
+            lx = log[x]
+            for j, ly in logs_b:
+                if i + j >= n:
+                    break
+                out[i + j] ^= exp[lx + ly]
+    return _ser(lo, out, prec)
+
+
+def _ser_scale(kern, s, c):
+    val, cs, prec = s
+    return _ser(val, [kern.mul(c, a) for a in cs], prec)
+
+
+def _ser_inv(kern, s):
+    val, cs, prec = s
+    if not cs:
+        raise DivisionByZero("inverse of zero series")
+    n = prec - val  # relative precision carries over
+    exp, log = kern.exp, kern.log
+    linv0 = kern.n1 - log[cs[0]]
+    logs = [(j, log[c]) for j, c in enumerate(cs) if j and c]
+    out = [exp[linv0]] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = 0
+        for j, lc in logs:
+            if j > k:
+                break
+            if out[k - j]:
+                acc ^= exp[lc + log[out[k - j]]]
+        if acc:
+            out[k] = exp[linv0 + log[acc]]
+    return _ser(-val, out, n - val)
+
+
+def _ser_truncate(s, prec):
+    val, cs, p = s
+    if prec >= p:
+        return s
+    return _ser(val, cs[:max(0, prec - val)], prec)
+
+
+def _ser_horner(kern, cs, s):
+    """Value of the index polynomial cs at the series s (exact inputs carry
+    the precision series.EXACT, as in series.poly_at_series)."""
+    acc = (EXACT, [], EXACT)
+    for c in reversed(cs):
+        acc = _ser_add(_ser_mul(kern, acc, s), _ser(0, [c], EXACT))
+    return acc
+
+
 def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
                         prec=60):
     """Points of the tower above one place of the middle curve, via local
-    expansion and Artin-Schreier reduction.  f1 = (c1, c0, cm1) and
-    stage2 = (A, B, D) are already mapped into the counting field."""
+    expansion and Artin-Schreier reduction.  f1 = (c1, c0, cm1), stage2 =
+    (A, B, D), x0 and ybranch are indices of the counting field's kernel."""
     c1, c0, cm1 = f1
-    A, Bp, D = stage2
-    big = D.base
-    one = big.one
+    A, B, D = stage2
+    t = _ser(1, [1], prec)
 
     if kind == "finite":
         # unramified place at x = x0 with chosen branch value for y
-        xs = Series(big, 0, [x0, one], prec)
-        f1s = _f1_series(big, c1, c0, cm1, xs, prec)
-        ys = _as_branch_series(big, f1s, ybranch, prec)
+        xs = _ser(0, [x0, 1], prec)
+        f1s = _ser_add(_ser(0, [c0], prec), _ser_scale(kern, xs, c1))
+        if cm1:
+            f1s = _ser_add(f1s, _ser_scale(kern, _ser_inv(kern, xs), cm1))
+        ys = _as_branch_series(kern, f1s, ybranch, prec)
     elif kind == "ord_inf":
         # x = 1/t; f1 = c0 + cm1 t (c1 = 0 here)
-        xs = Series(big, -1, [one], prec)
-        f1s = Series(big, 0, [c0, cm1], prec)
-        ys = _as_branch_series(big, f1s, ybranch, prec)
+        xs = _ser(-1, [1], prec)
+        ys = _as_branch_series(kern, _ser(0, [c0, cm1], prec), ybranch, prec)
     elif kind == "ram_zero":
-        xs = _ramified_x_series(big, cm1, c0, c1, prec)
-        ys = Series.t(big, prec) * xs.inv()
+        xs = _ser(0, _ramified_x_coeffs(kern, cm1, c0, c1, prec), prec + 1)
+        ys = _ser_mul(kern, t, _ser_inv(kern, xs))
     else:  # ram_inf
-        Xs = _ramified_x_series(big, c1, c0, cm1, prec)
-        xs = Xs.inv()
-        ys = Series.t(big, prec) * Xs.inv()
+        X = _ser(0, _ramified_x_coeffs(kern, c1, c0, cm1, prec), prec + 1)
+        xs = _ser_inv(kern, X)
+        ys = _ser_mul(kern, t, xs)
 
     # cap the precision of the (exact) polynomial evaluations before dividing
-    As = poly_at_series(A, xs).truncate(prec)
-    Bs = (poly_at_series(Bp, xs) * ys).truncate(prec)
-    Ds = poly_at_series(D, xs).truncate(prec)
-    f2 = (As + Bs) / Ds
-    return _as_reduce_count(kern, f2)
+    As = _ser_truncate(_ser_horner(kern, A, xs), prec)
+    Bs = _ser_truncate(_ser_mul(kern, _ser_horner(kern, B, xs), ys), prec)
+    Ds = _ser_truncate(_ser_horner(kern, D, xs), prec)
+    return _as_reduce_count(kern, _ser_mul(kern, _ser_add(As, Bs),
+                                           _ser_inv(kern, Ds)))
 
 
-def _f1_series(big, c1, c0, cm1, xs, prec):
-    s = Series.constant(big, c0, prec) + xs.scale(c1)
-    if not cm1.is_zero():
-        s = s + xs.inv().scale(cm1)
-    return s
-
-
-def _as_branch_series(big, F, y0, prec):
+def _as_branch_series(kern, F, y0, prec):
     """Power series y(t) with y^2 + y = F(t), y(0) = y0 (char 2: the
     coefficient recurrence a_k = F_k + a_{k/2}^2 is explicit)."""
-    n = min(prec, F.prec)
+    n = min(prec, F[2])
     a = [y0]
     for k in range(1, n):
-        c = F.coefficient(k) if k < F.prec else big.zero
+        c = _ser_coeff(F, k)
         if k % 2 == 0:
-            c = c + a[k // 2] * a[k // 2]
+            c ^= kern.mul(a[k // 2], a[k // 2])
         a.append(c)
-    return Series(big, 0, a, n)
+    return _ser(0, a, n)
 
 
-def _ramified_x_series(big, clead, cmid, cfar, prec):
+def _ramified_x_coeffs(kern, clead, cmid, cfar, prec):
     """Solve x(cl + t + cm x + cf x^2) = t^2 for x as a series in t
-    (the smooth-model parameter at a ramified Artin-Schreier pole).
+    (the smooth-model parameter at a ramified Artin-Schreier pole); the
+    indices of its coefficients of t^0 .. t^prec, all exact.
 
     The coefficient of t^n gives the recurrence
         x_n = (delta_{n,2} - x_{n-1} - cm (x^2)_n - cf (x^3)_n) / cl,
     explicit because x_0 = 0, so (x^2)_n and (x^3)_n only involve x_k with
     k < n; they are kept as running sums.  Needs cl != 0 (char 2)."""
-    kern = _kernel(big)
     mul = kern.mul
-    inv_l = kern.inv(big.index(clead))
-    cm, cf = big.index(cmid), big.index(cfar)
+    inv_l = kern.inv(clead)
     x = [0] * (prec + 1)     # coefficients of t^0 .. t^prec
     x2 = [0] * (prec + 1)    # coefficients of x^2
     for n in range(1, prec + 1):
@@ -614,25 +708,29 @@ def _ramified_x_series(big, clead, cmid, cfar, prec):
             s2 ^= mul(x[k], x[n - k])
             s3 ^= mul(x[k], x2[n - k])
         x2[n] = s2
-        rhs = (1 if n == 2 else 0) ^ x[n - 1] ^ mul(cm, s2) ^ mul(cf, s3)
+        rhs = (1 if n == 2 else 0) ^ x[n - 1] ^ mul(cmid, s2) ^ mul(cfar, s3)
         x[n] = mul(rhs, inv_l)
-    # every coefficient through t^prec is exact
+    return x
+
+
+def _ramified_x_series(big, clead, cmid, cfar, prec):
+    """_ramified_x_coeffs over the field big, as a Series of elements."""
+    x = _ramified_x_coeffs(_kernel(big), big.index(clead), big.index(cmid),
+                           big.index(cfar), prec)
     return Series(big, 0, [big.from_index(c) for c in x], prec + 1)
 
 
 def _as_reduce_count(kern, f2):
     """Points above a place from the local expansion of the second-stage
-    right-hand side: repeatedly absorb even-order poles via s^2 + s."""
-    big = f2.field
+    right-hand side: repeatedly absorb even-order poles via s^2 + s.  The
+    square root of an index a is exp[log a * q/2 mod (q - 1)]."""
+    half = kern.q // 2
     while True:
-        if f2.is_zero():
-            return 2
-        m = -f2.valuation()
-        if m <= 0:
-            return 0 if kern.trace(big.index(f2.coefficient(0))) else 2
-        if m % 2 == 1:
+        val, cs, prec = f2
+        if not cs or val >= 0:  # no known pole: t^0 is read, prec checked
+            return 0 if kern.trace(_ser_coeff(f2, 0)) else 2
+        if val % 2:
             return 1
-        s = f2.coefficient(-m).sqrt()
-        u = Series(big, -m // 2, [s], f2.prec)
-        f2 = f2 + u * u + u  # char 2: subtraction is addition
-
+        s = kern.exp[kern.log[cs[0]] * half % kern.n1]
+        u = _ser(val // 2, [s], prec)
+        f2 = _ser_add(_ser_add(f2, _ser_mul(kern, u, u)), u)

@@ -16,7 +16,7 @@ from .errors import (
     ZeroFunction,
 )
 from .curves import _extension, _index_poly
-from .field import Poly, _prime_factors, embed
+from .field import Poly, _prime_factors
 from .series import Series, poly_at_series
 
 INF = None
@@ -36,7 +36,6 @@ class EllipticCurve:
         if not self.cubic.is_separable():
             raise UnsupportedShape("singular model: the cubic has a repeated root")
         self._points = None
-        self._bc_cache = {}
 
     def __eq__(self, other):
         return (isinstance(other, EllipticCurve) and self.base == other.base
@@ -169,14 +168,6 @@ class EllipticCurve:
                 pick = affine[0] if affine else members[0]
             out.append(pick)
         return out
-
-    def base_change(self, i):
-        cached = self._bc_cache.get(i)
-        if cached is None:
-            big, phi = embed(self.base, i)
-            Ei = EllipticCurve(big, phi(self.a2), phi(self.a4), phi(self.a6))
-            cached = self._bc_cache[i] = (Ei, phi)
-        return cached
 
 
 def hasse_interval(q):

@@ -478,7 +478,9 @@ def search_quartic_char2(F, mode="first_find", budget=None):
         beta, gamma = (F.from_index(i) for i in idx)
         run.visit()
         C = _char2_family_quartic(F, beta, gamma)
-        if not C.is_smooth() or C.count(1) != 0:
+        # the point count kills nearly every candidate and costs far less
+        # than the resultants of the smoothness test, so it goes first
+        if C.count(1) != 0 or not C.is_smooth():
             continue
         if run.keep({"beta": F.index(beta), "gamma": F.index(gamma)},
                     {"q": F.q, "counts": [C.count(i) for i in (1, 2)]}):

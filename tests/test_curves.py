@@ -12,11 +12,24 @@ from pointless.curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _extension,
     _ramified_x_series,
+    _tower_place_points,
 )
-from pointless.errors import EvenCharacteristic, UnsupportedShape
-from pointless.field import FiniteField, Poly, RationalFunction, _kernel, embed
-from pointless.series import Series
+from pointless.errors import (
+    DivisionByZero,
+    EvenCharacteristic,
+    UnsupportedShape,
+)
+from pointless.field import (
+    FiniteField,
+    Poly,
+    RationalFunction,
+    _kernel,
+    embed,
+    map_poly,
+)
+from pointless.series import Series, poly_at_series
 from pointless.zeta import serre_bound_holds
 
 F2 = FiniteField(2)
@@ -293,6 +306,31 @@ class TestASTower:
             ASTower(F2, RationalFunction(P(F2, [1]), P(F2, [1, 1])),
                     P(F2, [1]), P(F2, [1]), P(F2, [1]))
 
+    def test_shipped_tower_counts_pinned(self):
+        assert [first_tower().count(i) for i in (1, 2, 3)] == [0, 924, 32043]
+        assert [second_tower().count(i) for i in (1, 2, 3)] == [0, 984, 33129]
+
+    def test_place_expansion_too_short_raises(self):
+        T = first_tower()
+        kern = _kernel(F32)
+        f1 = tuple(F32.index(c) for c in (T.c1, T.c0, T.cm1))
+        stage2 = tuple([F32.index(c) for c in g.coeffs]
+                       for g in (T.A, T.B, T.D))
+        assert _tower_place_points(kern, f1, stage2, "ram_inf") == 0
+        # four terms leave the t^0 coefficient unknown after the reduction
+        with pytest.raises(ValueError, match="beyond precision"):
+            _tower_place_points(kern, f1, stage2, "ram_inf", prec=4)
+        # no precision below 60 gives a count other than the one at 60
+        for kind in ("ram_zero", "ram_inf"):
+            want = _tower_place_points(kern, f1, stage2, kind)
+            for prec in range(1, 60):
+                try:
+                    got = _tower_place_points(kern, f1, stage2, kind,
+                                              prec=prec)
+                except (ValueError, DivisionByZero):
+                    continue
+                assert got == want, (kind, prec)
+
 
 class TestTwistDuality:
     @given(st.integers(0, 10 ** 6))
@@ -486,6 +524,152 @@ class TestCountAgainstNaive:
             C = _random_quartic(F, rng)
             for i in range(1, depth + 1):
                 assert C.count(i) == naive_quartic(C, i)
+
+
+# ---------------------------------------------------------------------------
+# ASTower.count against the Series-based place expansions (FieldElement
+# coefficients) that the index-level ones replaced
+# ---------------------------------------------------------------------------
+
+def _reference_tower_count(T, i, kinds):
+    """ASTower.count with each special place expanded as a Series over
+    F_{q^i} at precision 60; the kind of each place is added to kinds."""
+    big, phi, kern, orbits = _extension(T.base, i)
+    f1 = (phi(T.c1), phi(T.c0), phi(T.cm1))
+    stage2 = tuple(map_poly(g, big, phi) for g in (T.A, T.B, T.D))
+    c1, c0, cm1 = (big.index(c) for c in f1)
+    A, B, D = ([big.index(c) for c in g.coeffs] for g in stage2)
+
+    def place(kind, x0=None, ybranch=None):
+        kinds.add(kind)
+        return _reference_place_points(kern, f1, stage2, kind, x0, ybranch)
+
+    total = 0
+    for x, w in orbits:
+        if not x:
+            if cm1:
+                continue
+            v1 = c0
+        else:
+            v1 = kern.mul(c1, x) ^ c0 ^ kern.mul(cm1, kern.inv(x))
+        y0 = kern.as_root(v1)
+        if y0 is None:
+            continue
+        d = kern.horner(D, x)
+        if not d:
+            total += w * sum(place("finite", big.from_index(x),
+                                   big.from_index(y)) for y in (y0, y0 ^ 1))
+            continue
+        a, b, dinv = kern.horner(A, x), kern.horner(B, x), kern.inv(d)
+        for y in (y0, y0 ^ 1):
+            if not kern.trace(kern.mul(a ^ kern.mul(b, y), dinv)):
+                total += 2 * w
+    if cm1:
+        total += place("ram_zero")
+    if c1:
+        total += place("ram_inf")
+    else:
+        y0 = kern.as_root(c0)
+        if y0 is not None:
+            for y in (y0, y0 ^ 1):
+                total += place("ord_inf", ybranch=big.from_index(y))
+    return total
+
+
+def _reference_place_points(kern, f1, stage2, kind, x0, ybranch, prec=60):
+    c1, c0, cm1 = f1
+    A, Bp, D = stage2
+    big = D.base
+    one = big.one
+    if kind == "finite":
+        xs = Series(big, 0, [x0, one], prec)
+        f1s = Series.constant(big, c0, prec) + xs.scale(c1)
+        if not cm1.is_zero():
+            f1s = f1s + xs.inv().scale(cm1)
+        ys = _reference_branch_series(big, f1s, ybranch, prec)
+    elif kind == "ord_inf":
+        xs = Series(big, -1, [one], prec)
+        f1s = Series(big, 0, [c0, cm1], prec)
+        ys = _reference_branch_series(big, f1s, ybranch, prec)
+    elif kind == "ram_zero":
+        xs = _ramified_x_series(big, cm1, c0, c1, prec)
+        ys = Series.t(big, prec) * xs.inv()
+    else:
+        Xs = _ramified_x_series(big, c1, c0, cm1, prec)
+        xs = Xs.inv()
+        ys = Series.t(big, prec) * Xs.inv()
+    As = poly_at_series(A, xs).truncate(prec)
+    Bs = (poly_at_series(Bp, xs) * ys).truncate(prec)
+    Ds = poly_at_series(D, xs).truncate(prec)
+    f2 = (As + Bs) / Ds
+    while True:
+        if f2.is_zero():
+            return 2
+        m = -f2.valuation()
+        if m <= 0:
+            return 0 if kern.trace(big.index(f2.coefficient(0))) else 2
+        if m % 2 == 1:
+            return 1
+        s = f2.coefficient(-m).sqrt()
+        u = Series(big, -m // 2, [s], f2.prec)
+        f2 = f2 + u * u + u
+
+
+def _reference_branch_series(big, F, y0, prec):
+    n = min(prec, F.prec)
+    a = [y0]
+    for k in range(1, n):
+        c = F.coefficient(k) if k < F.prec else big.zero
+        if k % 2 == 0:
+            c = c + a[k // 2] * a[k // 2]
+        a.append(c)
+    return Series(big, 0, a, n)
+
+
+def _random_tower(F, rng, c1_zero, cm1_zero):
+    """A tower with the chosen first-stage poles whose D has a nonzero
+    rational root: over F_{q^2} every rational x0 splits y^2 + y = f1(x0),
+    so the place kind "finite" is reached there."""
+    while True:
+        c1, c0, cm1 = (F.from_index(rng.randrange(1, F.q)) for _ in range(3))
+        if rng.randrange(2):
+            c0 = F.zero
+        c1 = F.zero if c1_zero else c1
+        cm1 = F.zero if cm1_zero else cm1
+        f1 = (RationalFunction(Poly(F, [cm1, c0, c1]), Poly.x(F))
+              if not cm1.is_zero() else Poly(F, [c0, c1]))
+        root = Poly(F, [F.from_index(rng.randrange(1, F.q)), F.one])
+        D = root * _random_poly(F, rng, rng.randrange(0, 3))
+        A = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(5)])
+        B = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(4)])
+        try:
+            return ASTower(F, f1, A, B, D)
+        except UnsupportedShape:
+            continue
+
+
+class TestTowerPlacesAgainstSeries:
+    """count(i), i = 1..3, against in-test Series-based place expansions."""
+
+    def test_shipped_f32_towers(self):
+        kinds = set()
+        for T in (first_tower(), second_tower()):
+            for i in (1, 2, 3):
+                assert T.count(i) == _reference_tower_count(T, i, kinds)
+        assert kinds == {"finite", "ram_zero", "ram_inf"}
+
+    @pytest.mark.parametrize("F", [F2, F4, F8], ids=lambda F: f"F{F.q}")
+    def test_random_towers(self, F):
+        rng = random.Random(500 + F.q)
+        kinds = set()
+        # poles at 0 and infinity; at 0 only; at infinity only
+        for c1_zero, cm1_zero in [(False, False), (True, False),
+                                  (False, True)] * 2:
+            T = _random_tower(F, rng, c1_zero, cm1_zero)
+            for i in (1, 2, 3):
+                assert T.count(i) == _reference_tower_count(T, i, kinds), \
+                    (T.f1, T.A, T.B, T.D, i)
+        assert kinds == {"finite", "ord_inf", "ram_zero", "ram_inf"}
 
 
 class TestFrobeniusOrbits:
