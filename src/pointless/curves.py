@@ -34,38 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .field import Poly, QuotientField, RationalFunction, _kernel, embed
-from .series import EXACT, Series
-
-_SQUARE_SETS = {}
-
-
-def square_set(field):
-    """Coefficient tuples of the nonzero squares of an odd-order field."""
-    if field not in _SQUARE_SETS:
-        out = set()
-        for v in field.elements():
-            if not v.is_zero():
-                out.add((v * v).coeffs)
-        _SQUARE_SETS[field] = frozenset(out)
-    return _SQUARE_SETS[field]
-
-
-def _bits(v):
-    out = 0
-    for i, c in enumerate(v.coeffs):
-        out |= c << i
-    return out
-
-
-def trace_mask(field):
-    """Bitmask m with trace_to_F2(v) = parity(bits(v) & m); char 2 only."""
-    if field.p != 2:
-        raise OddCharacteristic("absolute 2-trace needs characteristic 2")
-    return _kernel(field).trace_mask
-
-
-def fast_trace(v, mask):
-    return bin(_bits(v) & mask).count("1") & 1
+from .series import EXACT
 
 
 def _extension(base, i):
@@ -711,13 +680,6 @@ def _ramified_x_coeffs(kern, clead, cmid, cfar, prec):
         rhs = (1 if n == 2 else 0) ^ x[n - 1] ^ mul(cmid, s2) ^ mul(cfar, s3)
         x[n] = mul(rhs, inv_l)
     return x
-
-
-def _ramified_x_series(big, clead, cmid, cfar, prec):
-    """_ramified_x_coeffs over the field big, as a Series of elements."""
-    x = _ramified_x_coeffs(_kernel(big), big.index(clead), big.index(cmid),
-                           big.index(cfar), prec)
-    return Series(big, 0, [big.from_index(c) for c in x], prec + 1)
 
 
 def _as_reduce_count(kern, f2):

@@ -1303,10 +1303,6 @@ def embed(field, m):
     return big, phi
 
 
-def map_poly(f, target, phi):
-    return Poly(target, [phi(c) for c in f.coeffs])
-
-
 # ---------------------------------------------------------------------------
 # relative quotient fields (internal: back-substitution, divisor support)
 # ---------------------------------------------------------------------------
@@ -1331,10 +1327,6 @@ class QuotientField:
 
     def from_base(self, c):
         return QElement(self, Poly.constant(self.base, c))
-
-    def lift_poly(self, f):
-        """Map a Poly over the base field to a Poly over this field."""
-        return [self.from_base(c) for c in f.coeffs]
 
     def sample_elements(self):
         # deterministic enumeration of all elements (base-q digit counter);

@@ -20,6 +20,12 @@ checkpoint of that shared state under the engine's cursor key, and the
 one SearchReport.  Fingerprints make census results reproducible and
 chunking-invariant.
 
+Every filter reads the square class and the absolute trace of a value
+from the field's index kernel (field._kernel) only: sqrt_count (the parity
+of a discrete log) and, in characteristic 2, trace (the parity of
+idx & trace_mask).  Filters enumerate and evaluate on indices; field
+elements are built only for the candidates a filter passes.
+
 Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
 zero and the nonsquares)?  _linear_join answers it on the field's index
@@ -46,13 +52,9 @@ from .curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
-    fast_trace,
-    square_set,
-    trace_mask,
 )
 from .elliptic import (
     INF,
-    _local_xy_series,
     cover_count,
     divisor_shape,
     fn_ab,
@@ -69,7 +71,6 @@ from .errors import (
     UnsupportedShape,
 )
 from .field import Poly, RationalFunction, _kernel
-from .series import poly_at_series
 from .zeta import zeta_report
 
 
@@ -378,37 +379,31 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
 # diagonal quartics and the char-2 quartic family
 # ---------------------------------------------------------------------------
 
-def _diagonal_has_point(F, b, c, d, e, f, sq):
+def _diagonal_has_point(kern, b, c, d, e, f):
     """Conic fast path: x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2
     has a rational point iff the conic X^2 + bY^2 + cZ^2 + dXY + eXZ + fYZ
-    has a point with X, Y, Z all squares (X = x^2 etc.)."""
-    two = F.element(2)
-    squares = [v for v in F.elements() if v.is_zero() or v.coeffs in sq]
+    has a point with X, Y, Z all squares (X = x^2 etc.).  The coefficients
+    are kernel indices, b != 0; sqrt_count is 0 exactly off the squares
+    and zero, and a nonzero square's root is exp[log / 2]."""
+    add, mul, neg, is_sq = kern.add, kern.mul, kern.neg, kern.sqrt_count
+    squares = [X for X in range(kern.q) if is_sq(X)]
     # z = 0: X^2 + dX + b = 0 with X = (x/y)^2 a square
     for X in squares:
-        if (X * X + d * X + b).is_zero():
+        if not add(mul(X, add(X, d)), b):
             return True
-    # z = 1: b Y^2 + (dX + f) Y + (X^2 + eX + c) = 0 for square X, square root Y
+    # z = 1: b Y^2 + (dX + f) Y + (X^2 + eX + c) = 0 for square X, square Y
+    two_b = add(b, b)
+    inv_2b, four_b = kern.inv(two_b), add(two_b, two_b)
     for X in squares:
-        A2, A1, A0 = b, d * X + f, X * X + e * X + c
-        if A2.is_zero():
-            if A1.is_zero():
-                if A0.is_zero():
-                    return True
-                continue
-            Y = -A0 / A1
-            if Y.is_zero() or Y.coeffs in sq:
+        A1, A0 = add(mul(d, X), f), add(mul(X, add(X, e)), c)
+        disc = kern.sub(mul(A1, A1), mul(four_b, A0))
+        if not disc:
+            if is_sq(mul(neg(A1), inv_2b)):
                 return True
-            continue
-        disc = A1 * A1 - F.element(4) * A2 * A0
-        if disc.is_zero():
-            Y = -A1 / (two * A2)
-            if Y.is_zero() or Y.coeffs in sq:
-                return True
-        elif disc.coeffs in sq:
-            r = disc.sqrt()
-            for Y in ((-A1 + r) / (two * A2), (-A1 - r) / (two * A2)):
-                if Y.is_zero() or Y.coeffs in sq:
+        elif is_sq(disc):
+            r = kern.exp[kern.log[disc] >> 1]
+            for root in (r, neg(r)):
+                if is_sq(mul(kern.sub(root, A1), inv_2b)):
                     return True
     return False
 
@@ -423,18 +418,17 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics need odd characteristic")
     run = _Search("diagonal_quartic", mode, budget)
-    sq = square_set(F)
+    kern = _kernel(F)
     # b = 0 gives the point (0:1:0), c = 0 the point (0:0:1)
-    nonzero = [v for v in F.elements() if not v.is_zero()]
-    for b, c, code in product(nonzero, nonzero, range(F.q ** 3)):
-        d, e, f = (F.from_index(i) for i in _digits(code, F.q, 3))
+    for b, c, code in product(range(1, F.q), range(1, F.q), range(F.q ** 3)):
+        coeffs = [b, c] + _digits(code, F.q, 3)
         run.visit()
-        if _diagonal_has_point(F, b, c, d, e, f, sq):
+        if _diagonal_has_point(kern, *coeffs):
             continue
-        C = _diagonal_quartic(F, b, c, d, e, f)
+        C = _diagonal_quartic(F, *(F.from_index(i) for i in coeffs))
         if not C.is_smooth():
             continue
-        entry = {"coeffs": [1] + [F.index(v) for v in (b, c, d, e, f)]}
+        entry = {"coeffs": [1] + coeffs}
         if C.count(1) != 0:
             raise _disagreement("diagonal_quartic", F.q, entry, C)
         counts = [C.count(i) for i in (1, 2, 3)]
@@ -499,43 +493,42 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
     run = _Search("fiberproduct", mode, budget)
-    nu = F.canonical_nonsquare
-    sq = square_set(F)
-    xs = list(F.elements())
+    nu_i = F.index(F.canonical_nonsquare)
     q = F.q
-    # bitmask per cubic: bit i set when the value at xs[i] is NOT a nonsquare
-    # (zero or nonzero square), i.e. the spot needs the partner to cover it
+    kern = _kernel(F)
+    horner, is_sq = kern.horner, kern.sqrt_count
+
+    # bitmask per cubic (an index list): bit x set when the value at the
+    # index x is NOT a nonsquare (zero or nonzero square), i.e. the spot
+    # needs the partner to cover it
     def value_mask(coeffs):
         mask = 0
-        for i, x in enumerate(xs):
-            v = F.zero
-            for c in reversed(coeffs):
-                v = v * x + c
-            if v.is_zero() or v.coeffs in sq:
-                mask |= 1 << i
+        for x in range(q):
+            if is_sq(horner(coeffs, x)):
+                mask |= 1 << x
         return mask
 
     g_masks = {}
     for code, idx in _odometer(q, 6):
         gcode = code % q ** 3         # f the high three digits, g the low
         if gcode == 0:                # a new f: its mask once, not per g
-            fco = [F.from_index(i) for i in idx[3:]] + [F.one]
+            fco = idx[3:] + [1]
             fmask = value_mask(fco)
         run.visit()
         gm = g_masks.get(gcode)
         if gm is None:
-            gco = [F.from_index(i) for i in idx[:3]] + [nu]
+            gco = idx[:3] + [nu_i]
             gm = g_masks[gcode] = (value_mask(gco), gco)
         gmask, gco = gm
         if fmask & gmask:
             continue
-        f = Poly(F, fco)
-        g = Poly(F, gco)
+        f = Poly(F, [F.from_index(i) for i in fco])
+        g = Poly(F, [F.from_index(i) for i in gco])
         try:
             C = FiberProductGenus4(F, f, g)
         except UnsupportedShape:
             continue
-        entry = {"f": _poly_ints(F, f), "g": _poly_ints(F, g)}
+        entry = {"f": list(fco), "g": list(gco)}
         if C.count(1) != 0:
             raise _disagreement("fiberproduct", q, entry, C)
         props = C.properties()
@@ -727,17 +720,24 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
 
 def _double_zero_kernel(E, basis, Q):
     """Basis of the space of functions in L(k*inf) vanishing to order >= 2
-    at Q: kernel of the two leading local-expansion coefficients."""
+    at Q: the kernel of two rows, the value of each monomial x^i y^j at Q
+    and its derivative in the local parameter t.  Off 2-torsion t = x - x0
+    and dy/dx = c'(x0) / (2 y0); at a 2-torsion point t = y and
+    x = x0 + O(t^2), so the rows are x0^i [j = 0] and x0^i [j = 1]."""
     F = E.base
-    xs, ys = _local_xy_series(E.cubic, Q, F, 6)
+    x0, y0 = Q
     mat = [[], []]
-    for (i, j) in basis:
-        # the monomial series x^i y^j, of which two coefficients are read
-        mono = poly_at_series(Poly(F, [F.zero] * i + [F.one]), xs)
-        if j:
-            mono = mono * ys
-        mat[0].append(mono.coefficient(0))
-        mat[1].append(mono.coefficient(1))
+    if y0.is_zero():
+        for (i, j) in basis:
+            mat[j].append(x0 ** i)
+            mat[1 - j].append(F.zero)
+    else:
+        dy = E.cubic.derivative().eval(x0) / (F.element(2) * y0)
+        for (i, j) in basis:
+            # d(x^i)/dt = i x0^(i-1), and d(x^i y)/dt adds x^i dy/dx
+            dxi = F.element(i) * x0 ** (i - 1) if i else F.zero
+            mat[0].append(x0 ** i * y0 if j else x0 ** i)
+            mat[1].append(dxi * y0 + x0 ** i * dy if j else dxi)
     # gaussian elimination on the 2 x k system
     k = len(basis)
     col_of_row = []
@@ -884,32 +884,31 @@ def _conductor_stream(F):
             yield "2+3", (p2, p3)
 
 
-def _trace_matrix_kernel(F, mlist, mask):
-    """F_2-kernel of g -> (Tr(g(x)/m(x)))_{x in F_q}, g of degree < deg m.
+def _trace_matrix_kernel(kern, m):
+    """F_2-kernel of g -> (Tr(g(x)/m(x)))_{x in F_q}, g of degree < deg m,
+    over the char-2 index kernel kern, m an index list without rational
+    roots.
 
-    Returns (kernel_basis, bit_to_coeff) where each kernel vector is a bit
-    int over deg(m)*n coefficient bits.
+    Each kernel vector is a bit int over deg(m)*n coefficient bits: bit
+    i*n + b is bit b of the index of g's coefficient i (index bits are
+    coefficient bits), so the basis element for bit b is the index 1 << b.
+    Bit x of a column is the trace at the index x.
     """
-    m = mlist
-    deg = m.degree
-    n = F.n
+    q, mul, trace = kern.q, kern.mul, kern.trace
+    deg = len(m) - 1
+    n = q.bit_length() - 1
     nbits = deg * n
-    q = F.q
-    xs = list(F.elements())
-    inv_at = []
-    for x in xs:
-        inv_at.append(m.eval(x).inv())
-    # column for coefficient bit (i, b): value Tr(e_b * x^i / m(x)) at each x
+    # x^i / m(x) at every x, from i = 0 up
+    w = [kern.inv(kern.horner(m, x)) for x in range(q)]
     cols = []
-    basis_elems = [F.from_index(F.p ** b) for b in range(n)]
     for i in range(deg):
+        if i:
+            w = [mul(v, x) for x, v in enumerate(w)]
         for b in range(n):
             col = 0
-            e = basis_elems[b]
-            for r, x in enumerate(xs):
-                v = e * (x ** i) * inv_at[r]
-                if fast_trace(v, mask):
-                    col |= 1 << r
+            for x, v in enumerate(w):
+                if trace(mul(1 << b, v)):
+                    col |= 1 << x
             cols.append(col)
     # gaussian elimination on columns to find the kernel
     # represent each column with a tracking combination bitmask
@@ -933,25 +932,6 @@ def _trace_matrix_kernel(F, mlist, mask):
     return kernel
 
 
-def _bits_to_poly(F, bits, deg):
-    n = F.n
-    coeffs = []
-    for i in range(deg):
-        idx = 0
-        for b in range(n):
-            if bits & (1 << (i * n + b)):
-                idx += F.p ** b
-        coeffs.append(F.from_index(idx))
-    return Poly(F, coeffs)
-
-
-def _first_trace_one(F, mask):
-    for v in F.elements():
-        if fast_trace(v, mask):
-            return v
-    raise ValueError("no trace-1 element")  # pragma: no cover
-
-
 def search_hyper_genus4_char2(F, mode="first_find", budget=None,
                               checkpoint=None):
     """Genus-4 hyperelliptic curves with no rational Weierstrass point:
@@ -966,8 +946,8 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 census")
     q = F.q
-    mask = trace_mask(F)
-    t_val = _first_trace_one(F, mask)
+    kern = _kernel(F)
+    t_val = F.from_index(next(v for v in range(q) if kern.trace(v)))
     run = _Search("hyper_genus4_char2", mode, budget, checkpoint, "next_m")
     next_m = run.start
 
@@ -982,10 +962,13 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
             for p in parts[1:]:
                 m = m * p
             run.visit()
-            for bits in sorted(kernel_span(_trace_matrix_kernel(F, m, mask))):
+            kernel = _trace_matrix_kernel(kern, _poly_ints(F, m))
+            for bits in sorted(kernel_span(kernel)):
                 if bits == 0:
                     continue
-                g = _bits_to_poly(F, bits, m.degree)
+                # coefficient i of g: bits i*n .. i*n + n - 1
+                g = Poly(F, [F.from_index(bits >> (i * F.n) & (q - 1))
+                             for i in range(m.degree)])
                 if any((g % p).is_zero() for p in parts):
                     continue  # a pole disappears: conductor changes
                 try:

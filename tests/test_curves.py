@@ -13,7 +13,7 @@ from pointless.curves import (
     HyperellipticOdd,
     PlaneQuartic,
     _extension,
-    _ramified_x_series,
+    _ramified_x_coeffs,
     _tower_place_points,
 )
 from pointless.errors import (
@@ -27,7 +27,6 @@ from pointless.field import (
     RationalFunction,
     _kernel,
     embed,
-    map_poly,
 )
 from pointless.series import Series, poly_at_series
 from pointless.zeta import serre_bound_holds
@@ -536,7 +535,8 @@ def _reference_tower_count(T, i, kinds):
     F_{q^i} at precision 60; the kind of each place is added to kinds."""
     big, phi, kern, orbits = _extension(T.base, i)
     f1 = (phi(T.c1), phi(T.c0), phi(T.cm1))
-    stage2 = tuple(map_poly(g, big, phi) for g in (T.A, T.B, T.D))
+    stage2 = tuple(Poly(big, [phi(c) for c in g.coeffs])
+                   for g in (T.A, T.B, T.D))
     c1, c0, cm1 = (big.index(c) for c in f1)
     A, B, D = ([big.index(c) for c in g.coeffs] for g in stage2)
 
@@ -613,6 +613,14 @@ def _reference_place_points(kern, f1, stage2, kind, x0, ybranch, prec=60):
         s = f2.coefficient(-m).sqrt()
         u = Series(big, -m // 2, [s], f2.prec)
         f2 = f2 + u * u + u
+
+
+def _ramified_x_series(big, clead, cmid, cfar, prec):
+    """curves._ramified_x_coeffs over the field big, as a Series of
+    elements."""
+    x = _ramified_x_coeffs(_kernel(big), big.index(clead), big.index(cmid),
+                           big.index(cfar), prec)
+    return Series(big, 0, [big.from_index(c) for c in x], prec + 1)
 
 
 def _reference_branch_series(big, F, y0, prec):

@@ -22,7 +22,6 @@ from pointless.field import (
     _kernel,
     canonical_extension,
     embed,
-    map_poly,
 )
 
 F5 = FiniteField(5)
@@ -288,13 +287,6 @@ class TestEmbed:
                 pairs += 1
                 m += 1
         assert pairs >= 12
-
-    def test_map_poly(self):
-        big, phi = embed(F9, 2)
-        f = Poly(F9, [F9.gen, F9.one])
-        g = map_poly(f, big, phi)
-        for v in list(F9.elements())[:4]:
-            assert g.eval(phi(v)) == phi(f.eval(v))
 
 
 class TestQuotientField:

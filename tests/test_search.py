@@ -5,11 +5,17 @@ import hashlib
 import json
 import os
 import random
+from itertools import product
 
 import pytest
 
 from pointless import search
-from pointless.curves import ArtinSchreierCurve, HyperellipticOdd, PlaneQuartic
+from pointless.curves import (
+    ArtinSchreierCurve,
+    FiberProductGenus4,
+    HyperellipticOdd,
+    PlaneQuartic,
+)
 from pointless.elliptic import (
     INF,
     EllipticCurve,
@@ -42,7 +48,6 @@ from pointless.search import (
     search_quartic_char2,
     _diagonal_has_point,
 )
-from pointless.curves import square_set
 from pointless.zeta import zeta_report
 
 F2 = FiniteField(2)
@@ -252,15 +257,16 @@ class TestDiagonalQuartic:
     def test_fast_path_agrees_with_plane_quartic(self):
         rng = random.Random(5)
         for F in (F5, F7):
-            sq = square_set(F)
-            nonzero = [v for v in F.elements() if not v.is_zero()]
+            kern = _kernel(F)
+            nonzero = range(1, F.q)
             for _ in range(25):
                 b, c = rng.choice(nonzero), rng.choice(nonzero)
-                d, e, f = (F.from_index(rng.randrange(F.q)) for _ in range(3))
-                C = PlaneQuartic(F, {(4, 0, 0): F.one, (0, 4, 0): b,
-                                     (0, 0, 4): c, (2, 2, 0): d,
-                                     (2, 0, 2): e, (0, 2, 2): f})
-                assert _diagonal_has_point(F, b, c, d, e, f, sq) == \
+                d, e, f = (rng.randrange(F.q) for _ in range(3))
+                v = [F.from_index(i) for i in (b, c, d, e, f)]
+                C = PlaneQuartic(F, {(4, 0, 0): F.one, (0, 4, 0): v[0],
+                                     (0, 0, 4): v[1], (2, 2, 0): v[2],
+                                     (2, 0, 2): v[3], (0, 2, 2): v[4]})
+                assert _diagonal_has_point(kern, b, c, d, e, f) == \
                     (C.count(1) > 0)
 
     def test_budget(self):
@@ -291,6 +297,31 @@ class TestFiberProduct:
         r = search_fiberproduct(F7, mode="first_find")
         assert len(r.survivors) >= 1
         assert all(z["counts"][0] == 0 for z in r.zeta)
+
+    @pytest.mark.parametrize("F, sample", [(F3, None), (F5, 2000)],
+                             ids=["F3", "F5"])
+    def test_survivors_are_the_pointless_models(self, F, sample):
+        # every (f, g) over F_3, a seeded sample over F_5: a pair survives
+        # the census exactly when FiberProductGenus4 builds it and it has
+        # no rational point
+        survivors = {(tuple(s["f"]), tuple(s["g"]))
+                     for s in search_fiberproduct(F, mode="census").survivors}
+        nu = F.index(F.canonical_nonsquare)
+        cubics = list(product(range(F.q), repeat=3))
+        pairs = [(f + (1,), g + (nu,)) for f in cubics for g in cubics]
+        if sample:
+            pairs = random.Random(11).sample(pairs, sample)
+        pointless = 0
+        for f, g in pairs:
+            try:
+                C = FiberProductGenus4(F, Poly(F, [F.from_index(i) for i in f]),
+                                       Poly(F, [F.from_index(i) for i in g]))
+                expected = C.count(1) == 0
+            except UnsupportedShape:
+                expected = False
+            assert ((f, g) in survivors) == expected, (f, g)
+            pointless += expected
+        assert pointless > 0
 
 
 class TestExhaustiveHyperGenus3:
@@ -652,6 +683,44 @@ class TestHyperGenus4Char2:
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
             search_hyper_genus4_char2(F3)
+
+
+def _first_conductors(F, per_shape):
+    """The parts of the first per_shape conductors of each shape in the
+    census order, or of every conductor when per_shape is None."""
+    out = {"5": [], "2+3": []}
+    for shape, parts in search._conductor_stream(F):
+        if per_shape is None or len(out[shape]) < per_shape:
+            out[shape].append(parts)
+        elif all(len(v) == per_shape for v in out.values()):
+            break
+    return out["5"] + out["2+3"]
+
+
+class TestTraceMatrixKernel:
+    @pytest.mark.parametrize("F, per_shape", [(F2, None), (F4, 10)],
+                             ids=["F2", "F4"])
+    def test_span_equals_brute_force(self, F, per_shape):
+        # the span of the kernel basis against every g of degree < deg m
+        # with Tr(g(x)/m(x)) = 0 at every x, in FieldElement arithmetic;
+        # bit i*n + b of g's bit vector is bit b of coefficient i's index
+        kern = _kernel(F)
+        conductors = _first_conductors(F, per_shape)
+        assert len(conductors) == (8 if per_shape is None else 20)
+        for parts in conductors:
+            m = parts[0]
+            for p in parts[1:]:
+                m = m * p
+            span = search.kernel_span(search._trace_matrix_kernel(
+                kern, [F.index(c) for c in m.coeffs]))
+            inv_m = [(x, m.eval(x).inv()) for x in F.elements()]
+            brute = set()
+            for bits in range(2 ** (m.degree * F.n)):
+                g = Poly(F, [F.from_index(bits >> (i * F.n) & (F.q - 1))
+                             for i in range(m.degree)])
+                if not any((g.eval(x) * w).trace_to_F2() for x, w in inv_m):
+                    brute.add(bits)
+            assert len(span) == len(set(span)) and set(span) == brute, m
 
 
 class TestDispatch:
