@@ -7,7 +7,7 @@ constants quoted against a specific generator relation stay bit-exact.
 
 import random
 from array import array
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 from .errors import (
     CompositeCharacteristic,
@@ -525,8 +525,9 @@ def _kernel(field):
 
 
 def _poly_kernel(base):
-    """The index kernel that Poly.gcd and Poly.is_separable run on over
-    base, or None for a QuotientField or a field past _KERNEL_MAX_ORDER."""
+    """The index kernel that Poly.gcd, is_separable, squarefree_part,
+    factor and is_irreducible run on over base, or None for a
+    QuotientField or a field past _KERNEL_MAX_ORDER."""
     if isinstance(base, FiniteField) and base.q <= _KERNEL_MAX_ORDER:
         return _kernel(base)
     return None
@@ -542,10 +543,12 @@ class _Kernel:
     a ^ b in characteristic 2 (index bits are coefficient bits), Zech
     logarithms on odd-characteristic extensions.  Index polynomials are
     lists of indices, constant term first; on them the kernel evaluates
-    (horner), reduces (_pmod), takes the monic gcd (gcd), tests
-    separability (is_separable) and counts roots (root_count), all on
-    the one Euclid in gcd.  Poly.gcd runs on it for every FiniteField
-    base of order at most _KERNEL_MAX_ORDER.
+    (horner), reduces and divides (_pmod, _pquo), raises to powers
+    modulo a polynomial (powmod), takes the monic gcd (gcd), tests separability
+    (is_separable), counts roots (root_count), and factors (squarefree,
+    factor, is_irreducible), all on the one Euclid in gcd.  Poly's gcd
+    and factorisation run on it for every FiniteField base of order at
+    most _KERNEL_MAX_ORDER.
     """
 
     def __init__(self, field):
@@ -554,6 +557,7 @@ class _Kernel:
         self.q = field.q
         self.p = field.p
         self.n1 = field.q - 1
+        self.log_minus_one = 0 if field.p == 2 else self.n1 // 2
         self.exp = array("i", exp + exp)
         self.log = array("i", log)
         self._orbits = {}
@@ -607,29 +611,78 @@ class _Kernel:
     # -- index polynomials ---------------------------------------------
 
     def _pmod(self, a, m):
-        """a mod m for index polynomials, m trimmed and nonzero."""
+        """a mod m for index polynomials, m trimmed and nonzero.  Products
+        are taken on logs: a row with leading term c adds -(c / lc(m)) m,
+        whose log is log c - log lc(m) + log(-1)."""
+        add, exp, log, n1 = self.add, self.exp, self.log, self.n1
         a = list(a)
         dm = len(m) - 1
-        inv_lc = self.inv(m[-1])
-        for i in range(len(a) - 1, dm - 1, -1):
-            c = a[i]
+        shift = n1 - log[m[-1]] + self.log_minus_one
+        for k in range(len(a) - dm - 1, -1, -1):
+            c = a[k + dm]
             if c:
-                c = self.neg(self.mul(c, inv_lc))
+                lr = (log[c] + shift) % n1
                 for j in range(dm):
-                    if m[j]:
-                        a[i - dm + j] = self.add(a[i - dm + j], self.mul(c, m[j]))
+                    v = m[j]
+                    if v:
+                        a[k + j] = add(a[k + j], exp[lr + log[v]])
         return _itrim(a[:dm])
 
-    def _pmulmod(self, a, b, m):
+    def _pquo(self, a, m):
+        """a / m for index polynomials where m divides a: the quotient of
+        the long division in _pmod, which stays a loop of its own because
+        _pmod, under every gcd, is the hotter of the two."""
+        add, exp, log, n1 = self.add, self.exp, self.log, self.n1
+        a = list(a)
+        dm = len(m) - 1
+        linv = n1 - log[m[-1]]
+        quot = [0] * (len(a) - dm)
+        for k in range(len(a) - dm - 1, -1, -1):
+            c = a[k + dm]
+            if c:
+                lq = (log[c] + linv) % n1
+                quot[k] = exp[lq]
+                lr = (lq + self.log_minus_one) % n1
+                for j in range(dm):
+                    v = m[j]
+                    if v:
+                        a[k + j] = add(a[k + j], exp[lr + log[v]])
+        return quot
+
+    def _pmul(self, a, b):
         if not a or not b:
             return []
+        add, exp, log = self.add, self.exp, self.log
+        logb = [(j, log[y]) for j, y in enumerate(b) if y]
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = self.add(out[i + j], self.mul(x, y))
-        return self._pmod(out, m)
+                lx = log[x]
+                for j, ly in logb:
+                    out[i + j] = add(out[i + j], exp[lx + ly])
+        return out
+
+    def _psquare(self, a):
+        return self._pmul(a, a)
+
+    def powmod(self, a, e, m):
+        """a^e mod m for index polynomials, by left-to-right
+        square-and-multiply."""
+        r = [1]
+        for bit in bin(e)[2:]:
+            r = self._pmod(self._psquare(r), m)
+            if bit == "1":
+                r = self._pmod(self._pmul(r, a), m)
+        return r
+
+    def _minus_x(self, h):
+        h = h + [0] * (2 - len(h))
+        h[1] = self.sub(h[1], 1)
+        return _itrim(h)
+
+    def _monic(self, cs):
+        c = self.inv(cs[-1])
+        return [self.mul(v, c) for v in cs]
 
     def root_count(self, cs):
         """Number of distinct roots in the field of the index polynomial
@@ -639,15 +692,8 @@ class _Kernel:
             return self.q
         if len(m) <= 2:
             return len(m) - 1
-        # y^q mod m by square-and-multiply
-        r = [1]
-        for bit in bin(self.q)[2:]:
-            r = self._pmulmod(r, r, m)
-            if bit == "1":
-                r = self._pmod([0] + r, m)
-        r = r + [0] * (2 - len(r))
-        r[1] = self.sub(r[1], 1)
-        return len(self.gcd(m, r)) - 1
+        yq = self.powmod([0, 1], self.q, m)
+        return len(self.gcd(m, self._minus_x(yq))) - 1
 
     def gcd(self, a, b):
         """Monic gcd of the index polynomials a and b; [] when both are
@@ -655,19 +701,131 @@ class _Kernel:
         a, b = _itrim(a), _itrim(b)
         while b:
             a, b = b, self._pmod(a, b)
-        if a:
-            c = self.inv(a[-1])
-            a = [self.mul(x, c) for x in a]
-        return a
+        return self._monic(a) if a else a
+
+    def _derivative(self, cs):
+        """cs': its coefficient i - 1 is c_i times i mod p, and the index
+        of an integer k < p is k on every kernel."""
+        p, mul = self.p, self.mul
+        return _itrim([mul(c, i % p) for i, c in enumerate(cs) if i])
 
     def is_separable(self, cs):
         """Whether the index polynomial cs is coprime to its derivative
-        (False when the derivative is zero, constants included).  The
-        derivative's coefficient i - 1 is c_i times i mod p, and the
-        index of an integer k < p is k on every kernel."""
-        p, mul = self.p, self.mul
-        d = _itrim([mul(c, i % p) for i, c in enumerate(cs) if i])
+        (False when the derivative is zero, constants included)."""
+        d = self._derivative(cs)
         return bool(d) and len(self.gcd(cs, d)) == 1
+
+    # -- factorisation -------------------------------------------------
+
+    def _pth_root(self, cs):
+        """The g with g^p = cs, for cs with zero derivative: coefficient i
+        of g is the p-th root of c_(ip), which is c^(q/p), so its log is
+        log c * (q/p) mod (q - 1)."""
+        exp, log, n1, e = self.exp, self.log, self.n1, self.q // self.p
+        return [exp[log[c] * e % n1] if c else 0 for c in cs[::self.p]]
+
+    def squarefree(self, f):
+        """[(g, m)] for monic f of degree >= 1: the g monic, squarefree and
+        pairwise coprime, f = prod g^m.  Musser's algorithm: the loop
+        peels off the factors of multiplicity prime to p, and what is left
+        is a p-th power."""
+        p = self.p
+        d = self._derivative(f)
+        if not d:
+            return [(g, m * p) for g, m in self.squarefree(self._pth_root(f))]
+        out = []
+        a = self.gcd(f, d)
+        w = self._pquo(f, a)
+        i = 1
+        while len(w) > 1:
+            y = self.gcd(w, a)
+            z = self._pquo(w, y)
+            if len(z) > 1:
+                out.append((z, i))
+            w = y
+            a = self._pquo(a, y)
+            i += 1
+        if len(a) > 1:
+            out += [(g, m * p) for g, m in self.squarefree(self._pth_root(a))]
+        return out
+
+    def _distinct_degree(self, f):
+        """[(g, d)] for monic squarefree f: g is the product of f's
+        irreducible factors of degree d, from gcd(f, x^(q^d) - x)."""
+        out = []
+        h = [0, 1]
+        d = 0
+        while len(f) > 1:
+            d += 1
+            if 2 * d > len(f) - 1:
+                out.append((f, len(f) - 1))
+                break
+            h = self.powmod(h, self.q, f)
+            g = self.gcd(f, self._minus_x(h))
+            if len(g) > 1:
+                out.append((g, d))
+                f = self._pquo(f, g)
+                h = self._pmod(h, f)
+        return out
+
+    def _equal_degree(self, f, d):
+        """The monic irreducible factors of f, a monic product of distinct
+        irreducibles of degree d (Cantor-Zassenhaus).  A random r of
+        degree < deg f splits f by gcd(f, r^((q^d - 1)/2) - 1) for odd q,
+        and by gcd(f, r + r^2 + ... + r^(2^(nd - 1))) for q = 2^n, the
+        trace to F_2; the seed is the index tuple, so a rerun splits the
+        same way."""
+        n = len(f) - 1
+        if n == d:
+            return [f]
+        add = self.add
+        rng = random.Random(hash((tuple(f), d)))
+        while True:
+            r = _itrim([rng.randrange(self.q) for _ in range(n)])
+            if len(r) < 2:
+                continue
+            if self.p == 2:
+                acc = t = r
+                for _ in range((self.q.bit_length() - 1) * d - 1):
+                    t = self._pmod(self._psquare(t), f)
+                    acc = _itrim([add(u, v) for u, v in
+                                  zip_longest(acc, t, fillvalue=0)])
+            else:
+                acc = self.powmod(r, (self.q ** d - 1) // 2, f) or [0]
+                acc = _itrim([self.sub(acc[0], 1)] + acc[1:])
+            g = self.gcd(f, acc)
+            if 1 < len(g) < len(f):
+                return (self._equal_degree(g, d)
+                        + self._equal_degree(self._pquo(f, g), d))
+
+    def factor(self, cs):
+        """[(monic irreducible index list, multiplicity)] of the index
+        polynomial cs, sorted by (degree, indices); [] for a constant or
+        zero."""
+        f = _itrim(cs)
+        if len(f) < 2:
+            return []
+        out = [(piece, m)
+               for g, m in self.squarefree(self._monic(f))
+               for prod, d in self._distinct_degree(g)
+               for piece in self._equal_degree(prod, d)]
+        out.sort(key=lambda t: (len(t[0]), t[0]))
+        return out
+
+    def is_irreducible(self, cs):
+        """Whether the index polynomial cs (degree >= 1) is irreducible
+        (Ben-Or): a reducible f of degree n has an irreducible factor of
+        some degree i <= n/2, which divides x^(q^i) - x."""
+        f = _itrim(cs)
+        if len(f) < 2:
+            return False
+        f = self._monic(f)
+        h = [0, 1]
+        for _ in range((len(f) - 1) // 2):
+            h = self.powmod(h, self.q, f)
+            if len(self.gcd(f, self._minus_x(h))) > 1:
+                return False
+        return True
 
 
 def _itrim(cs):
@@ -734,6 +892,15 @@ class _Char2Kernel(_Kernel):
     def neg(self, a):
         return a
 
+    def _psquare(self, a):
+        """Squaring is additive: (sum c_i x^i)^2 = sum c_i^2 x^(2i)."""
+        exp, log = self.exp, self.log
+        out = [0] * (2 * len(a) - 1) if a else []
+        for i, c in enumerate(a):
+            if c:
+                out[2 * i] = exp[2 * log[c]]
+        return out
+
     def sqrt_count(self, a):
         return 1
 
@@ -791,7 +958,7 @@ class _ZechKernel(_Kernel):
     def neg(self, a):
         if not a:
             return 0
-        return self.exp[self.log[a] + self.n1 // 2]
+        return self.exp[self.log[a] + self.log_minus_one]
 
     def horner(self, cs, x):
         if not x:
@@ -1040,61 +1207,42 @@ class Poly:
         return result
 
     # -- factorization ---------------------------------------------------
+    #
+    # Over a FiniteField of order at most _KERNEL_MAX_ORDER these run on
+    # the field's index kernel (_Kernel.squarefree, factor and
+    # is_irreducible); the _element_* functions below serve larger fields.
 
     def squarefree_part(self):
-        if self.is_zero() or self.degree == 0:
+        """The product of the distinct monic irreducible factors (1 for a
+        nonzero constant, zero for zero)."""
+        if self.degree <= 0:
             return self.monic()
-        return Poly(self.base, [self.base.one]) * _sqfree_product(self)
-
-    def squarefree_decomposition(self):
-        """[(g, m)] with the g monic squarefree pairwise coprime, f = lc * prod g^m."""
-        return _squarefree_decomposition(self.monic())
-
-    def distinct_degree_factorization(self):
-        """On monic squarefree input: [(product of irreducibles of degree d, d)]."""
         F = self.base
-        f = self.monic()
-        out = []
-        x = Poly.x(F)
-        h = x
-        d = 0
-        while f.degree > 0:
-            d += 1
-            if 2 * d > f.degree:
-                out.append((f, f.degree))
-                break
-            h = h.pow_mod(F.q, f)
-            g = f.gcd(h - x)
-            if g.degree > 0:
-                out.append((g, d))
-                f = f // g
-                h = h % f
-        return out
+        kern = _poly_kernel(F)
+        if kern is None:
+            return _element_squarefree_part(self)
+        f = kern._monic([F.index(c) for c in self.coeffs])
+        acc = [1]
+        for g, _ in kern.squarefree(f):
+            acc = kern._pmul(acc, g)
+        return Poly(F, [F.from_index(i) for i in acc])
 
     def factor(self):
-        """[(irreducible monic, multiplicity)], deterministic order."""
-        out = []
-        for g, m in self.squarefree_decomposition():
-            for prod, d in g.distinct_degree_factorization():
-                for piece in _equal_degree_factor(prod, d):
-                    out.append((piece, m))
-        out.sort(key=lambda t: (t[0].degree, [self.base.index(c) for c in t[0].coeffs]))
-        return out
+        """[(irreducible monic, multiplicity)], sorted by degree, then by
+        the coefficient indices; [] for a constant or zero."""
+        F = self.base
+        kern = _poly_kernel(F)
+        if kern is None:
+            return _element_factor(self)
+        return [(Poly(F, [F.from_index(i) for i in g]), m)
+                for g, m in kern.factor([F.index(c) for c in self.coeffs])]
 
     def is_irreducible(self):
-        f = self.monic()
-        d = f.degree
-        if d <= 0:
-            return False
         F = self.base
-        x = Poly.x(F)
-        if (x.pow_mod(F.q ** d, f) - x) % f != Poly(F, []):
-            return False
-        for r in set(_prime_factors(d)):
-            g = f.gcd(x.pow_mod(F.q ** (d // r), f) - x)
-            if g.degree > 0:
-                return False
-        return True
+        kern = _poly_kernel(F)
+        if kern is None:
+            return _element_is_irreducible(self)
+        return kern.is_irreducible([F.index(c) for c in self.coeffs])
 
     def roots(self):
         """Roots in the base field, sorted by canonical element order."""
@@ -1103,12 +1251,8 @@ class Poly:
             raise DivisionByZero("zero polynomial vanishes everywhere")
         if F.q <= 1024:
             return [v for v in F.elements() if self.eval(v).is_zero()]
-        x = Poly.x(F)
-        lin = self.monic().gcd(x.pow_mod(F.q, self.monic()) - x)
-        roots = [(-piece[0]) for piece, _ in
-                 [(pc, 1) for pc in _equal_degree_factor(lin, 1)]]
-        roots.sort(key=F.index)
-        return roots
+        return sorted((-g[0] for g, _ in self.factor() if g.degree == 1),
+                      key=F.index)
 
     def __repr__(self):
         if self.is_zero():
@@ -1122,7 +1266,35 @@ class Poly:
         return "Poly(" + " + ".join(reversed(terms)) + ")"
 
 
-def _sqfree_product(f):
+def _element_factor(f):
+    """Poly.factor in FieldElement arithmetic."""
+    out = []
+    for g, m in _squarefree_decomposition(f.monic()):
+        for prod, d in _distinct_degree_factorization(g):
+            for piece in _equal_degree_factor(prod, d):
+                out.append((piece, m))
+    out.sort(key=lambda t: (t[0].degree, [f.base.index(c) for c in t[0].coeffs]))
+    return out
+
+
+def _element_is_irreducible(f):
+    """Poly.is_irreducible in FieldElement arithmetic (Rabin's test)."""
+    f = f.monic()
+    d = f.degree
+    if d <= 0:
+        return False
+    F = f.base
+    x = Poly.x(F)
+    if (x.pow_mod(F.q ** d, f) - x) % f != Poly(F, []):
+        return False
+    for r in set(_prime_factors(d)):
+        g = f.gcd(x.pow_mod(F.q ** (d // r), f) - x)
+        if g.degree > 0:
+            return False
+    return True
+
+
+def _element_squarefree_part(f):
     acc = Poly.constant(f.base, f.base.one)
     for g, _ in _squarefree_decomposition(f.monic()):
         acc = acc * g
@@ -1156,6 +1328,27 @@ def _squarefree_decomposition(f):
         for g, m in _squarefree_decomposition(a.pth_root()):
             out[g] = out.get(g, 0) + m * p
     return sorted(out.items(), key=lambda t: t[1])
+
+
+def _distinct_degree_factorization(f):
+    """On monic squarefree f: [(product of irreducibles of degree d, d)]."""
+    F = f.base
+    out = []
+    x = Poly.x(F)
+    h = x
+    d = 0
+    while f.degree > 0:
+        d += 1
+        if 2 * d > f.degree:
+            out.append((f, f.degree))
+            break
+        h = h.pow_mod(F.q, f)
+        g = f.gcd(h - x)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    return out
 
 
 def _equal_degree_factor(f, d):

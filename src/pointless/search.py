@@ -864,11 +864,13 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
 # ---------------------------------------------------------------------------
 
 def _monic_irreducibles(F, degree):
-    """Monic irreducibles of the given degree, lazily, in odometer order."""
+    """Monic irreducibles of the given degree, lazily, in odometer order;
+    each code is tested on its index list (the index of 1 is 1)."""
+    is_irreducible = _kernel(F).is_irreducible
     for code, idx in _odometer(F.q, degree):
-        f = Poly(F, [F.from_index(i) for i in idx] + [F.one])
-        if f.is_irreducible():
-            yield f
+        cs = idx + [1]
+        if is_irreducible(cs):
+            yield Poly(F, [F.from_index(i) for i in cs])
 
 
 def _conductor_stream(F):

@@ -19,7 +19,7 @@ from pointless.density import (
 )
 from pointless.elliptic import EllipticCurve
 from pointless.errors import NotTransitive, PointlessError
-from pointless.field import FiniteField, Poly, embed
+from pointless.field import FiniteField, Poly, _kernel, embed
 from pointless.harness import load_fixtures, verify
 from pointless.search import (
     first_find,
@@ -429,13 +429,37 @@ class TestCriterion8:
                f"all {len(serre_checks)} computed point counts")
 
 
+def klein4_exact_rate(F):
+    """(pointless, total) over every g of degree 4 with g(x^2) separable:
+    the family that montecarlo samples uniformly, as it rerolls every
+    other g.  The curve y^2 = g(x^2) is pointless exactly when lc(g) is a
+    nonsquare (a square gives two points at infinity) and g(x^2) is a
+    nonsquare at every x."""
+    kern = _kernel(F)
+    q = F.q
+    pointless = total = 0
+    f = [0] * 9
+    for code in range(q ** 5):
+        f[::2] = [code // q ** i % q for i in range(5)]
+        if not f[8] or not kern.is_separable(f):
+            continue
+        total += 1
+        if not kern.sqrt_count(f[8]) and not any(
+                kern.sqrt_count(kern.horner(f, x)) for x in range(q)):
+            pointless += 1
+    return pointless, total
+
+
 class TestCriterion9:
-    def test_montecarlo_soft(self, capsys):
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {q: montecarlo_pointless_rate("klein4_hyper_odd", field_for(q),
+                                             100000, seed=q)
+                for q in (5, 7, 9)}
+
+    def test_montecarlo_soft(self, capsys, runs):
         lines = []
-        for q in (5, 7, 9):
-            F = field_for(q)
-            r = montecarlo_pointless_rate("klein4_hyper_odd", F, 100000,
-                                          seed=q)
+        for q, r in runs.items():
             within = (r.heuristic / 4 <= r.rate <= r.heuristic * 4
                       and r.rate > 0)
             if not within:
@@ -446,3 +470,17 @@ class TestCriterion9:
                          f"{r.heuristic:.4f}{'' if within else ' (warned)'}"
                          f", family heuristic {r.family_heuristic:.4f}")
         report(capsys, "criterion 9 (soft)", True, "; ".join(lines))
+
+    def test_exact_family_rate_in_wilson_interval(self, capsys, runs):
+        """Hard check: the exact pointless rate of the sampled family, by
+        enumeration of every g, lies in each seeded run's Wilson interval."""
+        exact = {q: klein4_exact_rate(field_for(q)) for q in runs}
+        assert exact == {5: (54, 1664), 7: (162, 10800), 9: (300, 41984)}
+        lines = []
+        for q, r in runs.items():
+            hits, total = exact[q]
+            lo, hi = r.wilson95
+            assert lo <= hits / total <= hi, (q, hits / total, r.wilson95)
+            lines.append(f"q={q} exact {hits}/{total} = {hits / total:.4f} "
+                         f"in [{lo:.4f}, {hi:.4f}]")
+        report(capsys, "criterion 9 (exact)", True, "; ".join(lines))

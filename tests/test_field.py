@@ -15,11 +15,16 @@ from pointless.errors import (
     ReduciblePolynomial,
 )
 from pointless.field import (
+    _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
     QuotientField,
     RationalFunction,
+    _element_factor,
+    _element_is_irreducible,
+    _element_squarefree_part,
     _kernel,
+    _prime_factors,
     canonical_extension,
     embed,
 )
@@ -525,6 +530,134 @@ class TestKernelGcd:
         common = (lin(t) * lin(t + one)).monic()
         assert f.gcd(g) == common == _euclid_gcd(f, g)
         assert lin(t).gcd(lin(one)) == Poly(K, [one])
+
+
+_FACTOR_FIELDS = {"F2": FiniteField(2), "F3": FiniteField(3), "F4": F4,
+                  "F5": F5, "F7": F7, "F8": F8, "F9": F9, "F16": F16,
+                  "F25": F25, "F27": F27, "F32": F32}
+
+
+def _monic_irreducibles_ref(F, d, count):
+    """The first `count` monic irreducibles of degree d in odometer order,
+    by the element path."""
+    out = []
+    for code in range(F.q ** d):
+        digits = [code // F.q ** i % F.q for i in range(d)]
+        f = _from_idx(F, digits + [1])
+        if _element_is_irreducible(f):
+            out.append(f)
+            if len(out) == count:
+                break
+    return out
+
+
+def _mobius(n):
+    primes = _prime_factors(n)
+    return 0 if len(set(primes)) < len(primes) else (-1) ** len(primes)
+
+
+class TestKernelFactor:
+    """_Kernel.factor / is_irreducible / squarefree and the Poly methods
+    routed through them, against the FieldElement path called directly."""
+
+    def _check(self, F, f):
+        K = _kernel(F)
+        ref = _element_factor(f)
+        assert K.factor(_idx(F, f)) == [(_idx(F, g), m) for g, m in ref]
+        assert f.factor() == ref
+        irreducible = len(ref) == 1 and ref[0][1] == 1
+        assert K.is_irreducible(_idx(F, f)) == irreducible
+        assert f.is_irreducible() == irreducible
+        if f.degree <= 10:
+            # Rabin's test raises x to q^deg: too slow past this degree
+            assert _element_is_irreducible(f) == irreducible
+        if f.degree > 0:
+            assert f.squarefree_part() == _element_squarefree_part(f)
+        return ref
+
+    @pytest.mark.parametrize("F", _FACTOR_FIELDS.values(),
+                             ids=_FACTOR_FIELDS.keys())
+    def test_random(self, F):
+        rng = random.Random(3000 + F.q)
+        for _ in range(40):
+            deg = rng.randrange(10)
+            self._check(F, _from_idx(F, [rng.randrange(F.q) for _ in range(deg)]
+                                     + [rng.randrange(1, F.q)]))
+
+    @pytest.mark.parametrize("F", _FACTOR_FIELDS.values(),
+                             ids=_FACTOR_FIELDS.keys())
+    def test_forced_shapes(self, F):
+        rng = random.Random(4000 + F.q)
+        x = Poly.x(F)
+        lc = Poly(F, [F.from_index(F.q - 1)])
+        irr = {d: _monic_irreducibles_ref(F, d, 4) for d in (1, 2, 3)}
+        # several distinct irreducibles of one degree: the equal-degree
+        # split has to recurse
+        for d, pieces in irr.items():
+            prod = lc
+            for g in pieces:
+                prod = prod * g
+            assert dict(self._check(F, prod)) == {g: 1 for g in pieces}
+        # repeated factors
+        g1, g2, h = irr[1][-1], irr[2][0], irr[3][-1]
+        fac = self._check(F, lc * g1 ** 3 * g2 ** 2 * h)
+        assert sorted(m for _, m in fac) == [1, 2, 3]
+        self._check(F, g2 ** (F.p + 1) * g1)
+        # p-th powers g(x^p), whose coefficients need p-th roots
+        xp = x ** F.p
+        for _ in range(4):
+            g = _from_idx(F, [rng.randrange(F.q) for _ in range(3)] + [1])
+            self._check(F, lc * g.compose(xp))
+            self._check(F, g.compose(xp) * g * g)
+        self._check(F, (x + lc) ** (F.p * F.p) * h)
+
+    @pytest.mark.parametrize("F", [F5, F8, F9], ids=["F5", "F8", "F9"])
+    def test_edge_cases(self, F):
+        K = _kernel(F)
+        c = Poly(F, [F.from_index(2)])
+        for f in (Poly(F, []), c):
+            assert f.factor() == [] == K.factor(_idx(F, f))
+            assert not f.is_irreducible() and not K.is_irreducible(_idx(F, f))
+        lin = Poly(F, [F.one, F.from_index(2)])   # 2x + 1
+        assert self._check(F, lin) == [(lin.monic(), 1)]
+        assert lin.is_irreducible()
+        assert K.factor([0, 0, 1, 0, 0]) == [([0, 1], 2)]
+
+    @pytest.mark.parametrize("F", [FiniteField(2), FiniteField(3), F4, F5],
+                             ids=["F2", "F3", "F4", "F5"])
+    def test_irreducible_count_is_gauss(self, F):
+        """(1/d) sum_{e | d} mu(d/e) q^e monic irreducibles of degree d."""
+        K = _kernel(F)
+        for d in range(1, 5):
+            count = sum(K.is_irreducible([code // F.q ** i % F.q
+                                          for i in range(d)] + [1])
+                        for code in range(F.q ** d))
+            gauss = sum(_mobius(d // e) * F.q ** e
+                        for e in range(1, d + 1) if d % e == 0) // d
+            assert count == gauss
+
+    def test_roots_past_enumeration(self):
+        """Past q = 1024 Poly.roots reads the linear factors off factor;
+        x^2 + 1 has no root in F_(3^7), as 3^7 = 3 mod 4."""
+        F = canonical_extension(3, 7)
+        a, b = F.from_index(1000), F.from_index(5)
+        f = (Poly(F, [-a, F.one]) ** 2 * Poly(F, [-b, F.one])
+             * Poly.from_ints(F, [1, 0, 1]))
+        assert f.roots() == [b, a]
+
+    def test_past_kernel_order_reassembles(self):
+        F = canonical_extension(3, 11)
+        assert F.q > _KERNEL_MAX_ORDER
+        a = F.gen
+        f = Poly(F, [a, F.one, F.zero, a + F.one, F.one])
+        f = f * Poly(F, [a, F.one]) ** 2
+        fac = f.factor()
+        assert fac == _element_factor(f)
+        acc = Poly.constant(F, f.lc)
+        for piece, m in fac:
+            assert piece.is_irreducible()
+            acc = acc * piece ** m
+        assert acc == f and (Poly(F, [a, F.one]), 2) in fac
 
 
 @given(st.integers(0, 24), st.integers(0, 24))
