@@ -11,8 +11,10 @@ Counting conventions (degree-1 places of the smooth model):
     (including infinity) is ramified and contributes 1.
 
 Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
-elements are canonical indices, the coefficients are mapped to indices
-once per call, and polynomials are evaluated by Horner on ints.  The
+elements are canonical indices, each model turns its coefficients into
+base-field indices once, at construction, count(i) carries them into
+F_{q^i} through the embedding's index map (built once per field and
+degree), and polynomials are evaluated by Horner on ints.  The
 square class is the parity of a discrete log, the char-2 trace the parity
 of idx & trace_mask, and a plane quartic's points over x are the roots of
 F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y).  Each per-x
@@ -33,21 +35,29 @@ from .errors import (
     UnsupportedShape,
     ZeroPolynomial,
 )
-from .field import Poly, QuotientField, RationalFunction, _kernel, embed
+from .field import (
+    Poly,
+    QuotientField,
+    RationalFunction,
+    _embed_indices,
+    _kernel,
+    _poly_kernel,
+    embed,
+)
 from .series import EXACT
 
 
 def _extension(base, i):
-    """(F_{q^i}, embedding of the base field, index kernel of F_{q^i}, its
-    Frobenius orbits over F_q)."""
-    big, phi = embed(base, i)
+    """(F_{q^i}, the embedding of the base field as a map of indices, index
+    kernel of F_{q^i}, its Frobenius orbits over F_q)."""
+    big, _ = embed(base, i)
     kern = _kernel(big)
-    return big, phi, kern, kern.frobenius_orbits(base.q)
+    return big, _embed_indices(base, i), kern, kern.frobenius_orbits(base.q)
 
 
-def _index_poly(f, big, phi):
-    """Index coefficients of f mapped into big, constant term first."""
-    return [big.index(phi(c)) for c in f.coeffs]
+def _index_poly(f):
+    """Base-field indices of f's coefficients, constant term first."""
+    return [f.base.index(c) for c in f.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +74,18 @@ class HyperellipticOdd:
             raise ZeroPolynomial("f must be nonzero")
         if f.degree < 3:
             raise UnsupportedShape(f"deg f = {f.degree} < 3")
-        if not f.is_squarefree():
+        self._idx = _index_poly(f)
+        kern = _poly_kernel(base)
+        if not (f.is_squarefree() if kern is None
+                else kern.is_separable(self._idx)):
             raise UnsupportedShape("f must be squarefree")
         self.base = base
         self.f = f
         self.genus = (f.degree + 1) // 2 - 1
 
     def count(self, i=1):
-        big, phi, kern, orbits = _extension(self.base, i)
-        f = _index_poly(self.f, big, phi)
+        big, imap, kern, orbits = _extension(self.base, i)
+        f = self._idx if i == 1 else [imap[c] for c in self._idx]
         horner, roots = kern.horner, kern.sqrt_count
         total = sum(w * roots(horner(f, x)) for x, w in orbits)
         return total + (1 if self.f.degree % 2 else roots(f[-1]))
@@ -114,11 +127,12 @@ class ArtinSchreierCurve:
         if two_delta % 2:
             raise UnsupportedShape("conductor gives non-integral genus")
         self.genus = -1 + two_delta // 2
+        self._num, self._den = _index_poly(f.num), _index_poly(f.den)
 
     def count(self, i=1):
-        big, phi, kern, orbits = _extension(self.base, i)
-        num = _index_poly(self.f.num, big, phi)
-        den = _index_poly(self.f.den, big, phi)
+        big, imap, kern, orbits = _extension(self.base, i)
+        num = [imap[c] for c in self._num]
+        den = [imap[c] for c in self._den]
         horner, trace = kern.horner, kern.trace
         total = 0
         for x, w in orbits:
@@ -162,6 +176,7 @@ class PlaneQuartic:
         if all(v.is_zero() for v in full.values()):
             raise ZeroPolynomial("F must be nonzero")
         self.coeffs = full
+        self._idx = {m: base.index(v) for m, v in full.items()}
         self._smooth = None
         self.genus = 3  # meaningful when smooth; is_smooth() verifies
 
@@ -258,8 +273,8 @@ class PlaneQuartic:
     # -- counting ------------------------------------------------------
 
     def count(self, i=1):
-        big, phi, kern, orbits = _extension(self.base, i)
-        c = {m: big.index(phi(v)) for m, v in self.coeffs.items()}
+        big, imap, kern, orbits = _extension(self.base, i)
+        c = {m: imap[v] for m, v in self._idx.items()}
         # chart z = 1: rows[j] lists the x-coefficients of y^j in F(x, y, 1)
         rows = [[0] * (5 - j) for j in range(5)]
         for (a, b, _), v in c.items():
@@ -392,12 +407,13 @@ class FiberProductGenus4:
         self.base = base
         self.f = f
         self.g = g
+        self._f, self._g = _index_poly(f), _index_poly(g)
         self.genus = 4
 
     def count(self, i=1):
-        big, phi, kern, orbits = _extension(self.base, i)
-        f = _index_poly(self.f, big, phi)
-        g = _index_poly(self.g, big, phi)
+        big, imap, kern, orbits = _extension(self.base, i)
+        f = [imap[c] for c in self._f]
+        g = [imap[c] for c in self._g]
         horner, roots = kern.horner, kern.sqrt_count
         total = sum(w * roots(horner(f, x)) * roots(horner(g, x))
                     for x, w in orbits)
@@ -463,14 +479,14 @@ class ASTower:
         if not self.cm1.is_zero() and D.eval(base.zero).is_zero():
             raise UnsupportedShape("second-stage pole collides with the x=0 ramification")
         self.A, self.B, self.D = A, B, D
+        self._f1 = [base.index(c) for c in (self.c1, self.c0, self.cm1)]
+        self._stage2 = [_index_poly(g) for g in (A, B, D)]
         self.genus = claimed_genus
 
     def count(self, i=1):
-        big, phi, kern, orbits = _extension(self.base, i)
-        f1 = c1, c0, cm1 = tuple(big.index(phi(c))
-                                 for c in (self.c1, self.c0, self.cm1))
-        stage2 = A, B, D = tuple(_index_poly(g, big, phi)
-                                 for g in (self.A, self.B, self.D))
+        big, imap, kern, orbits = _extension(self.base, i)
+        f1 = c1, c0, cm1 = tuple(imap[c] for c in self._f1)
+        stage2 = A, B, D = tuple([imap[c] for c in g] for g in self._stage2)
         horner, mul, trace = kern.horner, kern.mul, kern.trace
         total = 0
         for x, w in orbits:   # char 2: indices add by XOR, y0 + 1 = y0 ^ 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroupTooLarge, NotTransitive, ParseError, UnknownFamily
-from .field import Poly, _kernel
+from .field import Poly
 
 MAX_GROUP_ORDER = 10 ** 6
 
@@ -255,17 +255,21 @@ class MonteCarloReport:
 
 def _sample_klein4_hyper_odd(F, rng):
     """Random y^2 = f(x) with f even of degree 8 (a member of the
-    Klein-four-symmetric family); rerolls until f is separable."""
+    Klein-four-symmetric family); rerolls until f has degree 8 and the
+    HyperellipticOdd constructor, which tests separability, accepts it."""
     from .curves import HyperellipticOdd
-    from .errors import EvenCharacteristic
+    from .errors import EvenCharacteristic, UnsupportedShape
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
-    kern = _kernel(F)
     coeffs = [0] * 9
     while True:
         coeffs[::2] = [rng.below(F.q) for _ in range(5)]
-        if coeffs[-1] and kern.is_separable(coeffs):
+        if not coeffs[-1]:
+            continue
+        try:
             return HyperellipticOdd(F, Poly(F, map(F.from_index, coeffs)))
+        except UnsupportedShape:
+            continue
 
 
 def klein4_hyper_odd_heuristic(q):

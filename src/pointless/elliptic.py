@@ -414,12 +414,12 @@ def cover_count(E, coeffs, basis, i=1, prec=14):
     leading coefficient.
     """
     pole = fn_pole_order(coeffs, basis)
-    big, phi, kern, orbits = _extension(E.base, i)
-    idx = [big.index(phi(cf)) for cf in coeffs]
+    big, imap, kern, orbits = _extension(E.base, i)
+    idx = [imap[E.base.index(cf)] for cf in coeffs]
     A, B = [0] * len(basis), [0] * len(basis)
     for (mi, mj), v in zip(basis, idx):
         (B if mj else A)[mi] = v
-    c = _index_poly(E.cubic, big, phi)
+    c = [imap[v] for v in _index_poly(E.cubic)]
     horner, add, mul, neg = kern.horner, kern.add, kern.mul, kern.neg
     exp, log = kern.exp, kern.log
     total = 0

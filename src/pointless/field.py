@@ -247,6 +247,9 @@ class FiniteField:
         raise TypeError(f"cannot coerce {spec!r} into {self!r}")
 
     def from_index(self, i):
+        if self.n == 1:
+            i %= self.p
+            return FieldElement(self, (i,) if i else ())
         coeffs = []
         for _ in range(self.n):
             coeffs.append(i % self.p)
@@ -254,8 +257,10 @@ class FiniteField:
         return FieldElement(self, _trim(coeffs))
 
     def index(self, v):
+        if self.n == 1:
+            return v.coeffs[0] if v.coeffs else 0
         out = 0
-        for c in reversed(v.padded()):
+        for c in reversed(v.coeffs):
             out = out * self.p + c
         return out
 
@@ -341,9 +346,6 @@ class FieldElement:
     def __init__(self, parent, coeffs):
         self.parent = parent
         self.coeffs = tuple(coeffs)
-
-    def padded(self):
-        return list(self.coeffs) + [0] * (self.parent.n - len(self.coeffs))
 
     def is_zero(self):
         return not self.coeffs
@@ -1427,6 +1429,7 @@ class RationalFunction:
 
 _EXT_FIELDS = {}
 _EMBEDDINGS = {}
+_INDEX_MAPS = {}
 
 
 def _smallest_irreducible(p, d):
@@ -1494,6 +1497,19 @@ def embed(field, m):
 
     _EMBEDDINGS[key] = (big, phi)
     return big, phi
+
+
+def _embed_indices(field, m):
+    """embed(field, m) on indices: entry j is the index in F_{q^m} of the
+    image of field.from_index(j) (range(q) for m = 1).  Built once per
+    (field, m), so phi runs q times per embedding and not per coefficient."""
+    if m == 1:
+        return range(field.q)
+    key = (field, m)
+    if key not in _INDEX_MAPS:
+        big, phi = embed(field, m)
+        _INDEX_MAPS[key] = [big.index(phi(v)) for v in field.elements()]
+    return _INDEX_MAPS[key]
 
 
 # ---------------------------------------------------------------------------

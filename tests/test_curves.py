@@ -22,10 +22,12 @@ from pointless.errors import (
     UnsupportedShape,
 )
 from pointless.field import (
+    _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
     RationalFunction,
     _kernel,
+    _poly_kernel,
     embed,
 )
 from pointless.series import Series, poly_at_series
@@ -77,6 +79,22 @@ class TestHyperelliptic:
     def test_f3_table_row(self):
         C = HyperellipticOdd(F3, P(F3, [-1, 1, -1, -1, 0, -1, -1, 1, -1]))
         assert C.genus == 3 and C.count(1) == 0
+
+    def test_rejects_nonsquarefree_on_the_kernel(self):
+        # (x - 1)^2 (x^2 + 1) over F_7: the constructor's kernel test
+        f = P(F7, [1, -2, 2, -2, 1])
+        assert _poly_kernel(F7) is not None
+        with pytest.raises(UnsupportedShape):
+            HyperellipticOdd(F7, f)
+        assert HyperellipticOdd(F7, P(F7, [1, -1, 0, 0, 0, 1])).genus == 2
+
+    def test_rejects_nonsquarefree_past_the_kernel(self):
+        # F_65537 has no index kernel: f.is_squarefree() decides
+        F = FiniteField(65537)
+        assert F.q > _KERNEL_MAX_ORDER and _poly_kernel(F) is None
+        with pytest.raises(UnsupportedShape):
+            HyperellipticOdd(F, P(F, [3, -7, 5, -1]))     # (x - 1)^2 (3 - x)
+        assert HyperellipticOdd(F, P(F, [3, -4, 1, 1])).genus == 1
 
     def test_rejects_char2_and_nonsquarefree(self):
         with pytest.raises(EvenCharacteristic):
@@ -533,7 +551,8 @@ class TestCountAgainstNaive:
 def _reference_tower_count(T, i, kinds):
     """ASTower.count with each special place expanded as a Series over
     F_{q^i} at precision 60; the kind of each place is added to kinds."""
-    big, phi, kern, orbits = _extension(T.base, i)
+    big, phi = embed(T.base, i)
+    _, _, kern, orbits = _extension(T.base, i)
     f1 = (phi(T.c1), phi(T.c0), phi(T.cm1))
     stage2 = tuple(Poly(big, [phi(c) for c in g.coeffs])
                    for g in (T.A, T.B, T.D))
@@ -698,6 +717,21 @@ class TestFrobeniusOrbits:
             assert not orbit & seen
             seen |= orbit
         assert seen == set(range(big.q))
+
+
+class TestEmbeddingIndexMap:
+    @pytest.mark.parametrize("base,i", [(F5, 3), (F9, 2), (F4, 3), (F8, 2)],
+                             ids=["F125/F5", "F81/F9", "F64/F4", "F64/F8"])
+    def test_map_equals_phi_on_every_element(self, base, i):
+        big, phi = embed(base, i)
+        got, imap, _, _ = _extension(base, i)
+        assert got is big and len(imap) == base.q
+        assert list(imap) == [big.index(phi(v)) for v in base.elements()]
+        assert _extension(base, i)[1] is imap       # built once
+
+    def test_degree_one_is_the_identity(self):
+        for base in (F2, F4, F5, F9):
+            assert _extension(base, 1)[1] == range(base.q)
 
 
 class TestRamifiedSeries:

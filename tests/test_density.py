@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from pointless.cli import _field_for
+from pointless.curves import HyperellipticOdd
 from pointless.density import (
     DensityProblem,
     SplitMix64,
+    _sample_klein4_hyper_odd,
     compute_density,
     format_permutation,
     group_closure,
@@ -24,7 +27,7 @@ from pointless.errors import (
     ParseError,
     UnknownFamily,
 )
-from pointless.field import FiniteField, Poly
+from pointless.field import FiniteField, Poly, _kernel
 
 
 class TestParsePermutation:
@@ -174,7 +177,40 @@ class TestWilson:
         assert lo == 0.0 and hi < 0.05
 
 
+def _separability_first_sampler(F, rng):
+    """klein4_hyper_odd's sampler with its own kernel separability test
+    ahead of the HyperellipticOdd constructor: (the curve, the number of
+    draws rerolled for an inseparable f)."""
+    kern = _kernel(F)
+    coeffs = [0] * 9
+    inseparable = 0
+    while True:
+        coeffs[::2] = [rng.below(F.q) for _ in range(5)]
+        if coeffs[-1]:
+            if kern.is_separable(coeffs):
+                return (HyperellipticOdd(F, Poly(F, map(F.from_index, coeffs))),
+                        inseparable)
+            inseparable += 1
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("q", [5, 7, 9])
+    def test_klein4_sampler_stream_pinned(self, q):
+        # the constructor decides separability: every sub-seed must give
+        # the f, and leave the stream where, the sampler with its own test
+        # ahead of the constructor does; criterion 9's fields and seeds
+        F = _field_for(q)
+        master = SplitMix64(q)
+        inseparable = 0
+        for _ in range(500):
+            seed = master.next_u64()
+            rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+            ref, rerolls = _separability_first_sampler(F, ref_rng)
+            assert _sample_klein4_hyper_odd(F, rng).f == ref.f, seed
+            assert rng.state == ref_rng.state, seed
+            inseparable += rerolls
+        assert inseparable > 0
+
     def test_deterministic(self):
         F5 = FiniteField(5)
         a = montecarlo_pointless_rate("klein4_hyper_odd", F5, 40, seed=1)

@@ -223,6 +223,35 @@ class TestRationalFunction:
             r.eval(F5.zero)
 
 
+def _digit_loop_coeffs(F, i):
+    """The coefficients FiniteField.from_index gives on every field: the
+    base-p digits of i, F.n of them, trailing zeros trimmed."""
+    coeffs = []
+    for _ in range(F.n):
+        coeffs.append(i % F.p)
+        i //= F.p
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+class TestPrimeFieldIndex:
+    @pytest.mark.parametrize("p", [3, 5, 7, 29])
+    def test_from_index_and_index_match_the_digit_loop(self, p):
+        # the prime-field paths of from_index and index; i runs past p,
+        # where from_index reduces mod p
+        F = FiniteField(p)
+        for i in range(2 * p):
+            v = F.from_index(i)
+            assert v.parent is F and v.coeffs == _digit_loop_coeffs(F, i)
+            assert F.index(v) == i % p
+
+    def test_digit_loop_on_an_extension(self):
+        for i in range(2 * F25.q):
+            assert F25.from_index(i).coeffs == _digit_loop_coeffs(F25, i)
+            assert F25.index(F25.from_index(i)) == i % F25.q
+
+
 class TestEmbed:
     def test_prime_field_case(self):
         big, phi = embed(F5, 2)

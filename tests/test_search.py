@@ -55,6 +55,7 @@ F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
+F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [-1, -1, 1])
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -378,9 +379,11 @@ def _fe_pgl2_key(F, f):
     """The PGL2 canonical key as a FieldElement computation: every
     normalised (a, b, c, d) from a q^4 scan, g = (cx+d)^8 f((ax+b)/(cx+d))
     by Poly products, and the minimal index tuple over the s^2 g.  The
-    reference the index-kernel key must equal."""
+    reference the index-kernel key must equal.  The powers of ax + b and
+    cx + d are built one product at a time, 7 products each."""
     elems = list(F.elements())
     squares = {s * s for s in elems if not s.is_zero()}
+    one = Poly(F, [F.one])
     best = None
     for a in elems:
         for b in elems:
@@ -392,9 +395,13 @@ def _fe_pgl2_key(F, f):
                     if lead != F.one:
                         continue
                     num, den = Poly(F, [b, a]), Poly(F, [d, c])
+                    num_pows, den_pows = [one, num], [one, den]
+                    for _ in range(7):
+                        num_pows.append(num_pows[-1] * num)
+                        den_pows.append(den_pows[-1] * den)
                     g = Poly(F, [])
                     for i, coef in enumerate(f.coeffs):
-                        g = g + (num ** i) * (den ** (8 - i)) * coef
+                        g = g + num_pows[i] * den_pows[8 - i] * coef
                     if g.degree != 8:
                         continue
                     for s2 in squares:
@@ -683,6 +690,48 @@ class TestHyperGenus4Char2:
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
             search_hyper_genus4_char2(F3)
+
+    @pytest.mark.parametrize("F", [F4, F8], ids=["F4", "F8"])
+    def test_verdict_equals_model_count(self, F):
+        # seeded (m, g, t) over the engine's conductors, with g kept only
+        # when the engine's conductor filter keeps it: the engine calls
+        # y^2 + y = g/m + t pointless exactly when Tr(t) = 1 and g's bit
+        # vector lies in the span of the trace matrix's kernel, and that
+        # must be ArtinSchreierCurve's count(1) == 0.  Half of the g come
+        # from the span, so that both verdicts occur.
+        rng = random.Random(17 * F.q)
+        kern = _kernel(F)
+        conductors = _first_conductors(F, 20)
+        spans = {}
+        checked = pointless = 0
+        while checked < 200:
+            parts = rng.choice(conductors)
+            m = parts[0]
+            for p in parts[1:]:
+                m = m * p
+            key = tuple(F.index(c) for c in m.coeffs)
+            if key not in spans:
+                spans[key] = search.kernel_span(
+                    search._trace_matrix_kernel(kern, list(key)))
+            span = spans[key]
+            bits = (rng.choice(span) if rng.random() < 0.5
+                    else rng.randrange(2 ** (m.degree * F.n)))
+            g = Poly(F, [F.from_index(bits >> (i * F.n) & (F.q - 1))
+                         for i in range(m.degree)])
+            if any((g % p).is_zero() for p in parts):
+                continue
+            t = F.from_index(rng.randrange(F.q))
+            try:
+                curve = ArtinSchreierCurve(F, RationalFunction(g + m * t, m))
+            except UnsupportedShape:
+                continue
+            if curve.genus != 4:
+                continue
+            verdict = bool(kern.trace(F.index(t))) and bits in span
+            assert verdict == (curve.count(1) == 0), (key, bits, F.index(t))
+            checked += 1
+            pointless += verdict
+        assert 0 < pointless < checked
 
 
 def _first_conductors(F, per_shape):
