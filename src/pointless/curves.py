@@ -41,8 +41,6 @@ from .field import (
     RationalFunction,
     _embed_indices,
     _kernel,
-    _poly_kernel,
-    embed,
 )
 from .series import EXACT
 
@@ -50,9 +48,9 @@ from .series import EXACT
 def _extension(base, i):
     """(F_{q^i}, the embedding of the base field as a map of indices, index
     kernel of F_{q^i}, its Frobenius orbits over F_q)."""
-    big, _ = embed(base, i)
+    big, imap = _embed_indices(base, i)
     kern = _kernel(big)
-    return big, _embed_indices(base, i), kern, kern.frobenius_orbits(base.q)
+    return big, imap, kern, kern.frobenius_orbits(base.q)
 
 
 def _index_poly(f):
@@ -74,18 +72,16 @@ class HyperellipticOdd:
             raise ZeroPolynomial("f must be nonzero")
         if f.degree < 3:
             raise UnsupportedShape(f"deg f = {f.degree} < 3")
-        self._idx = _index_poly(f)
-        kern = _poly_kernel(base)
-        if not (f.is_squarefree() if kern is None
-                else kern.is_separable(self._idx)):
+        if not f.is_squarefree():
             raise UnsupportedShape("f must be squarefree")
+        self._idx = _index_poly(f)
         self.base = base
         self.f = f
         self.genus = (f.degree + 1) // 2 - 1
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
-        f = self._idx if i == 1 else [imap[c] for c in self._idx]
+        f = [imap[c] for c in self._idx]
         horner, roots = kern.horner, kern.sqrt_count
         total = sum(w * roots(horner(f, x)) for x, w in orbits)
         return total + (1 if self.f.degree % 2 else roots(f[-1]))

@@ -1429,7 +1429,6 @@ class RationalFunction:
 
 _EXT_FIELDS = {}
 _EMBEDDINGS = {}
-_INDEX_MAPS = {}
 
 
 def _smallest_irreducible(p, d):
@@ -1469,7 +1468,7 @@ def embed(field, m):
         return field, lambda v: v
     key = (field, m)
     if key in _EMBEDDINGS:
-        return _EMBEDDINGS[key]
+        return _EMBEDDINGS[key][:2]
     d = field.n * m
     if field.p ** d > MAX_FIELD_ORDER:
         raise ExtensionTooLarge(f"q^m = {field.p ** d} exceeds the supported budget")
@@ -1495,21 +1494,22 @@ def embed(field, m):
                     acc = acc + _big.element(c) * gp
             return acc
 
-    _EMBEDDINGS[key] = (big, phi)
+    # the same embedding on indices, for the counting kernels
+    imap = [big.index(phi(v)) for v in field.elements()]
+    _EMBEDDINGS[key] = (big, phi, imap)
     return big, phi
 
 
 def _embed_indices(field, m):
-    """embed(field, m) on indices: entry j is the index in F_{q^m} of the
-    image of field.from_index(j) (range(q) for m = 1).  Built once per
-    (field, m), so phi runs q times per embedding and not per coefficient."""
+    """(F_{q^m}, embed(field, m) on indices): entry j of the map is the
+    index in F_{q^m} of the image of field.from_index(j) (range(q) for
+    m = 1).  embed builds the map once per (field, m), so phi runs q times
+    per embedding and not per coefficient."""
     if m == 1:
-        return range(field.q)
-    key = (field, m)
-    if key not in _INDEX_MAPS:
-        big, phi = embed(field, m)
-        _INDEX_MAPS[key] = [big.index(phi(v)) for v in field.elements()]
-    return _INDEX_MAPS[key]
+        return field, range(field.q)
+    embed(field, m)
+    big, _, imap = _EMBEDDINGS[(field, m)]
+    return big, imap
 
 
 # ---------------------------------------------------------------------------

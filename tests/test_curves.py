@@ -81,7 +81,7 @@ class TestHyperelliptic:
         assert C.genus == 3 and C.count(1) == 0
 
     def test_rejects_nonsquarefree_on_the_kernel(self):
-        # (x - 1)^2 (x^2 + 1) over F_7: the constructor's kernel test
+        # (x - 1)^2 (x^2 + 1) over F_7: is_squarefree runs on the kernel
         f = P(F7, [1, -2, 2, -2, 1])
         assert _poly_kernel(F7) is not None
         with pytest.raises(UnsupportedShape):
@@ -724,10 +724,17 @@ class TestEmbeddingIndexMap:
                              ids=["F125/F5", "F81/F9", "F64/F4", "F64/F8"])
     def test_map_equals_phi_on_every_element(self, base, i):
         big, phi = embed(base, i)
-        got, imap, _, _ = _extension(base, i)
+        got, imap, kern, _ = _extension(base, i)
         assert got is big and len(imap) == base.q
         assert list(imap) == [big.index(phi(v)) for v in base.elements()]
         assert _extension(base, i)[1] is imap       # built once
+        # a ring embedding in its own right, on the two index kernels
+        small = _kernel(base)
+        assert imap[0] == 0 and imap[1] == 1
+        for a in range(base.q):
+            for b in range(base.q):
+                assert imap[small.add(a, b)] == kern.add(imap[a], imap[b])
+                assert imap[small.mul(a, b)] == kern.mul(imap[a], imap[b])
 
     def test_degree_one_is_the_identity(self):
         for base in (F2, F4, F5, F9):
