@@ -17,10 +17,18 @@ F_{q^i} through the embedding's index map (built once per field and
 degree), and polynomials are evaluated by Horner on ints.  The
 square class is the parity of a discrete log, the char-2 trace the parity
 of idx & trace_mask, and a plane quartic's points over x are the roots of
-F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y).  Each per-x
-contribution is a function of values of polynomials over F_q, so it is
-constant on the orbits of x -> x^q: the sum over F_{q^i} takes one
-representative per orbit, weighted by the orbit's size.
+F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y), where y^Q mod
+F(x, y, 1) is y^q raised by the q-power Frobenius i - 1 times
+(_Kernel.root_count).  Each per-x contribution is a function of values of
+polynomials over F_q, so it is constant on the orbits of x -> x^q: the
+sum over F_{q^i} takes one representative per orbit, weighted by the
+orbit's size.
+
+A quartic's smoothness test runs on the base field's kernel too: the
+partials, their restrictions to the line z = 0 and the chart z = 1, and
+the resultants in y of the chart polynomials (a Bareiss determinant whose
+entries are index polynomials in x).  Only a common root of those
+resultants is tested in FieldElement arithmetic, over its residue field.
 
 The special places of a tower (poles of the second stage, ramified and
 pole places of the first) run on the same kernel: their local expansions
@@ -40,6 +48,7 @@ from .field import (
     QuotientField,
     RationalFunction,
     _embed_indices,
+    _itrim,
     _kernel,
 )
 from .series import EXACT
@@ -176,27 +185,18 @@ class PlaneQuartic:
         self._smooth = None
         self.genus = 3  # meaningful when smooth; is_smooth() verifies
 
-    def value(self, x, y, z):
-        acc = self.base.zero
-        for (i, j, k), c in self.coeffs.items():
-            if not c.is_zero():
-                acc = acc + c * x ** i * y ** j * z ** k
-        return acc
-
     def partial(self, var):
-        """Coefficient dict of dF/dvar (a cubic form), var in {0,1,2}."""
+        """dF/dvar (a cubic form), var in {0,1,2}: a dict (i, j, k) -> the
+        base-field index of each nonzero coefficient."""
+        mul, p = _kernel(self.base).mul, self.base.p
         out = {}
-        for mono, c in self.coeffs.items():
-            e = mono[var]
-            if e == 0:
-                continue
-            scaled = c * self.base.element(e)
-            if scaled.is_zero():
-                continue
-            new = list(mono)
-            new[var] -= 1
-            out[tuple(new)] = out.get(tuple(new), self.base.zero) + scaled
-        return {m: c for m, c in out.items() if not c.is_zero()}
+        for mono, c in self._idx.items():
+            scaled = mul(c, mono[var] % p)   # the index of k < p is k
+            if scaled:
+                new = list(mono)
+                new[var] -= 1
+                out[tuple(new)] = scaled
+        return out
 
     # -- smoothness ----------------------------------------------------
 
@@ -206,56 +206,56 @@ class PlaneQuartic:
         return self._smooth
 
     def _check_smooth(self):
-        base = self.base
+        """Whether F and its partials have no common zero, on base-field
+        indices: at (1:0:0), on the line z = 0 by a gcd in x, and in the
+        chart z = 1 by the gcd of the resultants in y of F with each
+        partial; a common root of that gcd is tested over its residue
+        field."""
+        kern = _kernel(self.base)
         partials = [self.partial(v) for v in range(3)]
-        if all(not p for p in partials):
+        if not any(partials):
             return False  # every partial vanishes identically
-        forms = [self.coeffs] + partials
+        forms = [{m: c for m, c in self._idx.items() if c}] + partials
 
         # point (1:0:0)
-        vals = [_eval_form(base, fm, base.one, base.zero, base.zero)
-                for fm in forms]
-        if all(v.is_zero() for v in vals):
+        if not any(c for fm in forms for (i, j, k), c in fm.items()
+                   if j == k == 0):
             return False
 
         # line z = 0, y = 1: univariate conditions in x
-        line = [_restrict_xy(base, fm) for fm in forms]
-        nonzero_line = [u for u in line if not u.is_zero()]
-        if not nonzero_line:
+        line = [u for u in map(_line, forms) if u]
+        if not line:
             return False
-        gline = nonzero_line[0]
-        for u in nonzero_line[1:]:
-            gline = gline.gcd(u)
-        if gline.degree >= 1:
+        gline = line[0]
+        for u in line[1:]:
+            gline = kern.gcd(gline, u)
+        if len(gline) > 1:
             return False
 
         # chart z = 1: bivariate conditions in (x, y)
-        bivs = [_restrict_chart(base, fm) for fm in forms]
-        bF = bivs[0]
-        if _biv_is_zero(bF):
-            return False  # z divides F: reducible, hence singular
+        conditions = [b for b in map(_chart, forms) if b]
+        bF = conditions[0]   # F(x, y, 1) is never zero
         if len(bF) == 1:
             return False  # F(x,y,1) depends on x alone: union of lines
-        conditions = [b for b in bivs if not _biv_is_zero(b)]
-        resultants = []
-        for b in conditions[1:]:
-            r = _resultant_y(bF, b, base)
-            if not r.is_zero():
-                resultants.append(r)
+        resultants = [r for r in (_resultant_y(kern, bF, b)
+                                  for b in conditions[1:]) if r]
         if not resultants:
             return False  # F shares a y-factor with every partial: singular
         g = resultants[0]
         for r in resultants[1:]:
-            g = g.gcd(r)
-        if g.degree == 0:
+            g = kern.gcd(g, r)
+        if len(g) == 1:
             return True
-        for piece, _ in g.factor():
-            K = QuotientField(piece)
+        base = self.base
+
+        def poly(cs):
+            return Poly(base, [base.from_index(c) for c in cs])
+
+        for piece, _ in kern.factor(g):
+            K = QuotientField(poly(piece))
             x0 = K.x_class
-            specs = []
-            for b in conditions:
-                spec = Poly(K, [_eval_poly_in_quotient(c, K, x0) for c in b])
-                specs.append(spec)
+            specs = [Poly(K, [_eval_poly_in_quotient(poly(c), K, x0)
+                              for c in b]) for b in conditions]
             nonzero = [s for s in specs if not s.is_zero()]
             if not nonzero:
                 return False
@@ -275,11 +275,11 @@ class PlaneQuartic:
         rows = [[0] * (5 - j) for j in range(5)]
         for (a, b, _), v in c.items():
             rows[b][a] = v
-        horner, root_count = kern.horner, kern.root_count
-        total = sum(w * root_count([horner(r, x) for r in rows])
+        horner, root_count, q = kern.horner, kern.root_count, self.base.q
+        total = sum(w * root_count([horner(r, x) for r in rows], q)
                     for x, w in orbits)
         # line z = 0, y = 1: roots of F(x, 1, 0) in x
-        total += root_count([c[(a, 4 - a, 0)] for a in range(5)])
+        total += root_count([c[(a, 4 - a, 0)] for a in range(5)], q)
         # point (1:0:0)
         if not c[(4, 0, 0)]:
             total += 1
@@ -289,37 +289,23 @@ class PlaneQuartic:
         return "plane_quartic"
 
 
-def _eval_form(base, form, x, y, z):
-    acc = base.zero
-    for (i, j, k), c in form.items():
-        if not c.is_zero():
-            acc = acc + c * x ** i * y ** j * z ** k
-    return acc
+def _line(form):
+    """form(x, 1, 0) as an index list in x."""
+    out = [0] * 5
+    for (i, _, k), c in form.items():
+        if not k:
+            out[i] = c
+    return _itrim(out)
 
 
-def _restrict_chart(base, form):
-    """form(x, y, 1) as a list of Polys in x indexed by y-degree."""
-    ydeg = max((j for (i, j, k), c in form.items() if not c.is_zero()), default=0)
-    xdeg = max((i for (i, j, k), c in form.items() if not c.is_zero()), default=0)
-    rows = [[base.zero] * (xdeg + 1) for _ in range(ydeg + 1)]
-    for (i, j, k), c in form.items():
-        if not c.is_zero():
-            rows[j][i] = rows[j][i] + c
-    return [Poly(base, row) for row in rows]
-
-
-def _biv_is_zero(biv):
-    return all(p.is_zero() for p in biv)
-
-
-def _restrict_xy(base, form):
-    """form(x, 1, 0) as a univariate Poly in x."""
-    deg = max((i for (i, j, k), c in form.items()), default=0)
-    out = [base.zero] * (deg + 1)
-    for (i, j, k), c in form.items():
-        if k == 0 and not c.is_zero():
-            out[i] = out[i] + c
-    return Poly(base, out)
+def _chart(form):
+    """form(x, y, 1) as index lists in x by y-degree, without zero rows on
+    top ([] for the zero form)."""
+    rows = [[0] * 5 for _ in range(5)]
+    for (i, j, _), c in form.items():
+        rows[j][i] = c
+    rows = [_itrim(r) for r in rows]
+    return _itrim(rows)
 
 
 def _eval_poly_in_quotient(p, K, x0):
@@ -329,59 +315,34 @@ def _eval_poly_in_quotient(p, K, x0):
     return acc
 
 
-def _resultant_y(a, b, base):
-    """Res_y of two bivariate polynomials (lists of Polys by y-degree)."""
-    while a and a[-1].is_zero():
-        a = a[:-1]
-    while b and b[-1].is_zero():
-        b = b[:-1]
-    if not a or not b:
-        return Poly(base, [])
+def _resultant_y(kern, a, b):
+    """Res_y, up to sign, of two bivariate index polynomials (index lists in
+    x by y-degree, the top one nonzero, a of y-degree >= 1): the
+    fraction-free (Bareiss) determinant of their Sylvester matrix, every
+    division exact."""
     m, n = len(a) - 1, len(b) - 1
-    if m == 0:
-        return a[0] ** n
-    if n == 0:
-        return b[0] ** m
     size = m + n
-    rows = []
-    for r in range(n):  # n rows of a's coefficients
-        row = [Poly(base, [])] * size
-        for k in range(m + 1):
-            row[r + k] = a[m - k]
-        rows.append(row)
-    for r in range(m):  # m rows of b's coefficients
-        row = [Poly(base, [])] * size
-        for k in range(n + 1):
-            row[r + k] = b[n - k]
-        rows.append(row)
-    return _poly_det(rows, base)
-
-
-def _poly_det(M, base):
-    """Fraction-free (Bareiss) determinant of a matrix of Polys."""
-    n = len(M)
-    M = [row[:] for row in M]
-    negate = False
-    prev = Poly.constant(base, base.one)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
+    M = ([[[]] * r + a[::-1] + [[]] * (n - 1 - r) for r in range(n)]
+         + [[[]] * r + b[::-1] + [[]] * (m - 1 - r) for r in range(m)])
+    pmul, psub, pquo = kern._pmul, kern._psub, kern._pquo
+    prev = [1]
+    for k in range(size - 1):
+        if not M[k][k]:
+            for r in range(k + 1, size):
+                if M[r][k]:
                     M[k], M[r] = M[r], M[k]
-                    negate = not negate
                     break
             else:
-                return Poly(base, [])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q, r = divmod(num, prev)
-                assert r.is_zero(), "Bareiss division must be exact"
-                M[i][j] = q
-            M[i][k] = Poly(base, [])
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if negate else det
+                return []
+        top = M[k]
+        pivot = top[k]
+        for row in M[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                num = psub(pmul(row[j], pivot), pmul(lead, top[j]))
+                row[j] = pquo(num, prev) if num and prev != [1] else num
+        prev = pivot
+    return M[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -545,12 +545,15 @@ class _Kernel:
     a ^ b in characteristic 2 (index bits are coefficient bits), Zech
     logarithms on odd-characteristic extensions.  Index polynomials are
     lists of indices, constant term first; on them the kernel evaluates
-    (horner), reduces and divides (_pmod, _pquo), raises to powers
-    modulo a polynomial (powmod), takes the monic gcd (gcd), tests separability
-    (is_separable), counts roots (root_count), and factors (squarefree,
-    factor, is_irreducible), all on the one Euclid in gcd.  Poly's gcd
-    and factorisation run on it for every FiniteField base of order at
-    most _KERNEL_MAX_ORDER.
+    (horner), multiplies, subtracts, reduces and divides (_pmul, _psub,
+    _pmod, _pquo), raises to powers modulo a polynomial (powmod), takes
+    the monic gcd (gcd), tests separability (is_separable), counts roots
+    (root_count: y^Q mod f from y^q by the q-power Frobenius of
+    F_Q[y]/(f), which is semilinear on index lists, or by repeated
+    squaring in characteristic 2), and factors (squarefree, factor,
+    is_irreducible), all on the one Euclid in gcd.  Poly's gcd and
+    factorisation run on it for every FiniteField base of order at most
+    _KERNEL_MAX_ORDER.
     """
 
     def __init__(self, field):
@@ -686,16 +689,56 @@ class _Kernel:
         c = self.inv(cs[-1])
         return [self.mul(v, c) for v in cs]
 
-    def root_count(self, cs):
+    def _psub(self, a, b):
+        sub = self.sub
+        return _itrim([sub(u, v) for u, v in zip_longest(a, b, fillvalue=0)])
+
+    def root_count(self, cs, q=None):
         """Number of distinct roots in the field of the index polynomial
-        cs: deg gcd(cs, y^q - y).  The zero polynomial has q roots."""
+        cs: deg gcd(cs, y^Q - y), Q the field's order.  The zero polynomial
+        has Q roots.  q is the order of a subfield (by default the field
+        itself) over which y^Q mod cs is formed (_y_to_the_order)."""
         m = _itrim(cs)
         if not m:
             return self.q
         if len(m) <= 2:
             return len(m) - 1
-        yq = self.powmod([0, 1], self.q, m)
-        return len(self.gcd(m, self._minus_x(yq))) - 1
+        yQ = self._y_to_the_order(m, q or self.q)
+        return len(self.gcd(m, self._minus_x(yQ))) - 1
+
+    def _y_to_the_order(self, m, q):
+        """y^Q mod m (deg m >= 2), Q the field's order, F_q a subfield: y^q
+        by square-and-multiply, where multiplying by y is a shift and one
+        reduction row, then the q-power Frobenius of F_Q[y]/(m) applied
+        until the exponent is Q (von zur Gathen and Shoup, 1992).  The
+        Frobenius is semilinear, h -> sum_j h_j^q Y_j with Y_j = y^(qj) mod
+        m, and h_j^q is exp[log h_j * q mod (Q - 1)]."""
+        h = [0, 1]
+        for bit in bin(q)[3:]:
+            h = self._pmod(self._psquare(h), m)
+            if bit == "1":
+                h = self._pmod([0] + h, m)
+        if q == self.q:
+            return h
+        exp, log, n1, add = self.exp, self.log, self.n1, self.add
+        d = len(m) - 1
+        ys = [[1], h]
+        while len(ys) < d:
+            ys.append(self._pmod(self._pmul(ys[-1], h), m))
+        ys = [[(k, log[v]) for k, v in enumerate(y) if v] for y in ys]
+        e = q
+        while e < self.q:
+            out = [0] * d
+            for c, y in zip(h, ys):
+                if c:
+                    lc = log[c] * q % n1
+                    for k, lv in y:
+                        out[k] = add(out[k], exp[lc + lv])
+            h = out
+            e *= q
+        if e != self.q:
+            raise ValueError(f"F_{q} is not a subfield of F_{self.q}")
+        return _itrim(h)
 
     def gcd(self, a, b):
         """Monic gcd of the index polynomials a and b; [] when both are
@@ -905,6 +948,14 @@ class _Char2Kernel(_Kernel):
 
     def sqrt_count(self, a):
         return 1
+
+    def _y_to_the_order(self, m, q):
+        """y^Q mod m by repeated squaring: here _psquare is the Frobenius
+        already, and composing it measured no faster."""
+        h = [0, 1]
+        for _ in range(self.q.bit_length() - 1):
+            h = self._pmod(self._psquare(h), m)
+        return h
 
     def trace(self, a):
         return (a & self.trace_mask).bit_count() & 1

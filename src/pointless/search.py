@@ -325,7 +325,7 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("klein4_hyper_odd", q,
                                 {"f": _poly_ints(F, f), "n": F.index(n)}, curve)
-        counts = [curve.count(i) for i in (1, 2, 3)]
+        counts = [0] + [curve.count(i) for i in (2, 3)]
         if run.keep({"f": _poly_ints(F, f), "model": _poly_ints(F, model)},
                     zeta_report(q, 3, counts).to_json()):
             run.candidates = code + 1
@@ -364,7 +364,7 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
             continue
         if curve.genus != 3 or curve.count(1) != 0:
             continue
-        counts = [curve.count(i) for i in (1, 2, 3)]
+        counts = [0] + [curve.count(i) for i in (2, 3)]
         if run.keep({"f_num": _poly_ints(F, fr.num),
                      "f_den": _poly_ints(F, fr.den),
                      "quartic_f": [F.index(v) for v in (c, b, a)],
@@ -431,7 +431,7 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
         entry = {"coeffs": [1] + coeffs}
         if C.count(1) != 0:
             raise _disagreement("diagonal_quartic", F.q, entry, C)
-        counts = [C.count(i) for i in (1, 2, 3)]
+        counts = [0] + [C.count(i) for i in (2, 3)]
         if run.keep(entry, zeta_report(F.q, 3, counts).to_json()):
             break
     return run.report({"q": F.q, "mode": mode},
@@ -477,7 +477,7 @@ def search_quartic_char2(F, mode="first_find", budget=None):
         if C.count(1) != 0 or not C.is_smooth():
             continue
         if run.keep({"beta": F.index(beta), "gamma": F.index(gamma)},
-                    {"q": F.q, "counts": [C.count(i) for i in (1, 2)]}):
+                    {"q": F.q, "counts": [0, C.count(2)]}):
             break
     return run.report({"q": F.q, "mode": mode},
                       _fingerprint("quartic_char2", F.q, "beta-gamma-odometer"))
@@ -534,7 +534,7 @@ def search_fiberproduct(F, mode="first_find", budget=None):
         props = C.properties()
         entry.update(trigonal=props["trigonal"],
                      extra_autos=props["extra_autos"])
-        if run.keep(entry, {"q": q, "counts": [C.count(i) for i in (1, 2)]}):
+        if run.keep(entry, {"q": q, "counts": [0, C.count(2)]}):
             break
     return run.report({"q": q, "mode": mode},
                       _fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"))
@@ -695,7 +695,7 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)
-        counts = [curve.count(i) for i in (1, 2, 3)]
+        counts = [0] + [curve.count(i) for i in (2, 3)]
         if run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json()):
             run.candidates = code + 1
             break
@@ -987,7 +987,7 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
     for entry, curve in curves():
         if curve.count(1) != 0:
             raise _disagreement("hyper_genus4_char2", q, entry, curve)
-        entry["counts"] = [curve.count(i) for i in (1, 2, 3, 4)]
+        entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
         if run.keep(entry, {"q": q, "counts": entry["counts"]}):
             break
     run.save(next_m, done=not run.stopped)

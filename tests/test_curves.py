@@ -14,6 +14,7 @@ from pointless.curves import (
     PlaneQuartic,
     _extension,
     _ramified_x_coeffs,
+    _resultant_y,
     _tower_place_points,
 )
 from pointless.errors import (
@@ -25,7 +26,9 @@ from pointless.field import (
     _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
+    QuotientField,
     RationalFunction,
+    _itrim,
     _kernel,
     _poly_kernel,
     embed,
@@ -541,6 +544,359 @@ class TestCountAgainstNaive:
             C = _random_quartic(F, rng)
             for i in range(1, depth + 1):
                 assert C.count(i) == naive_quartic(C, i)
+
+
+# ---------------------------------------------------------------------------
+# PlaneQuartic.is_smooth against the FieldElement smoothness test that the
+# index-kernel one replaced (partials, restrictions and Bareiss resultants
+# on Polys of FieldElements)
+# ---------------------------------------------------------------------------
+
+def _ref_partial(C, var):
+    out = {}
+    for mono, c in C.coeffs.items():
+        e = mono[var]
+        if e == 0:
+            continue
+        scaled = c * C.base.element(e)
+        if scaled.is_zero():
+            continue
+        new = list(mono)
+        new[var] -= 1
+        out[tuple(new)] = out.get(tuple(new), C.base.zero) + scaled
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _ref_eval_form(base, form, x, y, z):
+    acc = base.zero
+    for (i, j, k), c in form.items():
+        if not c.is_zero():
+            acc = acc + c * x ** i * y ** j * z ** k
+    return acc
+
+
+def _ref_restrict_chart(base, form):
+    ydeg = max((j for (i, j, k), c in form.items() if not c.is_zero()),
+               default=0)
+    xdeg = max((i for (i, j, k), c in form.items() if not c.is_zero()),
+               default=0)
+    rows = [[base.zero] * (xdeg + 1) for _ in range(ydeg + 1)]
+    for (i, j, k), c in form.items():
+        if not c.is_zero():
+            rows[j][i] = rows[j][i] + c
+    return [Poly(base, row) for row in rows]
+
+
+def _ref_restrict_xy(base, form):
+    deg = max((i for (i, j, k), c in form.items()), default=0)
+    out = [base.zero] * (deg + 1)
+    for (i, j, k), c in form.items():
+        if k == 0 and not c.is_zero():
+            out[i] = out[i] + c
+    return Poly(base, out)
+
+
+def _ref_eval_poly_in_quotient(p, K, x0):
+    acc = K.zero
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + K.from_base(c)
+    return acc
+
+
+def _ref_resultant_y(a, b, base):
+    while a and a[-1].is_zero():
+        a = a[:-1]
+    while b and b[-1].is_zero():
+        b = b[:-1]
+    if not a or not b:
+        return Poly(base, [])
+    m, n = len(a) - 1, len(b) - 1
+    if m == 0:
+        return a[0] ** n
+    if n == 0:
+        return b[0] ** m
+    size = m + n
+    rows = []
+    for r in range(n):
+        row = [Poly(base, [])] * size
+        for k in range(m + 1):
+            row[r + k] = a[m - k]
+        rows.append(row)
+    for r in range(m):
+        row = [Poly(base, [])] * size
+        for k in range(n + 1):
+            row[r + k] = b[n - k]
+        rows.append(row)
+    return _ref_poly_det(rows, base)
+
+
+def _ref_poly_det(M, base):
+    n = len(M)
+    M = [row[:] for row in M]
+    negate = False
+    prev = Poly.constant(base, base.one)
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not M[r][k].is_zero():
+                    M[k], M[r] = M[r], M[k]
+                    negate = not negate
+                    break
+            else:
+                return Poly(base, [])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
+                q, r = divmod(num, prev)
+                assert r.is_zero(), "Bareiss division must be exact"
+                M[i][j] = q
+            M[i][k] = Poly(base, [])
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return -det if negate else det
+
+
+def _reference_is_smooth(C):
+    base = C.base
+    partials = [_ref_partial(C, v) for v in range(3)]
+    if all(not p for p in partials):
+        return False
+    forms = [C.coeffs] + partials
+    vals = [_ref_eval_form(base, fm, base.one, base.zero, base.zero)
+            for fm in forms]
+    if all(v.is_zero() for v in vals):
+        return False
+    line = [_ref_restrict_xy(base, fm) for fm in forms]
+    nonzero_line = [u for u in line if not u.is_zero()]
+    if not nonzero_line:
+        return False
+    gline = nonzero_line[0]
+    for u in nonzero_line[1:]:
+        gline = gline.gcd(u)
+    if gline.degree >= 1:
+        return False
+    bivs = [_ref_restrict_chart(base, fm) for fm in forms]
+    bF = bivs[0]
+    if all(p.is_zero() for p in bF):
+        return False
+    if len(bF) == 1:
+        return False
+    conditions = [b for b in bivs if not all(p.is_zero() for p in b)]
+    resultants = []
+    for b in conditions[1:]:
+        r = _ref_resultant_y(bF, b, base)
+        if not r.is_zero():
+            resultants.append(r)
+    if not resultants:
+        return False
+    g = resultants[0]
+    for r in resultants[1:]:
+        g = g.gcd(r)
+    if g.degree == 0:
+        return True
+    for piece, _ in g.factor():
+        K = QuotientField(piece)
+        x0 = K.x_class
+        specs = [Poly(K, [_ref_eval_poly_in_quotient(c, K, x0) for c in b])
+                 for b in conditions]
+        nonzero = [s for s in specs if not s.is_zero()]
+        if not nonzero:
+            return False
+        h = nonzero[0]
+        for s in nonzero[1:]:
+            h = h.gcd(s)
+        if h.degree >= 1:
+            return False
+    return True
+
+
+F16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
+SMOOTHNESS_FIELDS = [F2, F3, F4, F5, F7, F8, F9, F13, F16]
+
+
+def _random_form(F, rng, degree, density):
+    """A dict monomial -> FieldElement of a random form of the degree, each
+    coefficient nonzero with probability density (at least one is)."""
+    monos = [(i, j, degree - i - j) for i in range(degree + 1)
+             for j in range(degree + 1 - i)]
+    while True:
+        form = {m: F.from_index(rng.randrange(1, F.q)) for m in monos
+                if rng.random() < density}
+        if form:
+            return form
+
+
+def _form_product(F, u, v):
+    out = {}
+    for mu, cu in u.items():
+        for mv, cv in v.items():
+            m = tuple(a + b for a, b in zip(mu, mv))
+            out[m] = out.get(m, F.zero) + cu * cv
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _from_idx(F, cs):
+    return Poly(F, [F.from_index(c) for c in cs])
+
+
+def _reducible_quartic(F, rng, shape):
+    """A plane quartic that factors: two conics, a line times a cubic,
+    z times a cubic, or the square of a conic."""
+    if shape == "conics":
+        u, v = _random_form(F, rng, 2, 0.7), _random_form(F, rng, 2, 0.7)
+    elif shape == "line-cubic":
+        u, v = _random_form(F, rng, 1, 0.7), _random_form(F, rng, 3, 0.6)
+    elif shape == "z-cubic":
+        u, v = {(0, 0, 1): F.one}, _random_form(F, rng, 3, 0.6)
+    else:
+        u = v = _random_form(F, rng, 2, 0.7)
+    return PlaneQuartic(F, _form_product(F, u, v))
+
+
+class TestSmoothnessAgainstFieldElement:
+    """is_smooth on seeded random quartics, dense and sparse, against the
+    FieldElement reference; 60 per field, 540 in all."""
+
+    @pytest.mark.parametrize("F", SMOOTHNESS_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_random_quartics(self, F):
+        rng = random.Random(500 + F.q)
+        verdicts = set()
+        for k in range(60):
+            density = (0.15, 0.35, 0.6, 1.0)[k % 4]
+            C = PlaneQuartic(F, _random_form(F, rng, 4, density))
+            smooth = C.is_smooth()
+            assert smooth == _reference_is_smooth(C), C.coeffs
+            verdicts.add(smooth)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("F", SMOOTHNESS_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_reducible_quartics_are_singular(self, F):
+        rng = random.Random(600 + F.q)
+        for shape in ("conics", "line-cubic", "z-cubic", "square"):
+            for _ in range(3):
+                C = _reducible_quartic(F, rng, shape)
+                assert not C.is_smooth()
+                assert not _reference_is_smooth(C)
+
+    @pytest.mark.parametrize("F", [F3, F4, F7, F9], ids=lambda F: f"F{F.q}")
+    def test_resultant_equals_reference_up_to_sign(self, F):
+        # sparse bivariate pairs, so zero pivots and row swaps occur
+        kern = _kernel(F)
+        rng = random.Random(900 + F.q)
+
+        def sparse(n):
+            return [rng.randrange(F.q) if rng.random() < 0.4 else 0
+                    for _ in range(n)]
+
+        def bivariate(low):
+            rows = [_itrim(sparse(rng.randrange(1, 5)))
+                    for _ in range(rng.randrange(low, 4))]
+            return rows + [sparse(rng.randrange(0, 4)) + [rng.randrange(1, F.q)]]
+
+        for _ in range(60):
+            a, b = bivariate(1), bivariate(0)   # Res_y(F, partial): deg_y F >= 1
+            ref = _ref_resultant_y([_from_idx(F, r) for r in a],
+                                   [_from_idx(F, r) for r in b], F)
+            assert _resultant_y(kern, a, b) in (
+                [F.index(c) for c in ref.coeffs],
+                [F.index(c) for c in (-ref).coeffs])
+
+    def test_partial_is_an_index_dict(self):
+        # d/dx of x^4 + 2 x^2 y z + 3 y^4 over F_5: 4 x^3 + 4 x y z
+        C = PlaneQuartic(F5, {(4, 0, 0): 1, (2, 1, 1): 2, (0, 4, 0): 3})
+        assert C.partial(0) == {(3, 0, 0): 4, (1, 1, 1): 4}
+        assert C.partial(2) == {(2, 1, 0): 2}
+        # characteristic 2: d/dx x^4 = 0 and d/dx x^3 y = x^2 y
+        C = PlaneQuartic(F4, {(4, 0, 0): F4.one, (3, 1, 0): F4.from_index(2),
+                              (0, 0, 4): F4.from_index(3)})
+        assert C.partial(0) == {(2, 1, 0): 2}
+
+
+# ---------------------------------------------------------------------------
+# PlaneQuartic.count and _Kernel.root_count against brute force over F_{q^i}
+# ---------------------------------------------------------------------------
+
+def _brute_quartic_count(C, i):
+    """Projective points over F_{q^i} by evaluating F at every (x : y : 1),
+    (x : 1 : 0) and (1 : 0 : 0), on the big field's kernel with the
+    coefficients carried over by embed's phi."""
+    big, phi = embed(C.base, i)
+    kern = _kernel(big)
+    horner = kern.horner
+    c = {m: big.index(phi(v)) for m, v in C.coeffs.items()}
+    # cols[a] lists the y-coefficients of x^a in F(x, y, 1)
+    cols = [[c[(a, b, 4 - a - b)] for b in range(5 - a)] for a in range(5)]
+    total = 0
+    for y in range(big.q):
+        row = [horner(col, y) for col in cols]
+        total += sum(1 for x in range(big.q) if not horner(row, x))
+    line = [c[(a, 4 - a, 0)] for a in range(5)]
+    total += sum(1 for x in range(big.q) if not horner(line, x))
+    return total + (0 if c[(4, 0, 0)] else 1)
+
+
+class TestQuarticCountAgainstBruteForce:
+    @pytest.mark.parametrize("F, i, n", [(F3, 3, 12), (F5, 2, 12), (F9, 3, 2),
+                                         (F4, 3, 12), (F8, 2, 12)],
+                             ids=["F3^3", "F5^2", "F9^3", "F4^3", "F8^2"])
+    def test_count(self, F, i, n):
+        rng = random.Random(700 + F.q * i)
+        for k in range(n):
+            C = PlaneQuartic(F, _random_form(F, rng, 4, (0.3, 1.0)[k % 2]))
+            assert C.count(i) == _brute_quartic_count(C, i)
+
+
+def _root_count_cases(big, rng):
+    """Index polynomials of degree 2 to 4 over big: random ones, products of
+    linear factors with repeats, and ones with zero middle coefficients."""
+    def lin(a):
+        return Poly(big, [-big.from_index(a), big.one])
+
+    def idx(f):
+        return [big.index(c) for c in f.coeffs]
+
+    Q = big.q
+    cases = []
+    for d in (2, 3, 4):
+        for _ in range(4):
+            cases.append([rng.randrange(Q) for _ in range(d)]
+                         + [rng.randrange(1, Q)])
+        c, lc = rng.randrange(1, Q), rng.randrange(1, Q)
+        cases.append([c] + [0] * (d - 1) + [lc])           # lc y^d + c
+        cases.append([0, c] + [0] * (d - 2) + [lc])        # lc y^d + c y
+    for roots in ([1, 1], [0, 0, 2], [2, 2, 2], [1, 1, 3, 3], [0, 2, 2, 2],
+                  [5 % Q, 5 % Q, 5 % Q, 5 % Q]):
+        f = Poly(big, [big.one])
+        for a in roots:
+            f = f * lin(a)
+        cases.append(idx(f))
+    irreducible = next(f for f in (Poly(big, [big.from_index(a), b, big.one])
+                                   for b in (big.zero, big.one)
+                                   for a in range(Q))
+                       if not f.roots())
+    cases.append(idx(irreducible * lin(1)))               # one root, no pair
+    cases.append(idx(irreducible * irreducible))          # no root at all
+    return cases
+
+
+class TestRootCountAgainstRoots:
+    @pytest.mark.parametrize("F, i", [(F3, 3), (F5, 2), (F9, 3), (F3, 4),
+                                      (F4, 3), (F8, 2), (F2, 5)],
+                             ids=["F3^3", "F5^2", "F9^3", "F3^4", "F4^3",
+                                  "F8^2", "F2^5"])
+    def test_root_count(self, F, i):
+        big, _ = embed(F, i)
+        kern = _kernel(big)
+        rng = random.Random(800 + F.q * i)
+        for cs in _root_count_cases(big, rng):
+            expected = len(Poly(big, [big.from_index(c) for c in cs]).roots())
+            for q in (F.q, F.p, big.q):
+                assert kern.root_count(cs, q) == expected, (cs, q)
+
+    def test_q_must_be_a_subfield_order(self):
+        big, _ = embed(F9, 3)
+        with pytest.raises(ValueError):
+            _kernel(big).root_count([1, 0, 0, 1], 81)
 
 
 # ---------------------------------------------------------------------------
