@@ -27,17 +27,16 @@ orbit's size.
 A quartic's smoothness test runs on the base field's kernel too: the
 partials, their restrictions to the line z = 0 and the chart z = 1, and
 the resultants in y of the chart polynomials (a Bareiss determinant whose
-entries are index polynomials in x).  Only a common root of those
-resultants is tested in FieldElement arithmetic, over its residue field.
+entries are index polynomials in x).  A common root of those resultants
+is tested over its residue field F_q[x]/(piece), whose elements are index
+polynomials reduced mod the irreducible piece (_Kernel.residue_gcd).
 
 The special places of a tower (poles of the second stage, ramified and
 pole places of the first) run on the same kernel: their local expansions
-are truncated Laurent series of indices (_ser and its helpers), which
-track valuation and precision as series.Series does.
+are the truncated Laurent series of indices of pointless.series.
 """
 
 from .errors import (
-    DivisionByZero,
     EvenCharacteristic,
     OddCharacteristic,
     UnsupportedShape,
@@ -45,13 +44,22 @@ from .errors import (
 )
 from .field import (
     Poly,
-    QuotientField,
     RationalFunction,
     _embed_indices,
     _itrim,
     _kernel,
 )
-from .series import EXACT
+from .series import (
+    _ser,
+    _ser_add,
+    _ser_coeff,
+    _ser_cubic_branch,
+    _ser_horner,
+    _ser_inv,
+    _ser_mul,
+    _ser_scale,
+    _ser_truncate,
+)
 
 
 def _extension(base, i):
@@ -209,8 +217,9 @@ class PlaneQuartic:
         """Whether F and its partials have no common zero, on base-field
         indices: at (1:0:0), on the line z = 0 by a gcd in x, and in the
         chart z = 1 by the gcd of the resultants in y of F with each
-        partial; a common root of that gcd is tested over its residue
-        field."""
+        partial; at a root of each irreducible piece of that gcd, the
+        chart conditions get a gcd in y over the piece's residue field
+        (_Kernel.residue_gcd)."""
         kern = _kernel(self.base)
         partials = [self.partial(v) for v in range(3)]
         if not any(partials):
@@ -246,23 +255,18 @@ class PlaneQuartic:
             g = kern.gcd(g, r)
         if len(g) == 1:
             return True
-        base = self.base
-
-        def poly(cs):
-            return Poly(base, [base.from_index(c) for c in cs])
-
         for piece, _ in kern.factor(g):
-            K = QuotientField(poly(piece))
-            x0 = K.x_class
-            specs = [Poly(K, [_eval_poly_in_quotient(poly(c), K, x0)
-                              for c in b]) for b in conditions]
-            nonzero = [s for s in specs if not s.is_zero()]
+            # the conditions at a root x0 of piece: their x-coefficients
+            # reduced mod piece are elements of F_q(x0) = F_q[x]/(piece)
+            specs = [_itrim([kern._pmod(c, piece) for c in b])
+                     for b in conditions]
+            nonzero = [s for s in specs if s]
             if not nonzero:
                 return False
             h = nonzero[0]
             for s in nonzero[1:]:
-                h = h.gcd(s)
-            if h.degree >= 1:
+                h = kern.residue_gcd(h, s, piece)
+            if len(h) > 1:
                 return False
         return True
 
@@ -306,13 +310,6 @@ def _chart(form):
         rows[j][i] = c
     rows = [_itrim(r) for r in rows]
     return _itrim(rows)
-
-
-def _eval_poly_in_quotient(p, K, x0):
-    acc = K.zero
-    for c in reversed(p.coeffs):
-        acc = acc * x0 + K.from_base(c)
-    return acc
 
 
 def _resultant_y(kern, a, b):
@@ -484,104 +481,6 @@ class ASTower:
         return "as_tower"
 
 
-# Truncated Laurent series over a char-2 index kernel: (val, cs, prec) with
-# cs[k] the index of the coefficient of t^(val + k) and the exponents >= prec
-# unknown.  The helpers follow series.Series step for step -- leading zeros
-# stripped, val = prec for a zero series, worst-case precision on every
-# operation -- so a coefficient read past the known precision raises.
-# Addition is XOR and negation the identity.
-
-def _ser(val, cs, prec):
-    i = 0
-    while i < len(cs) and not cs[i]:
-        i += 1
-    val += i
-    cs = cs[i:i + max(0, prec - val)]
-    return (val, cs, prec) if cs else (prec, [], prec)
-
-
-def _ser_coeff(s, k):
-    val, cs, prec = s
-    if k >= prec:
-        raise ValueError(f"coefficient of t^{k} beyond precision {prec}")
-    return cs[k - val] if val <= k < val + len(cs) else 0
-
-
-def _ser_add(a, b):
-    (va, ca, pa), (vb, cb, pb) = a, b
-    prec = min(pa, pb)
-    lo = min(va, vb)
-    hi = min(prec, max(lo, va + len(ca) if ca else lo,
-                       vb + len(cb) if cb else lo))
-    out = [0] * (hi - lo)
-    for v, cs in ((va, ca), (vb, cb)):
-        for k, c in enumerate(cs[:max(0, hi - v)], v - lo):
-            out[k] ^= c
-    return _ser(lo, out, prec)
-
-
-def _ser_mul(kern, a, b):
-    (va, ca, pa), (vb, cb, pb) = a, b
-    prec = min(pa + vb, pb + va)
-    if not ca or not cb:
-        return (prec, [], prec)
-    lo = va + vb
-    n = min(prec - lo, len(ca) + len(cb) - 1)
-    out = [0] * n
-    exp, log = kern.exp, kern.log
-    logs_b = [(j, log[y]) for j, y in enumerate(cb[:n]) if y]
-    for i, x in enumerate(ca[:n]):
-        if x:
-            lx = log[x]
-            for j, ly in logs_b:
-                if i + j >= n:
-                    break
-                out[i + j] ^= exp[lx + ly]
-    return _ser(lo, out, prec)
-
-
-def _ser_scale(kern, s, c):
-    val, cs, prec = s
-    return _ser(val, [kern.mul(c, a) for a in cs], prec)
-
-
-def _ser_inv(kern, s):
-    val, cs, prec = s
-    if not cs:
-        raise DivisionByZero("inverse of zero series")
-    n = prec - val  # relative precision carries over
-    exp, log = kern.exp, kern.log
-    linv0 = kern.n1 - log[cs[0]]
-    logs = [(j, log[c]) for j, c in enumerate(cs) if j and c]
-    out = [exp[linv0]] + [0] * (n - 1)
-    for k in range(1, n):
-        acc = 0
-        for j, lc in logs:
-            if j > k:
-                break
-            if out[k - j]:
-                acc ^= exp[lc + log[out[k - j]]]
-        if acc:
-            out[k] = exp[linv0 + log[acc]]
-    return _ser(-val, out, n - val)
-
-
-def _ser_truncate(s, prec):
-    val, cs, p = s
-    if prec >= p:
-        return s
-    return _ser(val, cs[:max(0, prec - val)], prec)
-
-
-def _ser_horner(kern, cs, s):
-    """Value of the index polynomial cs at the series s (exact inputs carry
-    the precision series.EXACT, as in series.poly_at_series)."""
-    acc = (EXACT, [], EXACT)
-    for c in reversed(cs):
-        acc = _ser_add(_ser_mul(kern, acc, s), _ser(0, [c], EXACT))
-    return acc
-
-
 def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
                         prec=60):
     """Points of the tower above one place of the middle curve, via local
@@ -594,19 +493,25 @@ def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
     if kind == "finite":
         # unramified place at x = x0 with chosen branch value for y
         xs = _ser(0, [x0, 1], prec)
-        f1s = _ser_add(_ser(0, [c0], prec), _ser_scale(kern, xs, c1))
+        f1s = _ser_add(kern, _ser(0, [c0], prec), _ser_scale(kern, xs, c1))
         if cm1:
-            f1s = _ser_add(f1s, _ser_scale(kern, _ser_inv(kern, xs), cm1))
+            f1s = _ser_add(kern, f1s,
+                           _ser_scale(kern, _ser_inv(kern, xs), cm1))
         ys = _as_branch_series(kern, f1s, ybranch, prec)
     elif kind == "ord_inf":
         # x = 1/t; f1 = c0 + cm1 t (c1 = 0 here)
         xs = _ser(-1, [1], prec)
         ys = _as_branch_series(kern, _ser(0, [c0, cm1], prec), ybranch, prec)
+    # a ramified pole: the smooth-model parameter t = x y (at x = 0) or
+    # y / x (at infinity) makes x (resp. 1/x) the series X with
+    # X (cl + t + cm X + cf X^2) = t^2, exact through t^prec
     elif kind == "ram_zero":
-        xs = _ser(0, _ramified_x_coeffs(kern, cm1, c0, c1, prec), prec + 1)
+        xs = _ser(0, _ser_cubic_branch(kern, cm1, 1, c0, c1, prec + 1),
+                  prec + 1)
         ys = _ser_mul(kern, t, _ser_inv(kern, xs))
     else:  # ram_inf
-        X = _ser(0, _ramified_x_coeffs(kern, c1, c0, cm1, prec), prec + 1)
+        X = _ser(0, _ser_cubic_branch(kern, c1, 1, c0, cm1, prec + 1),
+                 prec + 1)
         xs = _ser_inv(kern, X)
         ys = _ser_mul(kern, t, xs)
 
@@ -614,7 +519,7 @@ def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
     As = _ser_truncate(_ser_horner(kern, A, xs), prec)
     Bs = _ser_truncate(_ser_mul(kern, _ser_horner(kern, B, xs), ys), prec)
     Ds = _ser_truncate(_ser_horner(kern, D, xs), prec)
-    return _as_reduce_count(kern, _ser_mul(kern, _ser_add(As, Bs),
+    return _as_reduce_count(kern, _ser_mul(kern, _ser_add(kern, As, Bs),
                                            _ser_inv(kern, Ds)))
 
 
@@ -631,30 +536,6 @@ def _as_branch_series(kern, F, y0, prec):
     return _ser(0, a, n)
 
 
-def _ramified_x_coeffs(kern, clead, cmid, cfar, prec):
-    """Solve x(cl + t + cm x + cf x^2) = t^2 for x as a series in t
-    (the smooth-model parameter at a ramified Artin-Schreier pole); the
-    indices of its coefficients of t^0 .. t^prec, all exact.
-
-    The coefficient of t^n gives the recurrence
-        x_n = (delta_{n,2} - x_{n-1} - cm (x^2)_n - cf (x^3)_n) / cl,
-    explicit because x_0 = 0, so (x^2)_n and (x^3)_n only involve x_k with
-    k < n; they are kept as running sums.  Needs cl != 0 (char 2)."""
-    mul = kern.mul
-    inv_l = kern.inv(clead)
-    x = [0] * (prec + 1)     # coefficients of t^0 .. t^prec
-    x2 = [0] * (prec + 1)    # coefficients of x^2
-    for n in range(1, prec + 1):
-        s2 = s3 = 0          # (x^2)_n and (x^3)_n; indices add by XOR
-        for k in range(1, n):
-            s2 ^= mul(x[k], x[n - k])
-            s3 ^= mul(x[k], x2[n - k])
-        x2[n] = s2
-        rhs = (1 if n == 2 else 0) ^ x[n - 1] ^ mul(cmid, s2) ^ mul(cfar, s3)
-        x[n] = mul(rhs, inv_l)
-    return x
-
-
 def _as_reduce_count(kern, f2):
     """Points above a place from the local expansion of the second-stage
     right-hand side: repeatedly absorb even-order poles via s^2 + s.  The
@@ -668,4 +549,4 @@ def _as_reduce_count(kern, f2):
             return 1
         s = kern.exp[kern.log[cs[0]] * half % kern.n1]
         u = _ser(val // 2, [s], prec)
-        f2 = _ser_add(_ser_add(f2, _ser_mul(kern, u, u)), u)
+        f2 = _ser_add(kern, _ser_add(kern, f2, _ser_mul(kern, u, u)), u)

@@ -3,7 +3,10 @@ Riemann-Roch monomial spaces L(k*infinity), vanishing orders via local
 expansions, and the divisor shapes and point counts of the double covers
 z^2 = fn that the double-cover searches test.
 
-Points are None (infinity) or (x, y) tuples of field elements.
+Points are None (infinity) or (x, y) tuples of field elements.  The local
+expansions at the zeros of fn (vanishing_order, and cover_count's points
+where fn vanishes) are truncated series of indices on the index kernel of
+the field the point lies in (pointless.series).
 """
 
 from math import gcd, isqrt
@@ -16,8 +19,18 @@ from .errors import (
     ZeroFunction,
 )
 from .curves import _extension, _index_poly
-from .field import Poly, _prime_factors
-from .series import Series, poly_at_series
+from .field import Poly, _kernel, _prime_factors
+from .series import (
+    EXACT,
+    _ser,
+    _ser_add,
+    _ser_coeff,
+    _ser_cubic_branch,
+    _ser_horner,
+    _ser_mul,
+    _ser_sqrt,
+    _ser_truncate,
+)
 
 INF = None
 
@@ -225,55 +238,62 @@ def fn_value(A, B, P):
 # local expansions and vanishing orders
 # ---------------------------------------------------------------------------
 
-def _local_xy_series(cubic, P, field, prec=12):
-    """(x(t), y(t)) at the affine point P; t is x - x0 off 2-torsion and
-    t = y at a 2-torsion point."""
-    x0, y0 = P
-    if not y0.is_zero():
-        xs = Series(field, 0, [x0, field.one], prec)
-        cs = poly_at_series(cubic, xs).truncate(prec)
-        ys = cs.sqrt()
-        if ys.coefficient(0) != y0:
-            ys = -ys
-        return xs, ys
-    # 2-torsion: solve cubic(x0 + s) = t^2 for s(t)
-    d = cubic.derivative().eval(x0)
-    if d.is_zero():
+# Every order read below is at most k <= 8, the limit in rr_basis: the
+# zeros of fn in L(k*infinity) have degree k in all, so coefficients of
+# t^0 .. t^8 decide each valuation and its leading coefficient.
+EXPANSION_PREC = 9
+
+
+def _local_xy_series(kern, c, x0, y0):
+    """(x(t), y(t)) at the affine point (x0, y0) of y^2 = c(x), as series of
+    the kernel's indices: t is x - x0 off 2-torsion and t = y at a
+    2-torsion point, where x = x0 + s(t) with c(x0 + s) = t^2."""
+    prec = EXPANSION_PREC
+    if y0:
+        xs = _ser(0, [x0, 1], prec)
+        return xs, _ser_sqrt(kern, _ser_truncate(_ser_horner(kern, c, xs),
+                                                 prec), y0)
+    # the Taylor coefficients d1, d2, d3 of c at x0 (c(x0) = 0)
+    taylor = _ser_horner(kern, c, _ser(0, [x0, 1], EXACT))
+    d1, d2, d3 = (_ser_coeff(taylor, k) for k in (1, 2, 3))
+    if not d1:
         raise UnsupportedShape("singular point")  # cannot happen on a curve
-    t = Series.t(field, prec)
-    t2 = t * t
-    s = Series.zero(field, prec)
-    dinv = d.inv()
-    for _ in range(prec + 1):
-        # c(x0+s) = d*s + higher(s); s = (t^2 - higher(s)) / d
-        shifted = poly_at_series(cubic, Series(field, 0, [x0], prec) + s).truncate(prec)
-        higher = shifted - s.scale(d)
-        s = (t2 - higher).scale(dinv).truncate(prec)
-    xs = Series(field, 0, [x0], prec) + s
-    return xs, t
+    s = _ser_cubic_branch(kern, d1, 0, d2, d3, prec)
+    return _ser(0, [x0] + s[1:], prec), _ser(1, [1], prec)
 
 
-def _local_fn_series(A, B, cubic, P, field, prec):
-    """The expansion of A + B y at the affine point P, in the local
-    parameter of _local_xy_series."""
-    xs, ys = _local_xy_series(cubic, P, field, prec)
-    fs = poly_at_series(A, xs).truncate(prec) + (poly_at_series(B, xs) * ys).truncate(prec)
-    if fs.is_zero():
+def _local_fn_series(kern, A, B, c, x0, y0):
+    """The expansion of A + B y at the affine point (x0, y0), in the local
+    parameter of _local_xy_series; A, B and c are index polynomials."""
+    prec = EXPANSION_PREC
+    xs, ys = _local_xy_series(kern, c, x0, y0)
+    fs = _ser_add(kern, _ser_truncate(_ser_horner(kern, A, xs), prec),
+                  _ser_truncate(_ser_mul(kern, _ser_horner(kern, B, xs), ys),
+                                prec))
+    if not fs[1]:
         raise ZeroFunction("function vanishes beyond the series precision")
     return fs
 
 
-def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
-    """ord_P of the function sum c x^i y^j at an affine point P (coordinates
-    in `field`, defaulting to the curve's base field)."""
-    field = field or E.base
-    cubic = cubic or E.cubic
-    A, B = fn_ab(coeffs, basis, field)
-    x0, y0 = P
-    v = A.eval(x0) + B.eval(x0) * y0
-    if not v.is_zero():
+def _fn_indices(basis, idx):
+    """(A, B) as index lists in x, for fn = A + B y with the coefficient
+    indices idx on basis."""
+    A, B = [0] * len(basis), [0] * len(basis)
+    for (mi, mj), v in zip(basis, idx):
+        (B if mj else A)[mi] = v
+    return A, B
+
+
+def vanishing_order(E, coeffs, basis, P):
+    """ord_P of the function sum c x^i y^j at an affine point P of E over
+    its base field, on the base field's index kernel."""
+    F = E.base
+    kern = _kernel(F)
+    A, B = _fn_indices(basis, [F.index(cf) for cf in coeffs])
+    x0, y0 = (F.index(v) for v in P)
+    if kern.add(kern.horner(A, x0), kern.mul(kern.horner(B, x0), y0)):
         return 0
-    return _local_fn_series(A, B, cubic, P, field, prec).valuation()
+    return _local_fn_series(kern, A, B, _index_poly(E.cubic), x0, y0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +422,25 @@ def divisor_shape(E, coeffs, basis, Q, k):
 # point counts of the double cover z^2 = fn
 # ---------------------------------------------------------------------------
 
-def cover_count(E, coeffs, basis, i=1, prec=14):
+def cover_count(E, coeffs, basis, i=1):
     """#D(F_{q^i}) for the double cover D: z^2 = fn of E.
 
     Runs on the index kernel of F_{q^i}: per Frobenius orbit of x (see
     curves._extension), c(x), A(x) and B(x) come from Horner on indices,
     y = sqrt(c(x)) from the halved discrete log, and each of the points
     (x, +-y) adds 2 or 0 by the log parity of fn there, times the orbit's
-    size.  Only a point where fn vanishes takes a local expansion: an
-    odd order adds 1, an even one 2 or 0 by the square class of the
-    leading coefficient.
+    size.  Only a point where fn vanishes takes a local expansion, on the
+    same kernel: an odd order adds 1, an even one 2 or 0 by the square
+    class of the leading coefficient.
     """
     pole = fn_pole_order(coeffs, basis)
-    big, imap, kern, orbits = _extension(E.base, i)
+    _, imap, kern, orbits = _extension(E.base, i)
     idx = [imap[E.base.index(cf)] for cf in coeffs]
-    A, B = [0] * len(basis), [0] * len(basis)
-    for (mi, mj), v in zip(basis, idx):
-        (B if mj else A)[mi] = v
+    A, B = _fn_indices(basis, idx)
     c = [imap[v] for v in _index_poly(E.cubic)]
     horner, add, mul, neg = kern.horner, kern.add, kern.mul, kern.neg
     exp, log = kern.exp, kern.log
     total = 0
-    zeros = []
     for x, w in orbits:
         cx = horner(c, x)
         if not cx:
@@ -435,21 +452,12 @@ def cover_count(E, coeffs, basis, i=1, prec=14):
             ax, by = horner(A, x), mul(horner(B, x), y)
             pts = ((y, add(ax, by)), (neg(y), add(ax, neg(by))))
         for y, v in pts:
-            if not v:
-                zeros.append((x, y, w))
-            elif not log[v] & 1:
-                total += 2 * w
-    if zeros:
-        from_index = big.from_index
-        Af, Bf = fn_ab([from_index(v) for v in idx], basis, big)
-        cubic = Poly(big, [from_index(v) for v in c])
-        for x, y, w in zeros:
-            fs = _local_fn_series(Af, Bf, cubic, (from_index(x), from_index(y)),
-                                  big, prec)
-            ordP = fs.valuation()
-            if ordP % 2 == 1:
-                total += w
-            elif fs.coefficient(ordP).is_square():
+            if not v:       # a zero of fn: read its order and leading term
+                order, (v, *_), _ = _local_fn_series(kern, A, B, c, x, y)
+                if order % 2:
+                    total += w
+                    continue
+            if not log[v] & 1:
                 total += 2 * w
     # the points above infinity
     if pole % 2 == 1:

@@ -8,6 +8,7 @@ constants quoted against a specific generator relation stay bit-exact.
 import random
 from array import array
 from itertools import repeat, zip_longest
+from operator import xor
 
 from .errors import (
     CompositeCharacteristic,
@@ -467,7 +468,8 @@ class FieldElement:
 
 
 def _tonelli_shanks(field, v):
-    """Square root in a field-like object of odd order (generic element ops)."""
+    """Square root of the square v in a field of odd order past
+    _KERNEL_MAX_ORDER, in FieldElement arithmetic."""
     q = field.order
     one = field.one
     if q % 4 == 3:
@@ -496,18 +498,10 @@ def _tonelli_shanks(field, v):
 
 def _find_nonsquare(field):
     half = (field.order - 1) // 2
-    for v in field.sample_elements():
+    for v in field.elements():
         if not v.is_zero() and v ** half != field.one:
             return v
     raise NoSquareRoot("no nonsquare found")  # pragma: no cover
-
-
-# enumerating small fields is cheap; expose a sampler for the generic helpers
-def _ff_sample(self):
-    return self.elements()
-
-
-FiniteField.sample_elements = _ff_sample
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +522,9 @@ def _kernel(field):
 
 def _poly_kernel(base):
     """The index kernel that Poly.gcd, is_separable, squarefree_part,
-    factor and is_irreducible run on over base, or None for a
-    QuotientField or a field past _KERNEL_MAX_ORDER."""
-    if isinstance(base, FiniteField) and base.q <= _KERNEL_MAX_ORDER:
+    factor and is_irreducible run on over base, or None for a field past
+    _KERNEL_MAX_ORDER."""
+    if base.q <= _KERNEL_MAX_ORDER:
         return _kernel(base)
     return None
 
@@ -748,6 +742,32 @@ class _Kernel:
             a, b = b, self._pmod(a, b)
         return self._monic(a) if a else a
 
+    def residue_gcd(self, a, b, m):
+        """Monic gcd in y of a and b over the residue field F_q[x]/(m), m
+        monic irreducible of degree e: a and b list residues, constant term
+        first, each an index polynomial in x of degree < e ([] for zero).
+        Residues multiply by _pmul then _pmod; the inverse of a residue r is
+        r^(q^e - 2) mod m.  [] when both are zero."""
+        a, b = _itrim(a), _itrim(b)
+        pmod, pmul, psub = self._pmod, self._pmul, self._psub
+        e = self.q ** (len(m) - 1) - 2
+
+        def monic(f):
+            lead = self.powmod(f[-1], e, m)
+            return [pmod(pmul(c, lead), m) for c in f]
+
+        while b:
+            b = monic(b)
+            a = list(a)
+            db = len(b) - 1
+            for k in range(len(a) - db - 1, -1, -1):
+                c = a[k + db]
+                if c:
+                    for j in range(db):
+                        a[k + j] = psub(a[k + j], pmod(pmul(c, b[j]), m))
+            a, b = b, _itrim(a[:db])
+        return monic(a) if a else a
+
     def _derivative(self, cs):
         """cs': its coefficient i - 1 is c_i times i mod p, and the index
         of an integer k < p is k on every kernel."""
@@ -931,8 +951,7 @@ class _Char2Kernel(_Kernel):
                 rows.append((p, mask, combo))
         self._as_rows = rows
 
-    def add(self, a, b):
-        return a ^ b
+    add = staticmethod(xor)     # a builtin: the series and Euclid loops call it
 
     def neg(self, a):
         return a
@@ -1112,7 +1131,7 @@ class Poly:
         return Poly(self.base, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):  # scalar (FieldElement or QElement)
+        if not isinstance(other, Poly):  # a FieldElement scalar
             return Poly(self.base, [c * other for c in self.coeffs])
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -1169,10 +1188,10 @@ class Poly:
         return acc
 
     def gcd(self, other):
-        """Monic gcd (zero when both are zero).  Over a FiniteField of
-        order at most _KERNEL_MAX_ORDER the Euclid runs on the field's
-        index kernel (_Kernel.gcd); the FieldElement Euclid below serves
-        QuotientField bases and larger fields."""
+        """Monic gcd (zero when both are zero).  Over a field of order at
+        most _KERNEL_MAX_ORDER the Euclid runs on the field's index kernel
+        (_Kernel.gcd); the FieldElement Euclid below serves larger
+        fields."""
         self._check(other)
         F = self.base
         kern = _poly_kernel(F)
@@ -1186,8 +1205,7 @@ class Poly:
         return a.monic()
 
     def derivative(self):
-        """f', the integer i built as 1 + ... + 1 so that any base (a
-        FiniteField or a QuotientField) serves."""
+        """f', the integer i built as 1 + ... + 1 in the base."""
         F = self.base
         out = []
         k = F.zero
@@ -1561,139 +1579,3 @@ def _embed_indices(field, m):
     embed(field, m)
     big, _, imap = _EMBEDDINGS[(field, m)]
     return big, imap
-
-
-# ---------------------------------------------------------------------------
-# relative quotient fields (internal: back-substitution, divisor support)
-# ---------------------------------------------------------------------------
-
-class QuotientField:
-    """F_q[x]/(m) for m irreducible over F_q.
-
-    Used internally where a root of a specific irreducible polynomial is
-    needed without choosing an absolute presentation: the class of x *is*
-    the root.  Not part of the public field model.
-    """
-
-    def __init__(self, modulus):
-        self.modulus = modulus.monic()
-        self.base = modulus.base
-        self.deg = modulus.degree
-        self.order = self.base.q ** self.deg
-        self.char = self.base.p
-        self.zero = QElement(self, Poly(self.base, []))
-        self.one = QElement(self, Poly.constant(self.base, self.base.one))
-        self.x_class = QElement(self, Poly.x(self.base) % self.modulus)
-
-    def from_base(self, c):
-        return QElement(self, Poly.constant(self.base, c))
-
-    def sample_elements(self):
-        # deterministic enumeration of all elements (base-q digit counter);
-        # a recurrence-based stream can get stuck in a cycle of squares
-        q = self.base.q
-        for idx in range(self.order):
-            digits = []
-            v = idx
-            while v:
-                digits.append(self.base.from_index(v % q))
-                v //= q
-            yield QElement(self, Poly(self.base, digits))
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("quot", self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.base.q})[x]/({self.modulus!r})"
-
-
-class QElement:
-    __slots__ = ("parent", "rep")
-
-    def __init__(self, parent, rep):
-        self.parent = parent
-        self.rep = rep
-
-    def is_zero(self):
-        return self.rep.is_zero()
-
-    def _check(self, other):
-        if not isinstance(other, QElement) or other.parent != self.parent:
-            raise MixedFields("operands belong to different quotient fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return QElement(self.parent, self.rep + other.rep)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QElement(self.parent, self.rep - other.rep)
-
-    def __neg__(self):
-        return QElement(self.parent, -self.rep)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QElement(self.parent, (self.rep * other.rep) % self.parent.modulus)
-
-    def inv(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        m = self.parent.modulus
-        r0, r1 = m, self.rep
-        F = self.parent.base
-        s0, s1 = Poly(F, []), Poly.constant(F, F.one)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        return QElement(self.parent, (s0 * r0.lc.inv()) % m)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.parent.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, QElement) and self.parent == other.parent
-                and self.rep == other.rep)
-
-    def __hash__(self):
-        return hash(("q", self.rep.coeffs))
-
-    def is_square(self):
-        if self.is_zero():
-            return True
-        if self.parent.char == 2:
-            return True
-        return self ** ((self.parent.order - 1) // 2) == self.parent.one
-
-    def sqrt(self):
-        K = self.parent
-        if K.char == 2:
-            out = self
-            e = K.base.n * K.deg
-            for _ in range(e - 1):
-                out = out * out
-            return out
-        if self.is_zero():
-            return self
-        if not self.is_square():
-            raise NoSquareRoot("not a square in the quotient field")
-        return _tonelli_shanks(K, self)
-
-    def __repr__(self):
-        return f"[{self.rep!r}]"

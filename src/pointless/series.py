@@ -1,173 +1,152 @@
-"""Truncated Laurent series over a finite field, for local expansions at
-places of curves.
+"""Truncated Laurent series over a finite field's index kernel, for local
+expansions at places of curves.
 
-A series knows its valuation and an absolute precision: coefficients are
-stored for exponents val, val+1, ..., prec-1.  All operations track the
-worst-case precision of the result.
+A series is a tuple (val, cs, prec): cs[k] is the index of the coefficient
+of t^(val + k), and the exponents >= prec are unknown.  Leading zeros are
+stripped, a series with no known nonzero coefficient has val = prec, and
+every operation carries the worst-case precision of its result, so reading
+a coefficient past the known precision raises.  The arithmetic is that of
+a field._Kernel of any characteristic: sums through kern.add and kern.neg,
+products on its exp/log tables.  The char-2 towers (curves.ASTower) and the
+elliptic double covers (elliptic.cover_count, vanishing_order) expand their
+places here.
 """
 
-from .errors import DivisionByZero, NoSquareRoot
-
-DEFAULT_PREC = 40
-
-
-class Series:
-    __slots__ = ("field", "val", "coeffs", "prec")
-
-    def __init__(self, field, val, coeffs, prec):
-        """coeffs[k] is the coefficient of t^(val+k); exponents >= prec unknown."""
-        self.field = field
-        coeffs = list(coeffs)
-        # strip known-zero leading terms
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
-        del coeffs[max(0, prec - val):]
-        self.val = val if coeffs else prec
-        self.coeffs = coeffs
-        self.prec = prec
-
-    @classmethod
-    def zero(cls, field, prec=DEFAULT_PREC):
-        return cls(field, prec, [], prec)
-
-    @classmethod
-    def constant(cls, field, c, prec=DEFAULT_PREC):
-        return cls(field, 0, [c], prec)
-
-    @classmethod
-    def t(cls, field, prec=DEFAULT_PREC):
-        return cls(field, 1, [field.one], prec)
-
-    def is_zero(self):
-        """True when no nonzero coefficient is known (could be O(t^prec))."""
-        return not self.coeffs
-
-    def coefficient(self, k):
-        if k >= self.prec:
-            raise ValueError(f"coefficient of t^{k} beyond precision {self.prec}")
-        if self.val <= k < self.val + len(self.coeffs):
-            return self.coeffs[k - self.val]
-        return self.field.zero
-
-    def valuation(self):
-        if self.is_zero():
-            raise DivisionByZero("valuation of (numerically) zero series")
-        return self.val
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        lo = min(self.val, other.val)
-        ends = [lo]
-        if self.coeffs:
-            ends.append(self.val + len(self.coeffs))
-        if other.coeffs:
-            ends.append(other.val + len(other.coeffs))
-        hi = min(prec, max(ends))
-        out = [self.field.zero] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            k = self.val + i - lo
-            if k < len(out):
-                out[k] = out[k] + c
-        for i, c in enumerate(other.coeffs):
-            k = other.val + i - lo
-            if k < len(out):
-                out[k] = out[k] + c
-        return Series(self.field, lo, out, prec)
-
-    def __neg__(self):
-        return Series(self.field, self.val, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        prec = min(self.prec + other.val, other.prec + self.val)
-        if self.is_zero() or other.is_zero():
-            return Series(self.field, prec, [], prec)
-        lo = self.val + other.val
-        n = min(prec - lo, len(self.coeffs) + len(other.coeffs) - 1)
-        out = [self.field.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                out[k] = out[k] + a * b
-        return Series(self.field, lo, out, prec)
-
-    def scale(self, c):
-        return Series(self.field, self.val, [c * a for a in self.coeffs], self.prec)
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        return Series(self.field, self.val + k, self.coeffs, self.prec + k)
-
-    def inv(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero series")
-        a0 = self.coeffs[0]
-        n = self.prec - self.val  # relative precision carries over
-        inv0 = a0.inv()
-        out = [inv0] + [self.field.zero] * (n - 1)
-        for k in range(1, n):
-            acc = self.field.zero
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return Series(self.field, -self.val, out, n - self.val)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def truncate(self, prec):
-        if prec >= self.prec:
-            return self
-        return Series(self.field, self.val, self.coeffs[:max(0, prec - self.val)], prec)
-
-    def sqrt(self):
-        """Square root with the same field's conventions: odd characteristic,
-        even valuation, square leading coefficient (Newton iteration)."""
-        if self.is_zero():
-            return self
-        if self.field.char == 2:
-            raise NoSquareRoot("char-2 series square roots are not needed here")
-        if self.val % 2:
-            raise NoSquareRoot("odd valuation")
-        body = Series(self.field, 0, self.coeffs, self.prec - self.val)
-        c0 = body.coeffs[0]
-        r0 = c0.sqrt()  # raises NoSquareRoot if not a square
-        n = body.prec
-        half = (self.field.one + self.field.one).inv()
-        r = Series.constant(self.field, r0, n)
-        known = 1
-        while known < n:
-            known = min(2 * known, n)
-            # Newton doubles the number of correct coefficients per step; pad
-            # the iterate and declare the doubled precision explicitly (the
-            # tracked worst case would stay stuck at the initial precision).
-            padded = [r.coefficient(i) if i < r.prec else self.field.zero
-                      for i in range(known)]
-            r = Series(self.field, 0, padded, known)
-            r = (r + body.truncate(known) / r).scale(half)
-        return r.truncate(n).shift(self.val // 2)
-
-    def __repr__(self):
-        terms = [f"({c!r})t^{self.val + i}"
-                 for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(t^{self.prec})"
-
+from .errors import DivisionByZero
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
 
 
-def poly_at_series(f, s):
-    """Evaluate the univariate Poly f at the series s (Horner)."""
-    field = s.field
-    acc = Series(field, EXACT, [], EXACT)
-    for c in reversed(f.coeffs):
-        acc = acc * s + Series.constant(field, c, EXACT)
+def _ser(val, cs, prec):
+    i = 0
+    while i < len(cs) and not cs[i]:
+        i += 1
+    val += i
+    cs = cs[i:i + max(0, prec - val)]
+    return (val, cs, prec) if cs else (prec, [], prec)
+
+
+def _ser_coeff(s, k):
+    val, cs, prec = s
+    if k >= prec:
+        raise ValueError(f"coefficient of t^{k} beyond precision {prec}")
+    return cs[k - val] if val <= k < val + len(cs) else 0
+
+
+def _ser_add(kern, a, b):
+    (va, ca, pa), (vb, cb, pb) = a, b
+    prec = min(pa, pb)
+    lo = min(va, vb)
+    hi = min(prec, max(lo, va + len(ca) if ca else lo,
+                       vb + len(cb) if cb else lo))
+    add = kern.add
+    out = [0] * (hi - lo)
+    for v, cs in ((va, ca), (vb, cb)):
+        for k, c in enumerate(cs[:max(0, hi - v)], v - lo):
+            out[k] = add(out[k], c)
+    return _ser(lo, out, prec)
+
+
+def _ser_mul(kern, a, b):
+    (va, ca, pa), (vb, cb, pb) = a, b
+    prec = min(pa + vb, pb + va)
+    if not ca or not cb:
+        return (prec, [], prec)
+    lo = va + vb
+    n = min(prec - lo, len(ca) + len(cb) - 1)
+    out = [0] * n
+    add, exp, log = kern.add, kern.exp, kern.log
+    logs_b = [(j, log[y]) for j, y in enumerate(cb[:n]) if y]
+    for i, x in enumerate(ca[:n]):
+        if x:
+            lx = log[x]
+            for j, ly in logs_b:
+                if i + j >= n:
+                    break
+                out[i + j] = add(out[i + j], exp[lx + ly])
+    return _ser(lo, out, prec)
+
+
+def _ser_scale(kern, s, c):
+    val, cs, prec = s
+    return _ser(val, [kern.mul(c, a) for a in cs], prec)
+
+
+def _ser_inv(kern, s):
+    val, cs, prec = s
+    if not cs:
+        raise DivisionByZero("inverse of zero series")
+    n = prec - val  # relative precision carries over
+    add, exp, log, n1 = kern.add, kern.exp, kern.log, kern.n1
+    linv0 = n1 - log[cs[0]]
+    lneg = (linv0 + kern.log_minus_one) % n1    # log of -1 / cs[0]
+    logs = [(j, log[c]) for j, c in enumerate(cs) if j and c]
+    out = [exp[linv0]] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = 0
+        for j, lc in logs:
+            if j > k:
+                break
+            if out[k - j]:
+                acc = add(acc, exp[lc + log[out[k - j]]])
+        if acc:
+            out[k] = exp[lneg + log[acc]]
+    return _ser(-val, out, n - val)
+
+
+def _ser_truncate(s, prec):
+    val, cs, p = s
+    if prec >= p:
+        return s
+    return _ser(val, cs[:max(0, prec - val)], prec)
+
+
+def _ser_horner(kern, cs, s):
+    """Value of the index polynomial cs at the series s; the coefficients
+    are exact (precision EXACT)."""
+    acc = (EXACT, [], EXACT)
+    for c in reversed(cs):
+        acc = _ser_add(kern, _ser_mul(kern, acc, s), _ser(0, [c], EXACT))
     return acc
+
+
+def _ser_sqrt(kern, s, r0):
+    """The y with y^2 = s and y(0) = r0, odd characteristic, for s of
+    valuation 0 with s(0) = r0^2 != 0; as precise as s.  The coefficient of
+    t^k of y^2 gives the explicit recurrence
+        y_k = (s_k - sum_{0 < i < k} y_i y_(k-i)) / (2 r0)."""
+    _, _, prec = s
+    add, neg, mul = kern.add, kern.neg, kern.mul
+    half = kern.inv(mul(2, r0))     # the index of an integer k < p is k
+    y = [r0]
+    for k in range(1, prec):
+        acc = _ser_coeff(s, k)
+        for i in range(1, k):
+            acc = add(acc, neg(mul(y[i], y[k - i])))
+        y.append(mul(acc, half))
+    return _ser(0, y, prec)
+
+
+def _ser_cubic_branch(kern, c1, ct, c2, c3, n):
+    """The indices of s_0 .. s_(n-1), all exact, of the series s(t) with
+    s(0) = 0 and
+        c1 s + ct t s + c2 s^2 + c3 s^3 = t^2,   c1 != 0:
+    the smooth-model parameter at a ramified Artin-Schreier pole
+    (curves._tower_place_points) and at a 2-torsion point of an elliptic
+    curve (elliptic._local_xy_series).  The coefficient of t^k gives
+        s_k = (delta_(k,2) - ct s_(k-1) - c2 (s^2)_k - c3 (s^3)_k) / c1,
+    explicit because s_0 = 0, so (s^2)_k and (s^3)_k only involve s_j with
+    j < k; they are kept as running sums."""
+    add, neg, mul = kern.add, kern.neg, kern.mul
+    inv1 = kern.inv(c1)
+    s = [0] * n              # coefficients of t^0 .. t^(n-1)
+    s2 = [0] * n             # coefficients of s^2
+    for k in range(1, n):
+        acc2 = acc3 = 0      # (s^2)_k and (s^3)_k
+        for j in range(1, k):
+            acc2 = add(acc2, mul(s[j], s[k - j]))
+            acc3 = add(acc3, mul(s[j], s2[k - j]))
+        s2[k] = acc2
+        rhs = add(mul(ct, s[k - 1]), add(mul(c2, acc2), mul(c3, acc3)))
+        s[k] = mul(add(1 if k == 2 else 0, neg(rhs)), inv1)
+    return s

@@ -13,7 +13,6 @@ from pointless.curves import (
     HyperellipticOdd,
     PlaneQuartic,
     _extension,
-    _ramified_x_coeffs,
     _resultant_y,
     _tower_place_points,
 )
@@ -26,15 +25,22 @@ from pointless.field import (
     _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
-    QuotientField,
     RationalFunction,
     _itrim,
     _kernel,
     _poly_kernel,
     embed,
 )
-from pointless.series import Series, poly_at_series
+from pointless.series import _ser_cubic_branch
 from pointless.zeta import serre_bound_holds
+
+from element_reference import (
+    QElement,
+    QuotientField,
+    Series,
+    euclid_gcd,
+    poly_at_series,
+)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -704,7 +710,7 @@ def _reference_is_smooth(C):
             return False
         h = nonzero[0]
         for s in nonzero[1:]:
-            h = h.gcd(s)
+            h = euclid_gcd(h, s)
         if h.degree >= 1:
             return False
     return True
@@ -810,6 +816,77 @@ class TestSmoothnessAgainstFieldElement:
         C = PlaneQuartic(F4, {(4, 0, 0): F4.one, (3, 1, 0): F4.from_index(2),
                               (0, 0, 4): F4.from_index(3)})
         assert C.partial(0) == {(2, 1, 0): 2}
+
+
+def _singular_over(F, h):
+    """A reducible quartic whose singular points include those over the
+    roots of the monic index polynomial h: for deg h = 4 the conics
+    yz - x^2 and y^2 + h3 xy + h2 x^2 + h1 xz + h0 z^2, which meet where
+    y = x^2 and h(x) = 0; for deg h = 3 the line y = 0 and the cubic
+    h(x, z) + y (x^2 + yz)."""
+    c = [F.from_index(v) for v in h]
+    if len(h) == 5:
+        u = {(0, 1, 1): F.one, (2, 0, 0): -F.one}
+        v = {(0, 2, 0): F.one, (1, 1, 0): c[3], (2, 0, 0): c[2],
+             (1, 0, 1): c[1], (0, 0, 2): c[0]}
+    else:
+        u = {(0, 1, 0): F.one}
+        v = {(3, 0, 0): F.one, (2, 0, 1): c[2], (1, 0, 2): c[1],
+             (0, 0, 3): c[0], (2, 1, 0): F.one, (0, 2, 1): F.one}
+    return PlaneQuartic(F, _form_product(F, u, v))
+
+
+def _monic_with_pieces(F, rng, degrees):
+    """A random monic index polynomial, the product of distinct random
+    monic irreducibles of the given degrees."""
+    kern = _kernel(F)
+    out, seen = [1], set()
+    for d in degrees:
+        while True:
+            g = [rng.randrange(F.q) for _ in range(d)] + [1]
+            if tuple(g) not in seen and kern.is_irreducible(g):
+                break
+        seen.add(tuple(g))
+        out = kern._pmul(out, g)
+    return out
+
+
+class TestResidueGcdAgainstQuotientField:
+    """The residue Euclid of the smoothness test against the element
+    Euclid over the reference QuotientField, on every call that quartics
+    built to be singular over pieces of degree 1, 2, 3 and 4 make."""
+
+    @pytest.mark.parametrize("F", [F3, F4, F5, F7, F8, F9],
+                             ids=lambda F: f"F{F.q}")
+    def test_pieces_of_degree_1_to_4(self, F, monkeypatch):
+        calls = []
+        real = type(_kernel(F)).residue_gcd
+
+        def spy(kern, a, b, m):
+            out = real(kern, a, b, m)
+            calls.append((a, b, m, out))
+            return out
+
+        monkeypatch.setattr(type(_kernel(F)), "residue_gcd", spy)
+        rng = random.Random(1100 + F.q)
+        reached = set()
+        for degrees in [(1, 1, 2), (2, 2), (4,), (1, 2), (3,), (1, 1, 1)] * 3:
+            C = _singular_over(F, _monic_with_pieces(F, rng, degrees))
+            del calls[:]
+            assert not C.is_smooth()
+            assert not _reference_is_smooth(C)
+            for a, b, m, out in calls:
+                K = QuotientField(_from_idx(F, m))
+
+                def over_K(residues):
+                    return Poly(K, [QElement(K, _from_idx(F, r))
+                                    for r in residues])
+
+                want = euclid_gcd(over_K(a), over_K(b))
+                assert out == [[F.index(c) for c in v.rep.coeffs]
+                               for v in want.coeffs], (C.coeffs, m)
+                reached.add(len(m) - 1)
+        assert reached >= {1, 2, 3, 4}
 
 
 # ---------------------------------------------------------------------------
@@ -991,10 +1068,11 @@ def _reference_place_points(kern, f1, stage2, kind, x0, ybranch, prec=60):
 
 
 def _ramified_x_series(big, clead, cmid, cfar, prec):
-    """curves._ramified_x_coeffs over the field big, as a Series of
+    """The tower's ramified-pole parameter, x (cl + t + cm x + cf x^2) =
+    t^2, from series._ser_cubic_branch over the field big, as a Series of
     elements."""
-    x = _ramified_x_coeffs(_kernel(big), big.index(clead), big.index(cmid),
-                           big.index(cfar), prec)
+    x = _ser_cubic_branch(_kernel(big), big.index(clead), 1,
+                          big.index(cmid), big.index(cfar), prec + 1)
     return Series(big, 0, [big.from_index(c) for c in x], prec + 1)
 
 

@@ -7,9 +7,12 @@ from itertools import product
 
 import pytest
 
+from pointless.curves import _extension, _index_poly
 from pointless.elliptic import (
+    EXPANSION_PREC,
     INF,
     EllipticCurve,
+    _local_fn_series,
     _local_xy_series,
     cover_count,
     divisor_shape,
@@ -26,10 +29,12 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.field import FiniteField, Poly, QuotientField, embed
+from pointless.field import FiniteField, Poly, embed
 from pointless.search import _double_zero_kernel
-from pointless.series import poly_at_series
+from pointless.series import _ser_coeff
 from pointless.zeta import l_from_counts, real_weil_from_l, validate_weil
+
+import element_reference as ref
 
 F5 = FiniteField(5)
 F7 = FiniteField(7)
@@ -340,7 +345,7 @@ def _reference_divisor_shape(E, coeffs, basis, Q, k):
     pole = fn_pole_order(coeffs, basis)
     c = E.cubic
     R = A * A - B * B * c
-    ord_Q = vanishing_order(E, coeffs, basis, Q)
+    ord_Q = ref.vanishing_order(E, coeffs, basis, Q)
     xQ = Q[0]
     odd_points = rational_odd = total_zeros = 0
     for piece, m in R.monic().factor():
@@ -362,13 +367,14 @@ def _reference_divisor_shape(E, coeffs, basis, Q, k):
                 if (m // 2) % 2 == 1:
                     odd_points += 2
             else:
-                v_plus = vanishing_order(E, coeffs, basis, (x0, cv.sqrt()))
+                v_plus = ref.vanishing_order(E, coeffs, basis,
+                                             (x0, cv.sqrt()))
                 for v in (v_plus, m - v_plus):
                     if v % 2 == 1:
                         odd_points += 1
                         rational_odd += 1
             continue
-        K = QuotientField(piece)
+        K = ref.QuotientField(piece)
         x0 = K.x_class
         cK = Poly(K, [K.from_base(cc) for cc in c.coeffs])
         cv = cK.eval(x0)
@@ -380,8 +386,8 @@ def _reference_divisor_shape(E, coeffs, basis, Q, k):
                 odd_points += 2 * e
         else:
             coeffsK = [K.from_base(cc) for cc in coeffs]
-            v_plus = vanishing_order(E, coeffsK, basis, (x0, cv.sqrt()),
-                                     field=K, cubic=cK)
+            v_plus = ref.vanishing_order(E, coeffsK, basis, (x0, cv.sqrt()),
+                                         field=K, cubic=cK)
             for v in (v_plus, m - v_plus):
                 if v % 2 == 1:
                     odd_points += e
@@ -411,9 +417,7 @@ def _reference_cover_count(E, coeffs, basis, i=1, prec=14):
         if not v.is_zero():
             total += 2 if v.is_square() else 0
             continue
-        xs, ys = _local_xy_series(Ei.cubic, P, big, prec)
-        fs = (poly_at_series(A, xs).truncate(prec)
-              + (poly_at_series(B, xs) * ys).truncate(prec))
+        fs = ref.local_fn_series(A, B, Ei.cubic, P, big, prec)
         ordP = fs.valuation()
         if ordP % 2 == 1:
             total += 1
@@ -606,3 +610,85 @@ class TestCoverCountDifferential:
             for i in degrees:
                 assert cover_count(E, cf, basis, i) == \
                     _reference_cover_count(E, cf, basis, i), (E, cf, i)
+
+
+# ---------------------------------------------------------------------------
+# the kernel series of elliptic's expansions against the element Series
+# ---------------------------------------------------------------------------
+
+def _kernel_points(E, i, rng):
+    """(F_{q^i}, its kernel, c on its indices, points) with points a few
+    seeded affine points of E over F_{q^i} off the 2-torsion and every one
+    on it, as index pairs."""
+    big, imap, kern, _ = _extension(E.base, i)
+    c = [imap[v] for v in _index_poly(E.cubic)]
+    xs = list(range(big.q))
+    rng.shuffle(xs)
+    off, tors = [], []
+    for x in xs:
+        cx = kern.horner(c, x)
+        if not cx:
+            tors.append((x, 0))
+        elif len(off) < 3 and kern.sqrt_count(cx) == 2:
+            y = kern.exp[kern.log[cx] >> 1]
+            off.append((x, rng.choice((y, kern.neg(y)))))
+    return big, kern, c, off + tors
+
+
+def _as_indices(big, s):
+    """(val, coefficients of t^0 .. t^(prec-1), prec) of a reference Series."""
+    return s.val, [big.index(s.coefficient(k)) for k in range(s.prec)], s.prec
+
+
+def _as_kernel_indices(s):
+    return s[0], [_ser_coeff(s, k) for k in range(s[2])], s[2]
+
+
+class TestExpansionsAgainstSeries:
+    """_local_xy_series and _local_fn_series on the kernel of F_{q^i}
+    against the element Series reference, coefficient by coefficient, at
+    seeded points off and at the 2-torsion."""
+
+    @pytest.mark.parametrize("F, degrees", [
+        (F5, (1, 2, 3)), (F7, (1, 2, 3)), (F9, (1, 2, 3)), (F25, (1, 2)),
+        (F27, (1, 2)),
+    ], ids=["F5", "F7", "F9", "F25", "F27"])
+    def test_coefficients(self, F, degrees):
+        rng = random.Random(2000 + F.q)
+        prec = EXPANSION_PREC
+        reached = set()
+        for two_torsion in (True, False, False):
+            E = _random_curve(F, rng, two_torsion)
+            for i in degrees:
+                big, kern, c, points = _kernel_points(E, i, rng)
+                cubic = Poly(big, [big.from_index(v) for v in c])
+                for x0, y0 in points:
+                    P = (big.from_index(x0), big.from_index(y0))
+                    reached.add((i, y0 == 0))
+                    got = _local_xy_series(kern, c, x0, y0)
+                    want = ref.local_xy_series(cubic, P, big, prec)
+                    for g, w in zip(got, want):
+                        assert _as_kernel_indices(g) == _as_indices(big, w)
+                    for A, B in _vanishing_at(big, kern, x0, y0, rng):
+                        got = _local_fn_series(kern, A, B, c, x0, y0)
+                        want = ref.local_fn_series(
+                            Poly(big, [big.from_index(v) for v in A]),
+                            Poly(big, [big.from_index(v) for v in B]),
+                            cubic, P, big, prec)
+                        assert _as_kernel_indices(got) == \
+                            _as_indices(big, want), (E, i, P, A, B)
+        assert {(i, t) for i in degrees for t in (False, True)} <= reached
+
+
+def _vanishing_at(big, kern, x0, y0, rng):
+    """Index pairs (A, B) of functions A + B y in L(8 infinity) with a zero
+    at (x0, y0): a random one with its constant term adjusted, and
+    (x - x0)^2 (1 + y) and (x - x0)^2 y + (x - x0)^3, of higher order."""
+    A = [rng.randrange(big.q) for _ in range(5)]
+    B = [rng.randrange(big.q) for _ in range(2)]
+    value = kern.add(kern.horner(A, x0), kern.mul(kern.horner(B, x0), y0))
+    A[0] = kern.sub(A[0], value)
+    mx = kern.neg(x0)
+    sq = [kern.mul(mx, mx), kern.mul(2, mx), 1]          # (x - x0)^2
+    cube = kern._pmul(sq, [mx, 1])                       # (x - x0)^3
+    return [(A, B), (sq, sq), (cube, sq)]

@@ -18,7 +18,6 @@ from pointless.field import (
     _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
-    QuotientField,
     RationalFunction,
     _element_factor,
     _element_is_irreducible,
@@ -28,6 +27,8 @@ from pointless.field import (
     canonical_extension,
     embed,
 )
+
+import element_reference as ref
 
 F5 = FiniteField(5)
 F32 = FiniteField(2, 5, [1, 0, 1, 0, 0, 1])       # a^5 + a^2 + 1 = 0
@@ -280,22 +281,6 @@ class TestEmbed:
         b2, p2 = embed(F27, 2)
         assert b1 is b2 and p1(F27.gen) == p2(F27.gen)
 
-    def test_quotient_field_derivative_and_separability(self):
-        """Over F_5[t]/(t^2 + t + 2): y^2 + 1 is separable, (y + t)^2 and
-        y^5 - t (derivative 5y^4 = 0) are not."""
-        K = QuotientField(Poly.from_ints(F5, [2, 1, 1]))
-        t, one, zero = K.x_class, K.one, K.zero
-        two = one + one
-        f = Poly(K, [one, zero, one])
-        assert f.derivative() == Poly(K, [zero, two])
-        assert f.is_separable() and f.is_squarefree()
-        square = Poly(K, [t, one]) * Poly(K, [t, one])
-        assert square.derivative() == Poly(K, [two * t, two])
-        assert not square.is_separable()
-        frob = Poly(K, [zero - t, zero, zero, zero, zero, one])
-        assert frob.derivative().is_zero()
-        assert not frob.is_separable()
-
     def test_root_count_f27_in_f729(self):
         big, _ = embed(F27, 2)
         mini = Poly.from_ints(big, [1, -1, 0, 1])
@@ -321,33 +306,6 @@ class TestEmbed:
                 pairs += 1
                 m += 1
         assert pairs >= 12
-
-
-class TestQuotientField:
-    def test_adjoined_root(self):
-        f = Poly.from_ints(F5, [2, 1, 1])         # x^2 + x + 2, irreducible over F_5
-        assert f.is_irreducible()
-        K = QuotientField(f)
-        x0 = K.x_class
-        assert x0 * x0 + x0 + K.from_base(F5.element(2)) == K.zero
-        assert K.order == 25
-
-    def test_square_and_sqrt(self):
-        f = Poly.from_ints(F5, [2, 1, 1])
-        K = QuotientField(f)
-        x0 = K.x_class
-        v = x0 * x0 + K.one
-        if v.is_square():
-            assert v.sqrt() * v.sqrt() == v
-        sq = v * v
-        assert sq.is_square() and sq.sqrt() ** 2 == sq
-
-    def test_char2_sqrt(self):
-        F2 = FiniteField(2)
-        f = Poly.from_ints(F2, [1, 1, 0, 1])      # x^3 + x + 1
-        K = QuotientField(f)
-        v = K.x_class + K.one
-        assert v.sqrt() * v.sqrt() == v
 
 
 def _dlog_reference(F):
@@ -546,19 +504,29 @@ class TestKernelGcd:
                 assert _kernel(F).root_count(_idx(F, f)) == len(f.roots())
 
     def test_quotient_field_gcd(self):
-        """The quartic smoothness path: gcds over F_5[t]/(t^2 + t + 2)."""
-        K = QuotientField(Poly.from_ints(F5, [2, 1, 1]))
+        """The quartic smoothness path: residue_gcd over F_5[t]/(t^2 + t + 2)
+        on products of linear factors in y, against the element Euclid over
+        the reference QuotientField and a pinned common factor."""
+        m = [2, 1, 1]
+        K = ref.QuotientField(_from_idx(F5, m))
         t, one = K.x_class, K.one
         y = Poly(K, [K.zero, one])
 
         def lin(r):
             return y - Poly(K, [r])
 
+        def residues(h):
+            return [_idx(F5, c.rep) for c in h.coeffs]
+
         f = lin(t) * lin(one) * lin(t + one)
         g = lin(t) * lin(t * t) * lin(t + one)
         common = (lin(t) * lin(t + one)).monic()
-        assert f.gcd(g) == common == _euclid_gcd(f, g)
-        assert lin(t).gcd(lin(one)) == Poly(K, [one])
+        assert common == ref.euclid_gcd(f, g)
+        kern = _kernel(F5)
+        assert kern.residue_gcd(residues(f), residues(g), m) == \
+            residues(common)
+        assert kern.residue_gcd(residues(lin(t)), residues(lin(one)), m) == \
+            [[1]]
 
 
 _FACTOR_FIELDS = {"F2": FiniteField(2), "F3": FiniteField(3), "F4": F4,

@@ -286,6 +286,39 @@ class TestQuarticChar2:
         a = F4.element("a")
         assert {"beta": F4.index(a), "gamma": F4.index(a * a)} in r.survivors
 
+    @pytest.mark.parametrize("F", [F2, F4, F8, FiniteField(2, 4, [1, 1, 0, 0, 1])],
+                             ids=["F2", "F4", "F8", "F16"])
+    def test_family_equals_the_expanded_product(self, F):
+        for beta, gamma in product(F.elements(), repeat=2):
+            got = search._char2_family_quartic(F, beta, gamma)
+            assert got.coeffs == _char2_family_product(F, beta, gamma).coeffs
+
+
+def _char2_family_product(F, beta, gamma):
+    """(x^2+xz)^2 + beta (x^2+xz)(y^2+yz) + (y^2+yz)^2 + gamma z^4 by
+    multiplying out the dicts of the two factors."""
+    A = {(2, 0, 0): F.one, (1, 0, 1): F.one}        # x^2 + xz
+    B = {(0, 2, 0): F.one, (0, 1, 1): F.one}        # y^2 + yz
+    coeffs = {}
+
+    def mul(u, v):
+        out = {}
+        for mu, cu in u.items():
+            for mv, cv in v.items():
+                m = tuple(a + b for a, b in zip(mu, mv))
+                out[m] = out.get(m, F.zero) + cu * cv
+        return out
+
+    def add_into(dst, src, scale):
+        for m, c in src.items():
+            dst[m] = dst.get(m, F.zero) + c * scale
+
+    add_into(coeffs, mul(A, A), F.one)
+    add_into(coeffs, mul(A, B), beta)
+    add_into(coeffs, mul(B, B), F.one)
+    add_into(coeffs, {(0, 0, 4): F.one}, gamma)
+    return PlaneQuartic(F, {m: c for m, c in coeffs.items() if not c.is_zero()})
+
 
 class TestFiberProduct:
     def test_f3_census_contains_table_pair(self):
