@@ -27,12 +27,14 @@ def _int_list(text):
 
 def _field_for(q, def_poly=None):
     """F_q with the given defining polynomial, or canonical_extension's
-    (the smallest monic irreducible in index order) when none is given."""
+    (the smallest monic irreducible in index order) when none is given.
+    FiniteField refuses a defining polynomial for a prime field, so a
+    given one is never dropped."""
     factors = _prime_factors(q)
     if len(set(factors)) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, n = factors[0], len(factors)
-    if n > 1 and def_poly is not None:
+    if def_poly is not None:
         return FiniteField(p, n, def_poly)
     return canonical_extension(p, n)
 

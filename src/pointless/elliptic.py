@@ -1,12 +1,15 @@
 """Weierstrass elliptic curves over odd-characteristic fields: group law,
-Riemann-Roch monomial spaces L(k*infinity), vanishing orders via local
-expansions, and the divisor shapes and point counts of the double covers
-z^2 = fn that the double-cover searches test.
+Riemann-Roch monomial spaces L(k*infinity), and the divisor shapes and
+point counts of the double covers z^2 = fn that the double-cover searches
+test.
 
-Points are None (infinity) or (x, y) tuples of field elements.  The local
-expansions at the zeros of fn (vanishing_order, and cover_count's points
-where fn vanishes) are truncated series of indices on the index kernel of
-the field the point lies in (pointless.series).
+Points are None (infinity) or (x, y) tuples of field elements.  A function
+fn = A + B y enters divisor_shape and cover_count as coefficients on an
+rr_basis and is taken to index polynomials A, B once: divisor_shape works
+on base-field index polynomials (the norm A^2 - B^2 c, its factors, and
+Euler's criterion modulo each factor), and cover_count expands fn at its
+zeros as truncated series of indices on the index kernel of the field the
+point lies in (pointless.series).
 """
 
 from math import gcd, isqrt
@@ -211,29 +214,6 @@ def fn_pole_order(coeffs, basis):
     return max(orders)
 
 
-def fn_ab(coeffs, basis, field):
-    """Split sum c_ij x^i y^j into (A(x), B(x)) with fn = A + B y."""
-    A = {}
-    B = {}
-    for (i, j), c in zip(basis, coeffs):
-        if c.is_zero():
-            continue
-        (A if j == 0 else B)[i] = c
-
-    def mk(d):
-        if not d:
-            return Poly(field, [])
-        top = max(d)
-        return Poly(field, [d.get(i, field.zero) for i in range(top + 1)])
-
-    return mk(A), mk(B)
-
-
-def fn_value(A, B, P):
-    x, y = P
-    return A.eval(x) + B.eval(x) * y
-
-
 # ---------------------------------------------------------------------------
 # local expansions and vanishing orders
 # ---------------------------------------------------------------------------
@@ -284,50 +264,9 @@ def _fn_indices(basis, idx):
     return A, B
 
 
-def vanishing_order(E, coeffs, basis, P):
-    """ord_P of the function sum c x^i y^j at an affine point P of E over
-    its base field, on the base field's index kernel."""
-    F = E.base
-    kern = _kernel(F)
-    A, B = _fn_indices(basis, [F.index(cf) for cf in coeffs])
-    x0, y0 = (F.index(v) for v in P)
-    if kern.add(kern.horner(A, x0), kern.mul(kern.horner(B, x0), y0)):
-        return 0
-    return _local_fn_series(kern, A, B, _index_poly(E.cubic), x0, y0)[0]
-
-
 # ---------------------------------------------------------------------------
 # divisor shape (test 2 of the double-cover searches)
 # ---------------------------------------------------------------------------
-
-def _resultant(f, g):
-    """Res(f, g) = lc(f)^deg g * prod g(alpha) over the roots alpha of f,
-    by Euclid: Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r)
-    with r = f mod g."""
-    out = f.base.one
-    while g.degree > 0:
-        r = f % g
-        if r.is_zero():
-            return f.base.zero
-        if f.degree * g.degree % 2:
-            out = -out
-        out = out * g.lc ** (f.degree - r.degree)
-        f, g = g, r
-    if g.is_zero():
-        return f.base.zero
-    return out * g.lc ** f.degree
-
-
-def _multiplicity(piece, g):
-    """The largest j with piece^j dividing the nonzero polynomial g."""
-    j = 0
-    while g.degree >= piece.degree:
-        g, r = divmod(g, piece)
-        if not r.is_zero():
-            break
-        j += 1
-    return j
-
 
 def divisor_shape(E, coeffs, basis, Q, k):
     """Analyze div(fn) for fn = sum c x^i y^j in L(k*infinity).
@@ -356,32 +295,34 @@ def divisor_shape(E, coeffs, basis, Q, k):
       characteristic is odd; so f1 has orders 0 and m - 2j.  At Q itself,
       ord_Q = m - j when f1(Q) = 0 and j otherwise.
 
-    The kind is read off the norm of c(alpha) to F_q: as piece is monic,
-    that norm is Res(piece, c) = prod c(alpha) over the roots of piece.
-    It is zero exactly when c(alpha) is, and its square class is that of
-    c(alpha) in F_{q^e}, because z^((q^e - 1)/2) = N(z)^((q - 1)/2).
+    The kind is read in F_q[x]/(piece), a copy of F_{q^e} in which the
+    class of x is alpha, so the residue r = c mod piece is c(alpha): it is
+    zero exactly at a ramified piece, and otherwise Euler's criterion in
+    F_{q^e}, r^((q^e - 1)/2) = 1, tells split from inert.  Everything runs
+    on base-field index polynomials.
     """
-    A, B = fn_ab(coeffs, basis, E.base)
-    if A.is_zero() and B.is_zero():
-        raise ZeroFunction("zero function")
+    F = E.base
+    kern = _kernel(F)
     pole = fn_pole_order(coeffs, basis)
-    c = E.cubic
-    R = A * A - B * B * c
-    if R.is_zero():
+    A, B = _fn_indices(basis, [F.index(cf) for cf in coeffs])
+    c = _index_poly(E.cubic)
+    pmul, pmod, pquo = kern._pmul, kern._pmod, kern._pquo
+    R = kern._psub(pmul(A, A), pmul(pmul(B, B), c))
+    if not R:
         # A^2 = B^2 c would make c a square, impossible for separable cubic
         raise ZeroFunction("degenerate norm")
-    G = A.gcd(B)
-    xQ, yQ = Q
+    G = kern.gcd(A, B)
+    xQ, yQ = F.index(Q[0]), F.index(Q[1])
     ord_Q = 0
     odd_points = 0
     rational_odd = 0
     total_zeros = 0
-    for piece, m in R.monic().factor():
-        e = piece.degree
+    for piece, m in kern.factor(R):
+        e = len(piece) - 1
         total_zeros += m * e
-        at_Q = e == 1 and -piece[0] == xQ
-        norm = _resultant(piece, c)
-        if norm.is_zero():
+        at_Q = e == 1 and kern.neg(piece[0]) == xQ
+        r = pmod(c, piece)
+        if not r:
             # ramified: one point of order m over each root of piece
             if at_Q:
                 ord_Q = m
@@ -389,16 +330,21 @@ def divisor_shape(E, coeffs, basis, Q, k):
                 odd_points += e
                 rational_odd += e == 1
             continue
-        if not norm.is_square():
+        if kern.powmod(r, (F.q ** e - 1) // 2, piece) != [1]:
             # inert: order m/2 at each of the two conjugate points
             if (m // 2) % 2 == 1:
                 odd_points += 2 * e
             continue
-        j = _multiplicity(piece, G)
+        # split: j = the multiplicity of piece in G, and A1, B1 the
+        # cofactors of piece^j in A and B
+        j, g, A1, B1 = 0, G, A, B
+        while not pmod(g, piece):
+            g, A1, B1 = pquo(g, piece), pquo(A1, piece), pquo(B1, piece)
+            j += 1
         if at_Q:
-            lin = piece ** j
-            f1 = (A // lin).eval(xQ) + (B // lin).eval(xQ) * yQ
-            ord_Q = m - j if f1.is_zero() else j
+            f1 = kern.add(kern.horner(A1, xQ),
+                          kern.mul(kern.horner(B1, xQ), yQ))
+            ord_Q = j if f1 else m - j
             orders = (m - ord_Q,)
         else:
             orders = (j, m - j)

@@ -55,10 +55,9 @@ from .curves import (
 )
 from .elliptic import (
     INF,
+    _fn_indices,
     cover_count,
     divisor_shape,
-    fn_ab,
-    fn_value,
     rr_basis,
 )
 from .errors import (
@@ -784,8 +783,9 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         raise UnsupportedShape(f"{E!r}: the coset {{O}} of {m}E(F_{q}) has "
                                f"no affine point to carry the double zero")
     kern = _kernel(F)
+    horner, add, mul = kern.horner, kern.add, kern.mul
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
-    pts = [P for P in E.points() if P is not INF]
+    pts = [(F.index(P[0]), F.index(P[1])) for P in E.points() if P is not INF]
     one_i, nu_i = F.index(F.one), F.index(F.canonical_nonsquare)
     run = _Search("double_covers_elliptic", mode, budget, checkpoint, "rep")
     kill1, kill2 = run.state.get("kill_counts", (0, 0))
@@ -794,19 +794,15 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         kernel = _double_zero_kernel(E, basis, Q)
         dim = len(kernel)
         # per-point values of the kernel basis functions, as indices
-        B_at = []
-        for P in pts:
-            row = []
-            for vec in kernel:
-                A, B = fn_ab(vec, basis, F)
-                row.append(F.index(fn_value(A, B, P)))
-            B_at.append(row)
+        fns = [_fn_indices(basis, [F.index(v) for v in vec]) for vec in kernel]
+        B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
+                for x, y in pts]
         # enumerate modulo square scaling: leading coefficient in {1, nu}
         for lead, lead_val in product(range(dim), (one_i, nu_i)):
             free = dim - lead - 1     # coordinates after the leading one
             weights = [row[lead + 1:] for row in B_at]
             # test 1: f(P) is zero or a nonsquare at every rational P
-            consts = [kern.mul(lead_val, row[lead]) for row in B_at]
+            consts = [mul(lead_val, row[lead]) for row in B_at]
             passes = 0
             for code in _linear_join(kern, range(q), free, weights,
                                      consts, not_square):

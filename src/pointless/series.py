@@ -8,8 +8,8 @@ every operation carries the worst-case precision of its result, so reading
 a coefficient past the known precision raises.  The arithmetic is that of
 a field._Kernel of any characteristic: sums through kern.add and kern.neg,
 products on its exp/log tables.  The char-2 towers (curves.ASTower) and the
-elliptic double covers (elliptic.cover_count, vanishing_order) expand their
-places here.
+elliptic double covers (elliptic.cover_count, at the zeros of fn) expand
+their places here.
 """
 
 from .errors import DivisionByZero

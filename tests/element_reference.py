@@ -9,6 +9,8 @@ independent implementations kept here, in FieldElement arithmetic:
 * QuotientField / QElement: F_q[x]/(m) for an irreducible m, whose class
   of x is a root of m;
 * euclid_gcd: the element Euclid for Polys over either;
+* fn_ab and fn_value: a function sum c x^i y^j on an rr_basis as the
+  pair of Polys (A, B) with fn = A + B y, and its value at a point;
 * local_xy_series, local_fn_series and vanishing_order: the double
   covers' local expansions on Series, over a FiniteField or a
   QuotientField.
@@ -21,7 +23,6 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.elliptic import fn_ab
 from pointless.field import Poly
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
@@ -328,8 +329,31 @@ def euclid_gcd(f, g):
 
 
 # ---------------------------------------------------------------------------
-# the double covers' local expansions on Series
+# the double covers' functions and their local expansions on Series
 # ---------------------------------------------------------------------------
+
+def fn_ab(coeffs, basis, field):
+    """Split sum c_ij x^i y^j into (A(x), B(x)) with fn = A + B y."""
+    A = {}
+    B = {}
+    for (i, j), c in zip(basis, coeffs):
+        if c.is_zero():
+            continue
+        (A if j == 0 else B)[i] = c
+
+    def mk(d):
+        if not d:
+            return Poly(field, [])
+        top = max(d)
+        return Poly(field, [d.get(i, field.zero) for i in range(top + 1)])
+
+    return mk(A), mk(B)
+
+
+def fn_value(A, B, P):
+    x, y = P
+    return A.eval(x) + B.eval(x) * y
+
 
 def local_xy_series(cubic, P, field, prec):
     """(x(t), y(t)) at the affine point P; t is x - x0 off 2-torsion and

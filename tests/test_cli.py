@@ -146,3 +146,13 @@ class TestPlumbing:
     def test_field_for_non_prime_power(self):
         with pytest.raises(ValueError):
             _field_for(12)
+
+    def test_field_for_prime_rejects_def_poly(self):
+        with pytest.raises(ValueError):
+            _field_for(7, [3, 1])
+
+    def test_search_prime_def_poly_exits_2(self, capsys):
+        code = main(["search", "diagonal_quartic", "--q", "7",
+                     "--def-poly", "3,1", "--expect-survivors", "1"])
+        assert code == 2
+        assert "defining polynomial" in capsys.readouterr().err

@@ -16,14 +16,7 @@ from pointless.curves import (
     HyperellipticOdd,
     PlaneQuartic,
 )
-from pointless.elliptic import (
-    INF,
-    EllipticCurve,
-    cover_count,
-    fn_ab,
-    fn_value,
-    rr_basis,
-)
+from pointless.elliptic import INF, EllipticCurve, cover_count, rr_basis
 from pointless.errors import (
     BudgetExceeded,
     EvenCharacteristic,
@@ -49,6 +42,8 @@ from pointless.search import (
     _diagonal_has_point,
 )
 from pointless.zeta import zeta_report
+
+from element_reference import fn_ab, fn_value
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
