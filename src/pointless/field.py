@@ -537,7 +537,8 @@ class _Kernel:
     stored twice over so that exp[log a + log b] needs no reduction.
     Addition is left to the subclasses: (a + b) % p on a prime field,
     a ^ b in characteristic 2 (index bits are coefficient bits), Zech
-    logarithms on odd-characteristic extensions.  Index polynomials are
+    logarithms on odd-characteristic extensions; add_row(v) is row v of
+    the addition table, kept once built.  Index polynomials are
     lists of indices, constant term first; on them the kernel evaluates
     (horner), multiplies, subtracts, reduces and divides (_pmul, _psub,
     _pmod, _pquo), raises to powers modulo a polynomial (powmod), takes
@@ -560,6 +561,7 @@ class _Kernel:
         self.exp = array("i", exp + exp)
         self.log = array("i", log)
         self._orbits = {}
+        self._rows = {}
 
     def mul(self, a, b):
         if not a or not b:
@@ -579,6 +581,12 @@ class _Kernel:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def add_row(self, v):
+        """[add(a, v) for a in range(q)], built on first use and kept."""
+        if v not in self._rows:
+            self._rows[v] = [self.add(a, v) for a in range(self.q)]
+        return self._rows[v]
 
     def frobenius_orbits(self, q):
         """(smallest index, size) for each orbit of x -> x^q, where F_q is

@@ -30,7 +30,9 @@ Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
 zero and the nonsquares)?  _linear_join answers it on the field's index
 kernel by a bitset meet in the middle, yielding the passing codes in
-odometer order.  klein4_hyper_odd (one form per u = x + n/x), test 1 of
+odometer order; it adds by reading the kernel's addition rows, and marks
+the a with a + v in the target once per bucket value v (hit lists), not
+once per pair.  klein4_hyper_odd (one form per u = x + n/x), test 1 of
 the elliptic double covers (one form per rational point) and the
 exhaustive genus-3 census (the values at nodes 0..8 range over the
 nonsquares; one form for the leading coefficient and one per remaining
@@ -207,11 +209,11 @@ def _odometer(alphabet_size, length):
 def _partial_sums(kern, alphabet, weights, start):
     """start + sum_i weights[i] * alphabet[digit_i] for every tuple of
     digits, in little-endian odometer order (kernel indices)."""
-    add, mul = kern.add, kern.mul
+    add_row, mul = kern.add_row, kern.mul
     sums = [start]
     for w in weights:
-        terms = [mul(w, a) for a in alphabet]
-        sums = [add(s, t) for t in terms for s in sums]
+        rows = [add_row(mul(w, a)) for a in alphabet]
+        sums = [row[s] for row in rows for s in sums]
     return sums
 
 
@@ -229,27 +231,30 @@ def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
     those bitsets form by form and stops at 0; the set bits left, low to
     high, are its passing codes.  A form's tables are built the first
     time a left code reaches it, as most left codes die at the first few
-    forms.
+    forms.  Sums are read off the kernel's addition rows (add_row); each
+    bucket value v has one hit list per call, the a with target[a + v],
+    and its bucket is ORed into good[a] for those a only.
     """
     r = (d + 1) // 2
     width = len(alphabet) ** r
-    add = kern.add
+    hits = {}
 
     def table(j):
         buckets = {}
         for bit, v in enumerate(_partial_sums(kern, alphabet,
                                               weights[j][:r], 0)):
-            buckets.setdefault(v, bytearray((width + 7) // 8))[bit >> 3] \
-                |= 1 << (bit & 7)
-        buckets = [(v, int.from_bytes(b, "little"))
-                   for v, b in buckets.items()]
-        good = []
-        for a in range(kern.q):
-            bits = 0
-            for v, bucket in buckets:
-                if target[add(a, v)]:
-                    bits |= bucket
-            good.append(bits)
+            bucket = buckets.get(v)
+            if bucket is None:
+                bucket = buckets[v] = bytearray((width + 7) // 8)
+            bucket[bit >> 3] |= 1 << (bit & 7)
+        good = [0] * kern.q
+        for v, bucket in buckets.items():
+            if v not in hits:
+                hits[v] = [a for a, s in enumerate(kern.add_row(v))
+                           if target[s]]
+            bucket = int.from_bytes(bucket, "little")
+            for a in hits[v]:
+                good[a] |= bucket
         return [good[a] for a in _partial_sums(kern, alphabet,
                                                 weights[j][r:], consts[j])]
 
@@ -646,9 +651,11 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         raise ValueError("exhaustive census engine needs q >= 9")
     q = F.q
     kern = _kernel(F)
-    mul, add = kern.mul, kern.add
     nonsquare, basis, weights = _node_value_forms(F)
     ns = [a for a in range(q) if nonsquare[a]]
+    # the addition rows of ns[digit] * basis[i], per node i and digit
+    scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
+              for L in basis]
     nv = len(ns)
     total = nv ** 9
     run = _Search("exhaustive_hyper_genus3", mode, budget, checkpoint, "next")
@@ -670,9 +677,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         save(code + 1)
         run.spend(code + 1)          # candidates visited up to this one
         coeffs = [0] * 9
-        for digit, L in zip(_digits(code, nv, 9), basis):
-            v = ns[digit]
-            coeffs = [add(c, mul(v, w)) for c, w in zip(coeffs, L)]
+        for digit, rows in zip(_digits(code, nv, 9), scaled):
+            coeffs = [row[c] for row, c in zip(rows[digit], coeffs)]
         if not kern.is_separable(coeffs):
             continue
         curve = HyperellipticOdd(F, Poly(F, [F.from_index(c) for c in coeffs]))
@@ -803,7 +809,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
             weights = [row[lead + 1:] for row in B_at]
             # test 1: f(P) is zero or a nonsquare at every rational P
             consts = [mul(lead_val, row[lead]) for row in B_at]
-            passes = 0
+            passes, visited = 0, q ** free
             for code in _linear_join(kern, range(q), free, weights,
                                      consts, not_square):
                 run.spend(run.candidates + code + 1)
@@ -821,16 +827,19 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                     kill2 += 1
                     continue
                 counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
-                # first_find stops after the coset, not at this survivor
-                run.keep({"Q": [F.index(Q[0]), F.index(Q[1])],
-                          "coeffs": [F.index(c) for c in coeffs],
-                          "counts": counts, "pointless": counts[0] == 0},
-                         {"q": q, "counts": counts})
-            run.visit(q ** free)
-            kill1 += q ** free - passes
+                if run.keep({"Q": [F.index(Q[0]), F.index(Q[1])],
+                             "coeffs": [F.index(c) for c in coeffs],
+                             "counts": counts, "pointless": counts[0] == 0},
+                            {"q": q, "counts": counts}):
+                    visited = code + 1
+                    break
+            run.visit(visited)
+            kill1 += visited - passes
+            if run.stopped:
+                break
+        if run.stopped:
+            break                    # a partly searched coset is not saved
         run.save(rep_i + 1, kill_counts=[kill1, kill2])
-        if mode == "first_find" and run.survivors:
-            break
     curve = [F.index(E.a2), F.index(E.a4), F.index(E.a6)]
     return run.report({"q": q, "genus": genus_target, "curve": curve,
                        "reps": len(qreps), "fallback": used_fallback,

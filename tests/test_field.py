@@ -386,6 +386,19 @@ class TestIndexKernel:
         for _ in range(400):
             _kernel_agrees(big, rng.randrange(big.q), rng.randrange(big.q))
 
+    @pytest.mark.parametrize("F", [F5, F9, F27, F8],
+                             ids=["F5", "F9", "F27", "F8"])
+    def test_add_rows(self, F):
+        # prime, Zech and char-2 kernels: row v is add(., v) and the
+        # FieldElement sum, and asking again returns the kept row
+        K = _kernel(F)
+        for v in range(F.q):
+            row = K.add_row(v)
+            assert row == [K.add(a, v) for a in range(F.q)]
+            assert row == [F.index(F.from_index(a) + F.from_index(v))
+                           for a in range(F.q)]
+            assert K.add_row(v) is row
+
     def test_inverse_of_zero(self):
         with pytest.raises(DivisionByZero):
             _kernel(F9).inv(0)
