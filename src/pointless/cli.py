@@ -11,7 +11,7 @@ import sys
 
 from .density import DensityProblem, compute_density, montecarlo_pointless_rate
 from .errors import PointlessError
-from .field import FiniteField, _prime_factors, canonical_extension
+from .field import FiniteField, _check_order, _prime_factors, canonical_extension
 from .harness import load_fixtures, verify
 from .search import ENGINE_FAMILIES, SearchConfig, run_search
 from .zeta import pointless_q_range, zeta_report
@@ -65,6 +65,9 @@ def _cmd_count(args):
         entries = [e for e in entries if e.id == args.id]
         if not entries:
             raise PointlessError(f"no fixture entry named {args.id!r}")
+    for e in entries:
+        # a depth past the cap is refused before any entry builds a table
+        _check_order(e.p, e.n * args.depth)
     rows = []
     for e in entries:
         curve = e.curve()

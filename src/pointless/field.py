@@ -21,12 +21,14 @@ from .errors import (
     ReduciblePolynomial,
 )
 
-MAX_FIELD_ORDER = 2 ** 40
-
-# element and polynomial operations of FieldElement and Poly use the index
-# kernel up to this order; past it the kernel's tables cost more than the
-# operation they serve
-_KERNEL_MAX_ORDER = 65536
+# The largest field order served: every FieldElement square test and
+# every Poly gcd and factorisation runs on the field's index kernel, and
+# counting over F_{q^i} builds one for that field too, so FiniteField and
+# embed refuse a field past this before any table is built.  2^23 is the
+# first power of two above 7^8, the largest field the corpus counts over
+# (N_4 at q = 49).  Measured on a 2-core x86-64 VM under Python 3.11, the
+# F_{7^8} kernel takes 65 s and 589 MB to build, F_{2^20} 26 s and 120 MB.
+MAX_FIELD_ORDER = 2 ** 23
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,16 @@ def _fp_poly_irreducible(coeffs, p):
     return True
 
 
+def _check_order(p, n):
+    """Refuse F_{p^n} past MAX_FIELD_ORDER, whose index kernel is not
+    built."""
+    if p ** n > MAX_FIELD_ORDER:
+        name = f"F_{p}" if n == 1 else f"F_{p}^{n}"
+        raise ExtensionTooLarge(
+            f"{name} has {p ** n} elements, past MAX_FIELD_ORDER = "
+            f"{MAX_FIELD_ORDER}, the largest field the index kernel serves")
+
+
 def _prime_factors(n):
     """The prime factors of n with multiplicity, ascending ([] for n < 2):
     the one trial division behind every primality and prime-power test."""
@@ -169,8 +181,7 @@ class FiniteField:
             raise CompositeCharacteristic(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        if p ** n > MAX_FIELD_ORDER:
-            raise ExtensionTooLarge(f"p^n = {p ** n} exceeds the supported budget")
+        _check_order(p, n)
         self.p = p
         self.n = n
         self.q = p ** n
@@ -292,7 +303,10 @@ class FiniteField:
         product with g as the F_p-linear map whose columns are a^k * g
         mod the defining polynomial.  The index kernel (_kernel) calls it
         once per field and keeps the tables as typed arrays; the square
-        test, square roots and every curve's count(i) read them there."""
+        test, square roots, Poly's gcd and factorisation and every curve's
+        count(i) read them there.  A call costs a Python step per element
+        and is most of a kernel's build: 1.2 of 1.4 s for F_{7^6}, and the
+        F_{7^8} kernel takes 65 s (MAX_FIELD_ORDER)."""
         p, n, q = self.p, self.n, self.q
         factors = set(_prime_factors(q - 1))
         exp = [0] * (q - 1)
@@ -423,16 +437,14 @@ class FieldElement:
         return "+".join(reversed(terms))
 
     def is_square(self):
-        """Euler criterion for odd q; in characteristic 2 everything is a
-        square.  Zero reports True."""
+        """Log parity on the index kernel for odd q; in characteristic 2
+        everything is a square.  Zero reports True."""
         if self.is_zero():
             return True
         F = self.parent
         if F.p == 2:
             return True
-        if F.q <= _KERNEL_MAX_ORDER:
-            return _kernel(F).sqrt_count(F.index(self)) == 2
-        return self ** ((F.q - 1) // 2) == F.one
+        return _kernel(F).sqrt_count(F.index(self)) == 2
 
     def sqrt(self):
         F = self.parent
@@ -444,15 +456,11 @@ class FieldElement:
             return out
         if self.is_zero():
             return self
-        if F.q <= _KERNEL_MAX_ORDER:
-            kern = _kernel(F)
-            k = kern.log[F.index(self)]
-            if k % 2 == 1:
-                raise NoSquareRoot(f"{self!r} is not a square in {F!r}")
-            return F.from_index(kern.exp[k // 2])
-        if not self.is_square():
+        kern = _kernel(F)
+        k = kern.log[F.index(self)]
+        if k % 2 == 1:
             raise NoSquareRoot(f"{self!r} is not a square in {F!r}")
-        return _tonelli_shanks(F, self)
+        return F.from_index(kern.exp[k // 2])
 
     def trace_to_F2(self):
         """Absolute trace down to F_2, as an int bit."""
@@ -465,43 +473,6 @@ class FieldElement:
             acc = acc + v
             v = v * v
         return 0 if acc.is_zero() else 1
-
-
-def _tonelli_shanks(field, v):
-    """Square root of the square v in a field of odd order past
-    _KERNEL_MAX_ORDER, in FieldElement arithmetic."""
-    q = field.order
-    one = field.one
-    if q % 4 == 3:
-        return v ** ((q + 1) // 4)
-    s, m = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
-    z = _find_nonsquare(field)
-    c = z ** s
-    t = v ** s
-    r = v ** ((s + 1) // 2)
-    while t != one:
-        t2 = t
-        i = 0
-        while t2 != one:
-            t2 = t2 * t2
-            i += 1
-        b = c ** (2 ** (m - i - 1))
-        m = i
-        c = b * b
-        t = t * c
-        r = r * b
-    return r
-
-
-def _find_nonsquare(field):
-    half = (field.order - 1) // 2
-    for v in field.elements():
-        if not v.is_zero() and v ** half != field.one:
-            return v
-    raise NoSquareRoot("no nonsquare found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +489,6 @@ def _kernel(field):
         else:
             field._kern = _ZechKernel(field)
     return field._kern
-
-
-def _poly_kernel(base):
-    """The index kernel that Poly.gcd, is_separable, squarefree_part,
-    factor and is_irreducible run on over base, or None for a field past
-    _KERNEL_MAX_ORDER."""
-    if base.q <= _KERNEL_MAX_ORDER:
-        return _kernel(base)
-    return None
 
 
 class _Kernel:
@@ -546,9 +508,10 @@ class _Kernel:
     (root_count: y^Q mod f from y^q by the q-power Frobenius of
     F_Q[y]/(f), which is semilinear on index lists, or by repeated
     squaring in characteristic 2), and factors (squarefree, factor,
-    is_irreducible), all on the one Euclid in gcd.  Poly's gcd and
-    factorisation run on it for every FiniteField base of order at most
-    _KERNEL_MAX_ORDER.
+    is_irreducible), all on the one Euclid in gcd.  FieldElement's square
+    test and square root, and Poly's gcd and factorisation, run on it over
+    every FiniteField; the tables hold about 100 bytes per element, which
+    is what MAX_FIELD_ORDER bounds.
     """
 
     def __init__(self, field):
@@ -790,7 +753,7 @@ class _Kernel:
 
     # -- factorisation -------------------------------------------------
 
-    def _pth_root(self, cs):
+    def _frobenius_root(self, cs):
         """The g with g^p = cs, for cs with zero derivative: coefficient i
         of g is the p-th root of c_(ip), which is c^(q/p), so its log is
         log c * (q/p) mod (q - 1)."""
@@ -805,7 +768,7 @@ class _Kernel:
         p = self.p
         d = self._derivative(f)
         if not d:
-            return [(g, m * p) for g, m in self.squarefree(self._pth_root(f))]
+            return [(g, m * p) for g, m in self.squarefree(self._frobenius_root(f))]
         out = []
         a = self.gcd(f, d)
         w = self._pquo(f, a)
@@ -819,7 +782,7 @@ class _Kernel:
             a = self._pquo(a, y)
             i += 1
         if len(a) > 1:
-            out += [(g, m * p) for g, m in self.squarefree(self._pth_root(a))]
+            out += [(g, m * p) for g, m in self.squarefree(self._frobenius_root(a))]
         return out
 
     def _distinct_degree(self, f):
@@ -1196,21 +1159,13 @@ class Poly:
         return acc
 
     def gcd(self, other):
-        """Monic gcd (zero when both are zero).  Over a field of order at
-        most _KERNEL_MAX_ORDER the Euclid runs on the field's index kernel
-        (_Kernel.gcd); the FieldElement Euclid below serves larger
-        fields."""
+        """Monic gcd (zero when both are zero), by the Euclid on the base
+        field's index kernel (_Kernel.gcd)."""
         self._check(other)
         F = self.base
-        kern = _poly_kernel(F)
-        if kern is not None:
-            g = kern.gcd([F.index(c) for c in self.coeffs],
-                         [F.index(c) for c in other.coeffs])
-            return Poly(F, [F.from_index(i) for i in g])
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        g = _kernel(F).gcd([F.index(c) for c in self.coeffs],
+                           [F.index(c) for c in other.coeffs])
+        return Poly(F, [F.from_index(i) for i in g])
 
     def derivative(self):
         """f', the integer i built as 1 + ... + 1 in the base."""
@@ -1224,13 +1179,7 @@ class Poly:
 
     def is_separable(self):
         F = self.base
-        kern = _poly_kernel(F)
-        if kern is not None:
-            return kern.is_separable([F.index(c) for c in self.coeffs])
-        d = self.derivative()
-        if d.is_zero():
-            return False
-        return self.gcd(d).degree == 0
+        return _kernel(F).is_separable([F.index(c) for c in self.coeffs])
 
     is_squarefree = is_separable
 
@@ -1245,27 +1194,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly(self.base, [self.base.zero] * k + list(self.coeffs))
-
-    def pow_mod(self, e, modulus):
-        result = Poly.constant(self.base, self.base.one)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
-
-    def pth_root(self):
-        """For f with f' = 0: the unique g with g^p = f (finite fields are
-        perfect)."""
-        F = self.base
-        p = F.p
-        root_pow = F.q // p
-        out = []
-        for i in range(0, len(self.coeffs), p):
-            out.append(self.coeffs[i] ** root_pow)
-        return Poly(F, out)
 
     # -- interpolation --------------------------------------------------
 
@@ -1287,9 +1215,8 @@ class Poly:
 
     # -- factorization ---------------------------------------------------
     #
-    # Over a FiniteField of order at most _KERNEL_MAX_ORDER these run on
-    # the field's index kernel (_Kernel.squarefree, factor and
-    # is_irreducible); the _element_* functions below serve larger fields.
+    # These run on the base field's index kernel (_Kernel.squarefree,
+    # factor and is_irreducible), which every FiniteField has.
 
     def squarefree_part(self):
         """The product of the distinct monic irreducible factors (1 for a
@@ -1297,9 +1224,7 @@ class Poly:
         if self.degree <= 0:
             return self.monic()
         F = self.base
-        kern = _poly_kernel(F)
-        if kern is None:
-            return _element_squarefree_part(self)
+        kern = _kernel(F)
         f = kern._monic([F.index(c) for c in self.coeffs])
         acc = [1]
         for g, _ in kern.squarefree(f):
@@ -1310,18 +1235,12 @@ class Poly:
         """[(irreducible monic, multiplicity)], sorted by degree, then by
         the coefficient indices; [] for a constant or zero."""
         F = self.base
-        kern = _poly_kernel(F)
-        if kern is None:
-            return _element_factor(self)
         return [(Poly(F, [F.from_index(i) for i in g]), m)
-                for g, m in kern.factor([F.index(c) for c in self.coeffs])]
+                for g, m in _kernel(F).factor([F.index(c) for c in self.coeffs])]
 
     def is_irreducible(self):
         F = self.base
-        kern = _poly_kernel(F)
-        if kern is None:
-            return _element_is_irreducible(self)
-        return kern.is_irreducible([F.index(c) for c in self.coeffs])
+        return _kernel(F).is_irreducible([F.index(c) for c in self.coeffs])
 
     def roots(self):
         """Roots in the base field, sorted by canonical element order."""
@@ -1343,120 +1262,6 @@ class Poly:
             xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             terms.append(f"({c!r}){xs}" if xs else f"{c!r}")
         return "Poly(" + " + ".join(reversed(terms)) + ")"
-
-
-def _element_factor(f):
-    """Poly.factor in FieldElement arithmetic."""
-    out = []
-    for g, m in _squarefree_decomposition(f.monic()):
-        for prod, d in _distinct_degree_factorization(g):
-            for piece in _equal_degree_factor(prod, d):
-                out.append((piece, m))
-    out.sort(key=lambda t: (t[0].degree, [f.base.index(c) for c in t[0].coeffs]))
-    return out
-
-
-def _element_is_irreducible(f):
-    """Poly.is_irreducible in FieldElement arithmetic (Rabin's test)."""
-    f = f.monic()
-    d = f.degree
-    if d <= 0:
-        return False
-    F = f.base
-    x = Poly.x(F)
-    if (x.pow_mod(F.q ** d, f) - x) % f != Poly(F, []):
-        return False
-    for r in set(_prime_factors(d)):
-        g = f.gcd(x.pow_mod(F.q ** (d // r), f) - x)
-        if g.degree > 0:
-            return False
-    return True
-
-
-def _element_squarefree_part(f):
-    acc = Poly.constant(f.base, f.base.one)
-    for g, _ in _squarefree_decomposition(f.monic()):
-        acc = acc * g
-    return acc
-
-
-def _squarefree_decomposition(f):
-    F = f.base
-    p = F.p
-    if f.degree <= 0:
-        return []
-    out = {}
-    d = f.derivative()
-    if d.is_zero():
-        for g, m in _squarefree_decomposition(f.pth_root()):
-            out[g] = out.get(g, 0) + m * p
-        return sorted(out.items(), key=lambda t: t[1])
-    a = f.gcd(d)
-    w = f // a
-    i = 1
-    while w.degree > 0:
-        y = w.gcd(a)
-        z = w // y
-        if z.degree > 0:
-            out[z.monic()] = out.get(z.monic(), 0) + i
-        w = y
-        a = a // y
-        i += 1
-    if a.degree > 0:
-        # remaining part is a p-th power
-        for g, m in _squarefree_decomposition(a.pth_root()):
-            out[g] = out.get(g, 0) + m * p
-    return sorted(out.items(), key=lambda t: t[1])
-
-
-def _distinct_degree_factorization(f):
-    """On monic squarefree f: [(product of irreducibles of degree d, d)]."""
-    F = f.base
-    out = []
-    x = Poly.x(F)
-    h = x
-    d = 0
-    while f.degree > 0:
-        d += 1
-        if 2 * d > f.degree:
-            out.append((f, f.degree))
-            break
-        h = h.pow_mod(F.q, f)
-        g = f.gcd(h - x)
-        if g.degree > 0:
-            out.append((g, d))
-            f = f // g
-            h = h % f
-    return out
-
-
-def _equal_degree_factor(f, d):
-    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles."""
-    if f.degree == 0:
-        return []
-    if f.degree == d:
-        return [f.monic()]
-    F = f.base
-    rng = random.Random(hash((f.coeffs, d)) & 0xFFFFFFFF)
-    n = f.degree
-    while True:
-        r = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(n)])
-        if r.degree < 1:
-            continue
-        if F.p == 2:
-            k = F.n * d
-            t = r
-            acc = r
-            for _ in range(k - 1):
-                t = (t * t) % f
-                acc = (acc + t) % f
-            g = f.gcd(acc)
-        else:
-            g = f.gcd(r.pow_mod((F.q ** d - 1) // 2, f) -
-                      Poly.constant(F, F.one))
-        if 0 < g.degree < f.degree:
-            return (_equal_degree_factor(g, d)
-                    + _equal_degree_factor(f // g, d))
 
 
 # ---------------------------------------------------------------------------
@@ -1529,6 +1334,7 @@ def canonical_extension(p, d):
     """F_{p^d} with the deterministic smallest defining polynomial."""
     key = (p, d)
     if key not in _EXT_FIELDS:
+        _check_order(p, d)      # before the search for a defining polynomial
         if d == 1:
             _EXT_FIELDS[key] = FiniteField(p)
         else:
@@ -1546,20 +1352,18 @@ def embed(field, m):
     key = (field, m)
     if key in _EMBEDDINGS:
         return _EMBEDDINGS[key][:2]
-    d = field.n * m
-    if field.p ** d > MAX_FIELD_ORDER:
-        raise ExtensionTooLarge(f"q^m = {field.p ** d} exceeds the supported budget")
-    big = canonical_extension(field.p, d)
+    big = canonical_extension(field.p, field.n * m)
     if field.n == 1:
         def phi(v, _big=big):
             return _big.element(v.coeffs[0] if v.coeffs else 0)
         gen_pows = None
     else:
-        # the smallest root: coefficients in F_p keep their index in big
+        # the smallest root, off the linear factors of the defining
+        # polynomial over big: coefficients in F_p keep their index there
         kern = _kernel(big)
-        mini = list(field.defining_poly)
-        root = big.from_index(next(x for x in range(big.q)
-                                   if not kern.horner(mini, x)))
+        root = big.from_index(min(kern.neg(g[0])
+                                  for g, _ in kern.factor(field.defining_poly)
+                                  if len(g) == 2))
         gen_pows = [big.one]
         for _ in range(field.n - 1):
             gen_pows.append(gen_pows[-1] * root)

@@ -1,20 +1,28 @@
 """Element-level reference arithmetic for the differential tests.
 
-The library expands places and tests residue fields on index kernels only
-(pointless.series, _Kernel.residue_gcd).  The tests compare them with the
-independent implementations kept here, in FieldElement arithmetic:
+The library expands places, tests residue fields, takes square roots and
+factors polynomials on index kernels only (pointless.series,
+_Kernel.residue_gcd, FieldElement.sqrt, _Kernel.factor).  The tests
+compare them with the independent implementations kept here, in
+FieldElement arithmetic:
 
 * Series: truncated Laurent series of field elements, with Newton square
   roots, and poly_at_series (Horner on a series);
 * QuotientField / QElement: F_q[x]/(m) for an irreducible m, whose class
-  of x is a root of m;
+  of x is a root of m, with Tonelli-Shanks square roots;
 * euclid_gcd: the element Euclid for Polys over either;
+* _element_factor, _element_is_irreducible and _element_squarefree_part:
+  Poly's factorisation by square-free decomposition, distinct-degree split
+  and Cantor-Zassenhaus, and Rabin's test, on pow_mod, pth_root and
+  euclid_gcd;
 * fn_ab and fn_value: a function sum c x^i y^j on an rr_basis as the
   pair of Polys (A, B) with fn = A + B y, and its value at a point;
 * local_xy_series, local_fn_series and vanishing_order: the double
   covers' local expansions on Series, over a FiniteField or a
   QuotientField.
 """
+
+import random
 
 from pointless.errors import (
     DivisionByZero,
@@ -23,7 +31,7 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.field import Poly
+from pointless.field import Poly, _prime_factors
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
 
@@ -326,6 +334,138 @@ def euclid_gcd(f, g):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+# ---------------------------------------------------------------------------
+# factorisation in FieldElement arithmetic
+# ---------------------------------------------------------------------------
+
+def pow_mod(f, e, modulus):
+    """f^e mod modulus by square-and-multiply."""
+    result = Poly.constant(f.base, f.base.one)
+    base = f % modulus
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        e >>= 1
+    return result
+
+
+def pth_root(f):
+    """For f with f' = 0: the unique g with g^p = f (finite fields are
+    perfect)."""
+    F = f.base
+    return Poly(F, [c ** (F.q // F.p) for c in f.coeffs[::F.p]])
+
+
+def _element_factor(f):
+    """Poly.factor in FieldElement arithmetic."""
+    out = []
+    for g, m in _squarefree_decomposition(f.monic()):
+        for prod, d in _distinct_degree_factorization(g):
+            for piece in _equal_degree_factor(prod, d):
+                out.append((piece, m))
+    out.sort(key=lambda t: (t[0].degree, [f.base.index(c) for c in t[0].coeffs]))
+    return out
+
+
+def _element_is_irreducible(f):
+    """Poly.is_irreducible in FieldElement arithmetic (Rabin's test)."""
+    f = f.monic()
+    d = f.degree
+    if d <= 0:
+        return False
+    F = f.base
+    x = Poly.x(F)
+    if (pow_mod(x, F.q ** d, f) - x) % f != Poly(F, []):
+        return False
+    for r in set(_prime_factors(d)):
+        g = euclid_gcd(f, pow_mod(x, F.q ** (d // r), f) - x)
+        if g.degree > 0:
+            return False
+    return True
+
+
+def _element_squarefree_part(f):
+    acc = Poly.constant(f.base, f.base.one)
+    for g, _ in _squarefree_decomposition(f.monic()):
+        acc = acc * g
+    return acc
+
+
+def _squarefree_decomposition(f):
+    F = f.base
+    p = F.p
+    if f.degree <= 0:
+        return []
+    out = {}
+    a = euclid_gcd(f, f.derivative())   # f itself when f' = 0
+    w = f // a
+    i = 1
+    while w.degree > 0:
+        y = euclid_gcd(w, a)
+        z = w // y
+        if z.degree > 0:
+            out[z.monic()] = out.get(z.monic(), 0) + i
+        w = y
+        a = a // y
+        i += 1
+    if a.degree > 0:
+        # remaining part is a p-th power
+        for g, m in _squarefree_decomposition(pth_root(a)):
+            out[g] = out.get(g, 0) + m * p
+    return sorted(out.items(), key=lambda t: t[1])
+
+
+def _distinct_degree_factorization(f):
+    """On monic squarefree f: [(product of irreducibles of degree d, d)]."""
+    F = f.base
+    out = []
+    x = Poly.x(F)
+    h = x
+    d = 0
+    while f.degree > 0:
+        d += 1
+        if 2 * d > f.degree:
+            out.append((f, f.degree))
+            break
+        h = pow_mod(h, F.q, f)
+        g = euclid_gcd(f, h - x)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    return out
+
+
+def _equal_degree_factor(f, d):
+    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles."""
+    if f.degree == 0:
+        return []
+    if f.degree == d:
+        return [f.monic()]
+    F = f.base
+    rng = random.Random(hash((f.coeffs, d)) & 0xFFFFFFFF)
+    n = f.degree
+    while True:
+        r = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(n)])
+        if r.degree < 1:
+            continue
+        if F.p == 2:
+            k = F.n * d
+            t = r
+            acc = r
+            for _ in range(k - 1):
+                t = (t * t) % f
+                acc = (acc + t) % f
+            g = euclid_gcd(f, acc)
+        else:
+            g = euclid_gcd(f, pow_mod(r, (F.q ** d - 1) // 2, f)
+                           - Poly.constant(F, F.one))
+        if 0 < g.degree < f.degree:
+            return (_equal_degree_factor(g, d)
+                    + _equal_degree_factor(f // g, d))
 
 
 # ---------------------------------------------------------------------------

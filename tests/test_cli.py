@@ -74,6 +74,15 @@ class TestCount:
         j = json.loads(out)
         assert code == 0 and j["entries"][0]["counts"] == [0]
 
+    def test_depth_past_the_cap_exits_2(self, capsys, refuse_tables):
+        # N_5 at q = 49 is over F_(7^10), past MAX_FIELD_ORDER: refused
+        # before N_2..N_4 build their tables (loading the corpus builds the
+        # base fields', up to F_49)
+        refuse_tables(past=49)
+        code = main(["count", "--id", "fiber-genus4-q49", "--depth", "5"])
+        assert code == 2
+        assert "MAX_FIELD_ORDER" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_first_find_json(self, capsys):
@@ -101,6 +110,13 @@ class TestSearch:
                      "--checkpoint", str(path)])
         assert code == 2 and not path.exists()
         assert "takes no checkpoint" in capsys.readouterr().err
+
+    def test_field_past_the_cap_exits_2(self, capsys, refuse_tables):
+        # 8388617 is the first prime past 2^23 = MAX_FIELD_ORDER
+        refuse_tables()
+        code = main(["search", "klein4_hyper_odd", "--q", "8388617"])
+        assert code == 2
+        assert "MAX_FIELD_ORDER" in capsys.readouterr().err
 
     def test_n_for_an_engine_without_a_twist_exits_2(self, capsys):
         code = main(["search", "fiberproduct", "--q", "3", "--n", "2"])

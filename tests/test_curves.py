@@ -22,13 +22,11 @@ from pointless.errors import (
     UnsupportedShape,
 )
 from pointless.field import (
-    _KERNEL_MAX_ORDER,
     FiniteField,
     Poly,
     RationalFunction,
     _itrim,
     _kernel,
-    _poly_kernel,
     embed,
 )
 from pointless.series import _ser_cubic_branch
@@ -92,15 +90,13 @@ class TestHyperelliptic:
     def test_rejects_nonsquarefree_on_the_kernel(self):
         # (x - 1)^2 (x^2 + 1) over F_7: is_squarefree runs on the kernel
         f = P(F7, [1, -2, 2, -2, 1])
-        assert _poly_kernel(F7) is not None
         with pytest.raises(UnsupportedShape):
             HyperellipticOdd(F7, f)
         assert HyperellipticOdd(F7, P(F7, [1, -1, 0, 0, 0, 1])).genus == 2
 
     def test_rejects_nonsquarefree_past_the_kernel(self):
-        # F_65537 has no index kernel: f.is_squarefree() decides
+        # a prime field past 2^16: F_65537's kernel (0.03 s to build) decides
         F = FiniteField(65537)
-        assert F.q > _KERNEL_MAX_ORDER and _poly_kernel(F) is None
         with pytest.raises(UnsupportedShape):
             HyperellipticOdd(F, P(F, [3, -7, 5, -1]))     # (x - 1)^2 (3 - x)
         assert HyperellipticOdd(F, P(F, [3, -4, 1, 1])).genus == 1

@@ -9,19 +9,17 @@ from pointless.errors import (
     CompositeCharacteristic,
     DivisionByZero,
     DuplicateNodes,
+    ExtensionTooLarge,
     MixedFields,
     NoSquareRoot,
     OddCharacteristic,
     ReduciblePolynomial,
 )
 from pointless.field import (
-    _KERNEL_MAX_ORDER,
+    MAX_FIELD_ORDER,
     FiniteField,
     Poly,
     RationalFunction,
-    _element_factor,
-    _element_is_irreducible,
-    _element_squarefree_part,
     _kernel,
     _prime_factors,
     canonical_extension,
@@ -29,6 +27,11 @@ from pointless.field import (
 )
 
 import element_reference as ref
+from element_reference import (
+    _element_factor,
+    _element_is_irreducible,
+    _element_squarefree_part,
+)
 
 F5 = FiniteField(5)
 F32 = FiniteField(2, 5, [1, 0, 1, 0, 0, 1])       # a^5 + a^2 + 1 = 0
@@ -655,19 +658,36 @@ class TestKernelFactor:
              * Poly.from_ints(F, [1, 0, 1]))
         assert f.roots() == [b, a]
 
-    def test_past_kernel_order_reassembles(self):
-        F = canonical_extension(3, 11)
-        assert F.q > _KERNEL_MAX_ORDER
-        a = F.gen
-        f = Poly(F, [a, F.one, F.zero, a + F.one, F.one])
-        f = f * Poly(F, [a, F.one]) ** 2
-        fac = f.factor()
-        assert fac == _element_factor(f)
-        acc = Poly.constant(F, f.lc)
-        for piece, m in fac:
-            assert piece.is_irreducible()
-            acc = acc * piece ** m
-        assert acc == f and (Poly(F, [a, F.one]), 2) in fac
+
+class TestOrderCap:
+    """Past MAX_FIELD_ORDER, FiniteField, embed and count(i) refuse with
+    ExtensionTooLarge before any exp/log table is built."""
+
+    def test_finite_field_refuses(self, refuse_tables):
+        refuse_tables()
+        assert 2 ** 23 == MAX_FIELD_ORDER
+        with pytest.raises(ExtensionTooLarge):
+            FiniteField(2, 24)
+        with pytest.raises(ExtensionTooLarge):
+            FiniteField(8388617)                  # the first prime past 2^23
+        # at the cap and below it a field is built; its tables are not yet
+        assert FiniteField(2, 23, [1, 0, 0, 0, 0, 1] + [0] * 17 + [1]).q \
+            == MAX_FIELD_ORDER
+        assert FiniteField(8388593).q == 8388593  # the last prime below it
+
+    def test_embed_refuses(self, refuse_tables):
+        refuse_tables()
+        F49 = FiniteField(7, 2, [3, -1, 1])
+        with pytest.raises(ExtensionTooLarge):
+            embed(F49, 5)                         # F_(7^10)
+
+    def test_count_refuses(self, refuse_tables):
+        from pointless.harness import load_fixtures
+        entry, = [e for e in load_fixtures() if e.id == "fiber-genus4-q49"]
+        curve = entry.curve()
+        refuse_tables()
+        with pytest.raises(ExtensionTooLarge):
+            curve.count(5)                        # over F_(7^10)
 
 
 @given(st.integers(0, 24), st.integers(0, 24))
