@@ -48,28 +48,29 @@ def _emit(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args):
+def _entries(args):
+    """The fixture entries that --fixtures and --id select.  A --depth
+    whose F_{q^depth} is past MAX_FIELD_ORDER for any of them is refused
+    here, before any curve is counted or any table built."""
     entries = load_fixtures(args.fixtures)
     if args.id is not None:
         entries = [e for e in entries if e.id == args.id]
         if not entries:
             raise PointlessError(f"no fixture entry named {args.id!r}")
-    report = verify(entries, K=args.depth)
+    for e in entries:
+        _check_order(e.p, e.n * args.depth)
+    return entries
+
+
+def _cmd_verify(args):
+    report = verify(_entries(args), K=args.depth)
     _emit(report.to_json())
     return report.exit_status
 
 
 def _cmd_count(args):
-    entries = load_fixtures(args.fixtures)
-    if args.id is not None:
-        entries = [e for e in entries if e.id == args.id]
-        if not entries:
-            raise PointlessError(f"no fixture entry named {args.id!r}")
-    for e in entries:
-        # a depth past the cap is refused before any entry builds a table
-        _check_order(e.p, e.n * args.depth)
     rows = []
-    for e in entries:
+    for e in _entries(args):
         curve = e.curve()
         rows.append({
             "id": e.id,

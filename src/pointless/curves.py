@@ -12,7 +12,8 @@ Counting conventions (degree-1 places of the smooth model):
 
 Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
 elements are canonical indices, each model turns its coefficients into
-base-field indices once, at construction, count(i) carries them into
+base-field indices once, at construction, and runs its separability,
+coprimality and conductor checks on those lists, count(i) carries them into
 F_{q^i} through the embedding's index map (built once per field and
 degree), and polynomials are evaluated by Horner on ints.  The
 square class is the parity of a discrete log, the char-2 trace the parity
@@ -46,6 +47,7 @@ from .field import (
     Poly,
     RationalFunction,
     _embed_indices,
+    _index_poly,
     _itrim,
     _kernel,
 )
@@ -70,11 +72,6 @@ def _extension(base, i):
     return big, imap, kern, kern.frobenius_orbits(base.q)
 
 
-def _index_poly(f):
-    """Base-field indices of f's coefficients, constant term first."""
-    return [f.base.index(c) for c in f.coeffs]
-
-
 # ---------------------------------------------------------------------------
 # hyperelliptic, odd characteristic
 # ---------------------------------------------------------------------------
@@ -89,9 +86,9 @@ class HyperellipticOdd:
             raise ZeroPolynomial("f must be nonzero")
         if f.degree < 3:
             raise UnsupportedShape(f"deg f = {f.degree} < 3")
-        if not f.is_squarefree():
-            raise UnsupportedShape("f must be squarefree")
         self._idx = _index_poly(f)
+        if not _kernel(base).is_separable(self._idx):
+            raise UnsupportedShape("f must be squarefree")
         self.base = base
         self.f = f
         self.genus = (f.degree + 1) // 2 - 1
@@ -102,9 +99,6 @@ class HyperellipticOdd:
         horner, roots = kern.horner, kern.sqrt_count
         total = sum(w * roots(horner(f, x)) for x, w in orbits)
         return total + (1 if self.f.degree % 2 else roots(f[-1]))
-
-    def kind(self):
-        return "hyperelliptic_odd"
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +120,21 @@ class ArtinSchreierCurve:
         if isinstance(f, Poly):
             f = RationalFunction(f, Poly.constant(base, base.one))
         self.f = f
-        if f.den.degree > 0 and not f.den.is_squarefree():
+        self._num, self._den = _index_poly(f.num), _index_poly(f.den)
+        kern = _kernel(base)
+        if len(self._den) > 1 and not kern.is_separable(self._den):
             raise UnsupportedShape("denominator must be squarefree")
         m = f.num.degree - f.den.degree  # degree of the polynomial part
         if m >= 1 and m % 2 == 0:
             raise UnsupportedShape("polynomial part must have degree 0 or odd")
-        self.conductor = []
-        for piece, mult in f.den.factor():
-            self.conductor.append((piece.degree, 1))
+        self.conductor = [(len(piece) - 1, 1)
+                          for piece, _ in kern.factor(self._den)]
         if m >= 1:
             self.conductor.append((1, m))
         two_delta = sum((d + 1) * deg for deg, d in self.conductor)
         if two_delta % 2:
             raise UnsupportedShape("conductor gives non-integral genus")
         self.genus = -1 + two_delta // 2
-        self._num, self._den = _index_poly(f.num), _index_poly(f.den)
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
@@ -160,9 +154,6 @@ class ArtinSchreierCurve:
         elif m < 0 or not trace(kern.mul(num[-1], kern.inv(den[-1]))):
             total += 2
         return total
-
-    def kind(self):
-        return "artin_schreier"
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +280,6 @@ class PlaneQuartic:
             total += 1
         return total
 
-    def kind(self):
-        return "plane_quartic"
-
 
 def _line(form):
     """form(x, 1, 0) as an index list in x."""
@@ -354,14 +342,15 @@ class FiberProductGenus4:
             raise EvenCharacteristic("fiber products are an odd-char model")
         if f.degree != 3 or g.degree != 3:
             raise UnsupportedShape("f and g must be cubic")
-        if not (f.is_separable() and g.is_separable()):
+        self._f, self._g = _index_poly(f), _index_poly(g)
+        kern = _kernel(base)
+        if not (kern.is_separable(self._f) and kern.is_separable(self._g)):
             raise UnsupportedShape("f and g must be separable")
-        if f.gcd(g).degree > 0:
+        if len(kern.gcd(self._f, self._g)) > 1:
             raise UnsupportedShape("f and g must be coprime")
         self.base = base
         self.f = f
         self.g = g
-        self._f, self._g = _index_poly(f), _index_poly(g)
         self.genus = 4
 
     def count(self, i=1):
@@ -393,9 +382,6 @@ class FiberProductGenus4:
             if shape(f) and shape(g):
                 extra = True
         return {"trigonal": trigonal, "extra_autos": extra}
-
-    def kind(self):
-        return "fiber_product"
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +462,6 @@ class ASTower:
                     total += _tower_place_points(kern, f1, stage2, "ord_inf",
                                                  ybranch=y)
         return total
-
-    def kind(self):
-        return "as_tower"
 
 
 def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,

@@ -13,7 +13,15 @@ actual pointless rates in the curve families.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GroupTooLarge, NotTransitive, ParseError, UnknownFamily
+from .curves import FiberProductGenus4, HyperellipticOdd, PlaneQuartic
+from .errors import (
+    EvenCharacteristic,
+    GroupTooLarge,
+    NotTransitive,
+    ParseError,
+    UnknownFamily,
+    UnsupportedShape,
+)
 from .field import Poly
 
 MAX_GROUP_ORDER = 10 ** 6
@@ -257,8 +265,6 @@ def _sample_klein4_hyper_odd(F, rng):
     """Random y^2 = f(x) with f even of degree 8 (a member of the
     Klein-four-symmetric family); rerolls until f has degree 8 and the
     HyperellipticOdd constructor, which tests separability, accepts it."""
-    from .curves import HyperellipticOdd
-    from .errors import EvenCharacteristic, UnsupportedShape
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
     coeffs = [0] * 9
@@ -288,8 +294,6 @@ def klein4_hyper_odd_heuristic(q):
 
 
 def _sample_diagonal_quartic(F, rng):
-    from .curves import PlaneQuartic
-    from .errors import EvenCharacteristic
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics are singular in char 2")
     while True:
@@ -302,8 +306,6 @@ def _sample_diagonal_quartic(F, rng):
 
 
 def _sample_fiberproduct(F, rng):
-    from .curves import FiberProductGenus4
-    from .errors import UnsupportedShape
     while True:
         f = Poly(F, [F.from_index(rng.below(F.q)) for _ in range(3)]
                  + [F.from_index(1 + rng.below(F.q - 1))])

@@ -21,8 +21,8 @@ from .errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from .curves import _extension, _index_poly
-from .field import Poly, _kernel, _prime_factors
+from .curves import _extension
+from .field import Poly, _index_poly, _kernel, _prime_factors
 from .series import (
     EXACT,
     _ser,

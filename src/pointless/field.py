@@ -871,6 +871,30 @@ def _itrim(cs):
     return cs[:i]
 
 
+def _f2_eliminate(images):
+    """Gaussian elimination of an F_2-linear map given by the images of
+    the basis vectors 1 << j, each a bit int: (rows, relations).  rows
+    maps the leading bit of each echelon row of the image to (image bits,
+    preimage bits): a vector is in the image exactly when clearing its
+    leading bit by the rows over and over leaves zero, and the preimage
+    bits of the rows used sum to a preimage.  relations is a basis of the
+    kernel, as preimage bits."""
+    rows, relations = {}, []
+    for j, v in enumerate(images):
+        combo = 1 << j
+        while v:
+            r = v.bit_length() - 1
+            if r not in rows:
+                rows[r] = (v, combo)
+                break
+            m, c = rows[r]
+            v ^= m
+            combo ^= c
+        else:
+            relations.append(combo)
+    return rows, relations
+
+
 class _PrimeKernel(_Kernel):
     """F_p: indices are the residues themselves."""
 
@@ -904,23 +928,9 @@ class _Char2Kernel(_Kernel):
                 acc ^= v
                 v = self.mul(v, v)
             self.trace_mask |= acc << j
-        # reduced row echelon form of the map y -> y^2 + y: rows are
-        # (pivot bit, image bits, preimage bits)
-        rows = []
-        for j in range(n):
-            e = 1 << j
-            mask, combo = self.mul(e, e) ^ e, e
-            for p, m, c in rows:
-                if (mask >> p) & 1:
-                    mask ^= m
-                    combo ^= c
-            if mask:
-                p = mask.bit_length() - 1
-                for k, (p2, m2, c2) in enumerate(rows):
-                    if (m2 >> p) & 1:
-                        rows[k] = (p2, m2 ^ mask, c2 ^ combo)
-                rows.append((p, mask, combo))
-        self._as_rows = rows
+        # the map y -> y^2 + y on the index bits of y
+        self._as_rows = _f2_eliminate(
+            [self.mul(1 << j, 1 << j) ^ (1 << j) for j in range(n)])[0]
 
     add = staticmethod(xor)     # a builtin: the series and Euclid loops call it
 
@@ -954,11 +964,14 @@ class _Char2Kernel(_Kernel):
         """A y with y^2 + y = v (the other is y ^ 1), or None when the
         trace of v is 1."""
         combo = 0
-        for p, m, c in self._as_rows:
-            if (v >> p) & 1:
-                v ^= m
-                combo ^= c
-        return None if v else combo
+        while v:
+            r = v.bit_length() - 1
+            if r not in self._as_rows:
+                return None
+            m, c = self._as_rows[r]
+            v ^= m
+            combo ^= c
+        return combo
 
     def horner(self, cs, x):
         if not x:
@@ -1027,6 +1040,13 @@ class _ZechKernel(_Kernel):
 # ---------------------------------------------------------------------------
 # univariate polynomials over a field
 # ---------------------------------------------------------------------------
+
+def _index_poly(f):
+    """Base-field indices of f's coefficients, constant term first: the
+    index polynomial the kernel's Poly methods and the curve models run
+    on."""
+    return [f.base.index(c) for c in f.coeffs]
+
 
 class Poly:
     """Dense univariate polynomial; trailing zeros are trimmed."""
@@ -1163,8 +1183,7 @@ class Poly:
         field's index kernel (_Kernel.gcd)."""
         self._check(other)
         F = self.base
-        g = _kernel(F).gcd([F.index(c) for c in self.coeffs],
-                           [F.index(c) for c in other.coeffs])
+        g = _kernel(F).gcd(_index_poly(self), _index_poly(other))
         return Poly(F, [F.from_index(i) for i in g])
 
     def derivative(self):
@@ -1178,8 +1197,7 @@ class Poly:
         return Poly(F, out)
 
     def is_separable(self):
-        F = self.base
-        return _kernel(F).is_separable([F.index(c) for c in self.coeffs])
+        return _kernel(self.base).is_separable(_index_poly(self))
 
     is_squarefree = is_separable
 
@@ -1225,7 +1243,7 @@ class Poly:
             return self.monic()
         F = self.base
         kern = _kernel(F)
-        f = kern._monic([F.index(c) for c in self.coeffs])
+        f = kern._monic(_index_poly(self))
         acc = [1]
         for g, _ in kern.squarefree(f):
             acc = kern._pmul(acc, g)
@@ -1236,21 +1254,19 @@ class Poly:
         the coefficient indices; [] for a constant or zero."""
         F = self.base
         return [(Poly(F, [F.from_index(i) for i in g]), m)
-                for g, m in _kernel(F).factor([F.index(c) for c in self.coeffs])]
+                for g, m in _kernel(F).factor(_index_poly(self))]
 
     def is_irreducible(self):
-        F = self.base
-        return _kernel(F).is_irreducible([F.index(c) for c in self.coeffs])
+        return _kernel(self.base).is_irreducible(_index_poly(self))
 
     def roots(self):
-        """Roots in the base field, sorted by canonical element order."""
-        F = self.base
+        """Roots in the base field, sorted by canonical element order: the
+        elements at which eval vanishes, an enumeration independent of the
+        index kernel that root counts and factorisations are checked
+        against."""
         if self.is_zero():
             raise DivisionByZero("zero polynomial vanishes everywhere")
-        if F.q <= 1024:
-            return [v for v in F.elements() if self.eval(v).is_zero()]
-        return sorted((-g[0] for g, _ in self.factor() if g.degree == 1),
-                      key=F.index)
+        return [v for v in self.base.elements() if self.eval(v).is_zero()]
 
     def __repr__(self):
         if self.is_zero():
@@ -1345,49 +1361,38 @@ def canonical_extension(p, d):
 def embed(field, m):
     """(F_{q^m}, phi) with phi a ring embedding; phi is deterministic via the
     smallest root of the defining polynomial in the canonical element order."""
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
+    big, imap = _embed_indices(field, m)
     if m == 1:
         return field, lambda v: v
-    key = (field, m)
-    if key in _EMBEDDINGS:
-        return _EMBEDDINGS[key][:2]
-    big = canonical_extension(field.p, field.n * m)
-    if field.n == 1:
-        def phi(v, _big=big):
-            return _big.element(v.coeffs[0] if v.coeffs else 0)
-        gen_pows = None
-    else:
-        # the smallest root, off the linear factors of the defining
-        # polynomial over big: coefficients in F_p keep their index there
-        kern = _kernel(big)
-        root = big.from_index(min(kern.neg(g[0])
-                                  for g, _ in kern.factor(field.defining_poly)
-                                  if len(g) == 2))
-        gen_pows = [big.one]
-        for _ in range(field.n - 1):
-            gen_pows.append(gen_pows[-1] * root)
-
-        def phi(v, _big=big, _pows=gen_pows):
-            acc = _big.zero
-            for c, gp in zip(v.coeffs, _pows):
-                if c:
-                    acc = acc + _big.element(c) * gp
-            return acc
-
-    # the same embedding on indices, for the counting kernels
-    imap = [big.index(phi(v)) for v in field.elements()]
-    _EMBEDDINGS[key] = (big, phi, imap)
-    return big, phi
+    return big, lambda v: big.from_index(imap[field.index(v)])
 
 
 def _embed_indices(field, m):
     """(F_{q^m}, embed(field, m) on indices): entry j of the map is the
     index in F_{q^m} of the image of field.from_index(j) (range(q) for
-    m = 1).  embed builds the map once per (field, m), so phi runs q times
-    per embedding and not per coefficient."""
+    m = 1).  The map is built once per (field, m) on the big field's
+    kernel: the image of sum c_i a^i is sum c_i r^i, r the root, and an
+    integer c < p keeps its index c, so the map grows by one base-p digit
+    at a time over the powers of r."""
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
     if m == 1:
         return field, range(field.q)
-    embed(field, m)
-    big, _, imap = _EMBEDDINGS[(field, m)]
-    return big, imap
+    key = (field, m)
+    if key not in _EMBEDDINGS:
+        big = canonical_extension(field.p, field.n * m)
+        kern = _kernel(big)
+        pows = [1]
+        if field.n > 1:
+            # the smallest root, off the linear factors of the defining
+            # polynomial over big: coefficients in F_p keep their index there
+            root = min(kern.neg(g[0]) for g, _ in kern.factor(field.defining_poly)
+                       if len(g) == 2)
+            for _ in range(field.n - 1):
+                pows.append(kern.mul(pows[-1], root))
+        imap = [0]
+        for r in pows:
+            digits = [kern.mul(c, r) for c in range(field.p)]
+            imap = [kern.add(u, t) for t in digits for u in imap]
+        _EMBEDDINGS[key] = (big, imap)
+    return _EMBEDDINGS[key]

@@ -171,7 +171,7 @@ def _constant(F, v, entry_id):
             raise ValidationError(f"bad constant string {v!r}", entry_id)
         if F.n == 1:
             raise ValidationError("power string over a prime field", entry_id)
-        out = F.element("a") ** k
+        out = F.gen ** k
         return -out if neg else out
     if isinstance(v, list):
         if not all(isinstance(c, int) for c in v):
@@ -180,13 +180,7 @@ def _constant(F, v, entry_id):
         if len(v) > F.n:
             raise ValidationError("coefficient vector longer than the degree",
                                   entry_id)
-        acc = F.zero
-        a_pow = F.one
-        gen = F.element("a") if F.n > 1 else F.one
-        for c in v:
-            acc = acc + a_pow * F.element(c)
-            a_pow = a_pow * gen
-        return acc
+        return F.element(v)
     raise ValidationError(f"bad field constant {v!r}", entry_id)
 
 

@@ -71,7 +71,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedShape,
 )
-from .field import Poly, RationalFunction, _kernel
+from .field import Poly, RationalFunction, _f2_eliminate, _index_poly, _kernel
 from .zeta import zeta_report
 
 
@@ -112,10 +112,6 @@ class SearchReport:
 
 def _fingerprint(*parts):
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:16]
-
-
-def _poly_ints(F, f):
-    return [F.index(c) for c in f.coeffs]
 
 
 def _disagreement(family, q, candidate, curve):
@@ -328,9 +324,9 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         curve = HyperellipticOdd(F, model)
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("klein4_hyper_odd", q,
-                                {"f": _poly_ints(F, f), "n": F.index(n)}, curve)
+                                {"f": _index_poly(f), "n": F.index(n)}, curve)
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f": _poly_ints(F, f), "model": _poly_ints(F, model)},
+        if run.keep({"f": _index_poly(f), "model": _index_poly(model)},
                     zeta_report(q, 3, counts).to_json()):
             run.candidates = code + 1
             break
@@ -346,17 +342,15 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 family")
     run = _Search("klein4_hyper_even", mode, budget)
-    x = Poly.x(F)
-    x2p1 = x * x + Poly.constant(F, F.one)
     for code, idx in _odometer(F.q, 5):
         a, b, c, d1, d0 = (F.from_index(i) for i in idx)
         if d1.is_zero() or d0.is_zero():
             continue  # d must be separable with nonzero roots
         run.visit()
-        # substitute u = x + 1/x and clear x^2:
+        # substitute u = x + 1/x and clear x^2, with (x^2 + 1)^2 = x^4 + 1:
         # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d
-        num = x2p1 * x2p1 * a + x * x2p1 * b + x * x * c
-        den = x2p1 * x2p1 + x * x2p1 * d1 + x * x * d0
+        num = Poly(F, [a, b, c, b, a])
+        den = Poly(F, [F.one, d1, d0, d1, F.one])
         if num.is_zero():
             continue
         fr = RationalFunction(num, den)
@@ -369,8 +363,8 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
         if curve.genus != 3 or curve.count(1) != 0:
             continue
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f_num": _poly_ints(F, fr.num),
-                     "f_den": _poly_ints(F, fr.den),
+        if run.keep({"f_num": _index_poly(fr.num),
+                     "f_den": _index_poly(fr.den),
                      "quartic_f": [F.index(v) for v in (c, b, a)],
                      "d": [F.index(d0), F.index(d1), 1]},
                     zeta_report(F.q, 3, counts).to_json()):
@@ -619,7 +613,7 @@ def _node_value_forms(F):
     kern = _kernel(F)
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(F.q))
     nodes = [F.from_index(i) for i in range(9)]
-    basis = [_poly_ints(F, Poly.interpolate(
+    basis = [_index_poly(Poly.interpolate(
                  F, nodes, [F.one if j == i else F.zero for j in range(9)]))
              for i in range(9)]
     weights = [[L[8] for L in basis]]
@@ -889,7 +883,6 @@ def _trace_matrix_kernel(kern, m):
     q, mul, trace = kern.q, kern.mul, kern.trace
     deg = len(m) - 1
     n = q.bit_length() - 1
-    nbits = deg * n
     # x^i / m(x) at every x, from i = 0 up
     w = [kern.inv(kern.horner(m, x)) for x in range(q)]
     cols = []
@@ -902,26 +895,7 @@ def _trace_matrix_kernel(kern, m):
                 if trace(mul(1 << b, v)):
                     col |= 1 << x
             cols.append(col)
-    # gaussian elimination on columns to find the kernel
-    # represent each column with a tracking combination bitmask
-    combos = [1 << j for j in range(nbits)]
-    work = list(cols)
-    pivots = {}  # row -> (col value, combo)
-    kernel = []
-    for j in range(nbits):
-        v, comb = work[j], combos[j]
-        while v:
-            r = v.bit_length() - 1
-            if r in pivots:
-                pv, pc = pivots[r]
-                v ^= pv
-                comb ^= pc
-            else:
-                pivots[r] = (v, comb)
-                break
-        if v == 0:
-            kernel.append(comb)
-    return kernel
+    return _f2_eliminate(cols)[1]
 
 
 def search_hyper_genus4_char2(F, mode="first_find", budget=None,
@@ -954,7 +928,7 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
             for p in parts[1:]:
                 m = m * p
             run.visit()
-            kernel = _trace_matrix_kernel(kern, _poly_ints(F, m))
+            kernel = _trace_matrix_kernel(kern, _index_poly(m))
             for bits in sorted(kernel_span(kernel)):
                 if bits == 0:
                     continue
@@ -969,8 +943,8 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
                 except UnsupportedShape:
                     continue
                 if curve.genus == 4:
-                    yield {"shape": shape_name, "m": _poly_ints(F, m),
-                           "g": _poly_ints(F, g), "t": F.index(t_val)}, curve
+                    yield {"shape": shape_name, "m": _index_poly(m),
+                           "g": _index_poly(g), "t": F.index(t_val)}, curve
             if m_index % 1000 == 0:
                 run.save(next_m)
 

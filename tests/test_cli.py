@@ -67,6 +67,14 @@ class TestVerify:
         path.write_text("key = before section\n")
         assert main(["verify", "--fixtures", str(path)]) == 2
 
+    def test_depth_past_the_cap_exits_2(self, capsys, refuse_tables):
+        # N_5 at q = 49 is over F_(7^10), past MAX_FIELD_ORDER: refused
+        # before N_1..N_4 are counted and their tables built
+        refuse_tables(past=49)
+        code = main(["verify", "--id", "fiber-genus4-q49", "--depth", "5"])
+        assert code == 2
+        assert "MAX_FIELD_ORDER" in capsys.readouterr().err
+
 
 class TestCount:
     def test_single_entry(self, capsys):
