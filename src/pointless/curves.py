@@ -37,6 +37,8 @@ pole places of the first) run on the same kernel: their local expansions
 are the truncated Laurent series of indices of pointless.series.
 """
 
+from functools import cached_property
+
 from .errors import (
     EvenCharacteristic,
     OddCharacteristic,
@@ -77,28 +79,43 @@ def _extension(base, i):
 # ---------------------------------------------------------------------------
 
 class HyperellipticOdd:
-    """y^2 = f(x) over odd characteristic, f squarefree of degree >= 3."""
+    """y^2 = f(x) over odd characteristic, f squarefree of degree >= 3.
+
+    f is a Poly over base or a list of base-field indices (0..q-1),
+    constant term first, trailing zeros allowed; both forms are checked
+    alike, on the trimmed index list _idx, which is all that genus and
+    count read.  The Poly f is built from _idx when first read.
+    """
 
     def __init__(self, base, f):
         if base.p == 2:
             raise EvenCharacteristic("use ArtinSchreierCurve in characteristic 2")
-        if f.is_zero():
+        if isinstance(f, Poly):
+            self.f = f
+            idx = _index_poly(f)
+        else:
+            idx = _itrim(list(f))
+        if not idx:
             raise ZeroPolynomial("f must be nonzero")
-        if f.degree < 3:
-            raise UnsupportedShape(f"deg f = {f.degree} < 3")
-        self._idx = _index_poly(f)
-        if not _kernel(base).is_separable(self._idx):
+        if len(idx) < 4:
+            raise UnsupportedShape(f"deg f = {len(idx) - 1} < 3")
+        if not _kernel(base).is_separable(idx):
             raise UnsupportedShape("f must be squarefree")
         self.base = base
-        self.f = f
-        self.genus = (f.degree + 1) // 2 - 1
+        self._idx = idx
+        self.genus = len(idx) // 2 - 1
+
+    @cached_property
+    def f(self):
+        return Poly(self.base, map(self.base.from_index, self._idx))
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
         f = [imap[c] for c in self._idx]
         horner, roots = kern.horner, kern.sqrt_count
         total = sum(w * roots(horner(f, x)) for x, w in orbits)
-        return total + (1 if self.f.degree % 2 else roots(f[-1]))
+        # infinity: one point for odd deg f, else by the square class of lc
+        return total + (1 if len(f) % 2 == 0 else roots(f[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +139,18 @@ class ArtinSchreierCurve:
         self.f = f
         self._num, self._den = _index_poly(f.num), _index_poly(f.den)
         kern = _kernel(base)
-        if len(self._den) > 1 and not kern.is_separable(self._den):
-            raise UnsupportedShape("denominator must be squarefree")
+        self.conductor = []
+        if len(self._den) > 1:
+            if not kern.is_separable(self._den):
+                raise UnsupportedShape("denominator must be squarefree")
+            # the finite poles are the places of the monic squarefree
+            # denominator: deg g / d of degree d for each (g, d) of its
+            # distinct-degree split
+            for g, d in kern._distinct_degree(self._den):
+                self.conductor += [(d, 1)] * ((len(g) - 1) // d)
         m = f.num.degree - f.den.degree  # degree of the polynomial part
         if m >= 1 and m % 2 == 0:
             raise UnsupportedShape("polynomial part must have degree 0 or odd")
-        self.conductor = [(len(piece) - 1, 1)
-                          for piece, _ in kern.factor(self._den)]
         if m >= 1:
             self.conductor.append((1, m))
         two_delta = sum((d + 1) * deg for deg, d in self.conductor)

@@ -263,8 +263,10 @@ class MonteCarloReport:
 
 def _sample_klein4_hyper_odd(F, rng):
     """Random y^2 = f(x) with f even of degree 8 (a member of the
-    Klein-four-symmetric family); rerolls until f has degree 8 and the
-    HyperellipticOdd constructor, which tests separability, accepts it."""
+    Klein-four-symmetric family): five draws below q per attempt give the
+    base-field indices of f's even coefficients, which go to the
+    HyperellipticOdd constructor as an index list; rerolls until f has
+    degree 8 and the constructor, which tests separability, accepts it."""
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
     coeffs = [0] * 9
@@ -273,7 +275,7 @@ def _sample_klein4_hyper_odd(F, rng):
         if not coeffs[-1]:
             continue
         try:
-            return HyperellipticOdd(F, Poly(F, map(F.from_index, coeffs)))
+            return HyperellipticOdd(F, coeffs)
         except UnsupportedShape:
             continue
 

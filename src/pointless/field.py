@@ -508,10 +508,10 @@ class _Kernel:
     (root_count: y^Q mod f from y^q by the q-power Frobenius of
     F_Q[y]/(f), which is semilinear on index lists, or by repeated
     squaring in characteristic 2), and factors (squarefree, factor,
-    is_irreducible), all on the one Euclid in gcd.  FieldElement's square
-    test and square root, and Poly's gcd and factorisation, run on it over
-    every FiniteField; the tables hold about 100 bytes per element, which
-    is what MAX_FIELD_ORDER bounds.
+    is_irreducible), all on the one Euclid loop (_euclid).  FieldElement's
+    square test and square root, and Poly's gcd and factorisation, run on
+    it over every FiniteField; the tables hold about 100 bytes per element,
+    which is what MAX_FIELD_ORDER bounds.
     """
 
     def __init__(self, field):
@@ -705,13 +705,19 @@ class _Kernel:
             raise ValueError(f"F_{q} is not a subfield of F_{self.q}")
         return _itrim(h)
 
-    def gcd(self, a, b):
-        """Monic gcd of the index polynomials a and b; [] when both are
-        zero."""
+    def _euclid(self, a, b):
+        """The last nonzero remainder of Euclid on the index polynomials a
+        and b: their gcd up to a unit; [] when both are zero."""
         a, b = _itrim(a), _itrim(b)
         while b:
             a, b = b, self._pmod(a, b)
-        return self._monic(a) if a else a
+        return a
+
+    def gcd(self, a, b):
+        """Monic gcd of the index polynomials a and b; [] when both are
+        zero."""
+        g = self._euclid(a, b)
+        return self._monic(g) if g else g
 
     def residue_gcd(self, a, b, m):
         """Monic gcd in y of a and b over the residue field F_q[x]/(m), m
@@ -747,9 +753,10 @@ class _Kernel:
 
     def is_separable(self, cs):
         """Whether the index polynomial cs is coprime to its derivative
-        (False when the derivative is zero, constants included)."""
+        (False when the derivative is zero, constants included): the last
+        nonzero remainder of their Euclid is a constant."""
         d = self._derivative(cs)
-        return bool(d) and len(self.gcd(cs, d)) == 1
+        return bool(d) and len(self._euclid(cs, d)) == 1
 
     # -- factorisation -------------------------------------------------
 

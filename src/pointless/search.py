@@ -675,7 +675,7 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
             coeffs = [row[c] for row, c in zip(rows[digit], coeffs)]
         if not kern.is_separable(coeffs):
             continue
-        curve = HyperellipticOdd(F, Poly(F, [F.from_index(c) for c in coeffs]))
+        curve = HyperellipticOdd(F, coeffs)
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)

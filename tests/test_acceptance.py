@@ -471,6 +471,12 @@ class TestCriterion9:
                          f", family heuristic {r.family_heuristic:.4f}")
         report(capsys, "criterion 9 (soft)", True, "; ".join(lines))
 
+    def test_hits_pinned(self, runs):
+        """The seeded streams and their rerolls, pinned: the pointless
+        hits of the 100k samples at seeds 5, 7 and 9."""
+        assert ({q: r.pointless for q, r in runs.items()}
+                == {5: 3312, 7: 1483, 9: 692})
+
     def test_exact_family_rate_in_wilson_interval(self, capsys, runs):
         """Hard check: the exact pointless rate of the sampled family, by
         enumeration of every g, lies in each seeded run's Wilson interval."""

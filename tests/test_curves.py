@@ -20,6 +20,7 @@ from pointless.errors import (
     DivisionByZero,
     EvenCharacteristic,
     UnsupportedShape,
+    ZeroPolynomial,
 )
 from pointless.field import (
     FiniteField,
@@ -51,6 +52,7 @@ F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [-1, -1, 1])
 F25 = FiniteField(5, 2, [2, -1, 1])
 F27 = FiniteField(3, 3, [1, -1, 0, 1])
+F16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
 F32 = FiniteField(2, 5, [1, 0, 1, 0, 0, 1])
 
 
@@ -107,6 +109,39 @@ class TestHyperelliptic:
         with pytest.raises(UnsupportedShape):
             HyperellipticOdd(F5, P(F5, [0, 0, 1, 1]))  # x^2(x+1)
 
+    @pytest.mark.parametrize("F", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_index_list_form_matches_poly_form(self, F):
+        # x^3 + x + 1 with trailing zeros, then seeded random index lists
+        # of degree 3, 4, 7 or 8 padded with 0-2 zeros
+        rng = random.Random(F.q)
+        lists = [[1, 1, 0, 1, 0, 0]]
+        while len(lists) < 6:
+            idx = [rng.randrange(F.q) for _ in range(rng.choice([4, 5, 8, 9]))]
+            f = Poly(F, map(F.from_index, idx))
+            if f.degree >= 3 and f.is_separable():
+                lists.append(idx + [0] * rng.randrange(3))
+        for idx in lists:
+            f = Poly(F, map(F.from_index, idx))
+            ref, C = HyperellipticOdd(F, f), HyperellipticOdd(F, idx)
+            assert C.genus == ref.genus == (f.degree + 1) // 2 - 1
+            assert C.f == f
+            assert ([C.count(i) for i in (1, 2, 3)]
+                    == [ref.count(i) for i in (1, 2, 3)]), idx
+
+    @pytest.mark.parametrize("F, idx, error", [
+        (F2, [1, 1, 1, 1], EvenCharacteristic),
+        (F5, [], ZeroPolynomial),
+        (F5, [0, 0, 0], ZeroPolynomial),
+        (F5, [1, 0, 1, 0], UnsupportedShape),        # degree 2
+        (F5, [0, 0, 1, 1], UnsupportedShape),        # x^2 (x + 1)
+        (F7, [1, 5, 2, 5, 1], UnsupportedShape),     # (x - 1)^2 (x^2 + 1)
+    ], ids=["char2", "empty", "zero", "degree2", "square_x", "square_f7"])
+    def test_index_list_form_raises_like_poly_form(self, F, idx, error):
+        for form in (Poly(F, map(F.from_index, idx)), idx):
+            with pytest.raises(error) as info:
+                HyperellipticOdd(F, form)
+            assert info.type is error
+
 
 class TestArtinSchreier:
     def test_f2_table_row(self):
@@ -114,6 +149,27 @@ class TestArtinSchreier:
         C = ArtinSchreierCurve(F2, f)
         assert C.genus == 3
         assert C.count(1) == 0
+
+    @pytest.mark.parametrize("F", [F2, F4, F8, F16],
+                             ids=["F2", "F4", "F8", "F16"])
+    def test_conductor_matches_the_factorisation(self, F):
+        # the conductor read off the distinct-degree split of the
+        # denominator lists its places as the full factorisation does
+        kern = _kernel(F)
+        rng = random.Random(F.q)
+        repeated = 0
+        for _ in range(25):
+            while True:
+                den = _itrim([rng.randrange(F.q)
+                              for _ in range(rng.randrange(2, 9))])
+                if len(den) > 1 and kern.is_separable(den):
+                    break
+            f = RationalFunction(P(F, [1]), Poly(F, map(F.from_index, den)))
+            conductor = ArtinSchreierCurve(F, f).conductor
+            assert conductor == [(len(piece) - 1, 1)
+                                 for piece, _ in kern.factor(den)], den
+            repeated += len(set(conductor)) < len(conductor)
+        assert repeated  # some denominator has two places of one degree
 
     def test_genus0_line(self):
         C = ArtinSchreierCurve(F2, P(F2, [0, 1]))
