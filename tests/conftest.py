@@ -12,9 +12,9 @@ def refuse_tables(monkeypatch):
     def arm(past=0):
         build = FiniteField.dlog_tables
 
-        def refuse(field):
+        def refuse(field, **kwargs):
             if field.q > past:
                 raise AssertionError(f"built the tables of {field!r}")
-            return build(field)
+            return build(field, **kwargs)
         monkeypatch.setattr(FiniteField, "dlog_tables", refuse)
     return arm

@@ -3,8 +3,8 @@
 The library expands places, tests residue fields, takes square roots and
 factors polynomials on index kernels only (pointless.series,
 _Kernel.residue_gcd, FieldElement.sqrt, _Kernel.factor).  The tests
-compare them with the independent implementations kept here, in
-FieldElement arithmetic:
+compare them with the independent implementations kept here, all but the
+last in FieldElement arithmetic:
 
 * Series: truncated Laurent series of field elements, with Newton square
   roots, and poly_at_series (Horner on a series);
@@ -19,7 +19,10 @@ FieldElement arithmetic:
   pair of Polys (A, B) with fn = A + B y, and its value at a point;
 * local_xy_series, local_fn_series and vanishing_order: the double
   covers' local expansions on Series, over a FiniteField or a
-  QuotientField.
+  QuotientField;
+* dlog_tables_reference: an extension's exp/log tables by one
+  matrix-vector product per element, against FiniteField.dlog_tables'
+  chunk-table walk.
 """
 
 import random
@@ -31,7 +34,7 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.field import Poly, _prime_factors
+from pointless.field import Poly, _ppowmod, _prime_factors, _trim
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
 
@@ -540,3 +543,49 @@ def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
     if not (A.eval(x0) + B.eval(x0) * y0).is_zero():
         return 0
     return local_fn_series(A, B, cubic, P, field, prec).valuation()
+
+
+# ---------------------------------------------------------------------------
+# exp/log tables by a matrix-vector product per element
+# ---------------------------------------------------------------------------
+
+def dlog_tables_reference(F):
+    """FiniteField.dlog_tables on an extension by the n x n walk: the
+    generator is the first primitive element in canonical order, found
+    from index 1, and each power is the last times g as the F_p-linear map
+    whose columns are a^k * g mod the defining polynomial."""
+    p, n, q = F.p, F.n, F.q
+    factors = set(_prime_factors(q - 1))
+    mod = F.defining_poly
+
+    def coeffs(i):
+        out = []
+        for _ in range(n):
+            i, c = divmod(i, p)
+            out.append(c)
+        return out
+
+    g = next(v for v in range(1, q)
+             if all(_ppowmod(_trim(coeffs(v)), (q - 1) // r, mod, p) != (1,)
+                    for r in factors))
+    cols = [coeffs(g)]                 # cols[k] = a^k * g, padded to n
+    for _ in range(n - 1):
+        up = [0] + cols[-1]            # times a, then reduce a^n
+        top = up.pop()
+        cols.append([(c - top * m) % p for c, m in zip(up, mod)])
+    exp = [0] * (q - 1)
+    log = [None] * q
+    acc = [1] + [0] * (n - 1)
+    for k in range(q - 1):
+        idx = 0
+        for c in reversed(acc):
+            idx = idx * p + c
+        exp[k] = idx
+        log[idx] = k
+        out = [0] * n
+        for c, col in zip(acc, cols):
+            if c:
+                for i, v in enumerate(col):
+                    out[i] += c * v
+        acc = [v % p for v in out]
+    return exp, log

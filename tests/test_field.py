@@ -20,6 +20,7 @@ from pointless.field import (
     FiniteField,
     Poly,
     RationalFunction,
+    _generator_step,
     _kernel,
     _prime_factors,
     canonical_extension,
@@ -31,6 +32,7 @@ from element_reference import (
     _element_factor,
     _element_is_irreducible,
     _element_squarefree_part,
+    dlog_tables_reference,
 )
 
 F5 = FiniteField(5)
@@ -335,6 +337,12 @@ DLOG_FIELDS = {
     "F1024": FiniteField(2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
 }
 
+# odd n at large p (the spread table's size), char 2 at odd and even n,
+# and F625, where a is not primitive
+WALK_FIELDS = {f"F{p}^{n}": canonical_extension(p, n)
+               for p, n in [(13, 3), (47, 3), (2, 9), (2, 12), (3, 8), (5, 6)]}
+WALK_FIELDS["F625"] = DLOG_FIELDS["F625"]
+
 
 class TestDlogTables:
     @pytest.mark.parametrize("F", DLOG_FIELDS.values(), ids=DLOG_FIELDS.keys())
@@ -352,6 +360,13 @@ class TestDlogTables:
             g = F.from_index(exp[1])
             k = 5 % (F.q - 1)
             assert F.from_index(exp[k]) == g ** k
+
+    @pytest.mark.parametrize("F", WALK_FIELDS.values(), ids=WALK_FIELDS.keys())
+    def test_equal_to_walk_reference(self, F):
+        exp, log = F.dlog_tables()
+        assert (exp, log) == dlog_tables_reference(F)
+        step = _generator_step(F.p, F.n, F.defining_poly, exp[1])
+        assert all(len(t) <= F.q for t in step[1:] if t is not None)
 
 
 F7 = FiniteField(7)
