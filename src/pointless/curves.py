@@ -16,14 +16,25 @@ base-field indices once, at construction, and runs its separability,
 coprimality and conductor checks on those lists, count(i) carries them into
 F_{q^i} through the embedding's index map (built once per field and
 degree), and polynomials are evaluated by Horner on ints.  The
-square class is the parity of a discrete log, the char-2 trace the parity
-of idx & trace_mask, and a plane quartic's points over x are the roots of
-F(x, y, 1) in y, counted as deg gcd(F(x, y, 1), y^Q - y), where y^Q mod
-F(x, y, 1) is y^q raised by the q-power Frobenius i - 1 times
-(_Kernel.root_count).  Each per-x contribution is a function of values of
-polynomials over F_q, so it is constant on the orbits of x -> x^q: the
-sum over F_{q^i} takes one representative per orbit, weighted by the
-orbit's size.
+square class is the parity of a discrete log and the char-2 trace the
+parity of idx & trace_mask.  Each per-x contribution is a function of
+values of polynomials over F_q, so it is constant on the orbits of
+x -> x^q: the sum over F_{q^i} takes one representative per orbit,
+weighted by the orbit's size.
+
+A plane quartic's points over x are the roots of G = F(x, y, 1) in y, by
+one of two paths that the quartic picks once, from its coefficients:
+  * with the involution y -> -y (odd p: no monomial of odd y-degree) or
+    y -> y + z (p = 2: F(x, y + z, z) = F), G is a Y^2 + b(x) Y + c(x) in
+    Y = y^2 or Y = y^2 + y.  Its roots Y come from the discriminant's log
+    parity (odd p) or y^2 + y = v (as_root, p = 2), and each carries the
+    y above it: sqrt_count(Y), or 2 when Tr(Y) = 0
+    (_Kernel.quadratic_fibres).  The Klein four-group families of the
+    paper all take this path: a few table lookups per x.
+  * any other quartic counts deg gcd(G, y^Q - y), where y^Q mod G is y^q
+    raised by the q-power Frobenius i - 1 times (_Kernel.root_count).
+Both give Q for a G that is zero at x (the line x = x0 lies on the
+curve).  The line z = 0 always takes root_count, in x.
 
 A quartic's smoothness test runs on the base field's kernel too: the
 partials, their restrictions to the line z = 0 and the chart z = 1, and
@@ -203,6 +214,11 @@ class PlaneQuartic:
             raise ZeroPolynomial("F must be nonzero")
         self.coeffs = full
         self._idx = {m: base.index(v) for m, v in full.items()}
+        # rows[j] lists the x-coefficients of y^j in F(x, y, 1)
+        self._rows = [[0] * (5 - j) for j in range(5)]
+        for (a, b, _), v in self._idx.items():
+            self._rows[b][a] = v
+        self._b_row = _involution_row(self._rows, base.p)
         self._smooth = None
         self.genus = 3  # meaningful when smooth; is_smooth() verifies
 
@@ -287,20 +303,43 @@ class PlaneQuartic:
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
-        c = {m: imap[v] for m, v in self._idx.items()}
-        # chart z = 1: rows[j] lists the x-coefficients of y^j in F(x, y, 1)
-        rows = [[0] * (5 - j) for j in range(5)]
-        for (a, b, _), v in c.items():
-            rows[b][a] = v
-        horner, root_count, q = kern.horner, kern.root_count, self.base.q
-        total = sum(w * root_count([horner(r, x) for r in rows], q)
-                    for x, w in orbits)
-        # line z = 0, y = 1: roots of F(x, 1, 0) in x
-        total += root_count([c[(a, 4 - a, 0)] for a in range(5)], q)
-        # point (1:0:0)
-        if not c[(4, 0, 0)]:
+        rows = [[imap[v] for v in r] for r in self._rows]
+        horner, q = kern.horner, self.base.q
+        if self._b_row is None:
+            root_count = kern.root_count
+            total = sum(w * root_count([horner(r, x) for r in rows], q)
+                        for x, w in orbits)
+        else:
+            # F(x, y, 1) = lead Y^2 + mid(x) Y + low(x), Y = y^2 or y^2 + y
+            lead, mid, low = rows[4][0], rows[self._b_row], rows[0]
+            fibres = kern.quadratic_fibres
+            total = sum(w * fibres(lead, horner(mid, x), horner(low, x))
+                        for x, w in orbits)
+        # line z = 0, y = 1: roots of F(x, 1, 0) in x, whose x^a
+        # coefficient is that of x^a y^(4 - a)
+        total += kern.root_count([rows[4 - a][a] for a in range(5)], q)
+        # point (1:0:0), where only x^4 is nonzero
+        if not rows[0][4]:
             total += 1
         return total
+
+
+def _involution_row(rows, p):
+    """The y-degree of the row b(x) when F(x, y, 1), given by its rows of
+    base-field indices, is a Y^2 + b(x) Y + c(x) for Y = y^2 (p odd) or
+    Y = y^2 + y (p = 2); None otherwise.  For odd p that is F(x, -y, z) =
+    F: no monomial of odd y-degree, and b is the y^2 row.  For p = 2 it is
+    F(x, y + z, z) = F: since a (y^2 + y)^2 + b (y^2 + y) + c = a y^4 +
+    (a + b) y^2 + b y + c, the y^3 row is zero and the y row equals the
+    y^2 row plus the y^4 row, x^3 y coefficient (then zero) included; b is
+    the y row.  Characteristic-2 indices add by XOR."""
+    if any(rows[3]):
+        return None
+    if p != 2:
+        return None if any(rows[1]) else 2
+    expected = rows[2] + [0]
+    expected[0] ^= rows[4][0]
+    return 1 if rows[1] == expected else None
 
 
 def _line(form):

@@ -557,13 +557,14 @@ class _Kernel:
     the monic gcd (gcd), tests separability (is_separable), counts roots
     (root_count: y^Q mod f from y^q by the q-power Frobenius of
     F_Q[y]/(f), which is semilinear on index lists, or by repeated
-    squaring in characteristic 2), and factors (squarefree, factor,
-    is_irreducible), all on the one Euclid loop (_euclid).  FieldElement's
-    square test and square root, and Poly's gcd and factorisation, run on
-    it over every FiniteField.  The tables hold 4-byte ints, exp twice and
-    log once (and the Zech logarithms twice on an odd extension): 12 to 20
-    bytes per element, which with their build time is what MAX_FIELD_ORDER
-    bounds.
+    squaring in characteristic 2), solves a Y^2 + b Y + c in Y = y^2, or
+    y^2 + y in characteristic 2, counting the y (quadratic_fibres), and
+    factors (squarefree, factor, is_irreducible), all on the one Euclid
+    loop (_euclid).  FieldElement's square test and square root, and
+    Poly's gcd and factorisation, run on it over every FiniteField.  The
+    tables hold 4-byte ints, exp twice and log once (and the Zech
+    logarithms twice on an odd extension): 12 to 20 bytes per element,
+    which with their build time is what MAX_FIELD_ORDER bounds.
     """
 
     def __init__(self, field):
@@ -722,6 +723,29 @@ class _Kernel:
             return len(m) - 1
         yQ = self._y_to_the_order(m, q or self.q)
         return len(self.gcd(m, self._minus_x(yQ))) - 1
+
+    def quadratic_fibres(self, a, b, c):
+        """Number of y in the field with a y^4 + b y^2 + c = 0 (p odd): the
+        roots Y of a Y^2 + b Y + c, each weighted by sqrt_count(Y), the
+        number of y with y^2 = Y.  The discriminant is a square when its
+        log is even, with root exp[log / 2].  As in root_count, the zero
+        polynomial has Q roots."""
+        mul, sqrt_count = self.mul, self.sqrt_count
+        if not a:
+            if not b:
+                return 0 if c else self.q
+            return sqrt_count(mul(self.neg(c), self.inv(b)))
+        # the index of an integer k < p is k
+        disc = self.sub(mul(b, b), mul(mul(a, c), 4 % self.p))
+        half = self.inv(mul(a, 2))
+        if not disc:
+            return sqrt_count(mul(self.neg(b), half))
+        ld = self.log[disc]
+        if ld & 1:
+            return 0
+        r = self.exp[ld >> 1]
+        return (sqrt_count(mul(self.sub(r, b), half))
+                + sqrt_count(mul(self.neg(self.add(r, b)), half)))
 
     def _y_to_the_order(self, m, q):
         """y^Q mod m (deg m >= 2), Q the field's order, F_q a subfield: y^q
@@ -1015,6 +1039,27 @@ class _Char2Kernel(_Kernel):
         for _ in range(self.q.bit_length() - 1):
             h = self._pmod(self._psquare(h), m)
         return h
+
+    def quadratic_fibres(self, a, b, c):
+        """Number of y with a Y^2 + b Y + c = 0 for Y = y^2 + y: a root Y
+        carries the two y of y^2 + y = Y when Tr(Y) = 0 and none otherwise.
+        For a, b != 0 the roots are (b/a) u and (b/a)(u + 1), where
+        u^2 + u = ac/b^2 (as_root); for b = 0 the one root is the square
+        root of c/a, whose trace is that of c/a.  The zero polynomial has Q
+        roots, as in root_count."""
+        mul, inv, trace = self.mul, self.inv, self.trace
+        if not b:
+            if not a:
+                return 0 if c else self.q
+            return 0 if trace(mul(c, inv(a))) else 2
+        if not a:
+            return 0 if trace(mul(c, inv(b))) else 2
+        u = self.as_root(mul(mul(a, c), inv(mul(b, b))))
+        if u is None:
+            return 0
+        s = mul(b, inv(a))
+        r = mul(s, u)
+        return (0 if trace(r) else 2) + (0 if trace(r ^ s) else 2)
 
     def trace(self, a):
         return (a & self.trace_mask).bit_count() & 1

@@ -381,29 +381,15 @@ def _diagonal_has_point(kern, b, c, d, e, f):
     """Conic fast path: x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2
     has a rational point iff the conic X^2 + bY^2 + cZ^2 + dXY + eXZ + fYZ
     has a point with X, Y, Z all squares (X = x^2 etc.).  The coefficients
-    are kernel indices, b != 0; sqrt_count is 0 exactly off the squares
-    and zero, and a nonzero square's root is exp[log / 2]."""
-    add, mul, neg, is_sq = kern.add, kern.mul, kern.neg, kern.sqrt_count
-    squares = [X for X in range(kern.q) if is_sq(X)]
-    # z = 0: X^2 + dX + b = 0 with X = (x/y)^2 a square
-    for X in squares:
-        if not add(mul(X, add(X, d)), b):
-            return True
-    # z = 1: b Y^2 + (dX + f) Y + (X^2 + eX + c) = 0 for square X, square Y
-    two_b = add(b, b)
-    inv_2b, four_b = kern.inv(two_b), add(two_b, two_b)
-    for X in squares:
-        A1, A0 = add(mul(d, X), f), add(mul(X, add(X, e)), c)
-        disc = kern.sub(mul(A1, A1), mul(four_b, A0))
-        if not disc:
-            if is_sq(mul(neg(A1), inv_2b)):
-                return True
-        elif is_sq(disc):
-            r = kern.exp[kern.log[disc] >> 1]
-            for root in (r, neg(r)):
-                if is_sq(mul(kern.sub(root, A1), inv_2b)):
-                    return True
-    return False
+    are kernel indices, b != 0; each quadratic in a square is solved by
+    kern.quadratic_fibres, as PlaneQuartic.count solves it."""
+    add, mul, fibres = kern.add, kern.mul, kern.quadratic_fibres
+    # z = 0, y = 1: x^4 + d x^2 + b
+    if fibres(1, d, b):
+        return True
+    # z = 1: b y^4 + (dX + f) y^2 + (X^2 + eX + c) for square X = x^2
+    return any(fibres(b, add(mul(d, X), f), add(mul(X, add(X, e)), c))
+               for X in range(kern.q) if kern.sqrt_count(X))
 
 
 def _diagonal_quartic(F, b, c, d, e, f):

@@ -30,8 +30,9 @@ from pointless.field import (
     _kernel,
     embed,
 )
+from pointless.harness import load_fixtures
 from pointless.series import _ser_cubic_branch
-from pointless.zeta import serre_bound_holds
+from pointless.zeta import l_from_counts, predicted_counts, serre_bound_holds
 
 from element_reference import (
     QElement,
@@ -964,15 +965,120 @@ def _brute_quartic_count(C, i):
     return total + (0 if c[(4, 0, 0)] else 1)
 
 
+def _involution_form(F, a, B, C):
+    """a Y^2 + B(x, z) Y + C(x, z) with Y = y^2 (odd p) or y^2 + yz (p = 2),
+    B and C binary forms given by their x-coefficients (z-degree 2 - i and
+    4 - i): a dict monomial -> FieldElement."""
+    form = {}
+
+    def add(mono, c):
+        form[mono] = form.get(mono, F.zero) + c
+
+    Y = [(2, 0)] + ([(1, 1)] if F.p == 2 else [])       # (y, z) exponents
+    for j, k in Y:                                      # Y^2 = y^4 (+ y^2 z^2)
+        add((0, 2 * j, 2 * k), a)
+    for i, b in enumerate(B):
+        for j, k in Y:
+            add((i, j, k + 2 - i), b)
+    for i, c in enumerate(C):
+        add((i, 0, 4 - i), c)
+    return form
+
+
+def _times_root(F, x0, cs):
+    """The x-coefficients of (x - x0 z) times the form cs."""
+    out = [F.zero] * (len(cs) + 1)
+    for i, c in enumerate(cs):
+        out[i] -= x0 * c
+        out[i + 1] += c
+    return out
+
+
+# which per-x case of the quadratic in Y each kind forces; the last three
+# are near misses, one extra term off the involution
+INVOLUTION_KINDS = ["dense", "line", "a0", "b_root", "c_root", "b_zero",
+                    "square", "xy3", "x3y", "y3z"]
+
+
+def _involution_quartic(F, rng, kind):
+    """A seeded quartic of the kind.  `line`: a = 0 and x - x0 z divides B
+    and C, so G = F(x0, y, 1) is zero and the line x = x0 z lies on the
+    curve; `a0`: a = 0; `b_root`/`c_root`: B or C vanishes at x0;
+    `b_zero`: B = 0; `square`: the discriminant B^2 - 4aC is zero (B = 0
+    in characteristic 2)."""
+    def el(lo=0):
+        return F.from_index(rng.randrange(lo, F.q))
+
+    x0 = el()
+    a, B, C = el(1), [el() for _ in range(3)], [el() for _ in range(5)]
+    if kind in ("line", "a0"):
+        a = F.zero
+    if kind in ("line", "b_root"):
+        B = _times_root(F, x0, [el(), el(1)])
+    if kind in ("line", "c_root"):
+        C = _times_root(F, x0, [el() for _ in range(3)] + [el(1)])
+    if kind == "b_zero" or (kind == "square" and F.p == 2):
+        B = [F.zero] * 3
+    if kind == "square" and F.p != 2:
+        # C = B^2 / 4a, coefficient-wise as binary forms
+        s = (a * F.element(4)).inv()
+        C = [sum((B[u] * B[t - u] for u in range(3) if 0 <= t - u < 3),
+                 F.zero) * s for t in range(5)]
+    form = _involution_form(F, a, B, C)
+    extra = {"xy3": (1, 3, 0), "x3y": (3, 1, 0), "y3z": (0, 3, 1)}.get(kind)
+    if extra:
+        form[extra] = form.get(extra, F.zero) + el(1)
+    return PlaneQuartic(F, form)
+
+
+# (F, i, number of quartics): F_{9^3} takes about 1 s per brute count
+BRUTE_PAIRS = [(F3, 3, 12), (F5, 2, 12), (F9, 3, 2), (F4, 3, 12), (F8, 2, 12)]
+BRUTE_IDS = ["F3^3", "F5^2", "F9^3", "F4^3", "F8^2"]
+
+
 class TestQuarticCountAgainstBruteForce:
-    @pytest.mark.parametrize("F, i, n", [(F3, 3, 12), (F5, 2, 12), (F9, 3, 2),
-                                         (F4, 3, 12), (F8, 2, 12)],
-                             ids=["F3^3", "F5^2", "F9^3", "F4^3", "F8^2"])
+    @pytest.mark.parametrize("F, i, n", BRUTE_PAIRS, ids=BRUTE_IDS)
     def test_count(self, F, i, n):
         rng = random.Random(700 + F.q * i)
         for k in range(n):
             C = PlaneQuartic(F, _random_form(F, rng, 4, (0.3, 1.0)[k % 2]))
             assert C.count(i) == _brute_quartic_count(C, i)
+
+    @pytest.mark.parametrize("F, i, n", BRUTE_PAIRS, ids=BRUTE_IDS)
+    def test_involution(self, F, i, n):
+        """Quartics with the involution y -> -y (odd p) or y -> y + z
+        (p = 2) take the quadratic path, near misses take root_count; both
+        against brute force.  n cases cycle through the kinds."""
+        rng = random.Random(800 + F.q * i)
+        for k in range(n):
+            kind = INVOLUTION_KINDS[k % len(INVOLUTION_KINDS)]
+            C = _involution_quartic(F, rng, kind)
+            near_miss = kind in ("xy3", "x3y", "y3z")
+            assert (C._b_row is None) == near_miss, kind
+            assert C.count(i) == _brute_quartic_count(C, i), kind
+
+    def test_corpus_rows_take_the_quadratic_path(self):
+        """Every shipped quartic row but the F_3 in-proof example has the
+        involution, so losing the fast path fails here."""
+        rows = {e.id: e.curve() for e in load_fixtures()
+                if e.kind == "plane_quartic"}
+        assert len(rows) == 16
+        assert {i for i, C in rows.items() if C._b_row is None} == \
+            {"quartic-f3-inproof"}
+
+
+class TestQuarticDepthFour:
+    """N_4 over F_{29^4} and F_{2^20} against the zeta function that
+    N_1..N_3 determine (genus 3): the largest quartic counts in the suite."""
+
+    @pytest.mark.parametrize("row, n4", [("quartic-odd-q29", 707036),
+                                         ("quartic-even-q32", 1044974)])
+    def test_n4_matches_zeta(self, row, n4):
+        entry, = [e for e in load_fixtures() if e.id == row]
+        C = entry.curve()
+        q = entry.field().q
+        L = l_from_counts(q, 3, [C.count(i) for i in (1, 2, 3)])
+        assert C.count(4) == predicted_counts(L, q, 4) == n4
 
 
 def _root_count_cases(big, rng):
