@@ -25,15 +25,20 @@ def _int_list(text):
                                          f"got {text!r}")
 
 
+def _prime_power(q):
+    """(p, n) with q = p^n; ValueError when q is not a prime power."""
+    factors = _prime_factors(q)
+    if len(set(factors)) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return factors[0], len(factors)
+
+
 def _field_for(q, def_poly=None):
     """F_q with the given defining polynomial, or canonical_extension's
     (the smallest monic irreducible in index order) when none is given.
     FiniteField refuses a defining polynomial for a prime field, so a
     given one is never dropped."""
-    factors = _prime_factors(q)
-    if len(set(factors)) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, n = factors[0], len(factors)
+    p, n = _prime_power(q)
     if def_poly is not None:
         return FiniteField(p, n, def_poly)
     return canonical_extension(p, n)
@@ -50,8 +55,10 @@ def _emit(obj):
 
 def _entries(args):
     """The fixture entries that --fixtures and --id select.  A --depth
-    whose F_{q^depth} is past MAX_FIELD_ORDER for any of them is refused
-    here, before any curve is counted or any table built."""
+    below 1, or whose F_{q^depth} is past MAX_FIELD_ORDER for any of them,
+    is refused here, before any curve is counted or any table built."""
+    if args.depth < 1:
+        raise ValueError(f"--depth must be at least 1, got {args.depth}")
     entries = load_fixtures(args.fixtures)
     if args.id is not None:
         entries = [e for e in entries if e.id == args.id]
@@ -84,6 +91,7 @@ def _cmd_count(args):
 
 
 def _cmd_zeta(args):
+    _prime_power(args.q)   # refuses a q that is no prime power
     report = zeta_report(args.q, args.genus, args.counts, depth=args.depth)
     _emit(report.to_json())
     return 0

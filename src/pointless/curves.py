@@ -11,8 +11,10 @@ Counting conventions (degree-1 places of the smooth model):
     (including infinity) is ramified and contributes 1.
 
 Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
-elements are canonical indices, each model turns its coefficients into
-base-field indices once, at construction, and runs its separability,
+elements are canonical indices, each model holds its coefficients as
+base-field index lists (the hyperelliptic, Artin-Schreier and fiber-product
+models take them as input, converting a Poly or RationalFunction first, and
+build those forms only when read) and runs its separability,
 coprimality and conductor checks on those lists, count(i) carries them into
 F_{q^i} through the embedding's index map (built once per field and
 degree), and polynomials are evaluated by Horner on ints.  The
@@ -51,6 +53,7 @@ are the truncated Laurent series of indices of pointless.series.
 from functools import cached_property
 
 from .errors import (
+    DivisionByZero,
     EvenCharacteristic,
     OddCharacteristic,
     UnsupportedShape,
@@ -77,6 +80,12 @@ from .series import (
 )
 
 
+def _indices(f):
+    """The trimmed base-field index list of a Poly or of an index list
+    (constant term first, trailing zeros allowed)."""
+    return _index_poly(f) if isinstance(f, Poly) else _itrim(list(f))
+
+
 def _extension(base, i):
     """(F_{q^i}, the embedding of the base field as a map of indices, index
     kernel of F_{q^i}, its Frobenius orbits over F_q)."""
@@ -95,17 +104,13 @@ class HyperellipticOdd:
     f is a Poly over base or a list of base-field indices (0..q-1),
     constant term first, trailing zeros allowed; both forms are checked
     alike, on the trimmed index list _idx, which is all that genus and
-    count read.  The Poly f is built from _idx when first read.
+    count read.  The Poly f is built from _idx when read.
     """
 
     def __init__(self, base, f):
         if base.p == 2:
             raise EvenCharacteristic("use ArtinSchreierCurve in characteristic 2")
-        if isinstance(f, Poly):
-            self.f = f
-            idx = _index_poly(f)
-        else:
-            idx = _itrim(list(f))
+        idx = _indices(f)
         if not idx:
             raise ZeroPolynomial("f must be nonzero")
         if len(idx) < 4:
@@ -137,6 +142,10 @@ class ArtinSchreierCurve:
     """y^2 + y = f(x) over char 2 for the reduced shapes: squarefree
     denominator (simple finite poles) and polynomial part of degree 0 or odd.
 
+    f is a Poly, a RationalFunction or a pair (num, den) of index lists as
+    for HyperellipticOdd, checked alike on the trimmed pair _num, _den:
+    coprime, den monic and squarefree.  f is built from the pair when read.
+
     The conductor is the list of (place degree, pole order d_P); the genus is
     -1 + (1/2) sum (d_P + 1) deg P.
     """
@@ -144,22 +153,30 @@ class ArtinSchreierCurve:
     def __init__(self, base, f):
         if base.p != 2:
             raise OddCharacteristic("Artin-Schreier model needs characteristic 2")
-        self.base = base
-        if isinstance(f, Poly):
-            f = RationalFunction(f, Poly.constant(base, base.one))
-        self.f = f
-        self._num, self._den = _index_poly(f.num), _index_poly(f.den)
+        if isinstance(f, RationalFunction):
+            f = f.num, f.den
+        elif isinstance(f, Poly):
+            f = f, [1]
+        num, den = map(_indices, f)
+        if not den:
+            raise DivisionByZero("zero denominator")
         kern = _kernel(base)
+        if len(kern.gcd(num, den)) > 1:
+            raise UnsupportedShape("numerator and denominator must be coprime")
+        if den[-1] != 1:   # the index of 1 is 1
+            raise UnsupportedShape("denominator must be monic")
+        self.base = base
+        self._num, self._den = num, den
         self.conductor = []
-        if len(self._den) > 1:
-            if not kern.is_separable(self._den):
+        if len(den) > 1:
+            if not kern.is_separable(den):
                 raise UnsupportedShape("denominator must be squarefree")
             # the finite poles are the places of the monic squarefree
             # denominator: deg g / d of degree d for each (g, d) of its
             # distinct-degree split
-            for g, d in kern._distinct_degree(self._den):
+            for g, d in kern._distinct_degree(den):
                 self.conductor += [(d, 1)] * ((len(g) - 1) // d)
-        m = f.num.degree - f.den.degree  # degree of the polynomial part
+        m = len(num) - len(den)  # degree of the polynomial part
         if m >= 1 and m % 2 == 0:
             raise UnsupportedShape("polynomial part must have degree 0 or odd")
         if m >= 1:
@@ -168,6 +185,12 @@ class ArtinSchreierCurve:
         if two_delta % 2:
             raise UnsupportedShape("conductor gives non-integral genus")
         self.genus = -1 + two_delta // 2
+
+    @cached_property
+    def f(self):
+        F = self.base
+        return RationalFunction(*(Poly(F, map(F.from_index, h))
+                                  for h in (self._num, self._den)))
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
@@ -181,10 +204,10 @@ class ArtinSchreierCurve:
                 total += w  # simple (odd-order) pole: ramified rational place
             elif not trace(kern.mul(horner(num, x), kern.inv(d))):
                 total += 2 * w
-        m = self.f.num.degree - self.f.den.degree
+        m = len(num) - len(den)
         if m >= 1:
             total += 1  # odd-order pole at infinity, ramified
-        elif m < 0 or not trace(kern.mul(num[-1], kern.inv(den[-1]))):
+        elif m < 0 or not trace(num[-1]):   # den is monic
             total += 2
         return total
 
@@ -396,23 +419,31 @@ def _resultant_y(kern, a, b):
 # ---------------------------------------------------------------------------
 
 class FiberProductGenus4:
-    """y^2 = f(x), z^2 = g(x) for coprime separable cubics; genus 4."""
+    """y^2 = f(x), z^2 = g(x) for coprime separable cubics; genus 4.  f and
+    g are each a Poly or an index list as for HyperellipticOdd, and the
+    Polys f and g are built from the trimmed lists _f, _g when read."""
 
     def __init__(self, base, f, g):
         if base.p == 2:
             raise EvenCharacteristic("fiber products are an odd-char model")
-        if f.degree != 3 or g.degree != 3:
+        self._f, self._g = _indices(f), _indices(g)
+        if len(self._f) != 4 or len(self._g) != 4:
             raise UnsupportedShape("f and g must be cubic")
-        self._f, self._g = _index_poly(f), _index_poly(g)
         kern = _kernel(base)
         if not (kern.is_separable(self._f) and kern.is_separable(self._g)):
             raise UnsupportedShape("f and g must be separable")
         if len(kern.gcd(self._f, self._g)) > 1:
             raise UnsupportedShape("f and g must be coprime")
         self.base = base
-        self.f = f
-        self.g = g
         self.genus = 4
+
+    @cached_property
+    def f(self):
+        return Poly(self.base, map(self.base.from_index, self._f))
+
+    @cached_property
+    def g(self):
+        return Poly(self.base, map(self.base.from_index, self._g))
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
@@ -426,22 +457,15 @@ class FiberProductGenus4:
     def properties(self):
         """trigonal: span(f, g) contains a nonzero constant;
         extra_autos: the x -> (cube root of unity) x symmetry applies."""
-        f, g = self.f, self.g
-        vf = [f[1], f[2], f[3]]
-        vg = [g[1], g[2], g[3]]
-        trigonal = all((vf[i] * vg[j] - vf[j] * vg[i]).is_zero()
-                       for i in range(3) for j in range(i + 1, 3))
-        q = self.base.q
-        extra = False
-        if q % 3 == 1:
-            if all(c.is_zero() for c in (f[1], f[2], g[1], g[2])):
-                extra = True
+        f, g, kern = self._f, self._g, _kernel(self.base)
+        mul, add = kern.mul, kern.add
+        trigonal = all(mul(f[i], g[j]) == mul(f[j], g[i])  # f_i g_j = f_j g_i
+                       for i in (1, 2, 3) for j in range(i + 1, 4))
+        extra = self.base.q % 3 == 1 and not any((f[1], f[2], g[1], g[2]))
         if self.base.p == 3:
             # both of the form a(x^3 - x) + b
-            def shape(h):
-                return h[2].is_zero() and (h[1] + h[3]).is_zero()
-            if shape(f) and shape(g):
-                extra = True
+            extra = extra or all(not h[2] and not add(h[1], h[3])
+                                 for h in (f, g))
         return {"trigonal": trigonal, "extra_autos": extra}
 
 

@@ -22,7 +22,6 @@ from .errors import (
     UnknownFamily,
     UnsupportedShape,
 )
-from .field import Poly
 
 MAX_GROUP_ORDER = 10 ** 6
 
@@ -309,10 +308,8 @@ def _sample_diagonal_quartic(F, rng):
 
 def _sample_fiberproduct(F, rng):
     while True:
-        f = Poly(F, [F.from_index(rng.below(F.q)) for _ in range(3)]
-                 + [F.from_index(1 + rng.below(F.q - 1))])
-        g = Poly(F, [F.from_index(rng.below(F.q)) for _ in range(3)]
-                 + [F.from_index(1 + rng.below(F.q - 1))])
+        f = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
+        g = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
         try:
             return FiberProductGenus4(F, f, g)
         except UnsupportedShape:
@@ -334,6 +331,8 @@ def montecarlo_pointless_rate(family, F, samples, seed=0):
     if family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; "
                             f"known: {sorted(_FAMILIES)}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     sampler = _FAMILIES[family]
     # per-sample sub-seeded streams: order-independent, merge by summation
     master = SplitMix64(seed)

@@ -1308,18 +1308,6 @@ class Poly:
 
     is_squarefree = is_separable
 
-    def compose(self, other):
-        acc = Poly(self.base, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.constant(self.base, c)
-        return acc
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.base, [self.base.zero] * k + list(self.coeffs))
-
     # -- interpolation --------------------------------------------------
 
     @classmethod
@@ -1340,21 +1328,8 @@ class Poly:
 
     # -- factorization ---------------------------------------------------
     #
-    # These run on the base field's index kernel (_Kernel.squarefree,
-    # factor and is_irreducible), which every FiniteField has.
-
-    def squarefree_part(self):
-        """The product of the distinct monic irreducible factors (1 for a
-        nonzero constant, zero for zero)."""
-        if self.degree <= 0:
-            return self.monic()
-        F = self.base
-        kern = _kernel(F)
-        f = kern._monic(_index_poly(self))
-        acc = [1]
-        for g, _ in kern.squarefree(f):
-            acc = kern._pmul(acc, g)
-        return Poly(F, [F.from_index(i) for i in acc])
+    # These run on the base field's index kernel (_Kernel.factor and
+    # is_irreducible), which every FiniteField has.
 
     def factor(self):
         """[(irreducible monic, multiplicity)], sorted by degree, then by
@@ -1410,15 +1385,6 @@ class RationalFunction:
     @property
     def base(self):
         return self.den.base
-
-    def eval(self, x):
-        d = self.den.eval(x)
-        if d.is_zero():
-            raise DivisionByZero(f"pole at {x!r}")
-        return self.num.eval(x) / d
-
-    def has_pole_at(self, x):
-        return self.den.eval(x).is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)

@@ -47,7 +47,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, product
+from itertools import islice, product, zip_longest
 
 from .curves import (
     ArtinSchreierCurve,
@@ -71,7 +71,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedShape,
 )
-from .field import Poly, RationalFunction, _f2_eliminate, _index_poly, _kernel
+from .field import Poly, _f2_eliminate, _index_poly, _itrim, _kernel
 from .zeta import zeta_report
 
 
@@ -276,14 +276,17 @@ def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
 # Klein-four hyperelliptic families (genus 3)
 # ---------------------------------------------------------------------------
 
-def _klein4_model(F, f, n):
-    """x^4 * f(x + n/x) = sum_i c_i x^(4-i) (x^2 + n)^i as a Poly."""
-    x = Poly.x(F)
-    shifted = x * x + Poly.constant(F, n)
-    acc = Poly(F, [])
-    for i, c in enumerate(f.coeffs):
-        acc = acc + (shifted ** i) * (x ** (4 - i)) * c
-    return acc
+def _klein4_model(kern, f, n):
+    """x^4 * f(x + n/x) = sum_i c_i x^(4-i) (x^2 + n)^i for the index list
+    f of a quartic and the index n, as an index list."""
+    add, mul = kern.add, kern.mul
+    acc = [0] * 9
+    power = [1]                       # (x^2 + n)^i
+    for i, c in enumerate(f):
+        for j, v in enumerate(power):
+            acc[4 - i + j] = add(acc[4 - i + j], mul(c, v))
+        power = kern._pmul(power, [n, 0, 1])
+    return _itrim(acc)
 
 
 def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
@@ -302,7 +305,7 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     # one linear form in (c0, c1, c2, c3) per u, with constant nu * u^4
     four_n = F.element(4) * n
     u_set = sorted({F.index(x + n / x) for x in F.elements() if not x.is_zero()})
-    nu_i = F.index(nu)
+    nu_i, n_i = F.index(nu), F.index(n)
     weights = []
     consts = []
     for u in u_set:
@@ -319,20 +322,19 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         coeffs = _digits(code, q, 4) + [nu_i]
         if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
             continue
-        f = Poly(F, [F.from_index(i) for i in coeffs])
-        model = _klein4_model(F, f, n)
+        model = _klein4_model(kern, coeffs, n_i)
         curve = HyperellipticOdd(F, model)
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("klein4_hyper_odd", q,
-                                {"f": _index_poly(f), "n": F.index(n)}, curve)
+                                {"f": coeffs, "n": n_i}, curve)
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f": _index_poly(f), "model": _index_poly(model)},
+        if run.keep({"f": coeffs, "model": model},
                     zeta_report(q, 3, counts).to_json()):
             run.candidates = code + 1
             break
     run.spend(run.candidates)
-    return run.report({"q": q, "n": F.index(n), "mode": mode},
-                      _fingerprint("klein4_hyper_odd", q, F.index(n),
+    return run.report({"q": q, "n": n_i, "mode": mode},
+                      _fingerprint("klein4_hyper_odd", q, n_i,
                                    "odometer-c0..c3-lc-nu"))
 
 
@@ -342,31 +344,24 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 family")
     run = _Search("klein4_hyper_even", mode, budget)
-    for code, idx in _odometer(F.q, 5):
-        a, b, c, d1, d0 = (F.from_index(i) for i in idx)
-        if d1.is_zero() or d0.is_zero():
+    for code, (a, b, c, d1, d0) in _odometer(F.q, 5):
+        if not d1 or not d0:
             continue  # d must be separable with nonzero roots
         run.visit()
         # substitute u = x + 1/x and clear x^2, with (x^2 + 1)^2 = x^4 + 1:
-        # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d
-        num = Poly(F, [a, b, c, b, a])
-        den = Poly(F, [F.one, d1, d0, d1, F.one])
-        if num.is_zero():
-            continue
-        fr = RationalFunction(num, den)
-        if fr.den.degree < 4:
-            continue  # poles cancelled: not the 2-simple-pole shape
+        # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d.
+        # A common factor (num = 0 included) cancels a pole, which is not
+        # the 2-simple-pole shape: the model refuses the pair.
+        num, den = _itrim([a, b, c, b, a]), [1, d1, d0, d1, 1]
         try:
-            curve = ArtinSchreierCurve(F, fr)
+            curve = ArtinSchreierCurve(F, (num, den))
         except UnsupportedShape:
             continue
         if curve.genus != 3 or curve.count(1) != 0:
             continue
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f_num": _index_poly(fr.num),
-                     "f_den": _index_poly(fr.den),
-                     "quartic_f": [F.index(v) for v in (c, b, a)],
-                     "d": [F.index(d0), F.index(d1), 1]},
+        if run.keep({"f_num": num, "f_den": den,
+                     "quartic_f": [c, b, a], "d": [d0, d1, 1]},
                     zeta_report(F.q, 3, counts).to_json()):
             break
     return run.report({"q": F.q, "mode": mode},
@@ -491,10 +486,8 @@ def search_fiberproduct(F, mode="first_find", budget=None):
         gmask, gco = gm
         if fmask & gmask:
             continue
-        f = Poly(F, [F.from_index(i) for i in fco])
-        g = Poly(F, [F.from_index(i) for i in gco])
         try:
-            C = FiberProductGenus4(F, f, g)
+            C = FiberProductGenus4(F, fco, gco)
         except UnsupportedShape:
             continue
         entry = {"f": list(fco), "g": list(gco)}
@@ -834,13 +827,13 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
 # ---------------------------------------------------------------------------
 
 def _monic_irreducibles(F, degree):
-    """Monic irreducibles of the given degree, lazily, in odometer order;
-    each code is tested on its index list (the index of 1 is 1)."""
+    """Monic irreducibles of the given degree as index lists, lazily, in
+    odometer order (the index of 1 is 1)."""
     is_irreducible = _kernel(F).is_irreducible
     for code, idx in _odometer(F.q, degree):
         cs = idx + [1]
         if is_irreducible(cs):
-            yield Poly(F, [F.from_index(i) for i in cs])
+            yield cs
 
 
 def _conductor_stream(F):
@@ -899,7 +892,7 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
         raise OddCharacteristic("characteristic-2 census")
     q = F.q
     kern = _kernel(F)
-    t_val = F.from_index(next(v for v in range(q) if kern.trace(v)))
+    t = next(v for v in range(q) if kern.trace(v))
     run = _Search("hyper_genus4_char2", mode, budget, checkpoint, "next_m")
     next_m = run.start
 
@@ -912,25 +905,27 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None,
             next_m = m_index + 1
             m = parts[0]
             for p in parts[1:]:
-                m = m * p
+                m = kern._pmul(m, p)
             run.visit()
-            kernel = _trace_matrix_kernel(kern, _index_poly(m))
+            kernel = _trace_matrix_kernel(kern, m)
+            tm = [kern.mul(t, c) for c in m]
             for bits in sorted(kernel_span(kernel)):
                 if bits == 0:
                     continue
                 # coefficient i of g: bits i*n .. i*n + n - 1
-                g = Poly(F, [F.from_index(bits >> (i * F.n) & (q - 1))
-                             for i in range(m.degree)])
-                if any((g % p).is_zero() for p in parts):
-                    continue  # a pole disappears: conductor changes
+                g = _itrim([bits >> (i * F.n) & (q - 1)
+                            for i in range(len(m) - 1)])
+                # g + t m over m: for squarefree m, gcd(g + t m, m) =
+                # gcd(g, m), so a factor of m dividing g (a pole that
+                # disappears, changing the conductor) is refused
+                num = [u ^ v for u, v in zip_longest(g, tm, fillvalue=0)]
                 try:
-                    curve = ArtinSchreierCurve(
-                        F, RationalFunction(g + m * t_val, m))
+                    curve = ArtinSchreierCurve(F, (num, m))
                 except UnsupportedShape:
                     continue
                 if curve.genus == 4:
-                    yield {"shape": shape_name, "m": _index_poly(m),
-                           "g": _index_poly(g), "t": F.index(t_val)}, curve
+                    yield {"shape": shape_name, "m": m, "g": g,
+                           "t": t}, curve
             if m_index % 1000 == 0:
                 run.save(next_m)
 

@@ -45,6 +45,14 @@ class TestZeta:
         # h = (x - 10)^2 (x - 6) = x^3 - 26x^2 + 220x - 600
         assert j["real_weil"] == [-600, 220, -26, 1]
 
+    @pytest.mark.parametrize("q", ["6", "1"])
+    def test_q_not_a_prime_power_exits_2(self, capsys, q):
+        code = main(["zeta", "--q", q, "--genus", "1", "--counts", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a prime power" in captured.err
+
 
 class TestVerify:
     def test_shipped_fixtures_pass(self, capsys):
@@ -90,6 +98,14 @@ class TestCount:
         code = main(["count", "--id", "fiber-genus4-q49", "--depth", "5"])
         assert code == 2
         assert "MAX_FIELD_ORDER" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_depth_below_1_exits_2(self, capsys, command):
+        code = main([command, "--id", "klein4-genus3-q3", "--depth", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--depth must be at least 1" in captured.err
 
 
 class TestSearch:
@@ -147,6 +163,12 @@ class TestMonteCarlo:
         _, a = run(capsys, *args)
         _, b = run(capsys, *args)
         assert a == b and json.loads(a)["samples"] == 50
+
+    def test_negative_samples_exits_2(self, capsys):
+        code = main(["montecarlo", "--family", "klein4_hyper_odd", "--q", "5",
+                     "--samples", "-3"])
+        assert code == 2
+        assert "samples must be >= 0" in capsys.readouterr().err
 
 
 class TestPlumbing:

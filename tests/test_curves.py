@@ -19,6 +19,7 @@ from pointless.curves import (
 from pointless.errors import (
     DivisionByZero,
     EvenCharacteristic,
+    OddCharacteristic,
     UnsupportedShape,
     ZeroPolynomial,
 )
@@ -59,6 +60,45 @@ F32 = FiniteField(2, 5, [1, 0, 1, 0, 0, 1])
 
 def P(F, ints):
     return Poly.from_ints(F, ints)
+
+
+def _poly_form(F, args):
+    """The Poly form of a model's index-list arguments: an index list
+    becomes a Poly, a (num, den) pair of them a RationalFunction."""
+    def poly(idx):
+        return Poly(F, map(F.from_index, idx))
+    return [RationalFunction(*map(poly, a)) if isinstance(a, tuple)
+            else poly(a) for a in args]
+
+
+def _assert_index_form_matches(F, model, args):
+    """model(F, *args) on index lists agrees with the model built from
+    their Poly form: genus, count(1..3), and whichever of conductor and
+    properties() the model has; its f (and g) equal the Poly form.
+    Returns the index-form curve."""
+    forms = _poly_form(F, args)
+    ref, C = model(F, *forms), model(F, *args)
+    assert C.genus == ref.genus, args
+    assert ([C.count(i) for i in (1, 2, 3)]
+            == [ref.count(i) for i in (1, 2, 3)]), args
+    assert [getattr(C, name) for name in ("f", "g")[:len(forms)]] == forms
+    if hasattr(ref, "conductor"):
+        assert C.conductor == ref.conductor, args
+    if hasattr(ref, "properties"):
+        assert C.properties() == ref.properties(), args
+    return C
+
+
+def _assert_refused(F, model, args, error, poly_form=True):
+    """model(F, *args) raises exactly error from the index lists args and,
+    unless poly_form is False, from their Poly form."""
+    forms = [lambda: args]
+    if poly_form:
+        forms.insert(0, lambda: _poly_form(F, args))
+    for form in forms:
+        with pytest.raises(error) as info:
+            model(F, *form())
+        assert info.type is error
 
 
 class TestHyperelliptic:
@@ -122,12 +162,8 @@ class TestHyperelliptic:
             if f.degree >= 3 and f.is_separable():
                 lists.append(idx + [0] * rng.randrange(3))
         for idx in lists:
-            f = Poly(F, map(F.from_index, idx))
-            ref, C = HyperellipticOdd(F, f), HyperellipticOdd(F, idx)
-            assert C.genus == ref.genus == (f.degree + 1) // 2 - 1
-            assert C.f == f
-            assert ([C.count(i) for i in (1, 2, 3)]
-                    == [ref.count(i) for i in (1, 2, 3)]), idx
+            C = _assert_index_form_matches(F, HyperellipticOdd, [idx])
+            assert C.genus == (C.f.degree + 1) // 2 - 1
 
     @pytest.mark.parametrize("F, idx, error", [
         (F2, [1, 1, 1, 1], EvenCharacteristic),
@@ -138,10 +174,7 @@ class TestHyperelliptic:
         (F7, [1, 5, 2, 5, 1], UnsupportedShape),     # (x - 1)^2 (x^2 + 1)
     ], ids=["char2", "empty", "zero", "degree2", "square_x", "square_f7"])
     def test_index_list_form_raises_like_poly_form(self, F, idx, error):
-        for form in (Poly(F, map(F.from_index, idx)), idx):
-            with pytest.raises(error) as info:
-                HyperellipticOdd(F, form)
-            assert info.type is error
+        _assert_refused(F, HyperellipticOdd, [idx], error)
 
 
 class TestArtinSchreier:
@@ -171,6 +204,50 @@ class TestArtinSchreier:
                                  for piece, _ in kern.factor(den)], den
             repeated += len(set(conductor)) < len(conductor)
         assert repeated  # some denominator has two places of one degree
+
+    @pytest.mark.parametrize("F", [F2, F4, F8, F16],
+                             ids=["F2", "F4", "F8", "F16"])
+    def test_index_list_form_matches_poly_form(self, F):
+        # seeded reduced pairs (num, den), den monic squarefree, padded with
+        # trailing zeros; the polynomial part has odd degree, degree 0, or
+        # is absent (deg num < deg den)
+        kern = _kernel(F)
+        rng = random.Random(F.q)
+        for m in (1, 0, 3, -1, 0, 1):
+            while True:
+                dd = rng.randrange(0 if m > 0 else 1, 4)   # deg den
+                den = [rng.randrange(F.q) for _ in range(dd)] + [1]
+                num = ([rng.randrange(F.q) for _ in range(dd + m)]
+                       + [rng.randrange(1, F.q)])
+                if ((dd == 0 or kern.is_separable(den))
+                        and len(kern.gcd(num, den)) == 1):
+                    break
+            pair = (num + [0] * rng.randrange(3), den + [0] * rng.randrange(2))
+            C = _assert_index_form_matches(F, ArtinSchreierCurve, [pair])
+            assert C.genus == dd - 1 + (m + 1) // 2 * (m > 0)
+
+    @pytest.mark.parametrize("F, f, error", [
+        (F3, ([1], [0, 1]), OddCharacteristic),
+        (F4, ([1], []), DivisionByZero),
+        (F4, ([0, 0, 1], [1]), UnsupportedShape),     # even polynomial part
+        (F4, ([1], [0, 0, 1]), UnsupportedShape),     # repeated pole
+        (F4, ([1, 2], [1, 0, 1]), UnsupportedShape),  # den = (x + 1)^2
+    ], ids=["odd_char", "zero_den", "even_part", "double_pole",
+            "square_den"])
+    def test_index_list_form_raises_like_poly_form(self, F, f, error):
+        _assert_refused(F, ArtinSchreierCurve, [f], error)
+
+    @pytest.mark.parametrize("f", [
+        ([0, 1, 1], [0, 1]),     # x (x + 1) / x
+        ([], [1, 1]),            # 0 / (x + 1)
+        ([1], [1, 2]),           # den = a x + 1, lc a != 1
+    ], ids=["common_factor", "zero_num", "non_monic"])
+    def test_index_list_form_refuses_unreduced_pairs(self, f):
+        # a RationalFunction is reduced and monic by construction, so only
+        # the index form can carry these, and the model refuses them
+        _assert_refused(F4, ArtinSchreierCurve, [f], UnsupportedShape,
+                        poly_form=False)
+        ArtinSchreierCurve(F4, _poly_form(F4, [f])[0])
 
     def test_genus0_line(self):
         C = ArtinSchreierCurve(F2, P(F2, [0, 1]))
@@ -289,6 +366,22 @@ class TestPlaneQuartic:
         assert serre_bound_holds(25, 3, n2)
 
 
+def _element_properties(C):
+    """FiberProductGenus4.properties() in FieldElement arithmetic on C.f
+    and C.g: trigonal when (f1, f2, f3) and (g1, g2, g3) are proportional;
+    extra automorphisms when q = 1 mod 3 and f1 = f2 = g1 = g2 = 0, or
+    p = 3 and both are a (x^3 - x) + b."""
+    f, g, F = C.f, C.g, C.base
+    trigonal = all((f[i] * g[j] - f[j] * g[i]).is_zero()
+                   for i in (1, 2, 3) for j in range(i + 1, 4))
+    extra = (F.q % 3 == 1
+             and all(c.is_zero() for c in (f[1], f[2], g[1], g[2]))
+             or F.p == 3
+             and all(h[2].is_zero() and (h[1] + h[3]).is_zero()
+                     for h in (f, g)))
+    return {"trigonal": trigonal, "extra_autos": extra}
+
+
 class TestFiberProduct:
     def test_f3_row(self):
         C = FiberProductGenus4(F3, P(F3, [-1, -1, 0, 1]), P(F3, [-1, 1, 0, -1]))
@@ -321,6 +414,51 @@ class TestFiberProduct:
     def test_validation(self):
         with pytest.raises(UnsupportedShape):
             FiberProductGenus4(F5, P(F5, [1, 0, 0, 1]), P(F5, [1, 0, 0, 1]))
+
+    @pytest.mark.parametrize("F", [F5, F9, F25], ids=["F5", "F9", "F25"])
+    def test_index_list_form_matches_poly_form(self, F):
+        # seeded coprime separable cubics padded with trailing zeros: drawn
+        # at random, of the form a x^3 + b (a (x^3 - x) + b for p = 3), and
+        # near misses of that form with one of the x, x^2 coefficients of f
+        # or g moved, so that properties() meets more than one verdict;
+        # properties() is checked against FieldElement arithmetic on f, g
+        kern = _kernel(F)
+        rng = random.Random(F.q)
+
+        def cubic(special, nudge):
+            c = [rng.randrange(F.q) for _ in range(3)] + [rng.randrange(1, F.q)]
+            if special and F.p == 3:
+                c[1], c[2] = kern.neg(c[3]), 0
+            elif special:
+                c[1] = c[2] = 0
+            if nudge:
+                c[nudge] = kern.add(c[nudge], rng.randrange(1, F.q))
+            return c
+
+        seen = set()
+        for special, nudge_f, nudge_g in [(0, 0, 0), (0, 0, 0), (1, 0, 0),
+                                          (1, 0, 0), (1, 1, 0), (1, 2, 0),
+                                          (1, 0, 1), (1, 0, 2)]:
+            while True:
+                f, g = cubic(special, nudge_f), cubic(special, nudge_g)
+                if (kern.is_separable(f) and kern.is_separable(g)
+                        and len(kern.gcd(f, g)) == 1):
+                    break
+            args = [f + [0] * rng.randrange(3), g + [0] * rng.randrange(3)]
+            C = _assert_index_form_matches(F, FiberProductGenus4, args)
+            assert C.properties() == _element_properties(C), args
+            seen.add(tuple(C.properties().values()))
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("F, f, g, error", [
+        (F4, [1, 1, 0, 1], [1, 0, 1, 1], EvenCharacteristic),
+        (F5, [1, 0, 1], [1, 0, 0, 1], UnsupportedShape),        # quadratic
+        (F5, [1, 0, 0, 1, 1], [1, 0, 0, 1], UnsupportedShape),  # quartic
+        (F5, [1, 4, 4, 1], [2, 0, 0, 1], UnsupportedShape),     # (x+4)^2 (x+1)
+        (F5, [1, 0, 0, 1], [2, 0, 0, 2], UnsupportedShape),     # g = 2 f
+    ], ids=["char2", "quadratic", "quartic", "inseparable", "not_coprime"])
+    def test_index_list_form_raises_like_poly_form(self, F, f, g, error):
+        _assert_refused(F, FiberProductGenus4, [f, g], error)
 
     def test_decomposition_identity(self):
         rng = random.Random(7)

@@ -273,6 +273,13 @@ class TestMonteCarlo:
         with pytest.raises(UnknownFamily):
             montecarlo_pointless_rate("nonexistent", FiniteField(5), 1)
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError):
+            montecarlo_pointless_rate("klein4_hyper_odd", FiniteField(5), -3)
+        rep = montecarlo_pointless_rate("klein4_hyper_odd", FiniteField(5), 0)
+        assert (rep.samples, rep.pointless, rep.rate) == (0, 0, 0.0)
+        assert rep.wilson95 == (0.0, 1.0)
+
     def test_even_char_rejected(self):
         with pytest.raises(EvenCharacteristic):
             montecarlo_pointless_rate("diagonal_quartic", FiniteField(2), 1)

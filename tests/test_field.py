@@ -210,8 +210,7 @@ class TestPoly:
         x = Poly.x(F3)
         one = Poly.constant(F3, F3.one)
         f = (x + one) ** 3 * (x * x + one)
-        sf = f.squarefree_part()
-        assert sf == ((x + one) * (x * x + one)).monic()
+        assert _squarefree_part(F3, f) == ((x + one) * (x * x + one)).monic()
 
 
 class TestRationalFunction:
@@ -224,9 +223,9 @@ class TestRationalFunction:
     def test_pole(self):
         x = Poly.x(F5)
         r = RationalFunction(Poly.constant(F5, F5.one), x)
-        assert r.has_pole_at(F5.zero)
+        assert r.den.eval(F5.zero).is_zero()
         with pytest.raises(DivisionByZero):
-            r.eval(F5.zero)
+            r.num.eval(F5.zero) / r.den.eval(F5.zero)
 
 
 def _digit_loop_coeffs(F, i):
@@ -449,6 +448,23 @@ def _from_idx(F, cs):
     return Poly(F, [F.from_index(c) for c in cs])
 
 
+def _at_x_to_the_p(g):
+    """g(x^p): the coefficient of x^(ip) is that of x^i in g."""
+    F = g.base
+    return Poly(F, [g[i // F.p] if i % F.p == 0 else F.zero
+                    for i in range(F.p * g.degree + 1)])
+
+
+def _squarefree_part(F, f):
+    """The product of the squarefree factors _Kernel.squarefree finds in
+    f, of degree >= 1."""
+    K = _kernel(F)
+    acc = [1]
+    for g, _ in K.squarefree(K._monic(_idx(F, f))):
+        acc = K._pmul(acc, g)
+    return _from_idx(F, acc)
+
+
 _GCD_FIELDS = [F5, F7, FiniteField(29), F8, F16, F9, F25, F27]
 _GCD_IDS = ["F5", "F7", "F29", "F8", "F16", "F9", "F25", "F27"]
 
@@ -511,7 +527,7 @@ class TestKernelGcd:
         # f' = 0: x^p and g(x^p)
         xp = x ** F.p
         assert not self._check_separable(F, xp)
-        assert not self._check_separable(F, g.compose(xp))
+        assert not self._check_separable(F, _at_x_to_the_p(g))
         # squares g^2 (and g^2 * x + 1, which is no square)
         assert not self._check_separable(F, g * g)
         self._check_separable(F, g * g * x + Poly(F, [F.one]))
@@ -600,7 +616,7 @@ class TestKernelFactor:
             # Rabin's test raises x to q^deg: too slow past this degree
             assert _element_is_irreducible(f) == irreducible
         if f.degree > 0:
-            assert f.squarefree_part() == _element_squarefree_part(f)
+            assert _squarefree_part(F, f) == _element_squarefree_part(f)
         return ref
 
     @pytest.mark.parametrize("F", _FACTOR_FIELDS.values(),
@@ -632,11 +648,10 @@ class TestKernelFactor:
         assert sorted(m for _, m in fac) == [1, 2, 3]
         self._check(F, g2 ** (F.p + 1) * g1)
         # p-th powers g(x^p), whose coefficients need p-th roots
-        xp = x ** F.p
         for _ in range(4):
             g = _from_idx(F, [rng.randrange(F.q) for _ in range(3)] + [1])
-            self._check(F, lc * g.compose(xp))
-            self._check(F, g.compose(xp) * g * g)
+            self._check(F, lc * _at_x_to_the_p(g))
+            self._check(F, _at_x_to_the_p(g) * g * g)
         self._check(F, (x + lc) ** (F.p * F.p) * h)
 
     @pytest.mark.parametrize("F", [F5, F8, F9], ids=["F5", "F8", "F9"])

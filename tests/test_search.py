@@ -796,11 +796,12 @@ class TestHyperGenus4Char2:
 
 def _first_conductors(F, per_shape):
     """The parts of the first per_shape conductors of each shape in the
-    census order, or of every conductor when per_shape is None."""
+    census order, or of every conductor when per_shape is None, as Polys
+    (the stream yields index lists)."""
     out = {"5": [], "2+3": []}
     for shape, parts in search._conductor_stream(F):
         if per_shape is None or len(out[shape]) < per_shape:
-            out[shape].append(parts)
+            out[shape].append([Poly(F, map(F.from_index, p)) for p in parts])
         elif all(len(v) == per_shape for v in out.values()):
             break
     return out["5"] + out["2+3"]
@@ -895,6 +896,24 @@ REPORT_PINS = [
     ("hyper_genus4_char2@F2:first",
      lambda: search_hyper_genus4_char2(F2, mode="first_find"),
      (1, 1, 1), "324cbaae34095e30"),
+    # recorded before the Artin-Schreier and fiber-product models took
+    # index lists, at a second field for each engine whose candidate path
+    # that changed
+    ("klein4_hyper_odd@F7:census",
+     lambda: search_klein4_hyper_odd(F7, 1, mode="census"),
+     (2401, 54, 5), "60c0e30b9ec1cdaa"),
+    ("klein4_hyper_odd@F7:first",
+     lambda: search_klein4_hyper_odd(F7, 1, mode="first_find"),
+     (52, 1, 1), "8df2ca2e0a9b8bfa"),
+    ("klein4_hyper_even@F8:first",
+     lambda: search_klein4_hyper_even(F8, mode="first_find"),
+     (94, 1, 1), "f6289414724b5371"),
+    ("hyper_genus4_char2@F4:first",
+     lambda: search_hyper_genus4_char2(F4, mode="first_find"),
+     (1, 1, 1), "d1e03c556c8ee9ff"),
+    ("fiberproduct@F5:first",
+     lambda: search_fiberproduct(F5, mode="first_find"),
+     (138, 1, 1), "e2c9922b3c389f3d"),
 ]
 
 
