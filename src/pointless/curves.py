@@ -5,7 +5,10 @@ Counting conventions (degree-1 places of the smooth model):
   * odd-char hyperelliptic y^2 = f: each x contributes s(f(x)) with
     s = 2 / 1 / 0 for nonzero-square / zero / nonsquare; infinity
     contributes 1 when deg f is odd, else 2 or 0 by the square class
-    of the leading coefficient.
+    of the leading coefficient.  An even f = g(x^2) is checked and
+    counted through g: squarefree iff g is and g(0) != 0, and the x are 0
+    and the two square roots of each nonzero square t, so the sum runs
+    over the squares only, at half the degree (HyperellipticOdd).
   * Artin-Schreier y^2 + y = f (char 2): each non-pole x contributes 2
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.
@@ -105,6 +108,17 @@ class HyperellipticOdd:
     constant term first, trailing zeros allowed; both forms are checked
     alike, on the trimmed index list _idx, which is all that genus and
     count read.  The Poly f is built from _idx when read.
+
+    An even f = g(x^2) (every odd coefficient zero, as in the paper's
+    Klein four-group family) keeps _g = _idx[::2] and is checked and
+    counted through g; _g is None for any other f.  Both steps are exact:
+      * a repeated root of f is 0 or a square root of a repeated root of
+        g (f' = 2x g'(x^2) and p is odd), so f is squarefree iff g is and
+        g(0) != 0;
+      * the x over F_{q^i} are 0 and the two square roots of each nonzero
+        square t, so count(i) sums s(g(0)) + 2 sum s(g(t)) over those t.
+        q is odd, so x -> x^q keeps the parity of log x and each Frobenius
+        orbit is all squares or none (_Kernel.square_orbits).
     """
 
     def __init__(self, base, f):
@@ -115,10 +129,14 @@ class HyperellipticOdd:
             raise ZeroPolynomial("f must be nonzero")
         if len(idx) < 4:
             raise UnsupportedShape(f"deg f = {len(idx) - 1} < 3")
-        if not _kernel(base).is_separable(idx):
+        kern = _kernel(base)
+        g = None if any(idx[1::2]) else idx[::2]
+        if not (kern.is_separable(idx) if g is None
+                else g[0] and kern.is_separable(g)):
             raise UnsupportedShape("f must be squarefree")
         self.base = base
         self._idx = idx
+        self._g = g
         self.genus = len(idx) // 2 - 1
 
     @cached_property
@@ -127,11 +145,18 @@ class HyperellipticOdd:
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
-        f = [imap[c] for c in self._idx]
         horner, roots = kern.horner, kern.sqrt_count
-        total = sum(w * roots(horner(f, x)) for x, w in orbits)
+        if self._g is None:
+            f = [imap[c] for c in self._idx]
+            total = sum(w * roots(horner(f, x)) for x, w in orbits)
+        else:
+            # x = 0, then x = +-sqrt(t) for each nonzero square t
+            f = [imap[c] for c in self._g]
+            total = roots(f[0]) + 2 * sum(
+                w * roots(horner(f, t))
+                for t, w in kern.square_orbits(self.base.q))
         # infinity: one point for odd deg f, else by the square class of lc
-        return total + (1 if len(f) % 2 == 0 else roots(f[-1]))
+        return total + (1 if len(self._idx) % 2 == 0 else roots(f[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +169,8 @@ class ArtinSchreierCurve:
 
     f is a Poly, a RationalFunction or a pair (num, den) of index lists as
     for HyperellipticOdd, checked alike on the trimmed pair _num, _den:
-    coprime, den monic and squarefree.  f is built from the pair when read.
+    coprime, den monic and squarefree, and f not constant (a constant f
+    has no pole).  f is built from the pair when read.
 
     The conductor is the list of (place degree, pole order d_P); the genus is
     -1 + (1/2) sum (d_P + 1) deg P.
@@ -181,6 +207,9 @@ class ArtinSchreierCurve:
             raise UnsupportedShape("polynomial part must have degree 0 or odd")
         if m >= 1:
             self.conductor.append((1, m))
+        if not self.conductor:
+            # y^2 + y = c splits into two lines, over F_q or F_{q^2}
+            raise UnsupportedShape("f must have a pole (f is constant)")
         two_delta = sum((d + 1) * deg for deg, d in self.conductor)
         if two_delta % 2:
             raise UnsupportedShape("conductor gives non-integral genus")

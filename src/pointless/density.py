@@ -265,7 +265,9 @@ def _sample_klein4_hyper_odd(F, rng):
     Klein-four-symmetric family): five draws below q per attempt give the
     base-field indices of f's even coefficients, which go to the
     HyperellipticOdd constructor as an index list; rerolls until f has
-    degree 8 and the constructor, which tests separability, accepts it."""
+    degree 8 and the constructor accepts it.  f = g(x^2) is even, so the
+    constructor tests f's separability through the quartic g: g separable
+    and g(0) != 0, which is exact for odd p."""
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
     coeffs = [0] * 9

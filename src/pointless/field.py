@@ -577,6 +577,7 @@ class _Kernel:
         self.exp = exp + exp
         self.log = log
         self._orbits = {}
+        self._square_orbits = {}
         self._rows = {}
 
     def mul(self, a, b):
@@ -630,6 +631,21 @@ class _Kernel:
                 sizes.append(size)
             self._orbits[q] = (reps, sizes)
         return zip(*self._orbits[q])
+
+    def square_orbits(self, q):
+        """frobenius_orbits(q) restricted to the nonzero squares, q odd: the
+        orbits whose representative has an even log.  x -> x^q multiplies
+        log x by q modulo the even order of the group, which keeps its
+        parity, so each orbit is all squares or none."""
+        if q not in self._square_orbits:
+            log = self.log
+            reps, sizes = array("i"), bytearray()
+            for x, w in self.frobenius_orbits(q):
+                if x and not log[x] & 1:
+                    reps.append(x)
+                    sizes.append(w)
+            self._square_orbits[q] = (reps, sizes)
+        return zip(*self._square_orbits[q])
 
     # -- index polynomials ---------------------------------------------
 

@@ -172,9 +172,49 @@ class TestHyperelliptic:
         (F5, [1, 0, 1, 0], UnsupportedShape),        # degree 2
         (F5, [0, 0, 1, 1], UnsupportedShape),        # x^2 (x + 1)
         (F7, [1, 5, 2, 5, 1], UnsupportedShape),     # (x - 1)^2 (x^2 + 1)
-    ], ids=["char2", "empty", "zero", "degree2", "square_x", "square_f7"])
+        # even f = g(x^2), refused through g
+        (F5, [0, 0, 2, 0, 0, 0, 0, 0, 1], UnsupportedShape),  # x^2 (x^6 + 2)
+        (F7, [1, 0, 5, 0, 2, 0, 5, 0, 1], UnsupportedShape),  # g = (t - 1)^2 (t^2 + 1)
+        (F5, [1, 0, 0, 0, 3, 0, 0, 0, 1], UnsupportedShape),  # (x^4 - 1)^2
+    ], ids=["char2", "empty", "zero", "degree2", "square_x", "square_f7",
+            "even_g0_zero", "even_g_square", "even_h_of_x4"])
     def test_index_list_form_raises_like_poly_form(self, F, idx, error):
         _assert_refused(F, HyperellipticOdd, [idx], error)
+
+    @pytest.mark.parametrize("F", [F5, F9], ids=["F5", "F9"])
+    def test_even_f_refused_iff_f_is_inseparable(self, F):
+        # an even f = g(x^2) is checked through g (g separable, g(0) != 0);
+        # the generic Euclid on the full f of degree 8 must agree: every g
+        # of degree 4 over F_5, a seeded 2,000 over F_9
+        kern = _kernel(F)
+        if F.q == 5:
+            gs = [[a, b, c, d, e] for a in range(5) for b in range(5)
+                  for c in range(5) for d in range(5) for e in range(1, 5)]
+        else:
+            rng = random.Random(9)
+            gs = [[rng.randrange(9) for _ in range(4)] + [rng.randrange(1, 9)]
+                  for _ in range(2000)]
+        verdicts = set()
+        for g in gs:
+            f = [0] * 9
+            f[::2] = g
+            try:
+                C = HyperellipticOdd(F, f)
+            except UnsupportedShape:
+                accepted = False
+            else:
+                accepted = C._g == g
+            assert accepted == kern.is_separable(f), g
+            verdicts.add(accepted)
+        assert verdicts == {False, True}
+
+    def test_even_corpus_rows_take_the_squares_path(self):
+        """The six even Klein-four rows are counted through g; losing the
+        path fails here, and the other hyperelliptic rows keep f."""
+        rows = {e.id: e.curve() for e in load_fixtures()
+                if e.kind == "hyperelliptic_odd"}
+        assert {i for i, C in rows.items() if C._g is not None} == {
+            f"klein4-genus3-q{q}" for q in (5, 7, 9, 11, 19, 25)}
 
 
 class TestArtinSchreier:
@@ -232,22 +272,32 @@ class TestArtinSchreier:
         (F4, ([0, 0, 1], [1]), UnsupportedShape),     # even polynomial part
         (F4, ([1], [0, 0, 1]), UnsupportedShape),     # repeated pole
         (F4, ([1, 2], [1, 0, 1]), UnsupportedShape),  # den = (x + 1)^2
+        (F4, ([1], [1]), UnsupportedShape),           # constant, no pole
+        (F4, ([], [1]), UnsupportedShape),            # zero, no pole
+        (F2, ([1], [1]), UnsupportedShape),
     ], ids=["odd_char", "zero_den", "even_part", "double_pole",
-            "square_den"])
+            "square_den", "constant", "zero_f", "constant_f2"])
     def test_index_list_form_raises_like_poly_form(self, F, f, error):
         _assert_refused(F, ArtinSchreierCurve, [f], error)
 
-    @pytest.mark.parametrize("f", [
-        ([0, 1, 1], [0, 1]),     # x (x + 1) / x
-        ([], [1, 1]),            # 0 / (x + 1)
-        ([1], [1, 2]),           # den = a x + 1, lc a != 1
+    @pytest.mark.parametrize("f, reduced_has_pole", [
+        (([0, 1, 1], [0, 1]), True),     # x (x + 1) / x
+        (([], [1, 1]), False),           # 0 / (x + 1), reduced to 0
+        (([1], [1, 2]), True),           # den = a x + 1, lc a != 1
     ], ids=["common_factor", "zero_num", "non_monic"])
-    def test_index_list_form_refuses_unreduced_pairs(self, f):
+    def test_index_list_form_refuses_unreduced_pairs(self, f,
+                                                     reduced_has_pole):
         # a RationalFunction is reduced and monic by construction, so only
-        # the index form can carry these, and the model refuses them
+        # the index form can carry these, and the model refuses them; the
+        # reduced form is accepted unless it is a constant, without a pole
         _assert_refused(F4, ArtinSchreierCurve, [f], UnsupportedShape,
                         poly_form=False)
-        ArtinSchreierCurve(F4, _poly_form(F4, [f])[0])
+        reduced = _poly_form(F4, [f])[0]
+        if reduced_has_pole:
+            ArtinSchreierCurve(F4, reduced)
+        else:
+            with pytest.raises(UnsupportedShape):
+                ArtinSchreierCurve(F4, reduced)
 
     def test_genus0_line(self):
         C = ArtinSchreierCurve(F2, P(F2, [0, 1]))
@@ -276,6 +326,11 @@ class TestArtinSchreier:
         with pytest.raises(UnsupportedShape):
             # repeated pole
             ArtinSchreierCurve(F2, RationalFunction(P(F2, [1]), P(F2, [0, 0, 1])))
+        # a constant f has no pole: y^2 + y = c is two lines, not a curve
+        for f in (P(F4, [1]), P(F4, []), P(F4, [2]),
+                  RationalFunction(P(F4, [0, 1]), P(F4, [0, 1]))):
+            with pytest.raises(UnsupportedShape):
+                ArtinSchreierCurve(F4, f)
 
     def test_parity_matches_ramified_places(self):
         f = RationalFunction(P(F2, [1, 0, 1, 0, 1]), P(F2, [1, 1, 1, 1, 1]))
@@ -675,6 +730,22 @@ def _random_hyperelliptic(F, rng):
             return HyperellipticOdd(F, f)
 
 
+def _random_even_hyperelliptic(F, rng, degree, square):
+    """y^2 = g(x^2) with deg g = degree and lc(g) a square or not."""
+    while True:
+        g = _random_poly(F, rng, degree)
+        if g.lc.is_square() != square:
+            continue
+        f = [F.zero] * (2 * degree + 1)
+        f[::2] = g.coeffs
+        try:
+            C = HyperellipticOdd(F, Poly(F, f))
+        except UnsupportedShape:
+            continue
+        assert C._g is not None
+        return C
+
+
 def _random_fiber_product(F, rng):
     while True:
         try:
@@ -710,8 +781,12 @@ class TestCountAgainstNaive:
     @pytest.mark.parametrize("F", ODD_FIELDS, ids=lambda F: f"F{F.q}")
     def test_hyperelliptic(self, F):
         rng = random.Random(100 + F.q)
-        for _ in range(3):
-            C = _random_hyperelliptic(F, rng)
+        curves = [_random_hyperelliptic(F, rng) for _ in range(3)]
+        # even f = g(x^2), counted over the squares through g: deg g 2..4,
+        # with a square and a nonsquare leading coefficient for each
+        curves += [_random_even_hyperelliptic(F, rng, d, square)
+                   for d in (2, 3, 4) for square in (True, False)]
+        for C in curves:
             for i in (1, 2, 3):
                 assert C.count(i) == naive_hyperelliptic(C, i)
 
