@@ -545,6 +545,28 @@ def _kernel_combinations(E, basis, Q, rng, n):
     return out
 
 
+class TestDoubleZeroKernel:
+    """_double_zero_kernel directly: len(basis) - 2 vectors, each a
+    function vanishing to order >= 2 at Q by the element reference, for Q
+    off and on the 2-torsion."""
+
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("F", [F5, F7, F9, F25], ids=lambda F: f"F{F.q}")
+    def test_vectors_vanish_twice_at_Q(self, F, k):
+        rng = random.Random(3000 + 10 * F.q + k)
+        basis = rr_basis(k)
+        E = _random_curve(F, rng, two_torsion=True)
+        on_torsion = set()
+        for Q in _points_to_try(E, rng):
+            on_torsion.add(Q[1].is_zero())
+            kern = _double_zero_kernel(E, basis, Q)
+            assert len(kern) == len(basis) - 2
+            for vec in kern:
+                assert any(not c.is_zero() for c in vec)
+                assert ref.vanishing_order(E, vec, basis, Q) >= 2, (E, Q, vec)
+        assert on_torsion == {False, True}
+
+
 def _random_functions(F, basis, rng, n):
     out = []
     while len(out) < n:
