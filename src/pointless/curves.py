@@ -14,13 +14,15 @@ Counting conventions (degree-1 places of the smooth model):
     (including infinity) is ramified and contributes 1.
 
 Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
-elements are canonical indices, each model holds its coefficients as
-base-field index lists (the hyperelliptic, Artin-Schreier and fiber-product
-models take them as input, converting a Poly or RationalFunction first, and
-build those forms only when read) and runs its separability,
-coprimality and conductor checks on those lists, count(i) carries them into
-F_{q^i} through the embedding's index map (built once per field and
-degree), and polynomials are evaluated by Horner on ints.  The
+elements are canonical indices, and each model takes its coefficients as
+base-field indices (index lists; a plane quartic's by monomial).  The
+constructor is the one place that turns elements into indices: it converts
+a Poly, RationalFunction or FieldElement argument once, refuses an index
+outside 0..q-1, and builds the Poly forms only when they are read.  Each
+model runs its separability, coprimality and conductor checks on those
+lists, count(i) carries them into F_{q^i} through the embedding's index
+map (built once per field and degree), and polynomials are evaluated by
+Horner on ints.  The
 square class is the parity of a discrete log and the char-2 trace the
 parity of idx & trace_mask.  Each per-x contribution is a function of
 values of polynomials over F_q, so it is constant on the orbits of
@@ -83,10 +85,30 @@ from .series import (
 )
 
 
-def _indices(f):
+def _indices(base, f):
     """The trimmed base-field index list of a Poly or of an index list
-    (constant term first, trailing zeros allowed)."""
-    return _index_poly(f) if isinstance(f, Poly) else _itrim(list(f))
+    (constant term first, trailing zeros allowed, each in 0..q-1)."""
+    idx = _index_poly(f) if isinstance(f, Poly) else _itrim(list(f))
+    if idx and not 0 <= min(idx) <= max(idx) < base.q:
+        raise UnsupportedShape(f"an index outside 0..{base.q - 1} in {idx}")
+    return idx
+
+
+def _fraction(base, f):
+    """The trimmed index pair (num, den) of a Poly, a RationalFunction or an
+    index-list pair, refused unless coprime with den monic."""
+    if isinstance(f, RationalFunction):
+        f = f.num, f.den
+    elif isinstance(f, Poly):
+        f = f, [1]
+    num, den = (_indices(base, h) for h in f)
+    if not den:
+        raise DivisionByZero("zero denominator")
+    if len(_kernel(base).gcd(num, den)) > 1:
+        raise UnsupportedShape("numerator and denominator must be coprime")
+    if den[-1] != 1:   # the index of 1 is 1
+        raise UnsupportedShape("denominator must be monic")
+    return num, den
 
 
 def _extension(base, i):
@@ -124,7 +146,7 @@ class HyperellipticOdd:
     def __init__(self, base, f):
         if base.p == 2:
             raise EvenCharacteristic("use ArtinSchreierCurve in characteristic 2")
-        idx = _indices(f)
+        idx = _indices(base, f)
         if not idx:
             raise ZeroPolynomial("f must be nonzero")
         if len(idx) < 4:
@@ -179,18 +201,8 @@ class ArtinSchreierCurve:
     def __init__(self, base, f):
         if base.p != 2:
             raise OddCharacteristic("Artin-Schreier model needs characteristic 2")
-        if isinstance(f, RationalFunction):
-            f = f.num, f.den
-        elif isinstance(f, Poly):
-            f = f, [1]
-        num, den = map(_indices, f)
-        if not den:
-            raise DivisionByZero("zero denominator")
+        num, den = _fraction(base, f)
         kern = _kernel(base)
-        if len(kern.gcd(num, den)) > 1:
-            raise UnsupportedShape("numerator and denominator must be coprime")
-        if den[-1] != 1:   # the index of 1 is 1
-            raise UnsupportedShape("denominator must be monic")
         self.base = base
         self._num, self._den = num, den
         self.conductor = []
@@ -250,22 +262,28 @@ QUARTIC_MONOMIALS = [(i, j, 4 - i - j) for i in range(4, -1, -1)
 
 
 class PlaneQuartic:
-    """Homogeneous quartic F(x, y, z); coeffs maps (i, j, k) -> FieldElement."""
+    """Homogeneous quartic F(x, y, z); coeffs maps (i, j, k) to a base-field
+    index (0..q-1) or a FieldElement, converted once, or lists all 15 in
+    QUARTIC_MONOMIALS order.  The model keeps the indices, _idx and _rows."""
 
     def __init__(self, base, coeffs):
-        self.base = base
         if isinstance(coeffs, (list, tuple)):
+            if len(coeffs) != len(QUARTIC_MONOMIALS):
+                raise UnsupportedShape(f"{len(coeffs)} coefficients, not 15")
             coeffs = dict(zip(QUARTIC_MONOMIALS, coeffs))
-        full = {}
-        for mono in QUARTIC_MONOMIALS:
-            full[mono] = base.element(coeffs.get(mono, 0))
         extra = set(coeffs) - set(QUARTIC_MONOMIALS)
         if extra:
             raise UnsupportedShape(f"non-quartic monomials {sorted(extra)}")
-        if all(v.is_zero() for v in full.values()):
+        self.base = base
+        self._idx = dict.fromkeys(QUARTIC_MONOMIALS, 0)
+        for mono, v in coeffs.items():
+            if not isinstance(v, int):
+                v = base.index(base.element(v))
+            elif not 0 <= v < base.q:
+                raise UnsupportedShape(f"index {v} outside 0..{base.q - 1}")
+            self._idx[mono] = v
+        if not any(self._idx.values()):
             raise ZeroPolynomial("F must be nonzero")
-        self.coeffs = full
-        self._idx = {m: base.index(v) for m, v in full.items()}
         # rows[j] lists the x-coefficients of y^j in F(x, y, 1)
         self._rows = [[0] * (5 - j) for j in range(5)]
         for (a, b, _), v in self._idx.items():
@@ -455,7 +473,7 @@ class FiberProductGenus4:
     def __init__(self, base, f, g):
         if base.p == 2:
             raise EvenCharacteristic("fiber products are an odd-char model")
-        self._f, self._g = _indices(f), _indices(g)
+        self._f, self._g = _indices(base, f), _indices(base, g)
         if len(self._f) != 4 or len(self._g) != 4:
             raise UnsupportedShape("f and g must be cubic")
         kern = _kernel(base)
@@ -505,36 +523,27 @@ class FiberProductGenus4:
 class ASTower:
     """y^2 + y = f1(x), z^2 + z = (A(x) + B(x) y) / D(x) over char 2.
 
-    Supported first-stage shape: f1 = c1 x + c0 + cm1 / x.  The genus is a
-    claim (cross-checked through the zeta module), not computed here.
+    Supported first-stage shape: f1 = c1 x + c0 + cm1 / x, taken as the
+    Artin-Schreier f is; A, B and D each a Poly or an index list.  The model
+    keeps the indices _f1 = [c1, c0, cm1] and _stage2 = [A, B, D].  The
+    genus is a claim (cross-checked through the zeta module), not computed.
     """
 
     def __init__(self, base, f1, A, B, D, claimed_genus=None):
         if base.p != 2:
             raise OddCharacteristic("towers need characteristic 2")
-        self.base = base
-        if isinstance(f1, Poly):
-            f1 = RationalFunction(f1, Poly.constant(base, base.one))
-        if f1.den.degree > 1 or (f1.den.degree == 1 and not f1.den.eval(base.zero).is_zero()):
+        num, den = _fraction(base, f1)
+        if den not in ([1], [0, 1]) or len(num) > len(den) + 1:
             raise UnsupportedShape("first stage must be c1 x + c0 + cm1/x")
-        if f1.num.degree > f1.den.degree + 1:
-            raise UnsupportedShape("first stage must be c1 x + c0 + cm1/x")
-        self.f1 = f1
-        if f1.den.degree == 1:       # f1 = (c1 x^2 + c0 x + cm1)/x
-            self.c1 = f1.num[2]
-            self.c0 = f1.num[1]
-            self.cm1 = f1.num[0]
-        else:
-            self.c1 = f1.num[1]
-            self.c0 = f1.num[0]
-            self.cm1 = base.zero
-        if D.is_zero():
+        num += [0] * (3 - len(num))
+        # f1 = (c1 x^2 + c0 x + cm1) / x, or c1 x + c0
+        self._f1 = num[::-1] if len(den) == 2 else [num[1], num[0], 0]
+        A, B, D = self._stage2 = [_indices(base, g) for g in (A, B, D)]
+        if not D:
             raise ZeroPolynomial("second-stage denominator is zero")
-        if not self.cm1.is_zero() and D.eval(base.zero).is_zero():
+        if self._f1[2] and not D[0]:
             raise UnsupportedShape("second-stage pole collides with the x=0 ramification")
-        self.A, self.B, self.D = A, B, D
-        self._f1 = [base.index(c) for c in (self.c1, self.c0, self.cm1)]
-        self._stage2 = [_index_poly(g) for g in (A, B, D)]
+        self.base = base
         self.genus = claimed_genus
 
     def count(self, i=1):

@@ -300,8 +300,8 @@ def _sample_diagonal_quartic(F, rng):
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics are singular in char 2")
     while True:
-        a, b, c = (F.from_index(1 + rng.below(F.q - 1)) for _ in range(3))
-        d, e, g = (F.from_index(rng.below(F.q)) for _ in range(3))
+        a, b, c = (1 + rng.below(F.q - 1) for _ in range(3))
+        d, e, g = (rng.below(F.q) for _ in range(3))
         C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b, (0, 0, 4): c,
                              (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): g})
         if C.is_smooth():

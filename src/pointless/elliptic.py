@@ -3,13 +3,15 @@ Riemann-Roch monomial spaces L(k*infinity), and the divisor shapes and
 point counts of the double covers z^2 = fn that the double-cover searches
 test.
 
-Points are None (infinity) or (x, y) tuples of field elements.  A function
-fn = A + B y enters divisor_shape and cover_count as coefficients on an
-rr_basis and is taken to index polynomials A, B once: divisor_shape works
-on base-field index polynomials (the norm A^2 - B^2 c, its factors, and
-Euler's criterion modulo each factor), and cover_count expands fn at its
-zeros as truncated series of indices on the index kernel of the field the
-point lies in (pointless.series).
+Points are None (infinity) or (x, y) tuples of field elements, on which
+the group law and the quotient representatives run.  The double covers
+run on base-field indices: fn = A + B y enters divisor_shape and
+cover_count as the index list of its coefficients on an rr_basis (Q as an
+index pair), and the cubic c as the index list EllipticCurve keeps.
+divisor_shape works on index polynomials (the norm A^2 - B^2 c, its
+factors, and Euler's criterion modulo each factor), and cover_count
+expands fn at its zeros as truncated series of indices on the index
+kernel of the field the point lies in (pointless.series).
 """
 
 from math import gcd, isqrt
@@ -49,7 +51,8 @@ class EllipticCurve:
         self.a4 = base.element(a4)
         self.a6 = base.element(a6)
         self.cubic = Poly(base, [self.a6, self.a4, self.a2, base.one])
-        if not self.cubic.is_separable():
+        self._cubic = _index_poly(self.cubic)
+        if not _kernel(base).is_separable(self._cubic):
             raise UnsupportedShape("singular model: the cubic has a repeated root")
         self._points = None
 
@@ -208,7 +211,8 @@ def rr_basis(k):
 
 
 def fn_pole_order(coeffs, basis):
-    orders = [2 * i + 3 * j for (i, j), c in zip(basis, coeffs) if not c.is_zero()]
+    """The pole order at infinity of fn, from its coefficient indices."""
+    orders = [2 * i + 3 * j for (i, j), c in zip(basis, coeffs) if c]
     if not orders:
         raise ZeroFunction("the zero function has no divisor")
     return max(orders)
@@ -269,7 +273,8 @@ def _fn_indices(basis, idx):
 # ---------------------------------------------------------------------------
 
 def divisor_shape(E, coeffs, basis, Q, k):
-    """Analyze div(fn) for fn = sum c x^i y^j in L(k*infinity).
+    """Analyze div(fn) for fn = sum c x^i y^j in L(k*infinity), the c given
+    as base-field indices on basis, at the affine point Q (an index pair).
 
     Returns a dict with pole_order_at_inf, ord_at_Q, odd_order_zero_count
     (geometric points in odd-order zero places away from Q),
@@ -304,15 +309,15 @@ def divisor_shape(E, coeffs, basis, Q, k):
     F = E.base
     kern = _kernel(F)
     pole = fn_pole_order(coeffs, basis)
-    A, B = _fn_indices(basis, [F.index(cf) for cf in coeffs])
-    c = _index_poly(E.cubic)
+    A, B = _fn_indices(basis, coeffs)
+    c = E._cubic
     pmul, pmod, pquo = kern._pmul, kern._pmod, kern._pquo
     R = kern._psub(pmul(A, A), pmul(pmul(B, B), c))
     if not R:
         # A^2 = B^2 c would make c a square, impossible for separable cubic
         raise ZeroFunction("degenerate norm")
     G = kern.gcd(A, B)
-    xQ, yQ = F.index(Q[0]), F.index(Q[1])
+    xQ, yQ = Q
     ord_Q = 0
     odd_points = 0
     rational_odd = 0
@@ -369,7 +374,8 @@ def divisor_shape(E, coeffs, basis, Q, k):
 # ---------------------------------------------------------------------------
 
 def cover_count(E, coeffs, basis, i=1):
-    """#D(F_{q^i}) for the double cover D: z^2 = fn of E.
+    """#D(F_{q^i}) for the double cover D: z^2 = fn of E, fn as in
+    divisor_shape.
 
     Runs on the index kernel of F_{q^i}: per Frobenius orbit of x (see
     curves._extension), c(x), A(x) and B(x) come from Horner on indices,
@@ -381,9 +387,9 @@ def cover_count(E, coeffs, basis, i=1):
     """
     pole = fn_pole_order(coeffs, basis)
     _, imap, kern, orbits = _extension(E.base, i)
-    idx = [imap[E.base.index(cf)] for cf in coeffs]
+    idx = [imap[v] for v in coeffs]
     A, B = _fn_indices(basis, idx)
-    c = [imap[v] for v in _index_poly(E.cubic)]
+    c = [imap[v] for v in E._cubic]
     horner, add, mul, neg = kern.horner, kern.add, kern.mul, kern.neg
     exp, log = kern.exp, kern.log
     total = 0

@@ -1309,16 +1309,6 @@ class Poly:
         g = _kernel(F).gcd(_index_poly(self), _index_poly(other))
         return Poly(F, [F.from_index(i) for i in g])
 
-    def derivative(self):
-        """f', the integer i built as 1 + ... + 1 in the base."""
-        F = self.base
-        out = []
-        k = F.zero
-        for c in self.coeffs[1:]:
-            k = k + F.one
-            out.append(c * k)
-        return Poly(F, out)
-
     def is_separable(self):
         return _kernel(self.base).is_separable(_index_poly(self))
 

@@ -19,7 +19,7 @@ from .curves import (
     PlaneQuartic,
 )
 from .errors import ParseError, PointlessError, ValidationError
-from .field import FiniteField, Poly, RationalFunction
+from .field import FiniteField
 
 KINDS = ("hyperelliptic_odd", "artin_schreier", "plane_quartic",
          "fiber_product", "as_tower")
@@ -141,6 +141,8 @@ class FixtureEntry:
     claimed_counts: list = dc_field(default_factory=list)
     claimed_trigonal: bool = None
     note: str = ""
+    _curve: object = dc_field(default=None, init=False, repr=False,
+                              compare=False)
 
     def field(self):
         if self.n == 1:
@@ -148,7 +150,10 @@ class FixtureEntry:
         return FiniteField(self.p, self.n, self.modulus)
 
     def curve(self):
-        return _build_curve(self)
+        """The curve model, built on first use (at validation) and kept."""
+        if self._curve is None:
+            self._curve = _build_curve(self)
+        return self._curve
 
 
 def _constant(F, v, entry_id):
@@ -185,24 +190,18 @@ def _constant(F, v, entry_id):
 
 
 def _poly(F, values, entry_id):
+    """The base-field index list of a polynomial's constants."""
     if not isinstance(values, list):
         raise ValidationError("polynomial must be a list", entry_id)
-    return Poly(F, [_constant(F, v, entry_id) for v in values])
+    return [F.index(_constant(F, v, entry_id)) for v in values]
 
 
 def _build_curve(entry):
     F = entry.field()
     k = entry.kind
-    pl = entry.payload
-    if k == "hyperelliptic_odd":
-        return HyperellipticOdd(F, _poly(F, pl["f"], entry.id))
-    if k == "artin_schreier":
-        return ArtinSchreierCurve(
-            F, RationalFunction(_poly(F, pl["num"], entry.id),
-                                _poly(F, pl["den"], entry.id)))
     if k == "plane_quartic":
         coeffs = {}
-        for term in pl["terms"]:
+        for term in entry.payload["terms"]:
             if (not isinstance(term, list) or len(term) != 4
                     or not all(isinstance(e, int) for e in term[:3])):
                 raise ValidationError(f"bad quartic term {term!r}", entry.id)
@@ -212,18 +211,19 @@ def _build_curve(entry):
                                       entry.id)
             if (i, j, m) in coeffs:
                 raise ValidationError(f"repeated monomial {term!r}", entry.id)
-            coeffs[(i, j, m)] = _constant(F, term[3], entry.id)
+            coeffs[(i, j, m)] = F.index(_constant(F, term[3], entry.id))
         return PlaneQuartic(F, coeffs)
+    # every other payload value is a polynomial
+    pl = {key: _poly(F, v, entry.id) for key, v in sorted(entry.payload.items())}
+    if k == "hyperelliptic_odd":
+        return HyperellipticOdd(F, pl["f"])
+    if k == "artin_schreier":
+        return ArtinSchreierCurve(F, (pl["num"], pl["den"]))
     if k == "fiber_product":
-        return FiberProductGenus4(F, _poly(F, pl["f"], entry.id),
-                                  _poly(F, pl["g"], entry.id))
+        return FiberProductGenus4(F, pl["f"], pl["g"])
     if k == "as_tower":
-        f1 = RationalFunction(_poly(F, pl["f1_num"], entry.id),
-                              _poly(F, pl["f1_den"], entry.id))
-        return ASTower(F, f1,
-                       _poly(F, pl["second_a"], entry.id),
-                       _poly(F, pl["second_b"], entry.id),
-                       _poly(F, pl["second_d"], entry.id),
+        return ASTower(F, (pl["f1_num"], pl["f1_den"]), pl["second_a"],
+                       pl["second_b"], pl["second_d"],
                        claimed_genus=entry.claimed_genus)
     raise ValidationError(f"unknown kind {k!r}", entry.id)  # pragma: no cover
 

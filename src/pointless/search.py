@@ -388,7 +388,7 @@ def _diagonal_has_point(kern, b, c, d, e, f):
 
 
 def _diagonal_quartic(F, b, c, d, e, f):
-    return PlaneQuartic(F, {(4, 0, 0): F.one, (0, 4, 0): b, (0, 0, 4): c,
+    return PlaneQuartic(F, {(4, 0, 0): 1, (0, 4, 0): b, (0, 0, 4): c,
                             (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): f})
 
 
@@ -404,7 +404,7 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
         run.visit()
         if _diagonal_has_point(kern, *coeffs):
             continue
-        C = _diagonal_quartic(F, *(F.from_index(i) for i in coeffs))
+        C = _diagonal_quartic(F, *coeffs)
         if not C.is_smooth():
             continue
         entry = {"coeffs": [1] + coeffs}
@@ -421,9 +421,8 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
 def _char2_family_quartic(F, beta, gamma):
     """(x^2+xz)^2 + beta (x^2+xz)(y^2+yz) + (y^2+yz)^2 + gamma z^4, expanded
     in characteristic 2, where the cross terms of the squares vanish."""
-    one = F.one
-    return PlaneQuartic(F, {(4, 0, 0): one, (2, 0, 2): one, (0, 4, 0): one,
-                            (0, 2, 2): one, (0, 0, 4): gamma,
+    return PlaneQuartic(F, {(4, 0, 0): 1, (2, 0, 2): 1, (0, 4, 0): 1,
+                            (0, 2, 2): 1, (0, 0, 4): gamma,
                             (2, 2, 0): beta, (2, 1, 1): beta,
                             (1, 2, 1): beta, (1, 1, 2): beta})
 
@@ -432,15 +431,14 @@ def search_quartic_char2(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 quartic family")
     run = _Search("quartic_char2", mode, budget)
-    for code, idx in _odometer(F.q, 2):
-        beta, gamma = (F.from_index(i) for i in idx)
+    for code, (beta, gamma) in _odometer(F.q, 2):
         run.visit()
         C = _char2_family_quartic(F, beta, gamma)
         # the point count kills nearly every candidate and costs far less
         # than the resultants of the smoothness test, so it goes first
         if C.count(1) != 0 or not C.is_smooth():
             continue
-        if run.keep({"beta": F.index(beta), "gamma": F.index(gamma)},
+        if run.keep({"beta": beta, "gamma": gamma},
                     {"q": F.q, "counts": [0, C.count(2)]}):
             break
     return run.report({"q": F.q, "mode": mode},
@@ -682,56 +680,52 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
 # ---------------------------------------------------------------------------
 
 def _double_zero_kernel(E, basis, Q):
-    """Basis of the space of functions in L(k*inf) vanishing to order >= 2
-    at Q: the kernel of two rows, the value of each monomial x^i y^j at Q
-    and its derivative in the local parameter t.  Off 2-torsion t = x - x0
-    and dy/dx = c'(x0) / (2 y0); at a 2-torsion point t = y and
-    x = x0 + O(t^2), so the rows are x0^i [j = 0] and x0^i [j = 1]."""
-    F = E.base
+    """Basis of the functions in L(k*inf) vanishing to order >= 2 at Q (an
+    index pair), as index vectors on basis: the kernel of two rows, the
+    value of each monomial x^i y^j at Q and its derivative in the local
+    parameter t.  Off 2-torsion t = x - x0 and dy/dx = c'(x0) / (2 y0); at
+    a 2-torsion point t = y and x = x0 + O(t^2), so the rows are
+    x0^i [j = 0] and x0^i [j = 1]."""
+    kern = _kernel(E.base)
+    mul, p, k = kern.mul, E.base.p, len(basis)
     x0, y0 = Q
-    mat = [[], []]
-    if y0.is_zero():
-        for (i, j) in basis:
-            mat[j].append(x0 ** i)
-            mat[1 - j].append(F.zero)
+    powers = [1]                        # x0^i
+    for _ in range(max(i for i, _ in basis)):
+        powers.append(mul(powers[-1], x0))
+    if not y0:
+        mat = [[powers[i] if j == r else 0 for i, j in basis] for r in (0, 1)]
     else:
-        dy = E.cubic.derivative().eval(x0) / (F.element(2) * y0)
+        dy = mul(kern.horner(kern._derivative(E._cubic), x0),
+                 kern.inv(mul(2, y0)))
+        mat = [[], []]
         for (i, j) in basis:
-            # d(x^i)/dt = i x0^(i-1), and d(x^i y)/dt adds x^i dy/dx
-            dxi = F.element(i) * x0 ** (i - 1) if i else F.zero
-            mat[0].append(x0 ** i * y0 if j else x0 ** i)
-            mat[1].append(dxi * y0 + x0 ** i * dy if j else dxi)
-    # gaussian elimination on the 2 x k system
-    k = len(basis)
-    col_of_row = []
-    r = 0
+            # d(x^i)/dt = i x0^(i-1), and d(x^i y)/dt adds x^i dy/dx; the
+            # index of an integer i < p is i
+            dxi = mul(i % p, powers[i - 1]) if i else 0
+            mat[0].append(mul(powers[i], y0) if j else powers[i])
+            mat[1].append(kern.add(mul(dxi, y0), mul(powers[i], dy))
+                          if j else dxi)
+    # gaussian elimination to the reduced echelon form of the 2 x k system
+    pivots = []
     for col in range(k):
-        piv = None
-        for rr in range(r, len(mat)):
-            if not mat[rr][col].is_zero():
-                piv = rr
-                break
+        r = len(pivots)
+        piv = next((rr for rr in range(r, 2) if mat[rr][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inv()
-        mat[r] = [v * inv for v in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and not mat[rr][col].is_zero():
-                c = mat[rr][col]
-                mat[rr] = [a - c * b for a, b in zip(mat[rr], mat[r])]
-        col_of_row.append(col)
-        r += 1
-        if r == len(mat):
+        inv = kern.inv(mat[r][col])
+        mat[r] = [mul(v, inv) for v in mat[r]]
+        c = mat[1 - r][col]
+        mat[1 - r] = [kern.sub(a, mul(c, b)) for a, b in zip(mat[1 - r], mat[r])]
+        pivots.append(col)
+        if r:
             break
-    pivot_cols = set(col_of_row)
-    free_cols = [c for c in range(k) if c not in pivot_cols]
     kernel = []
-    for fc in free_cols:
-        vec = [F.zero] * k
-        vec[fc] = F.one
-        for rr, pc in enumerate(col_of_row):
-            vec[pc] = -mat[rr][fc]
+    for fc in (c for c in range(k) if c not in pivots):
+        vec = [0] * k
+        vec[fc] = 1
+        for row, pc in zip(mat, pivots):
+            vec[pc] = kern.neg(row[fc])
         kernel.append(vec)
     return kernel
 
@@ -761,6 +755,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         # double zero Q = O needs L((k - 2) inf), which is not built here
         raise UnsupportedShape(f"{E!r}: the coset {{O}} of {m}E(F_{q}) has "
                                f"no affine point to carry the double zero")
+    qreps = [(F.index(x), F.index(y)) for x, y in qreps]
     kern = _kernel(F)
     horner, add, mul = kern.horner, kern.add, kern.mul
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
@@ -772,8 +767,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         Q = qreps[rep_i]
         kernel = _double_zero_kernel(E, basis, Q)
         dim = len(kernel)
-        # per-point values of the kernel basis functions, as indices
-        fns = [_fn_indices(basis, [F.index(v) for v in vec]) for vec in kernel]
+        # per-point values of the kernel basis functions
+        fns = [_fn_indices(basis, vec) for vec in kernel]
         B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
                 for x, y in pts]
         # enumerate modulo square scaling: leading coefficient in {1, nu}
@@ -788,20 +783,19 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                 run.spend(run.candidates + code + 1)
                 passes += 1
                 lam = [0] * lead + [lead_val] + _digits(code, q, free)
-                coeffs = [F.zero] * len(basis)
+                coeffs = [0] * len(basis)
                 for l_i, vec in zip(lam, kernel):
                     if l_i:
-                        li = F.from_index(l_i)
-                        coeffs = [c + li * v for c, v in zip(coeffs, vec)]
-                if all(c.is_zero() for c in coeffs):
+                        coeffs = [add(c, mul(l_i, v))
+                                  for c, v in zip(coeffs, vec)]
+                if not any(coeffs):
                     continue
                 sh = divisor_shape(E, coeffs, basis, Q, k)
                 if not sh["shape_ok"]:
                     kill2 += 1
                     continue
                 counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
-                if run.keep({"Q": [F.index(Q[0]), F.index(Q[1])],
-                             "coeffs": [F.index(c) for c in coeffs],
+                if run.keep({"Q": list(Q), "coeffs": coeffs,
                              "counts": counts, "pointless": counts[0] == 0},
                             {"q": q, "counts": counts}):
                     visited = code + 1

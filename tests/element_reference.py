@@ -331,6 +331,17 @@ def _tonelli_shanks(field, v):
     return r
 
 
+def derivative(f):
+    """f' for a Poly over any base, the integer i built as 1 + ... + 1."""
+    F = f.base
+    out = []
+    k = F.zero
+    for c in f.coeffs[1:]:
+        k = k + F.one
+        out.append(c * k)
+    return Poly(F, out)
+
+
 def euclid_gcd(f, g):
     """Monic gcd by the element Euclid, for Polys over any base."""
     a, b = f, g
@@ -403,7 +414,7 @@ def _squarefree_decomposition(f):
     if f.degree <= 0:
         return []
     out = {}
-    a = euclid_gcd(f, f.derivative())   # f itself when f' = 0
+    a = euclid_gcd(f, derivative(f))   # f itself when f' = 0
     w = f // a
     i = 1
     while w.degree > 0:
@@ -509,7 +520,7 @@ def local_xy_series(cubic, P, field, prec):
         if ys.coefficient(0) != y0:
             ys = -ys
         return xs, ys
-    d = cubic.derivative().eval(x0)
+    d = derivative(cubic).eval(x0)
     if d.is_zero():
         raise UnsupportedShape("singular point")
     t = Series.t(field, prec)

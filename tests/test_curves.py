@@ -91,9 +91,12 @@ def _assert_index_form_matches(F, model, args):
 
 def _assert_refused(F, model, args, error, poly_form=True):
     """model(F, *args) raises exactly error from the index lists args and,
-    unless poly_form is False, from their Poly form."""
+    unless poly_form is False or an index lies outside 0..q-1 (from_index
+    would read it as another element), from their Poly form."""
     forms = [lambda: args]
-    if poly_form:
+    flat = [c for a in args for h in (a if isinstance(a, tuple) else (a,))
+            for c in h]
+    if poly_form and all(0 <= c < F.q for c in flat):
         forms.insert(0, lambda: _poly_form(F, args))
     for form in forms:
         with pytest.raises(error) as info:
@@ -176,8 +179,13 @@ class TestHyperelliptic:
         (F5, [0, 0, 2, 0, 0, 0, 0, 0, 1], UnsupportedShape),  # x^2 (x^6 + 2)
         (F7, [1, 0, 5, 0, 2, 0, 5, 0, 1], UnsupportedShape),  # g = (t - 1)^2 (t^2 + 1)
         (F5, [1, 0, 0, 0, 3, 0, 0, 0, 1], UnsupportedShape),  # (x^4 - 1)^2
+        # an index outside 0..q-1 is refused, not reduced or read past q
+        (F7, [13, 0, 0, 1], UnsupportedShape),
+        (F9, [-4, 0, 0, 1], UnsupportedShape),
+        (F9, [1, 0, 0, 9, 0, 0], UnsupportedShape),
     ], ids=["char2", "empty", "zero", "degree2", "square_x", "square_f7",
-            "even_g0_zero", "even_g_square", "even_h_of_x4"])
+            "even_g0_zero", "even_g_square", "even_h_of_x4", "index_past_q",
+            "negative_index", "index_q"])
     def test_index_list_form_raises_like_poly_form(self, F, idx, error):
         _assert_refused(F, HyperellipticOdd, [idx], error)
 
@@ -275,8 +283,11 @@ class TestArtinSchreier:
         (F4, ([1], [1]), UnsupportedShape),           # constant, no pole
         (F4, ([], [1]), UnsupportedShape),            # zero, no pole
         (F2, ([1], [1]), UnsupportedShape),
+        (F4, ([4], [0, 1]), UnsupportedShape),        # index past q
+        (F4, ([1], [-1, 1]), UnsupportedShape),       # negative index
     ], ids=["odd_char", "zero_den", "even_part", "double_pole",
-            "square_den", "constant", "zero_f", "constant_f2"])
+            "square_den", "constant", "zero_f", "constant_f2",
+            "index_past_q", "negative_index"])
     def test_index_list_form_raises_like_poly_form(self, F, f, error):
         _assert_refused(F, ArtinSchreierCurve, [f], error)
 
@@ -390,7 +401,7 @@ class TestPlaneQuartic:
 
     def test_f3_special_quartic(self):
         Q = PlaneQuartic(F3, {(4, 0, 0): 1, (1, 1, 2): 1, (0, 4, 0): 1,
-                              (0, 3, 1): 1, (0, 1, 3): -1, (0, 0, 4): 1})
+                              (0, 3, 1): 1, (0, 1, 3): 2, (0, 0, 4): 1})
         assert Q.is_smooth()
         assert Q.count(1) == 0
 
@@ -419,6 +430,46 @@ class TestPlaneQuartic:
         Q = diag_quartic(F5, 1, 1, 1, 0, 0, 0)
         n2 = Q.count(2)
         assert serre_bound_holds(25, 3, n2)
+
+    def test_list_form_takes_exactly_15_coefficients(self):
+        # the list form lists every monomial in QUARTIC_MONOMIALS order; a
+        # shorter or longer list is refused, not padded or truncated
+        coeffs = [1] + [0] * 9 + [1] + [0] * 3 + [1]      # x^4 + y^4 + z^4
+        assert PlaneQuartic(F5, coeffs)._idx == diag_quartic(
+            F5, 1, 1, 1, 0, 0, 0)._idx
+        for bad in (coeffs + [1], coeffs[:3], []):
+            with pytest.raises(UnsupportedShape):
+                PlaneQuartic(F5, bad)
+
+    @pytest.mark.parametrize("F, c", [(F7, 7), (F7, -1), (F9, -4), (F9, 81)],
+                             ids=["F7:q", "F7:-1", "F9:-4", "F9:81"])
+    def test_index_outside_the_field_refused(self, F, c):
+        with pytest.raises(UnsupportedShape):
+            PlaneQuartic(F, {(4, 0, 0): 1, (0, 4, 0): c, (0, 0, 4): 1})
+        with pytest.raises(UnsupportedShape):
+            PlaneQuartic(F, [c] + [0] * 14)
+
+    @pytest.mark.parametrize("F", [F3, F4, F5, F8, F9],
+                             ids=lambda F: f"F{F.q}")
+    def test_index_form_matches_element_form(self, F):
+        # seeded quartics, dense and sparse, and one with the involution:
+        # the same quartic from index and from FieldElement coefficients
+        rng = random.Random(1300 + F.q)
+        forms = [_random_form(F, rng, 4, d) for d in (0.3, 1.0, 0.5)]
+        forms += [_involution_form(F, F.one, [F.zero, F.one, F.zero],
+                                   [F.from_index(rng.randrange(F.q))
+                                    for _ in range(5)])]
+        smooth = set()
+        for form in forms:
+            ref = PlaneQuartic(F, form)
+            C = PlaneQuartic(F, {m: F.index(c) for m, c in form.items()})
+            assert (C._idx, C._rows, C._b_row) == \
+                (ref._idx, ref._rows, ref._b_row)
+            assert C.is_smooth() == ref.is_smooth()
+            assert ([C.count(i) for i in (1, 2, 3)]
+                    == [ref.count(i) for i in (1, 2, 3)]), form
+            smooth.add(C.is_smooth())
+        assert True in smooth
 
 
 def _element_properties(C):
@@ -511,7 +562,9 @@ class TestFiberProduct:
         (F5, [1, 0, 0, 1, 1], [1, 0, 0, 1], UnsupportedShape),  # quartic
         (F5, [1, 4, 4, 1], [2, 0, 0, 1], UnsupportedShape),     # (x+4)^2 (x+1)
         (F5, [1, 0, 0, 1], [2, 0, 0, 2], UnsupportedShape),     # g = 2 f
-    ], ids=["char2", "quadratic", "quartic", "inseparable", "not_coprime"])
+        (F5, [1, 0, 0, 1], [2, 0, 5, 1], UnsupportedShape),     # index past q
+    ], ids=["char2", "quadratic", "quartic", "inseparable", "not_coprime",
+            "index_past_q"])
     def test_index_list_form_raises_like_poly_form(self, F, f, g, error):
         _assert_refused(F, FiberProductGenus4, [f, g], error)
 
@@ -538,22 +591,30 @@ class TestFiberProduct:
             cases += 1
 
 
-def first_tower():
+def first_tower_args():
     a = F32.gen
     f1 = RationalFunction(P(F32, [1, 1, 1]), P(F32, [0, 1]))
     A = Poly(F32, [a ** 6, F32.one, a ** 13, F32.zero, a ** 7])
     B = Poly(F32, [F32.zero, a ** 23, F32.zero, a ** 30])
     D = Poly(F32, [a ** 28, F32.one, a ** 15, F32.one])
-    return ASTower(F32, f1, A, B, D, claimed_genus=4)
+    return f1, A, B, D
 
 
-def second_tower():
+def second_tower_args():
     a = F32.gen
     f1 = RationalFunction(Poly(F32, [a ** 7, F32.zero, F32.one]), P(F32, [0, 1]))
     A = Poly(F32, [a ** 16, F32.zero, a ** 28, a ** 3, a ** 4])
     B = Poly(F32, [F32.zero, a ** 28, a ** 23, a ** 7])
     D = Poly(F32, [a ** 25, a ** 22, a ** 25, F32.one])
-    return ASTower(F32, f1, A, B, D, claimed_genus=4)
+    return f1, A, B, D
+
+
+def first_tower():
+    return ASTower(F32, *first_tower_args(), claimed_genus=4)
+
+
+def second_tower():
+    return ASTower(F32, *second_tower_args(), claimed_genus=4)
 
 
 class TestASTower:
@@ -578,6 +639,48 @@ class TestASTower:
             ASTower(F2, RationalFunction(P(F2, [1]), P(F2, [1, 1])),
                     P(F2, [1]), P(F2, [1]), P(F2, [1]))
 
+    def test_index_form_matches_poly_form(self):
+        # the shipped towers and seeded towers over F_2, F_4 and F_8 (poles
+        # of f1 at 0 and infinity, at one of them), rebuilt from the index
+        # lists of their Poly and RationalFunction arguments
+        towers = [(F32, first_tower_args()), (F32, second_tower_args())]
+        for F in (F2, F4, F8):
+            rng = random.Random(1400 + F.q)
+            towers += [(F, _random_tower_args(F, rng, *zeros))
+                       for zeros in ((False, False), (True, False),
+                                     (False, True))]
+        for F, (f1, A, B, D) in towers:
+            ref = ASTower(F, f1, A, B, D)
+            if isinstance(f1, Poly):
+                f1 = RationalFunction(f1, P(F, [1]))
+            pair = tuple([F.index(c) for c in h.coeffs]
+                         for h in (f1.num, f1.den))
+            C = ASTower(F, pair, *([F.index(c) for c in g.coeffs] + [0]
+                                   for g in (A, B, D)))
+            assert (C._f1, C._stage2) == (ref._f1, ref._stage2)
+            assert ([C.count(i) for i in (1, 2, 3)]
+                    == [ref.count(i) for i in (1, 2, 3)]), (F, pair)
+
+    @pytest.mark.parametrize("f1, A, D, error", [
+        (([1], [1, 1]), [1], [1], UnsupportedShape),      # pole at x = 1
+        (([1, 0, 0, 1], [0, 1]), [1], [1], UnsupportedShape),  # x^2 term
+        (([1, 1], [0, 2]), [1], [1], UnsupportedShape),   # den not monic
+        (([0, 1, 1], [0, 1]), [1], [1], UnsupportedShape),  # not coprime
+        (([1, 1], [0, 1]), [1], [0, 1], UnsupportedShape),  # D(0) = 0
+        (([1, 1], [0, 1]), [1], [], ZeroPolynomial),
+        (([1, 1], [0, 1]), [4], [1], UnsupportedShape),   # index past q
+        (([1, -1], [1]), [1], [1], UnsupportedShape),     # negative index
+    ], ids=["pole_at_1", "x2_term", "den_not_monic", "not_coprime",
+            "pole_collision", "zero_D", "index_past_q", "negative_index"])
+    def test_index_form_refusals(self, f1, A, D, error):
+        with pytest.raises(error) as info:
+            ASTower(F4, f1, A, [1], D)
+        assert info.type is error
+
+    def test_odd_characteristic_refused(self):
+        with pytest.raises(OddCharacteristic):
+            ASTower(F5, ([1, 1], [0, 1]), [1], [1], [1])
+
     def test_shipped_tower_counts_pinned(self):
         assert [first_tower().count(i) for i in (1, 2, 3)] == [0, 924, 32043]
         assert [second_tower().count(i) for i in (1, 2, 3)] == [0, 984, 33129]
@@ -585,9 +688,7 @@ class TestASTower:
     def test_place_expansion_too_short_raises(self):
         T = first_tower()
         kern = _kernel(F32)
-        f1 = tuple(F32.index(c) for c in (T.c1, T.c0, T.cm1))
-        stage2 = tuple([F32.index(c) for c in g.coeffs]
-                       for g in (T.A, T.B, T.D))
+        f1, stage2 = tuple(T._f1), tuple(T._stage2)
         assert _tower_place_points(kern, f1, stage2, "ram_inf") == 0
         # four terms leave the t^0 coefficient unknown after the reduction
         with pytest.raises(ValueError, match="beyond precision"):
@@ -697,7 +798,7 @@ def naive_artin_schreier(C, i):
 def naive_quartic(C, i):
     """Projective sweep: (x : y : 1), then (x : 1 : 0), then (1 : 0 : 0)."""
     big, phi, xs = _extension_elements(C.base, i)
-    coeffs = {m: phi(c) for m, c in C.coeffs.items()}
+    coeffs = {m: phi(c) for m, c in _quartic_elements(C).items()}
 
     def F(x, y, z):
         acc = big.zero
@@ -824,9 +925,14 @@ class TestCountAgainstNaive:
 # on Polys of FieldElements)
 # ---------------------------------------------------------------------------
 
+def _quartic_elements(C):
+    """The coefficients of a PlaneQuartic as elements, from its indices."""
+    return {m: C.base.from_index(v) for m, v in C._idx.items()}
+
+
 def _ref_partial(C, var):
     out = {}
-    for mono, c in C.coeffs.items():
+    for mono, c in _quartic_elements(C).items():
         e = mono[var]
         if e == 0:
             continue
@@ -933,7 +1039,7 @@ def _reference_is_smooth(C):
     partials = [_ref_partial(C, v) for v in range(3)]
     if all(not p for p in partials):
         return False
-    forms = [C.coeffs] + partials
+    forms = [_quartic_elements(C)] + partials
     vals = [_ref_eval_form(base, fm, base.one, base.zero, base.zero)
             for fm in forms]
     if all(v.is_zero() for v in vals):
@@ -1037,7 +1143,7 @@ class TestSmoothnessAgainstFieldElement:
             density = (0.15, 0.35, 0.6, 1.0)[k % 4]
             C = PlaneQuartic(F, _random_form(F, rng, 4, density))
             smooth = C.is_smooth()
-            assert smooth == _reference_is_smooth(C), C.coeffs
+            assert smooth == _reference_is_smooth(C), C._idx
             verdicts.add(smooth)
         assert verdicts == {True, False}
 
@@ -1150,7 +1256,7 @@ class TestResidueGcdAgainstQuotientField:
 
                 want = euclid_gcd(over_K(a), over_K(b))
                 assert out == [[F.index(c) for c in v.rep.coeffs]
-                               for v in want.coeffs], (C.coeffs, m)
+                               for v in want.coeffs], (C._idx, m)
                 reached.add(len(m) - 1)
         assert reached >= {1, 2, 3, 4}
 
@@ -1166,7 +1272,7 @@ def _brute_quartic_count(C, i):
     big, phi = embed(C.base, i)
     kern = _kernel(big)
     horner = kern.horner
-    c = {m: big.index(phi(v)) for m, v in C.coeffs.items()}
+    c = {m: big.index(phi(v)) for m, v in _quartic_elements(C).items()}
     # cols[a] lists the y-coefficients of x^a in F(x, y, 1)
     cols = [[c[(a, b, 4 - a - b)] for b in range(5 - a)] for a in range(5)]
     total = 0
@@ -1357,9 +1463,9 @@ def _reference_tower_count(T, i, kinds):
     F_{q^i} at precision 60; the kind of each place is added to kinds."""
     big, phi = embed(T.base, i)
     _, _, kern, orbits = _extension(T.base, i)
-    f1 = (phi(T.c1), phi(T.c0), phi(T.cm1))
-    stage2 = tuple(Poly(big, [phi(c) for c in g.coeffs])
-                   for g in (T.A, T.B, T.D))
+    f1 = tuple(phi(T.base.from_index(c)) for c in T._f1)
+    stage2 = tuple(Poly(big, [phi(T.base.from_index(c)) for c in g])
+                   for g in T._stage2)
     c1, c0, cm1 = (big.index(c) for c in f1)
     A, B, D = ([big.index(c) for c in g.coeffs] for g in stage2)
 
@@ -1462,6 +1568,11 @@ def _random_tower(F, rng, c1_zero, cm1_zero):
     """A tower with the chosen first-stage poles whose D has a nonzero
     rational root: over F_{q^2} every rational x0 splits y^2 + y = f1(x0),
     so the place kind "finite" is reached there."""
+    return ASTower(F, *_random_tower_args(F, rng, c1_zero, cm1_zero))
+
+
+def _random_tower_args(F, rng, c1_zero, cm1_zero):
+    """The Poly and RationalFunction arguments of _random_tower."""
     while True:
         c1, c0, cm1 = (F.from_index(rng.randrange(1, F.q)) for _ in range(3))
         if rng.randrange(2):
@@ -1475,9 +1586,10 @@ def _random_tower(F, rng, c1_zero, cm1_zero):
         A = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(5)])
         B = Poly(F, [F.from_index(rng.randrange(F.q)) for _ in range(4)])
         try:
-            return ASTower(F, f1, A, B, D)
+            ASTower(F, f1, A, B, D)
         except UnsupportedShape:
             continue
+        return f1, A, B, D
 
 
 class TestTowerPlacesAgainstSeries:
@@ -1500,7 +1612,7 @@ class TestTowerPlacesAgainstSeries:
             T = _random_tower(F, rng, c1_zero, cm1_zero)
             for i in (1, 2, 3):
                 assert T.count(i) == _reference_tower_count(T, i, kinds), \
-                    (T.f1, T.A, T.B, T.D, i)
+                    (T._f1, T._stage2, i)
         assert kinds == {"finite", "ord_inf", "ram_zero", "ram_inf"}
 
 

@@ -436,7 +436,7 @@ def _euclid_gcd(f, g):
 
 
 def _euclid_is_separable(f):
-    d = f.derivative()
+    d = ref.derivative(f)
     return not d.is_zero() and _euclid_gcd(f, d).degree == 0
 
 

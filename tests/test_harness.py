@@ -98,6 +98,13 @@ class TestValidation:
         assert isinstance(e, FixtureEntry)
         assert e.field().q == 5 and e.curve().genus == 3
 
+    def test_curve_is_built_once(self):
+        # validation builds each curve and keeps it; verify and count reuse it
+        for e in load_fixtures():
+            built = e._curve
+            assert built is not None
+            assert e.curve() is built and e.curve() is e.curve()
+
     def test_missing_required_key(self):
         with pytest.raises(ValidationError) as exc:
             load_fixture_text(entry_text(claimed_genus=None))

@@ -299,8 +299,9 @@ class TestQuarticChar2:
                              ids=["F2", "F4", "F8", "F16"])
     def test_family_equals_the_expanded_product(self, F):
         for beta, gamma in product(F.elements(), repeat=2):
-            got = search._char2_family_quartic(F, beta, gamma)
-            assert got.coeffs == _char2_family_product(F, beta, gamma).coeffs
+            got = search._char2_family_quartic(F, F.index(beta),
+                                               F.index(gamma))
+            assert got._idx == _char2_family_product(F, beta, gamma)._idx
 
 
 def _char2_family_product(F, beta, gamma):
@@ -655,7 +656,9 @@ class TestDoubleCovers:
         E = EllipticCurve(F, *curve)
         basis = rr_basis(k)
         Q = E.quotient_reps(2 if k == 6 else 3, fallback=True)[0]
-        kernel = search._double_zero_kernel(E, basis, Q)
+        kernel = [[F.from_index(v) for v in vec] for vec in
+                  search._double_zero_kernel(E, basis,
+                                             [F.index(c) for c in Q])]
         kern = _kernel(F)
         pts = [P for P in E.points() if P is not INF]
         B_at = [[F.index(fn_value(*fn_ab(vec, basis, F), P)) for vec in kernel]
@@ -678,7 +681,8 @@ class TestDoubleCovers:
             assert (code in passes) == naive, code
             if not naive:
                 rejected += 1
-                assert cover_count(E, coeffs, basis, 1) > 0, code
+                assert cover_count(E, [F.index(c) for c in coeffs],
+                                   basis, 1) > 0, code
         assert rejected > 0
 
     def test_budget_boundary(self):
