@@ -13,21 +13,23 @@ Counting conventions (degree-1 places of the smooth model):
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.
 
-Every count(i) runs on the index kernel of F_{q^i} (field._kernel):
-elements are canonical indices, and each model takes its coefficients as
+Every count(i) runs on the index kernel of F_{q^i} (field._kernel), but
+a fiber product's, which sums its three hyperelliptic quotients' counts,
+past F_q read off their L-polynomials (FiberProductGenus4).
+Elements are canonical indices, and each model takes its coefficients as
 base-field indices (index lists; a plane quartic's by monomial).  The
-constructor is the one place that turns elements into indices: it converts
-a Poly, RationalFunction or FieldElement argument once, refuses an index
-outside 0..q-1, and builds the Poly forms only when they are read.  Each
-model runs its separability, coprimality and conductor checks on those
-lists, count(i) carries them into F_{q^i} through the embedding's index
-map (built once per field and degree), and polynomials are evaluated by
-Horner on ints.  The
-square class is the parity of a discrete log and the char-2 trace the
-parity of idx & trace_mask.  Each per-x contribution is a function of
-values of polynomials over F_q, so it is constant on the orbits of
-x -> x^q: the sum over F_{q^i} takes one representative per orbit,
-weighted by the orbit's size.
+constructor is the one place that turns elements into indices: it
+converts a Poly, RationalFunction or FieldElement argument once, refuses
+one over another field or an index outside 0..q-1, and builds the Poly
+forms only when they are read.  Each model runs its separability,
+coprimality and conductor checks on those lists, count(i) carries them
+into F_{q^i} through the embedding's index map (built once per field and
+degree), and polynomials are evaluated by Horner on ints.  The square
+class is the parity of a discrete log and the char-2 trace the parity of
+idx & trace_mask.  Each per-x contribution is a function of values of
+polynomials over F_q, so it is constant on the orbits of x -> x^q: the
+sum over F_{q^i} takes one representative per orbit, weighted by the
+orbit's size.
 
 A plane quartic's points over x are the roots of G = F(x, y, 1) in y, by
 one of two paths that the quartic picks once, from its coefficients:
@@ -60,6 +62,7 @@ from functools import cached_property
 from .errors import (
     DivisionByZero,
     EvenCharacteristic,
+    MixedFields,
     OddCharacteristic,
     UnsupportedShape,
     ZeroPolynomial,
@@ -83,11 +86,14 @@ from .series import (
     _ser_scale,
     _ser_truncate,
 )
+from .zeta import l_from_counts, predicted_counts
 
 
 def _indices(base, f):
-    """The trimmed base-field index list of a Poly or of an index list
-    (constant term first, trailing zeros allowed, each in 0..q-1)."""
+    """The trimmed base-field index list of a Poly over base or of an index
+    list (constant term first, trailing zeros allowed, each in 0..q-1)."""
+    if isinstance(f, Poly) and f.base != base:
+        raise MixedFields("polynomial over a different field")
     idx = _index_poly(f) if isinstance(f, Poly) else _itrim(list(f))
     if idx and not 0 <= min(idx) <= max(idx) < base.q:
         raise UnsupportedShape(f"an index outside 0..{base.q - 1} in {idx}")
@@ -467,8 +473,24 @@ def _resultant_y(kern, a, b):
 
 class FiberProductGenus4:
     """y^2 = f(x), z^2 = g(x) for coprime separable cubics; genus 4.  f and
-    g are each a Poly or an index list as for HyperellipticOdd, and the
-    Polys f and g are built from the trimmed lists _f, _g when read."""
+    g are each a Poly or an index list as for HyperellipticOdd; the model
+    keeps the trimmed lists _f, _g and its three quotients.
+
+    The model is counted through its three hyperelliptic quotients E_f:
+    y^2 = f, E_g: z^2 = g and H: w^2 = f g (w = yz), whose Jacobians make
+    up its own (Kani-Rosen).  With chi the quadratic character (chi(0) =
+    0), an x has 1 + chi(f(x)) points on E_f, and
+        (1 + chi(f))(1 + chi(g)) = 1 + chi(f) + chi(g) + chi(fg),
+    so the affine points of C are those of E_f, E_g and H less 2 q^i.  At
+    infinity C has 1 + chi(lc f lc g) points, and the quotients 1 + 1 +
+    (1 + chi(lc fg)) - 2 of them (f, g cubic, fg of degree 6).  So
+        N_i(C) = N_i(E_f) + N_i(E_g) + N_i(H) - 2 (q^i + 1).
+    For i = 1 that sums the quotients' own counts over F_q.  For i >= 2
+    each quotient's N_i comes from its L-polynomial, taken once from its
+    counts over F_q and F_{q^2}, so no table past F_{q^2} is built.  fg is
+    squarefree exactly when f and g are separable and coprime, so H's
+    check is the model's.
+    """
 
     def __init__(self, base, f, g):
         if base.p == 2:
@@ -476,30 +498,27 @@ class FiberProductGenus4:
         self._f, self._g = _indices(base, f), _indices(base, g)
         if len(self._f) != 4 or len(self._g) != 4:
             raise UnsupportedShape("f and g must be cubic")
-        kern = _kernel(base)
-        if not (kern.is_separable(self._f) and kern.is_separable(self._g)):
-            raise UnsupportedShape("f and g must be separable")
-        if len(kern.gcd(self._f, self._g)) > 1:
-            raise UnsupportedShape("f and g must be coprime")
+        self._quotients = [HyperellipticOdd(base, h) for h in (
+            _kernel(base)._pmul(self._f, self._g), self._f, self._g)]
         self.base = base
         self.genus = 4
 
-    @cached_property
-    def f(self):
-        return Poly(self.base, map(self.base.from_index, self._f))
+    # the Polys f and g are the quotients E_f's and E_g's
+    f = property(lambda self: self._quotients[1].f)
+    g = property(lambda self: self._quotients[2].f)
 
     @cached_property
-    def g(self):
-        return Poly(self.base, map(self.base.from_index, self._g))
+    def _l_polys(self):
+        """The quotients' L-polynomials, from count(1..genus) of each."""
+        return [l_from_counts(self.base.q, h.genus,
+                              [h.count(j) for j in range(1, h.genus + 1)])
+                for h in self._quotients]
 
     def count(self, i=1):
-        big, imap, kern, orbits = _extension(self.base, i)
-        f = [imap[c] for c in self._f]
-        g = [imap[c] for c in self._g]
-        horner, roots = kern.horner, kern.sqrt_count
-        total = sum(w * roots(horner(f, x)) * roots(horner(g, x))
-                    for x, w in orbits)
-        return total + roots(kern.mul(f[-1], g[-1]))
+        q = self.base.q
+        counts = ([h.count(1) for h in self._quotients] if i == 1
+                  else [predicted_counts(L, q, i) for L in self._l_polys])
+        return sum(counts) - 2 * (q ** i + 1)
 
     def properties(self):
         """trigonal: span(f, g) contains a nonzero constant;

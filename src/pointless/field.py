@@ -25,9 +25,13 @@ from .errors import (
 # every Poly gcd and factorisation runs on the field's index kernel, and
 # counting over F_{q^i} builds one for that field too, so FiniteField and
 # embed refuse a field past this before any table is built.  2^23 is the
-# first power of two above 7^8, the largest field the corpus counts over
-# (N_4 at q = 49).  Measured on a 2-core x86-64 VM under Python 3.11, the
-# F_{7^8} kernel takes 7.2 s and 171 MB to build, F_{2^20} 0.6 s and 33 MB.
+# first power of two above 49^4 = 7^8: the CLI refuses a --depth by
+# q^depth for every row it selects (cli._entries), so a lower cap would
+# refuse `verify --depth 4` on the q = 37..49 rows, though those are fiber
+# products, counted over F_q and F_{q^2} only.  The largest kernel the
+# corpus builds is F_{2^20} (N_4 at q = 32).  Measured on a 2-core x86-64
+# VM under Python 3.11, the F_{7^8} kernel takes 7.2 s and 171 MB to
+# build, F_{2^20} 0.6 s and 33 MB.
 MAX_FIELD_ORDER = 2 ** 23
 
 
@@ -356,10 +360,12 @@ class FiniteField:
         lookups per element.  The index kernel (_kernel) takes the arrays
         once per field and keeps them; the square test, square roots, Poly's
         gcd and factorisation and every curve's count(i) read them there.
-        Filling arrays keeps no int object per entry: the F_{7^8} tables
-        take 46 MB as arrays and about 460 MB as lists.  The walk, at about
-        0.9 us per element, is most of a kernel's build: 5.2 of the 7.2 s
-        that the F_{7^8} kernel takes (MAX_FIELD_ORDER)."""
+        Filling arrays keeps no int object per entry: the tables of F_{7^8},
+        which MAX_FIELD_ORDER admits so that the CLI's q^depth pre-check
+        lets `verify --depth 4` through at q = 49, take 46 MB as arrays and
+        about 460 MB as lists.  The walk, at about 0.9 us per element, is
+        most of a kernel's build: 5.2 of the 7.2 s that the F_{7^8} kernel
+        takes."""
         p, n, q = self.p, self.n, self.q
         factors = set(_prime_factors(q - 1))
         exp = array("i", bytes(4 * (q - 1)))

@@ -4,7 +4,7 @@ The library expands places, tests residue fields, takes square roots and
 factors polynomials on index kernels only (pointless.series,
 _Kernel.residue_gcd, FieldElement.sqrt, _Kernel.factor).  The tests
 compare them with the independent implementations kept here, all but the
-last in FieldElement arithmetic:
+last two in FieldElement arithmetic:
 
 * Series: truncated Laurent series of field elements, with Newton square
   roots, and poly_at_series (Horner on a series);
@@ -22,7 +22,10 @@ last in FieldElement arithmetic:
   QuotientField;
 * dlog_tables_reference: an extension's exp/log tables by one
   matrix-vector product per element, against FiniteField.dlog_tables'
-  chunk-table walk.
+  chunk-table walk;
+* fiber_product_count: a genus-4 fiber product's own character sum over
+  F_{q^i}, on the index kernel, against FiberProductGenus4's count through
+  its three hyperelliptic quotients.
 """
 
 import random
@@ -34,6 +37,7 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
+from pointless.curves import _extension
 from pointless.field import Poly, _ppowmod, _prime_factors, _trim
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
@@ -600,3 +604,22 @@ def dlog_tables_reference(F):
                     out[i] += c * v
         acc = [v % p for v in out]
     return exp, log
+
+
+# ---------------------------------------------------------------------------
+# genus-4 fiber products by their own character sum
+# ---------------------------------------------------------------------------
+
+def fiber_product_count(C, i):
+    """N_i of y^2 = f(x), z^2 = g(x) over F_{q^i}: the sum over Frobenius
+    orbits of w s(f(x)) s(g(x)), plus s(lc f lc g) for the points at
+    infinity, with s = 2 / 1 / 0 for a nonzero square / zero / nonsquare.
+    Each s(f(x)) s(g(x)) is constant on the orbit of x under x -> x^q, so
+    one representative per orbit, weighted by its size w, counts them."""
+    _, imap, kern, orbits = _extension(C.base, i)
+    f = [imap[c] for c in C._f]
+    g = [imap[c] for c in C._g]
+    horner, roots = kern.horner, kern.sqrt_count
+    total = sum(w * roots(horner(f, x)) * roots(horner(g, x))
+                for x, w in orbits)
+    return total + roots(kern.mul(f[-1], g[-1]))

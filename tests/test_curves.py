@@ -19,6 +19,7 @@ from pointless.curves import (
 from pointless.errors import (
     DivisionByZero,
     EvenCharacteristic,
+    MixedFields,
     OddCharacteristic,
     UnsupportedShape,
     ZeroPolynomial,
@@ -40,6 +41,7 @@ from element_reference import (
     QuotientField,
     Series,
     euclid_gcd,
+    fiber_product_count,
     poly_at_series,
 )
 
@@ -48,6 +50,7 @@ F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
+F11 = FiniteField(11)
 F13 = FiniteField(13)
 F17 = FiniteField(17)
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
@@ -102,6 +105,27 @@ def _assert_refused(F, model, args, error, poly_form=True):
         with pytest.raises(error) as info:
             model(F, *form())
         assert info.type is error
+
+
+def test_poly_over_another_field_is_refused():
+    # a Poly (or RationalFunction) over another field, a subfield included,
+    # raises MixedFields in every model, as an element does in PlaneQuartic
+    f5, f2, rf2 = (P(F5, [1, 1, 0, 1]), P(F2, [1, 1, 0, 1]),
+                   RationalFunction(P(F2, [1, 1, 1]), P(F2, [0, 1])))
+    f1, A, B, D = first_tower_args()
+    cases = [
+        (HyperellipticOdd, F7, [f5]),
+        (FiberProductGenus4, F7, [f5, [2, 0, 0, 1]]),
+        (FiberProductGenus4, F7, [[2, 0, 0, 1], f5]),
+        (ArtinSchreierCurve, F4, [f2]),
+        (ArtinSchreierCurve, F4, [rf2]),
+        (ASTower, F32, [rf2, A, B, D]),
+        (ASTower, F32, [f1, A, f2, D]),
+        (PlaneQuartic, F7, [{(4, 0, 0): F5.one}]),
+    ]
+    for model, F, args in cases:
+        with pytest.raises(MixedFields):
+            model(F, *args)
 
 
 class TestHyperelliptic:
@@ -567,6 +591,39 @@ class TestFiberProduct:
             "index_past_q"])
     def test_index_list_form_raises_like_poly_form(self, F, f, g, error):
         _assert_refused(F, FiberProductGenus4, [f, g], error)
+
+    def test_q49_row_builds_no_table_past_q_squared(self, refuse_tables):
+        # N_1..N_4 over F_(7^2) .. F_(7^8) from the quotients' counts over
+        # F_49 and F_(49^2) alone
+        entry, = [e for e in load_fixtures() if e.id == "fiber-genus4-q49"]
+        C = entry.curve()
+        refuse_tables(past=49 ** 2)
+        C = FiberProductGenus4(C.base, C._f, C._g)   # nothing cached yet
+        assert [C.count(i) for i in (1, 2, 3, 4)] == [0, 2166, 117078,
+                                                      5768358]
+
+    @pytest.mark.parametrize("F, depth", [
+        (F3, 4), (F5, 4), (F7, 4), (F9, 4), (F11, 4), (F13, 4),
+        (F25, 3), (F27, 3)], ids=["F3", "F5", "F7", "F9", "F11", "F13",
+                                  "F25", "F27"])
+    def test_count_equals_orbit_sum(self, F, depth):
+        # seeded coprime separable cubics, two with lc f lc g a square and
+        # two with it a nonsquare, against the model's own character sum
+        kern = _kernel(F)
+        rng = random.Random(500 + F.q)
+        for square in (True, True, False, False):
+            while True:
+                f, g = ([rng.randrange(F.q) for _ in range(3)]
+                        + [rng.randrange(1, F.q)] for _ in range(2))
+                if (kern.sqrt_count(kern.mul(f[3], g[3])) == 2) != square:
+                    continue
+                try:
+                    C = FiberProductGenus4(F, f, g)
+                except UnsupportedShape:
+                    continue
+                break
+            for i in range(1, depth + 1):
+                assert C.count(i) == fiber_product_count(C, i), (f, g, i)
 
     def test_decomposition_identity(self):
         rng = random.Random(7)

@@ -713,11 +713,11 @@ class TestOrderCap:
 
     def test_count_refuses(self, refuse_tables):
         from pointless.harness import load_fixtures
-        entry, = [e for e in load_fixtures() if e.id == "fiber-genus4-q49"]
+        entry, = [e for e in load_fixtures() if e.id == "klein4-genus3-q25"]
         curve = entry.curve()
         refuse_tables()
         with pytest.raises(ExtensionTooLarge):
-            curve.count(5)                        # over F_(7^10)
+            curve.count(5)                        # over F_(5^10)
 
 
 @given(st.integers(0, 24), st.integers(0, 24))
