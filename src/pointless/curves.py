@@ -17,19 +17,19 @@ Every count(i) runs on the index kernel of F_{q^i} (field._kernel), but
 a fiber product's, which sums its three hyperelliptic quotients' counts,
 past F_q read off their L-polynomials (FiberProductGenus4).
 Elements are canonical indices, and each model takes its coefficients as
-base-field indices (index lists; a plane quartic's by monomial).  The
-constructor is the one place that turns elements into indices: it
-converts a Poly, RationalFunction or FieldElement argument once, refuses
-one over another field or an index outside 0..q-1, and builds the Poly
-forms only when they are read.  Each model runs its separability,
-coprimality and conductor checks on those lists, count(i) carries them
-into F_{q^i} through the embedding's index map (built once per field and
-degree), and polynomials are evaluated by Horner on ints.  The square
-class is the parity of a discrete log and the char-2 trace the parity of
-idx & trace_mask.  Each per-x contribution is a function of values of
-polynomials over F_q, so it is constant on the orbits of x -> x^q: the
-sum over F_{q^i} takes one representative per orbit, weighted by the
-orbit's size.
+base-field indices (index lists; a plane quartic's by monomial) and keeps
+only those.  The constructor is the one place that turns elements into
+indices (_indices, _fraction and _scalar, which EllipticCurve shares): it
+converts a Poly, RationalFunction or FieldElement argument once and
+refuses one over another field or an index outside 0..q-1.  Each model
+runs its separability, coprimality and conductor checks on those lists,
+count(i) carries them into F_{q^i} through the embedding's index map
+(built once per field and degree), and polynomials are evaluated by
+Horner on ints.  The square class is the parity of a discrete log and the
+char-2 trace the parity of idx & trace_mask.  Each per-x contribution is
+a function of values of polynomials over F_q, so it is constant on the
+orbits of x -> x^q: the sum over F_{q^i} takes one representative per
+orbit, weighted by the orbit's size.
 
 A plane quartic's points over x are the roots of G = F(x, y, 1) in y, by
 one of two paths that the quartic picks once, from its coefficients:
@@ -100,6 +100,16 @@ def _indices(base, f):
     return idx
 
 
+def _scalar(base, v):
+    """The base-field index of v: an int is an index (0..q-1), and a
+    FieldElement over base is converted once."""
+    if not isinstance(v, int):
+        return base.index(base.element(v))
+    if not 0 <= v < base.q:
+        raise UnsupportedShape(f"index {v} outside 0..{base.q - 1}")
+    return v
+
+
 def _fraction(base, f):
     """The trimmed index pair (num, den) of a Poly, a RationalFunction or an
     index-list pair, refused unless coprime with den monic."""
@@ -134,8 +144,7 @@ class HyperellipticOdd:
 
     f is a Poly over base or a list of base-field indices (0..q-1),
     constant term first, trailing zeros allowed; both forms are checked
-    alike, on the trimmed index list _idx, which is all that genus and
-    count read.  The Poly f is built from _idx when read.
+    alike, on the trimmed index list _idx, which is all the model keeps.
 
     An even f = g(x^2) (every odd coefficient zero, as in the paper's
     Klein four-group family) keeps _g = _idx[::2] and is checked and
@@ -167,10 +176,6 @@ class HyperellipticOdd:
         self._g = g
         self.genus = len(idx) // 2 - 1
 
-    @cached_property
-    def f(self):
-        return Poly(self.base, map(self.base.from_index, self._idx))
-
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
         horner, roots = kern.horner, kern.sqrt_count
@@ -198,7 +203,7 @@ class ArtinSchreierCurve:
     f is a Poly, a RationalFunction or a pair (num, den) of index lists as
     for HyperellipticOdd, checked alike on the trimmed pair _num, _den:
     coprime, den monic and squarefree, and f not constant (a constant f
-    has no pole).  f is built from the pair when read.
+    has no pole).
 
     The conductor is the list of (place degree, pole order d_P); the genus is
     -1 + (1/2) sum (d_P + 1) deg P.
@@ -233,12 +238,6 @@ class ArtinSchreierCurve:
             raise UnsupportedShape("conductor gives non-integral genus")
         self.genus = -1 + two_delta // 2
 
-    @cached_property
-    def f(self):
-        F = self.base
-        return RationalFunction(*(Poly(F, map(F.from_index, h))
-                                  for h in (self._num, self._den)))
-
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
         num = [imap[c] for c in self._num]
@@ -269,8 +268,9 @@ QUARTIC_MONOMIALS = [(i, j, 4 - i - j) for i in range(4, -1, -1)
 
 class PlaneQuartic:
     """Homogeneous quartic F(x, y, z); coeffs maps (i, j, k) to a base-field
-    index (0..q-1) or a FieldElement, converted once, or lists all 15 in
-    QUARTIC_MONOMIALS order.  The model keeps the indices, _idx and _rows."""
+    index (0..q-1) or a FieldElement, converted once (_scalar), or lists
+    all 15 in QUARTIC_MONOMIALS order.  The model keeps the indices, _idx
+    and _rows."""
 
     def __init__(self, base, coeffs):
         if isinstance(coeffs, (list, tuple)):
@@ -283,11 +283,7 @@ class PlaneQuartic:
         self.base = base
         self._idx = dict.fromkeys(QUARTIC_MONOMIALS, 0)
         for mono, v in coeffs.items():
-            if not isinstance(v, int):
-                v = base.index(base.element(v))
-            elif not 0 <= v < base.q:
-                raise UnsupportedShape(f"index {v} outside 0..{base.q - 1}")
-            self._idx[mono] = v
+            self._idx[mono] = _scalar(base, v)
         if not any(self._idx.values()):
             raise ZeroPolynomial("F must be nonzero")
         # rows[j] lists the x-coefficients of y^j in F(x, y, 1)
@@ -502,10 +498,6 @@ class FiberProductGenus4:
             _kernel(base)._pmul(self._f, self._g), self._f, self._g)]
         self.base = base
         self.genus = 4
-
-    # the Polys f and g are the quotients E_f's and E_g's
-    f = property(lambda self: self._quotients[1].f)
-    g = property(lambda self: self._quotients[2].f)
 
     @cached_property
     def _l_polys(self):

@@ -3,11 +3,12 @@ Riemann-Roch monomial spaces L(k*infinity), and the divisor shapes and
 point counts of the double covers z^2 = fn that the double-cover searches
 test.
 
-Points are None (infinity) or (x, y) tuples of field elements, on which
-the group law and the quotient representatives run.  The double covers
-run on base-field indices: fn = A + B y enters divisor_shape and
-cover_count as the index list of its coefficients on an rr_basis (Q as an
-index pair), and the cubic c as the index list EllipticCurve keeps.
+Everything runs on base-field indices.  Points are None (infinity) or
+(x, y) index pairs, on which the group law and the quotient
+representatives run on the base field's index kernel.  fn = A + B y
+enters divisor_shape and cover_count as the index list of its
+coefficients on an rr_basis (Q as an index pair), and the cubic c as the
+index list EllipticCurve keeps.
 divisor_shape works on index polynomials (the norm A^2 - B^2 c, its
 factors, and Euler's criterion modulo each factor), and cover_count
 expands fn at its zeros as truncated series of indices on the index
@@ -23,8 +24,8 @@ from .errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from .curves import _extension
-from .field import Poly, _index_poly, _kernel, _prime_factors
+from .curves import _extension, _scalar
+from .field import _kernel, _prime_factors
 from .series import (
     EXACT,
     _ser,
@@ -41,49 +42,55 @@ INF = None
 
 
 class EllipticCurve:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 over a field of odd characteristic."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 over a field of odd characteristic.
+
+    a2, a4 and a6 are base-field indices (an int is an index, 0..q-1, and
+    a field element is converted once, by curves._scalar), and the cubic
+    is the index list _cubic.  Points are INF or index pairs (x, y):
+    points() lists them by x ascending, each x with y = exp[log v / 2]
+    before -y.  The group law, the orders and the quotient
+    representatives run on the base field's index kernel."""
 
     def __init__(self, base, a2, a4, a6):
         if base.p == 2:
             raise EvenCharacteristic("only odd-characteristic Weierstrass models")
         self.base = base
-        self.a2 = base.element(a2)
-        self.a4 = base.element(a4)
-        self.a6 = base.element(a6)
-        self.cubic = Poly(base, [self.a6, self.a4, self.a2, base.one])
-        self._cubic = _index_poly(self.cubic)
-        if not _kernel(base).is_separable(self._cubic):
+        self.a2, self.a4, self.a6 = (_scalar(base, a) for a in (a2, a4, a6))
+        self._cubic = [self.a6, self.a4, self.a2, 1]
+        self._kern = _kernel(base)
+        if not self._kern.is_separable(self._cubic):
             raise UnsupportedShape("singular model: the cubic has a repeated root")
+        self._slope = self._kern._derivative(self._cubic)     # c'
         self._points = None
 
     def __eq__(self, other):
         return (isinstance(other, EllipticCurve) and self.base == other.base
-                and (self.a2, self.a4, self.a6) == (other.a2, other.a4, other.a6))
+                and self._cubic == other._cubic)
 
     def __hash__(self):
         return hash((self.a2, self.a4, self.a6))
 
     def __repr__(self):
-        return (f"EllipticCurve(y^2 = x^3 + ({self.a2!r})x^2 "
-                f"+ ({self.a4!r})x + ({self.a6!r}) / GF({self.base.q}))")
+        return (f"EllipticCurve(y^2 = x^3 + [{self.a2}]x^2 + [{self.a4}]x "
+                f"+ [{self.a6}] / GF({self.base.q}))")
 
     def contains(self, P):
         if P is INF:
             return True
         x, y = P
-        return y * y == self.cubic.eval(x)
+        return self._kern.mul(y, y) == self._kern.horner(self._cubic, x)
 
     def points(self):
         if self._points is None:
+            kern = self._kern
             pts = [INF]
-            for x in self.base.elements():
-                v = self.cubic.eval(x)
-                if v.is_zero():
-                    pts.append((x, self.base.zero))
-                elif v.is_square():
-                    y = v.sqrt()
-                    pts.append((x, y))
-                    pts.append((x, -y))
+            for x in range(self.base.q):
+                v = kern.horner(self._cubic, x)
+                if not v:
+                    pts.append((x, 0))
+                elif not kern.log[v] & 1:
+                    y = kern.exp[kern.log[v] >> 1]
+                    pts += [(x, y), (x, kern.neg(y))]
             self._points = pts
         return self._points
 
@@ -95,26 +102,26 @@ class EllipticCurve:
     def neg(self, P):
         if P is INF:
             return INF
-        return (P[0], -P[1])
+        return (P[0], self._kern.neg(P[1]))
 
     def add(self, P, Q):
         if P is INF:
             return Q
         if Q is INF:
             return P
+        kern = self._kern
+        mul, sub = kern.mul, kern.sub
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2:
-            if y1 == -y2:
+            if y1 == kern.neg(y2):
                 return INF
-            two = self.base.element(2)
-            three = self.base.element(3)
-            lam = (three * x1 * x1 + two * self.a2 * x1 + self.a4) / (two * y1)
+            # the tangent: c'(x1) / (2 y1); the index of 2 < p is 2
+            lam = mul(kern.horner(self._slope, x1), kern.inv(mul(2, y1)))
         else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - self.a2 - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return (x3, y3)
+            lam = mul(sub(y2, y1), kern.inv(sub(x2, x1)))
+        x3 = sub(sub(sub(mul(lam, lam), self.a2), x1), x2)
+        return (x3, sub(mul(lam, sub(x1, x3)), y1))
 
     def smul(self, n, P):
         if n < 0:
@@ -148,7 +155,7 @@ class EllipticCurve:
         return (N // e, e)
 
     def two_torsion(self):
-        return [INF] + [(x, self.base.zero) for x in self.cubic.roots()]
+        return [P for P in self.points() if P is INF or not P[1]]
 
     def quotient_reps(self, m, exclude_two_torsion=True, fallback=False):
         """One representative per coset of m E(F_q), avoiding 2-torsion when

@@ -13,7 +13,6 @@ from operator import xor
 from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
-    DuplicateNodes,
     ExtensionTooLarge,
     MixedFields,
     NoSquareRoot,
@@ -22,13 +21,13 @@ from .errors import (
 )
 
 # The largest field order served: every FieldElement square test and
-# every Poly gcd and factorisation runs on the field's index kernel, and
-# counting over F_{q^i} builds one for that field too, so FiniteField and
-# embed refuse a field past this before any table is built.  2^23 is the
-# first power of two above 49^4 = 7^8: the CLI refuses a --depth by
-# q^depth for every row it selects (cli._entries), so a lower cap would
-# refuse `verify --depth 4` on the q = 37..49 rows, though those are fiber
-# products, counted over F_q and F_{q^2} only.  The largest kernel the
+# every Poly gcd runs on the field's index kernel, and counting over
+# F_{q^i} builds one for that field too, so FiniteField and embed refuse a
+# field past this before any table is built.  2^23 is the first power of
+# two above 49^4 = 7^8: the CLI refuses a --depth by q^depth for every
+# row it selects (cli._entries), so a lower cap would refuse `verify
+# --depth 4` on the q = 37..49 rows, though those are fiber products,
+# counted over F_q and F_{q^2} only.  The largest kernel the
 # corpus builds is F_{2^20} (N_4 at q = 32).  Measured on a 2-core x86-64
 # VM under Python 3.11, the F_{7^8} kernel takes 7.2 s and 171 MB to
 # build, F_{2^20} 0.6 s and 33 MB.
@@ -258,7 +257,6 @@ class FiniteField:
             self.defining_poly = coeffs
         self.zero = FieldElement(self, ())
         self.one = FieldElement(self, (1,))
-        self._nonsquare = None
         self._kern = None
 
     @property
@@ -313,14 +311,7 @@ class FiniteField:
         raise TypeError(f"cannot coerce {spec!r} into {self!r}")
 
     def from_index(self, i):
-        if self.n == 1:
-            i %= self.p
-            return FieldElement(self, (i,) if i else ())
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, _trim(coeffs))
+        return FieldElement(self, _trim(_digits(i, self.p, self.n)))
 
     def index(self, v):
         if self.n == 1:
@@ -339,27 +330,22 @@ class FiniteField:
         """First nonsquare in the canonical element order (odd q only)."""
         if self.p == 2:
             raise OddCharacteristic("every element of a char-2 field is a square")
-        if self._nonsquare is None:
-            for v in self.elements():
-                if not v.is_zero() and not v.is_square():
-                    self._nonsquare = v
-                    break
-        return self._nonsquare
+        return self.from_index(_kernel(self).nonsquare)
 
     # -- discrete-log tables -------------------------------------------
 
-    def dlog_tables(self, typed=False):
-        """(exp, log) lists over element indices; generator is the first
-        primitive element in canonical order; log[0] is None.  With
-        typed=True, 'i' arrays with log[0] = 0: the index kernel's tables.
+    def dlog_tables(self):
+        """(exp, log) over element indices, as 'i' arrays: the generator is
+        the first primitive element in canonical order, and log[0] = 0 is a
+        placeholder (zero has no log).  These are the index kernel's tables.
 
         Built afresh on each call on ints, never on FieldElements: k * g % p
         on a prime field.  On an extension the search for g starts at index
         p, since an element of F_p has order dividing p - 1 < q - 1, and the
         walk multiplies by g through _generator_step's tables, a few
         lookups per element.  The index kernel (_kernel) takes the arrays
-        once per field and keeps them; the square test, square roots, Poly's
-        gcd and factorisation and every curve's count(i) read them there.
+        once per field and keeps them; the square test, square roots, gcds,
+        factorisations and every curve's count(i) read them there.
         Filling arrays keeps no int object per entry: the tables of F_{7^8},
         which MAX_FIELD_ORDER admits so that the CLI's q^depth pre-check
         lets `verify --depth 4` through at q = 49, take 46 MB as arrays and
@@ -402,11 +388,7 @@ class FiniteField:
                     s = lo_img[lo] + hi_img[hi]
                     lo = spread[s % bh]
                     hi = spread[s // bh]
-        if typed:
-            return exp, log
-        log = log.tolist()
-        log[0] = None
-        return exp.tolist(), log
+        return exp, log
 
 
 class FieldElement:
@@ -567,21 +549,25 @@ class _Kernel:
     y^2 + y in characteristic 2, counting the y (quadratic_fibres), and
     factors (squarefree, factor, is_irreducible), all on the one Euclid
     loop (_euclid).  FieldElement's square test and square root, and
-    Poly's gcd and factorisation, run on it over every FiniteField.  The
-    tables hold 4-byte ints, exp twice and log once (and the Zech
-    logarithms twice on an odd extension): 12 to 20 bytes per element,
-    which with their build time is what MAX_FIELD_ORDER bounds.
+    Poly's gcd, run on it over every FiniteField, and nonsquare is the
+    canonical nonsquare's index (p odd).  The tables hold 4-byte ints, exp
+    twice and log once (and the Zech logarithms twice on an odd
+    extension): 12 to 20 bytes per element, which with their build time
+    is what MAX_FIELD_ORDER bounds.
     """
 
     def __init__(self, field):
         # log[0] = 0 is never read: zero is always tested for first
-        exp, log = field.dlog_tables(typed=True)
+        exp, log = field.dlog_tables()
         self.q = field.q
         self.p = field.p
         self.n1 = field.q - 1
         self.log_minus_one = 0 if field.p == 2 else self.n1 // 2
         self.exp = exp + exp
         self.log = log
+        # the index of the canonical nonsquare, the first with an odd log
+        self.nonsquare = None if field.p == 2 else next(
+            a for a in range(1, field.q) if log[a] & 1)
         self._orbits = {}
         self._square_orbits = {}
         self._rows = {}
@@ -1172,8 +1158,7 @@ class _ZechKernel(_Kernel):
 
 def _index_poly(f):
     """Base-field indices of f's coefficients, constant term first: the
-    index polynomial the kernel's Poly methods and the curve models run
-    on."""
+    index polynomial Poly.gcd and the curve models run on."""
     return [f.base.index(c) for c in f.coeffs]
 
 
@@ -1314,53 +1299,6 @@ class Poly:
         F = self.base
         g = _kernel(F).gcd(_index_poly(self), _index_poly(other))
         return Poly(F, [F.from_index(i) for i in g])
-
-    def is_separable(self):
-        return _kernel(self.base).is_separable(_index_poly(self))
-
-    is_squarefree = is_separable
-
-    # -- interpolation --------------------------------------------------
-
-    @classmethod
-    def interpolate(cls, base, nodes, values):
-        if len(set(nodes)) != len(nodes):
-            raise DuplicateNodes("interpolation nodes must be distinct")
-        result = cls(base, [])
-        for i, (xi, yi) in enumerate(zip(nodes, values)):
-            num = cls.constant(base, base.one)
-            den = base.one
-            for j, xj in enumerate(nodes):
-                if i == j:
-                    continue
-                num = num * cls(base, [-xj, base.one])
-                den = den * (xi - xj)
-            result = result + num * (yi / den)
-        return result
-
-    # -- factorization ---------------------------------------------------
-    #
-    # These run on the base field's index kernel (_Kernel.factor and
-    # is_irreducible), which every FiniteField has.
-
-    def factor(self):
-        """[(irreducible monic, multiplicity)], sorted by degree, then by
-        the coefficient indices; [] for a constant or zero."""
-        F = self.base
-        return [(Poly(F, [F.from_index(i) for i in g]), m)
-                for g, m in _kernel(F).factor(_index_poly(self))]
-
-    def is_irreducible(self):
-        return _kernel(self.base).is_irreducible(_index_poly(self))
-
-    def roots(self):
-        """Roots in the base field, sorted by canonical element order: the
-        elements at which eval vanishes, an enumeration independent of the
-        index kernel that root counts and factorisations are checked
-        against."""
-        if self.is_zero():
-            raise DivisionByZero("zero polynomial vanishes everywhere")
-        return [v for v in self.base.elements() if self.eval(v).is_zero()]
 
     def __repr__(self):
         if self.is_zero():

@@ -19,7 +19,7 @@ from .curves import (
     PlaneQuartic,
 )
 from .errors import ParseError, PointlessError, ValidationError
-from .field import FiniteField
+from .field import FiniteField, _kernel
 
 KINDS = ("hyperelliptic_odd", "artin_schreier", "plane_quartic",
          "fiber_product", "as_tower")
@@ -157,43 +157,38 @@ class FixtureEntry:
 
 
 def _constant(F, v, entry_id):
-    """A field constant: int, 'a^k' / '-a^k' / 'a' string, or coeff vector."""
+    """The base-field index of a field constant: an int, an 'a^k' / '-a^k'
+    / 'a' string, or a coefficient vector, each read by F.element."""
     if isinstance(v, bool):
         raise ValidationError("boolean is not a field constant", entry_id)
-    if isinstance(v, int):
-        return F.element(v)
+    neg = isinstance(v, str) and v.startswith("-")
+    spec = v[1:] if neg else v
     if isinstance(v, str):
-        neg = v.startswith("-")
-        body = v[1:] if neg else v
-        if body == "a":
-            k = 1
-        elif body.startswith("a^"):
-            try:
-                k = int(body[2:])
-            except ValueError:
-                raise ValidationError(f"bad power string {v!r}", entry_id)
-        else:
+        if spec != "a" and not spec.startswith("a^"):
             raise ValidationError(f"bad constant string {v!r}", entry_id)
         if F.n == 1:
             raise ValidationError("power string over a prime field", entry_id)
-        out = F.gen ** k
-        return -out if neg else out
-    if isinstance(v, list):
+    elif isinstance(v, list):
         if not all(isinstance(c, int) for c in v):
             raise ValidationError("coefficient vector must hold ints",
                                   entry_id)
         if len(v) > F.n:
             raise ValidationError("coefficient vector longer than the degree",
                                   entry_id)
-        return F.element(v)
-    raise ValidationError(f"bad field constant {v!r}", entry_id)
+    elif not isinstance(v, int):
+        raise ValidationError(f"bad field constant {v!r}", entry_id)
+    try:
+        idx = F.index(F.element(spec))
+    except ValueError:
+        raise ValidationError(f"bad power string {v!r}", entry_id)
+    return _kernel(F).neg(idx) if neg else idx
 
 
 def _poly(F, values, entry_id):
     """The base-field index list of a polynomial's constants."""
     if not isinstance(values, list):
         raise ValidationError("polynomial must be a list", entry_id)
-    return [F.index(_constant(F, v, entry_id)) for v in values]
+    return [_constant(F, v, entry_id) for v in values]
 
 
 def _build_curve(entry):
@@ -211,7 +206,7 @@ def _build_curve(entry):
                                       entry.id)
             if (i, j, m) in coeffs:
                 raise ValidationError(f"repeated monomial {term!r}", entry.id)
-            coeffs[(i, j, m)] = F.index(_constant(F, term[3], entry.id))
+            coeffs[(i, j, m)] = _constant(F, term[3], entry.id)
         return PlaneQuartic(F, coeffs)
     # every other payload value is a polynomial
     pl = {key: _poly(F, v, entry.id) for key, v in sorted(entry.payload.items())}
@@ -228,7 +223,7 @@ def _build_curve(entry):
     raise ValidationError(f"unknown kind {k!r}", entry.id)  # pragma: no cover
 
 
-def _validate_section(name, kv, line_no):
+def _validate_section(name, kv):
     for req in ("table", "p", "kind", "claimed_genus", "claimed_pointless"):
         if req not in kv:
             raise ValidationError(f"missing key {req!r}", name)
@@ -289,8 +284,8 @@ def load_fixtures(path=None):
 
 
 def load_fixture_text(text):
-    return [_validate_section(name, kv, line_no)
-            for name, kv, line_no in parse_fixture_text(text)]
+    return [_validate_section(name, kv)
+            for name, kv, _ in parse_fixture_text(text)]
 
 
 # ---------------------------------------------------------------------------

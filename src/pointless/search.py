@@ -23,8 +23,10 @@ chunking-invariant.
 Every filter reads the square class and the absolute trace of a value
 from the field's index kernel (field._kernel) only: sqrt_count (the parity
 of a discrete log) and, in characteristic 2, trace (the parity of
-idx & trace_mask).  Filters enumerate and evaluate on indices; field
-elements are built only for the candidates a filter passes.
+idx & trace_mask).  Filters enumerate and evaluate on indices, and the
+survivors reach the curve models as index lists: no engine builds a field
+element.  A parameter given as a field constant (klein4's n) is converted
+to its index once.
 
 Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
@@ -71,7 +73,7 @@ from .errors import (
     UnknownFamily,
     UnsupportedShape,
 )
-from .field import Poly, _f2_eliminate, _index_poly, _itrim, _kernel
+from .field import _digits, _f2_eliminate, _itrim, _kernel
 from .zeta import zeta_report
 
 
@@ -187,15 +189,6 @@ class _Search:
             kill_counts=kill_counts or {})
 
 
-def _digits(code, alphabet_size, length):
-    """The little-endian digits of code: the tuple the odometer gives it."""
-    out = []
-    for _ in range(length):
-        code, digit = divmod(code, alphabet_size)
-        out.append(digit)
-    return out
-
-
 def _odometer(alphabet_size, length):
     """Tuples in little-endian odometer order, as index vectors."""
     for code in range(alphabet_size ** length):
@@ -294,18 +287,16 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     materialized as degree-8 models y^2 = x^4 f(x + n/x)."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
-    n = F.element(n)
-    if n.is_zero():
+    n_i = F.index(F.element(n))
+    if not n_i:
         raise ValueError("n must be nonzero")
     q = F.q
     kern = _kernel(F)
     mul = kern.mul
-    nu = F.canonical_nonsquare
+    nu_i = kern.nonsquare
     # pointlessness needs f(u) to be a nonsquare for every u = x + n/x:
     # one linear form in (c0, c1, c2, c3) per u, with constant nu * u^4
-    four_n = F.element(4) * n
-    u_set = sorted({F.index(x + n / x) for x in F.elements() if not x.is_zero()})
-    nu_i, n_i = F.index(nu), F.index(n)
+    u_set = sorted({kern.add(x, mul(n_i, kern.inv(x))) for x in range(1, q)})
     weights = []
     consts = []
     for u in u_set:
@@ -313,7 +304,7 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         weights.append([1, u, u2, mul(u2, u)])
         consts.append(mul(nu_i, mul(u2, u2)))
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
-    disc = [F.index(-four_n), 0, 1]                # u^2 - 4n
+    disc = [kern.neg(mul(4 % F.p, n_i)), 0, 1]     # u^2 - 4n
     run = _Search("klein4_hyper_odd", mode, budget)
     run.candidates = q ** 4
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
@@ -455,9 +446,9 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
     run = _Search("fiberproduct", mode, budget)
-    nu_i = F.index(F.canonical_nonsquare)
     q = F.q
     kern = _kernel(F)
+    nu_i = kern.nonsquare
     horner, is_sq = kern.horner, kern.sqrt_count
 
     # bitmask per cubic (an index list): bit x set when the value at the
@@ -589,10 +580,16 @@ def _node_value_forms(F):
     nonsquare."""
     kern = _kernel(F)
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(F.q))
-    nodes = [F.from_index(i) for i in range(9)]
-    basis = [_index_poly(Poly.interpolate(
-                 F, nodes, [F.one if j == i else F.zero for j in range(9)]))
-             for i in range(9)]
+    basis = []
+    for i in range(9):
+        # prod_{j != i} (x - j) / (i - j)
+        num, den = [1], 1
+        for j in range(9):
+            if j != i:
+                num = kern._pmul(num, [kern.neg(j), 1])
+                den = kern.mul(den, kern.sub(i, j))
+        inv = kern.inv(den)
+        basis.append([kern.mul(c, inv) for c in num])
     weights = [[L[8] for L in basis]]
     weights += [[kern.horner(L, x) for L in basis] for x in range(9, F.q)]
     return nonsquare, basis, weights
@@ -662,9 +659,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
             break
     save(run.candidates)             # a no-op after a first_find stop
     run.spend(run.candidates)
-    # census dedup under PGL2 + square scaling; ns[0] is the smallest
-    # nonsquare index
-    keys, classes = _pgl2_classes(kern, ns[0],
+    # census dedup under PGL2 + square scaling
+    keys, classes = _pgl2_classes(kern, kern.nonsquare,
                                   [s["f"] for s in run.survivors])
     for s, key in zip(run.survivors, keys):
         s["iso_class_key"] = list(key)
@@ -755,12 +751,11 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         # double zero Q = O needs L((k - 2) inf), which is not built here
         raise UnsupportedShape(f"{E!r}: the coset {{O}} of {m}E(F_{q}) has "
                                f"no affine point to carry the double zero")
-    qreps = [(F.index(x), F.index(y)) for x, y in qreps]
     kern = _kernel(F)
     horner, add, mul = kern.horner, kern.add, kern.mul
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
-    pts = [(F.index(P[0]), F.index(P[1])) for P in E.points() if P is not INF]
-    one_i, nu_i = F.index(F.one), F.index(F.canonical_nonsquare)
+    pts = E.points()[1:]             # the affine points, after INF
+    nu_i = kern.nonsquare
     run = _Search("double_covers_elliptic", mode, budget, checkpoint, "rep")
     kill1, kill2 = run.state.get("kill_counts", (0, 0))
     for rep_i in range(run.start, len(qreps)):
@@ -772,7 +767,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
                 for x, y in pts]
         # enumerate modulo square scaling: leading coefficient in {1, nu}
-        for lead, lead_val in product(range(dim), (one_i, nu_i)):
+        for lead, lead_val in product(range(dim), (1, nu_i)):
             free = dim - lead - 1     # coordinates after the leading one
             weights = [row[lead + 1:] for row in B_at]
             # test 1: f(P) is zero or a nonsquare at every rational P
@@ -807,7 +802,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         if run.stopped:
             break                    # a partly searched coset is not saved
         run.save(rep_i + 1, kill_counts=[kill1, kill2])
-    curve = [F.index(E.a2), F.index(E.a4), F.index(E.a6)]
+    curve = [E.a2, E.a4, E.a6]
     return run.report({"q": q, "genus": genus_target, "curve": curve,
                        "reps": len(qreps), "fallback": used_fallback,
                        "mode": mode},

@@ -1,10 +1,12 @@
 """Element-level reference arithmetic for the differential tests.
 
-The library expands places, tests residue fields, takes square roots and
-factors polynomials on index kernels only (pointless.series,
-_Kernel.residue_gcd, FieldElement.sqrt, _Kernel.factor).  The tests
-compare them with the independent implementations kept here, all but the
-last two in FieldElement arithmetic:
+The library expands places, tests residue fields, takes square roots,
+factors polynomials, interpolates and runs the elliptic group law on
+index kernels only (pointless.series, _Kernel.residue_gcd,
+FieldElement.sqrt, _Kernel.factor, search._node_value_forms,
+EllipticCurve).  The tests compare them with the independent
+implementations kept here, all but the last two in FieldElement
+arithmetic:
 
 * Series: truncated Laurent series of field elements, with Newton square
   roots, and poly_at_series (Horner on a series);
@@ -15,6 +17,10 @@ last two in FieldElement arithmetic:
   Poly's factorisation by square-free decomposition, distinct-degree split
   and Cantor-Zassenhaus, and Rabin's test, on pow_mod, pth_root and
   euclid_gcd;
+* roots and interpolate: the roots of a Poly by evaluation at every
+  element, and the Lagrange interpolant;
+* ElementCurve: an elliptic curve's points, group law, 2-torsion and
+  quotient representatives on FieldElement pairs;
 * fn_ab and fn_value: a function sum c x^i y^j on an rr_basis as the
   pair of Polys (A, B) with fn = A + B y, and its value at a point;
 * local_xy_series, local_fn_series and vanishing_order: the double
@@ -32,6 +38,8 @@ import random
 
 from pointless.errors import (
     DivisionByZero,
+    DuplicateNodes,
+    EmptyCosetUnderConstraint,
     MixedFields,
     NoSquareRoot,
     UnsupportedShape,
@@ -487,6 +495,144 @@ def _equal_degree_factor(f, d):
 
 
 # ---------------------------------------------------------------------------
+# roots, interpolation and the elliptic group law in FieldElement arithmetic
+# ---------------------------------------------------------------------------
+
+def roots(f):
+    """The roots of the Poly f in its base field, sorted by canonical
+    element order: the elements at which f vanishes, an enumeration
+    independent of the index kernel that root counts and factorisations
+    are checked against."""
+    if f.is_zero():
+        raise DivisionByZero("zero polynomial vanishes everywhere")
+    return [v for v in f.base.elements() if f.eval(v).is_zero()]
+
+
+def interpolate(base, nodes, values):
+    """The Lagrange interpolant of values at the distinct nodes."""
+    if len(set(nodes)) != len(nodes):
+        raise DuplicateNodes("interpolation nodes must be distinct")
+    result = Poly(base, [])
+    for i, (xi, yi) in enumerate(zip(nodes, values)):
+        num = Poly.constant(base, base.one)
+        den = base.one
+        for j, xj in enumerate(nodes):
+            if i == j:
+                continue
+            num = num * Poly(base, [-xj, base.one])
+            den = den * (xi - xj)
+        result = result + num * (yi / den)
+    return result
+
+
+INF = None
+
+
+class ElementCurve:
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 with points as FieldElement pairs:
+    EllipticCurve's points, group law, 2-torsion and quotient
+    representatives on elements.  a2, a4 and a6 are anything
+    base.element takes; of(E) is the curve of an EllipticCurve E."""
+
+    def __init__(self, base, a2, a4, a6):
+        self.base = base
+        self.a2, self.a4, self.a6 = (base.element(a) for a in (a2, a4, a6))
+        self.cubic = Poly(base, [self.a6, self.a4, self.a2, base.one])
+
+    @classmethod
+    def of(cls, E):
+        F = E.base
+        return cls(F, *(F.from_index(a) for a in (E.a2, E.a4, E.a6)))
+
+    def contains(self, P):
+        if P is INF:
+            return True
+        x, y = P
+        return y * y == self.cubic.eval(x)
+
+    def points(self):
+        pts = [INF]
+        for x in self.base.elements():
+            v = self.cubic.eval(x)
+            if v.is_zero():
+                pts.append((x, self.base.zero))
+            elif v.is_square():
+                y = v.sqrt()
+                pts.append((x, y))
+                pts.append((x, -y))
+        return pts
+
+    def neg(self, P):
+        if P is INF:
+            return INF
+        return (P[0], -P[1])
+
+    def add(self, P, Q):
+        if P is INF:
+            return Q
+        if Q is INF:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if y1 == -y2:
+                return INF
+            two = self.base.element(2)
+            three = self.base.element(3)
+            lam = (three * x1 * x1 + two * self.a2 * x1 + self.a4) / (two * y1)
+        else:
+            lam = (y2 - y1) / (x2 - x1)
+        x3 = lam * lam - self.a2 - x1 - x2
+        y3 = lam * (x1 - x3) - y1
+        return (x3, y3)
+
+    def smul(self, n, P):
+        if n < 0:
+            return self.smul(-n, self.neg(P))
+        R = INF
+        A = P
+        while n:
+            if n & 1:
+                R = self.add(R, A)
+            A = self.add(A, A)
+            n >>= 1
+        return R
+
+    def two_torsion(self):
+        return [INF] + [(x, self.base.zero) for x in roots(self.cubic)]
+
+    def quotient_reps(self, m, exclude_two_torsion=True, fallback=False):
+        """One representative per coset of m E(F_q), avoiding 2-torsion when
+        requested; EmptyCosetUnderConstraint for a coset with none unless
+        fallback."""
+        pts = self.points()
+        image = {self.smul(m, P) for P in pts}
+        tors = set(self.two_torsion())
+        cosets = []
+        for P in pts:
+            for members in cosets:
+                if self.add(P, self.neg(members[0])) in image:
+                    members.append(P)
+                    break
+            else:
+                cosets.append([P])
+        out = []
+        for members in cosets:
+            affine = [P for P in members if P is not INF]
+            if not exclude_two_torsion:
+                out.append(affine[0] if affine else members[0])
+                continue
+            pick = next((P for P in affine if P not in tors), None)
+            if pick is None:
+                if not fallback:
+                    raise EmptyCosetUnderConstraint(
+                        "coset consists entirely of 2-torsion points")
+                pick = affine[0] if affine else members[0]
+            out.append(pick)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the double covers' functions and their local expansions on Series
 # ---------------------------------------------------------------------------
 
@@ -552,7 +698,7 @@ def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
     """ord_P of sum c x^i y^j at an affine point P with coordinates in
     `field` (a FiniteField or QuotientField, by default E's base field)."""
     field = field or E.base
-    cubic = cubic or E.cubic
+    cubic = cubic or ElementCurve.of(E).cubic
     A, B = fn_ab(coeffs, basis, field)
     x0, y0 = P
     if not (A.eval(x0) + B.eval(x0) * y0).is_zero():

@@ -2,12 +2,12 @@
 monomials, vanishing orders, divisor shapes, and double-cover counts."""
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import pytest
 
-from pointless.curves import _extension, _index_poly
+from pointless.curves import _extension
 from pointless.elliptic import (
     EXPANSION_PREC,
     INF,
@@ -26,7 +26,7 @@ from pointless.errors import (
     UnsupportedShape,
     ZeroFunction,
 )
-from pointless.field import FiniteField, Poly, embed
+from pointless.field import FiniteField, Poly, _index_poly, _kernel, embed
 from pointless.search import _double_zero_kernel
 from pointless.series import _ser_coeff
 from pointless.zeta import l_from_counts, real_weil_from_l, validate_weil
@@ -57,8 +57,8 @@ class TestConstruction:
     def test_point_membership(self):
         E = E5()
         assert E.contains(INF)
-        assert E.contains((F5.zero, F5.one))
-        assert not E.contains((F5.zero, F5.element(2)))
+        assert E.contains((0, 1))
+        assert not E.contains((0, 2))
 
 
 class TestGroupLaw:
@@ -154,6 +154,71 @@ class TestQuotientReps:
         assert len(reps) == expected
 
 
+def _as_pair(F, P):
+    """An element point of the reference as an index pair."""
+    return P if P is INF else (F.index(P[0]), F.index(P[1]))
+
+
+def _quotient_outcomes(C, as_pair):
+    """quotient_reps(m) of C for m = 2, 3 with and without fallback, and
+    without the 2-torsion exclusion: each a list of index pairs, or None
+    where EmptyCosetUnderConstraint was raised."""
+    out = []
+    for m in (2, 3):
+        for kwargs in ({}, {"fallback": True}, {"exclude_two_torsion": False}):
+            try:
+                out.append([as_pair(P) for P in C.quotient_reps(m, **kwargs)])
+            except EmptyCosetUnderConstraint:
+                out.append(None)
+    return out
+
+
+# pinned curves (a2, a4, a6 as indices) per field: over F_7, y^2 = x^3 + 2
+# has 3E = {O}, the coset the double-cover engine refuses; over F_25,
+# y^2 = x^3 + c with c of index 7 is the (Z/4)^2 curve whose coset 2E is
+# the 2-torsion, so quotient_reps(2) raises EmptyCosetUnderConstraint
+GROUP_LAW_CURVES = {
+    F5: [(0, 1, 1), (0, 0, 1), (0, 4, 0)],
+    F7: [(0, 0, 2), (0, 1, 3)],
+    F13: [(0, 1, 0), (0, 1, 1)],
+    F25: [(0, 0, 7), (0, 2, 0), (0, 1, 7)],
+    F27: [(2, 0, 1), (2, 0, 3)],
+}
+
+
+class TestGroupLawAgainstElementReference:
+    """EllipticCurve on index pairs against the element reference
+    (element_reference.ElementCurve): points() in order, add and smul on
+    seeded pairs, two_torsion and quotient_reps, on the pinned curves and
+    two seeded random ones per field."""
+
+    @pytest.mark.parametrize("F", list(GROUP_LAW_CURVES),
+                             ids=lambda F: f"F{F.q}")
+    def test_equals_element_group_law(self, F):
+        rng = random.Random(500 + F.q)
+        curves = [EllipticCurve(F, *c) for c in GROUP_LAW_CURVES[F]]
+        curves += [_random_curve(F, rng) for _ in range(2)]
+        reps = []
+        for E in curves:
+            R = ref.ElementCurve.of(E)
+            pair = partial(_as_pair, F)
+            pts, ref_pts = E.points(), R.points()
+            assert pts == [pair(P) for P in ref_pts], E
+            assert E.two_torsion() == [pair(P) for P in R.two_torsion()]
+            for _ in range(30):
+                i, j = rng.randrange(len(pts)), rng.randrange(len(pts))
+                assert E.add(pts[i], pts[j]) == \
+                    pair(R.add(ref_pts[i], ref_pts[j])), (E, i, j)
+                n = rng.randrange(-7, 8)
+                assert E.smul(n, pts[i]) == pair(R.smul(n, ref_pts[i]))
+            reps.append(_quotient_outcomes(E, lambda P: P))
+            assert reps[-1] == _quotient_outcomes(R, pair), E
+        if F is F7:       # y^2 = x^3 + 2: O is alone in its coset of 3E
+            assert INF in reps[0][4]
+        if F is F25:      # the (Z/4)^2 curve: its coset 2E is the 2-torsion
+            assert reps[0][0] is None
+
+
 class TestRRBasis:
     def test_sizes(self):
         assert len(rr_basis(6)) == 6
@@ -191,7 +256,7 @@ class TestVanishingOrder:
     def test_orders_at_points(self):
         E = E5()
         basis = rr_basis(6)
-        P = next(p for p in E.points()
+        P = next(p for p in ref.ElementCurve.of(E).points()
                  if p is not INF and not p[1].is_zero())
         x0 = P[0]
         lin = [-x0, F5.one]
@@ -201,7 +266,7 @@ class TestVanishingOrder:
                                     (1, 0): -(x0 + x0),
                                     (2, 0): F5.one})
         assert _ord_at(E, cf_sq, P) == 2
-        other = next(p for p in E.points()
+        other = next(p for p in ref.ElementCurve.of(E).points()
                      if p is not INF and p[0] != x0)
         assert _ord_at(E, cf_lin, other) == 0
 
@@ -210,7 +275,7 @@ class TestVanishingOrder:
         E = EllipticCurve(F13, 0, 1, 0)
         basis = rr_basis(6)
         T = (F13.zero, F13.zero)
-        assert E.contains(T)
+        assert E.contains((0, 0))
         cf_x = _coeffs(F13, basis, {(1, 0): F13.one})
         cf_y = _coeffs(F13, basis, {(0, 1): F13.one})
         assert _ord_at(E, cf_x, T) == 2
@@ -221,14 +286,14 @@ class TestVanishingOrder:
         basis = rr_basis(6)
         P = E.points()[1]
         with pytest.raises(ZeroFunction):
-            divisor_shape(E, [0] * 6, basis, _ix(F5, P), 6)
+            divisor_shape(E, [0] * 6, basis, P, 6)
 
 
 class TestDivisorShape:
     def test_zero_degree_equals_pole_order(self):
         E = E5()
         basis = rr_basis(6)
-        Q = next(p for p in E.points()
+        Q = next(p for p in ref.ElementCurve.of(E).points()
                  if p is not INF and not p[1].is_zero())
         rng = random.Random(1)
         for _ in range(200):
@@ -242,12 +307,13 @@ class TestDivisorShape:
         # (x - xQ)^2 (x - c): double zeros at Q, sigma(Q), only two odd points
         E = E5()
         basis = rr_basis(6)
-        Q = next(p for p in E.points()
+        Q = next(p for p in ref.ElementCurve.of(E).points()
                  if p is not INF and not p[1].is_zero())
         xq = Q[0]
+        cubic = ref.ElementCurve.of(E).cubic
         c = next(x for x in F5.elements()
-                 if x != xq and E.cubic.eval(x).is_square()
-                 and not E.cubic.eval(x).is_zero())
+                 if x != xq and cubic.eval(x).is_square()
+                 and not cubic.eval(x).is_zero())
         # expand (x - xq)^2 (x - c)
         a0 = -xq * xq * c
         a1 = xq * xq + (xq + xq) * c
@@ -263,7 +329,7 @@ class TestDivisorShape:
     def test_first_shape_ok_yields_genus3_zeta(self):
         E = E5()
         basis = rr_basis(6)
-        Q = next(p for p in E.points()
+        Q = next(p for p in ref.ElementCurve.of(E).points()
                  if p is not INF and not p[1].is_zero())
         rng = random.Random(1)
         hit = None
@@ -304,19 +370,20 @@ class TestCoverCount:
         A, B = fn_ab(cf, basis, F13)
         # pole order 3 is odd: one ramified point above infinity
         assert cover_count(E, _ix(F13, cf), basis, 1) == \
-            self.brute_squarefree(E, A, B, 1)
+            self.brute_squarefree(ref.ElementCurve.of(E), A, B, 1)
 
     def test_fn_linear_matches_naive(self):
         E = E5()
+        R = ref.ElementCurve.of(E)
         basis = rr_basis(6)
         for c in range(5):
             cf = _coeffs(F5, basis, {(0, 0): -F5.element(c), (1, 0): F5.one})
             A, B = fn_ab(cf, basis, F5)
-            if not E.cubic.eval(F5.element(c)).is_zero():
+            if not R.cubic.eval(F5.element(c)).is_zero():
                 # simple zeros at the two points above x=c (if any); even pole,
                 # leading coefficient 1 is a square: two points at infinity
                 assert cover_count(E, _ix(F5, cf), basis, 1) == \
-                    self.brute_squarefree(E, A, B, 2)
+                    self.brute_squarefree(R, A, B, 2)
 
     def test_constant_cover(self):
         E = E5()
@@ -344,10 +411,20 @@ class TestCoverCount:
 
 @lru_cache(maxsize=None)
 def _base_change(E, i):
-    """E over F_{q^i}, with the embedding of its base field (cached, so
-    the points of the extension curve are listed once per (E, i))."""
-    big, phi = embed(E.base, i)
-    return EllipticCurve(big, phi(E.a2), phi(E.a4), phi(E.a6)), phi
+    """The element reference of E over F_{q^i}, with the embedding of its
+    base field (cached, so the points of the extension curve are listed
+    once per (E, i))."""
+    F = E.base
+    big, phi = embed(F, i)
+    return ref.ElementCurve(big, *(phi(F.from_index(a))
+                                   for a in (E.a2, E.a4, E.a6))), phi
+
+
+def _factor(f):
+    """_Kernel.factor of the Poly f, its pieces as Polys."""
+    F = f.base
+    return [(Poly(F, map(F.from_index, g)), m)
+            for g, m in _kernel(F).factor(_index_poly(f))]
 
 
 def _reference_divisor_shape(E, coeffs, basis, Q, k):
@@ -356,12 +433,12 @@ def _reference_divisor_shape(E, coeffs, basis, Q, k):
     QuotientField for places of degree >= 2)."""
     A, B = fn_ab(coeffs, basis, E.base)
     pole = fn_pole_order(_ix(E.base, coeffs), basis)
-    c = E.cubic
+    c = ref.ElementCurve.of(E).cubic
     R = A * A - B * B * c
     ord_Q = ref.vanishing_order(E, coeffs, basis, Q)
     xQ = Q[0]
     odd_points = rational_odd = total_zeros = 0
-    for piece, m in R.monic().factor():
+    for piece, m in _factor(R):
         e = piece.degree
         total_zeros += m * e
         if e == 1:
@@ -458,7 +535,7 @@ def _random_curve(F, rng, two_torsion=False):
                                    for _ in range(3)))
         except UnsupportedShape:
             continue
-        ys = [P[1].is_zero() for P in E.points() if P is not INF]
+        ys = [not P[1] for P in E.points() if P is not INF]
         if not all(ys) and (any(ys) or not two_torsion):
             return E
 
@@ -482,7 +559,7 @@ def _random_poly(F, rng, degree):
 def _random_irreducible(F, rng, degree):
     while True:
         h = _random_poly(F, rng, degree)
-        if h.is_irreducible():
+        if _kernel(F).is_irreducible(_index_poly(h)):
             return h
 
 
@@ -492,9 +569,10 @@ def _with_zero_over(E, h, b, budget_deg):
     (or None when no such a exists: an inert place of h)."""
     F = E.base
     b = Poly.constant(F, b)
+    c = ref.ElementCurve.of(E).cubic
     for a in product(F.elements(), repeat=budget_deg + 1):
         A = Poly(F, list(a))
-        if ((A * A - b * b * E.cubic) % h).is_zero():
+        if ((A * A - b * b * c) % h).is_zero():
             return A, b
     return None
 
@@ -534,7 +612,7 @@ def _forced_functions(E, basis, Q, rng):
                            h * Poly.constant(F, b)))
     # e = 1 inert places: x - x0 with c(x0) a nonsquare
     for x0 in F.elements():
-        if not E.cubic.eval(x0).is_square():
+        if not ref.ElementCurve.of(E).cubic.eval(x0).is_square():
             out.append(_fn(basis, x - Poly.constant(F, x0)))
             break
     return out
@@ -592,7 +670,7 @@ def _random_functions(F, basis, rng, n):
 def _points_to_try(E, rng):
     """A random affine point off the 2-torsion and, when there is one, a
     rational 2-torsion point."""
-    affine = [P for P in E.points() if P is not INF]
+    affine = [P for P in ref.ElementCurve.of(E).points() if P is not INF]
     off = [P for P in affine if not P[1].is_zero()]
     tors = [P for P in affine if P[1].is_zero()]
     return [rng.choice(off)] + tors[:1]
@@ -633,7 +711,8 @@ class TestCoverCountDifferential:
         basis = rr_basis(6)
         E = _random_curve(F, rng)
         x = Poly.x(F)
-        off = next(P for P in E.points() if P is not INF and not P[1].is_zero())
+        off = next(P for P in ref.ElementCurve.of(E).points()
+                   if P is not INF and not P[1].is_zero())
         lin = x - Poly.constant(F, off[0])
         fns = _random_functions(F, basis, rng, 4) + [
             _fn(basis, lin),                          # zeros over F_q
@@ -659,7 +738,7 @@ def _kernel_points(E, i, rng):
     seeded affine points of E over F_{q^i} off the 2-torsion and every one
     on it, as index pairs."""
     big, imap, kern, _ = _extension(E.base, i)
-    c = [imap[v] for v in _index_poly(E.cubic)]
+    c = [imap[v] for v in E._cubic]
     xs = list(range(big.q))
     rng.shuffle(xs)
     off, tors = [], []

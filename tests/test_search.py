@@ -25,7 +25,13 @@ from pointless.errors import (
     UnknownFamily,
     UnsupportedShape,
 )
-from pointless.field import FiniteField, Poly, RationalFunction, _kernel
+from pointless.field import (
+    FiniteField,
+    Poly,
+    RationalFunction,
+    _index_poly,
+    _kernel,
+)
 from pointless.search import (
     SearchConfig,
     census,
@@ -43,7 +49,7 @@ from pointless.search import (
 )
 from pointless.zeta import zeta_report
 
-from element_reference import fn_ab, fn_value
+from element_reference import fn_ab, fn_value, interpolate
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -143,7 +149,8 @@ def _klein4_reference(F, n):
                  + [nu])
         if any(f.eval(u).is_square() for u in us):
             continue
-        if not f.is_separable() or f.gcd(disc).degree > 0:
+        if (not _kernel(F).is_separable(_index_poly(f))
+                or f.gcd(disc).degree > 0):
             continue
         # x^4 f(x + n/x) = sum_i c_i x^(4 - i) (x^2 + n)^i
         model = Poly(F, [])
@@ -493,6 +500,23 @@ class TestExhaustiveKernel:
         assert keys[:4] == [key] * 4 and keys[-1] == key
         assert classes == (2 if keys[4] != key else 1)
 
+    @pytest.mark.parametrize("F", [F9, F11, F13], ids=["F9", "F11", "F13"])
+    def test_node_basis_equals_element_interpolation(self, F):
+        # basis[i] is the element interpolant of the i-th unit vector on
+        # the nodes 0..8; the weights are its leading coefficients and its
+        # values at the elements 9..q-1
+        nonsquare, basis, weights = search._node_value_forms(F)
+        nodes = [F.from_index(i) for i in range(9)]
+        want = [interpolate(F, nodes, [F.one if j == i else F.zero
+                                       for j in range(9)])
+                for i in range(9)]
+        assert basis == [_index_poly(L) for L in want]
+        assert weights == [[F.index(L[8]) for L in want]] + [
+            [F.index(L.eval(F.from_index(x))) for L in want]
+            for x in range(9, F.q)]
+        assert list(nonsquare) == [not v.is_zero() and not v.is_square()
+                                   for v in F.elements()]
+
     @pytest.mark.parametrize("F", [F9, F11], ids=["F9", "F11"])
     def test_join_equals_naive_nonsquare_filter(self, F):
         nonsquare, basis, weights = search._node_value_forms(F)
@@ -506,7 +530,7 @@ class TestExhaustiveKernel:
         for code in sample:
             values = [F.from_index(ns[d]) for d in search._digits(
                 code, len(ns), 9)]
-            f = Poly.interpolate(F, nodes, values)
+            f = interpolate(F, nodes, values)
             naive = all(not v.is_zero() and not v.is_square()
                         for v in [f[8]] + [f.eval(x) for x in F.elements()])
             assert (code in passes) == naive, code
@@ -657,10 +681,10 @@ class TestDoubleCovers:
         basis = rr_basis(k)
         Q = E.quotient_reps(2 if k == 6 else 3, fallback=True)[0]
         kernel = [[F.from_index(v) for v in vec] for vec in
-                  search._double_zero_kernel(E, basis,
-                                             [F.index(c) for c in Q])]
+                  search._double_zero_kernel(E, basis, Q)]
         kern = _kernel(F)
-        pts = [P for P in E.points() if P is not INF]
+        pts = [(F.from_index(P[0]), F.from_index(P[1]))
+               for P in E.points() if P is not INF]
         B_at = [[F.index(fn_value(*fn_ab(vec, basis, F), P)) for vec in kernel]
                 for P in pts]
         lead_val = F.index(F.canonical_nonsquare)
