@@ -181,7 +181,8 @@ def build_parser():
     p.add_argument("--def-poly", type=_int_list, default=None,
                    help="defining polynomial c0,c1,... for extension fields")
     p.add_argument("--n", type=int, default=None,
-                   help="twist parameter for klein4_hyper_odd (default 1)")
+                   help="twist parameter for klein4_hyper_odd, as an element "
+                        "index in 0..q-1 (default 1)")
     p.add_argument("--mode", choices=("first", "census"), default="first")
     p.add_argument("--checkpoint", default=None,
                    help="path for a resumable checkpoint file "

@@ -18,7 +18,6 @@ kernel of the field the point lies in (pointless.series).
 from math import gcd, isqrt
 
 from .errors import (
-    EmptyCosetUnderConstraint,
     EvenCharacteristic,
     MixedCurves,
     UnsupportedShape,
@@ -157,43 +156,27 @@ class EllipticCurve:
     def two_torsion(self):
         return [P for P in self.points() if P is INF or not P[1]]
 
-    def quotient_reps(self, m, exclude_two_torsion=True, fallback=False):
-        """One representative per coset of m E(F_q), avoiding 2-torsion when
-        requested.  With fallback=False a coset with no admissible
-        representative raises EmptyCosetUnderConstraint."""
+    def quotient_reps(self, m):
+        """One representative per coset of m E(F_q), cosets in the order of
+        their first points: the first affine point with y != 0, else the
+        first affine point (2-torsion), else INF, the coset {O} of a group
+        killed by m.  The double-cover engine needs an affine Q and takes
+        one outside the 2-torsion where the coset has one."""
         if m not in (2, 3):
             raise ValueError("m must be 2 or 3")
         pts = self.points()
         image = {self.smul(m, P) for P in pts}
-        tors = set(self.two_torsion())
-        cosets = []  # list of lists of members
-        reps_keys = []
+        cosets = []
         for P in pts:
-            placed = False
-            for i, rep in enumerate(reps_keys):
-                if self.add(P, self.neg(rep)) in image:
-                    cosets[i].append(P)
-                    placed = True
+            for members in cosets:
+                if self.add(P, self.neg(members[0])) in image:
+                    members.append(P)
                     break
-            if not placed:
-                reps_keys.append(P)
+            else:
                 cosets.append([P])
-        out = []
-        for members in cosets:
-            # an affine representative is always preferred: the point at
-            # infinity cannot serve as the auxiliary double-zero point
-            affine = [P for P in members if P is not INF]
-            if not exclude_two_torsion:
-                out.append(affine[0] if affine else members[0])
-                continue
-            pick = next((P for P in affine if P not in tors), None)
-            if pick is None:
-                if not fallback:
-                    raise EmptyCosetUnderConstraint(
-                        "coset consists entirely of 2-torsion points")
-                pick = affine[0] if affine else members[0]
-            out.append(pick)
-        return out
+        # keys 0 (y != 0), 1 (y = 0), 2 (INF); min keeps the first of equals
+        return [min(members, key=lambda P: 2 if P is INF else not P[1])
+                for members in cosets]
 
 
 def hasse_interval(q):

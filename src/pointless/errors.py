@@ -63,10 +63,6 @@ class ZeroFunction(PointlessError):
     pass
 
 
-class EmptyCosetUnderConstraint(PointlessError):
-    """A coset of mE(F_q) has no representative satisfying the torsion rule."""
-
-
 # -- zeta -------------------------------------------------------------------
 
 class NonIntegralResult(PointlessError):

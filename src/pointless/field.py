@@ -3,6 +3,14 @@
 Elements of an extension field are dense coefficient vectors over F_p in a
 caller-chosen presentation: the defining polynomial is never normalized, so
 constants quoted against a specific generator relation stay bit-exact.
+
+All F_p[x] arithmetic behind the library runs on index kernels (_kernel),
+the prime field's among them, whose indices are the residues mod p: it
+proves each extension's defining polynomial irreducible (Ben-Or,
+_Kernel.is_irreducible), finds canonical_extension's smallest one, and
+tests the candidate generators of FiniteField.dlog_tables (_Kernel.powmod).
+FieldElement keeps its own arithmetic on int tuples, independent of the
+kernels, as the reference the tests check them against.
 """
 
 import random
@@ -35,7 +43,8 @@ MAX_FIELD_ORDER = 2 ** 23
 
 
 # ---------------------------------------------------------------------------
-# dense F_p[t] helpers on plain int tuples (c0, c1, ...)
+# FieldElement's arithmetic: dense F_p[t] on plain int tuples (c0, c1, ...),
+# kept apart from the index kernel, which the tests check against it
 # ---------------------------------------------------------------------------
 
 def _trim(c):
@@ -92,15 +101,6 @@ def _pmod(a, b, p):
     return _pdivmod(a, b, p)[1]
 
 
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv_lc = pow(a[-1], p - 2, p) if p > 2 else 1
-        a = tuple((x * inv_lc) % p for x in a)
-    return a
-
-
 def _pinvmod(a, m, p):
     """Inverse of a modulo m in F_p[t]; a must be coprime to m."""
     r0, r1 = m, a
@@ -115,32 +115,9 @@ def _pinvmod(a, m, p):
     return _trim([(x * c) % p for x in s0])
 
 
-def _ppowmod(a, e, m, p):
-    result = (1,)
-    a = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, a, p), m, p)
-        a = _pmod(_pmul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fp_poly_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial over F_p."""
-    d = len(coeffs) - 1
-    if d <= 0:
-        return False
-    x = (0, 1)
-    xq = _ppowmod(x, p ** d, coeffs, p)
-    if _psub(xq, x, p):
-        return False
-    for r in set(_prime_factors(d)):
-        g = _pgcd(_psub(_ppowmod(x, p ** (d // r), coeffs, p), x, p), coeffs, p)
-        if len(g) != 1:
-            return False
-    return True
-
+# ---------------------------------------------------------------------------
+# field construction helpers
+# ---------------------------------------------------------------------------
 
 def _check_order(p, n):
     """Refuse F_{p^n} past MAX_FIELD_ORDER, whose index kernel is not
@@ -251,7 +228,7 @@ class FiniteField:
             if len(coeffs) != n + 1 or coeffs[-1] != 1:
                 raise ReduciblePolynomial(
                     f"defining polynomial must be monic of degree {n}")
-            if not _fp_poly_irreducible(coeffs, p):
+            if not _kernel(canonical_extension(p, 1)).is_irreducible(coeffs):
                 raise ReduciblePolynomial(
                     f"defining polynomial {list(coeffs)} is reducible over F_{p}")
             self.defining_poly = coeffs
@@ -341,11 +318,15 @@ class FiniteField:
 
         Built afresh on each call on ints, never on FieldElements: k * g % p
         on a prime field.  On an extension the search for g starts at index
-        p, since an element of F_p has order dividing p - 1 < q - 1, and the
-        walk multiplies by g through _generator_step's tables, a few
-        lookups per element.  The index kernel (_kernel) takes the arrays
-        once per field and keeps them; the square test, square roots, gcds,
-        factorisations and every curve's count(i) read them there.
+        p, since an element of F_p has order dividing p - 1 < q - 1; a
+        candidate's powers v^((q - 1)/r) modulo the defining polynomial are
+        taken on the prime field's kernel (_Kernel.powmod), whose indices
+        are the residues mod p, so the digit list of v is its index
+        polynomial.  The walk multiplies by g through _generator_step's
+        tables, a few lookups per element.  The index kernel (_kernel)
+        takes the arrays once per field and keeps them; the square test,
+        square roots, gcds, factorisations and every curve's count(i) read
+        them there.
         Filling arrays keeps no int object per entry: the tables of F_{7^8},
         which MAX_FIELD_ORDER admits so that the CLI's q^depth pre-check
         lets `verify --depth 4` through at q = 49, take 46 MB as arrays and
@@ -366,9 +347,10 @@ class FiniteField:
                 acc = acc * g % p
         else:
             mod = self.defining_poly
+            powmod = _kernel(canonical_extension(p, 1)).powmod
             g = next(v for v in range(p, q)
-                     if all(_ppowmod(_trim(_digits(v, p, n)), (q - 1) // r,
-                                     mod, p) != (1,) for r in factors))
+                     if all(powmod(_digits(v, p, n), (q - 1) // r, mod) != [1]
+                            for r in factors))
             h, lo_img, hi_img, spread = _generator_step(p, n, mod, g)
             if p == 2:
                 mask = (1 << h) - 1
@@ -1353,14 +1335,13 @@ _EMBEDDINGS = {}
 
 
 def _smallest_irreducible(p, d):
-    """Monic irreducible of degree d over F_p, smallest in index order."""
-    if d == 1:
-        return (0, 1)
-    for idx in range(p ** d):
-        cand = tuple(_digits(idx, p, d)) + (1,)
-        if _fp_poly_irreducible(cand, p):
-            return cand
-    raise RuntimeError("unreachable: irreducibles of every degree exist")
+    """Monic irreducible of degree d >= 2 over F_p, smallest in index
+    order, by Ben-Or's test on the prime field's kernel."""
+    irreducible = _kernel(canonical_extension(p, 1)).is_irreducible
+    for i in range(p ** d):
+        f = _digits(i, p, d) + [1]
+        if irreducible(f):
+            return f
 
 
 def canonical_extension(p, d):

@@ -56,6 +56,7 @@ from .curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _scalar,
 )
 from .elliptic import (
     INF,
@@ -66,7 +67,6 @@ from .elliptic import (
 )
 from .errors import (
     BudgetExceeded,
-    EmptyCosetUnderConstraint,
     EvenCharacteristic,
     FilterDisagreement,
     OddCharacteristic,
@@ -284,10 +284,12 @@ def _klein4_model(kern, f, n):
 
 def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     """y^2 = f(x + n/x) for separable quartics f coprime to x^2 - 4n,
-    materialized as degree-8 models y^2 = x^4 f(x + n/x)."""
+    materialized as degree-8 models y^2 = x^4 f(x + n/x).  n is taken as
+    the models take a coefficient (curves._scalar): an int is an index in
+    0..q-1, and an element of F is converted once."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
-    n_i = F.index(F.element(n))
+    n_i = _scalar(F, n)
     if not n_i:
         raise ValueError("n must be nonzero")
     q = F.q
@@ -740,17 +742,14 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     m = 2 if genus_target == 3 else 3
     basis = rr_basis(k)
     q = F.q
-    try:
-        qreps = E.quotient_reps(m)
-        used_fallback = False
-    except EmptyCosetUnderConstraint:
-        qreps = E.quotient_reps(m, fallback=True)
-        used_fallback = True
+    qreps = E.quotient_reps(m)
     if INF in qreps:
         # E(F_q) is killed by m, so O is alone in its coset of m E(F_q); the
         # double zero Q = O needs L((k - 2) inf), which is not built here
         raise UnsupportedShape(f"{E!r}: the coset {{O}} of {m}E(F_{q}) has "
                                f"no affine point to carry the double zero")
+    # a coset with only 2-torsion affine points gives one of them as Q
+    fallback = any(not y for _, y in qreps)
     kern = _kernel(F)
     horner, add, mul = kern.horner, kern.add, kern.mul
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
@@ -804,7 +803,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         run.save(rep_i + 1, kill_counts=[kill1, kill2])
     curve = [E.a2, E.a4, E.a6]
     return run.report({"q": q, "genus": genus_target, "curve": curve,
-                       "reps": len(qreps), "fallback": used_fallback,
+                       "reps": len(qreps), "fallback": fallback,
                        "mode": mode},
                       _fingerprint("double_covers", q, genus_target, *curve,
                                    "lead-norm-odometer"),

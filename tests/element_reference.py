@@ -27,8 +27,9 @@ arithmetic:
   covers' local expansions on Series, over a FiniteField or a
   QuotientField;
 * dlog_tables_reference: an extension's exp/log tables by one
-  matrix-vector product per element, against FiniteField.dlog_tables'
-  chunk-table walk;
+  matrix-vector product per element, from a generator found by
+  FieldElement powers, against FiniteField.dlog_tables' chunk-table walk
+  and its generator test on the prime field's kernel;
 * fiber_product_count: a genus-4 fiber product's own character sum over
   F_{q^i}, on the index kernel, against FiberProductGenus4's count through
   its three hyperelliptic quotients.
@@ -39,14 +40,13 @@ import random
 from pointless.errors import (
     DivisionByZero,
     DuplicateNodes,
-    EmptyCosetUnderConstraint,
     MixedFields,
     NoSquareRoot,
     UnsupportedShape,
     ZeroFunction,
 )
 from pointless.curves import _extension
-from pointless.field import Poly, _ppowmod, _prime_factors, _trim
+from pointless.field import Poly, _prime_factors
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
 
@@ -601,10 +601,10 @@ class ElementCurve:
     def two_torsion(self):
         return [INF] + [(x, self.base.zero) for x in roots(self.cubic)]
 
-    def quotient_reps(self, m, exclude_two_torsion=True, fallback=False):
-        """One representative per coset of m E(F_q), avoiding 2-torsion when
-        requested; EmptyCosetUnderConstraint for a coset with none unless
-        fallback."""
+    def quotient_reps(self, m):
+        """One representative per coset of m E(F_q): the first point
+        outside the 2-torsion, else the first affine point, else the first
+        member."""
         pts = self.points()
         image = {self.smul(m, P) for P in pts}
         tors = set(self.two_torsion())
@@ -619,14 +619,8 @@ class ElementCurve:
         out = []
         for members in cosets:
             affine = [P for P in members if P is not INF]
-            if not exclude_two_torsion:
-                out.append(affine[0] if affine else members[0])
-                continue
             pick = next((P for P in affine if P not in tors), None)
             if pick is None:
-                if not fallback:
-                    raise EmptyCosetUnderConstraint(
-                        "coset consists entirely of 2-torsion points")
                 pick = affine[0] if affine else members[0]
             out.append(pick)
         return out
@@ -713,8 +707,9 @@ def vanishing_order(E, coeffs, basis, P, field=None, cubic=None, prec=12):
 def dlog_tables_reference(F):
     """FiniteField.dlog_tables on an extension by the n x n walk: the
     generator is the first primitive element in canonical order, found
-    from index 1, and each power is the last times g as the F_p-linear map
-    whose columns are a^k * g mod the defining polynomial."""
+    from index 1 by FieldElement powers, and each power is the last times g
+    as the F_p-linear map whose columns are a^k * g mod the defining
+    polynomial."""
     p, n, q = F.p, F.n, F.q
     factors = set(_prime_factors(q - 1))
     mod = F.defining_poly
@@ -727,7 +722,7 @@ def dlog_tables_reference(F):
         return out
 
     g = next(v for v in range(1, q)
-             if all(_ppowmod(_trim(coeffs(v)), (q - 1) // r, mod, p) != (1,)
+             if all(F.from_index(v) ** ((q - 1) // r) != F.one
                     for r in factors))
     cols = [coeffs(g)]                 # cols[k] = a^k * g, padded to n
     for _ in range(n - 1):

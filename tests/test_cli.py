@@ -142,6 +142,17 @@ class TestSearch:
         assert code == 2
         assert "MAX_FIELD_ORDER" in capsys.readouterr().err
 
+    def test_n_is_an_element_index(self, capsys):
+        # index 5 of F_9 lies outside F_3, where an int n once reduced mod p
+        code, out = run(capsys, "search", "klein4_hyper_odd", "--q", "9",
+                        "--n", "5")
+        assert code == 0 and json.loads(out)["parameters"]["n"] == 5
+
+    def test_n_past_the_field_exits_2(self, capsys):
+        code = main(["search", "klein4_hyper_odd", "--q", "9", "--n", "9"])
+        assert code == 2
+        assert "outside 0..8" in capsys.readouterr().err
+
     def test_n_for_an_engine_without_a_twist_exits_2(self, capsys):
         code = main(["search", "fiberproduct", "--q", "3", "--n", "2"])
         assert code == 2

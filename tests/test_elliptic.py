@@ -21,7 +21,6 @@ from pointless.elliptic import (
     rr_basis,
 )
 from pointless.errors import (
-    EmptyCosetUnderConstraint,
     EvenCharacteristic,
     UnsupportedShape,
     ZeroFunction,
@@ -138,17 +137,21 @@ class TestQuotientReps:
                 assert E1.add(P, E1.neg(Q)) not in image
 
     def test_full_two_torsion_coset_needs_fallback(self):
-        # E(F_25) = Z/4 x Z/4: the coset 2E *is* the 2-torsion subgroup
+        # E(F_25) = Z/4 x Z/4: the coset 2E *is* the 2-torsion subgroup, so
+        # its representative is an affine 2-torsion point, and the other
+        # three cosets hold points of order 4
         E = EllipticCurve(F25, 0, F25.from_index(0), F25.from_index(7))
         assert E.group_structure() == (4, 4)
-        with pytest.raises(EmptyCosetUnderConstraint):
-            E.quotient_reps(2)
-        assert len(E.quotient_reps(2, fallback=True)) == 4
+        reps = E.quotient_reps(2)
+        tors = E.two_torsion()
+        assert len(reps) == 4
+        assert reps[0] is not INF and reps[0] in tors
+        assert all(P not in tors for P in reps[1:])
 
     def test_m3_cosets(self):
         E = E5()  # order 9
         n1, n2 = E.group_structure()
-        reps = E.quotient_reps(3, exclude_two_torsion=False)
+        reps = E.quotient_reps(3)
         # |E/3E| = 3^(number of invariants divisible by 3)
         expected = (3 if n1 % 3 == 0 else 1) * (3 if n2 % 3 == 0 else 1)
         assert len(reps) == expected
@@ -160,23 +163,14 @@ def _as_pair(F, P):
 
 
 def _quotient_outcomes(C, as_pair):
-    """quotient_reps(m) of C for m = 2, 3 with and without fallback, and
-    without the 2-torsion exclusion: each a list of index pairs, or None
-    where EmptyCosetUnderConstraint was raised."""
-    out = []
-    for m in (2, 3):
-        for kwargs in ({}, {"fallback": True}, {"exclude_two_torsion": False}):
-            try:
-                out.append([as_pair(P) for P in C.quotient_reps(m, **kwargs)])
-            except EmptyCosetUnderConstraint:
-                out.append(None)
-    return out
+    """quotient_reps(m) of C for m = 2, 3, each a list of index pairs."""
+    return [[as_pair(P) for P in C.quotient_reps(m)] for m in (2, 3)]
 
 
 # pinned curves (a2, a4, a6 as indices) per field: over F_7, y^2 = x^3 + 2
 # has 3E = {O}, the coset the double-cover engine refuses; over F_25,
 # y^2 = x^3 + c with c of index 7 is the (Z/4)^2 curve whose coset 2E is
-# the 2-torsion, so quotient_reps(2) raises EmptyCosetUnderConstraint
+# the 2-torsion, so quotient_reps(2) gives it an affine 2-torsion point
 GROUP_LAW_CURVES = {
     F5: [(0, 1, 1), (0, 0, 1), (0, 4, 0)],
     F7: [(0, 0, 2), (0, 1, 3)],
@@ -214,9 +208,10 @@ class TestGroupLawAgainstElementReference:
             reps.append(_quotient_outcomes(E, lambda P: P))
             assert reps[-1] == _quotient_outcomes(R, pair), E
         if F is F7:       # y^2 = x^3 + 2: O is alone in its coset of 3E
-            assert INF in reps[0][4]
+            assert INF in reps[0][1]
         if F is F25:      # the (Z/4)^2 curve: its coset 2E is the 2-torsion
-            assert reps[0][0] is None
+            Q = reps[0][0][0]
+            assert Q is not INF and Q[1] == 0
 
 
 class TestRRBasis:

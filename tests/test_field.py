@@ -62,6 +62,27 @@ class TestConstruction:
         F = FiniteField(3, 2, [1, 0, 1])          # x^2 + 1 irreducible over F_3
         assert F.q == 9
 
+    @pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)),
+                                            (5, (2, 3))],
+                             ids=["F2", "F3", "F5"])
+    def test_moduli_checked_as_the_element_reference(self, p, degrees):
+        # every monic f of each degree d: FiniteField(p, d, f) is built
+        # exactly when Rabin's test in FieldElement arithmetic calls f
+        # irreducible, and canonical_extension takes the first such f in
+        # index order (295 polynomials, about 0.2 s in all)
+        Fp = FiniteField(p)
+        for d in degrees:
+            first = None
+            for i in range(p ** d):
+                f = [i // p ** k % p for k in range(d)] + [1]
+                if _element_is_irreducible(Poly.from_ints(Fp, f)):
+                    first = first or tuple(f)
+                    assert FiniteField(p, d, f).defining_poly == tuple(f)
+                else:
+                    with pytest.raises(ReduciblePolynomial):
+                        FiniteField(p, d, f)
+            assert canonical_extension(p, d).defining_poly == first
+
     def test_f32_defining_relation(self):
         a = F32.gen
         assert a ** 5 == F32.element([1, 0, 1])   # a^5 = a^2 + 1

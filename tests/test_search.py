@@ -178,12 +178,18 @@ class TestKlein4Odd:
         with pytest.raises(EvenCharacteristic):
             search_klein4_hyper_odd(F2, 1)
 
-    @pytest.mark.parametrize("F", [F3, F5, F7, F9, F11, F13],
-                             ids=["F3", "F5", "F7", "F9", "F11", "F13"])
-    @pytest.mark.parametrize("square_n", [True, False], ids=["n=1", "n=nu"])
-    def test_reports_equal_naive_filter_reference(self, F, square_n):
-        n = F.one if square_n else F.canonical_nonsquare
-        found = _klein4_reference(F, n)
+    @pytest.mark.parametrize("F, n", [
+        pytest.param(F, F.one if kind == "1" else F.canonical_nonsquare,
+                     id=f"n={kind}-F{F.q}")
+        for kind in ("1", "nu") for F in (F3, F5, F7, F9, F11, F13)
+    ] + [
+        # an int n is an index: 5 in F_9 lies outside F_3
+        pytest.param(F9, 5, id="n=5-F9"),
+    ])
+    def test_reports_equal_naive_filter_reference(self, F, n):
+        # the engine takes n as given, the reference its element
+        element = F.from_index(n) if isinstance(n, int) else n
+        found = _klein4_reference(F, element)
         survivors, zetas = [], []
         for _, f, model in found:
             curve = HyperellipticOdd(F, model)
@@ -201,14 +207,14 @@ class TestKlein4Odd:
             keep = 1 if stops else len(found)
             assert got == {
                 "family": "klein4_hyper_odd",
-                "parameters": {"q": F.q, "n": F.index(n), "mode": mode},
+                "parameters": {"q": F.q, "n": F.index(element), "mode": mode},
                 "candidates": candidates,
                 "survivors": survivors[:keep],
                 "dedup_classes": len({tuple(z["counts"])
                                       for z in zetas[:keep]}),
                 "zeta": zetas[:keep],
                 "fingerprint": search._fingerprint(
-                    "klein4_hyper_odd", F.q, F.index(n),
+                    "klein4_hyper_odd", F.q, F.index(element),
                     "odometer-c0..c3-lc-nu"),
                 "kill_counts": {},
             }
@@ -679,7 +685,7 @@ class TestDoubleCovers:
         # z^2 = f has a rational point
         E = EllipticCurve(F, *curve)
         basis = rr_basis(k)
-        Q = E.quotient_reps(2 if k == 6 else 3, fallback=True)[0]
+        Q = E.quotient_reps(2 if k == 6 else 3)[0]
         kernel = [[F.from_index(v) for v in vec] for vec in
                   search._double_zero_kernel(E, basis, Q)]
         kern = _kernel(F)
