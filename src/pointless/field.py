@@ -526,9 +526,9 @@ class _Kernel:
     _pmod, _pquo), raises to powers modulo a polynomial (powmod), takes
     the monic gcd (gcd), tests separability (is_separable), counts roots
     (root_count: y^Q mod f from y^q by the q-power Frobenius of
-    F_Q[y]/(f), which is semilinear on index lists, or by repeated
-    squaring in characteristic 2), solves a Y^2 + b Y + c in Y = y^2, or
-    y^2 + y in characteristic 2, counting the y (quadratic_fibres), and
+    F_Q[y]/(f), which is semilinear on index lists), solves
+    a Y^2 + b Y + c in Y = y^2, or y^2 + y in characteristic 2, counting
+    the y (quadratic_fibres), and
     factors (squarefree, factor, is_irreducible), all on the one Euclid
     loop (_euclid).  FieldElement's square test and square root, and
     Poly's gcd, run on it over every FiniteField, and nonsquare is the
@@ -1021,14 +1021,6 @@ class _Char2Kernel(_Kernel):
 
     def sqrt_count(self, a):
         return 1
-
-    def _y_to_the_order(self, m, q):
-        """y^Q mod m by repeated squaring: here _psquare is the Frobenius
-        already, and composing it measured no faster."""
-        h = [0, 1]
-        for _ in range(self.q.bit_length() - 1):
-            h = self._pmod(self._psquare(h), m)
-        return h
 
     def quadratic_fibres(self, a, b, c):
         """Number of y with a Y^2 + b Y + c = 0 for Y = y^2 + y: a root Y

@@ -1,59 +1,67 @@
 """Point counts -> L-polynomials -> real Weil polynomials, plus the exact
 Weil/Serre bound gates.
 
-All arithmetic is exact: big integers, Fractions, and Sturm sequences.
-Integer polynomials are stored as ascending coefficient lists.
+All arithmetic is on integers.  Integer polynomials are stored as
+ascending coefficient lists; Newton's identities (_power_sums and its
+inverse _coefficients) carry a polynomial 1 + c_1 T + ... + c_d T^d =
+prod (1 - x T) to the power sums of its roots x and back.  A real Weil
+polynomial is checked by Hermite's theorem on two integer Hankel forms
+(validate_weil).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import NonIntegralResult
 from .field import _prime_factors
 
 
+def _power_sums(c, n):
+    """[s_0 .. s_n], s_k the sum of x^k over the d roots x of
+    1 + c_1 T + ... + c_d T^d = prod (1 - x T), by Newton's identities
+    s_k = -k c_k - sum_{0<j<k} c_j s_{k-j} (c_k = 0 past d)."""
+    d = len(c) - 1
+    s = [d]
+    for k in range(1, n + 1):
+        s.append(-k * (c[k] if k <= d else 0)
+                 - sum(c[j] * s[k - j] for j in range(1, min(k, d + 1))))
+    return s
+
+
+def _coefficients(s):
+    """The inverse of _power_sums: [1, c_1 .. c_n] from [s_0 .. s_n], by
+    k c_k = -sum_{0<i<=k} c_{k-i} s_i.  Raises NonIntegralResult when some
+    c_k is not an integer (which _psd's traces never give)."""
+    c = [1]
+    for k in range(1, len(s)):
+        acc = -sum(c[k - i] * s[i] for i in range(1, k + 1))
+        if acc % k:
+            raise NonIntegralResult(
+                f"counts give non-integral L coefficient a_{k} = {acc}/{k}")
+        c.append(acc // k)
+    return c
+
+
 def l_from_counts(q, g, counts):
     """L-polynomial coefficients [a_0 .. a_2g] from counts [N_1 .. N_g].
 
-    Power sums S_i = q^i + 1 - N_i feed Newton's identities for the
-    elementary symmetric functions of the Frobenius eigenvalues; the top
-    half follows from the functional equation a_{2g-i} = q^{g-i} a_i.
+    The power sums S_i = q^i + 1 - N_i of the Frobenius eigenvalues give
+    a_0 .. a_g by Newton's identities; the top half follows from the
+    functional equation a_{2g-i} = q^{g-i} a_i.
     """
     if len(counts) != g:
         raise ValueError(f"need exactly {g} counts, got {len(counts)}")
     if any(N < 0 for N in counts):
         raise NonIntegralResult("negative point count")
-    S = [q ** i + 1 - counts[i - 1] for i in range(1, g + 1)]
-    e = [Fraction(1)]
-    for k in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * S[i - 1]
-        e.append(acc / k)
-    a = [0] * (2 * g + 1)
-    for k in range(g + 1):
-        v = (-1) ** k * e[k]
-        if v.denominator != 1:
-            raise NonIntegralResult(
-                f"counts give non-integral L coefficient a_{k} = {v}")
-        a[k] = int(v)
-    for i in range(g):
-        a[2 * g - i] = q ** (g - i) * a[i]
-    return a
+    a = _coefficients([2 * g] + [q ** i + 1 - counts[i - 1]
+                                 for i in range(1, g + 1)])
+    return a + [q ** (g - i) * a[i] for i in range(g - 1, -1, -1)]
 
 
 def predicted_counts(L, q, i):
-    """N_i from the L-polynomial via Newton recurrences (exact)."""
-    deg = len(L) - 1
-    s = [0] * (i + 1)  # power sums of the eigenvalues
-    for k in range(1, i + 1):
-        acc = -k * (L[k] if k <= deg else 0)
-        for j in range(1, min(k, deg) + 1):
-            if j < k:
-                acc -= L[j] * s[k - j]
-        s[k] = acc
-    return q ** i + 1 - s[i]
+    """N_i from the L-polynomial: q^i + 1 minus the i-th power sum of its
+    reciprocal roots."""
+    return q ** i + 1 - _power_sums(L, i)[i]
 
 
 def real_weil_from_l(L, q, g):
@@ -87,118 +95,44 @@ def expand_real_weil(h, q, g):
     return out
 
 
-# ---------------------------------------------------------------------------
-# exact real-root location via Sturm sequences over Q
-# ---------------------------------------------------------------------------
-
-def _qtrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _qderiv(f):
-    return _qtrim([f[i] * i for i in range(1, len(f))])
-
-
-def _qrem(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = Fraction(a[-1], 1) / b[-1]
-        k = len(a) - 1 - db
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a.pop()
-        _qtrim(a)
-    return a
-
-
-def _qeval(f, x):
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _sturm_chain(f):
-    chain = [f, _qderiv(f)]
-    while chain[-1]:
-        r = _qrem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
-
-
-def _sign_changes(chain, x):
-    signs = []
-    for f in chain:
-        v = _qeval(f, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots_in(f, lo, hi):
-    """Distinct real roots of the integer/rational polynomial f in (lo, hi]."""
-    f = _qtrim([Fraction(c) for c in f])
-    if len(f) <= 1:
-        return 0
-    chain = _sturm_chain(f)
-    return _sign_changes(chain, Fraction(lo)) - _sign_changes(chain, Fraction(hi))
-
-
-def _squarefree_q(f):
-    g = _qderiv(list(f))
-    a, b = list(f), g
-    while b:
-        a, b = b, _qrem(a, b)
-    if len(a) <= 1:
-        return list(f)
-    # divide f by gcd a
-    lead = a[-1]
-    a = [c / lead for c in a]
-    quot = []
-    rem = list(f)
-    da = len(a) - 1
-    while len(rem) - 1 >= da and rem:
-        c = rem[-1]
-        quot.append(c)
-        k = len(rem) - 1 - da
-        for i, y in enumerate(a):
-            rem[k + i] -= c * y
-        rem.pop()
-        _qtrim(rem)
-    quot.reverse()
-    return _qtrim(quot)
+def _psd(A):
+    """True iff the symmetric integer matrix A is positive semidefinite,
+    that is iff prod (1 - lambda T) over its eigenvalues lambda has
+    coefficients of alternating sign (all e_k(lambda) >= 0).  The
+    coefficients come from the traces of A, A^2, .., A^d by Le Verrier's
+    method, Newton's identities again (_coefficients); they are the
+    characteristic polynomial's, integers, so every division is exact."""
+    d = len(A)
+    traces, P = [d, sum(A[i][i] for i in range(d))], A
+    while len(traces) <= d:
+        P = [[sum(r[k] * A[k][j] for k in range(d)) for j in range(d)]
+             for r in P]
+        traces.append(sum(P[i][i] for i in range(d)))
+    return all((-1) ** k * c >= 0
+               for k, c in enumerate(_coefficients(traces)))
 
 
 def validate_weil(h, q):
-    """True iff every root of h is real and lies in [-2 sqrt(q), 2 sqrt(q)].
+    """True iff every root of the monic integer polynomial h is real and
+    lies in [-2 sqrt(q), 2 sqrt(q)]; ValueError unless h is monic with
+    integer coefficients.
 
-    Squaring the roots turns the irrational interval into [0, 4q]: with
-    u(x^2) = (-1)^deg h(x) h(-x), all roots of h lie in [-2 sqrt(q), 2 sqrt(q)]
-    iff all roots of u are real and lie in [0, 4q].
+    Hermite's theorem on the power sums s_k of the d roots x (with
+    multiplicity): the Hankel form H = [s_(i+j)], 0 <= i, j < d, takes
+    the coefficient vector of a polynomial p of degree < d to
+    sum_x p(x)^2, so it is positive semidefinite exactly when no root is
+    nonreal (a conjugate pair gives it a negative direction).  With every root real,
+    M = [4q s_(i+j) - s_(i+j+2)] is sum_x (4q - x^2) p(x)^2, and since the
+    Vandermonde vectors of distinct roots are independent, it is positive
+    semidefinite exactly when no root has x^2 > 4q.
     """
-    h = _qtrim([Fraction(c) for c in h])
+    if not h or h[-1] != 1 or not all(isinstance(c, int) for c in h):
+        raise ValueError(f"validate_weil needs a monic integer h, got {h}")
     d = len(h) - 1
-    if d <= 0:
-        return True
-    hm = [(-1) ** i * c for i, c in enumerate(h)]  # h(-x)
-    prod = [Fraction(0)] * (2 * d + 1)
-    for i, x in enumerate(h):
-        for j, y in enumerate(hm):
-            prod[i + j] += x * y
-    u = [(-1) ** d * prod[2 * k] for k in range(d + 1)]
-    usf = _squarefree_q(u)
-    want = len(usf) - 1
-    bound = 1 + max(abs(c) for c in usf[:-1]) / abs(usf[-1]) if want else Fraction(1)
-    inside = count_real_roots_in(usf, -bound, 4 * q)
-    negatives = count_real_roots_in(usf, -bound, 0)
-    if _qeval(usf, Fraction(0)) == 0:
-        negatives -= 1  # a root of u at exactly 0 means h(0) = 0, which is legal
-    return inside == want and negatives == 0
+    s = _power_sums(h[::-1], 2 * d)
+    return (_psd([[s[i + j] for j in range(d)] for i in range(d)])
+            and _psd([[4 * q * s[i + j] - s[i + j + 2] for j in range(d)]
+                      for i in range(d)]))
 
 
 # ---------------------------------------------------------------------------

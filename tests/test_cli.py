@@ -45,6 +45,14 @@ class TestZeta:
         # h = (x - 10)^2 (x - 6) = x^3 - 26x^2 + 220x - 600
         assert j["real_weil"] == [-600, 220, -26, 1]
 
+    def test_nonreal_roots_invalid(self, capsys):
+        # h = x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1) has the roots +/- i
+        code, out = run(capsys, "zeta", "--q", "5", "--genus", "3",
+                        "--counts", "5,57,140")
+        j = json.loads(out)
+        assert code == 0 and j["real_weil"] == [-1, 1, -1, 1]
+        assert j["valid"] is False
+
     @pytest.mark.parametrize("q", ["6", "1"])
     def test_q_not_a_prime_power_exits_2(self, capsys, q):
         code = main(["zeta", "--q", q, "--genus", "1", "--counts", "3"])

@@ -1,6 +1,8 @@
 """Zeta pipeline: pinned paper values, roundtrips, and bound gates."""
 
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,7 +101,19 @@ class TestValidateWeil:
         assert validate_weil(h, 25)
 
     def test_complex_roots_rejected(self):
-        assert not validate_weil([1, 0, 1], 25)               # x^2 + 1
+        for h, q in [
+                ([1, 0, 1], 25),                    # x^2 + 1
+                ([1, 1, 1, 1], 5),                  # (x + 1)(x^2 + 1)
+                ([-1, 1, -1, 1], 5),                # (x - 1)(x^2 + 1)
+                ([0, 0, -1, 2, -2, 1], 2),          # x^2 (x - 1)(x^2 - x + 1)
+                ([0, 0, 1, 0, 0, 1], 4),            # x^2 (x + 1)(x^2 - x + 1)
+                ([-6, -6, 1, 1, 1, 1], 3)]:         # (x + 1)(x^2 - 2)(x^2 + 3)
+            assert not validate_weil(h, q), (h, q)
+
+    def test_non_monic_or_non_integer_refused(self):
+        for h in ([-10, 2], [1, 1, 0], [], [Fraction(1, 2), 1]):
+            with pytest.raises(ValueError):
+                validate_weil(h, 25)
 
     def test_zero_root_ok(self):
         assert validate_weil([0, 1], 5)                       # x
@@ -182,3 +196,36 @@ def test_validate_rejects_out_of_band(seed):
     t_bad = math.isqrt(4 * q) + 1 + rng.randint(0, 5)
     h = [-t_bad, 1]
     assert not validate_weil(h, q)
+
+
+def _factor(q):
+    """One factor of h with the verdict that validate_weil must give for
+    it alone: x - t, x^2 - s (s >= 0), x^k, or x^2 + bx + c with b^2 < 4c."""
+    band = isqrt(4 * q)
+    linear = st.integers(-band - 2, band + 2).map(
+        lambda t: ([-t, 1], t * t <= 4 * q))
+    square = st.integers(0, 4 * q + 4).map(
+        lambda s: ([-s, 0, 1], s <= 4 * q))
+    power = st.integers(1, 3).map(lambda k: ([0] * k + [1], True))
+    nonreal = st.tuples(st.integers(-band, band), st.integers(1, 2 * q)).map(
+        lambda bc: ([bc[0] * bc[0] // 4 + bc[1], bc[0], 1], False))
+    return st.one_of(linear, square, power, nonreal)
+
+
+@st.composite
+def _factored_h(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]))
+    factors = draw(st.lists(_factor(q), min_size=1, max_size=3))
+    # repeat a factor, so that repeated and zero roots meet nonreal ones
+    factors += draw(st.lists(st.sampled_from(factors), max_size=2))
+    return q, factors
+
+
+@given(_factored_h())
+@settings(max_examples=150, deadline=None)
+def test_validate_weil_by_factors(qf):
+    q, factors = qf
+    h = [1]
+    for f, _ in factors:
+        h = poly_mul(h, f)
+    assert validate_weil(h, q) == all(ok for _, ok in factors)
