@@ -352,7 +352,8 @@ def montecarlo_pointless_rate(family, F, samples, seed=0):
         pointless=hits,
         rate=rate,
         wilson95=wilson_interval(hits, samples),
-        heuristic=float(Fraction(3, 4) ** (F.q + 1)),
+        heuristic=float(heuristic_pointless_probability(Fraction(1, 4),
+                                                        F.q + 1)),
         family_heuristic=(float(klein4_hyper_odd_heuristic(F.q))
                           if family == "klein4_hyper_odd" else None),
         seed=seed,

@@ -10,9 +10,10 @@ enters divisor_shape and cover_count as the index list of its
 coefficients on an rr_basis (Q as an index pair), and the cubic c as the
 index list EllipticCurve keeps.
 divisor_shape works on index polynomials (the norm A^2 - B^2 c, its
-factors, and Euler's criterion modulo each factor), and cover_count
-expands fn at its zeros as truncated series of indices on the index
-kernel of the field the point lies in (pointless.series).
+factors, and Euler's criterion modulo each factor), and so does
+cover_count at the zeros of fn: their orders and leading square classes
+come from division by x - x0 and the norm, on the index kernel of the
+field the point lies in.
 """
 
 from math import gcd, isqrt
@@ -25,17 +26,6 @@ from .errors import (
 )
 from .curves import _extension, _scalar
 from .field import _kernel, _prime_factors
-from .series import (
-    EXACT,
-    _ser,
-    _ser_add,
-    _ser_coeff,
-    _ser_cubic_branch,
-    _ser_horner,
-    _ser_mul,
-    _ser_sqrt,
-    _ser_truncate,
-)
 
 INF = None
 
@@ -209,44 +199,45 @@ def fn_pole_order(coeffs, basis):
 
 
 # ---------------------------------------------------------------------------
-# local expansions and vanishing orders
+# vanishing orders at the zeros of fn
 # ---------------------------------------------------------------------------
 
-# Every order read below is at most k <= 8, the limit in rr_basis: the
-# zeros of fn in L(k*infinity) have degree k in all, so coefficients of
-# t^0 .. t^8 decide each valuation and its leading coefficient.
-EXPANSION_PREC = 9
+def _zero_order(kern, A, B, c, x0, y0):
+    """(order, leading) of fn = A + B y at a zero (x0, y0) of y^2 = c(x):
+    its vanishing order, and its leading coefficient up to a square, in the
+    parameter y at a 2-torsion point and x - x0 elsewhere.
 
-
-def _local_xy_series(kern, c, x0, y0):
-    """(x(t), y(t)) at the affine point (x0, y0) of y^2 = c(x), as series of
-    the kernel's indices: t is x - x0 off 2-torsion and t = y at a
-    2-torsion point, where x = x0 + s(t) with c(x0 + s) = t^2."""
-    prec = EXPANSION_PREC
-    if y0:
-        xs = _ser(0, [x0, 1], prec)
-        return xs, _ser_sqrt(kern, _ser_truncate(_ser_horner(kern, c, xs),
-                                                 prec), y0)
-    # the Taylor coefficients d1, d2, d3 of c at x0 (c(x0) = 0)
-    taylor = _ser_horner(kern, c, _ser(0, [x0, 1], EXACT))
-    d1, d2, d3 = (_ser_coeff(taylor, k) for k in (1, 2, 3))
-    if not d1:
-        raise UnsupportedShape("singular point")  # cannot happen on a curve
-    s = _ser_cubic_branch(kern, d1, 0, d2, d3, prec)
-    return _ser(0, [x0] + s[1:], prec), _ser(1, [1], prec)
-
-
-def _local_fn_series(kern, A, B, c, x0, y0):
-    """The expansion of A + B y at the affine point (x0, y0), in the local
-    parameter of _local_xy_series; A, B and c are index polynomials."""
-    prec = EXPANSION_PREC
-    xs, ys = _local_xy_series(kern, c, x0, y0)
-    fs = _ser_add(kern, _ser_truncate(_ser_horner(kern, A, xs), prec),
-                  _ser_truncate(_ser_mul(kern, _ser_horner(kern, B, xs), ys),
-                                prec))
-    if not fs[1]:
-        raise ZeroFunction("function vanishes beyond the series precision")
-    return fs
+    First the common factor (x - x0)^j of A and B is divided out, leaving
+    f1 = A1 + B1 y.  At a 2-torsion point x - x0 has order 2 and leading
+    coefficient 1/c'(x0), so A1 (even order) and B1 y (odd order) cannot
+    cancel: fn has order 2j and leading term A1(x0) c'(x0)^-j when
+    A1(x0) != 0, else order 2j + 1 and leading term B1(x0) c'(x0)^-j
+    (c'(x0)^-j is c'(x0)^j up to a square).  Off the 2-torsion fn has
+    order j and leading term f1(P) when f1(P) != 0.  Otherwise the
+    conjugate A1 - B1 y does not vanish at P (that would force
+    A1(x0) = B1(x0) = 0, as y0 != 0 in odd characteristic), so f1 has the
+    order m of x0 in the norm N = A1^2 - B1^2 c, and leading term
+    (N / (x - x0)^m)(x0) / (2 A1(x0)): the argument divisor_shape makes
+    for split pieces."""
+    horner, pquo = kern.horner, kern._pquo
+    lin = [kern.neg(x0), 1]                      # x - x0
+    j = 0
+    while not horner(A, x0) and not horner(B, x0):
+        A, B, j = pquo(A, lin), pquo(B, lin), j + 1
+    a1 = horner(A, x0)
+    if not y0:
+        order, lead = (2 * j, a1) if a1 else (2 * j + 1, horner(B, x0))
+        if j & 1:
+            lead = kern.mul(lead, horner(kern._derivative(c), x0))
+        return order, lead
+    v = kern.add(a1, kern.mul(horner(B, x0), y0))
+    if v:
+        return j, v
+    N = kern._psub(kern._pmul(A, A), kern._pmul(kern._pmul(B, B), c))
+    m = 0
+    while not horner(N, x0):
+        N, m = pquo(N, lin), m + 1
+    return j + m, kern.mul(horner(N, x0), kern.mul(2, a1))
 
 
 def _fn_indices(basis, idx):
@@ -371,9 +362,9 @@ def cover_count(E, coeffs, basis, i=1):
     curves._extension), c(x), A(x) and B(x) come from Horner on indices,
     y = sqrt(c(x)) from the halved discrete log, and each of the points
     (x, +-y) adds 2 or 0 by the log parity of fn there, times the orbit's
-    size.  Only a point where fn vanishes takes a local expansion, on the
-    same kernel: an odd order adds 1, an even one 2 or 0 by the square
-    class of the leading coefficient.
+    size.  At a point where fn vanishes _zero_order reads its order and
+    leading coefficient on the same kernel: an odd order adds 1, an even
+    one 2 or 0 by the square class of the leading coefficient.
     """
     pole = fn_pole_order(coeffs, basis)
     _, imap, kern, orbits = _extension(E.base, i)
@@ -395,7 +386,7 @@ def cover_count(E, coeffs, basis, i=1):
             pts = ((y, add(ax, by)), (neg(y), add(ax, neg(by))))
         for y, v in pts:
             if not v:       # a zero of fn: read its order and leading term
-                order, (v, *_), _ = _local_fn_series(kern, A, B, c, x, y)
+                order, v = _zero_order(kern, A, B, c, x, y)
                 if order % 2:
                     total += w
                     continue

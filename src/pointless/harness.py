@@ -157,17 +157,25 @@ class FixtureEntry:
 
 
 def _constant(F, v, entry_id):
-    """The base-field index of a field constant: an int, an 'a^k' / '-a^k'
-    / 'a' string, or a coefficient vector, each read by F.element."""
+    """The base-field index of a field constant: an int c (index c mod p),
+    a coefficient vector (index sum (c_i mod p) p^i), or an 'a' / 'a^k'
+    string (the generator a has index p, so a^k is exp[k log p]), each
+    negated by a leading '-'."""
     if isinstance(v, bool):
         raise ValidationError("boolean is not a field constant", entry_id)
     neg = isinstance(v, str) and v.startswith("-")
     spec = v[1:] if neg else v
+    p, kern = F.p, _kernel(F)
     if isinstance(v, str):
         if spec != "a" and not spec.startswith("a^"):
             raise ValidationError(f"bad constant string {v!r}", entry_id)
         if F.n == 1:
             raise ValidationError("power string over a prime field", entry_id)
+        try:
+            k = 1 if spec == "a" else int(spec[2:])
+        except ValueError:
+            raise ValidationError(f"bad power string {v!r}", entry_id)
+        idx = kern.exp[k * kern.log[p] % kern.n1]
     elif isinstance(v, list):
         if not all(isinstance(c, int) for c in v):
             raise ValidationError("coefficient vector must hold ints",
@@ -175,13 +183,12 @@ def _constant(F, v, entry_id):
         if len(v) > F.n:
             raise ValidationError("coefficient vector longer than the degree",
                                   entry_id)
-    elif not isinstance(v, int):
+        idx = sum(c % p * p ** i for i, c in enumerate(v))
+    elif isinstance(v, int):
+        idx = v % p
+    else:
         raise ValidationError(f"bad field constant {v!r}", entry_id)
-    try:
-        idx = F.index(F.element(spec))
-    except ValueError:
-        raise ValidationError(f"bad power string {v!r}", entry_id)
-    return _kernel(F).neg(idx) if neg else idx
+    return kern.neg(idx) if neg else idx
 
 
 def _poly(F, values, entry_id):

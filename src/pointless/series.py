@@ -7,9 +7,9 @@ stripped, a series with no known nonzero coefficient has val = prec, and
 every operation carries the worst-case precision of its result, so reading
 a coefficient past the known precision raises.  The arithmetic is that of
 a field._Kernel of any characteristic: sums through kern.add and kern.neg,
-products on its exp/log tables.  The char-2 towers (curves.ASTower) and the
-elliptic double covers (elliptic.cover_count, at the zeros of fn) expand
-their places here.
+products on its exp/log tables.  The char-2 towers (curves.ASTower) expand
+their special places here, and nothing else does: the elliptic double
+covers read the orders at the zeros of fn off index polynomials.
 """
 
 from .errors import DivisionByZero
@@ -110,30 +110,12 @@ def _ser_horner(kern, cs, s):
     return acc
 
 
-def _ser_sqrt(kern, s, r0):
-    """The y with y^2 = s and y(0) = r0, odd characteristic, for s of
-    valuation 0 with s(0) = r0^2 != 0; as precise as s.  The coefficient of
-    t^k of y^2 gives the explicit recurrence
-        y_k = (s_k - sum_{0 < i < k} y_i y_(k-i)) / (2 r0)."""
-    _, _, prec = s
-    add, neg, mul = kern.add, kern.neg, kern.mul
-    half = kern.inv(mul(2, r0))     # the index of an integer k < p is k
-    y = [r0]
-    for k in range(1, prec):
-        acc = _ser_coeff(s, k)
-        for i in range(1, k):
-            acc = add(acc, neg(mul(y[i], y[k - i])))
-        y.append(mul(acc, half))
-    return _ser(0, y, prec)
-
-
 def _ser_cubic_branch(kern, c1, ct, c2, c3, n):
     """The indices of s_0 .. s_(n-1), all exact, of the series s(t) with
     s(0) = 0 and
         c1 s + ct t s + c2 s^2 + c3 s^3 = t^2,   c1 != 0:
     the smooth-model parameter at a ramified Artin-Schreier pole
-    (curves._tower_place_points) and at a 2-torsion point of an elliptic
-    curve (elliptic._local_xy_series).  The coefficient of t^k gives
+    (curves._tower_place_points).  The coefficient of t^k gives
         s_k = (delta_(k,2) - ct s_(k-1) - c2 (s^2)_k - c3 (s^3)_k) / c1,
     explicit because s_0 = 0, so (s^2)_k and (s^3)_k only involve s_j with
     j < k; they are kept as running sums."""

@@ -9,11 +9,9 @@ import pytest
 
 from pointless.curves import _extension
 from pointless.elliptic import (
-    EXPANSION_PREC,
     INF,
     EllipticCurve,
-    _local_fn_series,
-    _local_xy_series,
+    _zero_order,
     cover_count,
     divisor_shape,
     fn_pole_order,
@@ -27,7 +25,6 @@ from pointless.errors import (
 )
 from pointless.field import FiniteField, Poly, _index_poly, _kernel, embed
 from pointless.search import _double_zero_kernel
-from pointless.series import _ser_coeff
 from pointless.zeta import l_from_counts, real_weil_from_l, validate_weil
 
 import element_reference as ref
@@ -723,9 +720,69 @@ class TestCoverCountDifferential:
                 assert cover_count(E, _ix(F, cf), basis, i) == \
                     _reference_cover_count(E, cf, basis, i), (E, cf, i)
 
+    @pytest.mark.parametrize("F", [F5, F7, F9, F11, F13],
+                             ids=lambda F: f"F{F.q}")
+    def test_forced_zeros(self, F):
+        """Zeros that random functions seldom reach, over F_q and F_{q^2},
+        each function also times a nonsquare.  E has c = (x - t0) g with g
+        irreducible, so 2-torsion points over F_q and over F_{q^2}; a and
+        b are the multiplicities of x0 in A and B."""
+        rng = random.Random(4000 + F.q)
+        basis = rr_basis(8)
+        kern = _kernel(F)
+        while True:
+            E = _random_curve(F, rng, two_torsion=True)
+            if kern.root_count(E._cubic) == 1:
+                break
+        R = ref.ElementCurve.of(E)
+        x, one = Poly.x(F), Poly(F, [F.one])
+        x0, y0 = next(P for P in R.points()
+                      if P is not INF and not P[1].is_zero())
+        t0 = next(P[0] for P in R.points() if P is not INF and P[1].is_zero())
+        lin, lin_T = x - Poly.constant(F, x0), x - Poly.constant(F, t0)
+        g = R.cubic // lin_T
+        # the tangent at (x0, y0) is tangent_A + y
+        lam = ref.derivative(R.cubic).eval(x0) / (y0 + y0)
+        tangent_A = -Poly.constant(F, y0) - Poly.constant(F, lam) * lin
+        pairs = [
+            (tangent_A, one),          # order >= 2 at a split point
+            (lin * tangent_A, lin),    # shared with the conjugate, and more
+            (lin * lin, lin),
+            # at (t0, 0): a <= b
+            (lin_T, None), (lin_T * lin_T, None), (lin_T, lin_T),
+            (lin_T, lin_T * lin_T),
+            # at (t0, 0): a > b
+            (lin_T * lin_T, one), (lin_T * lin_T, lin_T),
+            (lin_T * lin_T * lin_T, lin_T),
+            # at the 2-torsion over F_{q^2}: a <= b, then a > b
+            (g, None), (g, g), (g * g, one), (g * g, g),
+        ]
+        # A + y with A^2 - c = h^2, from c = (A - h)(A + h) with
+        # A - h = u (x - t0): a double zero over each root of h, off the
+        # 2-torsion, in F_{q^2} when h is irreducible
+        half = Poly.constant(F, F.element(2).inv())
+
+        def halves(u):
+            u, ui = Poly.constant(F, u), Poly.constant(F, u.inv())
+            return (u * lin_T + g * ui) * half, (g * ui - u * lin_T) * half
+
+        units = [u for u in F.elements() if not u.is_zero()]
+        u = next((u for u in units if kern.is_irreducible(
+            _index_poly(halves(u)[1].monic()))), units[0])
+        A, h = halves(u)
+        assert A * A - R.cubic == h * h
+        pairs.append((A, one))
+        nu = Poly.constant(F, F.canonical_nonsquare)
+        for A, B in pairs:
+            for scale in (one, nu):
+                cf = _fn(basis, A * scale, None if B is None else B * scale)
+                for i in (1, 2):
+                    assert cover_count(E, _ix(F, cf), basis, i) == \
+                        _reference_cover_count(E, cf, basis, i), (E, cf, i)
+
 
 # ---------------------------------------------------------------------------
-# the kernel series of elliptic's expansions against the element Series
+# the orders and leading terms of _zero_order against the element Series
 # ---------------------------------------------------------------------------
 
 def _kernel_points(E, i, rng):
@@ -747,19 +804,11 @@ def _kernel_points(E, i, rng):
     return big, kern, c, off + tors
 
 
-def _as_indices(big, s):
-    """(val, coefficients of t^0 .. t^(prec-1), prec) of a reference Series."""
-    return s.val, [big.index(s.coefficient(k)) for k in range(s.prec)], s.prec
-
-
-def _as_kernel_indices(s):
-    return s[0], [_ser_coeff(s, k) for k in range(s[2])], s[2]
-
-
 class TestExpansionsAgainstSeries:
-    """_local_xy_series and _local_fn_series on the kernel of F_{q^i}
-    against the element Series reference, coefficient by coefficient, at
-    seeded points off and at the 2-torsion."""
+    """_zero_order on the kernel of F_{q^i} against the element Series
+    reference: the vanishing order, and the square class of the leading
+    coefficient in the same local parameter (y at a 2-torsion point,
+    x - x0 elsewhere), at seeded points off and at the 2-torsion."""
 
     @pytest.mark.parametrize("F, degrees", [
         (F5, (1, 2, 3)), (F7, (1, 2, 3)), (F9, (1, 2, 3)), (F25, (1, 2)),
@@ -767,7 +816,6 @@ class TestExpansionsAgainstSeries:
     ], ids=["F5", "F7", "F9", "F25", "F27"])
     def test_coefficients(self, F, degrees):
         rng = random.Random(2000 + F.q)
-        prec = EXPANSION_PREC
         reached = set()
         for two_torsion in (True, False, False):
             E = _random_curve(F, rng, two_torsion)
@@ -776,31 +824,42 @@ class TestExpansionsAgainstSeries:
                 cubic = Poly(big, [big.from_index(v) for v in c])
                 for x0, y0 in points:
                     P = (big.from_index(x0), big.from_index(y0))
-                    reached.add((i, y0 == 0))
-                    got = _local_xy_series(kern, c, x0, y0)
-                    want = ref.local_xy_series(cubic, P, big, prec)
-                    for g, w in zip(got, want):
-                        assert _as_kernel_indices(g) == _as_indices(big, w)
-                    for A, B in _vanishing_at(big, kern, x0, y0, rng):
-                        got = _local_fn_series(kern, A, B, c, x0, y0)
+                    for A, B in _vanishing_at(big, kern, c, x0, y0, rng):
+                        order, lead = _zero_order(kern, A, B, c, x0, y0)
                         want = ref.local_fn_series(
                             Poly(big, [big.from_index(v) for v in A]),
                             Poly(big, [big.from_index(v) for v in B]),
-                            cubic, P, big, prec)
-                        assert _as_kernel_indices(got) == \
-                            _as_indices(big, want), (E, i, P, A, B)
-        assert {(i, t) for i in degrees for t in (False, True)} <= reached
+                            cubic, P, big, 12)
+                        assert order == want.valuation(), (E, i, P, A, B)
+                        assert (kern.sqrt_count(lead) == 2) == \
+                            want.coefficient(order).is_square(), (E, i, P, A, B)
+                        reached.add((i, y0 == 0, order))
+        assert {(i, t) for i in degrees for t in (False, True)} <= \
+            {(i, t) for i, t, _ in reached}
+        assert {order for _, _, order in reached} >= {1, 2, 4, 5}
 
 
-def _vanishing_at(big, kern, x0, y0, rng):
+def _vanishing_at(big, kern, c, x0, y0, rng):
     """Index pairs (A, B) of functions A + B y in L(8 infinity) with a zero
-    at (x0, y0): a random one with its constant term adjusted, and
-    (x - x0)^2 (1 + y) and (x - x0)^2 y + (x - x0)^3, of higher order."""
+    at (x0, y0), each times a random nonzero constant: a random one with
+    its constant term adjusted; (x - x0)^2 (1 + y) and
+    (x - x0)^2 y + (x - x0)^3, of higher order; (x - x0)(1 + y) and
+    x - x0, of order 2 at a 2-torsion point; and off the 2-torsion the
+    tangent y - y0 - lambda (x - x0), of order >= 2 with x0 a multiple
+    root of its norm."""
     A = [rng.randrange(big.q) for _ in range(5)]
     B = [rng.randrange(big.q) for _ in range(2)]
     value = kern.add(kern.horner(A, x0), kern.mul(kern.horner(B, x0), y0))
     A[0] = kern.sub(A[0], value)
     mx = kern.neg(x0)
+    lin = [mx, 1]
     sq = [kern.mul(mx, mx), kern.mul(2, mx), 1]          # (x - x0)^2
-    cube = kern._pmul(sq, [mx, 1])                       # (x - x0)^3
-    return [(A, B), (sq, sq), (cube, sq)]
+    cube = kern._pmul(sq, lin)                           # (x - x0)^3
+    out = [(A, B), (sq, sq), (cube, sq), (lin, lin), (lin, [])]
+    if y0:
+        lam = kern.mul(kern.horner(kern._derivative(c), x0),
+                       kern.inv(kern.mul(2, y0)))
+        out.append(([kern.sub(kern.mul(lam, x0), y0), kern.neg(lam)], [1]))
+    u = rng.randrange(1, big.q)
+    return [([kern.mul(u, v) for v in A], [kern.mul(u, v) for v in B])
+            for A, B in out]

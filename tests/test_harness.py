@@ -168,6 +168,35 @@ class TestConstants:
         with pytest.raises(ValidationError):
             _constant(self.F32, [0, 0, 0, 0, 0, 1], "t")
 
+    @staticmethod
+    def _element_index(F, v):
+        """The index FiniteField.element gives the constant v."""
+        if isinstance(v, str) and v.startswith("-"):
+            return F.index(-F.element(v[1:]))
+        return F.index(F.element(v))
+
+    def test_corpus_constants_equal_element_indices(self):
+        seen = 0
+        for e in load_fixtures():
+            F = e.field()
+            for key, values in e.payload.items():
+                if key == "terms":
+                    values = [term[3] for term in values]
+                for v in values:
+                    assert _constant(F, v, e.id) == \
+                        self._element_index(F, v), (e.id, key, v)
+                    seen += 1
+        assert seen > 500
+
+    def test_power_strings_equal_element_indices(self):
+        fields = {e.field() for e in load_fixtures() if e.n > 1}
+        assert len(fields) == 8
+        for F in fields:
+            for k in range(-3, 2 * F.q + 1):
+                for v in (f"a^{k}", f"-a^{k}"):
+                    assert _constant(F, v, "t") == \
+                        self._element_index(F, v), (F, v)
+
 
 class TestShippedFile:
     def test_total_entries(self):

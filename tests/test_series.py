@@ -12,7 +12,6 @@ from pointless.series import (
     _ser_inv,
     _ser_mul,
     _ser_scale,
-    _ser_sqrt,
 )
 
 from element_reference import Series, poly_at_series
@@ -55,17 +54,3 @@ def test_arithmetic_equals_reference(F):
              + [rng.randrange(1, F.q)])
         assert _same(F, _ser_horner(kern, f, a),
                      poly_at_series(Poly(F, [F.from_index(v) for v in f]), ra))
-
-
-@pytest.mark.parametrize("F", FIELDS[:3], ids=lambda F: f"F{F.q}")
-def test_sqrt_takes_the_given_branch(F):
-    kern = _kernel(F)
-    rng = random.Random(F.q)
-    for _ in range(30):
-        y = [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(5)]
-        square = _ser_mul(kern, _ser(0, y, 6), _ser(0, y, 6))
-        assert _ser_sqrt(kern, square, y[0]) == _ser(0, y, 6)
-        r = Series(F, 0, [F.from_index(c) for c in square[1]], 6).sqrt()
-        if r.coefficient(0) != F.from_index(y[0]):
-            r = -r
-        assert _same(F, _ser_sqrt(kern, square, y[0]), r)
