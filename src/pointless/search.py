@@ -32,15 +32,16 @@ Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
 zero and the nonsquares)?  _linear_join answers it on the field's index
 kernel by a bitset meet in the middle, yielding the passing codes in
-odometer order; it adds by reading the kernel's addition rows, and marks
-the a with a + v in the target once per bucket value v (hit lists), not
-once per pair.  klein4_hyper_odd (one form per u = x + n/x), test 1 of
-the elliptic double covers (one form per rational point) and the
-exhaustive genus-3 census (the values at nodes 0..8 range over the
-nonsquares; one form for the leading coefficient and one per remaining
-field element) run on it.  The census deduplicates its survivors under
-PGL2 and square scaling on index lists, walking each orbit once per
-class, not once per survivor.
+odometer order; it keeps its sums as bytes of indices and builds every
+sum and every right-half bitset with bytes.translate through the
+kernel's addition rows, so no Python loop runs per right-half code
+(fields of at most 256 elements).  klein4_hyper_odd (one form per
+u = x + n/x), test 1 of the elliptic double covers (one form per
+rational point) and the exhaustive genus-3 census (the values at nodes
+0..8 range over the nonsquares; one form for the leading coefficient and
+one per remaining field element) run on it.  The census deduplicates its
+survivors under PGL2 and square scaling on index lists, walking each
+orbit once per class, not once per survivor.
 """
 
 import hashlib
@@ -195,14 +196,13 @@ def _odometer(alphabet_size, length):
         yield code, _digits(code, alphabet_size, length)
 
 
-def _partial_sums(kern, alphabet, weights, start):
+def _partial_sums(row, mul, alphabet, weights, start):
     """start + sum_i weights[i] * alphabet[digit_i] for every tuple of
-    digits, in little-endian odometer order (kernel indices)."""
-    add_row, mul = kern.add_row, kern.mul
-    sums = [start]
+    digits, in little-endian odometer order, as a bytes of kernel indices;
+    row(v) is v's addition row as a translate table."""
+    sums = bytes([start])
     for w in weights:
-        rows = [add_row(mul(w, a)) for a in alphabet]
-        sums = [row[s] for row in rows for s in sums]
+        sums = b"".join(sums.translate(row(mul(w, a))) for a in alphabet)
     return sums
 
 
@@ -210,42 +210,40 @@ def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
     """Codes, ascending and from start on, of the lambda in alphabet^d
     (little-endian odometer: digit i of the code picks lambda_i) for which
     every form consts[j] + sum_i weights[j][i] * lambda_i lands in target,
-    a bytearray over kernel indices.
+    a 0/1 bytearray over kernel indices.
 
     Meet in the middle.  The low r = ceil(d/2) digits are the right half:
-    per form, the right-half sums are bucketed by value into int bitsets
-    over the right codes, and good[a] is the union of the buckets v with
-    target[a + v].  The high digits are the left half; their sums, the
+    per form, good[a] is the int bitset over the right codes of the sums v
+    with target[a + v].  The high digits are the left half; their sums, the
     constant included, pick one good[a] per left code.  A left code ANDs
     those bitsets form by form and stops at 0; the set bits left, low to
     high, are its passing codes.  A form's tables are built the first
     time a left code reaches it, as most left codes die at the first few
-    forms.  Sums are read off the kernel's addition rows (add_row); each
-    bucket value v has one hit list per call, the a with target[a + v],
-    and its bucket is ORed into good[a] for those a only.
+    forms.  Sums and bitsets are bytes.translate passes: a sum is a
+    translate through an addition row, and good[a] is the right sums,
+    high code first, translated through a's row and then to the digits
+    '0'/'1' of target, and read as a base-2 int.  Bytes hold indices up
+    to 255, so a field past 256 elements raises UnsupportedShape.
     """
+    if kern.q > 256:
+        raise UnsupportedShape(f"the linear join packs kernel indices in "
+                               f"bytes: F_{kern.q} has over 256 elements")
+    mul, rows = kern.mul, {}
     r = (d + 1) // 2
     width = len(alphabet) ** r
-    hits = {}
+    bit = bytes(48 + t for t in target).ljust(256, b"0")
+
+    def row(v):
+        if v not in rows:
+            rows[v] = bytes(kern.add_row(v)).ljust(256)
+        return rows[v]
 
     def table(j):
-        buckets = {}
-        for bit, v in enumerate(_partial_sums(kern, alphabet,
-                                              weights[j][:r], 0)):
-            bucket = buckets.get(v)
-            if bucket is None:
-                bucket = buckets[v] = bytearray((width + 7) // 8)
-            bucket[bit >> 3] |= 1 << (bit & 7)
-        good = [0] * kern.q
-        for v, bucket in buckets.items():
-            if v not in hits:
-                hits[v] = [a for a, s in enumerate(kern.add_row(v))
-                           if target[s]]
-            bucket = int.from_bytes(bucket, "little")
-            for a in hits[v]:
-                good[a] |= bucket
-        return [good[a] for a in _partial_sums(kern, alphabet,
-                                                weights[j][r:], consts[j])]
+        right = _partial_sums(row, mul, alphabet, weights[j][:r], 0)[::-1]
+        left = _partial_sums(row, mul, alphabet, weights[j][r:], consts[j])
+        good = {a: int(right.translate(row(a).translate(bit)), 2)
+                for a in set(left)}
+        return [good[a] for a in left]
 
     tables = []
     full = (1 << width) - 1

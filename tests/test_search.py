@@ -60,7 +60,10 @@ F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [-1, -1, 1])
 F11 = FiniteField(11)
 F13 = FiniteField(13)
+F23 = FiniteField(23)
 F27 = FiniteField(3, 3, [1, -1, 0, 1])
+F59 = FiniteField(59)
+F243 = FiniteField(3, 5, [1, -1, 0, 0, 0, 1])
 
 
 def _naive_join(F, alphabet, d, weights, consts, target):
@@ -83,15 +86,21 @@ def _naive_join(F, alphabet, d, weights, consts, target):
 
 
 class TestLinearJoin:
-    @pytest.mark.parametrize("F", [F5, F7, F9, F13, F27],
-                             ids=["F5", "F7", "F9", "F13", "F27"])
-    def test_agrees_with_naive_evaluation(self, F):
+    # past F_27 at d <= 2 only, where the byte tables hold indices up to
+    # 242 and the alphabets reach 3600 codes
+    @pytest.mark.parametrize("F, depth, codes",
+                             [(F5, 5, 1000), (F7, 5, 1000), (F9, 5, 1000),
+                              (F13, 5, 1000), (F27, 5, 1000), (F23, 3, 3600),
+                              (F59, 3, 3600), (F243, 3, 3600)],
+                             ids=["F5", "F7", "F9", "F13", "F27", "F23",
+                                  "F59", "F243"])
+    def test_agrees_with_naive_evaluation(self, F, depth, codes):
         rng = random.Random(F.q)
         K = _kernel(F)
-        for d in range(5):
-            # alphabets up to the whole field, at most about 1000 codes
+        for d in range(depth):
+            # alphabets up to the whole field, at most about `codes` codes
             size = F.q
-            while size ** d > 1000:
+            while size ** d > codes:
                 size -= 1
             # an empty, a full and three random targets
             for density in (0.0, 1.0, 0.6, 0.8, 0.9):
@@ -133,6 +142,35 @@ class TestLinearJoin:
         K = _kernel(F7)
         got = list(search._linear_join(K, range(7), 3, [], [], bytearray(7)))
         assert got == list(range(343))
+
+    def test_nonsquare_alphabet_odd_depth(self):
+        # d = 5 over the nonsquares of F_11, as the exhaustive census
+        # enumerates: r = 3 right digits (125 codes) and 2 left digits
+        K = _kernel(F11)
+        ns = [a for a in range(11) if K.sqrt_count(a) == 0]
+        rng = random.Random(1)
+        for density in (0.5, 0.8):
+            target = bytearray(rng.random() < density for _ in range(11))
+            weights = [[rng.randrange(11) for _ in range(5)]
+                       for _ in range(4)]
+            consts = [rng.randrange(11) for _ in range(4)]
+            want = _naive_join(F11, ns, 5, weights, consts, target)
+            assert list(search._linear_join(K, ns, 5, weights, consts,
+                                            target)) == want
+            # a start inside the first left code masks its low right codes
+            first = [code for code in want if code < 125]
+            assert len(first) >= 2
+            start = first[len(first) // 2]
+            assert list(search._linear_join(
+                K, ns, 5, weights, consts, target, start)) == \
+                [code for code in want if code >= start]
+
+    def test_refuses_fields_past_256(self):
+        # kernel indices are packed in bytes, so F_257 is out of range
+        K = _kernel(FiniteField(257))
+        with pytest.raises(UnsupportedShape, match="bytes"):
+            next(search._linear_join(K, range(257), 2, [[1, 1]], [0],
+                                     bytearray(257)))
 
 
 def _klein4_reference(F, n):
@@ -948,6 +986,20 @@ REPORT_PINS = [
     ("fiberproduct@F5:first",
      lambda: search_fiberproduct(F5, mode="first_find"),
      (138, 1, 1), "e2c9922b3c389f3d"),
+    # recorded before the join built its tables with bytes.translate: the
+    # genus-4 double covers join up to five free coordinates (r = 3 right
+    # digits), and the odd Klein-four census runs over F_13
+    ("double_covers@F11:x3+x+1:g4:census",
+     lambda: search_double_covers_elliptic(EllipticCurve(F11, 0, 1, 1), 4,
+                                           mode="census"),
+     (354312, 13, 10), "beadae6fea208d11"),
+    ("double_covers@F13:x3+x+1:g4:census",
+     lambda: search_double_covers_elliptic(EllipticCurve(F13, 0, 1, 1), 4,
+                                           mode="census"),
+     (2413404, 5, 3), "c1bbb26f1613adb1"),
+    ("klein4_hyper_odd@F13:census",
+     lambda: search_klein4_hyper_odd(F13, 1, mode="census"),
+     (28561, 63, 4), "83137339126154ab"),
 ]
 
 
