@@ -186,7 +186,7 @@ def build_parser():
     p.add_argument("--mode", choices=("first", "census"), default="first")
     p.add_argument("--checkpoint", default=None,
                    help="path for a resumable checkpoint file "
-                        "(exhaustive_hyper_genus3, hyper_genus4_char2)")
+                        "(hyper_genus4_char2 only)")
     p.add_argument("--budget", type=int, default=None,
                    help="candidate cap; exceeding it is an error")
     p.add_argument("--expect-survivors", type=int, default=None,

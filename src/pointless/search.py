@@ -37,10 +37,11 @@ sum and every right-half bitset with bytes.translate through the
 kernel's addition rows, so no Python loop runs per right-half code
 (fields of at most 256 elements).  klein4_hyper_odd (one form per
 u = x + n/x), test 1 of the elliptic double covers (one form per
-rational point) and the exhaustive genus-3 census (the values at nodes
-0..8 range over the nonsquares; one form for the leading coefficient and
-one per remaining field element) run on it.  The census deduplicates its
-survivors under PGL2 and square scaling on index lists, walking each
+rational point) and the exhaustive genus-3 census (f(0) fixed, the
+values at nodes 1..8 over the nonsquares; one form for the leading
+coefficient and one per remaining field element) run on it.  The census
+checks its join by the count of its inseparable passes and deduplicates
+its survivors under PGL2 and square scaling on index lists, walking each
 orbit once per class, not once per survivor.
 """
 
@@ -51,6 +52,7 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, product, zip_longest
+from math import comb
 
 from .curves import (
     ArtinSchreierCurve,
@@ -206,11 +208,11 @@ def _partial_sums(row, mul, alphabet, weights, start):
     return sums
 
 
-def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
-    """Codes, ascending and from start on, of the lambda in alphabet^d
-    (little-endian odometer: digit i of the code picks lambda_i) for which
-    every form consts[j] + sum_i weights[j][i] * lambda_i lands in target,
-    a 0/1 bytearray over kernel indices.
+def _linear_join(kern, alphabet, d, weights, consts, target):
+    """Codes, ascending, of the lambda in alphabet^d (little-endian
+    odometer: digit i of the code picks lambda_i) for which every form
+    consts[j] + sum_i weights[j][i] * lambda_i lands in target, a 0/1
+    bytearray over kernel indices.
 
     Meet in the middle.  The low r = ceil(d/2) digits are the right half:
     per form, good[a] is the int bitset over the right codes of the sums v
@@ -246,10 +248,8 @@ def _linear_join(kern, alphabet, d, weights, consts, target, start=0):
         return [good[a] for a in left]
 
     tables = []
-    full = (1 << width) - 1
-    first, skip = divmod(start, width)
-    for left in range(first, len(alphabet) ** (d - r)):
-        bits = full >> skip << skip if left == first else full
+    for left in range(len(alphabet) ** (d - r)):
+        bits = (1 << width) - 1
         for j in range(len(weights)):
             if j == len(tables):
                 tables.append(table(j))
@@ -595,59 +595,60 @@ def _node_value_forms(F):
     return nonsquare, basis, weights
 
 
-# candidates between checkpoint writes: the join covers 1e8 candidates in
-# about 3 s over F_29 (1e5 took about 10 s one by one), so that a write,
-# about 30 ms on a VM disk, costs about 1 % of the run
-_CENSUS_CHECKPOINT_EVERY = 10 ** 8
+def _census_join(F):
+    """(code, f) for every pass of the census join, code ascending: f is
+    the interpolant of nu0 = ns[0], the first nonsquare, at node 0 and
+    ns[digit i - 1 of code] at node i = 1..8, an index list, and f's
+    leading coefficient and values at 9..q-1 are all nonsquares."""
+    kern = _kernel(F)
+    nonsquare, basis, weights = _node_value_forms(F)
+    ns = [a for a in range(F.q) if nonsquare[a]]
+    base = [kern.mul(ns[0], c) for c in basis[0]]
+    # the addition rows of ns[digit] * basis[i], per node i > 0 and digit
+    scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
+              for L in basis[1:]]
+    for code in _linear_join(kern, ns, 8, [w[1:] for w in weights],
+                             [kern.mul(w[0], ns[0]) for w in weights],
+                             nonsquare):
+        f = base
+        for digit, rows in zip(_digits(code, len(ns), 8), scaled):
+            f = [row[c] for row, c in zip(rows[digit], f)]
+        yield code, f
 
 
-def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
-                                   checkpoint=None):
-    """All pointless y^2 = f with f of degree 8, driven by interpolation:
-    the values at the nodes 0..8 range over the nonsquares, the join keeps
-    the value tuples whose leading coefficient and q - 9 remaining
-    evaluations are all nonsquares, and f is rebuilt and checked for
-    separability.
+def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
+    """All pointless y^2 = f with f of degree 8, one per square class:
+    f(0) is nu0 and the values at the nodes 1..8 range over the
+    nonsquares (_census_join), and each pass is checked for separability.
+    Scaling y -> sy moves f(0) freely over the (q - 1)/2 nonsquares, so
+    this keeps one model per orbit, and the PGL2 dedup sees every class.
 
-    A checkpoint is the state after the first m - 1 candidates, for m the
-    last multiple of _CENSUS_CHECKPOINT_EVERY the run has reached within
-    its budget: the state a candidate-by-candidate loop would save before
-    checking candidate m - 1."""
+    Certificate: an exhausted join has exactly N4(q) = C(q,2) q^2 -
+    C(q,3) q + C(q,4) inseparable passes, or FilterDisagreement is
+    raised.  Write a pass f = c s^2 g with c = lc(f), a nonsquare, and s,
+    g monic, g squarefree.  No f(x) is 0, so s and g have no root in F_q:
+    deg s != 1, and deg g = 8 - 2 deg s is 8, 4, 2 or 0.  For deg g = 4 or
+    2, y^2 = c g is a genus-1 curve or a smooth conic, with a rational
+    point; none lies at infinity (c is a nonsquare) and none is affine
+    (c g(x) = f(x) / s(x)^2 is a nonsquare).  So an inseparable pass is
+    c s^2 with s a monic quartic without a root in F_q, and each such s
+    passes once, with c = nu0 / s(0)^2: N4(q) counts them by
+    inclusion-exclusion over root sets, sum_k (-1)^k C(q,k) q^(4-k).  This
+    checks the join as a whole; the survivor validation sees only the
+    passes the join yields."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic census")
     if F.q < 9:
         raise ValueError("exhaustive census engine needs q >= 9")
     q = F.q
     kern = _kernel(F)
-    nonsquare, basis, weights = _node_value_forms(F)
-    ns = [a for a in range(q) if nonsquare[a]]
-    # the addition rows of ns[digit] * basis[i], per node i and digit
-    scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
-              for L in basis]
-    nv = len(ns)
-    total = nv ** 9
-    run = _Search("exhaustive_hyper_genus3", mode, budget, checkpoint, "next")
-    written = run.start         # candidates + 1 of the last state saved
-
-    def save(reached):
-        nonlocal written
-        m = reached if budget is None else min(reached, budget)
-        m -= m % _CENSUS_CHECKPOINT_EVERY
-        if m > written:
-            # every survivor so far has a code below m - 1: one at m - 1
-            # or later would have saved m already
-            written = m
-            run.save(m - 1, candidates=m - 1)
-
-    run.candidates = total
-    for code in _linear_join(kern, ns, 9, weights, [0] * len(weights),
-                             nonsquare, run.start):
-        save(code + 1)
+    run = _Search("exhaustive_hyper_genus3", mode, budget)
+    run.candidates = ((q - 1) // 2) ** 8
+    degenerate = 0
+    for code, coeffs in _census_join(F):
         run.spend(code + 1)          # candidates visited up to this one
-        coeffs = [0] * 9
-        for digit, rows in zip(_digits(code, nv, 9), scaled):
-            coeffs = [row[c] for row, c in zip(rows[digit], coeffs)]
         if not kern.is_separable(coeffs):
+            degenerate += 1
             continue
         curve = HyperellipticOdd(F, coeffs)
         if curve.genus != 3 or curve.count(1) != 0:
@@ -657,18 +658,24 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None,
         if run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json()):
             run.candidates = code + 1
             break
-    save(run.candidates)             # a no-op after a first_find stop
+    else:
+        n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
+        if degenerate != n4:
+            raise FilterDisagreement(f"F_{q} census: {degenerate} inseparable "
+                                     f"passes, not N4(q) = {n4}")
     run.spend(run.candidates)
     # census dedup under PGL2 + square scaling
     keys, classes = _pgl2_classes(kern, kern.nonsquare,
                                   [s["f"] for s in run.survivors])
     for s, key in zip(run.survivors, keys):
         s["iso_class_key"] = list(key)
-    run.save(total, done=True)
     return run.report({"q": q, "mode": mode},
                       _fingerprint("exhaustive_hyper_genus3", q,
-                                   "nodes-0..8-nonsquare-odometer"),
-                      dedup_classes=classes)
+                                   "f0-nu0-nodes-1..8-nonsquare-odometer"),
+                      dedup_classes=classes,
+                      # a separable pass is kept or raises
+                      kill_counts={"join_passes": degenerate + len(keys),
+                                   "degenerate": degenerate})
 
 
 # ---------------------------------------------------------------------------

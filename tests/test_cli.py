@@ -137,11 +137,14 @@ class TestSearch:
 
     def test_checkpoint_for_an_engine_without_resume_exits_2(
             self, tmp_path, capsys):
-        path = tmp_path / "ck.json"
-        code = main(["search", "quartic_char2", "--q", "2",
-                     "--checkpoint", str(path)])
-        assert code == 2 and not path.exists()
-        assert "takes no checkpoint" in capsys.readouterr().err
+        # only hyper_genus4_char2 resumes; the census runs whole
+        for family, q in (("quartic_char2", "2"),
+                          ("exhaustive_hyper_genus3", "9")):
+            path = tmp_path / f"{family}.json"
+            code = main(["search", family, "--q", q,
+                         "--checkpoint", str(path)])
+            assert code == 2 and not path.exists()
+            assert "takes no checkpoint" in capsys.readouterr().err
 
     def test_field_past_the_cap_exits_2(self, capsys, refuse_tables):
         # 8388617 is the first prime past 2^23 = MAX_FIELD_ORDER

@@ -3,6 +3,7 @@ checkpoints, and determinism."""
 
 import hashlib
 import json
+import math
 import os
 import random
 from itertools import product
@@ -60,10 +61,16 @@ F8 = FiniteField(2, 3, [1, 1, 0, 1])
 F9 = FiniteField(3, 2, [-1, -1, 1])
 F11 = FiniteField(11)
 F13 = FiniteField(13)
+F17 = FiniteField(17)
+F19 = FiniteField(19)
 F23 = FiniteField(23)
 F27 = FiniteField(3, 3, [1, -1, 0, 1])
 F59 = FiniteField(59)
 F243 = FiniteField(3, 5, [1, -1, 0, 0, 0, 1])
+
+extended = pytest.mark.skipif(
+    os.environ.get("POINTLESS_EXTENDED") != "1",
+    reason="extended-scale run; set POINTLESS_EXTENDED=1")
 
 
 def _naive_join(F, alphabet, d, weights, consts, target):
@@ -115,10 +122,6 @@ class TestLinearJoin:
                                                consts, target))
                 want = _naive_join(F, alphabet, d, weights, consts, target)
                 assert got == want
-                start = rng.randrange(size ** d + 1)
-                assert list(search._linear_join(
-                    K, alphabet, d, weights, consts, target, start)) == \
-                    [code for code in want if code >= start]
                 if density == 0.0:
                     assert got == []
                 if density == 1.0:
@@ -155,15 +158,9 @@ class TestLinearJoin:
                        for _ in range(4)]
             consts = [rng.randrange(11) for _ in range(4)]
             want = _naive_join(F11, ns, 5, weights, consts, target)
+            assert want
             assert list(search._linear_join(K, ns, 5, weights, consts,
                                             target)) == want
-            # a start inside the first left code masks its low right codes
-            first = [code for code in want if code < 125]
-            assert len(first) >= 2
-            start = first[len(first) // 2]
-            assert list(search._linear_join(
-                K, ns, 5, weights, consts, target, start)) == \
-                [code for code in want if code >= start]
 
     def test_refuses_fields_past_256(self):
         # kernel indices are packed in bytes, so F_257 is out of range
@@ -434,40 +431,6 @@ class TestExhaustiveHyperGenus3:
         with pytest.raises(BudgetExceeded):
             search_exhaustive_hyper_genus3(F13, mode="census", budget=500)
 
-    def test_checkpoint_resume(self, tmp_path):
-        cp = str(tmp_path / "ck.json")
-        full = search_exhaustive_hyper_genus3(F9, mode="first_find")
-        # seed a mid-run checkpoint and resume: the engine must pick up the
-        # stored cursor instead of restarting
-        with open(cp, "w") as fh:
-            json.dump({"next": 1, "survivors": [], "candidates": 1}, fh)
-        resumed = search_exhaustive_hyper_genus3(F9, mode="first_find",
-                                                 checkpoint=cp)
-        assert resumed.survivors[-1] == full.survivors[-1]
-        state = json.load(open(cp))
-        assert state["candidates"] == resumed.candidates
-
-
-    def test_checkpoint_holds_the_unchecked_candidate(self, tmp_path,
-                                                      monkeypatch):
-        # candidate 3 is the first survivor over F_9; the checkpoint written
-        # as it is reached must leave it to the resumed run
-        full = search_exhaustive_hyper_genus3(F9, mode="first_find")
-        assert full.candidates == 3
-        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", 3)
-        cp = str(tmp_path / "ck.json")
-        with pytest.raises(BudgetExceeded):
-            search_exhaustive_hyper_genus3(F9, mode="census", budget=3,
-                                           checkpoint=cp)
-        state = json.load(open(cp))
-        assert (state["next"], state["candidates"]) == (2, 2)
-        resumed = search_exhaustive_hyper_genus3(F9, mode="first_find",
-                                                 checkpoint=cp)
-        expected, got = full.to_json(), resumed.to_json()
-        expected.pop("wall_time")
-        got.pop("wall_time")
-        assert got == expected
-
 
 def _fe_pgl2_key(F, f):
     """The PGL2 canonical key as a FieldElement computation: every
@@ -511,7 +474,7 @@ def _random_octic(F, rng):
 
 class TestExhaustiveKernel:
     """The exhaustive genus-3 engine on the index kernel: PGL2 keys, one
-    orbit walk per class, the node-value join and its checkpoints."""
+    orbit walk per class, the node-value join and its certificate."""
 
     @pytest.mark.parametrize("F,n_random", [(F9, 3), (F11, 1), (F13, 1)],
                              ids=["F9", "F11", "F13"])
@@ -586,63 +549,105 @@ class TestExhaustiveKernel:
                                for c, w in zip(rebuilt, L)]
                 assert rebuilt == [F.index(c) for c in f.coeffs]
 
-    # the F_9 checkpoints of a census stopped by budgets 20 and 50 with a
-    # checkpoint every 7 candidates, as the candidate-by-candidate engine
-    # wrote them: budget -> (next, candidates, number of survivors), then
-    # the survivors' f and point counts
-    F9_CHECKPOINTS = {
-        20: (13, 13, 7),
-        50: (48, 48, 24),
-    }
+    # the reduced F_9 census stopped by budgets 20 and 50: every survivor
+    # below the budget, with its point counts, in stream order (f(0) is 3,
+    # the first nonsquare index of F_9)
+    F9_KEPT = {20: 11, 50: 28}
     F9_SURVIVORS = [
-        [6, 0, 0, 0, 0, 0, 0, 0, 6], [6, 1, 1, 1, 1, 1, 1, 1, 7],
-        [7, 1, 1, 1, 1, 1, 1, 1, 6], [3, 6, 6, 6, 6, 6, 6, 6, 6],
-        [5, 6, 6, 6, 6, 6, 6, 6, 7], [6, 6, 6, 6, 6, 6, 6, 6, 3],
-        [7, 6, 6, 6, 6, 6, 6, 6, 5], [5, 8, 8, 8, 8, 8, 8, 8, 6],
-        [6, 8, 8, 8, 8, 8, 8, 8, 5], [6, 2, 1, 2, 1, 2, 1, 2, 7],
-        [7, 2, 1, 2, 1, 2, 1, 2, 6], [3, 8, 7, 8, 7, 8, 7, 8, 7],
-        [7, 8, 7, 8, 7, 8, 7, 8, 3], [3, 7, 6, 7, 6, 7, 6, 7, 6],
-        [6, 7, 6, 7, 6, 7, 6, 7, 3], [3, 3, 6, 3, 6, 3, 6, 3, 6],
-        [5, 3, 6, 3, 6, 3, 6, 3, 7], [6, 3, 6, 3, 6, 3, 6, 3, 3],
-        [7, 3, 6, 3, 6, 3, 6, 3, 5], [3, 4, 7, 4, 7, 4, 7, 4, 7],
-        [7, 4, 7, 4, 7, 4, 7, 4, 3], [3, 0, 3, 0, 3, 0, 3, 0, 3],
-        [3, 2, 5, 2, 5, 2, 5, 2, 5], [5, 2, 5, 2, 5, 2, 5, 2, 3],
+        [3, 6, 6, 6, 6, 6, 6, 6, 6], [3, 8, 7, 8, 7, 8, 7, 8, 7],
+        [3, 7, 6, 7, 6, 7, 6, 7, 6], [3, 3, 6, 3, 6, 3, 6, 3, 6],
+        [3, 4, 7, 4, 7, 4, 7, 4, 7], [3, 0, 3, 0, 3, 0, 3, 0, 3],
+        [3, 2, 5, 2, 5, 2, 5, 2, 5], [3, 5, 6, 5, 6, 5, 6, 5, 6],
+        [3, 1, 5, 1, 5, 1, 5, 1, 5], [3, 2, 5, 3, 8, 4, 1, 0, 7],
+        [3, 1, 4, 5, 7, 3, 0, 2, 6], [3, 0, 5, 4, 8, 5, 1, 1, 7],
+        [3, 8, 5, 0, 8, 1, 1, 6, 7], [3, 4, 1, 8, 4, 6, 6, 5, 3],
+        [3, 6, 4, 1, 7, 2, 0, 7, 6], [3, 7, 5, 2, 8, 0, 1, 8, 7],
+        [3, 3, 1, 7, 4, 8, 6, 4, 3], [3, 5, 0, 6, 3, 7, 8, 3, 5],
+        [3, 2, 7, 4, 3, 1, 5, 8, 6], [3, 0, 8, 5, 4, 2, 3, 6, 7],
+        [3, 8, 4, 1, 0, 7, 2, 5, 3], [3, 7, 3, 0, 2, 6, 1, 4, 5],
+        [3, 1, 8, 3, 4, 0, 3, 7, 7], [3, 6, 4, 2, 0, 8, 2, 3, 3],
+        [3, 5, 4, 7, 0, 4, 2, 2, 3], [3, 3, 3, 8, 2, 5, 1, 0, 5],
+        [3, 4, 4, 6, 0, 3, 2, 1, 3], [3, 7, 0, 8, 5, 4, 2, 3, 6],
     ]
-    F9_COUNTS = [[0, 92, 768] if i in (0, 3, 5, 15, 17, 21) else [0, 84, 732]
-                 for i in range(24)]
+    F9_COUNTS = {0: [0, 92, 768], 3: [0, 92, 768], 5: [0, 92, 768],
+                 11: [0, 86, 750], 15: [0, 82, 720], 17: [0, 86, 750],
+                 18: [0, 92, 768], 20: [0, 92, 768], 24: [0, 92, 768]}
 
     @pytest.mark.parametrize("budget", [20, 50])
-    def test_f9_checkpoint_state(self, tmp_path, monkeypatch, budget):
-        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", 7)
-        cp = str(tmp_path / "ck.json")
-        with pytest.raises(BudgetExceeded):
-            search_exhaustive_hyper_genus3(F9, mode="census", budget=budget,
-                                           checkpoint=cp)
-        nxt, cands, kept = self.F9_CHECKPOINTS[budget]
-        assert json.load(open(cp)) == {
-            "next": nxt, "candidates": cands,
-            "survivors": [{"f": f} for f in self.F9_SURVIVORS[:kept]],
-            "zetas": [zeta_report(9, 3, c).to_json()
-                      for c in self.F9_COUNTS[:kept]]}
+    def test_f9_census_stream(self, monkeypatch, budget):
+        kept = []
+        keep = search._Search.keep
 
-    @pytest.mark.parametrize("every,budget",
-                             [(7, b) for b in range(7, 58, 7)] + [(29, 58)])
-    def test_f13_first_find_resumes_from_census_checkpoints(
-            self, tmp_path, monkeypatch, every, budget):
-        full = search_exhaustive_hyper_genus3(F13, mode="first_find")
-        assert full.candidates == 58
-        monkeypatch.setattr(search, "_CENSUS_CHECKPOINT_EVERY", every)
-        cp = str(tmp_path / "ck.json")
+        def record(run, entry, zeta):
+            kept.append((entry["f"], zeta))
+            return keep(run, entry, zeta)
+
+        monkeypatch.setattr(search._Search, "keep", record)
         with pytest.raises(BudgetExceeded):
-            search_exhaustive_hyper_genus3(F13, mode="census", budget=budget,
-                                           checkpoint=cp)
-        assert json.load(open(cp))["next"] == budget - budget % every - 1
-        resumed = search_exhaustive_hyper_genus3(F13, mode="first_find",
-                                                 checkpoint=cp)
-        expected, got = full.to_json(), resumed.to_json()
-        expected.pop("wall_time")
-        got.pop("wall_time")
-        assert got == expected
+            search_exhaustive_hyper_genus3(F9, mode="census", budget=budget)
+        n = self.F9_KEPT[budget]
+        assert kept == [
+            (f, zeta_report(9, 3, self.F9_COUNTS.get(i, [0, 84, 732]))
+             .to_json()) for i, f in enumerate(self.F9_SURVIVORS[:n])]
+
+    # passes and inseparable passes of the census join at q = 9..19
+    @pytest.mark.parametrize("F, passes, degenerate", [
+        (F9, 29241, 2286), (F11, 37345, 5170), (F13, 38298, 10179),
+        pytest.param(F17, 40528, 30124, marks=extended),
+        pytest.param(F19, 52326, 47196, marks=extended),
+    ], ids=["F9", "F11", "F13", "F17", "F19"])
+    def test_inseparable_passes_are_the_rootless_quartics(
+            self, F, passes, degenerate):
+        # the certificate, on the join and is_separable alone: the
+        # inseparable passes are exactly the c s^2 with s a monic quartic
+        # without a root in F_q and c = nu0 / s(0)^2, N4(q) of them
+        q, kern = F.q, _kernel(F)
+        nu0 = next(a for a in range(q) if kern.sqrt_count(a) == 0)
+        fs = [f for _, f in search._census_join(F)]
+        inseparable = {tuple(f) for f in fs if not kern.is_separable(f)}
+        want = set()
+        for code in range(q ** 4):
+            s = search._digits(code, q, 4) + [1]
+            if all(kern.horner(s, x) for x in range(q)):
+                c = kern.mul(nu0, kern.inv(kern.mul(s[0], s[0])))
+                want.add(tuple(kern.mul(c, v) for v in kern._pmul(s, s)))
+        n4 = math.comb(q, 2) * q * q - math.comb(q, 3) * q + math.comb(q, 4)
+        assert (len(fs), len(inseparable)) == (passes, degenerate)
+        assert inseparable == want and len(want) == n4
+
+    # separable passes before and after fixing f(0), and PGL2 classes
+    @pytest.mark.parametrize("F, unreduced, reduced, classes", [
+        (F9, 107820, 26955, 54),
+        pytest.param(F11, 160875, 32175, 39, marks=extended),
+        pytest.param(F13, 168714, 28119, 23, marks=extended),
+    ], ids=["F9", "F11", "F13"])
+    def test_reduced_census_equals_unreduced_stream(
+            self, F, unreduced, reduced, classes):
+        # the unreduced stream is the 9-node join, f(0) over every
+        # nonsquare, with is_separable and no validation; the reduced
+        # join is its f(0) = nu0 slice, and square scaling maps that
+        # slice onto the others, so every class has a member in it
+        kern = _kernel(F)
+        nonsquare, basis, weights = search._node_value_forms(F)
+        ns = [a for a in range(F.q) if nonsquare[a]]
+        scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
+                  for L in basis]
+        passes = []
+        for code in search._linear_join(kern, ns, 9, weights,
+                                        [0] * len(weights), nonsquare):
+            f = [0] * 9
+            for digit, rows in zip(search._digits(code, len(ns), 9), scaled):
+                f = [row[c] for row, c in zip(rows[digit], f)]
+            passes.append(f)
+        assert [f for _, f in search._census_join(F)] == \
+            [f for f in passes if f[0] == ns[0]]
+        full = [f for f in passes if kern.is_separable(f)]
+        fs = [f for f in full if f[0] == ns[0]]
+        assert (len(full), len(fs)) == (unreduced, reduced)
+        assert unreduced == (F.q - 1) // 2 * reduced
+        keys, n = search._pgl2_classes(kern, kern.nonsquare, full)
+        assert n == classes
+        assert {k for f, k in zip(full, keys) if f[0] == ns[0]} == set(keys)
 
 
 class TestDoubleCovers:
@@ -953,7 +958,7 @@ REPORT_PINS = [
      (87, 1, 1), "ada579a692153985"),
     ("exhaustive_hyper_genus3@F9:first",
      lambda: search_exhaustive_hyper_genus3(F9, mode="first_find"),
-     (3, 1, 1), "6f00f44818760a4c"),
+     (3, 1, 1), "895b5aae1454c06b"),
     ("double_covers@F5:x3+1:census",
      lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
                                            mode="census"),
