@@ -107,7 +107,7 @@ def _cmd_search(args):
     F = _field_for(args.q, args.def_poly)
     mode = "first_find" if args.mode == "first" else "census"
     config = SearchConfig(family=args.family, mode=mode, n=args.n,
-                          budget=args.budget, checkpoint=args.checkpoint)
+                          budget=args.budget)
     report = run_search(F, config)
     _emit(report.to_json())
     if args.expect_survivors is not None:
@@ -184,9 +184,6 @@ def build_parser():
                    help="twist parameter for klein4_hyper_odd, as an element "
                         "index in 0..q-1 (default 1)")
     p.add_argument("--mode", choices=("first", "census"), default="first")
-    p.add_argument("--checkpoint", default=None,
-                   help="path for a resumable checkpoint file "
-                        "(hyper_genus4_char2 only)")
     p.add_argument("--budget", type=int, default=None,
                    help="candidate cap; exceeding it is an error")
     p.add_argument("--expect-survivors", type=int, default=None,

@@ -2,8 +2,7 @@
 
 Every engine is one function that runs on a _Search, the run state they
 share.  The engine supplies what is particular to its family:
-  * the enumeration, in a fixed deterministic order, and its cursor when
-    the engine resumes from a checkpoint;
+  * the enumeration, in a fixed deterministic order;
   * the family filter: cheap arithmetic (index tables, bitmasks, early
     abort) that discards most candidates;
   * the model validation: every survivor is rebuilt through the curve
@@ -15,10 +14,8 @@ share.  The engine supplies what is particular to its family:
 The _Search owns the rest: the start time, the survivor and zeta lists, the
 candidate count and its budget (BudgetExceeded), the first_find stop
 (keep() returns True at the first survivor, so an engine ends its loop
-with one break), the default dedup (distinct count vectors), the
-checkpoint of that shared state under the engine's cursor key, and the
-one SearchReport.  Fingerprints make census results reproducible and
-chunking-invariant.
+with one break), the default dedup (distinct count vectors) and the one
+SearchReport.  Fingerprints make census results reproducible.
 
 Every filter reads the square class and the absolute trace of a value
 from the field's index kernel (field._kernel) only: sqrt_count (the parity
@@ -42,17 +39,17 @@ values at nodes 1..8 over the nonsquares; one form for the leading
 coefficient and one per remaining field element) run on it.  The census
 checks its join by the count of its inseparable passes and deduplicates
 its survivors under PGL2 and square scaling on index lists, walking each
-orbit once per class, not once per survivor.
+orbit once per class, not once per survivor.  The genus-4 char-2 census
+enumerates one conductor per class under x -> ax + b and checks its
+enumeration by the Gauss count of all conductors.
 """
 
 import hashlib
 import inspect
-import json
-import os
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, product, zip_longest
-from math import comb
+from itertools import product, zip_longest
+from math import comb, gcd
 
 from .curves import (
     ArtinSchreierCurve,
@@ -86,7 +83,6 @@ class SearchConfig:
     mode: str = "first_find"          # or "census"
     n: object = None                  # the x -> n/x twist parameter
     budget: int = None                # candidate cap (BudgetExceeded)
-    checkpoint: str = None            # path for resumable extended runs
 
 
 @dataclass
@@ -128,26 +124,13 @@ def _disagreement(family, q, candidate, curve):
 
 
 class _Search:
-    """One engine run: the state every engine shares, and its report.
+    """One engine run: the state every engine shares, and its report."""
 
-    A checkpoint holds the survivors, zetas and candidates, the engine's
-    cursor under cursor_key and any keys the engine adds; a run resumes
-    from it, with the cursor in start and the whole file in state (keys
-    this run does not read are ignored)."""
-
-    def __init__(self, family, mode, budget, checkpoint=None,
-                 cursor_key=None):
+    def __init__(self, family, mode, budget):
         self.t0 = time.time()
         self.family, self.mode, self.budget = family, mode, budget
-        self.checkpoint, self.cursor_key = checkpoint, cursor_key
-        self.state = {}
-        if checkpoint and os.path.exists(checkpoint):
-            with open(checkpoint) as fh:
-                self.state = json.load(fh)
-        self.start = self.state.get(cursor_key, 0)
-        self.survivors = self.state.get("survivors", [])
-        self.zetas = self.state.get("zetas", [])
-        self.candidates = self.state.get("candidates", 0)
+        self.survivors, self.zetas = [], []
+        self.candidates = 0
         self.stopped = False
 
     def spend(self, visited):
@@ -166,17 +149,6 @@ class _Search:
         self.zetas.append(zeta)
         self.stopped = self.mode == "first_find"
         return self.stopped
-
-    def save(self, cursor, **extra):
-        """Checkpoint the shared state with the cursor (extra keys win),
-        through a temporary file so that a kill leaves the last one whole."""
-        if self.checkpoint:
-            tmp = self.checkpoint + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump({self.cursor_key: cursor,
-                           "survivors": self.survivors, "zetas": self.zetas,
-                           "candidates": self.candidates, **extra}, fh)
-            os.replace(tmp, self.checkpoint)
 
     def report(self, parameters, fingerprint, dedup_classes=None,
                kill_counts=None):
@@ -544,18 +516,11 @@ def _square_class_canonical(kern, nu, g):
     return tuple(kern.mul(s2, c) for c in g)
 
 
-def _pgl2_canonical_key(kern, nu, f):
-    """Canonical key of the degree-8 model y^2 = f (an index list) under
-    PGL2(F_q) acting on x and square scaling of f: the minimal square
-    class tuple over the orbit.  The key is an orbit invariant, so a
-    census walks each orbit only once (_pgl2_classes)."""
-    return min(_square_class_canonical(kern, nu, g)
-               for g in _pgl2_orbit(kern, f))
-
-
 def _pgl2_classes(kern, nu, models):
     """The PGL2 canonical key of each degree-8 index list in models, and
-    the number of distinct keys.  A model whose square class is not yet
+    the number of distinct keys.  The key of y^2 = f is its class under
+    PGL2(F_q) acting on x and square scaling of f: the minimal square
+    class tuple over the orbit.  A model whose square class is not yet
     known has its orbit walked, and every member's square class tuple is
     mapped to the orbit minimum: one walk per class, not per model."""
     key_of = {}
@@ -734,7 +699,7 @@ def _double_zero_kernel(E, basis, Q):
 
 
 def search_double_covers_elliptic(E, genus_target=3, mode="census",
-                                  budget=None, checkpoint=None):
+                                  budget=None):
     """Genus-3 (k=6, Q from E/2E) or genus-4 (k=8, Q from E/3E) double covers
     z^2 = f.  Test 1: no rational point of E where f is a nonzero square.
     Test 2: divisor shape 2Q + (k-2 odd-order points) - k*inf."""
@@ -760,10 +725,9 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
     pts = E.points()[1:]             # the affine points, after INF
     nu_i = kern.nonsquare
-    run = _Search("double_covers_elliptic", mode, budget, checkpoint, "rep")
-    kill1, kill2 = run.state.get("kill_counts", (0, 0))
-    for rep_i in range(run.start, len(qreps)):
-        Q = qreps[rep_i]
+    run = _Search("double_covers_elliptic", mode, budget)
+    kill1 = kill2 = 0
+    for Q in qreps:
         kernel = _double_zero_kernel(E, basis, Q)
         dim = len(kernel)
         # per-point values of the kernel basis functions
@@ -804,8 +768,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
             if run.stopped:
                 break
         if run.stopped:
-            break                    # a partly searched coset is not saved
-        run.save(rep_i + 1, kill_counts=[kill1, kill2])
+            break
     curve = [E.a2, E.a4, E.a6]
     return run.report({"q": q, "genus": genus_target, "curve": curve,
                        "reps": len(qreps), "fallback": fallback,
@@ -819,27 +782,51 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
 # genus-4 hyperelliptic (Artin-Schreier) census in characteristic 2
 # ---------------------------------------------------------------------------
 
-def _monic_irreducibles(F, degree):
-    """Monic irreducibles of the given degree as index lists, lazily, in
-    odometer order (the index of 1 is 1)."""
-    is_irreducible = _kernel(F).is_irreducible
-    for code, idx in _odometer(F.q, degree):
-        cs = idx + [1]
-        if is_irreducible(cs):
-            yield cs
+def _scaled(kern, f, la):
+    """a^-e f(ax) for the monic index list f of degree e and a = exp[la]:
+    coefficient i times a^(i - e)."""
+    exp, log, n1 = kern.exp, kern.log, kern.n1
+    e = len(f) - 1
+    return [exp[(log[c] + (i - e) * la) % n1] if c else 0
+            for i, c in enumerate(f)]
 
 
-def _conductor_stream(F):
-    """Degree-5 conductors: a single quintic place first, then a quadratic
-    place paired with a cubic place."""
-    for m in _monic_irreducibles(F, 5):
-        yield "5", (m,)
-    cubics = None
-    for p2 in _monic_irreducibles(F, 2):
-        if cubics is None:
-            cubics = list(_monic_irreducibles(F, 3))
-        for p3 in cubics:
-            yield "2+3", (p2, p3)
+def _affine_conductors(kern):
+    """The degree-5 conductors over the char-2 index kernel kern, one per
+    class under the maps x -> ax + b (a != 0): (shape, parts, orbit), parts
+    the places as monic index lists and orbit the size of the class.
+
+    The anchor is the place of odd degree d: the quintic of shape "5", or
+    the cubic of shape "2+3" (a quadratic place p2 and a cubic place).
+    The shift x -> x + b adds b to the anchor's c_{d-1}, and the scaling
+    x -> ax takes a monic f of degree e to a^-e f(ax), c_i to c_i a^(i-e).
+    The normal form has c_{d-1} = 0, the anchor's c_0 the least index of
+    its class modulo d-th powers, and (anchor, then p2) the least index
+    tuple over its images under mu_d = {a : a^d = 1}, the scalings that
+    keep both c_{d-1} = 0 and c_0.  The anchors are enumerated directly, c_0 class by class
+    and c_1..c_{d-2} in odometer order; each cubic anchor is paired with
+    every monic irreducible quadratic, in odometer order."""
+    q, n1 = kern.q, kern.n1
+    irreducible = kern.is_irreducible
+    for shape, d in (("5", 5), ("2+3", 3)):
+        partners = [[]] if d == 5 else [
+            [[c0, c1, 1]] for c1 in range(q) for c0 in range(q)
+            if irreducible([c0, c1, 1])]
+        g = gcd(d, n1)
+        mu = [k * n1 // g for k in range(g)]      # the logs of mu_d
+        least = {}                                 # class of c_0 -> least c_0
+        for c in range(1, q):
+            least.setdefault(kern.log[c] % g, c)
+        for c0, code in product(least.values(), range(q ** (d - 2))):
+            anchor = [c0] + _digits(code, q, d - 2) + [0, 1]
+            if not irreducible(anchor):
+                continue
+            for rest in partners:
+                images = [[_scaled(kern, f, la) for f in [anchor] + rest]
+                          for la in mu]
+                if min(images) == images[0]:
+                    yield (shape, rest + [anchor],
+                           q * n1 // images.count(images[0]))
 
 
 def _trace_matrix_kernel(kern, m):
@@ -870,69 +857,82 @@ def _trace_matrix_kernel(kern, m):
     return _f2_eliminate(cols)[1]
 
 
-def search_hyper_genus4_char2(F, mode="first_find", budget=None,
-                              checkpoint=None):
+def search_hyper_genus4_char2(F, mode="first_find", budget=None):
     """Genus-4 hyperelliptic curves with no rational Weierstrass point:
     y^2 + y = g(x)/m(x) + t over the conductor shapes {degree-5 place} and
-    {degree-2 + degree-3 places}, all poles simple.
+    {degree-2 + degree-3 places}, all poles simple, one conductor m per
+    affine class (_affine_conductors).
 
     Pointless iff Tr(g(x)/m(x)) = 0 for all rational x and Tr(t) = 1 (the
     place at infinity is ordinary with value t), which is an F_2-linear
     condition on g: each m contributes its kernel, filtered for conductor
     preservation (g not divisible by a factor of m).
-    """
+
+    The reduction keeps every count vector: x -> ax + b permutes F_q and
+    fixes infinity, so it takes y^2 + y = g/m + t to y^2 + y = g'/m' + t
+    with m' = a^-5 m(ax + b), of m's shape, and g' = a^-5 g(ax + b), a
+    curve with the same N_i at every i.
+
+    Certificate: an exhausted run's orbits add up to N(5) + N(2) N(3), the
+    number of conductors, with N(k) = (q^k - q)/k monic irreducibles of
+    prime degree k (Gauss), or FilterDisagreement is raised.  An orbit
+    has q(q - 1)/|Stab| conductors.  A map x -> ax + b that fixes a normal
+    form fixes its anchor f of degree d: the c_{d-1} of a^-d f(ax + b) is
+    b/a in characteristic 2, so b = 0, and c_0 a^-d = c_0, so a is in
+    mu_d.  Stab is thus the a in mu_d that fix the conductor, the orbit
+    the engine adds.  Every conductor lies in one class, so a class left
+    out or kept twice moves the sum."""
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 census")
     q = F.q
     kern = _kernel(F)
     t = next(v for v in range(q) if kern.trace(v))
-    run = _Search("hyper_genus4_char2", mode, budget, checkpoint, "next_m")
-    next_m = run.start
-
-    def curves():
-        """(entry, curve) for every genus-4 curve of the conductors from
-        the cursor on; next_m is one past the conductor in hand."""
-        nonlocal next_m
-        conductors = islice(_conductor_stream(F), run.start, None)
-        for m_index, (shape_name, parts) in enumerate(conductors, run.start):
-            next_m = m_index + 1
-            m = parts[0]
-            for p in parts[1:]:
-                m = kern._pmul(m, p)
-            run.visit()
-            kernel = _trace_matrix_kernel(kern, m)
-            tm = [kern.mul(t, c) for c in m]
-            for bits in sorted(kernel_span(kernel)):
-                if bits == 0:
-                    continue
-                # coefficient i of g: bits i*n .. i*n + n - 1
-                g = _itrim([bits >> (i * F.n) & (q - 1)
-                            for i in range(len(m) - 1)])
-                # g + t m over m: for squarefree m, gcd(g + t m, m) =
-                # gcd(g, m), so a factor of m dividing g (a pole that
-                # disappears, changing the conductor) is refused
-                num = [u ^ v for u, v in zip_longest(g, tm, fillvalue=0)]
-                try:
-                    curve = ArtinSchreierCurve(F, (num, m))
-                except UnsupportedShape:
-                    continue
-                if curve.genus == 4:
-                    yield {"shape": shape_name, "m": m, "g": g,
-                           "t": t}, curve
-            if m_index % 1000 == 0:
-                run.save(next_m)
-
-    for entry, curve in curves():
-        if curve.count(1) != 0:
-            raise _disagreement("hyper_genus4_char2", q, entry, curve)
-        entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
-        if run.keep(entry, {"q": q, "counts": entry["counts"]}):
+    run = _Search("hyper_genus4_char2", mode, budget)
+    covered = 0
+    for shape_name, parts, orbit in _affine_conductors(kern):
+        run.visit()
+        covered += orbit
+        m = parts[0]
+        for p in parts[1:]:
+            m = kern._pmul(m, p)
+        tm = [kern.mul(t, c) for c in m]
+        for bits in sorted(kernel_span(_trace_matrix_kernel(kern, m))):
+            if bits == 0:
+                continue
+            # coefficient i of g: bits i*n .. i*n + n - 1
+            g = _itrim([bits >> (i * F.n) & (q - 1)
+                        for i in range(len(m) - 1)])
+            # g + t m over m: for squarefree m, gcd(g + t m, m) =
+            # gcd(g, m), so a factor of m dividing g (a pole that
+            # disappears, changing the conductor) is refused
+            num = [u ^ v for u, v in zip_longest(g, tm, fillvalue=0)]
+            try:
+                curve = ArtinSchreierCurve(F, (num, m))
+            except UnsupportedShape:
+                continue
+            if curve.genus != 4:
+                continue
+            entry = {"shape": shape_name, "m": m, "g": g, "t": t}
+            if curve.count(1) != 0:
+                raise _disagreement("hyper_genus4_char2", q, entry, curve)
+            entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
+            if run.keep(entry, {"q": q, "counts": entry["counts"]}):
+                break
+        if run.stopped:
             break
-    run.save(next_m, done=not run.stopped)
+    else:
+        gauss = (q ** 5 - q) // 5 + (q * q - q) // 2 * ((q ** 3 - q) // 3)
+        if covered != gauss:
+            raise FilterDisagreement(f"F_{q} genus-4 census: the kept "
+                                     f"conductors' orbits cover {covered} "
+                                     f"conductors, not N(5) + N(2) N(3) = "
+                                     f"{gauss}")
     return run.report({"q": q, "mode": mode,
                        "raw_survivors": len(run.survivors)},
                       _fingerprint("hyper_genus4_char2", q,
-                                   "shape5-then-2+3-odometer"))
+                                   "affine-normal-quintic-then-cubic-"
+                                   "quadratic-odometer"),
+                      kill_counts={"conductors_covered": covered})
 
 
 def kernel_span(kernel_basis):
@@ -958,9 +958,9 @@ ENGINE_FAMILIES = ("klein4_hyper_odd", "klein4_hyper_even",
 
 
 def run_search(F, config):
-    """Run config.family's engine over F.  n (default 1 where the engine
-    takes it) and checkpoint go only to the engines that read them; any
-    other engine refuses them with ValueError rather than ignore them."""
+    """Run config.family's engine over F.  n (default 1) goes only to the
+    engine that reads it; any other engine refuses it with ValueError
+    rather than ignore it."""
     if config.family not in ENGINE_FAMILIES:
         raise UnknownFamily(f"unknown family {config.family!r}; "
                             f"known: {sorted(ENGINE_FAMILIES)}")
@@ -968,13 +968,9 @@ def run_search(F, config):
     takes = inspect.signature(engine).parameters
     kwargs = {"mode": config.mode, "budget": config.budget}
     if "n" in takes:
-        kwargs["n"] = 1
-    for option in ("n", "checkpoint"):
-        value = getattr(config, option)
-        if value is not None:
-            if option not in takes:
-                raise ValueError(f"{config.family} takes no {option}")
-            kwargs[option] = value
+        kwargs["n"] = 1 if config.n is None else config.n
+    elif config.n is not None:
+        raise ValueError(f"{config.family} takes no n")
     return engine(F, **kwargs)
 
 

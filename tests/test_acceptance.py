@@ -229,41 +229,41 @@ class TestCriterion5Extended:
                f"{self._certificate(r)}")
 
     @extended
-    def test_5c_f53_double_covers(self, capsys, tmp_path):
+    def test_5c_f53_double_covers(self, capsys):
         reps = elliptic_classes(53, 42)
         assert len(reps) == 4
         F = FiniteField(53)
         bad = 0
-        for k, (ai, bi) in enumerate(reps):
+        for ai, bi in reps:
             E = EllipticCurve(F, F.zero, F.from_index(ai), F.from_index(bi))
-            r = search_double_covers_elliptic(
-                E, genus_target=4, mode="census",
-                checkpoint=str(tmp_path / f"f53-{k}.json"))
+            r = search_double_covers_elliptic(E, genus_target=4,
+                                              mode="census")
             bad += sum(1 for s in r.survivors if s["pointless"])
         report(capsys, "criterion 5c", bad == 0,
                f"F_53: 4 classes of 42-point curves, {bad} pointless covers")
 
     @extended
-    def test_5d_f59_double_covers(self, capsys, tmp_path):
+    def test_5d_f59_double_covers(self, capsys):
         reps = elliptic_classes(59, 45)
         assert len(reps) == 1
         F = FiniteField(59)
         E = EllipticCurve(F, F.zero, F.from_index(reps[0][0]),
                           F.from_index(reps[0][1]))
-        r = search_double_covers_elliptic(
-            E, genus_target=4, mode="census",
-            checkpoint=str(tmp_path / "f59.json"))
+        r = search_double_covers_elliptic(E, genus_target=4, mode="census")
         bad = sum(1 for s in r.survivors if s["pointless"])
         report(capsys, "criterion 5d", bad == 0,
                f"F_59: unique 45-point curve, {bad} pointless covers")
 
     @extended
-    def test_5e_f32_genus4_census_empty(self, capsys, tmp_path):
+    def test_5e_f32_genus4_census_empty(self, capsys):
         F32 = FiniteField(2, 5, [1, 0, 1, 0, 0, 1])
-        r = search_hyper_genus4_char2(F32, mode="census",
-                                      checkpoint=str(tmp_path / "f32.json"))
+        r = search_hyper_genus4_char2(F32, mode="census")
+        # the engine raises unless the kept conductors' affine orbits
+        # cover all N(5) + N(2) N(3) conductors
         report(capsys, "criterion 5e", len(r.survivors) == 0,
-               f"F_32 genus-4 hyperelliptic census: "
+               f"F_32 genus-4 hyperelliptic census: {r.candidates} "
+               f"conductors, one per affine class, covering "
+               f"{r.kill_counts['conductors_covered']} = N(5) + N(2) N(3); "
                f"{len(r.survivors)} survivors")
 
 

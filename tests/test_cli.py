@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pointless.cli import _field_for, build_parser, main
+from pointless.search import ENGINE_FAMILIES
 
 GOOD_FIXTURE = """
 [good]
@@ -135,16 +136,16 @@ class TestSearch:
                      "--mode", "census", "--budget", "10"])
         assert code == 2
 
-    def test_checkpoint_for_an_engine_without_resume_exits_2(
-            self, tmp_path, capsys):
-        # only hyper_genus4_char2 resumes; the census runs whole
-        for family, q in (("quartic_char2", "2"),
-                          ("exhaustive_hyper_genus3", "9")):
-            path = tmp_path / f"{family}.json"
-            code = main(["search", family, "--q", q,
-                         "--checkpoint", str(path)])
-            assert code == 2 and not path.exists()
-            assert "takes no checkpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("family", ENGINE_FAMILIES)
+    def test_checkpoint_is_an_unknown_option(self, family, tmp_path, capsys):
+        # no engine resumes: every run is whole, so argparse refuses the
+        # option (exit 2) before any engine starts or any file is written
+        path = tmp_path / "ck.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["search", family, "--q", "2", "--checkpoint", str(path)])
+        assert exc.value.code == 2 and not path.exists()
+        assert "unrecognized arguments: --checkpoint" in \
+            capsys.readouterr().err
 
     def test_field_past_the_cap_exits_2(self, capsys, refuse_tables):
         # 8388617 is the first prime past 2^23 = MAX_FIELD_ORDER

@@ -1,5 +1,5 @@
 """Search engines: fixture recovery, filter-vs-oracle agreement, budgets,
-checkpoints, and determinism."""
+symmetry reductions against their unreduced streams, and determinism."""
 
 import hashlib
 import json
@@ -58,6 +58,7 @@ F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
 F8 = FiniteField(2, 3, [1, 1, 0, 1])
+F16 = FiniteField(2, 4, [1, 1, 0, 0, 1])
 F9 = FiniteField(3, 2, [-1, -1, 1])
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -487,8 +488,8 @@ class TestExhaustiveKernel:
                       .survivors[0]["f"])
         for f in models:
             fe = Poly(F, [F.from_index(i) for i in f])
-            assert search._pgl2_canonical_key(kern, nu, f) == \
-                _fe_pgl2_key(F, fe), f
+            keys, _ = search._pgl2_classes(kern, nu, [f])
+            assert keys[0] == _fe_pgl2_key(F, fe), f
 
     @pytest.mark.parametrize("F", [F9, F11], ids=["F9", "F11"])
     def test_every_orbit_member_has_the_key(self, F):
@@ -496,12 +497,12 @@ class TestExhaustiveKernel:
         kern = _kernel(F)
         nu = F.index(F.canonical_nonsquare)
         f = first_find(F, "exhaustive_hyper_genus3").survivors[0]["f"]
-        key = search._pgl2_canonical_key(kern, nu, f)
+        [key], _ = search._pgl2_classes(kern, nu, [f])
         orbit = list(search._pgl2_orbit(kern, f))
         assert len(orbit) == F.q ** 3 - F.q   # pointless: no root to move
         members = rng.sample(orbit, 4)
         for g in members:
-            assert search._pgl2_canonical_key(kern, nu, g) == key
+            assert search._pgl2_classes(kern, nu, [g])[0] == [key]
         keys, classes = search._pgl2_classes(
             kern, nu, members + [_random_octic(F, rng)] + [f])
         assert keys[:4] == [key] * 4 and keys[-1] == key
@@ -668,38 +669,16 @@ class TestDoubleCovers:
         for s in r.survivors:
             assert s["pointless"] == (s["counts"][0] == 0)
 
-    def test_resume_after_a_rep_equals_uninterrupted(self, tmp_path):
-        # y^2 = x^3 + 1 over F_5: two coset reps of 312 candidates each
-        E = EllipticCurve(F5, 0, 0, 1)
-        full = search_double_covers_elliptic(E, mode="census").to_json()
-        assert (full["candidates"], len(full["survivors"])) == (624, 5)
-        cp = str(tmp_path / "ck.json")
-        with pytest.raises(BudgetExceeded):
-            # stops in rep 1, after the checkpoint of rep 0
-            search_double_covers_elliptic(E, mode="census", budget=313,
-                                          checkpoint=cp)
-        assert json.load(open(cp))["rep"] == 1
-        resumed = search_double_covers_elliptic(E, mode="census",
-                                                checkpoint=cp).to_json()
-        full.pop("wall_time")
-        resumed.pop("wall_time")
-        assert resumed == full
-
-    def test_first_find_stops_at_first_survivor(self, tmp_path):
+    def test_first_find_stops_at_first_survivor(self):
         # the census's first survivor, with only the candidates up to it
-        # counted; the coset it stops in is not checkpointed, so a rerun on
-        # the same path searches it again and stops at the same survivor
+        # counted, and a rerun stops at the same survivor
         E = EllipticCurve(F5, 0, 0, 1)
         full = search_double_covers_elliptic(E, mode="census")
-        cp = str(tmp_path / "ck.json")
-        first = search_double_covers_elliptic(E, mode="first_find",
-                                              checkpoint=cp)
+        first = search_double_covers_elliptic(E, mode="first_find")
         assert first.survivors == full.survivors[:1]
         assert first.candidates == sum(first.kill_counts.values()) + 1
         assert first.candidates < 312
-        assert not os.path.exists(cp)
-        again = search_double_covers_elliptic(E, mode="first_find",
-                                              checkpoint=cp)
+        again = search_double_covers_elliptic(E, mode="first_find")
         assert (again.candidates, again.survivors) == \
             (first.candidates, first.survivors)
 
@@ -770,6 +749,112 @@ class TestDoubleCovers:
             search_double_covers_elliptic(E, genus_target=5)
 
 
+def _unreduced_conductors(F):
+    """Every degree-5 conductor over the char-2 field F, as (shape, parts)
+    with the places as monic index lists: the irreducible quintics, then
+    each irreducible quadratic paired with each irreducible cubic, all in
+    odometer order.  This is the census stream before its affine
+    reduction.  Irreducibility is read off roots, not tested: a monic
+    quadratic or cubic is irreducible iff it has no root in F, and a
+    rootless quintic iff it is no such quadratic times such a cubic."""
+    kern, q = _kernel(F), F.q
+
+    def rootless(d):
+        for code in range(q ** d):
+            f = search._digits(code, q, d) + [1]
+            if all(kern.horner(f, x) for x in range(q)):
+                yield f
+
+    quadratics, cubics = list(rootless(2)), list(rootless(3))
+    split = {tuple(kern._pmul(p2, p3))
+             for p2 in quadratics for p3 in cubics}
+    for m in rootless(5):
+        if tuple(m) not in split:
+            yield "5", [m]
+    for p2 in quadratics:
+        for p3 in cubics:
+            yield "2+3", [p2, p3]
+
+
+def _shift(kern, f, b):
+    """f(x + b) for the index list f (char 2), by Horner's rule."""
+    out = [f[-1]]
+    for c in reversed(f[:-1]):
+        out = kern._pmul(out, [b, 1])
+        out[0] ^= c
+    return out
+
+
+def _affine_normal_form(kern, parts):
+    """The conductor's normal form by brute force: every place is shifted
+    by the anchor's c_{d-1}, the anchor being the place of odd degree d
+    (x -> x + b adds b to it), and the least (anchor, then the other
+    place) index tuple is taken over every scaling a^-e f(ax) of that."""
+    mul = kern.mul
+    anchor = parts[-1]
+    shifted = [_shift(kern, f, anchor[-2]) for f in [anchor] + parts[:-1]]
+    images = []
+    for a in range(1, kern.q):
+        ainv, image = kern.inv(a), []
+        for f in shifted:
+            # coefficient i times a^(i - e), from the leading one down
+            w, out = 1, []
+            for c in reversed(f):
+                out.append(mul(c, w))
+                w = mul(w, ainv)
+            image.append(tuple(out[::-1]))
+        images.append(tuple(image))
+    return min(images)
+
+
+def _anchor_first(parts):
+    """A conductor's places as tuples, the odd-degree anchor first."""
+    return tuple(map(tuple, parts[-1:] + parts[:-1]))
+
+
+def _reduced_orbits(F):
+    """{normal form: orbit} over the engine's conductor stream."""
+    out = {}
+    for _, parts, orbit in search._affine_conductors(_kernel(F)):
+        key = _anchor_first(parts)
+        assert key not in out
+        out[key] = orbit
+    return out
+
+
+def _unreduced_census(F, monkeypatch):
+    """The engine's census over every conductor (each its own orbit)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_affine_conductors", lambda kern: (
+            (shape, parts, 1) for shape, parts in _unreduced_conductors(F)))
+        return search_hyper_genus4_char2(F, mode="census")
+
+
+def _assert_census_differential(F, monkeypatch):
+    # the affine maps keep every count vector, so the reduced census has
+    # the unreduced one's count vectors and classes; its survivors'
+    # conductors are normal forms, and they are the normal forms of the
+    # unreduced survivors' conductors
+    kern = _kernel(F)
+    full = _unreduced_census(F, monkeypatch)
+    reduced = search_hyper_genus4_char2(F, mode="census")
+
+    def vectors(r):
+        return {tuple(z["counts"]) for z in r.zeta}
+
+    def places(s):
+        # the places of the survivor's conductor by degree: [p2, p3] or [m]
+        return [f for f, _ in kern.factor(s["m"])]
+
+    assert vectors(full) == vectors(reduced)
+    assert full.dedup_classes == reduced.dedup_classes
+    kept = {_anchor_first(places(s)) for s in reduced.survivors}
+    for r in (full, reduced):
+        assert {_affine_normal_form(kern, places(s))
+                for s in r.survivors} == kept
+    return full, reduced
+
+
 class TestHyperGenus4Char2:
     def test_f2_census(self):
         r = search_hyper_genus4_char2(F2, mode="census")
@@ -792,45 +877,59 @@ class TestHyperGenus4Char2:
         curve = ArtinSchreierCurve(F4, RationalFunction(g + m * t, m))
         assert curve.genus == 4 and curve.count(1) == 0
 
-    def test_resume_equals_uninterrupted(self, tmp_path):
-        full = search_hyper_genus4_char2(F2, mode="census").to_json()
-        cp = str(tmp_path / "ck.json")
-        with pytest.raises(BudgetExceeded):
-            # stops at conductor 1, after the checkpoint of conductor 0
-            search_hyper_genus4_char2(F2, mode="census", budget=1,
-                                      checkpoint=cp)
-        resumed = search_hyper_genus4_char2(F2, mode="census",
-                                            checkpoint=cp).to_json()
-        full.pop("wall_time")
-        resumed.pop("wall_time")
-        assert resumed == full
-
-    def test_resumes_a_checkpoint_with_seen_vectors(self, tmp_path):
-        # checkpoints used to carry the distinct count vectors under
-        # "seen_vectors"; a resumed run ignores the key
-        full = search_hyper_genus4_char2(F2, mode="census").to_json()
-        cp = str(tmp_path / "ck.json")
-        with pytest.raises(BudgetExceeded):
-            search_hyper_genus4_char2(F2, mode="census", budget=1,
-                                      checkpoint=cp)
-        state = json.load(open(cp))
-        state["seen_vectors"] = [list(v) for v in dict.fromkeys(
-            tuple(z["counts"]) for z in state["zetas"])]
-        with open(cp, "w") as fh:
-            json.dump(state, fh)
-        resumed = search_hyper_genus4_char2(F2, mode="census",
-                                            checkpoint=cp).to_json()
-        full.pop("wall_time")
-        resumed.pop("wall_time")
-        assert resumed == full
-
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
             search_hyper_genus4_char2(F3)
 
+    def test_f2_census_equals_unreduced(self, monkeypatch):
+        full, reduced = _assert_census_differential(F2, monkeypatch)
+        assert (full.candidates, len(full.survivors), full.dedup_classes) \
+            == (8, 54, 9)
+        assert (reduced.candidates, len(reduced.survivors)) == (4, 27)
+
+    @extended
+    def test_f4_census_equals_unreduced(self, monkeypatch):
+        full, reduced = _assert_census_differential(F4, monkeypatch)
+        assert (full.candidates, len(full.survivors), full.dedup_classes) \
+            == (324, 20052, 127)
+        assert (reduced.candidates, len(reduced.survivors)) == (27, 1671)
+
+    @pytest.mark.parametrize("F", [
+        F2, F4, F8, pytest.param(F16, marks=extended)],
+        ids=["F2", "F4", "F8", "F16"])
+    def test_unreduced_stream_meets_each_normal_form_by_its_orbit(self, F):
+        # every conductor's brute-force normal form is in the stream, and
+        # each normal form is met by as many conductors as its orbit holds
+        kern = _kernel(F)
+        met = {}
+        for _, parts in _unreduced_conductors(F):
+            key = _affine_normal_form(kern, parts)
+            met[key] = met.get(key, 0) + 1
+        assert met == _reduced_orbits(F)
+
+    # kept conductors, and their orbits' total: the Gauss count
+    # N(5) + N(2) N(3), N(k) = (q^k - q)/k.  F_4 and F_16 have scalings
+    # a != 1 with a^3 = 1 (and a^5 = 1 over F_16) that fix c_0
+    @pytest.mark.parametrize("F, kept", [
+        (F2, 4), (F4, 27), (F8, 201), (F16, 1557)],
+        ids=["F2", "F4", "F8", "F16"])
+    def test_orbits_add_up_to_the_gauss_count(self, F, kept):
+        q = F.q
+        orbits = _reduced_orbits(F)
+        assert len(orbits) == kept
+        assert sum(orbits.values()) == \
+            (q ** 5 - q) // 5 + (q * q - q) // 2 * ((q ** 3 - q) // 3)
+
+    def test_certificate_fires_on_a_dropped_conductor(self, monkeypatch):
+        stream = search._affine_conductors
+        monkeypatch.setattr(search, "_affine_conductors",
+                            lambda kern: list(stream(kern))[1:])
+        with pytest.raises(FilterDisagreement, match="not N"):
+            search_hyper_genus4_char2(F2, mode="census")
+
     @pytest.mark.parametrize("F", [F4, F8], ids=["F4", "F8"])
     def test_verdict_equals_model_count(self, F):
-        # seeded (m, g, t) over the engine's conductors, with g kept only
+        # seeded (m, g, t) over every shape of conductor, with g kept only
         # when the engine's conductor filter keeps it: the engine calls
         # y^2 + y = g/m + t pointless exactly when Tr(t) = 1 and g's bit
         # vector lies in the span of the trace matrix's kernel, and that
@@ -873,10 +972,10 @@ class TestHyperGenus4Char2:
 
 def _first_conductors(F, per_shape):
     """The parts of the first per_shape conductors of each shape in the
-    census order, or of every conductor when per_shape is None, as Polys
-    (the stream yields index lists)."""
+    unreduced order, or of every conductor when per_shape is None, as
+    Polys (the stream yields index lists)."""
     out = {"5": [], "2+3": []}
-    for shape, parts in search._conductor_stream(F):
+    for shape, parts in _unreduced_conductors(F):
         if per_shape is None or len(out[shape]) < per_shape:
             out[shape].append([Poly(F, map(F.from_index, p)) for p in parts])
         elif all(len(v) == per_shape for v in out.values()):
@@ -967,12 +1066,15 @@ REPORT_PINS = [
      lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
                                            mode="first_find"),
      (65, 1, 1), "fc79406ac303abf6"),
+    # re-recorded when the genus-4 char-2 census took one conductor per
+    # affine class: candidates count the kept conductors, the fingerprint
+    # names the normal-form order, and kill_counts carries the orbit total
     ("hyper_genus4_char2@F2:census",
      lambda: search_hyper_genus4_char2(F2, mode="census"),
-     (8, 54, 9), "5fcb6ba80f7becaf"),
+     (4, 27, 9), "5e24a3d911f046a3"),
     ("hyper_genus4_char2@F2:first",
      lambda: search_hyper_genus4_char2(F2, mode="first_find"),
-     (1, 1, 1), "324cbaae34095e30"),
+     (1, 1, 1), "32030015da583ea9"),
     # recorded before the Artin-Schreier and fiber-product models took
     # index lists, at a second field for each engine whose candidate path
     # that changed
@@ -985,9 +1087,9 @@ REPORT_PINS = [
     ("klein4_hyper_even@F8:first",
      lambda: search_klein4_hyper_even(F8, mode="first_find"),
      (94, 1, 1), "f6289414724b5371"),
-    ("hyper_genus4_char2@F4:first",
+    ("hyper_genus4_char2@F4:first",     # re-recorded as @F2 above
      lambda: search_hyper_genus4_char2(F4, mode="first_find"),
-     (1, 1, 1), "d1e03c556c8ee9ff"),
+     (1, 1, 1), "32b0860146776d4f"),
     ("fiberproduct@F5:first",
      lambda: search_fiberproduct(F5, mode="first_find"),
      (138, 1, 1), "e2c9922b3c389f3d"),
