@@ -10,7 +10,8 @@ enters divisor_shape and cover_count as the index list of its
 coefficients on an rr_basis (Q as an index pair), and the cubic c as the
 index list EllipticCurve keeps.
 divisor_shape works on index polynomials (the norm A^2 - B^2 c, its
-factors, and Euler's criterion modulo each factor), and so does
+factors, and Euler's criterion modulo each factor), shape_possible, its
+necessary pre-test, on the norm's square part and gcd(A, B), and so does
 cover_count at the zeros of fn: their orders and leading square classes
 come from division by x - x0 and the norm, on the index kernel of the
 field the point lies in.
@@ -233,7 +234,7 @@ def _zero_order(kern, A, B, c, x0, y0):
     v = kern.add(a1, kern.mul(horner(B, x0), y0))
     if v:
         return j, v
-    N = kern._psub(kern._pmul(A, A), kern._pmul(kern._pmul(B, B), c))
+    N = _norm(kern, A, B, c)
     m = 0
     while not horner(N, x0):
         N, m = pquo(N, lin), m + 1
@@ -249,9 +250,56 @@ def _fn_indices(basis, idx):
     return A, B
 
 
+def _norm(kern, A, B, c):
+    """The norm A^2 - B^2 c of fn = A + B y, an index polynomial in x."""
+    return kern._psub(kern._pmul(A, A), kern._pmul(kern._pmul(B, B), c))
+
+
 # ---------------------------------------------------------------------------
 # divisor shape (test 2 of the double-cover searches)
 # ---------------------------------------------------------------------------
+
+def shape_possible(E, coeffs, basis, Q):
+    """A necessary condition for divisor_shape(E, coeffs, basis, Q, k)
+    ["shape_ok"], at any k, on the norm R = A^2 - B^2 c of fn = A + B y
+    alone: R = (x - x_Q)^2 S with S(x_Q) != 0, and gcd(S, S') divides
+    G = gcd(A, B).  No factorisation and no powmod.
+
+    Proof.  Say shape_ok holds: div fn = 2Q + D - k*inf, D made of k - 2
+    geometric points of odd order off Q, none rational.  D has degree
+    k - 2, so each of its points is a simple zero, and fn has no other
+    zero.  The order of R at a root alpha is the sum of the orders of fn
+    over alpha (one ramified point, two split points (alpha, +-beta), or
+    two conjugate inert points of order m/2 each; see divisor_shape).
+    Over x_Q lies Q, of order 2, and off the 2-torsion also -Q, a
+    rational point and so of order 0: hence R = (x - x_Q)^2 S with
+    S(x_Q) != 0.  Every root alpha of S then has multiplicity 1 or 2, and
+    2 only when fn vanishes at both points over it: split, with
+    A(alpha) + B(alpha) beta = A(alpha) - B(alpha) beta = 0 and
+    beta != 0, or inert, with A(alpha) + B(alpha) beta = 0 and beta
+    outside F_q(alpha).  Either way A(alpha) = B(alpha) = 0.  So
+    S = S1 S2^2, S1 and S2 squarefree and coprime, and S2 divides G.  In
+    odd characteristic no multiplicity 1 or 2 is divisible by p, so
+    gcd(S, S') = S2.
+    """
+    kern = _kernel(E.base)
+    horner, pquo = kern.horner, kern._pquo
+    A, B = _fn_indices(basis, coeffs)
+    R = _norm(kern, A, B, E._cubic)
+    if not R:
+        raise ZeroFunction("degenerate norm")
+    xQ = Q[0]
+    lin = [kern.neg(xQ), 1]                      # x - x_Q
+    S = R
+    for _ in range(2):
+        if horner(S, xQ):
+            return False
+        S = pquo(S, lin)
+    if not horner(S, xQ):
+        return False
+    S2 = kern.gcd(S, kern._derivative(S))
+    return len(S2) == 1 or not kern._pmod(kern.gcd(A, B), S2)
+
 
 def divisor_shape(E, coeffs, basis, Q, k):
     """Analyze div(fn) for fn = sum c x^i y^j in L(k*infinity), the c given
@@ -292,8 +340,8 @@ def divisor_shape(E, coeffs, basis, Q, k):
     pole = fn_pole_order(coeffs, basis)
     A, B = _fn_indices(basis, coeffs)
     c = E._cubic
-    pmul, pmod, pquo = kern._pmul, kern._pmod, kern._pquo
-    R = kern._psub(pmul(A, A), pmul(pmul(B, B), c))
+    pmod, pquo = kern._pmod, kern._pquo
+    R = _norm(kern, A, B, c)
     if not R:
         # A^2 = B^2 c would make c a square, impossible for separable cubic
         raise ZeroFunction("degenerate norm")

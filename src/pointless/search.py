@@ -64,6 +64,7 @@ from .elliptic import (
     cover_count,
     divisor_shape,
     rr_basis,
+    shape_possible,
 )
 from .errors import (
     BudgetExceeded,
@@ -702,7 +703,9 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                                   budget=None):
     """Genus-3 (k=6, Q from E/2E) or genus-4 (k=8, Q from E/3E) double covers
     z^2 = f.  Test 1: no rational point of E where f is a nonzero square.
-    Test 2: divisor shape 2Q + (k-2 odd-order points) - k*inf."""
+    Test 2: divisor shape 2Q + (k-2 odd-order points) - k*inf, read by
+    divisor_shape on the passes that shape_possible, a necessary condition
+    without factorisation, admits."""
     F = E.base
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic engine")
@@ -753,8 +756,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                                   for c, v in zip(coeffs, vec)]
                 if not any(coeffs):
                     continue
-                sh = divisor_shape(E, coeffs, basis, Q, k)
-                if not sh["shape_ok"]:
+                if not (shape_possible(E, coeffs, basis, Q) and
+                        divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
                     kill2 += 1
                     continue
                 counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]

@@ -1,6 +1,7 @@
 """Elliptic-curve layer: group law, quotient representatives, Riemann-Roch
 monomials, vanishing orders, divisor shapes, and double-cover counts."""
 
+import os
 import random
 from functools import lru_cache, partial
 from itertools import product
@@ -11,12 +12,15 @@ from pointless.curves import _extension
 from pointless.elliptic import (
     INF,
     EllipticCurve,
+    _fn_indices,
+    _norm,
     _zero_order,
     cover_count,
     divisor_shape,
     fn_pole_order,
     hasse_interval,
     rr_basis,
+    shape_possible,
 )
 from pointless.errors import (
     EvenCharacteristic,
@@ -24,6 +28,7 @@ from pointless.errors import (
     ZeroFunction,
 )
 from pointless.field import FiniteField, Poly, _index_poly, _kernel, embed
+from pointless import search
 from pointless.search import _double_zero_kernel
 from pointless.zeta import l_from_counts, real_weil_from_l, validate_weil
 
@@ -279,6 +284,8 @@ class TestVanishingOrder:
         P = E.points()[1]
         with pytest.raises(ZeroFunction):
             divisor_shape(E, [0] * 6, basis, P, 6)
+        with pytest.raises(ZeroFunction):
+            shape_possible(E, [0] * 6, basis, P)
 
 
 class TestDivisorShape:
@@ -691,6 +698,75 @@ class TestDivisorShapeDifferential:
                     assert got["total_zero_degree"] == got["pole_order_at_inf"]
                     cases += 1
         assert cases >= 30
+
+
+def _double_root_off_Q(kern, E, coeffs, basis, Q):
+    """Whether S = R / (x - x_Q)^2, R the norm of fn, has a repeated root:
+    the case where shape_possible needs gcd(S, S') to divide gcd(A, B)."""
+    A, B = _fn_indices(basis, coeffs)
+    R = _norm(kern, A, B, E._cubic)
+    lin = [kern.neg(Q[0]), 1]
+    S = kern._pquo(kern._pquo(R, lin), lin)
+    return len(kern.gcd(S, kern._derivative(S))) > 1
+
+
+class TestShapePossible:
+    """shape_possible is necessary for divisor_shape's shape_ok: on seeded
+    members of the double-zero space at every affine Q, the 2-torsion
+    included (the engine's fallback), no function it rejects has an ok
+    shape.  The sample holds ok shapes, ok shapes whose norm has a double
+    root off Q, and pre-test rejections."""
+
+    @staticmethod
+    def _sample(F, k, per_point):
+        rng = random.Random(7000 + 10 * F.q + k)
+        kern = _kernel(F)
+        basis = rr_basis(k)
+        E = _random_curve(F, rng, two_torsion=True)
+        ok = double = rejected = 0
+        for Q in E.points()[1:]:
+            space = _double_zero_kernel(E, basis, Q)
+            for _ in range(per_point):
+                cf = [0] * len(basis)
+                for vec in space:
+                    lam = rng.randrange(F.q)
+                    cf = [kern.add(c, kern.mul(lam, v))
+                          for c, v in zip(cf, vec)]
+                if not any(cf):
+                    continue
+                possible = shape_possible(E, cf, basis, Q)
+                shape_ok = divisor_shape(E, cf, basis, Q, k)["shape_ok"]
+                assert possible or not shape_ok, (E, Q, cf)
+                ok += shape_ok
+                double += shape_ok and _double_root_off_Q(kern, E, cf,
+                                                          basis, Q)
+                rejected += not possible
+        assert ok and double and rejected, (ok, double, rejected)
+
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("F", DIFF_FIELDS, ids=lambda F: f"F{F.q}")
+    def test_necessary_for_shape_ok(self, F, k):
+        self._sample(F, k, 20)
+
+    @pytest.mark.skipif(os.environ.get("POINTLESS_EXTENDED") != "1",
+                        reason="extended-scale run; set POINTLESS_EXTENDED=1")
+    def test_necessary_over_f53(self):
+        # criterion 5c's field and pole budget
+        self._sample(FiniteField(53), 8, 20)
+
+    def test_4b_survivors_pass(self, monkeypatch):
+        # criterion 4b's curves with the pre-test switched off: every
+        # function divisor_shape keeps passes shape_possible as well
+        monkeypatch.setattr(search, "shape_possible", lambda *args: True)
+        basis = rr_basis(6)
+        kept = 0
+        for a4, a6 in ((2, 0), (3, 0), (1, 7), (0, 7)):
+            E = EllipticCurve(F25, 0, a4, a6)
+            r = search.search_double_covers_elliptic(E, mode="census")
+            for s in r.survivors:
+                assert shape_possible(E, s["coeffs"], basis, tuple(s["Q"]))
+            kept += len(r.survivors)
+        assert kept == 21
 
 
 class TestCoverCountDifferential:

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from pointless import search
+from pointless import elliptic, search
 from pointless.curves import (
     ArtinSchreierCurve,
     FiberProductGenus4,
@@ -696,6 +696,28 @@ class TestDoubleCovers:
         assert r.candidates == candidates
         assert r.kill_counts == {"test1": test1, "test2": test2}
         assert len(r.survivors) == found
+
+    def test_shape_possible_gates_divisor_shape(self, monkeypatch):
+        # criterion 4a's two F_27 curves: the kill counts are those of a
+        # divisor_shape call on every test-1 pass, but the pre-test leaves
+        # divisor_shape only the 3 passes it cannot reject
+        calls = []
+
+        def spy(E, coeffs, basis, Q, k):
+            assert elliptic.shape_possible(E, coeffs, basis, Q)
+            calls.append(Q)
+            return elliptic.divisor_shape(E, coeffs, basis, Q, k)
+
+        monkeypatch.setattr(search, "divisor_shape", spy)
+        kills = []
+        for a6 in (F27.one, F27.element("a")):
+            E = EllipticCurve(F27, F27.element(2), F27.zero, a6)
+            r = search_double_covers_elliptic(E, mode="census")
+            assert r.survivors == []
+            kills.append(r.kill_counts)
+        assert kills == [{"test1": 163402, "test2": 118},
+                         {"test1": 81704, "test2": 56}]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("F, curve, k, lead", [
         (F5, (0, 1, 1), 6, 0), (F7, (0, 1, 3), 6, 0), (F5, (0, 1, 1), 8, 2),
