@@ -15,7 +15,10 @@ The _Search owns the rest: the start time, the survivor and zeta lists, the
 candidate count and its budget (BudgetExceeded), the first_find stop
 (keep() returns True at the first survivor, so an engine ends its loop
 with one break), the default dedup (distinct count vectors) and the one
-SearchReport.  Fingerprints make census results reproducible.
+SearchReport.  It owns each join block's bookkeeping too: reach(code)
+spends the budget up to a pass, and close(width) counts the block's
+width candidates, or those up to the pass where first_find stopped.
+Fingerprints make census results reproducible.
 
 Every filter reads the square class and the absolute trace of a value
 from the field's index kernel (field._kernel) only: sqrt_count (the parity
@@ -33,15 +36,16 @@ odometer order; it keeps its sums as bytes of indices and builds every
 sum and every right-half bitset with bytes.translate through the
 kernel's addition rows, so no Python loop runs per right-half code
 (fields of at most 256 elements).  klein4_hyper_odd (one form per
-u = x + n/x), test 1 of the elliptic double covers (one form per
-rational point) and the exhaustive genus-3 census (f(0) fixed, the
-values at nodes 1..8 over the nonsquares; one form for the leading
-coefficient and one per remaining field element) run on it.  The census
-checks its join by the count of its inseparable passes and deduplicates
-its survivors under PGL2 and square scaling on index lists, walking each
-orbit once per class, not once per survivor.  The genus-4 char-2 census
-enumerates one conductor per class under x -> ax + b and checks its
-enumeration by the Gauss count of all conductors.
+u = x + n/x), the fiber products (one join per monic cubic f, one form
+in g per x where f(x) is not a nonsquare), test 1 of the elliptic double
+covers (one form per rational point) and the exhaustive genus-3 census
+(f(0) fixed, the values at nodes 1..8 over the nonsquares; one form for
+the leading coefficient and one per remaining field element) run on it.
+The census checks its join by the count of its inseparable passes and
+deduplicates its survivors under PGL2 and square scaling on index lists,
+walking each orbit once per class, not once per survivor.  The genus-4
+char-2 census enumerates one conductor per class under x -> ax + b and
+checks its enumeration by the Gauss count of all conductors.
 """
 
 import hashlib
@@ -131,7 +135,7 @@ class _Search:
         self.t0 = time.time()
         self.family, self.mode, self.budget = family, mode, budget
         self.survivors, self.zetas = [], []
-        self.candidates = 0
+        self.candidates = self.reached = 0
         self.stopped = False
 
     def spend(self, visited):
@@ -143,6 +147,17 @@ class _Search:
         """Count n more candidates against the budget."""
         self.candidates += n
         self.spend(self.candidates)
+
+    def reach(self, code):
+        """Spend the budget up to the pass at code of the open join block,
+        which follows the candidates counted so far."""
+        self.reached = code + 1
+        self.spend(self.candidates + self.reached)
+
+    def close(self, width):
+        """Count the join block of width candidates, or its candidates up
+        to the pass where first_find stopped."""
+        self.visit(self.reached if self.stopped else width)
 
     def keep(self, entry, zeta):
         """Record a validated survivor; True when first_find stops here."""
@@ -279,10 +294,9 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
     disc = [kern.neg(mul(4 % F.p, n_i)), 0, 1]     # u^2 - 4n
     run = _Search("klein4_hyper_odd", mode, budget)
-    run.candidates = q ** 4
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
     for code in _linear_join(kern, range(q), 4, weights, consts, nonsquare):
-        run.spend(code + 1)          # candidates visited up to this one
+        run.reach(code)
         coeffs = _digits(code, q, 4) + [nu_i]
         if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
             continue
@@ -294,9 +308,8 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         counts = [0] + [curve.count(i) for i in (2, 3)]
         if run.keep({"f": coeffs, "model": model},
                     zeta_report(q, 3, counts).to_json()):
-            run.candidates = code + 1
             break
-    run.spend(run.candidates)
+    run.close(q ** 4)
     return run.report({"q": q, "n": n_i, "mode": mode},
                       _fingerprint("klein4_hyper_odd", q, n_i,
                                    "odometer-c0..c3-lc-nu"))
@@ -415,50 +428,43 @@ def search_quartic_char2(F, mode="first_find", budget=None):
 
 def search_fiberproduct(F, mode="first_find", budget=None):
     """y^2 = f, z^2 = g with f monic cubic and lc(g) the canonical nonsquare;
-    pointless iff for every x at least one of f(x), g(x) is a nonsquare."""
+    pointless iff for every x at least one of f(x), g(x) is a nonsquare.
+    f is the high three digits of the candidate code, g the low three."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic family")
     run = _Search("fiberproduct", mode, budget)
     q = F.q
     kern = _kernel(F)
-    nu_i = kern.nonsquare
-    horner, is_sq = kern.horner, kern.sqrt_count
-
-    # bitmask per cubic (an index list): bit x set when the value at the
-    # index x is NOT a nonsquare (zero or nonzero square), i.e. the spot
-    # needs the partner to cover it
-    def value_mask(coeffs):
-        mask = 0
-        for x in range(q):
-            if is_sq(horner(coeffs, x)):
-                mask |= 1 << x
-        return mask
-
-    g_masks = {}
-    for code, idx in _odometer(q, 6):
-        gcode = code % q ** 3         # f the high three digits, g the low
-        if gcode == 0:                # a new f: its mask once, not per g
-            fco = idx[3:] + [1]
-            fmask = value_mask(fco)
-        run.visit()
-        gm = g_masks.get(gcode)
-        if gm is None:
-            gco = idx[:3] + [nu_i]
-            gm = g_masks[gcode] = (value_mask(gco), gco)
-        gmask, gco = gm
-        if fmask & gmask:
-            continue
-        try:
-            C = FiberProductGenus4(F, fco, gco)
-        except UnsupportedShape:
-            continue
-        entry = {"f": list(fco), "g": list(gco)}
-        if C.count(1) != 0:
-            raise _disagreement("fiberproduct", q, entry, C)
-        props = C.properties()
-        entry.update(trigonal=props["trigonal"],
-                     extra_autos=props["extra_autos"])
-        if run.keep(entry, {"q": q, "counts": [0, C.count(2)]}):
+    mul, nu_i = kern.mul, kern.nonsquare
+    nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
+    # g(x) = g0 + g1 x + g2 x^2 + nu x^3 is a nonsquare at x: one linear
+    # form in (g0, g1, g2) per x, with constant nu * x^3
+    forms = [([1, x, mul(x, x)], mul(nu_i, mul(x, mul(x, x))))
+             for x in range(q)]
+    for fcode in range(q ** 3):
+        fco = _digits(fcode, q, 3) + [1]
+        # the spots where f(x) is zero or a nonzero square need g to cover
+        # them; an f without such spots passes every g
+        need = [forms[x] for x in range(q)
+                if kern.sqrt_count(kern.horner(fco, x))]
+        for gcode in _linear_join(kern, range(q), 3, [w for w, _ in need],
+                                  [c for _, c in need], nonsquare):
+            run.reach(gcode)
+            gco = _digits(gcode, q, 3) + [nu_i]
+            try:
+                C = FiberProductGenus4(F, fco, gco)
+            except UnsupportedShape:
+                continue
+            entry = {"f": list(fco), "g": list(gco)}
+            if C.count(1) != 0:
+                raise _disagreement("fiberproduct", q, entry, C)
+            props = C.properties()
+            entry.update(trigonal=props["trigonal"],
+                         extra_autos=props["extra_autos"])
+            if run.keep(entry, {"q": q, "counts": [0, C.count(2)]}):
+                break
+        run.close(q ** 3)
+        if run.stopped:
             break
     return run.report({"q": q, "mode": mode},
                       _fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"))
@@ -609,10 +615,9 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     q = F.q
     kern = _kernel(F)
     run = _Search("exhaustive_hyper_genus3", mode, budget)
-    run.candidates = ((q - 1) // 2) ** 8
     degenerate = 0
     for code, coeffs in _census_join(F):
-        run.spend(code + 1)          # candidates visited up to this one
+        run.reach(code)
         if not kern.is_separable(coeffs):
             degenerate += 1
             continue
@@ -622,14 +627,13 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
                                 {"f": coeffs}, curve)
         counts = [0] + [curve.count(i) for i in (2, 3)]
         if run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json()):
-            run.candidates = code + 1
             break
     else:
         n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
         if degenerate != n4:
             raise FilterDisagreement(f"F_{q} census: {degenerate} inseparable "
                                      f"passes, not N4(q) = {n4}")
-    run.spend(run.candidates)
+    run.close(((q - 1) // 2) ** 8)
     # census dedup under PGL2 + square scaling
     keys, classes = _pgl2_classes(kern, kern.nonsquare,
                                   [s["f"] for s in run.survivors])
@@ -729,7 +733,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     pts = E.points()[1:]             # the affine points, after INF
     nu_i = kern.nonsquare
     run = _Search("double_covers_elliptic", mode, budget)
-    kill1 = kill2 = 0
+    passes = kill2 = 0
     for Q in qreps:
         kernel = _double_zero_kernel(E, basis, Q)
         dim = len(kernel)
@@ -743,10 +747,9 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
             weights = [row[lead + 1:] for row in B_at]
             # test 1: f(P) is zero or a nonsquare at every rational P
             consts = [mul(lead_val, row[lead]) for row in B_at]
-            passes, visited = 0, q ** free
             for code in _linear_join(kern, range(q), free, weights,
                                      consts, not_square):
-                run.spend(run.candidates + code + 1)
+                run.reach(code)
                 passes += 1
                 lam = [0] * lead + [lead_val] + _digits(code, q, free)
                 coeffs = [0] * len(basis)
@@ -764,10 +767,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                 if run.keep({"Q": list(Q), "coeffs": coeffs,
                              "counts": counts, "pointless": counts[0] == 0},
                             {"q": q, "counts": counts}):
-                    visited = code + 1
                     break
-            run.visit(visited)
-            kill1 += visited - passes
+            run.close(q ** free)
             if run.stopped:
                 break
         if run.stopped:
@@ -778,7 +779,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                        "mode": mode},
                       _fingerprint("double_covers", q, genus_target, *curve,
                                    "lead-norm-odometer"),
-                      kill_counts={"test1": kill1, "test2": kill2})
+                      kill_counts={"test1": run.candidates - passes,
+                                   "test2": kill2})
 
 
 # ---------------------------------------------------------------------------

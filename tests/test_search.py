@@ -391,12 +391,29 @@ class TestFiberProduct:
         assert len(r.survivors) >= 1
         assert all(z["counts"][0] == 0 for z in r.zeta)
 
-    @pytest.mark.parametrize("F, sample", [(F3, None), (F5, 2000)],
-                             ids=["F3", "F5"])
+    def test_budget_boundary(self):
+        # one join block per monic cubic f: the budget is spent up to each
+        # pass, and a block adds its q^3 candidates, or those up to the stop
+        r = search_fiberproduct(F7, mode="first_find")
+        assert r.candidates == 697
+        again = search_fiberproduct(F7, mode="first_find",
+                                    budget=r.candidates)
+        assert again.survivors == r.survivors
+        with pytest.raises(BudgetExceeded):
+            search_fiberproduct(F7, mode="first_find",
+                                budget=r.candidates - 1)
+        search_fiberproduct(F3, mode="census", budget=729)
+        with pytest.raises(BudgetExceeded):
+            search_fiberproduct(F3, mode="census", budget=728)
+
+    @pytest.mark.parametrize("F, sample",
+                             [(F3, None), (F5, 2000), (F9, 2000)],
+                             ids=["F3", "F5", "F9"])
     def test_survivors_are_the_pointless_models(self, F, sample):
-        # every (f, g) over F_3, a seeded sample over F_5: a pair survives
-        # the census exactly when FiberProductGenus4 builds it and it has
-        # no rational point
+        # every (f, g) over F_3, a seeded sample over F_5 and over F_9, where
+        # the join runs on the Zech kernel: a pair survives the census
+        # exactly when FiberProductGenus4 builds it and it has no rational
+        # point
         survivors = {(tuple(s["f"]), tuple(s["g"]))
                      for s in search_fiberproduct(F, mode="census").survivors}
         nu = F.index(F.canonical_nonsquare)
