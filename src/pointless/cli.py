@@ -7,6 +7,7 @@ codes: 0 success, 1 verification/search-expectation failure, 2 usage error.
 
 import argparse
 import json
+import re
 import sys
 
 from .density import DensityProblem, compute_density, montecarlo_pointless_rate
@@ -119,8 +120,10 @@ def _cmd_search(args):
 
 
 def _cmd_density(args):
-    problem = DensityProblem(degree=args.degree,
-                             generators=tuple(args.gens.split(",")))
+    # generators are split at the commas outside parentheses, so a cycle
+    # may separate its points by commas as well as spaces
+    gens = re.split(r",(?![^(]*\))", args.gens)
+    problem = DensityProblem(degree=args.degree, generators=tuple(gens))
     result = compute_density(problem)
     _emit(result.to_json())
     return 0

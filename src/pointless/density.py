@@ -166,6 +166,8 @@ def compute_density(problem):
     """delta = fraction of group elements fixing at least one point (the
     union of the point-stabilizer conjugates)."""
     degree = problem.degree
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     elems = group_closure(problem.parsed_generators(), degree)
     if not is_transitive(elems, degree):
         raise NotTransitive(f"group is not transitive on {degree} points")

@@ -38,9 +38,10 @@ kernel's addition rows, so no Python loop runs per right-half code
 (fields of at most 256 elements).  klein4_hyper_odd (one form per
 u = x + n/x), the fiber products (one join per monic cubic f, one form
 in g per x where f(x) is not a nonsquare), test 1 of the elliptic double
-covers (one form per rational point) and the exhaustive genus-3 census
-(f(0) fixed, the values at nodes 1..8 over the nonsquares; one form for
-the leading coefficient and one per remaining field element) run on it.
+covers (one join per double zero Q and top coefficient 1 or nu, one form
+per rational point) and the exhaustive genus-3 census (f(0) fixed, the
+values at nodes 1..8 over the nonsquares; one form for the leading
+coefficient and one per remaining field element) run on it.
 The census checks its join by the count of its inseparable passes and
 deduplicates its survivors under PGL2 and square scaling on index lists,
 walking each orbit once per class, not once per survivor.  The genus-4
@@ -654,51 +655,39 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
 
 def _double_zero_kernel(E, basis, Q):
     """Basis of the functions in L(k*inf) vanishing to order >= 2 at Q (an
-    index pair), as index vectors on basis: the kernel of two rows, the
-    value of each monomial x^i y^j at Q and its derivative in the local
-    parameter t.  Off 2-torsion t = x - x0 and dy/dx = c'(x0) / (2 y0); at
-    a 2-torsion point t = y and x = x0 + O(t^2), so the rows are
-    x0^i [j = 0] and x0^i [j = 1]."""
+    index pair), as index vectors on basis, in closed form.  With the local
+    parameter t at Q (t = x - x0 off the 2-torsion, t = y at a 2-torsion
+    point, where x = x0 + O(t^2)), every monomial m but 1 and t gives
+    m - m(Q) - m'(Q) t, m' = dm/dt, in basis order: the reduced echelon
+    kernel of the two rows m(Q) and m'(Q), whose pivots are 1 and t.  Off
+    the 2-torsion dy/dx = c'(x0) / (2 y0)."""
     kern = _kernel(E.base)
-    mul, p, k = kern.mul, E.base.p, len(basis)
+    mul, sub, p = kern.mul, kern.sub, E.base.p
     x0, y0 = Q
     powers = [1]                        # x0^i
     for _ in range(max(i for i, _ in basis)):
         powers.append(mul(powers[-1], x0))
-    if not y0:
-        mat = [[powers[i] if j == r else 0 for i, j in basis] for r in (0, 1)]
-    else:
+    t = (1, 0) if y0 else (0, 1)
+    if y0:
         dy = mul(kern.horner(kern._derivative(E._cubic), x0),
                  kern.inv(mul(2, y0)))
-        mat = [[], []]
-        for (i, j) in basis:
-            # d(x^i)/dt = i x0^(i-1), and d(x^i y)/dt adds x^i dy/dx; the
+    kernel = []
+    for col, (i, j) in enumerate(basis):
+        if (i, j) in ((0, 0), t):
+            continue
+        if y0:
+            # d(x^i)/dx = i x0^(i-1), and d(x^i y)/dx adds x^i dy/dx; the
             # index of an integer i < p is i
             dxi = mul(i % p, powers[i - 1]) if i else 0
-            mat[0].append(mul(powers[i], y0) if j else powers[i])
-            mat[1].append(kern.add(mul(dxi, y0), mul(powers[i], dy))
-                          if j else dxi)
-    # gaussian elimination to the reduced echelon form of the 2 x k system
-    pivots = []
-    for col in range(k):
-        r = len(pivots)
-        piv = next((rr for rr in range(r, 2) if mat[rr][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = kern.inv(mat[r][col])
-        mat[r] = [mul(v, inv) for v in mat[r]]
-        c = mat[1 - r][col]
-        mat[1 - r] = [kern.sub(a, mul(c, b)) for a, b in zip(mat[1 - r], mat[r])]
-        pivots.append(col)
-        if r:
-            break
-    kernel = []
-    for fc in (c for c in range(k) if c not in pivots):
-        vec = [0] * k
-        vec[fc] = 1
-        for row, pc in zip(mat, pivots):
-            vec[pc] = kern.neg(row[fc])
+            value = mul(powers[i], y0) if j else powers[i]
+            slope = kern.add(mul(dxi, y0), mul(powers[i], dy)) if j else dxi
+        else:
+            value, slope = (0, powers[i]) if j else (powers[i], 0)
+        vec = [0] * len(basis)
+        vec[col] = 1
+        # - m(Q) - m'(Q) t, with t(Q) = 0: t = x - x0 adds m'(Q) x0
+        vec[0] = sub(mul(slope, x0), value) if y0 else kern.neg(value)
+        vec[basis.index(t)] = kern.neg(slope)
         kernel.append(vec)
     return kernel
 
@@ -706,10 +695,15 @@ def _double_zero_kernel(E, basis, Q):
 def search_double_covers_elliptic(E, genus_target=3, mode="census",
                                   budget=None):
     """Genus-3 (k=6, Q from E/2E) or genus-4 (k=8, Q from E/3E) double covers
-    z^2 = f.  Test 1: no rational point of E where f is a nonzero square.
-    Test 2: divisor shape 2Q + (k-2 odd-order points) - k*inf, read by
-    divisor_shape on the passes that shape_possible, a necessary condition
-    without factorisation, admits."""
+    z^2 = f, f in the double-zero space at Q.  Test 1: no rational point of
+    E where f is a nonzero square.  Test 2: divisor shape
+    2Q + (k-2 odd-order points) - k*inf, read by divisor_shape on the
+    passes that shape_possible, a necessary condition without
+    factorisation, admits.  Test 2 asks for a pole of order k, and x^(k/2)
+    is the one monomial of that order, so f's coefficient on the last
+    basis function of the space is nonzero; up to square scaling it is 1
+    or nu, and each Q runs two joins, reps * 2 * q^(k-3) candidates in
+    all."""
     F = E.base
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic engine")
@@ -736,29 +730,23 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     passes = kill2 = 0
     for Q in qreps:
         kernel = _double_zero_kernel(E, basis, Q)
-        dim = len(kernel)
         # per-point values of the kernel basis functions
         fns = [_fn_indices(basis, vec) for vec in kernel]
         B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
                 for x, y in pts]
-        # enumerate modulo square scaling: leading coefficient in {1, nu}
-        for lead, lead_val in product(range(dim), (1, nu_i)):
-            free = dim - lead - 1     # coordinates after the leading one
-            weights = [row[lead + 1:] for row in B_at]
+        # modulo square scaling: the top coefficient, of x^(k/2), in {1, nu}
+        free = len(kernel) - 1
+        weights = [row[:free] for row in B_at]
+        for top in (1, nu_i):
             # test 1: f(P) is zero or a nonsquare at every rational P
-            consts = [mul(lead_val, row[lead]) for row in B_at]
+            consts = [mul(top, row[free]) for row in B_at]
             for code in _linear_join(kern, range(q), free, weights,
                                      consts, not_square):
                 run.reach(code)
                 passes += 1
-                lam = [0] * lead + [lead_val] + _digits(code, q, free)
                 coeffs = [0] * len(basis)
-                for l_i, vec in zip(lam, kernel):
-                    if l_i:
-                        coeffs = [add(c, mul(l_i, v))
-                                  for c, v in zip(coeffs, vec)]
-                if not any(coeffs):
-                    continue
+                for l_i, vec in zip(_digits(code, q, free) + [top], kernel):
+                    coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
                 if not (shape_possible(E, coeffs, basis, Q) and
                         divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
                     kill2 += 1
@@ -778,7 +766,7 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                        "reps": len(qreps), "fallback": fallback,
                        "mode": mode},
                       _fingerprint("double_covers", q, genus_target, *curve,
-                                   "lead-norm-odometer"),
+                                   "top-norm-odometer"),
                       kill_counts={"test1": run.candidates - passes,
                                    "test2": kill2})
 

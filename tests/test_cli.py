@@ -178,6 +178,19 @@ class TestDensity:
         j = json.loads(out)
         assert code == 0 and j["delta"] == "2/3"
 
+    def test_gens_split_outside_cycles(self, capsys):
+        # a comma inside a cycle separates points, not generators
+        outs = [run(capsys, "density", "--degree", "3", "--gens", gens)
+                for gens in ("(1 2 3),(1 2)", "(1,2,3),(1,2)")]
+        assert [code for code, _ in outs] == [0, 0]
+        assert outs[0][1] == outs[1][1]
+        assert json.loads(outs[1][1])["delta"] == "2/3"
+
+    def test_degree_0_exits_2(self, capsys):
+        code = main(["density", "--degree", "0", "--gens", "()"])
+        assert code == 2
+        assert "degree must be at least 1" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_deterministic(self, capsys):

@@ -88,6 +88,12 @@ class TestComputeDensity:
         with pytest.raises(NotTransitive):
             compute_density(DensityProblem(4, ("(1 2)",)))
 
+    @pytest.mark.parametrize("degree", [0, -2])
+    def test_degree_below_1_rejected(self, degree):
+        # the identity on no points would leave is_transitive no point 0
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            compute_density(DensityProblem(degree, ("()",)))
+
     def test_group_too_large(self):
         # S_10 has order 3628800 > 10^6
         with pytest.raises(GroupTooLarge):

@@ -633,6 +633,55 @@ def _kernel_combinations(E, basis, Q, rng, n):
     return out
 
 
+def _row_reduced_kernel(E, basis, Q):
+    """The double-zero space at Q by Gaussian elimination, the reference
+    for _double_zero_kernel's closed form: the kernel of two rows, the
+    value of each monomial x^i y^j at Q and its derivative in the local
+    parameter t, reduced to echelon form.  Off 2-torsion t = x - x0 and
+    dy/dx = c'(x0) / (2 y0); at a 2-torsion point t = y and
+    x = x0 + O(t^2), so the rows are x0^i [j = 0] and x0^i [j = 1]."""
+    kern = _kernel(E.base)
+    mul, p, k = kern.mul, E.base.p, len(basis)
+    x0, y0 = Q
+    powers = [1]                        # x0^i
+    for _ in range(max(i for i, _ in basis)):
+        powers.append(mul(powers[-1], x0))
+    if not y0:
+        mat = [[powers[i] if j == r else 0 for i, j in basis] for r in (0, 1)]
+    else:
+        dy = mul(kern.horner(kern._derivative(E._cubic), x0),
+                 kern.inv(mul(2, y0)))
+        mat = [[], []]
+        for (i, j) in basis:
+            dxi = mul(i % p, powers[i - 1]) if i else 0
+            mat[0].append(mul(powers[i], y0) if j else powers[i])
+            mat[1].append(kern.add(mul(dxi, y0), mul(powers[i], dy))
+                          if j else dxi)
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((rr for rr in range(r, 2) if mat[rr][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = kern.inv(mat[r][col])
+        mat[r] = [mul(v, inv) for v in mat[r]]
+        c = mat[1 - r][col]
+        mat[1 - r] = [kern.sub(a, mul(c, b))
+                      for a, b in zip(mat[1 - r], mat[r])]
+        pivots.append(col)
+        if r:
+            break
+    kernel = []
+    for fc in (c for c in range(k) if c not in pivots):
+        vec = [0] * k
+        vec[fc] = 1
+        for row, pc in zip(mat, pivots):
+            vec[pc] = kern.neg(row[fc])
+        kernel.append(vec)
+    return kernel
+
+
 class TestDoubleZeroKernel:
     """_double_zero_kernel directly: len(basis) - 2 vectors, each a
     function vanishing to order >= 2 at Q by the element reference, for Q
@@ -655,6 +704,22 @@ class TestDoubleZeroKernel:
                     E, [F.from_index(v) for v in vec], basis, Q) >= 2, \
                     (E, Q, vec)
         assert on_torsion == {False, True}
+
+
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("F", [F5, F7, F9, F25, F27],
+                             ids=lambda F: f"F{F.q}")
+    def test_closed_form_equals_row_reduction(self, F, k):
+        # vector for vector, at every affine Q of a curve with a rational
+        # 2-torsion point
+        rng = random.Random(4000 + 10 * F.q + k)
+        basis = rr_basis(k)
+        E = _random_curve(F, rng, two_torsion=True)
+        affine = E.points()[1:]
+        assert {bool(y) for _, y in affine} == {False, True}
+        for Q in affine:
+            assert _double_zero_kernel(E, basis, Q) == \
+                _row_reduced_kernel(E, basis, Q), (E, Q)
 
 
 def _random_functions(F, basis, rng, n):

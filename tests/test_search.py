@@ -74,6 +74,14 @@ extended = pytest.mark.skipif(
     reason="extended-scale run; set POINTLESS_EXTENDED=1")
 
 
+def _index_dot(kern, u, v):
+    """sum_i u_i v_i on kernel indices."""
+    out = 0
+    for a, b in zip(u, v):
+        out = kern.add(out, kern.mul(a, b))
+    return out
+
+
 def _naive_join(F, alphabet, d, weights, consts, target):
     """The codes that _linear_join should yield, one FieldElement sum per
     form and code."""
@@ -700,14 +708,16 @@ class TestDoubleCovers:
             (first.candidates, first.survivors)
 
     @pytest.mark.parametrize("F, curve, candidates, test1, test2, found", [
-        (F5, (0, 1, 1), 312, 303, 9, 0),
-        (F5, (0, 0, 1), 624, 544, 75, 5),
-        (F7, (0, 1, 3), 1600, 1430, 136, 34),
+        (F5, (0, 1, 1), 250, 242, 8, 0),
+        (F5, (0, 0, 1), 500, 437, 58, 5),
+        (F7, (0, 1, 3), 1372, 1228, 110, 34),
     ], ids=["F5:x3+x+1", "F5:x3+1", "F7:x3+x+3"])
     def test_counts_as_recorded(self, F, curve, candidates, test1, test2,
                                 found):
-        # genus-3 census figures recorded with a per-candidate test 1
-        # (one field evaluation per point and candidate)
+        # genus-3 census figures, re-recorded when the top coefficient took
+        # the square-class normalisation: reps * 2 * q^3 candidates, and
+        # the survivors of the first-nonzero normalisation (recorded with a
+        # per-candidate test 1) up to square scaling
         r = search_double_covers_elliptic(EllipticCurve(F, *curve),
                                           genus_target=3, mode="census")
         assert r.candidates == candidates
@@ -732,18 +742,20 @@ class TestDoubleCovers:
             r = search_double_covers_elliptic(E, mode="census")
             assert r.survivors == []
             kills.append(r.kill_counts)
-        assert kills == [{"test1": 163402, "test2": 118},
-                         {"test1": 81704, "test2": 56}]
+        assert kills == [{"test1": 157350, "test2": 114},
+                         {"test1": 78678, "test2": 54}]
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("F, curve, k, lead", [
-        (F5, (0, 1, 1), 6, 0), (F7, (0, 1, 3), 6, 0), (F5, (0, 1, 1), 8, 2),
+    @pytest.mark.parametrize("F, curve, k, top", [
+        (F5, (0, 1, 1), 6, "nu"), (F7, (0, 1, 3), 6, "1"),
+        (F5, (0, 1, 1), 8, "nu"),
     ], ids=["F5:k6", "F7:k6", "F5:k8"])
-    def test_test1_rejects_only_covers_with_points(self, F, curve, k, lead):
-        # one (lead, lead_val) block of test 1, built as the engine builds
-        # it: the join yields exactly the codes whose f is zero or a
-        # nonsquare at every rational point, and every other code's cover
-        # z^2 = f has a rational point
+    def test_test1_rejects_only_covers_with_points(self, F, curve, k, top):
+        # one (Q, top) block of test 1, built as the engine builds it, with
+        # the last kernel coordinate fixed to 1 or nu: the join yields
+        # exactly the codes whose f is zero or a nonsquare at every
+        # rational point, and every other code's cover z^2 = f has a
+        # rational point
         E = EllipticCurve(F, *curve)
         basis = rr_basis(k)
         Q = E.quotient_reps(2 if k == 6 else 3)[0]
@@ -754,16 +766,16 @@ class TestDoubleCovers:
                for P in E.points() if P is not INF]
         B_at = [[F.index(fn_value(*fn_ab(vec, basis, F), P)) for vec in kernel]
                 for P in pts]
-        lead_val = F.index(F.canonical_nonsquare)
-        free = len(kernel) - lead - 1
+        top_val = F.index(F.canonical_nonsquare) if top == "nu" else 1
+        free = len(kernel) - 1
         not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(F.q))
         passes = set(search._linear_join(
-            kern, range(F.q), free, [row[lead + 1:] for row in B_at],
-            [kern.mul(lead_val, row[lead]) for row in B_at], not_square))
+            kern, range(F.q), free, [row[:free] for row in B_at],
+            [kern.mul(top_val, row[free]) for row in B_at], not_square))
         rejected = 0
         for code in range(F.q ** free):
-            lam = [F.zero] * lead + [F.from_index(lead_val)] + [
-                F.from_index(code // F.q ** i % F.q) for i in range(free)]
+            lam = [F.from_index(code // F.q ** i % F.q)
+                   for i in range(free)] + [F.from_index(top_val)]
             coeffs = [sum((l * vec[j] for l, vec in zip(lam, kernel)), F.zero)
                       for j in range(len(basis))]
             A, B = fn_ab(coeffs, basis, F)
@@ -776,11 +788,63 @@ class TestDoubleCovers:
                                    basis, 1) > 0, code
         assert rejected > 0
 
+    @pytest.mark.parametrize("F, curve, k", [
+        (F5, (0, 0, 1), 6), (F7, (0, 1, 3), 6), (F7, (0, 1, 6), 8),
+        pytest.param(F11, (0, 1, 1), 8, marks=extended),
+        pytest.param(F13, (0, 1, 1), 8, marks=extended),
+    ], ids=["F5:k6", "F7:k6", "F7:k8", "F11:k8", "F13:k8"])
+    def test_top_normalisation_equals_first_nonzero_stream(self, F, curve,
+                                                           k):
+        # every lambda != 0 whose first nonzero coordinate is 1 or nu, by a
+        # per-candidate test 1 and divisor_shape: none with a zero top
+        # coordinate (the coefficient of x^(k/2), the one monomial of pole
+        # order k) passes test 2, though some pass test 1, and its
+        # survivors scaled by a square to top 1 or nu are the engine's
+        E = EllipticCurve(F, *curve)
+        kern, q, nu = _kernel(F), F.q, _kernel(F).nonsquare
+        basis = rr_basis(k)
+        pts = [P for P in E.points() if P is not INF]
+        found, top_zero_passes = set(), 0
+        for Q in E.quotient_reps(2 if k == 6 else 3):
+            kernel = search._double_zero_kernel(E, basis, Q)
+            dim = len(kernel)
+            B_at = [[F.index(fn_value(*fn_ab(
+                [F.from_index(v) for v in vec], basis, F),
+                (F.from_index(x), F.from_index(y)))) for vec in kernel]
+                for x, y in pts]
+            for lead, val in product(range(dim), (1, nu)):
+                for code in range(q ** (dim - lead - 1)):
+                    lam = [0] * lead + [val] + search._digits(
+                        code, q, dim - lead - 1)
+                    if any(v and kern.sqrt_count(v) == 2 for v in (
+                            _index_dot(kern, lam, row) for row in B_at)):
+                        continue
+                    coeffs = [_index_dot(kern, lam, col)
+                              for col in zip(*kernel)]
+                    top_zero_passes += not lam[-1]
+                    if not elliptic.divisor_shape(E, coeffs, basis, Q,
+                                                  k)["shape_ok"]:
+                        continue
+                    assert lam[-1], (Q, lam)
+                    # 1/top or nu/top, a square either way
+                    scale = kern.inv(lam[-1])
+                    if kern.sqrt_count(lam[-1]) != 2:
+                        scale = kern.mul(nu, scale)
+                    coeffs = [kern.mul(scale, c) for c in coeffs]
+                    found.add((Q, tuple(coeffs), tuple(
+                        cover_count(E, coeffs, basis, i) for i in (1, 2, 3))))
+        r = search_double_covers_elliptic(E, genus_target=k // 2,
+                                          mode="census")
+        assert top_zero_passes > 0
+        assert found and {(tuple(s["Q"]), tuple(s["coeffs"]),
+                           tuple(s["counts"])) for s in r.survivors} == found
+        assert len(r.survivors) == len(found)
+
     def test_budget_boundary(self):
         E = EllipticCurve(F5, 0, 1, 1)
-        search_double_covers_elliptic(E, mode="census", budget=312)
+        search_double_covers_elliptic(E, mode="census", budget=250)
         with pytest.raises(BudgetExceeded):
-            search_double_covers_elliptic(E, mode="census", budget=311)
+            search_double_covers_elliptic(E, mode="census", budget=249)
 
     def test_bad_genus_rejected(self):
         with pytest.raises(ValueError):
@@ -1097,14 +1161,18 @@ REPORT_PINS = [
     ("exhaustive_hyper_genus3@F9:first",
      lambda: search_exhaustive_hyper_genus3(F9, mode="first_find"),
      (3, 1, 1), "895b5aae1454c06b"),
+    # re-recorded when the double covers took the top coefficient, of
+    # x^(k/2), to 1 or nu instead of the first nonzero one: candidates,
+    # kill counts, the first find, survivors scaled by squares and the
+    # fingerprint change; parameters, classes and count vectors do not
     ("double_covers@F5:x3+1:census",
      lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
                                            mode="census"),
-     (624, 5, 5), "a628c050577d82bc"),
+     (500, 5, 5), "ec1bf39f1279550a"),
     ("double_covers@F5:x3+1:first",
      lambda: search_double_covers_elliptic(EllipticCurve(F5, 0, 0, 1),
                                            mode="first_find"),
-     (65, 1, 1), "fc79406ac303abf6"),
+     (40, 1, 1), "e573af763fe1dcc3"),
     # re-recorded when the genus-4 char-2 census took one conductor per
     # affine class: candidates count the kept conductors, the fingerprint
     # names the normal-form order, and kill_counts carries the orbit total
@@ -1134,15 +1202,16 @@ REPORT_PINS = [
      (138, 1, 1), "e2c9922b3c389f3d"),
     # recorded before the join built its tables with bytes.translate: the
     # genus-4 double covers join up to five free coordinates (r = 3 right
-    # digits), and the odd Klein-four census runs over F_13
+    # digits), and the odd Klein-four census runs over F_13; the double
+    # covers re-recorded with the top-coefficient normalisation as above
     ("double_covers@F11:x3+x+1:g4:census",
      lambda: search_double_covers_elliptic(EllipticCurve(F11, 0, 1, 1), 4,
                                            mode="census"),
-     (354312, 13, 10), "beadae6fea208d11"),
+     (322102, 13, 10), "d32bc0a576597830"),
     ("double_covers@F13:x3+x+1:g4:census",
      lambda: search_double_covers_elliptic(EllipticCurve(F13, 0, 1, 1), 4,
                                            mode="census"),
-     (2413404, 5, 3), "c1bbb26f1613adb1"),
+     (2227758, 5, 3), "c1ce998180a4c7b7"),
     ("klein4_hyper_odd@F13:census",
      lambda: search_klein4_hyper_odd(F13, 1, mode="census"),
      (28561, 63, 4), "83137339126154ab"),
