@@ -31,17 +31,20 @@ to its index once.
 Linear-form filters ask one question: for which lambda in A^d does every
 form c_j + sum_i w_ji lambda_i land in a target set (the nonsquares, or
 zero and the nonsquares)?  _linear_join answers it on the field's index
-kernel by a bitset meet in the middle, yielding the passing codes in
-odometer order; it keeps its sums as bytes of indices and builds every
-sum and every right-half bitset with bytes.translate through the
-kernel's addition rows, so no Python loop runs per right-half code
-(fields of at most 256 elements).  klein4_hyper_odd (one form per
-u = x + n/x), the fiber products (one join per monic cubic f, one form
-in g per x where f(x) is not a nonsquare), test 1 of the elliptic double
-covers (one join per double zero Q and top coefficient 1 or nu, one form
-per rational point) and the exhaustive genus-3 census (f(0) fixed, the
-values at nodes 1..8 over the nonsquares; one form for the leading
-coefficient and one per remaining field element) run on it.
+kernel by a bitset meet in the middle, one alphabet per digit, yielding
+the passing codes in odometer order.  It builds every form's tables
+first (_join_tables), as a pass must clear every form, and then ANDs
+them per left code (_join_passes); it keeps its sums as bytes of indices
+and builds every sum and every right-half bitset with bytes.translate
+through the kernel's addition rows, so no Python loop runs per
+right-half code (fields of at most 256 elements).  klein4_hyper_odd (one
+form per u = x + n/x), the fiber products (one form in g per x, tabled
+once per run; each monic cubic f joins the tables of the x where f(x) is
+not a nonsquare), test 1 of the elliptic double covers (one join per
+double zero Q, the top digit over {1, nu}; one form per rational point)
+and the exhaustive genus-3 census (f(0) fixed, the values at nodes 1..8
+over the nonsquares; one form for the leading coefficient and one per
+remaining field element) run on it.
 The census checks its join by the count of its inseparable passes and
 deduplicates its survivors under PGL2 and square scaling on index lists,
 walking each orbit once per class, not once per survivor.  The genus-4
@@ -53,8 +56,9 @@ import hashlib
 import inspect
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import product, zip_longest
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .curves import (
     ArtinSchreierCurve,
@@ -187,62 +191,63 @@ def _odometer(alphabet_size, length):
         yield code, _digits(code, alphabet_size, length)
 
 
-def _partial_sums(row, mul, alphabet, weights, start):
-    """start + sum_i weights[i] * alphabet[digit_i] for every tuple of
+def _partial_sums(row, mul, alphabets, weights, start):
+    """start + sum_i weights[i] * alphabets[i][digit_i] for every tuple of
     digits, in little-endian odometer order, as a bytes of kernel indices;
     row(v) is v's addition row as a translate table."""
     sums = bytes([start])
-    for w in weights:
+    for w, alphabet in zip(weights, alphabets):
         sums = b"".join(sums.translate(row(mul(w, a))) for a in alphabet)
     return sums
 
 
-def _linear_join(kern, alphabet, d, weights, consts, target):
-    """Codes, ascending, of the lambda in alphabet^d (little-endian
-    odometer: digit i of the code picks lambda_i) for which every form
-    consts[j] + sum_i weights[j][i] * lambda_i lands in target, a 0/1
-    bytearray over kernel indices.
+def _join_tables(kern, alphabets, weights, consts, target):
+    """The tables of _linear_join's meet in the middle, every form's built
+    at once: (width, lefts, tables), with width the number of right codes,
+    lefts that of left codes and tables[j][left] form j's bitset at a left
+    code.
 
-    Meet in the middle.  The low r = ceil(d/2) digits are the right half:
-    per form, good[a] is the int bitset over the right codes of the sums v
-    with target[a + v].  The high digits are the left half; their sums, the
-    constant included, pick one good[a] per left code.  A left code ANDs
-    those bitsets form by form and stops at 0; the set bits left, low to
-    high, are its passing codes.  A form's tables are built the first
-    time a left code reaches it, as most left codes die at the first few
-    forms.  Sums and bitsets are bytes.translate passes: a sum is a
-    translate through an addition row, and good[a] is the right sums,
-    high code first, translated through a's row and then to the digits
-    '0'/'1' of target, and read as a base-2 int.  Bytes hold indices up
-    to 255, so a field past 256 elements raises UnsupportedShape.
+    Of the d = len(alphabets) digits, the low r = ceil(d/2) are the right
+    half: per form, good[a] is the int bitset over the right codes of the
+    sums v with target[a + v].  The high digits are the left half; their
+    sums, the constant included, pick one good[a] per left code.  Sums and
+    bitsets are bytes.translate passes: a sum is a translate through an
+    addition row, and good[a] is the right sums, high code first,
+    translated through a's row and then to the digits '0'/'1' of target,
+    and read as a base-2 int.  Bytes hold indices up to 255, so a field
+    past 256 elements raises UnsupportedShape.
     """
     if kern.q > 256:
         raise UnsupportedShape(f"the linear join packs kernel indices in "
                                f"bytes: F_{kern.q} has over 256 elements")
-    mul, rows = kern.mul, {}
-    r = (d + 1) // 2
-    width = len(alphabet) ** r
+    mul = kern.mul
+    r = (len(alphabets) + 1) // 2
+    right, left = alphabets[:r], alphabets[r:]
     bit = bytes(48 + t for t in target).ljust(256, b"0")
 
+    @cache
     def row(v):
-        if v not in rows:
-            rows[v] = bytes(kern.add_row(v)).ljust(256)
-        return rows[v]
+        return bytes(kern.add_row(v)).ljust(256)
 
-    def table(j):
-        right = _partial_sums(row, mul, alphabet, weights[j][:r], 0)[::-1]
-        left = _partial_sums(row, mul, alphabet, weights[j][r:], consts[j])
-        good = {a: int(right.translate(row(a).translate(bit)), 2)
-                for a in set(left)}
-        return [good[a] for a in left]
+    def table(w, c):
+        rsums = _partial_sums(row, mul, right, w[:r], 0)[::-1]
+        lsums = _partial_sums(row, mul, left, w[r:], c)
+        good = {a: int(rsums.translate(row(a).translate(bit)), 2)
+                for a in set(lsums)}
+        return [good[a] for a in lsums]
 
-    tables = []
-    for left in range(len(alphabet) ** (d - r)):
+    return (prod(map(len, right)), prod(map(len, left)),
+            [table(w, c) for w, c in zip(weights, consts)])
+
+
+def _join_passes(width, lefts, tables):
+    """Codes, ascending, that pass every table of _join_tables: a left
+    code ANDs its bitsets table by table and stops at 0; the set bits
+    left, low to high, are its passing codes."""
+    for left in range(lefts):
         bits = (1 << width) - 1
-        for j in range(len(weights)):
-            if j == len(tables):
-                tables.append(table(j))
-            bits &= tables[j][left]
+        for t in tables:
+            bits &= t[left]
             if not bits:
                 break
         base = left * width
@@ -250,6 +255,17 @@ def _linear_join(kern, alphabet, d, weights, consts, target):
             low = bits & -bits
             yield base + low.bit_length() - 1
             bits ^= low
+
+
+def _linear_join(kern, alphabets, weights, consts, target):
+    """Codes, ascending, of the lambda in alphabets[0] x ... x
+    alphabets[d-1] (little-endian odometer: digit i of the code picks
+    lambda_i from alphabets[i]) for which every form consts[j] +
+    sum_i weights[j][i] * lambda_i lands in target, a 0/1 bytearray over
+    kernel indices: a bitset meet in the middle, its tables built first
+    (_join_tables) and then joined (_join_passes)."""
+    return _join_passes(*_join_tables(kern, alphabets, weights, consts,
+                                      target))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +312,7 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     disc = [kern.neg(mul(4 % F.p, n_i)), 0, 1]     # u^2 - 4n
     run = _Search("klein4_hyper_odd", mode, budget)
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
-    for code in _linear_join(kern, range(q), 4, weights, consts, nonsquare):
+    for code in _linear_join(kern, [range(q)] * 4, weights, consts, nonsquare):
         run.reach(code)
         coeffs = _digits(code, q, 4) + [nu_i]
         if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
@@ -439,17 +455,17 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     mul, nu_i = kern.mul, kern.nonsquare
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
     # g(x) = g0 + g1 x + g2 x^2 + nu x^3 is a nonsquare at x: one linear
-    # form in (g0, g1, g2) per x, with constant nu * x^3
-    forms = [([1, x, mul(x, x)], mul(nu_i, mul(x, mul(x, x))))
-             for x in range(q)]
+    # form in (g0, g1, g2) per x, with constant nu * x^3, tabled once
+    width, lefts, tables = _join_tables(
+        kern, [range(q)] * 3, [[1, x, mul(x, x)] for x in range(q)],
+        [mul(nu_i, mul(x, mul(x, x))) for x in range(q)], nonsquare)
     for fcode in range(q ** 3):
         fco = _digits(fcode, q, 3) + [1]
         # the spots where f(x) is zero or a nonzero square need g to cover
         # them; an f without such spots passes every g
-        need = [forms[x] for x in range(q)
+        need = [tables[x] for x in range(q)
                 if kern.sqrt_count(kern.horner(fco, x))]
-        for gcode in _linear_join(kern, range(q), 3, [w for w, _ in need],
-                                  [c for _, c in need], nonsquare):
+        for gcode in _join_passes(width, lefts, need):
             run.reach(gcode)
             gco = _digits(gcode, q, 3) + [nu_i]
             try:
@@ -580,7 +596,7 @@ def _census_join(F):
     # the addition rows of ns[digit] * basis[i], per node i > 0 and digit
     scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
               for L in basis[1:]]
-    for code in _linear_join(kern, ns, 8, [w[1:] for w in weights],
+    for code in _linear_join(kern, [ns] * 8, [w[1:] for w in weights],
                              [kern.mul(w[0], ns[0]) for w in weights],
                              nonsquare):
         f = base
@@ -702,8 +718,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     factorisation, admits.  Test 2 asks for a pole of order k, and x^(k/2)
     is the one monomial of that order, so f's coefficient on the last
     basis function of the space is nonzero; up to square scaling it is 1
-    or nu, and each Q runs two joins, reps * 2 * q^(k-3) candidates in
-    all."""
+    or nu.  Each Q runs one join, its top digit over (1, nu) and the
+    others over F_q: reps * 2 * q^(k-3) candidates in all."""
     F = E.base
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic engine")
@@ -725,7 +741,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     horner, add, mul = kern.horner, kern.add, kern.mul
     not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(q))
     pts = E.points()[1:]             # the affine points, after INF
-    nu_i = kern.nonsquare
+    # modulo square scaling: the top coefficient, of x^(k/2), is 1 or nu
+    tops = (1, kern.nonsquare)
     run = _Search("double_covers_elliptic", mode, budget)
     passes = kill2 = 0
     for Q in qreps:
@@ -734,31 +751,27 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
         fns = [_fn_indices(basis, vec) for vec in kernel]
         B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
                 for x, y in pts]
-        # modulo square scaling: the top coefficient, of x^(k/2), in {1, nu}
+        # test 1: f(P) is zero or a nonsquare at every rational P; the top
+        # digit, 0 or 1 in base q, picks the top coefficient from tops
         free = len(kernel) - 1
-        weights = [row[:free] for row in B_at]
-        for top in (1, nu_i):
-            # test 1: f(P) is zero or a nonsquare at every rational P
-            consts = [mul(top, row[free]) for row in B_at]
-            for code in _linear_join(kern, range(q), free, weights,
-                                     consts, not_square):
-                run.reach(code)
-                passes += 1
-                coeffs = [0] * len(basis)
-                for l_i, vec in zip(_digits(code, q, free) + [top], kernel):
-                    coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
-                if not (shape_possible(E, coeffs, basis, Q) and
-                        divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
-                    kill2 += 1
-                    continue
-                counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
-                if run.keep({"Q": list(Q), "coeffs": coeffs,
-                             "counts": counts, "pointless": counts[0] == 0},
-                            {"q": q, "counts": counts}):
-                    break
-            run.close(q ** free)
-            if run.stopped:
+        for code in _linear_join(kern, [range(q)] * free + [tops], B_at,
+                                 [0] * len(B_at), not_square):
+            run.reach(code)
+            passes += 1
+            *lam, top = _digits(code, q, free + 1)
+            coeffs = [0] * len(basis)
+            for l_i, vec in zip(lam + [tops[top]], kernel):
+                coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
+            if not (shape_possible(E, coeffs, basis, Q) and
+                    divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
+                kill2 += 1
+                continue
+            counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
+            if run.keep({"Q": list(Q), "coeffs": coeffs,
+                         "counts": counts, "pointless": counts[0] == 0},
+                        {"q": q, "counts": counts}):
                 break
+        run.close(2 * q ** free)
         if run.stopped:
             break
     curve = [E.a2, E.a4, E.a6]

@@ -82,14 +82,16 @@ def _index_dot(kern, u, v):
     return out
 
 
-def _naive_join(F, alphabet, d, weights, consts, target):
-    """The codes that _linear_join should yield, one FieldElement sum per
-    form and code."""
-    size = len(alphabet)
+def _naive_join(F, alphabets, weights, consts, target):
+    """The codes that _linear_join should yield over alphabets, one per
+    digit (little-endian mixed radix), one FieldElement sum per form and
+    code."""
     out = []
-    for code in range(size ** d):
-        lam = [F.from_index(alphabet[code // size ** i % size])
-               for i in range(d)]
+    for code in range(math.prod(map(len, alphabets))):
+        lam, rest = [], code
+        for alphabet in alphabets:
+            rest, digit = divmod(rest, len(alphabet))
+            lam.append(F.from_index(alphabet[digit]))
         for row, c in zip(weights, consts):
             v = F.from_index(c)
             for w, x in zip(row, lam):
@@ -99,6 +101,26 @@ def _naive_join(F, alphabet, d, weights, consts, target):
         else:
             out.append(code)
     return out
+
+
+def _spy_tables(monkeypatch):
+    """(sets, halves): from now on, the number of forms of every table set
+    search builds, and one entry per _partial_sums call, of which every
+    form's bitsets take two (its right and left halves)."""
+    sets, halves = [], []
+    build, partial = search._join_tables, search._partial_sums
+
+    def tables(kern, alphabets, weights, *rest):
+        sets.append(len(weights))
+        return build(kern, alphabets, weights, *rest)
+
+    def partial_sums(*args):
+        halves.append(1)
+        return partial(*args)
+
+    monkeypatch.setattr(search, "_join_tables", tables)
+    monkeypatch.setattr(search, "_partial_sums", partial_sums)
+    return sets, halves
 
 
 class TestLinearJoin:
@@ -127,9 +149,10 @@ class TestLinearJoin:
                 weights = [[rng.randrange(F.q) for _ in range(d)]
                            for _ in range(m)]
                 consts = [rng.randrange(F.q) for _ in range(m)]
-                got = list(search._linear_join(K, alphabet, d, weights,
+                got = list(search._linear_join(K, [alphabet] * d, weights,
                                                consts, target))
-                want = _naive_join(F, alphabet, d, weights, consts, target)
+                want = _naive_join(F, [alphabet] * d, weights, consts,
+                                   target)
                 assert got == want
                 if density == 0.0:
                     assert got == []
@@ -145,14 +168,15 @@ class TestLinearJoin:
         consts = [rng.randrange(27) for _ in range(4)]
         for density in (0.5, 0.8):
             target = bytearray(rng.random() < density for _ in range(27))
-            got = list(search._linear_join(K, range(27), 3, weights, consts,
-                                           target))
-            assert got == _naive_join(F27, range(27), 3, weights, consts,
+            got = list(search._linear_join(K, [range(27)] * 3, weights,
+                                           consts, target))
+            assert got == _naive_join(F27, [range(27)] * 3, weights, consts,
                                       target)
 
     def test_no_forms_pass_every_code(self):
         K = _kernel(F7)
-        got = list(search._linear_join(K, range(7), 3, [], [], bytearray(7)))
+        got = list(search._linear_join(K, [range(7)] * 3, [], [],
+                                       bytearray(7)))
         assert got == list(range(343))
 
     def test_nonsquare_alphabet_odd_depth(self):
@@ -166,16 +190,41 @@ class TestLinearJoin:
             weights = [[rng.randrange(11) for _ in range(5)]
                        for _ in range(4)]
             consts = [rng.randrange(11) for _ in range(4)]
-            want = _naive_join(F11, ns, 5, weights, consts, target)
+            want = _naive_join(F11, [ns] * 5, weights, consts, target)
             assert want
-            assert list(search._linear_join(K, ns, 5, weights, consts,
+            assert list(search._linear_join(K, [ns] * 5, weights, consts,
                                             target)) == want
+
+    @pytest.mark.parametrize("F, free", [(F7, 3), (F9, 3), (F27, 2)],
+                             ids=["F7", "F9", "F27"])
+    def test_two_letter_top_digit(self, F, free):
+        # the double covers' alphabets: free digits over F_q and a top
+        # digit over (1, nu), on the prime kernel and on the Zech kernels
+        # of F_9 and F_27; the codes' base-q digits are the free lambda
+        # and a top digit 0 or 1
+        K = _kernel(F)
+        alphabets = [range(F.q)] * free + [(1, K.nonsquare)]
+        rng = random.Random(F.q)
+        not_square = bytearray(K.sqrt_count(a) != 2 for a in range(F.q))
+        tops = set()
+        for density in (None, 0.5, 0.9):
+            target = not_square if density is None else bytearray(
+                rng.random() < density for _ in range(F.q))
+            weights = [[rng.randrange(F.q) for _ in range(free + 1)]
+                       for _ in range(4)]
+            consts = [0 if density is None else rng.randrange(F.q)
+                      for _ in range(4)]
+            got = list(search._linear_join(K, alphabets, weights, consts,
+                                           target))
+            assert got == _naive_join(F, alphabets, weights, consts, target)
+            tops |= {search._digits(code, F.q, free + 1)[-1] for code in got}
+        assert tops == {0, 1}
 
     def test_refuses_fields_past_256(self):
         # kernel indices are packed in bytes, so F_257 is out of range
         K = _kernel(FiniteField(257))
         with pytest.raises(UnsupportedShape, match="bytes"):
-            next(search._linear_join(K, range(257), 2, [[1, 1]], [0],
+            next(search._linear_join(K, [range(257)] * 2, [[1, 1]], [0],
                                      bytearray(257)))
 
 
@@ -414,6 +463,15 @@ class TestFiberProduct:
         with pytest.raises(BudgetExceeded):
             search_fiberproduct(F3, mode="census", budget=728)
 
+    def test_forms_tabled_once(self, monkeypatch):
+        # the q forms in g, one per x, are tabled once per run, not once
+        # per monic cubic f: each f joins the subset of them it needs
+        sets, halves = _spy_tables(monkeypatch)
+        r = search_fiberproduct(F7, mode="census")
+        assert r.survivors
+        assert sets == [7]
+        assert len(halves) == 14
+
     @pytest.mark.parametrize("F, sample",
                              [(F3, None), (F5, 2000), (F9, 2000)],
                              ids=["F3", "F5", "F9"])
@@ -554,7 +612,7 @@ class TestExhaustiveKernel:
     def test_join_equals_naive_nonsquare_filter(self, F):
         nonsquare, basis, weights = search._node_value_forms(F)
         ns = [a for a in range(F.q) if nonsquare[a]]
-        passes = set(search._linear_join(_kernel(F), ns, 9, weights,
+        passes = set(search._linear_join(_kernel(F), [ns] * 9, weights,
                                          [0] * len(weights), nonsquare))
         rng = random.Random(F.q)
         sample = rng.sample(sorted(passes), 100)
@@ -659,7 +717,7 @@ class TestExhaustiveKernel:
         scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
                   for L in basis]
         passes = []
-        for code in search._linear_join(kern, ns, 9, weights,
+        for code in search._linear_join(kern, [ns] * 9, weights,
                                         [0] * len(weights), nonsquare):
             f = [0] * 9
             for digit, rows in zip(search._digits(code, len(ns), 9), scaled):
@@ -770,7 +828,7 @@ class TestDoubleCovers:
         free = len(kernel) - 1
         not_square = bytearray(kern.sqrt_count(a) != 2 for a in range(F.q))
         passes = set(search._linear_join(
-            kern, range(F.q), free, [row[:free] for row in B_at],
+            kern, [range(F.q)] * free, [row[:free] for row in B_at],
             [kern.mul(top_val, row[free]) for row in B_at], not_square))
         rejected = 0
         for code in range(F.q ** free):
@@ -839,6 +897,45 @@ class TestDoubleCovers:
         assert found and {(tuple(s["Q"]), tuple(s["coeffs"]),
                            tuple(s["counts"])) for s in r.survivors} == found
         assert len(r.survivors) == len(found)
+
+    @pytest.mark.parametrize("genus, a6, candidates",
+                             [(3, 0, 348), (4, 1, 22116)],
+                             ids=["g3", "g4"])
+    def test_first_find_stops_in_the_nu_half(self, genus, a6, candidates):
+        # y^2 = x^3 + 3x + a6 over F_7: the first representative's top = 1
+        # half (its q^(k-3) low codes) has no survivor, and first_find
+        # stops in its top = nu half, having counted the candidates up to
+        # the stop
+        E = EllipticCurve(F7, 0, 3, a6)
+        k = 2 * genus
+        r = search_double_covers_elliptic(E, genus_target=genus,
+                                          mode="first_find")
+        assert r.candidates == candidates
+        assert 7 ** (k - 3) < candidates <= 2 * 7 ** (k - 3)
+        s = r.survivors[0]
+        # Q from E/2E at genus 3 and from E/3E at genus 4
+        assert tuple(s["Q"]) == E.quotient_reps(genus - 1)[0]
+        assert s["coeffs"][rr_basis(k).index((k // 2, 0))] == \
+            _kernel(F7).nonsquare
+        again = search_double_covers_elliptic(
+            E, genus_target=genus, mode="first_find", budget=candidates)
+        assert again.survivors == r.survivors
+        with pytest.raises(BudgetExceeded):
+            search_double_covers_elliptic(E, genus_target=genus,
+                                          mode="first_find",
+                                          budget=candidates - 1)
+
+    def test_one_table_set_per_representative(self, monkeypatch):
+        # each coset representative builds its forms' tables once, one
+        # form per rational point, shared by the top = 1 and top = nu
+        # halves of its one join
+        E = EllipticCurve(F7, 0, 1, 3)
+        sets, halves = _spy_tables(monkeypatch)
+        search_double_covers_elliptic(E, genus_target=3, mode="census")
+        reps, pts = len(E.quotient_reps(2)), len(E.points()) - 1
+        assert reps > 1
+        assert sets == [pts] * reps
+        assert len(halves) == 2 * pts * reps
 
     def test_budget_boundary(self):
         E = EllipticCurve(F5, 0, 1, 1)
