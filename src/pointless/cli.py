@@ -54,12 +54,16 @@ def _emit(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_depth(depth):
+    if depth < 1:
+        raise ValueError(f"--depth must be at least 1, got {depth}")
+
+
 def _entries(args):
     """The fixture entries that --fixtures and --id select.  A --depth
     below 1, or whose F_{q^depth} is past MAX_FIELD_ORDER for any of them,
     is refused here, before any curve is counted or any table built."""
-    if args.depth < 1:
-        raise ValueError(f"--depth must be at least 1, got {args.depth}")
+    _check_depth(args.depth)
     entries = load_fixtures(args.fixtures)
     if args.id is not None:
         entries = [e for e in entries if e.id == args.id]
@@ -93,14 +97,15 @@ def _cmd_count(args):
 
 def _cmd_zeta(args):
     _prime_power(args.q)   # refuses a q that is no prime power
+    if args.depth is not None:
+        _check_depth(args.depth)
     report = zeta_report(args.q, args.genus, args.counts, depth=args.depth)
     _emit(report.to_json())
     return 0
 
 
 def _cmd_bounds(args):
-    q = pointless_q_range(args.genus, args.bound)
-    print(q)
+    _emit(pointless_q_range(args.genus, args.bound))
     return 0
 
 

@@ -500,15 +500,20 @@ class FiberProductGenus4:
         self.genus = 4
 
     @cached_property
+    def _counts1(self):
+        """The quotients' counts over F_q."""
+        return [h.count(1) for h in self._quotients]
+
+    @cached_property
     def _l_polys(self):
         """The quotients' L-polynomials, from count(1..genus) of each."""
-        return [l_from_counts(self.base.q, h.genus,
-                              [h.count(j) for j in range(1, h.genus + 1)])
-                for h in self._quotients]
+        return [l_from_counts(self.base.q, h.genus, [n1] + [
+                    h.count(j) for j in range(2, h.genus + 1)])
+                for h, n1 in zip(self._quotients, self._counts1)]
 
     def count(self, i=1):
         q = self.base.q
-        counts = ([h.count(1) for h in self._quotients] if i == 1
+        counts = (self._counts1 if i == 1
                   else [predicted_counts(L, q, i) for L in self._l_polys])
         return sum(counts) - 2 * (q ** i + 1)
 

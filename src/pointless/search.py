@@ -12,12 +12,16 @@ share.  The engine supplies what is particular to its family:
   * the survivor entry and its zeta summary, the parameters and the
     fingerprint of the enumeration order.
 The _Search owns the rest: the start time, the survivor and zeta lists, the
-candidate count and its budget (BudgetExceeded), the first_find stop
-(keep() returns True at the first survivor, so an engine ends its loop
-with one break), the default dedup (distinct count vectors) and the one
-SearchReport.  It owns each join block's bookkeeping too: reach(code)
-spends the budget up to a pass, and close(width) counts the block's
-width candidates, or those up to the pass where first_find stopped.
+first_find stop (keep() stops a first_find run at its first survivor), the
+default dedup (distinct count vectors), the one SearchReport, and the one
+walk over the candidates.  An engine hands walk() its enumeration as
+blocks (context, width, codes): codes are the block's passes, ascending
+among its width candidates (one block of width 1 per candidate for the
+engines that test candidates one at a time, one join per block for the
+others).  The walk spends the budget (BudgetExceeded) up to each pass and
+at each block's end, counts each block's width candidates, or those up to
+the pass where first_find stopped, counts the passes, and yields nothing
+more once first_find has stopped.
 Fingerprints make census results reproducible.
 
 Every filter reads the square class and the absolute trace of a value
@@ -58,7 +62,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import product, zip_longest
-from math import comb, gcd, prod
+from math import comb, gcd, inf, prod
 
 from .curves import (
     ArtinSchreierCurve,
@@ -140,36 +144,37 @@ class _Search:
         self.t0 = time.time()
         self.family, self.mode, self.budget = family, mode, budget
         self.survivors, self.zetas = [], []
-        self.candidates = self.reached = 0
+        self.candidates = self.passes = 0
         self.stopped = False
 
-    def spend(self, visited):
-        """Raise BudgetExceeded once the candidates visited pass the cap."""
-        if self.budget is not None and visited > self.budget:
-            raise BudgetExceeded(f"candidate budget {self.budget} exhausted")
-
-    def visit(self, n=1):
-        """Count n more candidates against the budget."""
-        self.candidates += n
-        self.spend(self.candidates)
-
-    def reach(self, code):
-        """Spend the budget up to the pass at code of the open join block,
-        which follows the candidates counted so far."""
-        self.reached = code + 1
-        self.spend(self.candidates + self.reached)
-
-    def close(self, width):
-        """Count the join block of width candidates, or its candidates up
-        to the pass where first_find stopped."""
-        self.visit(self.reached if self.stopped else width)
+    def walk(self, blocks):
+        """(context, code) for each pass of each block (context, width,
+        codes), lazily and in order; codes ascend among the block's width
+        candidates, which follow the candidates counted so far.  The budget
+        is spent up to each pass and at each block's end, and a block counts
+        its width candidates, or those up to the pass where first_find
+        stopped; nothing is yielded after that pass."""
+        over = BudgetExceeded(f"candidate budget {self.budget} exhausted")
+        cap = inf if self.budget is None else self.budget
+        for context, width, codes in blocks:
+            room = cap - self.candidates
+            for code in codes:
+                if code >= room:
+                    raise over
+                self.passes += 1
+                yield context, code
+                if self.stopped:
+                    self.candidates += code + 1
+                    return
+            if width > room:
+                raise over
+            self.candidates += width
 
     def keep(self, entry, zeta):
-        """Record a validated survivor; True when first_find stops here."""
+        """Record a validated survivor; a first_find run stops here."""
         self.survivors.append(entry)
         self.zetas.append(zeta)
         self.stopped = self.mode == "first_find"
-        return self.stopped
 
     def report(self, parameters, fingerprint, dedup_classes=None,
                kill_counts=None):
@@ -185,10 +190,10 @@ class _Search:
             kill_counts=kill_counts or {})
 
 
-def _odometer(alphabet_size, length):
-    """Tuples in little-endian odometer order, as index vectors."""
-    for code in range(alphabet_size ** length):
-        yield code, _digits(code, alphabet_size, length)
+def _each(candidates):
+    """The walk's blocks for candidates tested one at a time: one block of
+    width 1 per candidate, the candidate its context and its pass."""
+    return ((c, 1, (0,)) for c in candidates)
 
 
 def _partial_sums(row, mul, alphabets, weights, start):
@@ -312,8 +317,8 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     disc = [kern.neg(mul(4 % F.p, n_i)), 0, 1]     # u^2 - 4n
     run = _Search("klein4_hyper_odd", mode, budget)
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
-    for code in _linear_join(kern, [range(q)] * 4, weights, consts, nonsquare):
-        run.reach(code)
+    join = _linear_join(kern, [range(q)] * 4, weights, consts, nonsquare)
+    for _, code in run.walk([(None, q ** 4, join)]):
         coeffs = _digits(code, q, 4) + [nu_i]
         if not kern.is_separable(coeffs) or len(kern.gcd(coeffs, disc)) > 1:
             continue
@@ -323,10 +328,8 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
             raise _disagreement("klein4_hyper_odd", q,
                                 {"f": coeffs, "n": n_i}, curve)
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f": coeffs, "model": model},
-                    zeta_report(q, 3, counts).to_json()):
-            break
-    run.close(q ** 4)
+        run.keep({"f": coeffs, "model": model},
+                 zeta_report(q, 3, counts).to_json())
     return run.report({"q": q, "n": n_i, "mode": mode},
                       _fingerprint("klein4_hyper_odd", q, n_i,
                                    "odometer-c0..c3-lc-nu"))
@@ -338,10 +341,10 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 family")
     run = _Search("klein4_hyper_even", mode, budget)
-    for code, (a, b, c, d1, d0) in _odometer(F.q, 5):
-        if not d1 or not d0:
-            continue  # d must be separable with nonzero roots
-        run.visit()
+    # a runs fastest; d must be separable with nonzero roots
+    abcd = ((a, b, c, d1, d0) for d0, d1, c, b, a
+            in product(range(F.q), repeat=5) if d1 and d0)
+    for (a, b, c, d1, d0), _ in run.walk(_each(abcd)):
         # substitute u = x + 1/x and clear x^2, with (x^2 + 1)^2 = x^4 + 1:
         # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d.
         # A common factor (num = 0 included) cancels a pole, which is not
@@ -354,10 +357,9 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
         if curve.genus != 3 or curve.count(1) != 0:
             continue
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f_num": num, "f_den": den,
-                     "quartic_f": [c, b, a], "d": [d0, d1, 1]},
-                    zeta_report(F.q, 3, counts).to_json()):
-            break
+        run.keep({"f_num": num, "f_den": den,
+                  "quartic_f": [c, b, a], "d": [d0, d1, 1]},
+                 zeta_report(F.q, 3, counts).to_json())
     return run.report({"q": F.q, "mode": mode},
                       _fingerprint("klein4_hyper_even", F.q, "odometer-abcd1d0"))
 
@@ -392,21 +394,22 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
         raise EvenCharacteristic("diagonal quartics need odd characteristic")
     run = _Search("diagonal_quartic", mode, budget)
     kern = _kernel(F)
-    # b = 0 gives the point (0:1:0), c = 0 the point (0:0:1)
-    for b, c, code in product(range(1, F.q), range(1, F.q), range(F.q ** 3)):
-        coeffs = [b, c] + _digits(code, F.q, 3)
-        run.visit()
+    # b = 0 gives the point (0:1:0), c = 0 the point (0:0:1); d runs
+    # fastest
+    units, values = range(1, F.q), range(F.q)
+    bcdef = ((b, c, d, e, f) for b, c, f, e, d
+             in product(units, units, values, values, values))
+    for coeffs, _ in run.walk(_each(bcdef)):
         if _diagonal_has_point(kern, *coeffs):
             continue
         C = _diagonal_quartic(F, *coeffs)
         if not C.is_smooth():
             continue
-        entry = {"coeffs": [1] + coeffs}
+        entry = {"coeffs": [1, *coeffs]}
         if C.count(1) != 0:
             raise _disagreement("diagonal_quartic", F.q, entry, C)
         counts = [0] + [C.count(i) for i in (2, 3)]
-        if run.keep(entry, zeta_report(F.q, 3, counts).to_json()):
-            break
+        run.keep(entry, zeta_report(F.q, 3, counts).to_json())
     return run.report({"q": F.q, "mode": mode},
                       _fingerprint("diagonal_quartic", F.q,
                                    "b-c-outer-def-odometer"))
@@ -425,16 +428,16 @@ def search_quartic_char2(F, mode="first_find", budget=None):
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 quartic family")
     run = _Search("quartic_char2", mode, budget)
-    for code, (beta, gamma) in _odometer(F.q, 2):
-        run.visit()
+    # beta runs fastest
+    pairs = ((beta, gamma) for gamma, beta in product(range(F.q), repeat=2))
+    for (beta, gamma), _ in run.walk(_each(pairs)):
         C = _char2_family_quartic(F, beta, gamma)
         # the point count kills nearly every candidate and costs far less
         # than the resultants of the smoothness test, so it goes first
         if C.count(1) != 0 or not C.is_smooth():
             continue
-        if run.keep({"beta": beta, "gamma": gamma},
-                    {"q": F.q, "counts": [0, C.count(2)]}):
-            break
+        run.keep({"beta": beta, "gamma": gamma},
+                 {"q": F.q, "counts": [0, C.count(2)]})
     return run.report({"q": F.q, "mode": mode},
                       _fingerprint("quartic_char2", F.q, "beta-gamma-odometer"))
 
@@ -459,30 +462,30 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     width, lefts, tables = _join_tables(
         kern, [range(q)] * 3, [[1, x, mul(x, x)] for x in range(q)],
         [mul(nu_i, mul(x, mul(x, x))) for x in range(q)], nonsquare)
-    for fcode in range(q ** 3):
-        fco = _digits(fcode, q, 3) + [1]
-        # the spots where f(x) is zero or a nonzero square need g to cover
-        # them; an f without such spots passes every g
-        need = [tables[x] for x in range(q)
-                if kern.sqrt_count(kern.horner(fco, x))]
-        for gcode in _join_passes(width, lefts, need):
-            run.reach(gcode)
-            gco = _digits(gcode, q, 3) + [nu_i]
-            try:
-                C = FiberProductGenus4(F, fco, gco)
-            except UnsupportedShape:
-                continue
-            entry = {"f": list(fco), "g": list(gco)}
-            if C.count(1) != 0:
-                raise _disagreement("fiberproduct", q, entry, C)
-            props = C.properties()
-            entry.update(trigonal=props["trigonal"],
-                         extra_autos=props["extra_autos"])
-            if run.keep(entry, {"q": q, "counts": [0, C.count(2)]}):
-                break
-        run.close(q ** 3)
-        if run.stopped:
-            break
+
+    def blocks():
+        # one join per monic cubic f: the spots where f(x) is zero or a
+        # nonzero square need g to cover them; an f without such spots
+        # passes every g
+        for fcode in range(q ** 3):
+            fco = _digits(fcode, q, 3) + [1]
+            need = [tables[x] for x in range(q)
+                    if kern.sqrt_count(kern.horner(fco, x))]
+            yield fco, q ** 3, _join_passes(width, lefts, need)
+
+    for fco, gcode in run.walk(blocks()):
+        gco = _digits(gcode, q, 3) + [nu_i]
+        try:
+            C = FiberProductGenus4(F, fco, gco)
+        except UnsupportedShape:
+            continue
+        entry = {"f": list(fco), "g": list(gco)}
+        if C.count(1) != 0:
+            raise _disagreement("fiberproduct", q, entry, C)
+        props = C.properties()
+        entry.update(trigonal=props["trigonal"],
+                     extra_autos=props["extra_autos"])
+        run.keep(entry, {"q": q, "counts": [0, C.count(2)]})
     return run.report({"q": q, "mode": mode},
                       _fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"))
 
@@ -585,10 +588,12 @@ def _node_value_forms(F):
 
 
 def _census_join(F):
-    """(code, f) for every pass of the census join, code ascending: f is
-    the interpolant of nu0 = ns[0], the first nonsquare, at node 0 and
-    ns[digit i - 1 of code] at node i = 1..8, an index list, and f's
-    leading coefficient and values at 9..q-1 are all nonsquares."""
+    """The census join as one walk block (f_of, width, codes): codes are
+    its passes, ascending among its width = ((q - 1)/2)^8 candidates, and
+    f_of(code) is the interpolant, an index list, of nu0 = ns[0], the
+    first nonsquare, at node 0 and ns[digit i - 1 of code] at node
+    i = 1..8.  A pass's f has a nonsquare leading coefficient and
+    nonsquare values at 9..q-1."""
     kern = _kernel(F)
     nonsquare, basis, weights = _node_value_forms(F)
     ns = [a for a in range(F.q) if nonsquare[a]]
@@ -596,13 +601,16 @@ def _census_join(F):
     # the addition rows of ns[digit] * basis[i], per node i > 0 and digit
     scaled = [[[kern.add_row(kern.mul(v, w)) for w in L] for v in ns]
               for L in basis[1:]]
-    for code in _linear_join(kern, [ns] * 8, [w[1:] for w in weights],
-                             [kern.mul(w[0], ns[0]) for w in weights],
-                             nonsquare):
+
+    def f_of(code):
         f = base
         for digit, rows in zip(_digits(code, len(ns), 8), scaled):
             f = [row[c] for row, c in zip(rows[digit], f)]
-        yield code, f
+        return f
+
+    return f_of, len(ns) ** 8, _linear_join(
+        kern, [ns] * 8, [w[1:] for w in weights],
+        [kern.mul(w[0], ns[0]) for w in weights], nonsquare)
 
 
 def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
@@ -633,8 +641,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     kern = _kernel(F)
     run = _Search("exhaustive_hyper_genus3", mode, budget)
     degenerate = 0
-    for code, coeffs in _census_join(F):
-        run.reach(code)
+    for f_of, code in run.walk([_census_join(F)]):
+        coeffs = f_of(code)
         if not kern.is_separable(coeffs):
             degenerate += 1
             continue
@@ -643,14 +651,11 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)
         counts = [0] + [curve.count(i) for i in (2, 3)]
-        if run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json()):
-            break
-    else:
-        n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
-        if degenerate != n4:
-            raise FilterDisagreement(f"F_{q} census: {degenerate} inseparable "
-                                     f"passes, not N4(q) = {n4}")
-    run.close(((q - 1) // 2) ** 8)
+        run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json())
+    n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
+    if not run.stopped and degenerate != n4:
+        raise FilterDisagreement(f"F_{q} census: {degenerate} inseparable "
+                                 f"passes, not N4(q) = {n4}")
     # census dedup under PGL2 + square scaling
     keys, classes = _pgl2_classes(kern, kern.nonsquare,
                                   [s["f"] for s in run.survivors])
@@ -660,8 +665,7 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
                       _fingerprint("exhaustive_hyper_genus3", q,
                                    "f0-nu0-nodes-1..8-nonsquare-odometer"),
                       dedup_classes=classes,
-                      # a separable pass is kept or raises
-                      kill_counts={"join_passes": degenerate + len(keys),
+                      kill_counts={"join_passes": run.passes,
                                    "degenerate": degenerate})
 
 
@@ -744,43 +748,44 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     # modulo square scaling: the top coefficient, of x^(k/2), is 1 or nu
     tops = (1, kern.nonsquare)
     run = _Search("double_covers_elliptic", mode, budget)
-    passes = kill2 = 0
-    for Q in qreps:
-        kernel = _double_zero_kernel(E, basis, Q)
-        # per-point values of the kernel basis functions
-        fns = [_fn_indices(basis, vec) for vec in kernel]
-        B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
-                for x, y in pts]
-        # test 1: f(P) is zero or a nonsquare at every rational P; the top
-        # digit, 0 or 1 in base q, picks the top coefficient from tops
-        free = len(kernel) - 1
-        for code in _linear_join(kern, [range(q)] * free + [tops], B_at,
-                                 [0] * len(B_at), not_square):
-            run.reach(code)
-            passes += 1
-            *lam, top = _digits(code, q, free + 1)
-            coeffs = [0] * len(basis)
-            for l_i, vec in zip(lam + [tops[top]], kernel):
-                coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
-            if not (shape_possible(E, coeffs, basis, Q) and
-                    divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
-                kill2 += 1
-                continue
-            counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
-            if run.keep({"Q": list(Q), "coeffs": coeffs,
-                         "counts": counts, "pointless": counts[0] == 0},
-                        {"q": q, "counts": counts}):
-                break
-        run.close(2 * q ** free)
-        if run.stopped:
-            break
+
+    def blocks():
+        # one join per Q
+        for Q in qreps:
+            kernel = _double_zero_kernel(E, basis, Q)
+            # per-point values of the kernel basis functions
+            fns = [_fn_indices(basis, vec) for vec in kernel]
+            B_at = [[add(horner(A, x), mul(horner(B, x), y)) for A, B in fns]
+                    for x, y in pts]
+            # test 1: f(P) is zero or a nonsquare at every rational P; the
+            # top digit, 0 or 1 in base q, picks the top coefficient from
+            # tops
+            free = len(kernel) - 1
+            yield (Q, kernel), 2 * q ** free, _linear_join(
+                kern, [range(q)] * free + [tops], B_at, [0] * len(B_at),
+                not_square)
+
+    kill2 = 0
+    for (Q, kernel), code in run.walk(blocks()):
+        *lam, top = _digits(code, q, len(kernel))
+        coeffs = [0] * len(basis)
+        for l_i, vec in zip(lam + [tops[top]], kernel):
+            coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
+        if not (shape_possible(E, coeffs, basis, Q) and
+                divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
+            kill2 += 1
+            continue
+        counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
+        run.keep({"Q": list(Q), "coeffs": coeffs,
+                  "counts": counts, "pointless": counts[0] == 0},
+                 {"q": q, "counts": counts})
     curve = [E.a2, E.a4, E.a6]
     return run.report({"q": q, "genus": genus_target, "curve": curve,
                        "reps": len(qreps), "fallback": fallback,
                        "mode": mode},
                       _fingerprint("double_covers", q, genus_target, *curve,
                                    "top-norm-odometer"),
-                      kill_counts={"test1": run.candidates - passes,
+                      kill_counts={"test1": run.candidates - run.passes,
                                    "test2": kill2})
 
 
@@ -895,8 +900,8 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None):
     t = next(v for v in range(q) if kern.trace(v))
     run = _Search("hyper_genus4_char2", mode, budget)
     covered = 0
-    for shape_name, parts, orbit in _affine_conductors(kern):
-        run.visit()
+    for (shape_name, parts, orbit), _ in run.walk(
+            _each(_affine_conductors(kern))):
         covered += orbit
         m = parts[0]
         for p in parts[1:]:
@@ -922,17 +927,15 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None):
             if curve.count(1) != 0:
                 raise _disagreement("hyper_genus4_char2", q, entry, curve)
             entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
-            if run.keep(entry, {"q": q, "counts": entry["counts"]}):
+            run.keep(entry, {"q": q, "counts": entry["counts"]})
+            if run.stopped:
                 break
-        if run.stopped:
-            break
-    else:
-        gauss = (q ** 5 - q) // 5 + (q * q - q) // 2 * ((q ** 3 - q) // 3)
-        if covered != gauss:
-            raise FilterDisagreement(f"F_{q} genus-4 census: the kept "
-                                     f"conductors' orbits cover {covered} "
-                                     f"conductors, not N(5) + N(2) N(3) = "
-                                     f"{gauss}")
+    gauss = (q ** 5 - q) // 5 + (q * q - q) // 2 * ((q ** 3 - q) // 3)
+    if not run.stopped and covered != gauss:
+        raise FilterDisagreement(f"F_{q} genus-4 census: the kept "
+                                 f"conductors' orbits cover {covered} "
+                                 f"conductors, not N(5) + N(2) N(3) = "
+                                 f"{gauss}")
     return run.report({"q": q, "mode": mode,
                        "raw_survivors": len(run.survivors)},
                       _fingerprint("hyper_genus4_char2", q,

@@ -144,9 +144,13 @@ def pointless_q_range(g, kind):
 
     weil:  q + 1 <= 2g sqrt(q), compared exactly as (q+1)^2 <= 4 g^2 q.
     serre: q + 1 <= g * floor(2 sqrt(q)).
+    None when no prime power qualifies (genus 0 and genus 1, under either
+    bound); ValueError for a negative genus.
     """
     if kind not in ("weil", "serre"):
         raise ValueError(f"unknown bound kind {kind!r}")
+    if g < 0:
+        raise ValueError(f"genus must be at least 0, got {g}")
     limit = 8 * g * g + 16
     best = None
     for q in range(2, limit + 1):
@@ -196,6 +200,7 @@ def zeta_report(q, g, counts, depth=None):
     L = l_from_counts(q, g, counts)
     h = real_weil_from_l(L, q, g)
     valid = validate_weil(h, q)
-    depth = depth or 2 * g
+    if depth is None:
+        depth = 2 * g
     predicted = {i: predicted_counts(L, q, i) for i in range(1, depth + 1)}
     return ZetaReport(q, g, list(counts), L, h, valid, predicted)

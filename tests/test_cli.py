@@ -36,6 +36,20 @@ class TestBounds:
         code, out = run(capsys, "bounds", "--genus", "3", "--bound", "weil")
         assert code == 0 and out.strip() == "32"
 
+    @pytest.mark.parametrize("genus, bound", [
+        ("1", "serre"), ("0", "serre"), ("0", "weil")])
+    def test_no_prime_power_prints_json_null(self, capsys, genus, bound):
+        code, out = run(capsys, "bounds", "--genus", genus, "--bound", bound)
+        assert code == 0 and out == "null\n"
+        assert json.loads(out) is None
+
+    def test_negative_genus_exits_2(self, capsys):
+        code = main(["bounds", "--genus", "-1", "--bound", "weil"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "genus must be at least 0" in captured.err
+
 
 class TestZeta:
     def test_f25_curve(self, capsys):
@@ -61,6 +75,21 @@ class TestZeta:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not a prime power" in captured.err
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_1_exits_2(self, capsys, depth):
+        # 0 is a depth, not "no depth": it is refused, not read as 2g
+        code = main(["zeta", "--q", "5", "--genus", "1", "--counts", "3",
+                     "--depth", depth])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--depth must be at least 1" in captured.err
+
+    def test_depth_1_predicts_n1_only(self, capsys):
+        code, out = run(capsys, "zeta", "--q", "5", "--genus", "1",
+                        "--counts", "3", "--depth", "1")
+        assert code == 0 and json.loads(out)["predicted_counts"] == {"1": 3}
 
 
 class TestVerify:

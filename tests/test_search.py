@@ -1,6 +1,7 @@
 """Search engines: fixture recovery, filter-vs-oracle agreement, budgets,
 symmetry reductions against their unreduced streams, and determinism."""
 
+import functools
 import hashlib
 import json
 import math
@@ -687,7 +688,8 @@ class TestExhaustiveKernel:
         # without a root in F_q and c = nu0 / s(0)^2, N4(q) of them
         q, kern = F.q, _kernel(F)
         nu0 = next(a for a in range(q) if kern.sqrt_count(a) == 0)
-        fs = [f for _, f in search._census_join(F)]
+        f_of, _, codes = search._census_join(F)
+        fs = [f_of(code) for code in codes]
         inseparable = {tuple(f) for f in fs if not kern.is_separable(f)}
         want = set()
         for code in range(q ** 4):
@@ -723,7 +725,8 @@ class TestExhaustiveKernel:
             for digit, rows in zip(search._digits(code, len(ns), 9), scaled):
                 f = [row[c] for row, c in zip(rows[digit], f)]
             passes.append(f)
-        assert [f for _, f in search._census_join(F)] == \
+        f_of, _, codes = search._census_join(F)
+        assert [f_of(code) for code in codes] == \
             [f for f in passes if f[0] == ns[0]]
         full = [f for f in passes if kern.is_separable(f)]
         fs = [f for f in full if f[0] == ns[0]]
@@ -1325,3 +1328,29 @@ def test_report_is_pinned(run, sizes, digest):
             report["dedup_classes"]) == sizes
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("run, sizes, digest",
+                         [pin[1:] for pin in REPORT_PINS],
+                         ids=[pin[0] for pin in REPORT_PINS])
+def test_budget_boundary_is_the_pinned_candidate_count(
+        monkeypatch, run, sizes, digest):
+    # every engine spends its budget up to the last candidate it counts:
+    # the pinned count as the budget gives the pinned report, and one
+    # less raises.  The pins call the engines by their names here, so
+    # each name is bound to its engine with the budget.
+    engines = {name: engine for name, engine in globals().items()
+               if name.startswith("search_")}
+
+    def capped(budget):
+        for name, engine in engines.items():
+            monkeypatch.setitem(globals(), name,
+                                functools.partial(engine, budget=budget))
+        return run
+
+    report = capped(sizes[0])().to_json()
+    report.pop("wall_time")
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    with pytest.raises(BudgetExceeded):
+        capped(sizes[0] - 1)()

@@ -133,6 +133,18 @@ class TestBounds:
         assert pointless_q_range(3, "weil") == 32
         assert pointless_q_range(4, "serre") == 59
 
+    def test_no_prime_power_qualifies(self):
+        # q + 1 > 2 sqrt(q) for every q > 1, so neither bound admits a
+        # pointless curve of genus 1, nor of genus 0
+        assert pointless_q_range(1, "serre") is None
+        assert pointless_q_range(1, "weil") is None
+        assert pointless_q_range(0, "weil") is None
+        assert pointless_q_range(0, "serre") is None
+
+    def test_negative_genus_is_refused(self):
+        with pytest.raises(ValueError, match="genus must be at least 0"):
+            pointless_q_range(-1, "weil")
+
     def test_serre_bound_holds(self):
         assert serre_bound_holds(25, 3, 0)
         assert not serre_bound_holds(32, 3, 70)
