@@ -7,7 +7,15 @@ fiber acquires a degree-one point.  A curve needing every one of N such
 fibers to stay pointless does so with heuristic probability (1-delta)^N.
 
 Also contains a deterministic Monte-Carlo rig (splitmix64) for measuring
-actual pointless rates in the curve families.
+actual pointless rates in the curve families.  Each family is a set-up,
+run once per montecarlo_pointless_rate call, that returns sample(rng):
+whether the member drawn from one sub-seeded stream is pointless.
+klein4_hyper_odd judges its draws on the field's index kernel alone: five
+indices give g, and the constructor's squarefree rule and the point count
+of y^2 = g(x^2) are read off g's values at 0 and the nonzero squares.
+Each distinct g is judged once per call, and every pointless one is
+confirmed by the HyperellipticOdd model.  The other two families build
+their curve for each draw and count its points.
 """
 
 from dataclasses import dataclass
@@ -16,12 +24,14 @@ from fractions import Fraction
 from .curves import FiberProductGenus4, HyperellipticOdd, PlaneQuartic
 from .errors import (
     EvenCharacteristic,
+    FilterDisagreement,
     GroupTooLarge,
     NotTransitive,
     ParseError,
     UnknownFamily,
     UnsupportedShape,
 )
+from .field import _kernel
 
 MAX_GROUP_ORDER = 10 ** 6
 
@@ -205,6 +215,7 @@ class SplitMix64:
 
     def __init__(self, seed):
         self.state = seed & self.MASK
+        self._bound = self._limit = 0   # below(): last bound, its limit
 
     def next_u64(self):
         self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
@@ -214,10 +225,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n):
-        """Uniform integer in [0, n) (rejection sampling, no modulo bias)."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
+        """Uniform integer in [0, n) (rejection sampling, no modulo bias):
+        words from the largest multiple of n up to 2^64 are redrawn.  That
+        limit is taken once per bound, not per word: a stream draws below
+        the same bound again and again."""
+        if n != self._bound:
+            if n <= 0:
+                raise ValueError("below() needs a positive bound")
+            self._bound, self._limit = n, (1 << 64) - (1 << 64) % n
+        limit = self._limit
         while True:
             v = self.next_u64()
             if v < limit:
@@ -262,27 +278,6 @@ class MonteCarloReport:
         }
 
 
-def _sample_klein4_hyper_odd(F, rng):
-    """Random y^2 = f(x) with f even of degree 8 (a member of the
-    Klein-four-symmetric family): five draws below q per attempt give the
-    base-field indices of f's even coefficients, which go to the
-    HyperellipticOdd constructor as an index list; rerolls until f has
-    degree 8 and the constructor accepts it.  f = g(x^2) is even, so the
-    constructor tests f's separability through the quartic g: g separable
-    and g(0) != 0, which is exact for odd p."""
-    if F.p == 2:
-        raise EvenCharacteristic("family needs odd characteristic")
-    coeffs = [0] * 9
-    while True:
-        coeffs[::2] = [rng.below(F.q) for _ in range(5)]
-        if not coeffs[-1]:
-            continue
-        try:
-            return HyperellipticOdd(F, coeffs)
-        except UnsupportedShape:
-            continue
-
-
 def klein4_hyper_odd_heuristic(q):
     """Heuristic pointless rate of the sampled family y^2 = g(x^2), g of
     degree 4, over F_q (q odd).
@@ -298,54 +293,120 @@ def klein4_hyper_odd_heuristic(q):
     return Fraction(1, 4) * Fraction(q - 1, 2 * q) ** ((q - 1) // 2)
 
 
-def _sample_diagonal_quartic(F, rng):
+def _klein4_verdict(F):
+    """The verdict on a draw g = (g_0, ..., g_4) of klein4_hyper_odd over
+    F (q odd, g_4 != 0), on base-field indices: None when the
+    HyperellipticOdd constructor refuses f = g(x^2), that is when g(0) = 0
+    or g is not separable (its rule for an even f), else whether y^2 = f is
+    pointless.  That is the model's count(1) == 0 for an even f, a sum of
+    square-root counts: no y over x = 0 (g(0)), over x = +-sqrt(t) for
+    each nonzero square t (g(t)) or at infinity (lc g)."""
+    kern = _kernel(F)
+    horner, roots = kern.horner, kern.sqrt_count
+    separable = kern.is_separable
+    squares = [t for t, _ in kern.square_orbits(F.q)]
+
+    def verdict(g):
+        if not g[0] or not separable(g):
+            return None
+        return not (roots(g[4]) or roots(g[0])
+                    or any(roots(horner(g, t)) for t in squares))
+    return verdict
+
+
+def _klein4_hyper_odd(F):
+    """Set-up of klein4_hyper_odd: y^2 = f(x), f = g(x^2) of degree 8 (the
+    Klein-four-symmetric family).  A draw is five indices below q, g_0
+    first; it is rerolled while g_4 = 0 or the constructor would refuse f.
+    Each distinct draw is judged once per set-up (_klein4_verdict), and
+    each pointless one is confirmed by HyperellipticOdd(F, f).count(1) == 0,
+    or FilterDisagreement is raised."""
+    if F.p == 2:
+        raise EvenCharacteristic("family needs odd characteristic")
+    verdict, q, seen = _klein4_verdict(F), F.q, {}
+
+    def judge(g):
+        hit = verdict(g)
+        if hit and HyperellipticOdd(F, [g[0], 0, g[1], 0, g[2], 0, g[3], 0,
+                                         g[4]]).count(1):
+            raise FilterDisagreement(
+                f"F_{q} Monte-Carlo: g = {list(g)} judged pointless, and "
+                f"y^2 = g(x^2) has rational points")
+        return hit
+
+    def sample(rng):
+        below = rng.below
+        while True:
+            g = (below(q), below(q), below(q), below(q), below(q))
+            if not g[4]:
+                continue
+            hit = seen.get(g, seen)     # the dict itself marks "not yet seen"
+            if hit is seen:
+                hit = seen[g] = judge(g)
+            if hit is not None:
+                return hit
+    return sample
+
+
+def _diagonal_quartic(F):
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics are singular in char 2")
-    while True:
-        a, b, c = (1 + rng.below(F.q - 1) for _ in range(3))
-        d, e, g = (rng.below(F.q) for _ in range(3))
-        C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b, (0, 0, 4): c,
-                             (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): g})
-        if C.is_smooth():
-            return C
+
+    def sample(rng):
+        while True:
+            a, b, c = (1 + rng.below(F.q - 1) for _ in range(3))
+            d, e, g = (rng.below(F.q) for _ in range(3))
+            C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b, (0, 0, 4): c,
+                                 (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): g})
+            if C.is_smooth():
+                return C.count(1) == 0
+    return sample
 
 
-def _sample_fiberproduct(F, rng):
-    while True:
-        f = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
-        g = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
-        try:
-            return FiberProductGenus4(F, f, g)
-        except UnsupportedShape:
-            continue
+def _fiberproduct(F):
+    if F.p == 2:
+        raise EvenCharacteristic("fiber products are an odd-char model")
+
+    def sample(rng):
+        while True:
+            f = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
+            g = [rng.below(F.q) for _ in range(3)] + [1 + rng.below(F.q - 1)]
+            try:
+                C = FiberProductGenus4(F, f, g)
+            except UnsupportedShape:
+                continue
+            return C.count(1) == 0
+    return sample
 
 
+# family -> set-up(F), which returns sample(rng): whether the member drawn
+# from the stream rng is pointless
 _FAMILIES = {
-    "klein4_hyper_odd": _sample_klein4_hyper_odd,
-    "diagonal_quartic": _sample_diagonal_quartic,
-    "fiberproduct": _sample_fiberproduct,
+    "klein4_hyper_odd": _klein4_hyper_odd,
+    "diagonal_quartic": _diagonal_quartic,
+    "fiberproduct": _fiberproduct,
 }
 
 
 def montecarlo_pointless_rate(family, F, samples, seed=0):
     """Sample `samples` random members of the family over F and measure how
-    many have no rational point.  The heuristic rate is the paper's
-    (3/4)^(q+1); family_heuristic is the figure derived from the sampled
-    family's own fibres, for klein4_hyper_odd (None for the others)."""
+    many have no rational point.  The family is set up once per call, so
+    a characteristic it cannot use is refused before any sample.  The
+    heuristic rate is the paper's (3/4)^(q+1); family_heuristic is the
+    figure derived from the sampled family's own fibres, for
+    klein4_hyper_odd (None for the others)."""
     if family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}; "
                             f"known: {sorted(_FAMILIES)}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    sampler = _FAMILIES[family]
+    sample = _FAMILIES[family](F)
     # per-sample sub-seeded streams: order-independent, merge by summation
     master = SplitMix64(seed)
     sub_seeds = [master.next_u64() for _ in range(samples)]
     hits = 0
     for s in sub_seeds:
-        C = sampler(F, SplitMix64(s))
-        if C.count(1) == 0:
-            hits += 1
+        hits += sample(SplitMix64(s))
     rate = hits / samples if samples else 0.0
     return MonteCarloReport(
         family=family,

@@ -49,6 +49,8 @@ def l_from_counts(q, g, counts):
     a_0 .. a_g by Newton's identities; the top half follows from the
     functional equation a_{2g-i} = q^{g-i} a_i.
     """
+    if g < 0:
+        raise ValueError(f"genus must be at least 0, got {g}")
     if len(counts) != g:
         raise ValueError(f"need exactly {g} counts, got {len(counts)}")
     if any(N < 0 for N in counts):

@@ -86,6 +86,13 @@ class TestZeta:
         assert captured.out == ""
         assert "--depth must be at least 1" in captured.err
 
+    def test_negative_genus_exits_2(self, capsys):
+        code = main(["zeta", "--q", "5", "--genus", "-1", "--counts", ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "genus must be at least 0" in captured.err
+
     def test_depth_1_predicts_n1_only(self, capsys):
         code, out = run(capsys, "zeta", "--q", "5", "--genus", "1",
                         "--counts", "3", "--depth", "1")
@@ -234,6 +241,17 @@ class TestMonteCarlo:
                      "--samples", "-3"])
         assert code == 2
         assert "samples must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, q", [("klein4_hyper_odd", "4"),
+                                           ("diagonal_quartic", "8")])
+    def test_even_q_exits_2_without_samples(self, capsys, family, q):
+        # refused at set-up: no report of an odd-q heuristic at q even
+        code = main(["montecarlo", "--family", family, "--q", q,
+                     "--samples", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "char" in captured.err
 
 
 class TestPlumbing:

@@ -10,7 +10,8 @@ from pointless.curves import HyperellipticOdd
 from pointless.density import (
     DensityProblem,
     SplitMix64,
-    _sample_klein4_hyper_odd,
+    _klein4_hyper_odd,
+    _klein4_verdict,
     compute_density,
     format_permutation,
     group_closure,
@@ -22,10 +23,12 @@ from pointless.density import (
 )
 from pointless.errors import (
     EvenCharacteristic,
+    FilterDisagreement,
     GroupTooLarge,
     NotTransitive,
     ParseError,
     UnknownFamily,
+    UnsupportedShape,
 )
 from pointless.field import FiniteField, Poly, _index_poly, _kernel
 
@@ -171,6 +174,31 @@ class TestSplitMix64:
         assert set(vals) <= set(range(7))
         assert len(set(vals)) == 7
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 2 ** 63 + 1])
+    def test_below_equals_per_word_limit(self, n):
+        # the rejection limit taken once per bound gives the values and
+        # leaves the state of the limit taken afresh for every word; at
+        # 2^63 + 1 about half the words are redrawn
+        rng, ref = SplitMix64(n), SplitMix64(n)
+        limit = (1 << 64) - ((1 << 64) % n)
+        redrawn = 0
+        for _ in range(200):
+            while True:
+                v = ref.next_u64()
+                if v < limit:
+                    break
+                redrawn += 1
+            assert rng.below(n) == v % n
+            assert rng.state == ref.state
+        assert (redrawn > 50) == (n == 2 ** 63 + 1)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_below_refuses_a_bound_below_1(self, n):
+        rng = SplitMix64(1)
+        rng.below(5)
+        with pytest.raises(ValueError, match="positive bound"):
+            rng.below(n)
+
 
 class TestWilson:
     def test_known_value(self):
@@ -184,9 +212,9 @@ class TestWilson:
 
 
 def _separability_first_sampler(F, rng):
-    """klein4_hyper_odd's sampler with its own kernel separability test
-    ahead of the HyperellipticOdd constructor: (the curve, the number of
-    draws rerolled for an inseparable f)."""
+    """klein4_hyper_odd's draws with the kernel's separability test on f
+    and a HyperellipticOdd model of each accepted f: (whether the curve is
+    pointless, the number of draws rerolled for an inseparable f)."""
     kern = _kernel(F)
     coeffs = [0] * 9
     inseparable = 0
@@ -194,28 +222,76 @@ def _separability_first_sampler(F, rng):
         coeffs[::2] = [rng.below(F.q) for _ in range(5)]
         if coeffs[-1]:
             if kern.is_separable(coeffs):
-                return (HyperellipticOdd(F, Poly(F, map(F.from_index, coeffs))),
-                        inseparable)
+                C = HyperellipticOdd(F, Poly(F, map(F.from_index, coeffs)))
+                return C.count(1) == 0, inseparable
             inseparable += 1
+
+
+def _constructor_verdict(F, g):
+    """None when HyperellipticOdd refuses y^2 = g(x^2), else whether the
+    curve is pointless."""
+    try:
+        C = HyperellipticOdd(F, [g[0], 0, g[1], 0, g[2], 0, g[3], 0, g[4]])
+    except UnsupportedShape:
+        return None
+    return C.count(1) == 0
 
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("q", [5, 7, 9])
     def test_klein4_sampler_stream_pinned(self, q):
-        # the constructor decides separability: every sub-seed must give
-        # the f, and leave the stream where, the sampler with its own test
-        # ahead of the constructor does; criterion 9's fields and seeds
+        # the kernel verdict decides separability through g: every
+        # sub-seed must give the verdict, and leave the stream where, the
+        # separability test on f followed by the model's count does; equal
+        # state pins the same accepted g; criterion 9's fields and seeds
         F = _field_for(q)
+        sample = _klein4_hyper_odd(F)
         master = SplitMix64(q)
-        inseparable = 0
+        inseparable = hits = 0
         for _ in range(500):
             seed = master.next_u64()
             rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
             ref, rerolls = _separability_first_sampler(F, ref_rng)
-            assert _sample_klein4_hyper_odd(F, rng)._idx == ref._idx, seed
+            hit = sample(rng)
+            assert hit is ref, seed
             assert rng.state == ref_rng.state, seed
             inseparable += rerolls
-        assert inseparable > 0
+            hits += hit
+        assert inseparable > 0 and hits > 0
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_klein4_verdict_exhaustive(self, q):
+        """Every g with g_4 != 0: the verdict refuses what the constructor
+        refuses, and its hit is the model's count(1) == 0."""
+        F = _field_for(q)
+        verdict = _klein4_verdict(F)
+        seen = set()
+        for code in range((q - 1) * q ** 4):
+            g = tuple(code // q ** i % q for i in range(4)) + (
+                1 + code // q ** 4,)
+            assert verdict(g) == _constructor_verdict(F, g), g
+            seen.add(verdict(g))
+        assert seen == {None, True, False}
+
+    def test_klein4_verdict_seeded_f9(self):
+        F = _field_for(9)
+        verdict = _klein4_verdict(F)
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(4000):
+            g = tuple(rng.randrange(9) for _ in range(4)) + (
+                rng.randrange(1, 9),)
+            assert verdict(g) == _constructor_verdict(F, g), g
+            seen.add(verdict(g))
+        assert seen == {None, True, False}
+
+    def test_klein4_hit_confirmed_by_model(self, monkeypatch):
+        # a model that finds a point on every curve contradicts the first
+        # pointless verdict
+        monkeypatch.setattr(HyperellipticOdd, "count", lambda self, i=1: 1)
+        with pytest.raises(FilterDisagreement, match="judged pointless"):
+            montecarlo_pointless_rate("klein4_hyper_odd", FiniteField(5),
+                                      200, seed=5)
 
     def test_deterministic(self):
         F5 = FiniteField(5)
@@ -289,3 +365,12 @@ class TestMonteCarlo:
     def test_even_char_rejected(self):
         with pytest.raises(EvenCharacteristic):
             montecarlo_pointless_rate("diagonal_quartic", FiniteField(2), 1)
+
+    @pytest.mark.parametrize("family", ["klein4_hyper_odd",
+                                        "diagonal_quartic", "fiberproduct"])
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_even_char_refused_before_any_sample(self, family, q):
+        # the set-up refuses the field: a run of no samples is no report
+        # of a heuristic that holds for odd q only
+        with pytest.raises(EvenCharacteristic):
+            montecarlo_pointless_rate(family, _field_for(q), 0)

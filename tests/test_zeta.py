@@ -45,6 +45,11 @@ class TestLFromCounts:
         with pytest.raises(NonIntegralResult):
             l_from_counts(5, 2, [1, 2])  # S_1 = 5, S_2 = 24: e_2 = 1/2
 
+    def test_negative_genus_is_refused(self):
+        # refused by name, not read as a count length
+        with pytest.raises(ValueError, match="genus must be at least 0"):
+            l_from_counts(5, -1, [])
+
 
 class TestRealWeil:
     def test_cube_trace_11(self):
