@@ -327,8 +327,9 @@ def _klein4_hyper_odd(F):
 
     def judge(g):
         hit = verdict(g)
-        if hit and HyperellipticOdd(F, [g[0], 0, g[1], 0, g[2], 0, g[3], 0,
-                                         g[4]]).count(1):
+        f = [0] * 9
+        f[::2] = g
+        if hit and HyperellipticOdd(F, f).count(1):
             raise FilterDisagreement(
                 f"F_{q} Monte-Carlo: g = {list(g)} judged pointless, and "
                 f"y^2 = g(x^2) has rational points")
