@@ -195,6 +195,12 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_below_refuses_a_bound_below_1(self, n):
+        # on a fresh stream (no bound taken yet) and after a valid bound;
+        # drawing a word at all would loop for ever, so it fails at once
+        fresh = SplitMix64(1)
+        fresh.next_u64 = lambda: pytest.fail("below() drew for a bound < 1")
+        with pytest.raises(ValueError, match="positive bound"):
+            fresh.below(n)
         rng = SplitMix64(1)
         rng.below(5)
         with pytest.raises(ValueError, match="positive bound"):
