@@ -8,7 +8,9 @@ Counting conventions (degree-1 places of the smooth model):
     of the leading coefficient.  An even f = g(x^2) is checked and
     counted through g: squarefree iff g is and g(0) != 0, and the x are 0
     and the two square roots of each nonzero square t, so the sum runs
-    over the squares only, at half the degree (HyperellipticOdd).
+    over the squares only, at half the degree.  That rule is written once,
+    as _even_squarefree and _even_fibres, which HyperellipticOdd and the
+    Monte-Carlo's klein4_hyper_odd both call.
   * Artin-Schreier y^2 + y = f (char 2): each non-pole x contributes 2
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.
@@ -147,15 +149,9 @@ class HyperellipticOdd:
     alike, on the trimmed index list _idx, which is all the model keeps.
 
     An even f = g(x^2) (every odd coefficient zero, as in the paper's
-    Klein four-group family) keeps _g = _idx[::2] and is checked and
-    counted through g; _g is None for any other f.  Both steps are exact:
-      * a repeated root of f is 0 or a square root of a repeated root of
-        g (f' = 2x g'(x^2) and p is odd), so f is squarefree iff g is and
-        g(0) != 0;
-      * the x over F_{q^i} are 0 and the two square roots of each nonzero
-        square t, so count(i) sums s(g(0)) + 2 sum s(g(t)) over those t.
-        q is odd, so x -> x^q keeps the parity of log x and each Frobenius
-        orbit is all squares or none (_Kernel.square_orbits).
+    Klein four-group family) keeps _g = _idx[::2] and is checked
+    (_even_squarefree) and counted (_even_fibres) through g; _g is None
+    for any other f.
     """
 
     def __init__(self, base, f):
@@ -169,7 +165,7 @@ class HyperellipticOdd:
         kern = _kernel(base)
         g = None if any(idx[1::2]) else idx[::2]
         if not (kern.is_separable(idx) if g is None
-                else g[0] and kern.is_separable(g)):
+                else _even_squarefree(kern, g)):
             raise UnsupportedShape("f must be squarefree")
         self.base = base
         self._idx = idx
@@ -178,18 +174,37 @@ class HyperellipticOdd:
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)
+        if self._g is not None:
+            return sum(_even_fibres(kern, [imap[c] for c in self._g],
+                                    self.base.q))
         horner, roots = kern.horner, kern.sqrt_count
-        if self._g is None:
-            f = [imap[c] for c in self._idx]
-            total = sum(w * roots(horner(f, x)) for x, w in orbits)
-        else:
-            # x = 0, then x = +-sqrt(t) for each nonzero square t
-            f = [imap[c] for c in self._g]
-            total = roots(f[0]) + 2 * sum(
-                w * roots(horner(f, t))
-                for t, w in kern.square_orbits(self.base.q))
+        f = [imap[c] for c in self._idx]
+        total = sum(w * roots(horner(f, x)) for x, w in orbits)
         # infinity: one point for odd deg f, else by the square class of lc
-        return total + (1 if len(self._idx) % 2 == 0 else roots(f[-1]))
+        return total + (1 if len(f) % 2 == 0 else roots(f[-1]))
+
+
+def _even_squarefree(kern, g):
+    """Whether f = g(x^2) is squarefree, for an index list g (p odd): a
+    repeated root of f is 0 or a square root of a repeated root of g
+    (f' = 2x g'(x^2)), so f is squarefree iff g(0) != 0 and g is
+    separable."""
+    return bool(g[0]) and kern.is_separable(g)
+
+
+def _even_fibres(kern, g, q):
+    """The points of y^2 = g(x^2) over kern's field, fibre by fibre, for an
+    index list g with coefficients in F_q (q odd): x = 0, infinity (deg f
+    is even, so by the square class of lc g), then x = +-sqrt(t) for each
+    Frobenius orbit of nonzero squares t, weighted by the orbit's size.
+    x -> x^q keeps the parity of log x, so each orbit is all squares or
+    none (_Kernel.square_orbits).  count sums them; a test for
+    pointlessness stops at the first fibre with a point."""
+    horner, roots = kern.horner, kern.sqrt_count
+    yield roots(g[0])
+    yield roots(g[-1])
+    for t, w in kern.square_orbits(q):
+        yield 2 * w * roots(horner(g, t))
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,23 @@ actual pointless rates in the curve families.  Each family is a set-up,
 run once per montecarlo_pointless_rate call, that returns sample(rng):
 whether the member drawn from one sub-seeded stream is pointless.
 klein4_hyper_odd judges its draws on the field's index kernel alone: five
-indices give g, and the constructor's squarefree rule and the point count
-of y^2 = g(x^2) are read off g's values at 0 and the nonzero squares.
-Each distinct g is judged once per call, and every pointless one is
-confirmed by the HyperellipticOdd model.  The other two families build
-their curve for each draw and count its points.
+indices give g, and y^2 = g(x^2) is judged by HyperellipticOdd's own rule
+for an even f (curves._even_squarefree, curves._even_fibres), once per
+distinct g per call.  The other two families build their curve for each
+draw and count its points.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import FiberProductGenus4, HyperellipticOdd, PlaneQuartic
+from .curves import (
+    FiberProductGenus4,
+    PlaneQuartic,
+    _even_fibres,
+    _even_squarefree,
+)
 from .errors import (
     EvenCharacteristic,
-    FilterDisagreement,
     GroupTooLarge,
     NotTransitive,
     ParseError,
@@ -293,34 +296,13 @@ def klein4_hyper_odd_heuristic(q):
     return Fraction(1, 4) * Fraction(q - 1, 2 * q) ** ((q - 1) // 2)
 
 
-def _klein4_verdict(F):
-    """The verdict on a draw g = (g_0, ..., g_4) of klein4_hyper_odd over
-    F (q odd, g_4 != 0), on base-field indices: None when the
-    HyperellipticOdd constructor refuses f = g(x^2), that is when g(0) = 0
-    or g is not separable (its rule for an even f), else whether y^2 = f is
-    pointless.  That is the model's count(1) == 0 for an even f, a sum of
-    square-root counts: no y over x = 0 (g(0)), over x = +-sqrt(t) for
-    each nonzero square t (g(t)) or at infinity (lc g)."""
-    kern = _kernel(F)
-    horner, roots = kern.horner, kern.sqrt_count
-    separable = kern.is_separable
-    squares = [t for t, _ in kern.square_orbits(F.q)]
-
-    def verdict(g):
-        if not g[0] or not separable(g):
-            return None
-        return not (roots(g[4]) or roots(g[0])
-                    or any(roots(horner(g, t)) for t in squares))
-    return verdict
-
-
 def _klein4_hyper_odd(F):
     """Set-up of klein4_hyper_odd: y^2 = f(x), f = g(x^2) of degree 8 (the
     Klein-four-symmetric family).  A draw is five indices below q, g_0
-    first; it is rerolled while g_4 = 0 or the constructor would refuse f.
-    Each distinct draw is judged once per set-up (_klein4_verdict), and
-    each pointless one is confirmed by HyperellipticOdd(F, f).count(1) == 0,
-    or FilterDisagreement is raised.
+    first; it is rerolled while g_4 = 0 or the HyperellipticOdd
+    constructor would refuse f (_even_squarefree).  Each distinct draw is
+    judged once per set-up: pointless when no fibre of _even_fibres has a
+    point, stopping at the first that has one.
 
     The memo of judged draws pays off only when the draws are many next
     to the q^4 (q - 1) possible g: criterion 9's 100k samples repeat 98% /
@@ -329,17 +311,13 @@ def _klein4_hyper_odd(F):
     nothing."""
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
-    verdict, q, seen = _klein4_verdict(F), F.q, {}
+    kern, q, seen = _kernel(F), F.q, {}
 
     def judge(g):
-        hit = verdict(g)
-        f = [0] * 9
-        f[::2] = g
-        if hit and HyperellipticOdd(F, f).count(1):
-            raise FilterDisagreement(
-                f"F_{q} Monte-Carlo: g = {list(g)} judged pointless, and "
-                f"y^2 = g(x^2) has rational points")
-        return hit
+        """None when f = g(x^2) is refused, else whether it is pointless."""
+        if not _even_squarefree(kern, g):
+            return None
+        return not any(_even_fibres(kern, g, q))
 
     def sample(rng):
         below = rng.below

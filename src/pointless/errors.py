@@ -35,10 +35,6 @@ class EvenCharacteristic(PointlessError):
     pass
 
 
-class DuplicateNodes(PointlessError):
-    pass
-
-
 class ExtensionTooLarge(PointlessError):
     pass
 

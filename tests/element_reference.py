@@ -39,9 +39,9 @@ import random
 
 from pointless.errors import (
     DivisionByZero,
-    DuplicateNodes,
     MixedFields,
     NoSquareRoot,
+    PointlessError,
     UnsupportedShape,
     ZeroFunction,
 )
@@ -49,6 +49,10 @@ from pointless.curves import _extension
 from pointless.field import Poly, _prime_factors
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
+
+
+class DuplicateNodes(PointlessError):
+    """interpolate was given the same node twice."""
 
 
 class Series:
