@@ -56,7 +56,9 @@ polynomials reduced mod the irreducible piece (_Kernel.residue_gcd).
 
 The special places of a tower (poles of the second stage, ramified and
 pole places of the first) run on the same kernel: their local expansions
-are the truncated Laurent series of indices of pointless.series.
+are the truncated Laurent series of indices of pointless.series, taken at
+precision 8 and doubled, up to 64, only while the series run out of
+precision (_tower_place_points).
 """
 
 from functools import cached_property
@@ -66,6 +68,7 @@ from .errors import (
     EvenCharacteristic,
     MixedFields,
     OddCharacteristic,
+    PrecisionExhausted,
     UnsupportedShape,
     ZeroPolynomial,
 )
@@ -558,6 +561,9 @@ class ASTower:
     Artin-Schreier f is; A, B and D each a Poly or an index list.  The model
     keeps the indices _f1 = [c1, c0, cm1] and _stage2 = [A, B, D].  The
     genus is a claim (cross-checked through the zeta module), not computed.
+    count(i) sums the ordinary places off kernel tables and expands each
+    special place as a Laurent series at precision 8, then 16, 32 and 64,
+    moving on only while the expansion runs out of precision.
     """
 
     def __init__(self, base, f1, A, B, D, claimed_genus=None):
@@ -618,11 +624,32 @@ class ASTower:
         return total
 
 
-def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None,
-                        prec=60):
+# the precisions a special place is expanded at, in turn
+_PLACE_PRECISIONS = (8, 16, 32, 64)
+
+
+def _tower_place_points(kern, f1, stage2, kind, x0=None, ybranch=None):
+    """Points of the tower above one special place: its expansion at
+    precision 8, 16, 32 and then 64, the next one tried only when the last
+    raised PrecisionExhausted.  A count that comes back is exact (see
+    pointless.series), and a place still short at 64 raises."""
+    *short, last = _PLACE_PRECISIONS
+    for prec in short:
+        try:
+            return _tower_place_points_at(kern, f1, stage2, kind, prec,
+                                          x0, ybranch)
+        except PrecisionExhausted:
+            pass
+    return _tower_place_points_at(kern, f1, stage2, kind, last, x0, ybranch)
+
+
+def _tower_place_points_at(kern, f1, stage2, kind, prec, x0=None,
+                           ybranch=None):
     """Points of the tower above one place of the middle curve, via local
-    expansion and Artin-Schreier reduction.  f1 = (c1, c0, cm1), stage2 =
-    (A, B, D), x0 and ybranch are indices of the counting field's kernel."""
+    expansion at precision prec and Artin-Schreier reduction; raises
+    PrecisionExhausted when prec is too short to decide.  f1 = (c1, c0,
+    cm1), stage2 = (A, B, D), x0 and ybranch are indices of the counting
+    field's kernel."""
     c1, c0, cm1 = f1
     A, B, D = stage2
     t = _ser(1, [1], prec)

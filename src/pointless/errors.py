@@ -19,6 +19,12 @@ class DivisionByZero(PointlessError):
     pass
 
 
+class PrecisionExhausted(PointlessError, ValueError):
+    """A truncated series was asked for more than its known precision
+    holds: a coefficient past it, or the inverse of a series none of whose
+    known coefficients is nonzero."""
+
+
 class MixedFields(PointlessError):
     pass
 

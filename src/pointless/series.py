@@ -4,15 +4,26 @@ expansions at places of curves.
 A series is a tuple (val, cs, prec): cs[k] is the index of the coefficient
 of t^(val + k), and the exponents >= prec are unknown.  Leading zeros are
 stripped, a series with no known nonzero coefficient has val = prec, and
-every operation carries the worst-case precision of its result, so reading
-a coefficient past the known precision raises.  The arithmetic is that of
-a field._Kernel of any characteristic: sums through kern.add and kern.neg,
-products on its exp/log tables.  The char-2 towers (curves.ASTower) expand
-their special places here, and nothing else does: the elliptic double
-covers read the orders at the zeros of fn off index polynomials.
+every operation carries the worst-case precision of its result.
+
+Asking a series for more than its precision holds raises
+errors.PrecisionExhausted: _ser_coeff reading a coefficient at or past it,
+and _ser_inv given a series with no known nonzero coefficient and a finite
+precision, which is not known to be zero, only unknown past its
+precision.  An exact zero (precision EXACT) raises DivisionByZero.  Since
+no operation claims a coefficient it does not know, a result computed
+without that error is exact whatever precision the inputs started at; a
+caller that runs short retries with more (curves._tower_place_points
+doubles from 8 to 64).
+
+The arithmetic is that of a field._Kernel of any characteristic: sums
+through kern.add and kern.neg, products on its exp/log tables.  The char-2
+towers (curves.ASTower) expand their special places here, and nothing else
+does: the elliptic double covers read the orders at the zeros of fn off
+index polynomials.
 """
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, PrecisionExhausted
 
 EXACT = 10 ** 9  # precision marker for exact (polynomial) inputs
 
@@ -29,7 +40,8 @@ def _ser(val, cs, prec):
 def _ser_coeff(s, k):
     val, cs, prec = s
     if k >= prec:
-        raise ValueError(f"coefficient of t^{k} beyond precision {prec}")
+        raise PrecisionExhausted(
+            f"coefficient of t^{k} beyond precision {prec}")
     return cs[k - val] if val <= k < val + len(cs) else 0
 
 
@@ -75,7 +87,10 @@ def _ser_scale(kern, s, c):
 def _ser_inv(kern, s):
     val, cs, prec = s
     if not cs:
-        raise DivisionByZero("inverse of zero series")
+        if prec >= EXACT:
+            raise DivisionByZero("inverse of zero series")
+        raise PrecisionExhausted(
+            f"inverse of a series unknown past precision {prec}")
     n = prec - val  # relative precision carries over
     add, exp, log, n1 = kern.add, kern.exp, kern.log, kern.n1
     linv0 = n1 - log[cs[0]]

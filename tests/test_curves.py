@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pointless import curves
 from pointless.curves import (
     QUARTIC_MONOMIALS,
     ASTower,
@@ -15,12 +16,14 @@ from pointless.curves import (
     _extension,
     _resultant_y,
     _tower_place_points,
+    _tower_place_points_at,
 )
 from pointless.errors import (
     DivisionByZero,
     EvenCharacteristic,
     MixedFields,
     OddCharacteristic,
+    PrecisionExhausted,
     UnsupportedShape,
     ZeroPolynomial,
 )
@@ -769,24 +772,64 @@ class TestASTower:
         assert [first_tower().count(i) for i in (1, 2, 3)] == [0, 924, 32043]
         assert [second_tower().count(i) for i in (1, 2, 3)] == [0, 984, 33129]
 
-    def test_place_expansion_too_short_raises(self):
+    def test_place_expansion_too_short_raises(self, monkeypatch):
         T = first_tower()
         kern = _kernel(F32)
         f1, stage2 = tuple(T._f1), tuple(T._stage2)
-        assert _tower_place_points(kern, f1, stage2, "ram_inf") == 0
         # four terms leave the t^0 coefficient unknown after the reduction
-        with pytest.raises(ValueError, match="beyond precision"):
-            _tower_place_points(kern, f1, stage2, "ram_inf", prec=4)
-        # no precision below 60 gives a count other than the one at 60
-        for kind in ("ram_zero", "ram_inf"):
-            want = _tower_place_points(kern, f1, stage2, kind)
+        with pytest.raises(PrecisionExhausted, match="beyond precision"):
+            _tower_place_points_at(kern, f1, stage2, "ram_inf", 4)
+        # every special place that count(1..3) reaches on the shipped
+        # towers and the seeded random ones: at each precision below 60
+        # the expansion either runs out of precision or gives the count
+        # at 60, which is the one count returned
+        places = []
+
+        def spy(kern, f1, stage2, kind, x0=None, ybranch=None):
+            n = _tower_place_points(kern, f1, stage2, kind, x0, ybranch)
+            places.append((kern, f1, stage2, kind, x0, ybranch, n))
+            return n
+
+        monkeypatch.setattr(curves, "_tower_place_points", spy)
+        towers = [first_tower(), second_tower()]
+        for F in (F2, F4, F8):
+            towers += _random_tower_sample(F)
+        for T in towers:
+            for i in (1, 2, 3):
+                T.count(i)
+        assert ({place[3] for place in places}
+                == {"finite", "ord_inf", "ram_zero", "ram_inf"})
+        for kern, f1, stage2, kind, x0, ybranch, n in places:
+            assert _tower_place_points_at(kern, f1, stage2, kind, 60, x0,
+                                          ybranch) == n
             for prec in range(1, 60):
                 try:
-                    got = _tower_place_points(kern, f1, stage2, kind,
-                                              prec=prec)
-                except (ValueError, DivisionByZero):
+                    got = _tower_place_points_at(kern, f1, stage2, kind,
+                                                 prec, x0, ybranch)
+                except PrecisionExhausted:
                     continue
-                assert got == want, (kind, prec)
+                assert got == n, (kind, prec)
+
+    @pytest.mark.parametrize("error, precs", [
+        (PrecisionExhausted, [8, 16, 32, 64]),
+        (DivisionByZero, [8]),
+        (ValueError, [8]),
+    ])
+    def test_place_precision_schedule(self, monkeypatch, error, precs):
+        # only running out of precision moves a place on to the next
+        # precision, and a place still short at 64 raises
+        tried = []
+
+        def short(kern, f1, stage2, kind, prec, x0=None, ybranch=None):
+            tried.append(prec)
+            raise error("short")
+
+        monkeypatch.setattr(curves, "_tower_place_points_at", short)
+        T = first_tower()
+        with pytest.raises(error) as info:
+            _tower_place_points(_kernel(F32), tuple(T._f1),
+                                tuple(T._stage2), "ram_inf")
+        assert info.type is error and tried == precs
 
 
 class TestTwistDuality:
@@ -1655,6 +1698,15 @@ def _random_tower(F, rng, c1_zero, cm1_zero):
     return ASTower(F, *_random_tower_args(F, rng, c1_zero, cm1_zero))
 
 
+def _random_tower_sample(F):
+    """TestTowerPlacesAgainstSeries's seeded towers over F: poles of f1 at 0
+    and infinity; at 0 only; at infinity only; each twice."""
+    rng = random.Random(500 + F.q)
+    return [_random_tower(F, rng, c1_zero, cm1_zero)
+            for c1_zero, cm1_zero in [(False, False), (True, False),
+                                      (False, True)] * 2]
+
+
 def _random_tower_args(F, rng, c1_zero, cm1_zero):
     """The Poly and RationalFunction arguments of _random_tower."""
     while True:
@@ -1687,17 +1739,26 @@ class TestTowerPlacesAgainstSeries:
         assert kinds == {"finite", "ram_zero", "ram_inf"}
 
     @pytest.mark.parametrize("F", [F2, F4, F8], ids=lambda F: f"F{F.q}")
-    def test_random_towers(self, F):
-        rng = random.Random(500 + F.q)
+    def test_random_towers(self, F, monkeypatch):
         kinds = set()
-        # poles at 0 and infinity; at 0 only; at infinity only
-        for c1_zero, cm1_zero in [(False, False), (True, False),
-                                  (False, True)] * 2:
-            T = _random_tower(F, rng, c1_zero, cm1_zero)
+        precs = []
+
+        expand = _tower_place_points_at
+
+        def spy(kern, f1, stage2, kind, prec, x0=None, ybranch=None):
+            precs.append(prec)
+            return expand(kern, f1, stage2, kind, prec, x0, ybranch)
+
+        monkeypatch.setattr(curves, "_tower_place_points_at", spy)
+        for T in _random_tower_sample(F):
             for i in (1, 2, 3):
                 assert T.count(i) == _reference_tower_count(T, i, kinds), \
                     (T._f1, T._stage2, i)
         assert kinds == {"finite", "ord_inf", "ram_zero", "ram_inf"}
+        # three ram_inf places of the F_8 sample run out of precision at
+        # 8, so the retry at 16 is checked against the reference too
+        if F is F8:
+            assert 16 in precs
 
 
 class TestFrobeniusOrbits:

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from pointless.errors import DivisionByZero, PrecisionExhausted
 from pointless.field import FiniteField, Poly, _kernel
 from pointless.series import (
+    EXACT,
     _ser,
+    _ser_coeff,
     _ser_add,
     _ser_horner,
     _ser_inv,
@@ -54,3 +57,19 @@ def test_arithmetic_equals_reference(F):
              + [rng.randrange(1, F.q)])
         assert _same(F, _ser_horner(kern, f, a),
                      poly_at_series(Poly(F, [F.from_index(v) for v in f]), ra))
+
+
+def test_zero_series_inverse():
+    kern = _kernel(FIELDS[0])
+    t = _ser(1, [1], EXACT)
+    for zero in (_ser(0, [], EXACT), _ser_mul(kern, _ser(0, [0], EXACT), t)):
+        with pytest.raises(DivisionByZero):
+            _ser_inv(kern, zero)
+    # zero as far as it is known, and unknown past precision 3: the
+    # inverse needs more precision, not a nonzero series
+    short = _ser(0, [0, 0, 0], 3)
+    with pytest.raises(PrecisionExhausted, match="precision 3"):
+        _ser_inv(kern, short)
+    with pytest.raises(PrecisionExhausted, match="beyond precision 3"):
+        _ser_coeff(short, 3)
+    assert _ser_coeff(short, 2) == 0
