@@ -647,9 +647,10 @@ def _tower_place_points_at(kern, f1, stage2, kind, prec, x0=None,
                            ybranch=None):
     """Points of the tower above one place of the middle curve, via local
     expansion at precision prec and Artin-Schreier reduction; raises
-    PrecisionExhausted when prec is too short to decide.  f1 = (c1, c0,
-    cm1), stage2 = (A, B, D), x0 and ybranch are indices of the counting
-    field's kernel."""
+    PrecisionExhausted when prec is too short to decide, and
+    _tower_place_points then calls it again at the next of 8, 16, 32 and
+    64.  f1 = (c1, c0, cm1), stage2 = (A, B, D), x0 and ybranch are
+    indices of the counting field's kernel."""
     c1, c0, cm1 = f1
     A, B, D = stage2
     t = _ser(1, [1], prec)

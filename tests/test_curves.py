@@ -1742,7 +1742,6 @@ class TestTowerPlacesAgainstSeries:
     def test_random_towers(self, F, monkeypatch):
         kinds = set()
         precs = []
-
         expand = _tower_place_points_at
 
         def spy(kern, f1, stage2, kind, prec, x0=None, ybranch=None):
@@ -1756,9 +1755,9 @@ class TestTowerPlacesAgainstSeries:
                     (T._f1, T._stage2, i)
         assert kinds == {"finite", "ord_inf", "ram_zero", "ram_inf"}
         # three ram_inf places of the F_8 sample run out of precision at
-        # 8, so the retry at 16 is checked against the reference too
+        # the first precision, so a retry is checked against the reference
         if F is F8:
-            assert 16 in precs
+            assert min(precs) < max(precs)
 
 
 class TestFrobeniusOrbits:

@@ -9,8 +9,8 @@ from pointless.field import FiniteField, Poly, _kernel
 from pointless.series import (
     EXACT,
     _ser,
-    _ser_coeff,
     _ser_add,
+    _ser_coeff,
     _ser_horner,
     _ser_inv,
     _ser_mul,
