@@ -12,7 +12,7 @@ import sys
 
 from .density import DensityProblem, compute_density, montecarlo_pointless_rate
 from .errors import PointlessError
-from .field import FiniteField, _check_order, _prime_factors, canonical_extension
+from .field import FiniteField, _prime_factors, canonical_extension
 from .harness import load_fixtures, verify
 from .search import ENGINE_FAMILIES, SearchConfig, run_search
 from .zeta import pointless_q_range, zeta_report
@@ -61,16 +61,15 @@ def _check_depth(depth):
 
 def _entries(args):
     """The fixture entries that --fixtures and --id select.  A --depth
-    below 1, or whose F_{q^depth} is past MAX_FIELD_ORDER for any of them,
-    is refused here, before any curve is counted or any table built."""
+    below 1 is refused here; one that asks a count for a field past
+    MAX_FIELD_ORDER is refused by that count, with ExtensionTooLarge,
+    before the field's tables are built."""
     _check_depth(args.depth)
     entries = load_fixtures(args.fixtures)
     if args.id is not None:
         entries = [e for e in entries if e.id == args.id]
         if not entries:
             raise PointlessError(f"no fixture entry named {args.id!r}")
-    for e in entries:
-        _check_order(e.p, e.n * args.depth)
     return entries
 
 

@@ -31,15 +31,15 @@ from .errors import (
 # The largest field order served: every FieldElement square test and
 # every Poly gcd runs on the field's index kernel, and counting over
 # F_{q^i} builds one for that field too, so FiniteField and embed refuse a
-# field past this before any table is built.  2^23 is the first power of
-# two above 49^4 = 7^8: the CLI refuses a --depth by q^depth for every
-# row it selects (cli._entries), so a lower cap would refuse `verify
-# --depth 4` on the q = 37..49 rows, though those are fiber products,
-# counted over F_q and F_{q^2} only.  The largest kernel the
-# corpus builds is F_{2^20} (N_4 at q = 32).  Measured on a 2-core x86-64
-# VM under Python 3.11, the F_{7^8} kernel takes 7.2 s and 171 MB to
-# build, F_{2^20} 0.6 s and 33 MB.
-MAX_FIELD_ORDER = 2 ** 23
+# field past this before any table is built.  A count that needs such a
+# field raises ExtensionTooLarge, which `verify` and `count` report as a
+# usage error.  2^20 is the largest kernel the shipped corpus builds at
+# depth 4: N_4 at q = 32 (the q = 32 quartics and towers).  Every other
+# row that counts over F_{q^i} has q <= 29, and the fiber products (q up
+# to 49) count over F_q and F_{q^2} only.  Measured on a 2-core
+# x86-64 VM under Python 3.11, the F_{2^20} kernel takes 0.3 s to build
+# and a fresh process peaks at 35 MB doing it.
+MAX_FIELD_ORDER = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +327,11 @@ class FiniteField:
         takes the arrays once per field and keeps them; the square test,
         square roots, gcds, factorisations and every curve's count(i) read
         them there.
-        Filling arrays keeps no int object per entry: the tables of F_{7^8},
-        which MAX_FIELD_ORDER admits so that the CLI's q^depth pre-check
-        lets `verify --depth 4` through at q = 49, take 46 MB as arrays and
-        about 460 MB as lists.  The walk, at about 0.9 us per element, is
-        most of a kernel's build: 5.2 of the 7.2 s that the F_{7^8} kernel
-        takes."""
+        Filling arrays keeps no int object per entry: the tables of
+        F_{2^20}, the largest field MAX_FIELD_ORDER admits, take 8 MB as
+        arrays and about 80 MB as lists.  The walk, at about 0.3 us per
+        element, is nearly all of a kernel's build: the F_{2^20} kernel
+        takes about 0.3 s."""
         p, n, q = self.p, self.n, self.q
         factors = set(_prime_factors(q - 1))
         exp = array("i", bytes(4 * (q - 1)))
@@ -535,7 +534,7 @@ class _Kernel:
     canonical nonsquare's index (p odd).  The tables hold 4-byte ints, exp
     twice and log once (and the Zech logarithms twice on an odd
     extension): 12 to 20 bytes per element, which with their build time
-    is what MAX_FIELD_ORDER bounds.
+    is what MAX_FIELD_ORDER bounds (12 MB at F_{2^20}, the cap).
     """
 
     def __init__(self, field):

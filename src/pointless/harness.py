@@ -18,7 +18,7 @@ from .curves import (
     HyperellipticOdd,
     PlaneQuartic,
 )
-from .errors import ParseError, PointlessError, ValidationError
+from .errors import ExtensionTooLarge, ParseError, PointlessError, ValidationError
 from .field import FiniteField, _kernel
 
 KINDS = ("hyperelliptic_odd", "artin_schreier", "plane_quartic",
@@ -202,6 +202,8 @@ def _build_curve(entry):
     F = entry.field()
     k = entry.kind
     if k == "plane_quartic":
+        if not isinstance(entry.payload["terms"], list):
+            raise ValidationError("terms must be a list", entry.id)
         coeffs = {}
         for term in entry.payload["terms"]:
             if (not isinstance(term, list) or len(term) != 4
@@ -230,6 +232,11 @@ def _build_curve(entry):
     raise ValidationError(f"unknown kind {k!r}", entry.id)  # pragma: no cover
 
 
+def _is_int(v):
+    """An int that is not a bool (the grammar's true and false)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate_section(name, kv):
     for req in ("table", "p", "kind", "claimed_genus", "claimed_pointless"):
         if req not in kv:
@@ -247,8 +254,20 @@ def _validate_section(name, kv):
     p = kv["p"]
     n = kv.get("n", 1)
     modulus = kv.get("modulus", [])
-    if not isinstance(p, int) or not isinstance(n, int):
-        raise ValidationError("p and n must be integers", name)
+    if not _is_int(p) or not _is_int(n) or n < 1:
+        raise ValidationError("p and n must be integers, n at least 1", name)
+    if not _is_int(kv["claimed_genus"]):
+        raise ValidationError("claimed_genus must be an integer", name)
+    for key in ("modulus", "claimed_counts"):
+        v = kv.get(key, [])
+        if not isinstance(v, list) or not all(map(_is_int, v)):
+            raise ValidationError(f"{key} must be a list of integers", name)
+    for key in ("claimed_pointless", "claimed_trigonal"):
+        if not isinstance(kv.get(key, False), bool):
+            raise ValidationError(f"{key} must be true or false", name)
+    if "claimed_trigonal" in kv and kind != "fiber_product":
+        raise ValidationError("claimed_trigonal is checked on fiber products "
+                              "only", name)
     if n > 1 and not modulus:
         raise ValidationError("extension fields need a modulus", name)
     if n == 1 and modulus:
@@ -392,6 +411,8 @@ def _verify_entry(entry, K):
             if props["trigonal"] != entry.claimed_trigonal:
                 failures.append(
                     f"trigonal = {props['trigonal']} != claimed")
+    except ExtensionTooLarge:
+        raise
     except PointlessError as exc:
         failures.append(f"construction failed: {exc}")
     return {
@@ -407,7 +428,10 @@ def _verify_entry(entry, K):
 
 
 def verify(entries, K=1):
-    """Replay every entry's claims; failures are report rows, not errors."""
+    """Replay every entry's claims; failures are report rows, not errors.
+    The one exception is a K whose counts need a field past
+    MAX_FIELD_ORDER: that count's ExtensionTooLarge is raised, as a usage
+    error, and no report is made."""
     if K < 1:
         raise ValueError("extension depth K must be >= 1")
     results = [_verify_entry(e, K) for e in entries]

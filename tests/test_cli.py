@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pointless.cli import _field_for, build_parser, main
+from pointless.field import MAX_FIELD_ORDER
 from pointless.search import ENGINE_FAMILIES
 
 GOOD_FIXTURE = """
@@ -121,12 +122,26 @@ class TestVerify:
         assert main(["verify", "--fixtures", str(path)]) == 2
 
     def test_depth_past_the_cap_exits_2(self, capsys, refuse_tables):
-        # N_5 at q = 49 is over F_(7^10), past MAX_FIELD_ORDER: refused
-        # before N_1..N_4 are counted and their tables built
-        refuse_tables(past=49)
-        code = main(["verify", "--id", "fiber-genus4-q49", "--depth", "5"])
+        # N_5 at q = 17 is over F_(17^5), 1,419,857 elements, past
+        # MAX_FIELD_ORDER: the count refuses it before its tables are built,
+        # and no partial report is printed
+        refuse_tables(past=MAX_FIELD_ORDER)
+        code = main(["verify", "--id", "klein4-genus3-q17", "--depth", "5"])
         assert code == 2
-        assert "MAX_FIELD_ORDER" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_FIELD_ORDER" in captured.err
+
+    def test_fiber_product_depth_5_passes(self, capsys, refuse_tables):
+        # the fiber product counts N_5 at q = 49 from its quotients' N_1
+        # and N_2, so no table past F_(49^2) is built, though 49^5 is past
+        # MAX_FIELD_ORDER
+        refuse_tables(past=49 ** 2)
+        code, out = run(capsys, "verify", "--id", "fiber-genus4-q49",
+                        "--depth", "5")
+        row, = json.loads(out)["entries"]
+        assert code == 0 and row["verdict"] == "pass"
+        assert row["counts"] == [0, 2166, 117078, 5768358, 282540960]
 
 
 class TestCount:
@@ -136,13 +151,15 @@ class TestCount:
         assert code == 0 and j["entries"][0]["counts"] == [0]
 
     def test_depth_past_the_cap_exits_2(self, capsys, refuse_tables):
-        # N_5 at q = 49 is over F_(7^10), past MAX_FIELD_ORDER: refused
-        # before N_2..N_4 build their tables (loading the corpus builds the
-        # base fields', up to F_49)
-        refuse_tables(past=49)
-        code = main(["count", "--id", "fiber-genus4-q49", "--depth", "5"])
+        # N_5 at q = 17 is over F_(17^5), past MAX_FIELD_ORDER: count(5)
+        # refuses it before its tables are built, and no partial JSON is
+        # printed
+        refuse_tables(past=MAX_FIELD_ORDER)
+        code = main(["count", "--id", "klein4-genus3-q17", "--depth", "5"])
         assert code == 2
-        assert "MAX_FIELD_ORDER" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_FIELD_ORDER" in captured.err
 
     @pytest.mark.parametrize("command", ["count", "verify"])
     def test_depth_below_1_exits_2(self, capsys, command):
@@ -184,9 +201,9 @@ class TestSearch:
             capsys.readouterr().err
 
     def test_field_past_the_cap_exits_2(self, capsys, refuse_tables):
-        # 8388617 is the first prime past 2^23 = MAX_FIELD_ORDER
+        # 1048583 is the first prime past 2^20 = MAX_FIELD_ORDER
         refuse_tables()
-        code = main(["search", "klein4_hyper_odd", "--q", "8388617"])
+        code = main(["search", "klein4_hyper_odd", "--q", "1048583"])
         assert code == 2
         assert "MAX_FIELD_ORDER" in capsys.readouterr().err
 

@@ -727,15 +727,15 @@ class TestOrderCap:
 
     def test_finite_field_refuses(self, refuse_tables):
         refuse_tables()
-        assert 2 ** 23 == MAX_FIELD_ORDER
+        assert 2 ** 20 == MAX_FIELD_ORDER
         with pytest.raises(ExtensionTooLarge):
-            FiniteField(2, 24)
+            FiniteField(2, 21)
         with pytest.raises(ExtensionTooLarge):
-            FiniteField(8388617)                  # the first prime past 2^23
+            FiniteField(1048583)                  # the first prime past 2^20
         # at the cap and below it a field is built; its tables are not yet
-        assert FiniteField(2, 23, [1, 0, 0, 0, 0, 1] + [0] * 17 + [1]).q \
+        assert FiniteField(2, 20, [1, 0, 0, 1] + [0] * 16 + [1]).q \
             == MAX_FIELD_ORDER
-        assert FiniteField(8388593).q == 8388593  # the last prime below it
+        assert FiniteField(1048573).q == 1048573  # the last prime below it
 
     def test_embed_refuses(self, refuse_tables):
         refuse_tables()

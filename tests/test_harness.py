@@ -140,6 +140,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             load_fixture_text(entry_text(f='[2, 0, 0, 0, "a^1", 0, 0, 0, 2]'))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"claimed_trigonal": "true"}, "on fiber products only"),
+        ({"kind": '"fiber_product"', "f": "[2, -1, 0, 1]",
+          "g": "[0, -2, 0, 2]", "claimed_genus": "4",
+          "claimed_trigonal": "1"}, "claimed_trigonal must be"),
+        ({"claimed_genus": '"3"'}, "claimed_genus must be"),
+        ({"claimed_genus": "true"}, "claimed_genus must be"),
+        ({"claimed_pointless": "0"}, "claimed_pointless must be"),
+        ({"claimed_counts": '"abc"'}, "claimed_counts must be"),
+        ({"claimed_counts": '[0, "x"]'}, "claimed_counts must be"),
+        ({"claimed_counts": "[0, false]"}, "claimed_counts must be"),
+        ({"n": "0"}, "n at least 1"),
+        ({"n": "2", "modulus": "5"}, "modulus must be"),
+        ({"kind": '"plane_quartic"', "f": None, "terms": "5"},
+         "terms must be a list"),
+    ])
+    def test_fixture_values_are_type_checked(self, overrides, message):
+        # each is refused at load, naming the entry, instead of crashing
+        # or being misread when verify replays it
+        with pytest.raises(ValidationError) as exc:
+            load_fixture_text(entry_text(**overrides))
+        assert exc.value.entry_id == "e" and message in str(exc.value)
+
     def test_bad_quartic_term(self):
         text = entry_text(kind='"plane_quartic"', f=None,
                           terms="[[4, 0, 0, 1], [3, 2, 0, 1]]")
