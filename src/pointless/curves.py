@@ -251,10 +251,9 @@ class ArtinSchreierCurve:
         if not self.conductor:
             # y^2 + y = c splits into two lines, over F_q or F_{q^2}
             raise UnsupportedShape("f must have a pole (f is constant)")
-        two_delta = sum((d + 1) * deg for deg, d in self.conductor)
-        if two_delta % 2:
-            raise UnsupportedShape("conductor gives non-integral genus")
-        self.genus = -1 + two_delta // 2
+        # every finite pole is simple and a pole at infinity has odd
+        # order, so each (d + 1) deg P is even
+        self.genus = -1 + sum((d + 1) * deg for deg, d in self.conductor) // 2
 
     def count(self, i=1):
         big, imap, kern, orbits = _extension(self.base, i)

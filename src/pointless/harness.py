@@ -7,6 +7,7 @@ claims (genus, pointlessness, extension counts, trigonality) exactly.
 """
 
 import time
+from copy import copy
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
@@ -21,18 +22,52 @@ from .curves import (
 from .errors import ExtensionTooLarge, ParseError, PointlessError, ValidationError
 from .field import FiniteField, _kernel
 
-KINDS = ("hyperelliptic_odd", "artin_schreier", "plane_quartic",
-         "fiber_product", "as_tower")
-
-_COMMON_KEYS = {"table", "p", "n", "modulus", "kind", "claimed_genus",
-                "claimed_pointless", "claimed_counts", "claimed_trigonal",
-                "note"}
+# each kind's own keys, sorted: the order they are checked and written in
 _KIND_KEYS = {
-    "hyperelliptic_odd": {"f"},
-    "artin_schreier": {"num", "den"},
-    "plane_quartic": {"terms"},
-    "fiber_product": {"f", "g"},
-    "as_tower": {"f1_num", "f1_den", "second_a", "second_b", "second_d"},
+    "hyperelliptic_odd": ("f",),
+    "artin_schreier": ("den", "num"),
+    "plane_quartic": ("terms",),
+    "fiber_product": ("f", "g"),
+    "as_tower": ("f1_den", "f1_num", "second_a", "second_b", "second_d"),
+}
+KINDS = tuple(_KIND_KEYS)
+
+
+def _is_int(v):
+    """An int that is not a bool (the grammar's true and false)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_bool(v):
+    return isinstance(v, bool)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+_REQUIRED = object()
+
+# The common keys, in the order serialize writes them (the kind's own keys
+# follow kind): the test a value must pass, the refusal of one that fails
+# it, formatted with the key and the value, and the value a section that
+# omits the key gets, or _REQUIRED.
+_COMMON = {
+    "table": (_is_str, "{} must be a string", _REQUIRED),
+    "p": (_is_int, "{} must be an integer", _REQUIRED),
+    "n": (lambda v: _is_int(v) and v >= 1,
+          "{} must be an integer, n at least 1", 1),
+    "modulus": (_is_int_list, "{} must be a list of integers", []),
+    "kind": (lambda v: v in KINDS, "unknown kind {1!r}", _REQUIRED),
+    "claimed_genus": (_is_int, "{} must be an integer", _REQUIRED),
+    "claimed_pointless": (_is_bool, "{} must be true or false", _REQUIRED),
+    "claimed_counts": (_is_int_list, "{} must be a list of integers", []),
+    "claimed_trigonal": (_is_bool, "{} must be true or false", None),
+    "note": (_is_str, "{} must be a string", ""),
 }
 
 
@@ -138,9 +173,9 @@ class FixtureEntry:
     payload: dict            # kind-specific raw values
     claimed_genus: int
     claimed_pointless: bool
-    claimed_counts: list = dc_field(default_factory=list)
-    claimed_trigonal: bool = None
-    note: str = ""
+    claimed_counts: list
+    claimed_trigonal: bool   # None when the section makes no claim
+    note: str
     _curve: object = dc_field(default=None, init=False, repr=False,
                               compare=False)
 
@@ -232,60 +267,31 @@ def _build_curve(entry):
     raise ValidationError(f"unknown kind {k!r}", entry.id)  # pragma: no cover
 
 
-def _is_int(v):
-    """An int that is not a bool (the grammar's true and false)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _validate_section(name, kv):
-    for req in ("table", "p", "kind", "claimed_genus", "claimed_pointless"):
-        if req not in kv:
-            raise ValidationError(f"missing key {req!r}", name)
-    kind = kv["kind"]
-    if kind not in KINDS:
-        raise ValidationError(f"unknown kind {kind!r}", name)
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    values = {}
+    for key, (test, refusal, default) in _COMMON.items():
+        if key in kv and not test(kv[key]):
+            raise ValidationError(refusal.format(key, kv[key]), name)
+        if key not in kv and default is _REQUIRED:
+            raise ValidationError(f"missing key {key!r}", name)
+        values[key] = kv[key] if key in kv else copy(default)
+    kind = values["kind"]
     for key in kv:
-        if key not in allowed:
+        if key not in _COMMON and key not in _KIND_KEYS[kind]:
             raise ValidationError(f"unknown key {key!r}", name)
     for req in _KIND_KEYS[kind]:
         if req not in kv:
             raise ValidationError(f"missing key {req!r}", name)
-    p = kv["p"]
-    n = kv.get("n", 1)
-    modulus = kv.get("modulus", [])
-    if not _is_int(p) or not _is_int(n) or n < 1:
-        raise ValidationError("p and n must be integers, n at least 1", name)
-    if not _is_int(kv["claimed_genus"]):
-        raise ValidationError("claimed_genus must be an integer", name)
-    for key in ("modulus", "claimed_counts"):
-        v = kv.get(key, [])
-        if not isinstance(v, list) or not all(map(_is_int, v)):
-            raise ValidationError(f"{key} must be a list of integers", name)
-    for key in ("claimed_pointless", "claimed_trigonal"):
-        if not isinstance(kv.get(key, False), bool):
-            raise ValidationError(f"{key} must be true or false", name)
     if "claimed_trigonal" in kv and kind != "fiber_product":
         raise ValidationError("claimed_trigonal is checked on fiber products "
                               "only", name)
-    if n > 1 and not modulus:
+    if values["n"] > 1 and not values["modulus"]:
         raise ValidationError("extension fields need a modulus", name)
-    if n == 1 and modulus:
+    if values["n"] == 1 and values["modulus"]:
         raise ValidationError("prime fields take no modulus", name)
-    entry = FixtureEntry(
-        id=name,
-        table=kv["table"],
-        p=p,
-        n=n,
-        modulus=list(modulus),
-        kind=kind,
-        payload={k: kv[k] for k in _KIND_KEYS[kind]},
-        claimed_genus=kv["claimed_genus"],
-        claimed_pointless=kv["claimed_pointless"],
-        claimed_counts=list(kv.get("claimed_counts", [])),
-        claimed_trigonal=kv.get("claimed_trigonal"),
-        note=kv.get("note", ""),
-    )
+    entry = FixtureEntry(id=name,
+                         payload={k: kv[k] for k in _KIND_KEYS[kind]},
+                         **values)
     # constants must reduce in the entry's own presentation; a reducible
     # modulus or malformed constant fails here, not at verification time
     try:
@@ -334,20 +340,12 @@ def serialize(entries):
     chunks = []
     for e in entries:
         lines = [f"[{e.id}]"]
-        kv = [("table", e.table), ("p", e.p)]
-        if e.n != 1:
-            kv += [("n", e.n), ("modulus", e.modulus)]
-        kv.append(("kind", e.kind))
-        kv += [(k, e.payload[k]) for k in sorted(e.payload)]
-        kv += [("claimed_genus", e.claimed_genus),
-               ("claimed_pointless", e.claimed_pointless)]
-        if e.claimed_counts:
-            kv.append(("claimed_counts", e.claimed_counts))
-        if e.claimed_trigonal is not None:
-            kv.append(("claimed_trigonal", e.claimed_trigonal))
-        if e.note:
-            kv.append(("note", e.note))
-        lines += [f"{k} = {_format_value(v)}" for k, v in kv]
+        for key, (_, _, default) in _COMMON.items():
+            if getattr(e, key) != default:
+                lines.append(f"{key} = {_format_value(getattr(e, key))}")
+            if key == "kind":
+                lines += [f"{k} = {_format_value(e.payload[k])}"
+                          for k in sorted(e.payload)]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 

@@ -348,13 +348,16 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
         # substitute u = x + 1/x and clear x^2, with (x^2 + 1)^2 = x^4 + 1:
         # num = a (x^2+1)^2 + b x (x^2+1) + c x^2;  den likewise from d.
         # A common factor (num = 0 included) cancels a pole, which is not
-        # the 2-simple-pole shape: the model refuses the pair.
+        # the 2-simple-pole shape: the model refuses the pair.  Otherwise
+        # the genus is 3: den' = d1 (x + 1)^2 and den(1) = d0 != 0, so den
+        # is squarefree, and deg num <= 4 = deg den, so the poles are
+        # den's four simple geometric points.
         num, den = _itrim([a, b, c, b, a]), [1, d1, d0, d1, 1]
         try:
             curve = ArtinSchreierCurve(F, (num, den))
         except UnsupportedShape:
             continue
-        if curve.genus != 3 or curve.count(1) != 0:
+        if curve.count(1) != 0:
             continue
         counts = [0] + [curve.count(i) for i in (2, 3)]
         run.keep({"f_num": num, "f_den": den,
@@ -915,16 +918,16 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None):
                         for i in range(len(m) - 1)])
             # g + t m over m: for squarefree m, gcd(g + t m, m) =
             # gcd(g, m), so a factor of m dividing g (a pole that
-            # disappears, changing the conductor) is refused
+            # disappears, changing the conductor) is refused.  Otherwise
+            # deg g < 5 = deg m, so the poles are m's five simple
+            # geometric points and the genus is 4.
             num = [u ^ v for u, v in zip_longest(g, tm, fillvalue=0)]
             try:
                 curve = ArtinSchreierCurve(F, (num, m))
             except UnsupportedShape:
                 continue
-            if curve.genus != 4:
-                continue
             entry = {"shape": shape_name, "m": m, "g": g, "t": t}
-            if curve.count(1) != 0:
+            if curve.genus != 4 or curve.count(1) != 0:
                 raise _disagreement("hyper_genus4_char2", q, entry, curve)
             entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
             run.keep(entry, {"q": q, "counts": entry["counts"]})

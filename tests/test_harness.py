@@ -155,6 +155,8 @@ class TestValidation:
         ({"n": "2", "modulus": "5"}, "modulus must be"),
         ({"kind": '"plane_quartic"', "f": None, "terms": "5"},
          "terms must be a list"),
+        ({"table": "5"}, "table must be a string"),
+        ({"note": "[1]"}, "note must be a string"),
     ])
     def test_fixture_values_are_type_checked(self, overrides, message):
         # each is refused at load, naming the entry, instead of crashing
@@ -162,6 +164,20 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             load_fixture_text(entry_text(**overrides))
         assert exc.value.entry_id == "e" and message in str(exc.value)
+
+    def test_first_faulty_key_in_table_order_is_named(self):
+        # the key table puts table before claimed_genus, and both before
+        # note
+        text = entry_text(note="[1]", claimed_genus='"3"')
+        with pytest.raises(ValidationError, match="claimed_genus must be"):
+            load_fixture_text(text)
+        with pytest.raises(ValidationError, match="table must be"):
+            load_fixture_text(entry_text(table="5", note="[1]",
+                                         claimed_genus='"3"'))
+        # a kind's own keys are checked in sorted order
+        text = entry_text(kind='"fiber_product"', f=None, claimed_genus="4")
+        with pytest.raises(ValidationError, match="missing key 'f'"):
+            load_fixture_text(text)
 
     def test_bad_quartic_term(self):
         text = entry_text(kind='"plane_quartic"', f=None,
@@ -261,6 +277,17 @@ class TestShippedFile:
         assert serialize(again) == text
         assert [e.id for e in again] == [e.id for e in entries]
 
+    def test_serialize_writes_keys_in_fixed_order(self):
+        # the common keys in this order, with the kind's own keys,
+        # sorted, right after kind
+        common = ["table", "p", "n", "modulus", "kind", "claimed_genus",
+                  "claimed_pointless", "claimed_counts", "claimed_trigonal",
+                  "note"]
+        for e in load_fixtures():
+            (_, kv, _), = parse_fixture_text(serialize([e]))
+            order = common[:5] + sorted(e.payload) + common[5:]
+            assert list(kv) == [k for k in order if k in kv], e.id
+
     def test_provenance_uses_captions_not_numbers(self):
         for e in load_fixtures():
             assert not any(ch.isdigit() and e.table.startswith(f"Table {ch}")
@@ -305,6 +332,25 @@ claimed_pointless = true
         (row,) = report.entries
         assert row["verdict"] == "fail"
         assert any("N2" in f for f in row["failures"])
+
+    @pytest.mark.parametrize("text, failure", [
+        (entry_text(claimed_genus="4"), "genus 3 != claimed 4"),
+        # x^4 + y^4 is singular at (0:0:1), which is a rational point
+        (entry_text(kind='"plane_quartic"', f=None,
+                    terms="[[4, 0, 0, 1], [0, 4, 0, 1]]",
+                    claimed_pointless="false"), "quartic is singular"),
+        (entry_text(claimed_pointless="false"),
+         "claimed not pointless but N1 = 0"),
+        # the curve of trigonal-genus4-q3, which is trigonal
+        (entry_text(p="3", kind='"fiber_product"', f="[-1, -1, 0, 1]",
+                    g="[-1, 1, 0, -1]", claimed_genus="4",
+                    claimed_trigonal="false"), "trigonal = True != claimed"),
+    ], ids=["genus", "singular", "not_pointless", "trigonal"])
+    def test_each_failure_row(self, text, failure):
+        report = verify(load_fixture_text(text), K=1)
+        (row,) = report.entries
+        assert row["verdict"] == "fail" and row["failures"] == [failure]
+        assert report.exit_status == 1
 
     def test_deep_count_claims(self):
         wanted = {"klein4-genus3-q25": [0, 540]}

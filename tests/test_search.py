@@ -339,16 +339,30 @@ class TestKlein4Odd:
             model = Poly(F23, [F23.from_index(i) for i in s["model"]])
             assert HyperellipticOdd(F23, model).count(1) == 0
 
-    def test_filter_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(HyperellipticOdd, "count", lambda self, i=1: 1)
-        with pytest.raises(FilterDisagreement):
-            search_klein4_hyper_odd(F5, 1, mode="census")
-
     def test_deterministic(self):
         a = search_klein4_hyper_odd(F5, 1, mode="census").to_json()
         b = search_klein4_hyper_odd(F5, 1, mode="census").to_json()
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
+
+
+# every engine whose filter claims exactness raises on the first pass the
+# model does not confirm: here the model counts one point on every curve
+@pytest.mark.parametrize("model, run", [
+    (HyperellipticOdd,
+     lambda: search_klein4_hyper_odd(F5, 1, mode="census")),
+    (PlaneQuartic, lambda: search_diagonal_quartic(F5, mode="census")),
+    (FiberProductGenus4, lambda: search_fiberproduct(F3, mode="census")),
+    (HyperellipticOdd,
+     lambda: search_exhaustive_hyper_genus3(F9, mode="first_find")),
+    (ArtinSchreierCurve,
+     lambda: search_hyper_genus4_char2(F2, mode="census")),
+], ids=["klein4_hyper_odd@F5", "diagonal_quartic@F5", "fiberproduct@F3",
+        "exhaustive_hyper_genus3@F9", "hyper_genus4_char2@F2"])
+def test_filter_disagreement_raises(monkeypatch, model, run):
+    monkeypatch.setattr(model, "count", lambda self, i=1: 1)
+    with pytest.raises(FilterDisagreement, match="rational points"):
+        run()
 
 
 class TestKlein4Even:
@@ -359,6 +373,20 @@ class TestKlein4Even:
                 and s["f_den"] == [1, 1, 1, 1, 1]]
         # y^2 + y = (x^4 + x^2 + 1)/(x^4 + x^3 + x^2 + x + 1)
         assert len(hits) == 1
+
+    def test_f4_accepted_candidates_have_genus_3(self, monkeypatch):
+        # the engine tests no genus: every pair the model accepts has
+        # den squarefree of degree 4 and no pole at infinity
+        genera = []
+
+        class Recorded(ArtinSchreierCurve):
+            def __init__(self, base, f):
+                super().__init__(base, f)
+                genera.append(self.genus)
+
+        monkeypatch.setattr(search, "ArtinSchreierCurve", Recorded)
+        search_klein4_hyper_even(F4, mode="census")
+        assert len(genera) == 468 and set(genera) == {3}
 
     def test_odd_char_rejected(self):
         with pytest.raises(OddCharacteristic):
@@ -515,6 +543,24 @@ class TestExhaustiveHyperGenus3:
     def test_budget_deterministic(self):
         with pytest.raises(BudgetExceeded):
             search_exhaustive_hyper_genus3(F13, mode="census", budget=500)
+
+    @pytest.mark.parametrize("drop", [0, 1], ids=["all", "first_dropped"])
+    def test_census_certificate(self, monkeypatch, drop):
+        # a join that yields only the inseparable passes exhausts with
+        # N4(9) = 2286 of them; one pass short, the certificate raises
+        f_of, width, codes = search._census_join(F9)
+        kept = [code for code in codes
+                if not _kernel(F9).is_separable(f_of(code))]
+        monkeypatch.setattr(search, "_census_join",
+                            lambda F: (f_of, width, kept[drop:]))
+        if drop:
+            with pytest.raises(FilterDisagreement, match="not N4"):
+                search_exhaustive_hyper_genus3(F9, mode="census")
+        else:
+            r = search_exhaustive_hyper_genus3(F9, mode="census")
+            assert r.kill_counts["degenerate"] == 2286 == \
+                math.comb(9, 2) * 81 - math.comb(9, 3) * 9 + math.comb(9, 4)
+            assert r.survivors == []
 
 
 def _fe_pgl2_key(F, f):
