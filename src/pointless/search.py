@@ -51,7 +51,9 @@ over the nonsquares; one form for the leading coefficient and one per
 remaining field element) run on it.
 The census checks its join by the count of its inseparable passes and
 deduplicates its survivors under PGL2 and square scaling on index lists,
-walking each orbit once per class, not once per survivor.  The genus-4
+walking each orbit on logs once per class, not once per survivor; it
+counts each class over F_q^2 and F_q^3 once, recounts a second member,
+and checks that the survivors are closed under the action.  The genus-4
 char-2 census enumerates one conductor per class under x -> ax + b and
 checks its enumeration by the Gauss count of all conductors.
 """
@@ -63,6 +65,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import product, zip_longest
 from math import comb, gcd, inf, prod
+from operator import add
 
 from .curves import (
     ArtinSchreierCurve,
@@ -497,43 +500,58 @@ def search_fiberproduct(F, mode="first_find", budget=None):
 # exhaustive genus-3 hyperelliptic census (odd q > 7)
 # ---------------------------------------------------------------------------
 
-def _taylor_shift(kern, f, t):
-    """f(x + t) for the index polynomial f (constant term first)."""
-    f = list(f)
-    mul, add = kern.mul, kern.add
-    for i in range(len(f) - 1):
-        for j in range(len(f) - 2, i - 1, -1):
-            f[j] = add(f[j], mul(t, f[j + 1]))
-    return f
+def _taylor_shifts(kern, f):
+    """f(x + t) for each t = 0..q-1 in turn, f an index polynomial
+    (constant term first).  Coefficient k of f(x + t) is the k-th Hasse
+    derivative sum_i C(i, k) f_i x^(i - k) of f at t; the index of the
+    integer C(i, k) mod p is itself."""
+    p, mul, horner = kern.p, kern.mul, kern.horner
+    hasse = [[mul(comb(i, k) % p, c) for i, c in enumerate(f) if i >= k]
+             for k in range(len(f))]
+    for t in range(kern.q):
+        yield [horner(d, t) for d in hasse]
 
 
 def _pgl2_orbit(kern, f):
-    """g = (cx + d)^8 f((ax + b)/(cx + d)) up to a square factor, as index
-    lists, for each of the q^3 - q normalised (a, b, c, d) (first nonzero
-    entry 1, ad - bc != 0) that keeps deg g = 8; f is a degree-8 index
-    list.
+    """The square class tuple (_square_class_canonical) of
+    g = (cx + d)^8 f((ax + b)/(cx + d)) for each of the q^3 - q normalised
+    (a, b, c, d) (first nonzero entry 1, ad - bc != 0) that keeps
+    deg g = 8; f is a degree-8 index list.
 
     (1, b, c, d) is (1, 0; c, 1)(1, b; 0, e) with e = d - bc.  The first
     factor turns f into rev(rev(f)(x + c)), rev reversing the 9
     coefficients; the second into e^8 h((x + b)/e), which is e^8 times
     h(x + b/e) with x scaled by 1/e.  (0, 1, c, d) gives rev(f)(cx + d):
     rev(f) shifted by d, x scaled by c.  So each of the q + 1 bases is
-    shifted by every t and scaled by every u != 0."""
-    q = kern.q
-    mul = kern.mul
+    shifted by every t and scaled by every u != 0.
+
+    The scaling and the square class multiplier are multiplications, so
+    they run on logs.  With h the shifted base and h_j its first nonzero
+    coefficient, the member for u has coefficient i
+    exp[log h_i - log h_j + (i - j) log u], times nu when the scaled lead
+    h_j u^j is a nonsquare, that is when log h_j + j log u is odd."""
+    n1, log = kern.n1, kern.log
+    lnu = log[kern.nonsquare]
+    # get reads exp over two periods, then zeros: a zero coefficient takes
+    # the log 2 n1, which a step below n1 keeps past the periods
+    get = (list(kern.exp) + [0] * n1).__getitem__
+    zero = 2 * n1
+    # steps[j][log u][i] = (i - j) log u mod n1
+    steps = [[[(i - j) * lu % n1 for i in range(9)] for lu in range(n1)]
+             for j in range(9)]
     rev = f[::-1]
-    bases = [_taylor_shift(kern, rev, c)[::-1] for c in range(q)] + [rev]
-    powers = [[1] * 9 for _ in range(q)]
-    for u in range(1, q):
-        for i in range(1, 9):
-            powers[u][i] = mul(powers[u][i - 1], u)
+    bases = [h[::-1] for h in _taylor_shifts(kern, rev)] + [rev]
     for base in bases:
         if not base[8]:
             continue            # a branch point went to infinity
-        for t in range(q):
-            h = _taylor_shift(kern, base, t)
-            for u in range(1, q):
-                yield [mul(c, w) for c, w in zip(h, powers[u])]
+        for h in _taylor_shifts(kern, base):
+            j = next(i for i, c in enumerate(h) if c)
+            lj = log[h[j]]
+            even = [(log[c] - lj) % n1 if c else zero for c in h]
+            odd = [v if v == zero else (v + lnu) % n1 for v in even]
+            yield from [tuple(map(get, map(add, odd if (lj + j * lu) & 1
+                                           else even, step)))
+                        for lu, step in enumerate(steps[j])]
 
 
 def _square_class_canonical(kern, nu, g):
@@ -550,16 +568,15 @@ def _pgl2_classes(kern, nu, models):
     """The PGL2 canonical key of each degree-8 index list in models, and
     the number of distinct keys.  The key of y^2 = f is its class under
     PGL2(F_q) acting on x and square scaling of f: the minimal square
-    class tuple over the orbit.  A model whose square class is not yet
-    known has its orbit walked, and every member's square class tuple is
+    class tuple over the orbit.  A model whose square class tuple is not
+    yet known has its orbit walked (_pgl2_orbit), and every member is
     mapped to the orbit minimum: one walk per class, not per model."""
     key_of = {}
     keys = []
     for f in models:
         tup = _square_class_canonical(kern, nu, f)
         if tup not in key_of:
-            members = {_square_class_canonical(kern, nu, g)
-                       for g in _pgl2_orbit(kern, f)}
+            members = set(_pgl2_orbit(kern, f))
             key_of.update(dict.fromkeys(members, min(members)))
         keys.append(key_of[tup])
     return keys, len(set(keys))
@@ -616,6 +633,19 @@ def _census_join(F):
         [kern.mul(w[0], ns[0]) for w in weights], nonsquare)
 
 
+@dataclass
+class _CensusClass:
+    """A PGL2 class met by the census: its key (the orbit minimum), its
+    size (the number of square class tuples in the orbit), the point
+    counts and zeta summary of its first survivor, and whether a second
+    survivor has been recounted against them."""
+    key: tuple
+    size: int
+    counts: list
+    zeta: dict
+    recounted: bool = False
+
+
 def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     """All pointless y^2 = f with f of degree 8, one per square class:
     f(0) is nu0 and the values at the nodes 1..8 range over the
@@ -633,9 +663,34 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     (c g(x) = f(x) / s(x)^2 is a nonsquare).  So an inseparable pass is
     c s^2 with s a monic quartic without a root in F_q, and each such s
     passes once, with c = nu0 / s(0)^2: N4(q) counts them by
-    inclusion-exclusion over root sets, sum_k (-1)^k C(q,k) q^(4-k).  This
-    checks the join as a whole; the survivor validation sees only the
-    passes the join yields."""
+    inclusion-exclusion over root sets, sum_k (-1)^k C(q,k) q^(4-k).
+
+    Survivors are validated per PGL2 class.  Every survivor is rebuilt as
+    a HyperellipticOdd and must have genus 3 and no rational point.  Its
+    f(0) = nu0 is the canonical nonsquare, so f is its own square class
+    tuple.  The first survivor of a class walks the class's orbit
+    (_pgl2_orbit), mapping every member to the class, and is counted over
+    F_q^2 and F_q^3 for the class's zeta summary; the second is counted
+    again, and counts that differ raise FilterDisagreement; later members
+    take the class's summary, as isomorphic curves have the same counts.
+
+    Closure: an exhausted census raises FilterDisagreement unless every
+    walked member is a survivor and the class sizes add up to the number
+    of survivors.  The survivors are closed under the action: a member g
+    of a survivor f's orbit is a square multiple of (cx + d)^8
+    f((ax + b)/(cx + d)) of degree 8, a model of a curve isomorphic to
+    y^2 = f over F_q (x -> (ax + b)/(cx + d), y -> s y/(cx + d)^4).  So
+    y^2 = g has no rational point: g is separable, lc(g) and every g(x)
+    are nonsquares, and the square class tuple takes g(0) to nu0.  That is
+    a separable pass of the join.  So on an exact join the survivors are
+    whole classes, and both checks hold.  A join that drops some but not
+    all of a class's separable passes fails them, since the class is
+    walked from a member it kept and the dropped ones are walked members
+    that are no survivors.  These checks see the survivors only; the
+    N4(q) count checks the join's inseparable passes.
+
+    A first_find run stops at its first survivor: it walks that one
+    orbit, for the key, and claims no closure."""
     if F.p == 2:
         raise EvenCharacteristic("odd-characteristic census")
     if F.q < 9:
@@ -644,6 +699,8 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     kern = _kernel(F)
     run = _Search("exhaustive_hyper_genus3", mode, budget)
     degenerate = 0
+    class_of = {}                     # walked member -> its _CensusClass
+    met = []                          # the classes, in the order met
     for f_of, code in run.walk([_census_join(F)]):
         coeffs = f_of(code)
         if not kern.is_separable(coeffs):
@@ -653,21 +710,40 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)
-        counts = [0] + [curve.count(i) for i in (2, 3)]
-        run.keep({"f": coeffs}, zeta_report(q, 3, counts).to_json())
-    n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
-    if not run.stopped and degenerate != n4:
-        raise FilterDisagreement(f"F_{q} census: {degenerate} inseparable "
-                                 f"passes, not N4(q) = {n4}")
-    # census dedup under PGL2 + square scaling
-    keys, classes = _pgl2_classes(kern, kern.nonsquare,
-                                  [s["f"] for s in run.survivors])
-    for s, key in zip(run.survivors, keys):
-        s["iso_class_key"] = list(key)
+        cls = class_of.get(tuple(coeffs))
+        if cls is None:
+            members = set(_pgl2_orbit(kern, coeffs))
+            counts = [0] + [curve.count(i) for i in (2, 3)]
+            cls = _CensusClass(min(members), len(members), counts,
+                               zeta_report(q, 3, counts).to_json())
+            class_of.update(dict.fromkeys(members, cls))
+            met.append(cls)
+        elif not cls.recounted:
+            cls.recounted = True
+            counts = [0] + [curve.count(i) for i in (2, 3)]
+            if counts != cls.counts:
+                raise FilterDisagreement(
+                    f"F_{q} census: the recount of survivor {coeffs} gives "
+                    f"{counts}, but its class {list(cls.key)} has "
+                    f"{cls.counts}")
+        run.keep({"f": coeffs, "iso_class_key": list(cls.key)}, cls.zeta)
+    if not run.stopped:
+        n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
+        if degenerate != n4:
+            raise FilterDisagreement(f"F_{q} census: {degenerate} "
+                                     f"inseparable passes, not N4(q) = {n4}")
+        survivors = {tuple(s["f"]) for s in run.survivors}
+        sizes = sum(cls.size for cls in met)
+        if not class_of.keys() <= survivors or sizes != len(run.survivors):
+            raise FilterDisagreement(
+                f"F_{q} census: the survivors are not closed under PGL2: "
+                f"{len(class_of.keys() - survivors)} walked members are no "
+                f"survivors, and the {len(met)} classes hold {sizes} "
+                f"members for {len(run.survivors)} survivors")
     return run.report({"q": q, "mode": mode},
                       _fingerprint("exhaustive_hyper_genus3", q,
                                    "f0-nu0-nodes-1..8-nonsquare-odometer"),
-                      dedup_classes=classes,
+                      dedup_classes=len(met),
                       kill_counts={"join_passes": run.passes,
                                    "degenerate": degenerate})
 
@@ -805,6 +881,22 @@ def _scaled(kern, f, la):
             for i, c in enumerate(f)]
 
 
+def _rootless(kern, f, k):
+    """The c, ascending, for which f + c x^k has no root in the char-2
+    field of kern: a root x has c x^k = f(x), so x = 0 with k > 0 is a
+    root for every c or for none, and any other x for c = f(x) / x^k
+    alone."""
+    hit = set()
+    for x in range(kern.q):
+        xk = kern.exp[kern.log[x] * k % kern.n1] if x else int(not k)
+        v = kern.horner(f, x)
+        if xk:
+            hit.add(kern.mul(v, kern.inv(xk)))
+        elif not v:
+            return []
+    return [c for c in range(kern.q) if c not in hit]
+
+
 def _affine_conductors(kern):
     """The degree-5 conductors over the char-2 index kernel kern, one per
     class under the maps x -> ax + b (a != 0): (shape, parts, orbit), parts
@@ -817,30 +909,37 @@ def _affine_conductors(kern):
     The normal form has c_{d-1} = 0, the anchor's c_0 the least index of
     its class modulo d-th powers, and (anchor, then p2) the least index
     tuple over its images under mu_d = {a : a^d = 1}, the scalings that
-    keep both c_{d-1} = 0 and c_0.  The anchors are enumerated directly, c_0 class by class
-    and c_1..c_{d-2} in odometer order; each cubic anchor is paired with
-    every monic irreducible quadratic, in odometer order."""
+    keep both c_{d-1} = 0 and c_0.  The anchors are enumerated directly,
+    c_0 class by class and c_1..c_{d-2} in odometer order; each cubic
+    anchor is paired with every monic irreducible quadratic, in odometer
+    order.
+
+    Irreducibility is read off roots first (_rootless): a quadratic or a
+    cubic is irreducible iff it has no root in F_q, and only a rootless
+    quintic, which may be a quadratic times a cubic, goes to Ben-Or."""
     q, n1 = kern.q, kern.n1
-    irreducible = kern.is_irreducible
     for shape, d in (("5", 5), ("2+3", 3)):
         partners = [[]] if d == 5 else [
-            [[c0, c1, 1]] for c1 in range(q) for c0 in range(q)
-            if irreducible([c0, c1, 1])]
+            [[c0, c1, 1]] for c1 in range(q)
+            for c0 in _rootless(kern, [0, c1, 1], 0)]
         g = gcd(d, n1)
         mu = [k * n1 // g for k in range(g)]      # the logs of mu_d
         least = {}                                 # class of c_0 -> least c_0
         for c in range(1, q):
             least.setdefault(kern.log[c] % g, c)
-        for c0, code in product(least.values(), range(q ** (d - 2))):
-            anchor = [c0] + _digits(code, q, d - 2) + [0, 1]
-            if not irreducible(anchor):
-                continue
-            for rest in partners:
-                images = [[_scaled(kern, f, la) for f in [anchor] + rest]
-                          for la in mu]
-                if min(images) == images[0]:
-                    yield (shape, rest + [anchor],
-                           q * n1 // images.count(images[0]))
+        for c0, code in product(least.values(), range(q ** (d - 3))):
+            # c_2..c_{d-2}; c_1, the fastest digit, runs over the rootless
+            high = _digits(code, q, d - 3) + [0, 1]
+            for c1 in _rootless(kern, [c0, 0] + high, 1):
+                anchor = [c0, c1] + high
+                if d == 5 and not kern.is_irreducible(anchor):
+                    continue
+                for rest in partners:
+                    images = [[_scaled(kern, f, la) for f in [anchor] + rest]
+                              for la in mu]
+                    if min(images) == images[0]:
+                        yield (shape, rest + [anchor],
+                               q * n1 // images.count(images[0]))
 
 
 def _trace_matrix_kernel(kern, m):

@@ -563,16 +563,95 @@ class TestExhaustiveHyperGenus3:
             assert r.survivors == []
 
 
-def _fe_pgl2_key(F, f):
-    """The PGL2 canonical key as a FieldElement computation: every
-    normalised (a, b, c, d) from a q^4 scan, g = (cx+d)^8 f((ax+b)/(cx+d))
-    by Poly products, and the minimal index tuple over the s^2 g.  The
-    reference the index-kernel key must equal.  The powers of ax + b and
-    cx + d are built one product at a time, 7 products each."""
+    @staticmethod
+    @functools.cache
+    def _one_class_join(F):
+        """The census join cut down to its inseparable passes and the
+        separable passes of the first survivor's class, the class read off
+        the reference orbit: (f_of, width, the cut-down join's codes, the
+        class's codes, the first separable pass outside the class)."""
+        kern = _kernel(F)
+        f_of, width, codes = search._census_join(F)
+        f = first_find(F, "exhaustive_hyper_genus3").survivors[0]["f"]
+        members = _fe_pgl2_orbit(F, Poly(F, [F.from_index(i) for i in f]))
+        kept, ours, outsider = [], [], None
+        for code in codes:
+            g = f_of(code)
+            if not kern.is_separable(g):
+                kept.append(code)
+            elif tuple(g) in members:
+                kept.append(code)
+                ours.append(code)
+            elif outsider is None:
+                outsider = tuple(g)
+        return f_of, width, tuple(kept), tuple(ours), outsider
+
+    @pytest.mark.parametrize("drop", [False, True],
+                             ids=["whole", "one_dropped"])
+    def test_closure_certificate(self, monkeypatch, drop):
+        # a join of the inseparable passes and one class's separable passes
+        # exhausts with that class alone; one of those passes short, the
+        # class is walked from the others, and the dropped one is a walked
+        # member that is no survivor
+        f_of, width, kept, ours, _ = self._one_class_join(F9)
+        if drop:
+            kept = [code for code in kept if code != ours[len(ours) // 2]]
+        monkeypatch.setattr(search, "_census_join",
+                            lambda F: (f_of, width, kept))
+        if drop:
+            with pytest.raises(FilterDisagreement, match="not closed"):
+                search_exhaustive_hyper_genus3(F9, mode="census")
+        else:
+            r = search_exhaustive_hyper_genus3(F9, mode="census")
+            assert (len(r.survivors), r.dedup_classes) == (len(ours), 1)
+
+    def test_closure_certificate_fires_on_a_non_member(self, monkeypatch):
+        # an orbit walk with one member replaced by a survivor of another
+        # class walks a member that is no survivor of the cut-down join
+        f_of, width, kept, _, outsider = self._one_class_join(F9)
+        walk = search._pgl2_orbit
+
+        def with_outsider(kern, f):
+            members = list(walk(kern, f))
+            members[len(members) // 2] = outsider
+            return members
+
+        monkeypatch.setattr(search, "_census_join",
+                            lambda F: (f_of, width, kept))
+        monkeypatch.setattr(search, "_pgl2_orbit", with_outsider)
+        with pytest.raises(FilterDisagreement, match="not closed|recount"):
+            search_exhaustive_hyper_genus3(F9, mode="census")
+
+    def test_f9_census_is_pinned(self):
+        # the whole F_9 census: 26,955 survivors in 54 classes, each key the
+        # least survivor of its class, and the report, minus wall_time, as
+        # it was when every survivor was counted on its own
+        r = search_exhaustive_hyper_genus3(F9, mode="census").to_json()
+        r.pop("wall_time")
+        assert (len(r["survivors"]), r["dedup_classes"]) == (26955, 54)
+        classes = {}
+        for s in r["survivors"]:
+            classes.setdefault(tuple(s["iso_class_key"]), []).append(
+                tuple(s["f"]))
+        assert len(classes) == 54
+        assert all(min(fs) == key for key, fs in classes.items())
+        text = json.dumps(r, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            "924c9742e0b38267"
+
+
+@functools.cache
+def _fe_pgl2_orbit(F, f):
+    """The PGL2 orbit as a FieldElement computation: every normalised
+    (a, b, c, d) from a q^4 scan, g = (cx+d)^8 f((ax+b)/(cx+d)) by Poly
+    products, and the set, over the g of degree 8, of the minimal index
+    tuple over the s^2 g.  The reference the index-kernel walk must equal.
+    The powers of ax + b and cx + d are built one product at a time, 7
+    products each."""
     elems = list(F.elements())
     squares = {s * s for s in elems if not s.is_zero()}
     one = Poly(F, [F.one])
-    best = None
+    members = set()
     for a in elems:
         for b in elems:
             for c in elems:
@@ -592,11 +671,16 @@ def _fe_pgl2_key(F, f):
                         g = g + num_pows[i] * den_pows[8 - i] * coef
                     if g.degree != 8:
                         continue
-                    for s2 in squares:
-                        key = tuple(F.index(v * s2) for v in g.coeffs)
-                        if best is None or key < best:
-                            best = key
-    return best
+                    members.add(min(tuple(F.index(v * s2) for v in g.coeffs)
+                                    for s2 in squares))
+    return members
+
+
+def _fe_pgl2_key(F, f):
+    """The PGL2 canonical key as a FieldElement computation: the least
+    member of _fe_pgl2_orbit.  The reference the index-kernel key must
+    equal."""
+    return min(_fe_pgl2_orbit(F, f))
 
 
 def _random_octic(F, rng):
@@ -637,6 +721,19 @@ class TestExhaustiveKernel:
             kern, nu, members + [_random_octic(F, rng)] + [f])
         assert keys[:4] == [key] * 4 and keys[-1] == key
         assert classes == (2 if keys[4] != key else 1)
+
+    @pytest.mark.parametrize("F", [F9, F11], ids=["F9", "F11"])
+    def test_orbit_equals_field_element_orbit(self, F):
+        # the walk's member tuples, read off logs, are the reference's
+        # square class tuples; an octic with c0 = 0 has members whose
+        # first nonzero entry lies past index 0, and a root at 0 that some
+        # bases move to infinity
+        kern = _kernel(F)
+        octic = [0] + _random_octic(F, random.Random(11 * F.q))[1:]
+        survivor = first_find(F, "exhaustive_hyper_genus3").survivors[0]["f"]
+        for f in (survivor, octic):
+            fe = Poly(F, [F.from_index(i) for i in f])
+            assert set(search._pgl2_orbit(kern, f)) == _fe_pgl2_orbit(F, fe)
 
     @pytest.mark.parametrize("F", [F9, F11, F13], ids=["F9", "F11", "F13"])
     def test_node_basis_equals_element_interpolation(self, F):
