@@ -52,7 +52,10 @@ partials, their restrictions to the line z = 0 and the chart z = 1, and
 the resultants in y of the chart polynomials (a Bareiss determinant whose
 entries are index polynomials in x).  A common root of those resultants
 is tested over its residue field F_q[x]/(piece), whose elements are index
-polynomials reduced mod the irreducible piece (_Kernel.residue_gcd).
+polynomials reduced mod the irreducible piece (_Kernel.residue_gcd).  A
+diagonal quartic Q(x^2, y^2, z^2) (p odd) has a closed form instead, four
+tests on the coefficients of the conic Q (_diagonal_smooth), which the
+diagonal engine and the Monte-Carlo's diagonal_quartic both call.
 
 The special places of a tower (poles of the second stage, ramified and
 pole places of the first) run on the same kernel: their local expansions
@@ -411,6 +414,36 @@ class PlaneQuartic:
         if not rows[0][4]:
             total += 1
         return total
+
+
+def _diagonal_smooth(kern, a, b, c, d, e, f):
+    """Whether F = Q(x^2, y^2, z^2) is smooth, for the conic Q = aX^2 +
+    bY^2 + cZ^2 + dXY + eXZ + fYZ with a, b, c != 0 given as kernel indices
+    (p odd): iff Delta = 4abc - af^2 - be^2 - cd^2 + def != 0, d^2 != 4ab,
+    e^2 != 4ac and f^2 != 4bc.
+
+    F_x = 2x Q_X(x^2, y^2, z^2), and likewise in y and z; by Euler's
+    formula (4 != 0) a singular point of F is a common zero of the three
+    partials.  Delta is half the determinant of Q's symmetric matrix, so
+    Delta = 0 iff Q_X, Q_Y, Q_Z share a zero (X:Y:Z), and any square roots
+    (x:y:z) of it are a singular point of F.  A singular point with no
+    zero coordinate has Q_X = Q_Y = Q_Z = 0 at (x^2:y^2:z^2), a singular
+    point of the conic.  One with exactly one, say z = 0, has Q_X = Q_Y =
+    0 at (x^2:y^2:0), a double root of Q(X, Y, 0) = aX^2 + dXY + bY^2 on
+    that coordinate line, which exists iff d^2 = 4ab; its roots X = d,
+    Y = -2a are then both nonzero (d = 0 would force ab = 0), so their
+    square roots are such a point.  Two zero coordinates cannot occur: at
+    (1:0:0), F_x = 4a != 0, and likewise F_y = 4b at (0:1:0) and F_z = 4c
+    at (0:0:1)."""
+    mul, sub = kern.mul, kern.sub
+    four = 4 % kern.p               # the index of an integer k < p is k
+    if any(mul(w, w) == mul(four, mul(u, v))
+           for u, v, w in ((a, b, d), (a, c, e), (b, c, f))):
+        return False
+    delta = kern.add(mul(four, mul(a, mul(b, c))), mul(d, mul(e, f)))
+    for u, v in ((a, f), (b, e), (c, d)):
+        delta = sub(delta, mul(u, mul(v, v)))
+    return delta != 0
 
 
 def _involution_row(rows, p):

@@ -13,8 +13,10 @@ whether the member drawn from one sub-seeded stream is pointless.
 klein4_hyper_odd judges its draws on the field's index kernel alone: five
 indices give g, and y^2 = g(x^2) is judged by HyperellipticOdd's own rule
 for an even f (curves._even_squarefree, curves._even_fibres), once per
-distinct g per call.  The other two families build their curve for each
-draw and count its points.
+distinct g per call.  diagonal_quartic rerolls a singular draw by the
+diagonal engine's closed form (curves._diagonal_smooth) and builds and
+counts only a smooth one; fiberproduct builds its curve for each draw and
+counts its points.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from fractions import Fraction
 from .curves import (
     FiberProductGenus4,
     PlaneQuartic,
+    _diagonal_smooth,
     _even_fibres,
     _even_squarefree,
 )
@@ -334,16 +337,21 @@ def _klein4_hyper_odd(F):
 
 
 def _diagonal_quartic(F):
+    """Set-up of diagonal_quartic: a x^4 + b y^4 + c z^4 + d x^2 y^2 +
+    e x^2 z^2 + g y^2 z^2 with a, b, c drawn from the units, rerolled
+    while singular (curves._diagonal_smooth)."""
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics are singular in char 2")
+    kern = _kernel(F)
 
     def sample(rng):
         while True:
             a, b, c = (1 + rng.below(F.q - 1) for _ in range(3))
             d, e, g = (rng.below(F.q) for _ in range(3))
-            C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b, (0, 0, 4): c,
-                                 (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): g})
-            if C.is_smooth():
+            if _diagonal_smooth(kern, a, b, c, d, e, g):
+                C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b,
+                                     (0, 0, 4): c, (2, 2, 0): d,
+                                     (2, 0, 2): e, (0, 2, 2): g})
                 return C.count(1) == 0
     return sample
 

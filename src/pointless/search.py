@@ -72,6 +72,7 @@ from .curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _diagonal_smooth,
     _scalar,
 )
 from .elliptic import (
@@ -395,7 +396,12 @@ def _diagonal_quartic(F, b, c, d, e, f):
 
 
 def search_diagonal_quartic(F, mode="first_find", budget=None):
-    """x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2 (a = 1 WLOG)."""
+    """x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2 (a = 1 WLOG).
+
+    Both filters are exact: pointlessness by the conic's points with
+    square coordinates (_diagonal_has_point), then smoothness by the
+    conic's coefficients (curves._diagonal_smooth).  A survivor the model
+    finds singular or with a rational point raises FilterDisagreement."""
     if F.p == 2:
         raise EvenCharacteristic("diagonal quartics need odd characteristic")
     run = _Search("diagonal_quartic", mode, budget)
@@ -406,12 +412,15 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
     bcdef = ((b, c, d, e, f) for b, c, f, e, d
              in product(units, units, values, values, values))
     for coeffs, _ in run.walk(_each(bcdef)):
-        if _diagonal_has_point(kern, *coeffs):
+        if (_diagonal_has_point(kern, *coeffs)
+                or not _diagonal_smooth(kern, 1, *coeffs)):
             continue
         C = _diagonal_quartic(F, *coeffs)
-        if not C.is_smooth():
-            continue
         entry = {"coeffs": [1, *coeffs]}
+        if not C.is_smooth():
+            raise FilterDisagreement(
+                f"diagonal_quartic over F_{F.q}: the smoothness filter "
+                f"passed {entry}, but the curve is singular")
         if C.count(1) != 0:
             raise _disagreement("diagonal_quartic", F.q, entry, C)
         counts = [0] + [C.count(i) for i in (2, 3)]
@@ -430,20 +439,47 @@ def _char2_family_quartic(F, beta, gamma):
                             (1, 2, 1): beta, (1, 1, 2): beta})
 
 
+def _char2_pointless_gammas(kern, beta):
+    """The gamma for which the char-2 family member at beta has no
+    rational point.  On z = 0 it is (x^2 + sqrt(beta) xy + y^2)^2, which
+    has a rational point iff beta = 0 or Tr(1/beta) = 0 (x = sqrt(beta) t
+    turns x^2 + sqrt(beta) x + 1 into t^2 + t = 1/beta): then there are
+    none.  Otherwise they are the gamma outside V_beta = {u^2 + beta uv +
+    v^2 : u, v in T_0}, T_0 = {x^2 + x} the trace-zero subgroup, as x^2 +
+    x and y^2 + y range over T_0 in the chart z = 1."""
+    if not beta or not kern.trace(kern.inv(beta)):
+        return set()
+    mul = kern.mul
+    t0 = {mul(x, x) ^ x for x in range(kern.q)}
+    return set(range(kern.q)) - {mul(u, u) ^ mul(beta, mul(u, v)) ^ mul(v, v)
+                                 for u in t0 for v in t0}
+
+
 def search_quartic_char2(F, mode="first_find", budget=None):
+    """(x^2+xz)^2 + beta (x^2+xz)(y^2+yz) + (y^2+yz)^2 + gamma z^4 over
+    F_{2^n}.  The filter is exact (_char2_pointless_gammas, built once per
+    beta the walk reaches): a survivor the model counts a point on raises
+    FilterDisagreement.  Smoothness is the model's."""
     if F.p != 2:
         raise OddCharacteristic("characteristic-2 quartic family")
     run = _Search("quartic_char2", mode, budget)
+    kern = _kernel(F)
+    pointless = {}
     # beta runs fastest
     pairs = ((beta, gamma) for gamma, beta in product(range(F.q), repeat=2))
     for (beta, gamma), _ in run.walk(_each(pairs)):
-        C = _char2_family_quartic(F, beta, gamma)
-        # the point count kills nearly every candidate and costs far less
-        # than the resultants of the smoothness test, so it goes first
-        if C.count(1) != 0 or not C.is_smooth():
+        if beta not in pointless:
+            pointless[beta] = _char2_pointless_gammas(kern, beta)
+        if gamma not in pointless[beta]:
             continue
-        run.keep({"beta": beta, "gamma": gamma},
-                 {"q": F.q, "counts": [0, C.count(2)]})
+        C = _char2_family_quartic(F, beta, gamma)
+        entry = {"beta": beta, "gamma": gamma}
+        # the model confirms the filter's verdict, then judges smoothness
+        if C.count(1) != 0:
+            raise _disagreement("quartic_char2", F.q, entry, C)
+        if not C.is_smooth():
+            continue
+        run.keep(entry, {"q": F.q, "counts": [0, C.count(2)]})
     return run.report({"q": F.q, "mode": mode},
                       _fingerprint("quartic_char2", F.q, "beta-gamma-odometer"))
 

@@ -1,6 +1,7 @@
 """Curve models: pinned paper point counts plus structural properties."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from pointless.curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _diagonal_smooth,
     _extension,
     _resultant_y,
     _tower_place_points,
@@ -493,6 +495,42 @@ class TestPlaneQuartic:
         for bad in (coeffs + [1], coeffs[:3], []):
             with pytest.raises(UnsupportedShape):
                 PlaneQuartic(F5, bad)
+
+    def test_diagonal_closed_form_every_tuple_at_f3(self):
+        # all 8 * 27 tuples with a, b, c units: the four closed-form
+        # conditions against the resultant test
+        kern = _kernel(F3)
+        verdicts = set()
+        for a, b, c in product(range(1, 3), repeat=3):
+            for d, e, f in product(range(3), repeat=3):
+                smooth = diag_quartic(F3, a, b, c, d, e, f).is_smooth()
+                assert _diagonal_smooth(kern, a, b, c, d, e, f) == smooth
+                verdicts.add(smooth)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("F", [F5, F7, F9], ids=lambda F: f"F{F.q}")
+    def test_diagonal_closed_form_seeded(self, F):
+        # 300 seeded tuples with a general unit a; in three of every four
+        # one of d, e, f is set, where it can be, to a root of d^2 = 4ab,
+        # e^2 = 4ac or f^2 = 4bc, so each line condition is met as well as
+        # Delta = 0
+        kern = _kernel(F)
+        mul = kern.mul
+        rng = random.Random(4400 + F.q)
+        verdicts = set()
+        for n in range(300):
+            a, b, c = (rng.randrange(1, F.q) for _ in range(3))
+            co = [a, b, c] + [rng.randrange(F.q) for _ in range(3)]
+            if n % 4:
+                u, v = ((a, b), (a, c), (b, c))[n % 4 - 1]
+                square = mul(4 % F.p, mul(u, v))
+                co[2 + n % 4] = next(
+                    (r for r in range(F.q) if mul(r, r) == square),
+                    co[2 + n % 4])
+            smooth = diag_quartic(F, *co).is_smooth()
+            assert _diagonal_smooth(kern, *co) == smooth, co
+            verdicts.add(smooth)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("F, c", [(F7, 7), (F7, -1), (F9, -4), (F9, 81)],
                              ids=["F7:q", "F7:-1", "F9:-4", "F9:81"])

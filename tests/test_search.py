@@ -357,8 +357,10 @@ class TestKlein4Odd:
      lambda: search_exhaustive_hyper_genus3(F9, mode="first_find")),
     (ArtinSchreierCurve,
      lambda: search_hyper_genus4_char2(F2, mode="census")),
+    (PlaneQuartic, lambda: search_quartic_char2(F4, mode="census")),
 ], ids=["klein4_hyper_odd@F5", "diagonal_quartic@F5", "fiberproduct@F3",
-        "exhaustive_hyper_genus3@F9", "hyper_genus4_char2@F2"])
+        "exhaustive_hyper_genus3@F9", "hyper_genus4_char2@F2",
+        "quartic_char2@F4"])
 def test_filter_disagreement_raises(monkeypatch, model, run):
     monkeypatch.setattr(model, "count", lambda self, i=1: 1)
     with pytest.raises(FilterDisagreement, match="rational points"):
@@ -414,6 +416,13 @@ class TestDiagonalQuartic:
                 assert _diagonal_has_point(kern, b, c, d, e, f) == \
                     (C.count(1) > 0)
 
+    def test_singular_survivor_raises(self, monkeypatch):
+        # the smoothness filter is exact too: a survivor the model calls
+        # singular is a disagreement, not a skip
+        monkeypatch.setattr(PlaneQuartic, "is_smooth", lambda self: False)
+        with pytest.raises(FilterDisagreement, match="singular"):
+            search_diagonal_quartic(F5, mode="first_find")
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             search_diagonal_quartic(F13, mode="census", budget=50)
@@ -429,6 +438,21 @@ class TestQuarticChar2:
         # (beta, gamma) = (a, a^2) with a^2 + a + 1 = 0
         a = F4.element("a")
         assert {"beta": F4.index(a), "gamma": F4.index(a * a)} in r.survivors
+
+    @pytest.mark.parametrize("F", [F2, F4, F8, FiniteField(2, 4, [1, 1, 0, 0, 1])],
+                             ids=["F2", "F4", "F8", "F16"])
+    def test_pointless_gammas_agree_with_the_model(self, F):
+        # the closed-form verdict against count(1) at every (beta, gamma)
+        kern = _kernel(F)
+        verdicts = set()
+        for beta in range(F.q):
+            got = search._char2_pointless_gammas(kern, beta)
+            for gamma in range(F.q):
+                C = search._char2_family_quartic(F, beta, gamma)
+                pointless = C.count(1) == 0
+                assert (gamma in got) == pointless, (beta, gamma)
+                verdicts.add(pointless)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("F", [F2, F4, F8, FiniteField(2, 4, [1, 1, 0, 0, 1])],
                              ids=["F2", "F4", "F8", "F16"])
