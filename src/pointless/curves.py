@@ -9,8 +9,9 @@ Counting conventions (degree-1 places of the smooth model):
     counted through g: squarefree iff g is and g(0) != 0, and the x are 0
     and the two square roots of each nonzero square t, so the sum runs
     over the squares only, at half the degree.  That rule is written once,
-    as _even_squarefree and _even_fibres, which HyperellipticOdd and the
-    Monte-Carlo's klein4_hyper_odd both call.
+    as _even_squarefree and _even_fibres; the Monte-Carlo's
+    klein4_hyper_odd counts by _even_fibres too, and rerolls the g that
+    _even_squarefree refuses.
   * Artin-Schreier y^2 + y = f (char 2): each non-pole x contributes 2
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.

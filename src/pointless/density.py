@@ -11,26 +11,30 @@ actual pointless rates in the curve families.  Each family is a set-up,
 run once per montecarlo_pointless_rate call, that returns sample(rng):
 whether the member drawn from one sub-seeded stream is pointless.
 klein4_hyper_odd judges its draws on the field's index kernel alone: five
-indices give g, and y^2 = g(x^2) is judged by HyperellipticOdd's own rule
-for an even f (curves._even_squarefree, curves._even_fibres), once per
-distinct g per call.  diagonal_quartic rerolls a singular draw by the
-diagonal engine's closed form (curves._diagonal_smooth) and builds and
-counts only a smooth one; fiberproduct builds its curve for each draw and
-counts its points.
+indices give g, a g that HyperellipticOdd would refuse (g(0) = 0, or g
+inseparable) is rerolled, and y^2 = g(x^2) is counted fibre by fibre as
+the model counts an even f (curves._even_fibres), once per distinct g per
+call.  Separability is a lookup of g / lc(g) in a table, built once per
+call, of the q^3 inseparable monic quartics: those with a repeated root,
+(x - r)^2 (x^2 + s x + t) or (x^2 + u x + v)^2.  diagonal_quartic
+rerolls a singular draw by the diagonal engine's closed form
+(curves._diagonal_smooth) and builds and counts only a smooth one;
+fiberproduct builds its curve for each draw and counts its points.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .curves import (
     FiberProductGenus4,
     PlaneQuartic,
     _diagonal_smooth,
     _even_fibres,
-    _even_squarefree,
 )
 from .errors import (
     EvenCharacteristic,
+    FilterDisagreement,
     GroupTooLarge,
     NotTransitive,
     ParseError,
@@ -299,13 +303,58 @@ def klein4_hyper_odd_heuristic(q):
     return Fraction(1, 4) * Fraction(q - 1, 2 * q) ** ((q - 1) // 2)
 
 
+def _inseparable_monic_quartics(kern):
+    """The inseparable monic quartics over kern's field (p odd), each as
+    the tuple (c_0, c_1, c_2, c_3) of its coefficient indices.
+
+    A monic quartic h is inseparable when it has a repeated root.  A
+    repeated root in F_q gives (x - r)^2 (x^2 + s x + t); one outside
+    F_q has its conjugate as a second repeated root, so it is a root of an
+    irreducible m with m^2 | h: h = (x^2 + u x + v)^2.  The set holds
+    both kinds, and it has q^3 members, q^4 less the q^4 - q^3 squarefree
+    monic quartics; any other size raises FilterDisagreement.  For a fixed
+    r, (x^2 + a x + b)(x^2 + s x + t) with a = -2r and b = r^2 is affine
+    in (s, t): c_3 = s + a, c_2 = t + (a s + b), c_1 = a t + b s and
+    c_0 = b t, read off rows of the addition table."""
+    q, mul, add, add_row = kern.q, kern.mul, kern.add, kern.add_row
+    out = set()
+    for r in range(q):
+        a, b = kern.neg(add(r, r)), mul(r, r)
+        at = [mul(a, t) for t in range(q)]
+        bt = [mul(b, t) for t in range(q)]
+        for s in range(q):
+            c2 = add_row(add(mul(a, s), b))
+            c1 = add_row(mul(b, s))
+            out.update(zip(bt, map(c1.__getitem__, at), c2,
+                           repeat(add(s, a))))
+    for u in range(q):
+        uu = mul(u, u)
+        for v in range(q):
+            uv = mul(u, v)
+            out.add((mul(v, v), add(uv, uv), add(uu, add(v, v)), add(u, u)))
+    if len(out) != q ** 3:
+        raise FilterDisagreement(
+            f"F_{q}: {len(out)} inseparable monic quartics, not q^3 = "
+            f"{q ** 3}")
+    return frozenset(out)
+
+
 def _klein4_hyper_odd(F):
     """Set-up of klein4_hyper_odd: y^2 = f(x), f = g(x^2) of degree 8 (the
     Klein-four-symmetric family).  A draw is five indices below q, g_0
-    first; it is rerolled while g_4 = 0 or the HyperellipticOdd
-    constructor would refuse f (_even_squarefree).  Each distinct draw is
-    judged once per set-up: pointless when no fibre of _even_fibres has a
-    point, stopping at the first that has one.
+    first; it is rerolled while g_4 = 0, g_0 = 0 or g / g_4 is an
+    inseparable monic quartic, which are the draws the HyperellipticOdd
+    constructor refuses (f is squarefree iff g(0) != 0 and g is
+    separable).  Each distinct draw is judged once per set-up: pointless
+    when no fibre of _even_fibres has a point, stopping at the first that
+    has one.
+
+    The set-up builds the table of the q^3 inseparable monic quartics
+    (_inseparable_monic_quartics) with about q^3 kernel products; a draw
+    is made monic on logs, exp[log c - log g_4], and looked up in it.  The
+    table takes 1.2 ms at q = 13, 10 ms at q = 25 and 14-18 ms at q = 31
+    to build, the addition rows included (2-core Intel Xeon VM, Python
+    3.11), and holds 729 tuples at q = 9.
 
     The memo of judged draws pays off only when the draws are many next
     to the q^4 (q - 1) possible g: criterion 9's 100k samples repeat 98% /
@@ -315,10 +364,17 @@ def _klein4_hyper_odd(F):
     if F.p == 2:
         raise EvenCharacteristic("family needs odd characteristic")
     kern, q, seen = _kernel(F), F.q, {}
+    exp, log, n1 = kern.exp, kern.log, kern.n1
+    inseparable = _inseparable_monic_quartics(kern)
 
     def judge(g):
-        """None when f = g(x^2) is refused, else whether it is pointless."""
-        if not _even_squarefree(kern, g):
+        """None when g / g_4 is inseparable, else whether f = g(x^2) is
+        pointless."""
+        g0, g1, g2, g3, g4 = g
+        shift = n1 - log[g4]            # c -> c / g_4; g_0 != 0
+        if (exp[log[g0] + shift], g1 and exp[log[g1] + shift],
+                g2 and exp[log[g2] + shift],
+                g3 and exp[log[g3] + shift]) in inseparable:
             return None
         return not any(_even_fibres(kern, g, q))
 
@@ -326,7 +382,7 @@ def _klein4_hyper_odd(F):
         below = rng.below
         while True:
             g = (below(q), below(q), below(q), below(q), below(q))
-            if not g[4]:
+            if not (g[0] and g[4]):
                 continue
             hit = seen.get(g, seen)     # the dict itself marks "not yet seen"
             if hit is seen:

@@ -93,7 +93,8 @@ class BudgetExceeded(PointlessError):
 
 class FilterDisagreement(PointlessError):
     """A search filter passed a candidate that it claims to decide exactly,
-    and the exact curve model rejects it: the filter is wrong."""
+    and the exact curve model rejects it, or a filter misses the
+    closed-form count it must meet: the filter is wrong."""
 
 
 # -- harness ----------------------------------------------------------------

@@ -685,9 +685,11 @@ class _CensusClass:
 def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     """All pointless y^2 = f with f of degree 8, one per square class:
     f(0) is nu0 and the values at the nodes 1..8 range over the
-    nonsquares (_census_join), and each pass is checked for separability.
-    Scaling y -> sy moves f(0) freely over the (q - 1)/2 nonsquares, so
-    this keeps one model per orbit, and the PGL2 dedup sees every class.
+    nonsquares (_census_join), and each pass is built as a
+    HyperellipticOdd, whose constructor refuses an inseparable f: a
+    degenerate pass.  Scaling y -> sy moves f(0) freely over the (q - 1)/2
+    nonsquares, so this keeps one model per orbit, and the PGL2 dedup sees
+    every class.
 
     Certificate: an exhausted join has exactly N4(q) = C(q,2) q^2 -
     C(q,3) q + C(q,4) inseparable passes, or FilterDisagreement is
@@ -739,10 +741,11 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
     met = []                          # the classes, in the order met
     for f_of, code in run.walk([_census_join(F)]):
         coeffs = f_of(code)
-        if not kern.is_separable(coeffs):
+        try:
+            curve = HyperellipticOdd(F, coeffs)
+        except UnsupportedShape:      # f is inseparable
             degenerate += 1
             continue
-        curve = HyperellipticOdd(F, coeffs)
         if curve.genus != 3 or curve.count(1) != 0:
             raise _disagreement("exhaustive_hyper_genus3", q,
                                 {"f": coeffs}, curve)

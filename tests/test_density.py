@@ -11,6 +11,7 @@ from pointless.curves import HyperellipticOdd
 from pointless.density import (
     DensityProblem,
     SplitMix64,
+    _inseparable_monic_quartics,
     _klein4_hyper_odd,
     compute_density,
     format_permutation,
@@ -23,6 +24,7 @@ from pointless.density import (
 )
 from pointless.errors import (
     EvenCharacteristic,
+    FilterDisagreement,
     GroupTooLarge,
     NotTransitive,
     ParseError,
@@ -242,6 +244,41 @@ def _separability_first_sampler(F, rng):
             if hit is not None:
                 return hit, inseparable
             inseparable += 1
+
+
+class TestInseparableQuartics:
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25])
+    def test_table_is_the_kernel_separability_test(self, q):
+        """The table holds exactly the monic quartics the kernel's Euclid
+        finds inseparable: every one over F_3..F_11, 2,000 seeded ones
+        over F_25; and it has q^3 members."""
+        kern = _kernel(_field_for(q))
+        table = _inseparable_monic_quartics(kern)
+        assert len(table) == q ** 3
+        if q < 25:
+            quartics = itertools.product(range(q), repeat=4)
+        else:
+            rng = random.Random(q)
+            quartics = (tuple(rng.randrange(q) for _ in range(4))
+                        for _ in range(2000))
+        seen = set()
+        for c in quartics:
+            inseparable = not kern.is_separable(list(c) + [1])
+            assert (c in table) == inseparable, c
+            seen.add(inseparable)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("q", [5, 7, 9])
+    def test_size_certificate_fires(self, q, monkeypatch):
+        # one wrong product, (x - 2)^2 with a wrong constant term, and the
+        # set-up refuses the field before any sample
+        F = _field_for(q)
+        kern = _kernel(F)
+        mul = kern.mul
+        monkeypatch.setattr(kern, "mul", lambda a, b: kern.add(
+            mul(a, b), 1) if (a, b) == (2, 2) else mul(a, b))
+        with pytest.raises(FilterDisagreement, match="not q\\^3"):
+            montecarlo_pointless_rate("klein4_hyper_odd", F, 0)
 
 
 class TestMonteCarlo:
