@@ -9,9 +9,10 @@ Counting conventions (degree-1 places of the smooth model):
     counted through g: squarefree iff g is and g(0) != 0, and the x are 0
     and the two square roots of each nonzero square t, so the sum runs
     over the squares only, at half the degree.  That rule is written once,
-    as _even_squarefree and _even_fibres; the Monte-Carlo's
+    as HyperellipticOdd's check and _even_fibres; the Monte-Carlo's
     klein4_hyper_odd counts by _even_fibres too, and rerolls the g that
-    _even_squarefree refuses.
+    the check refuses: g(0) = 0, or g / lc(g) in density's table of the
+    q^3 inseparable monic quartics (_inseparable_monic_quartics).
   * Artin-Schreier y^2 + y = f (char 2): each non-pole x contributes 2
     or 0 by the absolute trace of f(x); each rational pole of odd order
     (including infinity) is ramified and contributes 1.
@@ -56,7 +57,8 @@ is tested over its residue field F_q[x]/(piece), whose elements are index
 polynomials reduced mod the irreducible piece (_Kernel.residue_gcd).  A
 diagonal quartic Q(x^2, y^2, z^2) (p odd) has a closed form instead, four
 tests on the coefficients of the conic Q (_diagonal_smooth), which the
-diagonal engine and the Monte-Carlo's diagonal_quartic both call.
+diagonal engine and the Monte-Carlo's diagonal_quartic both call, and
+both build the model by _diagonal_model.
 
 The special places of a tower (poles of the second stage, ramified and
 pole places of the first) run on the same kernel: their local expansions
@@ -156,9 +158,8 @@ class HyperellipticOdd:
     alike, on the trimmed index list _idx, which is all the model keeps.
 
     An even f = g(x^2) (every odd coefficient zero, as in the paper's
-    Klein four-group family) keeps _g = _idx[::2] and is checked
-    (_even_squarefree) and counted (_even_fibres) through g; _g is None
-    for any other f.
+    Klein four-group family) keeps _g = _idx[::2] and is checked and
+    counted (_even_fibres) through g; _g is None for any other f.
     """
 
     def __init__(self, base, f):
@@ -171,8 +172,11 @@ class HyperellipticOdd:
             raise UnsupportedShape(f"deg f = {len(idx) - 1} < 3")
         kern = _kernel(base)
         g = None if any(idx[1::2]) else idx[::2]
+        # a repeated root of g(x^2) is 0 or a square root of a repeated
+        # root of g (f' = 2x g'(x^2)), so f is squarefree iff g(0) != 0
+        # and g is separable
         if not (kern.is_separable(idx) if g is None
-                else _even_squarefree(kern, g)):
+                else g[0] and kern.is_separable(g)):
             raise UnsupportedShape("f must be squarefree")
         self.base = base
         self._idx = idx
@@ -189,14 +193,6 @@ class HyperellipticOdd:
         total = sum(w * roots(horner(f, x)) for x, w in orbits)
         # infinity: one point for odd deg f, else by the square class of lc
         return total + (1 if len(f) % 2 == 0 else roots(f[-1]))
-
-
-def _even_squarefree(kern, g):
-    """Whether f = g(x^2) is squarefree, for an index list g (p odd): a
-    repeated root of f is 0 or a square root of a repeated root of g
-    (f' = 2x g'(x^2)), so f is squarefree iff g(0) != 0 and g is
-    separable."""
-    return bool(g[0]) and kern.is_separable(g)
 
 
 def _even_fibres(kern, g, q):
@@ -445,6 +441,13 @@ def _diagonal_smooth(kern, a, b, c, d, e, f):
     for u, v in ((a, f), (b, e), (c, d)):
         delta = sub(delta, mul(u, mul(v, v)))
     return delta != 0
+
+
+def _diagonal_model(F, a, b, c, d, e, f):
+    """The plane quartic Q(x^2, y^2, z^2) of the conic Q = aX^2 + bY^2 +
+    cZ^2 + dXY + eXZ + fYZ, its coefficients indices of F."""
+    return PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b, (0, 0, 4): c,
+                            (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): f})
 
 
 def _involution_row(rows, p):

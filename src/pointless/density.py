@@ -28,7 +28,7 @@ from itertools import repeat
 
 from .curves import (
     FiberProductGenus4,
-    PlaneQuartic,
+    _diagonal_model,
     _diagonal_smooth,
     _even_fibres,
 )
@@ -88,25 +88,6 @@ def parse_permutation(text, degree):
             perm[v] = cycle[(k + 1) % len(cycle)]
         i = j + 1
     return tuple(perm)
-
-
-def format_permutation(perm):
-    d = len(perm)
-    seen = [False] * d
-    out = []
-    for s in range(d):
-        if seen[s] or perm[s] == s:
-            seen[s] = True
-            continue
-        cyc = [s]
-        seen[s] = True
-        v = perm[s]
-        while v != s:
-            cyc.append(v)
-            seen[v] = True
-            v = perm[v]
-        out.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(out) or "()"
 
 
 def _compose(a, b):
@@ -405,10 +386,7 @@ def _diagonal_quartic(F):
             a, b, c = (1 + rng.below(F.q - 1) for _ in range(3))
             d, e, g = (rng.below(F.q) for _ in range(3))
             if _diagonal_smooth(kern, a, b, c, d, e, g):
-                C = PlaneQuartic(F, {(4, 0, 0): a, (0, 4, 0): b,
-                                     (0, 0, 4): c, (2, 2, 0): d,
-                                     (2, 0, 2): e, (0, 2, 2): g})
-                return C.count(1) == 0
+                return _diagonal_model(F, a, b, c, d, e, g).count(1) == 0
     return sample
 
 

@@ -17,16 +17,13 @@ come from division by x - x0 and the norm, on the index kernel of the
 field the point lies in.
 """
 
-from math import gcd, isqrt
-
 from .errors import (
     EvenCharacteristic,
-    MixedCurves,
     UnsupportedShape,
     ZeroFunction,
 )
 from .curves import _extension, _scalar
-from .field import _kernel, _prime_factors
+from .field import _kernel
 
 INF = None
 
@@ -38,8 +35,8 @@ class EllipticCurve:
     a field element is converted once, by curves._scalar), and the cubic
     is the index list _cubic.  Points are INF or index pairs (x, y):
     points() lists them by x ascending, each x with y = exp[log v / 2]
-    before -y.  The group law, the orders and the quotient
-    representatives run on the base field's index kernel."""
+    before -y.  The group law and the quotient representatives run on
+    the base field's index kernel."""
 
     def __init__(self, base, a2, a4, a6):
         if base.p == 2:
@@ -64,12 +61,6 @@ class EllipticCurve:
         return (f"EllipticCurve(y^2 = x^3 + [{self.a2}]x^2 + [{self.a4}]x "
                 f"+ [{self.a6}] / GF({self.base.q}))")
 
-    def contains(self, P):
-        if P is INF:
-            return True
-        x, y = P
-        return self._kern.mul(y, y) == self._kern.horner(self._cubic, x)
-
     def points(self):
         if self._points is None:
             kern = self._kern
@@ -83,9 +74,6 @@ class EllipticCurve:
                     pts += [(x, y), (x, kern.neg(y))]
             self._points = pts
         return self._points
-
-    def order(self):
-        return len(self.points())
 
     # -- group law ------------------------------------------------------
 
@@ -125,28 +113,6 @@ class EllipticCurve:
             n >>= 1
         return R
 
-    def point_order(self, P):
-        if P is not INF and not self.contains(P):
-            raise MixedCurves("point not on this curve")
-        N = self.order()
-        o = N
-        for p in set(_prime_factors(N)):
-            while o % p == 0 and self.smul(o // p, P) is INF:
-                o //= p
-        return o
-
-    def group_structure(self):
-        """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2."""
-        N = self.order()
-        e = 1
-        for P in self.points():
-            o = self.point_order(P)
-            e = e * o // gcd(e, o)
-        return (N // e, e)
-
-    def two_torsion(self):
-        return [P for P in self.points() if P is INF or not P[1]]
-
     def quotient_reps(self, m):
         """One representative per coset of m E(F_q), cosets in the order of
         their first points: the first affine point with y != 0, else the
@@ -168,11 +134,6 @@ class EllipticCurve:
         # keys 0 (y != 0), 1 (y = 0), 2 (INF); min keeps the first of equals
         return [min(members, key=lambda P: 2 if P is INF else not P[1])
                 for members in cosets]
-
-
-def hasse_interval(q):
-    t = isqrt(4 * q)
-    return (q + 1 - t, q + 1 + t)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class ZeroPolynomial(PointlessError):
 
 # -- elliptic ---------------------------------------------------------------
 
-class MixedCurves(PointlessError):
-    pass
-
-
 class ZeroFunction(PointlessError):
     pass
 

@@ -302,13 +302,6 @@ class FiniteField:
         for i in range(self.q):
             yield self.from_index(i)
 
-    @property
-    def canonical_nonsquare(self):
-        """First nonsquare in the canonical element order (odd q only)."""
-        if self.p == 2:
-            raise OddCharacteristic("every element of a char-2 field is a square")
-        return self.from_index(_kernel(self).nonsquare)
-
     # -- discrete-log tables -------------------------------------------
 
     def dlog_tables(self):

@@ -72,6 +72,7 @@ from .curves import (
     FiberProductGenus4,
     HyperellipticOdd,
     PlaneQuartic,
+    _diagonal_model,
     _diagonal_smooth,
     _scalar,
 )
@@ -390,11 +391,6 @@ def _diagonal_has_point(kern, b, c, d, e, f):
                for X in range(kern.q) if kern.sqrt_count(X))
 
 
-def _diagonal_quartic(F, b, c, d, e, f):
-    return PlaneQuartic(F, {(4, 0, 0): 1, (0, 4, 0): b, (0, 0, 4): c,
-                            (2, 2, 0): d, (2, 0, 2): e, (0, 2, 2): f})
-
-
 def search_diagonal_quartic(F, mode="first_find", budget=None):
     """x^4 + b y^4 + c z^4 + d x^2 y^2 + e x^2 z^2 + f y^2 z^2 (a = 1 WLOG).
 
@@ -415,7 +411,7 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
         if (_diagonal_has_point(kern, *coeffs)
                 or not _diagonal_smooth(kern, 1, *coeffs)):
             continue
-        C = _diagonal_quartic(F, *coeffs)
+        C = _diagonal_model(F, 1, *coeffs)
         entry = {"coeffs": [1, *coeffs]}
         if not C.is_smooth():
             raise FilterDisagreement(
@@ -549,10 +545,13 @@ def _taylor_shifts(kern, f):
 
 
 def _pgl2_orbit(kern, f):
-    """The square class tuple (_square_class_canonical) of
-    g = (cx + d)^8 f((ax + b)/(cx + d)) for each of the q^3 - q normalised
-    (a, b, c, d) (first nonzero entry 1, ad - bc != 0) that keeps
-    deg g = 8; f is a degree-8 index list.
+    """The square class tuple of g = (cx + d)^8 f((ax + b)/(cx + d)) for
+    each of the q^3 - q normalised (a, b, c, d) (first nonzero entry 1,
+    ad - bc != 0) that keeps deg g = 8; f is a degree-8 index list.  The
+    square class tuple of g is the least index tuple among its square
+    multiples s^2 g: the one whose first nonzero coefficient is 1 when
+    g's is a square and nu = kern.nonsquare, the least nonsquare index,
+    when it is not.
 
     (1, b, c, d) is (1, 0; c, 1)(1, b; 0, e) with e = d - bc.  The first
     factor turns f into rev(rev(f)(x + c)), rev reversing the 9
@@ -588,34 +587,6 @@ def _pgl2_orbit(kern, f):
             yield from [tuple(map(get, map(add, odd if (lj + j * lu) & 1
                                            else even, step)))
                         for lu, step in enumerate(steps[j])]
-
-
-def _square_class_canonical(kern, nu, g):
-    """The minimal index tuple over the square multiples s^2 g of the
-    nonzero index list g.  The first nonzero entry decides it: s^2 takes
-    it to 1 when it is a square and to nu, the smallest nonsquare index,
-    when it is not."""
-    lead = next(c for c in g if c)
-    s2 = kern.mul(kern.inv(lead), nu if kern.sqrt_count(lead) == 0 else 1)
-    return tuple(kern.mul(s2, c) for c in g)
-
-
-def _pgl2_classes(kern, nu, models):
-    """The PGL2 canonical key of each degree-8 index list in models, and
-    the number of distinct keys.  The key of y^2 = f is its class under
-    PGL2(F_q) acting on x and square scaling of f: the minimal square
-    class tuple over the orbit.  A model whose square class tuple is not
-    yet known has its orbit walked (_pgl2_orbit), and every member is
-    mapped to the orbit minimum: one walk per class, not per model."""
-    key_of = {}
-    keys = []
-    for f in models:
-        tup = _square_class_canonical(kern, nu, f)
-        if tup not in key_of:
-            members = set(_pgl2_orbit(kern, f))
-            key_of.update(dict.fromkeys(members, min(members)))
-        keys.append(key_of[tup])
-    return keys, len(set(keys))
 
 
 def _node_value_forms(F):

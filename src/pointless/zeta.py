@@ -167,10 +167,6 @@ def pointless_q_range(g, kind):
     return best
 
 
-def serre_bound_holds(q, g, N1):
-    return abs(N1 - (q + 1)) <= g * isqrt(4 * q)
-
-
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ factors polynomials, interpolates and runs the elliptic group law on
 index kernels only (pointless.series, _Kernel.residue_gcd,
 FieldElement.sqrt, _Kernel.factor, search._node_value_forms,
 EllipticCurve).  The tests compare them with the independent
-implementations kept here, all but the last two in FieldElement
-arithmetic:
+implementations kept here, all in FieldElement arithmetic but
+dlog_tables_reference, fiber_product_count and three helpers that
+several test modules share and no command needs (point_order,
+group_structure and serre_bound_holds):
 
 * Series: truncated Laurent series of field elements, with Newton square
   roots, and poly_at_series (Horner on a series);
@@ -21,6 +23,10 @@ arithmetic:
   element, and the Lagrange interpolant;
 * ElementCurve: an elliptic curve's points, group law, 2-torsion and
   quotient representatives on FieldElement pairs;
+* point_order and group_structure: a point's order and the group's
+  invariants (n1, n2), by smul on either curve;
+* serre_bound_holds: Serre's bound on N_1, which the tests hold each
+  count to;
 * fn_ab and fn_value: a function sum c x^i y^j on an rr_basis as the
   pair of Polys (A, B) with fn = A + B y, and its value at a point;
 * local_xy_series, local_fn_series and vanishing_order: the double
@@ -36,6 +42,7 @@ arithmetic:
 """
 
 import random
+from math import gcd, isqrt
 
 from pointless.errors import (
     DivisionByZero,
@@ -628,6 +635,37 @@ class ElementCurve:
                 pick = affine[0] if affine else members[0]
             out.append(pick)
         return out
+
+
+def point_order(E, P):
+    """The order of the point P on a curve with points() and smul (an
+    EllipticCurve or an ElementCurve): the group order with each prime
+    divided out while it still kills P."""
+    o = N = len(E.points())
+    for p in set(_prime_factors(N)):
+        while o % p == 0 and E.smul(o // p, P) is INF:
+            o //= p
+    return o
+
+
+def group_structure(E):
+    """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2: n2 is the exponent,
+    the lcm of the point orders."""
+    e = 1
+    for P in E.points():
+        o = point_order(E, P)
+        e = e * o // gcd(e, o)
+    return (len(E.points()) // e, e)
+
+
+# ---------------------------------------------------------------------------
+# Serre's bound on N_1
+# ---------------------------------------------------------------------------
+
+def serre_bound_holds(q, g, N1):
+    """|N1 - (q + 1)| <= g floor(2 sqrt(q)), which every count of a genus-g
+    curve over F_q meets."""
+    return abs(N1 - (q + 1)) <= g * isqrt(4 * q)
 
 
 # ---------------------------------------------------------------------------

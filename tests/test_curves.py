@@ -40,7 +40,7 @@ from pointless.field import (
 )
 from pointless.harness import load_fixtures
 from pointless.series import _ser_cubic_branch
-from pointless.zeta import l_from_counts, predicted_counts, serre_bound_holds
+from pointless.zeta import l_from_counts, predicted_counts
 
 from element_reference import (
     QElement,
@@ -51,6 +51,7 @@ from element_reference import (
     fiber_product_count,
     poly_at_series,
     roots,
+    serre_bound_holds,
 )
 
 F2 = FiniteField(2)
@@ -879,7 +880,7 @@ class TestTwistDuality:
                  + [F5.from_index(rng.randrange(1, 5))])
         if not _separable(f):
             return
-        nu = F5.canonical_nonsquare
+        nu = F5.from_index(_kernel(F5).nonsquare)
         C = HyperellipticOdd(F5, f)
         Ct = HyperellipticOdd(F5, f * nu)
         assert C.count(1) + Ct.count(1) == 2 * (5 + 1)
@@ -892,7 +893,7 @@ class TestTwistDuality:
                  + [F9.from_index(rng.randrange(1, 9))])
         if not _separable(f):
             return
-        nu = F9.canonical_nonsquare
+        nu = F9.from_index(_kernel(F9).nonsquare)
         assert (HyperellipticOdd(F9, f).count(1)
                 + HyperellipticOdd(F9, f * nu).count(1)) == 2 * (9 + 1)
 

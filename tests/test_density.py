@@ -14,7 +14,6 @@ from pointless.density import (
     _inseparable_monic_quartics,
     _klein4_hyper_odd,
     compute_density,
-    format_permutation,
     group_closure,
     heuristic_pointless_probability,
     klein4_hyper_odd_heuristic,
@@ -32,6 +31,27 @@ from pointless.errors import (
     UnsupportedShape,
 )
 from pointless.field import FiniteField, Poly, _index_poly, _kernel
+
+
+def format_permutation(perm):
+    """The cycle notation of a 0-based permutation tuple, 1-based points,
+    fixed points left out: the text parse_permutation reads back."""
+    d = len(perm)
+    seen = [False] * d
+    out = []
+    for s in range(d):
+        if seen[s] or perm[s] == s:
+            seen[s] = True
+            continue
+        cyc = [s]
+        seen[s] = True
+        v = perm[s]
+        while v != s:
+            cyc.append(v)
+            seen[v] = True
+            v = perm[v]
+        out.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+    return "".join(out) or "()"
 
 
 class TestParsePermutation:

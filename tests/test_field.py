@@ -149,9 +149,9 @@ class TestSquares:
             assert sum(v.is_square() for v in F.elements()) == (F.q + 1) // 2
 
     def test_canonical_nonsquare(self):
-        assert F5.canonical_nonsquare == F5.element(2)
-        with pytest.raises(OddCharacteristic):
-            F4.canonical_nonsquare
+        # the kernel's nonsquare is the first nonsquare in canonical order
+        assert _kernel(F5).nonsquare == 2
+        assert _kernel(F4).nonsquare is None   # every element is a square
 
 
 class TestTrace:
