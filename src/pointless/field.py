@@ -237,10 +237,6 @@ class FiniteField:
         self._kern = None
 
     @property
-    def char(self):
-        return self.p
-
-    @property
     def order(self):
         return self.q
 

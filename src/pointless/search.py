@@ -6,22 +6,27 @@ share.  The engine supplies what is particular to its family:
   * the family filter: cheap arithmetic (index tables, bitmasks, early
     abort) that discards most candidates;
   * the model validation: every survivor is rebuilt through the curve
-    models and never trusted from the filter alone.  Where a filter claims
-    to decide pointlessness exactly, a survivor that the model rejects
-    raises FilterDisagreement instead of being skipped;
-  * the survivor entry and its zeta summary, the parameters and the
-    fingerprint of the enumeration order.
-The _Search owns the rest: the start time, the survivor and zeta lists, the
-first_find stop (keep() stops a first_find run at its first survivor), the
-default dedup (distinct count vectors), the one SearchReport, and the one
-walk over the candidates.  An engine hands walk() its enumeration as
-blocks (context, width, codes): codes are the block's passes, ascending
-among its width candidates (one block of width 1 per candidate for the
-engines that test candidates one at a time, one join per block for the
-others).  The walk spends the budget (BudgetExceeded) up to each pass and
-at each block's end, counts each block's width candidates, or those up to
-the pass where first_find stopped, counts the passes, and yields nothing
-more once first_find has stopped.
+    models and never trusted from the filter alone;
+  * the survivor entry, its own parameters and the name of its
+    enumeration order.
+The _Search owns the rest.  It refuses a field of the wrong characteristic
+(_CHAR2_FAMILIES) before the engine sets up, and keeps the start time, the
+kill counts under the keys the engine declares, the survivor and zeta lists
+and the first_find stop (keep() stops a first_find run at its first
+survivor).  Where a filter claims to decide pointlessness exactly, confirm()
+raises FilterDisagreement on a survivor whose model has a rational point or
+another genus, instead of skipping it.  keep_genus3() keeps a genus-3
+survivor with the zeta summary of its counts over F_q^2 and F_q^3.  report()
+builds the one SearchReport: the parameters (q, the engine's own and the
+mode), the fingerprint, the default dedup (distinct count vectors) and the
+kill counts.  An engine hands walk(), the one walk over the candidates,
+its enumeration as blocks (context, width, codes): codes are the block's
+passes, ascending among its width candidates (one block of width 1 per
+candidate for the engines that test candidates one at a time, one join
+per block for the others).  The walk spends the budget (BudgetExceeded)
+up to each pass and at each block's end, counts each block's width
+candidates, or those up to the pass where first_find stopped, counts the
+passes, and yields nothing more once first_find has stopped.
 Fingerprints make census results reproducible.
 
 Every filter reads the square class and the absolute trace of a value
@@ -117,37 +122,32 @@ class SearchReport:
     kill_counts: dict = dc_field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "parameters": self.parameters,
-            "candidates": self.candidates,
-            "survivors": self.survivors,
-            "dedup_classes": self.dedup_classes,
-            "zeta": self.zeta,
-            "wall_time": round(self.wall_time, 3),
-            "fingerprint": self.fingerprint,
-            "kill_counts": self.kill_counts,
-        }
+        return dict(vars(self), wall_time=round(self.wall_time, 3))
 
 
 def _fingerprint(*parts):
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:16]
 
 
-def _disagreement(family, q, candidate, curve):
-    """The error for a candidate that passed a filter claiming exactness
-    but whose exact model is not a pointless curve of the family's genus."""
-    return FilterDisagreement(
-        f"{family} over F_{q}: the filter passed {candidate}, but the curve "
-        f"has genus {curve.genus} and {curve.count(1)} rational points")
+# the families of characteristic 2; every other engine needs an odd one
+_CHAR2_FAMILIES = {"klein4_hyper_even", "quartic_char2", "hyper_genus4_char2"}
 
 
 class _Search:
-    """One engine run: the state every engine shares, and its report."""
+    """One engine run over F: the state every engine shares, and its
+    report.  It refuses a field of the wrong characteristic before the
+    engine sets up, and kills holds the engine's kill counts, one per
+    declared key."""
 
-    def __init__(self, family, mode, budget):
+    def __init__(self, F, family, mode, budget, kills=()):
         self.t0 = time.time()
-        self.family, self.mode, self.budget = family, mode, budget
+        char2 = family in _CHAR2_FAMILIES
+        if (F.p == 2) != char2:
+            raise (OddCharacteristic if char2 else EvenCharacteristic)(
+                f"{family} needs "
+                f"{'characteristic 2' if char2 else 'odd characteristic'}")
+        self.q, self.family, self.mode, self.budget = F.q, family, mode, budget
+        self.kills = dict.fromkeys(kills, 0)
         self.survivors, self.zetas = [], []
         self.candidates = self.passes = 0
         self.stopped = False
@@ -175,24 +175,48 @@ class _Search:
                 raise over
             self.candidates += width
 
+    def confirm(self, curve, candidate, genus=None):
+        """Raise FilterDisagreement unless the exact model of a candidate
+        that passed a filter claiming exactness has no rational point and,
+        if genus is given, that genus."""
+        if genus not in (None, curve.genus) or curve.count(1) != 0:
+            raise FilterDisagreement(
+                f"{self.family} over F_{self.q}: the filter passed "
+                f"{candidate}, but the curve has genus {curve.genus} and "
+                f"{curve.count(1)} rational points")
+
     def keep(self, entry, zeta):
         """Record a validated survivor; a first_find run stops here."""
         self.survivors.append(entry)
         self.zetas.append(zeta)
         self.stopped = self.mode == "first_find"
 
-    def report(self, parameters, fingerprint, dedup_classes=None,
-               kill_counts=None):
-        """The SearchReport; dedup_classes defaults to the number of
-        distinct count vectors among the zetas."""
+    def keep_genus3(self, entry, curve):
+        """keep() a pointless genus-3 survivor with the zeta summary of its
+        counts over F_q, F_q^2 and F_q^3; returns the summary."""
+        counts = [0, curve.count(2), curve.count(3)]
+        zeta = zeta_report(self.q, 3, counts).to_json()
+        self.keep(entry, zeta)
+        return zeta
+
+    def report(self, *key, dedup_classes=None, **parameters):
+        """The SearchReport.  Its parameters are q, the engine's own and the
+        mode.  Its fingerprint hashes the family (double_covers for the
+        double covers, as their pinned fingerprints do), q and key: the
+        engine's parameters and the name of its enumeration order.
+        dedup_classes defaults to the number of distinct count vectors
+        among the zetas."""
         if dedup_classes is None:
             dedup_classes = len({tuple(z["counts"]) for z in self.zetas})
         return SearchReport(
-            family=self.family, parameters=parameters,
+            family=self.family,
+            parameters={"q": self.q, **parameters, "mode": self.mode},
             candidates=self.candidates, survivors=self.survivors,
             dedup_classes=dedup_classes, zeta=self.zetas,
-            wall_time=time.time() - self.t0, fingerprint=fingerprint,
-            kill_counts=kill_counts or {})
+            wall_time=time.time() - self.t0,
+            fingerprint=_fingerprint(self.family.removesuffix("_elliptic"),
+                                     self.q, *key),
+            kill_counts=self.kills)
 
 
 def _each(candidates):
@@ -300,8 +324,7 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
     materialized as degree-8 models y^2 = x^4 f(x + n/x).  n is taken as
     the models take a coefficient (curves._scalar): an int is an index in
     0..q-1, and an element of F is converted once."""
-    if F.p == 2:
-        raise EvenCharacteristic("odd-characteristic family")
+    run = _Search(F, "klein4_hyper_odd", mode, budget)
     n_i = _scalar(F, n)
     if not n_i:
         raise ValueError("n must be nonzero")
@@ -320,7 +343,6 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
         consts.append(mul(nu_i, mul(u2, u2)))
     nonsquare = bytearray(kern.sqrt_count(a) == 0 for a in range(q))
     disc = [kern.neg(mul(4 % F.p, n_i)), 0, 1]     # u^2 - 4n
-    run = _Search("klein4_hyper_odd", mode, budget)
     # lc fixed to the canonical nonsquare: square-class scaling y -> cy
     join = _linear_join(kern, [range(q)] * 4, weights, consts, nonsquare)
     for _, code in run.walk([(None, q ** 4, join)]):
@@ -329,23 +351,15 @@ def search_klein4_hyper_odd(F, n, mode="first_find", budget=None):
             continue
         model = _klein4_model(kern, coeffs, n_i)
         curve = HyperellipticOdd(F, model)
-        if curve.genus != 3 or curve.count(1) != 0:
-            raise _disagreement("klein4_hyper_odd", q,
-                                {"f": coeffs, "n": n_i}, curve)
-        counts = [0] + [curve.count(i) for i in (2, 3)]
-        run.keep({"f": coeffs, "model": model},
-                 zeta_report(q, 3, counts).to_json())
-    return run.report({"q": q, "n": n_i, "mode": mode},
-                      _fingerprint("klein4_hyper_odd", q, n_i,
-                                   "odometer-c0..c3-lc-nu"))
+        run.confirm(curve, {"f": coeffs, "n": n_i}, genus=3)
+        run.keep_genus3({"f": coeffs, "model": model}, curve)
+    return run.report(n_i, "odometer-c0..c3-lc-nu", n=n_i)
 
 
 def search_klein4_hyper_even(F, mode="first_find", budget=None):
     """Char 2: y^2 + y = f(x + 1/x), f = (a u^2 + b u + c)/d(u) with d a
     separable monic quadratic, d(0) != 0."""
-    if F.p != 2:
-        raise OddCharacteristic("characteristic-2 family")
-    run = _Search("klein4_hyper_even", mode, budget)
+    run = _Search(F, "klein4_hyper_even", mode, budget)
     # a runs fastest; d must be separable with nonzero roots
     abcd = ((a, b, c, d1, d0) for d0, d1, c, b, a
             in product(range(F.q), repeat=5) if d1 and d0)
@@ -364,12 +378,9 @@ def search_klein4_hyper_even(F, mode="first_find", budget=None):
             continue
         if curve.count(1) != 0:
             continue
-        counts = [0] + [curve.count(i) for i in (2, 3)]
-        run.keep({"f_num": num, "f_den": den,
-                  "quartic_f": [c, b, a], "d": [d0, d1, 1]},
-                 zeta_report(F.q, 3, counts).to_json())
-    return run.report({"q": F.q, "mode": mode},
-                      _fingerprint("klein4_hyper_even", F.q, "odometer-abcd1d0"))
+        run.keep_genus3({"f_num": num, "f_den": den,
+                         "quartic_f": [c, b, a], "d": [d0, d1, 1]}, curve)
+    return run.report("odometer-abcd1d0")
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +409,7 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
     square coordinates (_diagonal_has_point), then smoothness by the
     conic's coefficients (curves._diagonal_smooth).  A survivor the model
     finds singular or with a rational point raises FilterDisagreement."""
-    if F.p == 2:
-        raise EvenCharacteristic("diagonal quartics need odd characteristic")
-    run = _Search("diagonal_quartic", mode, budget)
+    run = _Search(F, "diagonal_quartic", mode, budget)
     kern = _kernel(F)
     # b = 0 gives the point (0:1:0), c = 0 the point (0:0:1); d runs
     # fastest
@@ -417,13 +426,9 @@ def search_diagonal_quartic(F, mode="first_find", budget=None):
             raise FilterDisagreement(
                 f"diagonal_quartic over F_{F.q}: the smoothness filter "
                 f"passed {entry}, but the curve is singular")
-        if C.count(1) != 0:
-            raise _disagreement("diagonal_quartic", F.q, entry, C)
-        counts = [0] + [C.count(i) for i in (2, 3)]
-        run.keep(entry, zeta_report(F.q, 3, counts).to_json())
-    return run.report({"q": F.q, "mode": mode},
-                      _fingerprint("diagonal_quartic", F.q,
-                                   "b-c-outer-def-odometer"))
+        run.confirm(C, entry)
+        run.keep_genus3(entry, C)
+    return run.report("b-c-outer-def-odometer")
 
 
 def _char2_family_quartic(F, beta, gamma):
@@ -456,9 +461,7 @@ def search_quartic_char2(F, mode="first_find", budget=None):
     F_{2^n}.  The filter is exact (_char2_pointless_gammas, built once per
     beta the walk reaches): a survivor the model counts a point on raises
     FilterDisagreement.  Smoothness is the model's."""
-    if F.p != 2:
-        raise OddCharacteristic("characteristic-2 quartic family")
-    run = _Search("quartic_char2", mode, budget)
+    run = _Search(F, "quartic_char2", mode, budget)
     kern = _kernel(F)
     pointless = {}
     # beta runs fastest
@@ -471,13 +474,11 @@ def search_quartic_char2(F, mode="first_find", budget=None):
         C = _char2_family_quartic(F, beta, gamma)
         entry = {"beta": beta, "gamma": gamma}
         # the model confirms the filter's verdict, then judges smoothness
-        if C.count(1) != 0:
-            raise _disagreement("quartic_char2", F.q, entry, C)
+        run.confirm(C, entry)
         if not C.is_smooth():
             continue
         run.keep(entry, {"q": F.q, "counts": [0, C.count(2)]})
-    return run.report({"q": F.q, "mode": mode},
-                      _fingerprint("quartic_char2", F.q, "beta-gamma-odometer"))
+    return run.report("beta-gamma-odometer")
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +489,7 @@ def search_fiberproduct(F, mode="first_find", budget=None):
     """y^2 = f, z^2 = g with f monic cubic and lc(g) the canonical nonsquare;
     pointless iff for every x at least one of f(x), g(x) is a nonsquare.
     f is the high three digits of the candidate code, g the low three."""
-    if F.p == 2:
-        raise EvenCharacteristic("odd-characteristic family")
-    run = _Search("fiberproduct", mode, budget)
+    run = _Search(F, "fiberproduct", mode, budget)
     q = F.q
     kern = _kernel(F)
     mul, nu_i = kern.mul, kern.nonsquare
@@ -518,14 +517,12 @@ def search_fiberproduct(F, mode="first_find", budget=None):
         except UnsupportedShape:
             continue
         entry = {"f": list(fco), "g": list(gco)}
-        if C.count(1) != 0:
-            raise _disagreement("fiberproduct", q, entry, C)
+        run.confirm(C, entry)
         props = C.properties()
         entry.update(trigonal=props["trigonal"],
                      extra_autos=props["extra_autos"])
         run.keep(entry, {"q": q, "counts": [0, C.count(2)]})
-    return run.report({"q": q, "mode": mode},
-                      _fingerprint("fiberproduct", q, "f-monic-g-nu-odometer"))
+    return run.report("f-monic-g-nu-odometer")
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +640,12 @@ def _census_join(F):
 @dataclass
 class _CensusClass:
     """A PGL2 class met by the census: its key (the orbit minimum), its
-    size (the number of square class tuples in the orbit), the point
-    counts and zeta summary of its first survivor, and whether a second
-    survivor has been recounted against them."""
+    size (the number of square class tuples in the orbit), the zeta
+    summary of its first survivor, and whether a second survivor has been
+    recounted against it."""
     key: tuple
     size: int
-    counts: list
-    zeta: dict
+    zeta: dict = None
     recounted: bool = False
 
 
@@ -700,14 +696,12 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
 
     A first_find run stops at its first survivor: it walks that one
     orbit, for the key, and claims no closure."""
-    if F.p == 2:
-        raise EvenCharacteristic("odd-characteristic census")
+    run = _Search(F, "exhaustive_hyper_genus3", mode, budget,
+                  ("join_passes", "degenerate"))
     if F.q < 9:
         raise ValueError("exhaustive census engine needs q >= 9")
     q = F.q
     kern = _kernel(F)
-    run = _Search("exhaustive_hyper_genus3", mode, budget)
-    degenerate = 0
     class_of = {}                     # walked member -> its _CensusClass
     met = []                          # the classes, in the order met
     for f_of, code in run.walk([_census_join(F)]):
@@ -715,28 +709,29 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
         try:
             curve = HyperellipticOdd(F, coeffs)
         except UnsupportedShape:      # f is inseparable
-            degenerate += 1
+            run.kills["degenerate"] += 1
             continue
-        if curve.genus != 3 or curve.count(1) != 0:
-            raise _disagreement("exhaustive_hyper_genus3", q,
-                                {"f": coeffs}, curve)
+        run.confirm(curve, {"f": coeffs}, genus=3)
         cls = class_of.get(tuple(coeffs))
         if cls is None:
             members = set(_pgl2_orbit(kern, coeffs))
-            counts = [0] + [curve.count(i) for i in (2, 3)]
-            cls = _CensusClass(min(members), len(members), counts,
-                               zeta_report(q, 3, counts).to_json())
+            cls = _CensusClass(min(members), len(members))
             class_of.update(dict.fromkeys(members, cls))
             met.append(cls)
         elif not cls.recounted:
             cls.recounted = True
-            counts = [0] + [curve.count(i) for i in (2, 3)]
-            if counts != cls.counts:
+            counts = [0, curve.count(2), curve.count(3)]
+            if counts != cls.zeta["counts"]:
                 raise FilterDisagreement(
                     f"F_{q} census: the recount of survivor {coeffs} gives "
                     f"{counts}, but its class {list(cls.key)} has "
-                    f"{cls.counts}")
-        run.keep({"f": coeffs, "iso_class_key": list(cls.key)}, cls.zeta)
+                    f"{cls.zeta['counts']}")
+        entry = {"f": coeffs, "iso_class_key": list(cls.key)}
+        if cls.zeta is None:
+            cls.zeta = run.keep_genus3(entry, curve)
+        else:
+            run.keep(entry, cls.zeta)
+    degenerate = run.kills["degenerate"]
     if not run.stopped:
         n4 = comb(q, 2) * q * q - comb(q, 3) * q + comb(q, 4)
         if degenerate != n4:
@@ -750,12 +745,9 @@ def search_exhaustive_hyper_genus3(F, mode="census", budget=None):
                 f"{len(class_of.keys() - survivors)} walked members are no "
                 f"survivors, and the {len(met)} classes hold {sizes} "
                 f"members for {len(run.survivors)} survivors")
-    return run.report({"q": q, "mode": mode},
-                      _fingerprint("exhaustive_hyper_genus3", q,
-                                   "f0-nu0-nodes-1..8-nonsquare-odometer"),
-                      dedup_classes=len(met),
-                      kill_counts={"join_passes": run.passes,
-                                   "degenerate": degenerate})
+    run.kills["join_passes"] = run.passes
+    return run.report("f0-nu0-nodes-1..8-nonsquare-odometer",
+                      dedup_classes=len(met))
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +806,8 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     or nu.  Each Q runs one join, its top digit over (1, nu) and the
     others over F_q: reps * 2 * q^(k-3) candidates in all."""
     F = E.base
-    if F.p == 2:
-        raise EvenCharacteristic("odd-characteristic engine")
+    run = _Search(F, "double_covers_elliptic", mode, budget,
+                  ("test1", "test2"))
     if genus_target not in (3, 4):
         raise ValueError("genus_target must be 3 or 4")
     k = 6 if genus_target == 3 else 8
@@ -836,7 +828,6 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
     pts = E.points()[1:]             # the affine points, after INF
     # modulo square scaling: the top coefficient, of x^(k/2), is 1 or nu
     tops = (1, kern.nonsquare)
-    run = _Search("double_covers_elliptic", mode, budget)
 
     def blocks():
         # one join per Q
@@ -854,7 +845,6 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
                 kern, [range(q)] * free + [tops], B_at, [0] * len(B_at),
                 not_square)
 
-    kill2 = 0
     for (Q, kernel), code in run.walk(blocks()):
         *lam, top = _digits(code, q, len(kernel))
         coeffs = [0] * len(basis)
@@ -862,20 +852,17 @@ def search_double_covers_elliptic(E, genus_target=3, mode="census",
             coeffs = [add(c, mul(l_i, v)) for c, v in zip(coeffs, vec)]
         if not (shape_possible(E, coeffs, basis, Q) and
                 divisor_shape(E, coeffs, basis, Q, k)["shape_ok"]):
-            kill2 += 1
+            run.kills["test2"] += 1
             continue
         counts = [cover_count(E, coeffs, basis, i) for i in (1, 2, 3)]
         run.keep({"Q": list(Q), "coeffs": coeffs,
                   "counts": counts, "pointless": counts[0] == 0},
                  {"q": q, "counts": counts})
     curve = [E.a2, E.a4, E.a6]
-    return run.report({"q": q, "genus": genus_target, "curve": curve,
-                       "reps": len(qreps), "fallback": fallback,
-                       "mode": mode},
-                      _fingerprint("double_covers", q, genus_target, *curve,
-                                   "top-norm-odometer"),
-                      kill_counts={"test1": run.candidates - run.passes,
-                                   "test2": kill2})
+    run.kills["test1"] = run.candidates - run.passes
+    return run.report(genus_target, *curve, "top-norm-odometer",
+                      genus=genus_target, curve=curve, reps=len(qreps),
+                      fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,16 +992,14 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None):
     mu_d.  Stab is thus the a in mu_d that fix the conductor, the orbit
     the engine adds.  Every conductor lies in one class, so a class left
     out or kept twice moves the sum."""
-    if F.p != 2:
-        raise OddCharacteristic("characteristic-2 census")
+    run = _Search(F, "hyper_genus4_char2", mode, budget,
+                  ("conductors_covered",))
     q = F.q
     kern = _kernel(F)
     t = next(v for v in range(q) if kern.trace(v))
-    run = _Search("hyper_genus4_char2", mode, budget)
-    covered = 0
     for (shape_name, parts, orbit), _ in run.walk(
             _each(_affine_conductors(kern))):
-        covered += orbit
+        run.kills["conductors_covered"] += orbit
         m = parts[0]
         for p in parts[1:]:
             m = kern._pmul(m, p)
@@ -1036,24 +1021,20 @@ def search_hyper_genus4_char2(F, mode="first_find", budget=None):
             except UnsupportedShape:
                 continue
             entry = {"shape": shape_name, "m": m, "g": g, "t": t}
-            if curve.genus != 4 or curve.count(1) != 0:
-                raise _disagreement("hyper_genus4_char2", q, entry, curve)
+            run.confirm(curve, entry, genus=4)
             entry["counts"] = [0] + [curve.count(i) for i in (2, 3, 4)]
             run.keep(entry, {"q": q, "counts": entry["counts"]})
             if run.stopped:
                 break
     gauss = (q ** 5 - q) // 5 + (q * q - q) // 2 * ((q ** 3 - q) // 3)
+    covered = run.kills["conductors_covered"]
     if not run.stopped and covered != gauss:
         raise FilterDisagreement(f"F_{q} genus-4 census: the kept "
                                  f"conductors' orbits cover {covered} "
                                  f"conductors, not N(5) + N(2) N(3) = "
                                  f"{gauss}")
-    return run.report({"q": q, "mode": mode,
-                       "raw_survivors": len(run.survivors)},
-                      _fingerprint("hyper_genus4_char2", q,
-                                   "affine-normal-quintic-then-cubic-"
-                                   "quadratic-odometer"),
-                      kill_counts={"conductors_covered": covered})
+    return run.report("affine-normal-quintic-then-cubic-quadratic-odometer",
+                      raw_survivors=len(run.survivors))
 
 
 def kernel_span(kernel_basis):

@@ -179,7 +179,7 @@ class Series:
         valuation, square leading coefficient."""
         if self.is_zero():
             return self
-        if self.field.char == 2:
+        if self.field.p == 2:
             raise NoSquareRoot("char-2 series square roots are not needed here")
         if self.val % 2:
             raise NoSquareRoot("odd valuation")
@@ -220,7 +220,7 @@ class QuotientField:
         self.base = modulus.base
         self.deg = modulus.degree
         self.order = self.base.q ** self.deg
-        self.char = self.base.p
+        self.p = self.base.p
         self.zero = QElement(self, Poly(self.base, []))
         self.one = QElement(self, Poly.constant(self.base, self.base.one))
         self.x_class = QElement(self, Poly.x(self.base) % self.modulus)
@@ -311,13 +311,13 @@ class QElement:
         return hash(("q", self.rep.coeffs))
 
     def is_square(self):
-        if self.is_zero() or self.parent.char == 2:
+        if self.is_zero() or self.parent.p == 2:
             return True
         return self ** ((self.parent.order - 1) // 2) == self.parent.one
 
     def sqrt(self):
         K = self.parent
-        if K.char == 2:
+        if K.p == 2:
             out = self
             for _ in range(K.base.n * K.deg - 1):
                 out = out * out

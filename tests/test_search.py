@@ -35,6 +35,7 @@ from pointless.field import (
     _kernel,
 )
 from pointless.search import (
+    ENGINE_FAMILIES,
     SearchConfig,
     census,
     first_find,
@@ -366,6 +367,46 @@ def test_filter_disagreement_raises(monkeypatch, model, run):
     monkeypatch.setattr(model, "count", lambda self, i=1: 1)
     with pytest.raises(FilterDisagreement, match="rational points"):
         run()
+
+
+# the genus half of the same check: the model's constructor runs, then
+# claims genus 2 for every curve, each of which has no rational point
+@pytest.mark.parametrize("model, run", [
+    (HyperellipticOdd,
+     lambda: search_klein4_hyper_odd(F5, 1, mode="census")),
+    (HyperellipticOdd,
+     lambda: search_exhaustive_hyper_genus3(F9, mode="first_find")),
+    (ArtinSchreierCurve,
+     lambda: search_hyper_genus4_char2(F2, mode="census")),
+], ids=["klein4_hyper_odd@F5", "exhaustive_hyper_genus3@F9",
+        "hyper_genus4_char2@F2"])
+def test_filter_genus_disagreement_raises(monkeypatch, model, run):
+    init = model.__init__
+
+    def genus_two(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.genus = 2
+
+    monkeypatch.setattr(model, "__init__", genus_two)
+    with pytest.raises(FilterDisagreement,
+                       match="genus 2 and 0 rational points"):
+        run()
+
+
+# every engine refuses a field of the wrong characteristic before its walk
+# counts a candidate
+@pytest.mark.parametrize("family", ENGINE_FAMILIES)
+def test_wrong_characteristic_refused_before_any_candidate(monkeypatch,
+                                                           family):
+    def walked(run, blocks):
+        raise AssertionError(f"{family} walked its candidates")
+
+    monkeypatch.setattr(search._Search, "walk", walked)
+    char2 = {"klein4_hyper_even", "quartic_char2", "hyper_genus4_char2"}
+    F, error = (F3, OddCharacteristic) if family in char2 \
+        else (F4, EvenCharacteristic)
+    with pytest.raises(error):
+        run_search(F, SearchConfig(family=family, mode="census"))
 
 
 class TestKlein4Even:
